@@ -5,7 +5,7 @@
 
    Usage: main.exe [section ...] [--smoke]
    Sections: table1 table2 table3 table4 fig11 fig12 twig datasets
-             accuracy construction maintenance ablation theorems timing
+             accuracy maintenance ablation theorems timing
              caching parallel storage (default: all).  --smoke shrinks
              the storage section for use inside the test suite. *)
 
@@ -634,57 +634,6 @@ let theorems () =
   in
   Report.table
     (("predicate" :: List.map (fun s -> "g=" ^ string_of_int s) sizes) :: rows)
-
-(* ------------------------------------------------------------------ *)
-(* Construction cost: building documents and summaries                 *)
-(* ------------------------------------------------------------------ *)
-
-let construction () =
-  Report.section
-    "Construction cost: fused single-sweep build vs legacy per-predicate      build (Table-1 DBLP predicate set)";
-  let doc = Data.dblp () in
-  let preds = List.map snd (Data.dblp_predicates ()) in
-  let results =
-    List.map
-      (fun grid_kind ->
-        Xmlest.Construction_bench.run ~grid_size:10 ~grid_kind ~repeats:3
-          ~dataset:"dblp" doc preds)
-      [ `Uniform; `Equidepth ]
-  in
-  let rows =
-    List.map
-      (fun (r : Xmlest.Construction_bench.result) ->
-        [
-          Xmlest.Construction_bench.kind_name r.grid_kind;
-          string_of_int r.nodes;
-          string_of_int r.predicates;
-          Printf.sprintf "%.0fms" (r.fused_time *. 1e3);
-          Printf.sprintf "%.0fms" (r.legacy_time *. 1e3);
-          Printf.sprintf "%.1fx" r.speedup;
-          Printf.sprintf "%d / %d" r.fused_passes r.legacy_passes;
-          Printf.sprintf "%d / %d" r.fused_evals r.legacy_evals;
-          (if r.identical then "yes" else "NO");
-        ])
-      results
-  in
-  Report.table
-    ([
-       "grid";
-       "nodes";
-       "preds";
-       "fused";
-       "legacy";
-       "speedup";
-       "passes f/l";
-       "evals f/l";
-       "identical";
-     ]
-    :: rows);
-  let json_path = "BENCH_construction.json" in
-  Xmlest.Construction_bench.write_json json_path results;
-  Report.note "machine-readable results written to %s" json_path;
-  Report.note
-    "the fused path makes one document sweep (two for equi-depth) with      compiled predicates dispatched by interned tag; legacy re-walks the      document ~4-5 times per predicate with AST-interpreted evaluation"
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance: incremental summary apply vs full rebuild              *)
@@ -1510,7 +1459,6 @@ let sections =
     ("twig", twig);
     ("datasets", datasets);
     ("accuracy", accuracy);
-    ("construction", construction);
     ("maintenance", maintenance);
     ("ablation", ablation);
     ("theorems", theorems);

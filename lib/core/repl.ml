@@ -311,10 +311,7 @@ let cmd_summary_info state =
       (match Summary.stats summary with
       | Some st ->
         Printf.sprintf "built: %s path, %d passes, %d predicate evals, %.4fs"
-          (match st.Summary.path with
-          | `Fused -> "fused"
-          | `Legacy -> "legacy"
-          | `Streamed -> "streamed")
+          (match st.Summary.path with `Fused -> "fused" | `Streamed -> "streamed")
           st.Summary.passes st.Summary.predicate_evals st.Summary.build_time
       | None -> "built: (loaded summary, no construction stats)");
       (match Summary.staleness summary with

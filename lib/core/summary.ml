@@ -15,7 +15,7 @@ type entry = {
 }
 
 type build_stats = {
-  path : [ `Fused | `Legacy | `Streamed ];
+  path : [ `Fused | `Streamed ];
   passes : int;
   predicate_evals : int;
   build_time : float;
@@ -48,126 +48,157 @@ let make_hist_catalog () =
 let register_entries hcat entries =
   Hashtbl.iter (fun key e -> Catalog.add hcat ~key e.hist) entries
 
-let build_entry ?(schema_no_overlap = fun _ -> None) ~grid ~with_levels doc pred =
-  let nodes = Predicate.matching_nodes doc pred in
-  let hist = Position_histogram.of_nodes doc ~grid nodes in
-  let no_overlap =
-    match schema_no_overlap pred with
-    | Some b -> b
-    | None -> not (Interval_ops.has_nesting doc nodes)
-  in
-  let cvg =
-    if no_overlap && Array.length nodes > 0 then
-      Some (Coverage_histogram.build doc ~grid pred)
-    else None
-  in
-  let lvl = if with_levels then Some (Level_histogram.build doc pred) else None in
-  { pred; hist; no_overlap; cvg; lvl }
+(* --- Construction core ------------------------------------------------ *)
 
-(* Positions the equi-depth boundaries are drawn from: the starts and ends
-   of the nodes matching the base predicates, so bucket resolution
-   concentrates where the catalog's elements actually live.  (Over the
-   whole document the position population is perfectly dense — one node
-   per position pair — and equi-depth degenerates to uniform.)  Falls back
-   to every node when the predicates match nothing. *)
-let summary_positions doc preds =
-  let out = ref [] in
-  List.iter
-    (fun pred ->
-      Array.iter
-        (fun v ->
-          out := Document.start_pos doc v :: Document.end_pos doc v :: !out)
-        (Predicate.matching_nodes doc pred))
-    preds;
-  let positions =
-    match !out with
-    | [] ->
-      Array.init (2 * Document.size doc) (fun k ->
-          if k land 1 = 0 then Document.start_pos doc (k / 2)
-          else Document.end_pos doc (k / 2))
-    | l -> Array.of_list l
-  in
-  Array.sort Int.compare positions;
-  positions
+(* Both builds — the fused document sweep and the streamed SAX build —
+   run on this core: they dedup the predicates, derive the grid, feed
+   one builder set and finish it into entries the same way, and differ
+   only in where node records come from and how each node's nearest
+   strict P-ancestor is resolved.  Every builder is an order-insensitive
+   exact integer accumulator, so the two sources' different feed orders
+   (pre-order, post-order, chunked) finish into bit-identical summaries. *)
 
-(* Traversal and AST-eval accounting for the legacy path, mirroring its
-   call sites exactly: one [matching_nodes] pass evaluates the AST on the
-   tag-index candidates (or every node when no conjunct pins the tag, and
-   not at all for bare tag predicates); [Coverage_histogram.build]
-   evaluates the predicate once per node with a parent (all but the store
-   root); [Level_histogram.build] runs its own [matching_nodes]. *)
-let legacy_matching_evals doc pred =
-  match pred with
-  | Predicate.True | Predicate.Tag _ -> 0
-  | p -> (
-    match Predicate.tag_of p with
-    | Some t -> Document.tag_count doc t
-    | None -> Document.size doc)
+module Pool = Xmlest_parallel.Pool
+module Chunking = Xmlest_parallel.Chunking
+module Builder_merge = Xmlest_parallel.Builder_merge
 
-let build_legacy ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
-    ?(with_levels = true) doc preds =
-  let t0 = Sys.time () in
-  let passes = ref 0 and evals = ref 0 in
-  let grid =
-    match grid_kind with
-    | `Uniform -> Grid.create ~size:grid_size ~max_pos:(Document.max_pos doc)
-    | `Equidepth ->
-      List.iter
-        (fun pred ->
-          incr passes;
-          evals := !evals + legacy_matching_evals doc pred)
-        preds;
-      Grid.equidepth ~size:grid_size ~max_pos:(Document.max_pos doc)
-        ~positions:(summary_positions doc preds)
+type plan = {
+  plan_preds : Predicate.t list;  (* as given, duplicates included *)
+  uniq : Predicate.t array;  (* unique by name, in first-occurrence order *)
+  occurrences : int array;  (* the [uniq] index of every [plan_preds] element *)
+  schema : bool option array;  (* per [uniq]: schema no-overlap override *)
+  plan_levels : bool;
+}
+
+let plan ?schema_no_overlap ~with_levels preds =
+  let index = Hashtbl.create 16 in
+  let uniq = ref [] in
+  let occurrences =
+    List.map
+      (fun pred ->
+        let key = Predicate.name pred in
+        match Hashtbl.find_opt index key with
+        | Some u -> u
+        | None ->
+          let u = Hashtbl.length index in
+          Hashtbl.add index key u;
+          uniq := pred :: !uniq;
+          u)
+      preds
   in
+  let uniq = Array.of_list (List.rev !uniq) in
+  {
+    plan_preds = preds;
+    uniq;
+    occurrences = Array.of_list occurrences;
+    schema =
+      (match schema_no_overlap with
+      | None -> Array.map (fun _ -> None) uniq
+      | Some f -> Array.map f uniq);
+    plan_levels = with_levels;
+  }
+
+(* An empty builder set over [grid].  A schema override saying "overlaps"
+   means the coverage histogram can never be kept; its accumulation is
+   skipped entirely. *)
+let builders plan grid =
+  let p = Array.length plan.uniq in
+  {
+    Builder_merge.p_hists = Array.init p (fun _ -> Position_histogram.builder grid);
+    p_levels =
+      (if plan.plan_levels then
+         Some (Array.init p (fun _ -> Level_histogram.builder ()))
+       else None);
+    p_coverage =
+      Array.map
+        (function
+          | Some false -> None
+          | Some true | None -> Some (Coverage_histogram.builder grid))
+        plan.schema;
+    p_pop = Position_histogram.builder grid;
+    p_populations = Array.make (Grid.cells grid) 0.0;
+    p_counts = Array.make p 0;
+    p_nesting = Array.make p false;
+    p_evals = 0;
+  }
+
+let feed_node (b : Builder_merge.partial) cell =
+  b.p_populations.(cell) <- b.p_populations.(cell) +. 1.0;
+  Position_histogram.feed_cell b.p_pop cell
+
+let feed_match (b : Builder_merge.partial) u ~cell ~level =
+  Position_histogram.feed_cell b.p_hists.(u) cell;
+  (match b.p_levels with
+  | Some lb -> Level_histogram.feed lb.(u) level
+  | None -> ());
+  b.p_counts.(u) <- b.p_counts.(u) + 1
+
+(* Equi-depth boundaries are drawn from the starts and ends of the nodes
+   matching the base predicates — [positions u] for unique predicate [u],
+   sampled once per occurrence in the predicate list, so duplicates count
+   twice — which concentrates bucket resolution where the catalog's
+   elements live.  (Over the whole document the position population is
+   perfectly dense — one node per position pair — and equi-depth
+   degenerates to uniform.)  Every position is the fallback when the
+   predicates match nothing. *)
+let equidepth_grid plan ~grid_size ~max_pos ~positions ~all_positions =
+  let per = Array.init (Array.length plan.uniq) positions in
+  let samples = Array.map (fun u -> per.(u)) plan.occurrences in
+  let sample =
+    if Array.for_all (fun a -> Array.length a = 0) samples then all_positions ()
+    else Array.concat (Array.to_list samples)
+  in
+  Array.sort Int.compare sample;
+  Grid.equidepth ~size:grid_size ~max_pos ~positions:sample
+
+(* Builders into entries and a summary: the no-overlap flag follows the
+   schema override, else the observed nesting; coverage is kept for the
+   no-overlap predicates that matched at least one node. *)
+let finish plan ~doc ~grid ~path ~passes ~t0 (b : Builder_merge.partial) =
   let entries = Hashtbl.create 64 in
-  List.iter
-    (fun pred ->
-      let key = Predicate.name pred in
-      if not (Hashtbl.mem entries key) then begin
-        let e = build_entry ?schema_no_overlap ~grid ~with_levels doc pred in
-        (* matching_nodes + of_nodes + has_nesting, plus a full coverage
-           pass when built, plus matching_nodes + fill for levels. *)
-        passes :=
-          !passes + 3
-          + (if e.cvg <> None then 1 else 0)
-          + (if with_levels then 2 else 0);
-        evals :=
-          !evals
-          + legacy_matching_evals doc pred
-          + (if e.cvg <> None then Document.size doc - 1 else 0)
-          + (if with_levels then legacy_matching_evals doc pred else 0);
-        Hashtbl.add entries key e
-      end)
-    preds;
+  Array.iteri
+    (fun u pred ->
+      let no_overlap =
+        match plan.schema.(u) with Some x -> x | None -> not b.p_nesting.(u)
+      in
+      let cvg =
+        match b.p_coverage.(u) with
+        | Some cb when no_overlap && b.p_counts.(u) > 0 ->
+          Some (Coverage_histogram.finish cb ~populations:b.p_populations)
+        | Some _ | None -> None
+      in
+      Hashtbl.add entries (Predicate.name pred)
+        {
+          pred;
+          hist = Position_histogram.finish b.p_hists.(u);
+          no_overlap;
+          cvg;
+          lvl = Option.map (fun lb -> Level_histogram.finish lb.(u)) b.p_levels;
+        })
+    plan.uniq;
   let hcat = make_hist_catalog () in
   register_entries hcat entries;
-  incr passes (* population histogram *);
   {
-    doc = Some doc;
+    doc;
     grid;
-    preds;
+    preds = plan.plan_preds;
     entries;
-    pop = Position_histogram.population doc ~grid;
-    with_levels;
+    pop = Position_histogram.finish b.p_pop;
+    with_levels = plan.plan_levels;
     hcat;
     lph_cache = Hashtbl.create 8;
     stats =
       Some
         {
-          path = `Legacy;
-          passes = !passes;
-          predicate_evals = !evals;
-          build_time = Sys.time () -. t0;
+          path;
+          passes;
+          predicate_evals = b.p_evals;
+          build_time = Unix.gettimeofday () -. t0;
         };
     maint = None;
   }
 
-(* --- Fused construction: sequential or partitioned over domains ------- *)
-
-module Pool = Xmlest_parallel.Pool
-module Chunking = Xmlest_parallel.Chunking
-module Builder_merge = Xmlest_parallel.Builder_merge
+(* --- Source 1: the document sweep, sequential or over domains --------- *)
 
 (* First index with [arr.(k) >= x] in a sorted array ([Array.length arr]
    when none), and sorted membership — used to seed the equi-depth replay
@@ -185,17 +216,16 @@ let mem_sorted arr x =
   let k = lower_bound arr x in
   k < Array.length arr && Int.equal arr.(k) x
 
-(* One chunk [lo, hi) of the fused document-order sweep.  The chunk fills,
-   for every base predicate at once: the position histogram, the level
-   histogram, the coverage run-length lists and the nesting flag — plus
-   the shared population histogram.  For the leading chunk this is
-   exactly the sequential sweep.  A later chunk seeds each predicate's
-   interval stream with the set-member strict ancestors of [lo]
-   (outermost first) — precisely the stack the sequential sweep would
-   hold on arriving at [lo] — so every feed yields the same nearest
-   strict P-ancestor it would have sequentially.  Node cells are cached
-   chunk-locally; a covering ancestor before the chunk has its cell
-   recomputed on the spot ([Grid.cell_of_node] is pure).
+(* One chunk [lo, hi) of the document-order sweep, filling a builder set
+   for every base predicate at once.  Nearest strict P-ancestors come
+   from one interval stream per predicate.  For the leading chunk this is
+   exactly the sequential sweep.  A later chunk seeds each stream with
+   the set-member strict ancestors of [lo] (outermost first) — precisely
+   the stack the sequential sweep would hold on arriving at [lo] — so
+   every feed yields the same nearest strict P-ancestor it would have
+   sequentially.  Node cells are cached chunk-locally; a covering
+   ancestor before the chunk has its cell recomputed on the spot
+   ([Grid.cell_of_node] is pure).
 
    With [match_arrays] (equi-depth), the matched sets were collected in
    pass 1: the fill replays them through per-predicate cursors seeded by
@@ -204,7 +234,8 @@ let mem_sorted arr x =
    (uniform / explicit grid), a fresh dispatch table — dispatch state is
    mutable, so it must not be shared across domains — evaluates each
    node, plus the ancestors of [lo] once for the seeds. *)
-let sweep_range ~grid ~p ~schema ~with_levels ~upreds ~match_arrays doc ~lo ~hi =
+let sweep_range plan ~grid ~match_arrays doc ~lo ~hi =
+  let p = Array.length plan.uniq in
   let cell_of v =
     let i, j =
       Grid.cell_of_node grid ~start_pos:(Document.start_pos doc v)
@@ -212,28 +243,16 @@ let sweep_range ~grid ~p ~schema ~with_levels ~upreds ~match_arrays doc ~lo ~hi 
     in
     Grid.index grid ~i ~j
   in
-  let hist_b = Array.init p (fun _ -> Position_histogram.builder grid) in
-  let lvl_b =
-    if with_levels then Some (Array.init p (fun _ -> Level_histogram.builder ()))
-    else None
-  in
-  let cvg_b =
-    Array.init p (fun u ->
-        (* A schema override saying "overlaps" means the coverage histogram
-           can never be kept; skip its accumulation entirely. *)
-        match schema.(u) with
-        | Some false -> None
-        | Some true | None -> Some (Coverage_histogram.builder grid))
-  in
+  let b = builders plan grid in
   let disp =
     match match_arrays with
-    | None -> Some (Predicate.dispatch doc upreds)
+    | None -> Some (Predicate.dispatch doc (Array.to_list plan.uniq))
     | Some _ -> None
   in
   let streams =
     if lo = 0 then Array.init p (fun _ -> Interval_ops.stream doc)
     else begin
-      let seeds = Array.make (Int.max p 1) [] in
+      let seeds = Array.make p [] in
       List.iter
         (fun a ->
           match (disp, match_arrays) with
@@ -250,11 +269,8 @@ let sweep_range ~grid ~p ~schema ~with_levels ~upreds ~match_arrays doc ~lo ~hi 
           Interval_ops.stream_seeded doc ~open_nodes:(List.rev seeds.(u)))
     end
   in
-  let matched = Array.make (Int.max p 1) false in
-  let matched_list = Array.make (Int.max p 1) 0 in
-  let counts = Array.make (Int.max p 1) 0 in
-  let populations = Array.make (Grid.cells grid) 0.0 in
-  let pop_b = Position_histogram.builder grid in
+  let matched = Array.make p false in
+  let matched_list = Array.make p 0 in
   let node_cell = Array.make (Int.max (hi - lo) 1) 0 in
   (* The fill pass, shared by both grid kinds; [fill_matched] leaves the
      indices of the predicates matching [v] in [matched_list.(0..k-1)]
@@ -263,26 +279,19 @@ let sweep_range ~grid ~p ~schema ~with_levels ~upreds ~match_arrays doc ~lo ~hi 
     for v = lo to hi - 1 do
       let idx = cell_of v in
       node_cell.(v - lo) <- idx;
-      populations.(idx) <- populations.(idx) +. 1.0;
-      Position_histogram.feed_cell pop_b idx;
+      feed_node b idx;
       let nmatched = fill_matched v in
       for u = 0 to p - 1 do
         let in_set = matched.(u) in
         let nearest = Interval_ops.feed streams.(u) v ~in_set in
-        (match cvg_b.(u) with
-        | Some b when nearest >= 0 ->
+        (match b.p_coverage.(u) with
+        | Some cb when nearest >= 0 ->
           let covering =
             if nearest >= lo then node_cell.(nearest - lo) else cell_of nearest
           in
-          Coverage_histogram.feed b ~covered:idx ~covering
+          Coverage_histogram.feed cb ~covered:idx ~covering
         | Some _ | None -> ());
-        if in_set then begin
-          Position_histogram.feed_cell hist_b.(u) idx;
-          (match lvl_b with
-          | Some lb -> Level_histogram.feed lb.(u) (Document.level doc v)
-          | None -> ());
-          counts.(u) <- counts.(u) + 1
-        end
+        if in_set then feed_match b u ~cell:idx ~level:(Document.level doc v)
       done;
       for k = 0 to nmatched - 1 do
         matched.(matched_list.(k)) <- false
@@ -301,10 +310,7 @@ let sweep_range ~grid ~p ~schema ~with_levels ~upreds ~match_arrays doc ~lo ~hi 
   | Some arrays, _ ->
     (* Replay pass 1's matches through per-predicate cursors: the arrays
        are in document order, so each head is compared against [v] once. *)
-    let cursor =
-      Array.init (Int.max p 1) (fun u ->
-          if u < p then lower_bound arrays.(u) lo else 0)
-    in
+    let cursor = Array.init p (fun u -> lower_bound arrays.(u) lo) in
     fill_pass (fun v ->
         let nmatched = ref 0 in
         for u = 0 to p - 1 do
@@ -319,23 +325,22 @@ let sweep_range ~grid ~p ~schema ~with_levels ~upreds ~match_arrays doc ~lo ~hi 
         done;
         !nmatched)
   | None, None -> assert false);
-  {
-    Builder_merge.p_hists = hist_b;
-    p_levels = lvl_b;
-    p_coverage = cvg_b;
-    p_pop = pop_b;
-    p_populations = populations;
-    p_counts = counts;
-    p_nesting = Array.init p (fun u -> Interval_ops.nesting_seen streams.(u));
-    p_evals = (match disp with Some d -> Predicate.dispatch_evals d | None -> 0);
-  }
+  Array.iteri (fun u s -> b.p_nesting.(u) <- Interval_ops.nesting_seen s) streams;
+  b.p_evals <- (match disp with Some d -> Predicate.dispatch_evals d | None -> 0);
+  b
+
+(* Starts and ends of [nodes], interleaved. *)
+let node_positions doc nodes =
+  Array.init
+    (2 * Array.length nodes)
+    (fun k ->
+      let v = nodes.(k / 2) in
+      if k land 1 = 0 then Document.start_pos doc v else Document.end_pos doc v)
 
 (* Uniform grids need a single sweep.  Equi-depth grids need the matched
    node sets before the grid exists, so a first match-only pass collects
    them (also yielding the quantile positions), and the fill pass replays
-   the matches without re-evaluating anything — the feed sequences are
-   identical to the legacy builders', so the resulting histograms are
-   bit-identical.
+   the matches without re-evaluating anything.
 
    Both passes partition the node range into contiguous chunks (one per
    domain by default, or of [?chunk_size] nodes) swept concurrently on a
@@ -344,205 +349,98 @@ let sweep_range ~grid ~p ~schema ~with_levels ~upreds ~match_arrays doc ~lo ~hi 
    time, so the merged sums are exact and the result is bit-identical —
    [to_string] equal — to the sequential sweep for every domain count and
    chunk size; the differential QCheck suite pins this. *)
-let build_fused ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
+let build ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
     ?schema_no_overlap ?(with_levels = true) ?(domains = 1) ?chunk_size doc
     preds =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
+  let plan = plan ?schema_no_overlap ~with_levels preds in
+  let p = Array.length plan.uniq in
   let n = Document.size doc in
-  (* Unique predicates in first-occurrence order (the legacy dedup). *)
-  let uniq =
-    let seen = Hashtbl.create 16 in
-    let out = ref [] in
-    List.iter
-      (fun pred ->
-        let key = Predicate.name pred in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key (List.length !out);
-          out := (key, pred) :: !out
-        end)
-      preds;
-    (seen, Array.of_list (List.rev !out))
-  in
-  let uniq_index, uniq = uniq in
-  let p = Array.length uniq in
-  let upreds = List.map snd (Array.to_list uniq) in
-  let schema =
-    match schema_no_overlap with
-    | None -> Array.make p None
-    | Some f -> Array.map (fun (_, pred) -> f pred) uniq
-  in
   let chunks =
     match chunk_size with
     | Some size -> Chunking.ranges_of_size ~n ~size
     | None -> Chunking.ranges ~n ~count:domains
   in
   let ntasks = Array.length chunks in
-  let pass1_evals = ref 0 in
   (* Pass 1 (equi-depth only): matched node sets, no grid needed yet —
      collected per chunk with a chunk-private dispatch table and
      concatenated in chunk order.  An explicit [?grid] (used by
      maintenance rebuild comparisons: positions past its [max_pos] clamp
      into the last bucket) always takes the single-pass route. *)
-  let grid, match_arrays =
+  let grid, match_arrays, pass1_evals =
     match (grid_override, grid_kind) with
-    | Some g, _ -> (g, None)
+    | Some g, _ -> (g, None, 0)
     | None, `Uniform ->
-      (Grid.create ~size:grid_size ~max_pos:(Document.max_pos doc), None)
+      (Grid.create ~size:grid_size ~max_pos:(Document.max_pos doc), None, 0)
     | None, `Equidepth ->
       let per_chunk =
         (* lint: allow domain-escape — doc and chunk table are read-only shares *)
         Pool.run ~domains ~tasks:ntasks (fun k ->
             let { Chunking.lo; hi } = chunks.(k) in
-            let disp = Predicate.dispatch doc upreds in
-            let acc = Array.make (Int.max p 1) [] in
+            let disp = Predicate.dispatch doc (Array.to_list plan.uniq) in
+            let acc = Array.make p [] in
             for v = lo to hi - 1 do
               Predicate.dispatch_node disp doc v ~f:(fun u ->
                   acc.(u) <- v :: acc.(u))
             done;
-            ( Array.map (fun l -> Array.of_list (List.rev l)) (Array.sub acc 0 p),
+            ( Array.map (fun l -> Array.of_list (List.rev l)) acc,
               Predicate.dispatch_evals disp ))
       in
-      Array.iter (fun (_, e) -> pass1_evals := !pass1_evals + e) per_chunk;
       let arrays =
         Array.init p (fun u ->
             Array.concat
               (Array.to_list (Array.map (fun (a, _) -> a.(u)) per_chunk)))
       in
-      (* Quantile sample: starts and ends of the matched nodes, once per
-         occurrence in the original predicate list (duplicates count
-         twice, as in [summary_positions]); every node as fallback. *)
-      let total =
-        List.fold_left
-          (fun acc pred ->
-            acc + Array.length arrays.(Hashtbl.find uniq_index (Predicate.name pred)))
-          0 preds
+      let grid =
+        equidepth_grid plan ~grid_size ~max_pos:(Document.max_pos doc)
+          ~positions:(fun u -> node_positions doc arrays.(u))
+          ~all_positions:(fun () -> node_positions doc (Array.init n Fun.id))
       in
-      let positions =
-        if total = 0 then
-          Array.init (2 * n) (fun k ->
-              if k land 1 = 0 then Document.start_pos doc (k / 2)
-              else Document.end_pos doc (k / 2))
-        else begin
-          let out = Array.make (2 * total) 0 in
-          let w = ref 0 in
-          List.iter
-            (fun pred ->
-              Array.iter
-                (fun v ->
-                  out.(!w) <- Document.start_pos doc v;
-                  out.(!w + 1) <- Document.end_pos doc v;
-                  w := !w + 2)
-                arrays.(Hashtbl.find uniq_index (Predicate.name pred)))
-            preds;
-          out
-        end
-      in
-      Array.sort Int.compare positions;
-      ( Grid.equidepth ~size:grid_size ~max_pos:(Document.max_pos doc)
-          ~positions,
-        Some arrays )
+      (grid, Some arrays, Array.fold_left (fun acc (_, e) -> acc + e) 0 per_chunk)
   in
   let partials =
-    if ntasks = 0 then
-      [| sweep_range ~grid ~p ~schema ~with_levels ~upreds ~match_arrays doc
-           ~lo:0 ~hi:0 |]
+    if ntasks = 0 then [| sweep_range plan ~grid ~match_arrays doc ~lo:0 ~hi:0 |]
     else
       (* lint: allow domain-escape — read-only shares; builders are chunk-local *)
       Pool.run ~domains ~tasks:ntasks (fun k ->
           let { Chunking.lo; hi } = chunks.(k) in
-          sweep_range ~grid ~p ~schema ~with_levels ~upreds ~match_arrays doc
-            ~lo ~hi)
+          sweep_range plan ~grid ~match_arrays doc ~lo ~hi)
   in
-  let merged = Builder_merge.merge partials in
-  let {
-    Builder_merge.p_hists = hist_b;
-    p_levels = lvl_b;
-    p_coverage = cvg_b;
-    p_pop = pop_b;
-    p_populations = populations;
-    p_counts = counts;
-    p_nesting = nesting;
-    p_evals = sweep_evals;
-  } =
-    merged
-  in
-  let entries = Hashtbl.create 64 in
-  Array.iteri
-    (fun u (key, pred) ->
-      let no_overlap =
-        match schema.(u) with
-        | Some b -> b
-        | None -> not nesting.(u)
-      in
-      let cvg =
-        match cvg_b.(u) with
-        | Some b when no_overlap && counts.(u) > 0 ->
-          Some (Coverage_histogram.finish b ~populations)
-        | Some _ | None -> None
-      in
-      let lvl =
-        match lvl_b with
-        | Some lb -> Some (Level_histogram.finish lb.(u))
-        | None -> None
-      in
-      Hashtbl.add entries key
-        { pred; hist = Position_histogram.finish hist_b.(u); no_overlap; cvg; lvl })
-    uniq;
-  let hcat = make_hist_catalog () in
-  register_entries hcat entries;
-  {
-    doc = Some doc;
-    grid;
-    preds;
-    entries;
-    pop = Position_histogram.finish pop_b;
-    with_levels;
-    hcat;
-    lph_cache = Hashtbl.create 8;
-    stats =
-      Some
-        {
-          path = `Fused;
-          passes =
-            (match (grid_override, grid_kind) with
-            | Some _, _ | None, `Uniform -> 1
-            | None, `Equidepth -> 2);
-          predicate_evals = !pass1_evals + sweep_evals;
-          build_time = Sys.time () -. t0;
-        };
-    maint = None;
-  }
+  let b = Builder_merge.merge partials in
+  b.p_evals <- b.p_evals + pass1_evals;
+  finish plan ~doc:(Some doc) ~grid ~path:`Fused
+    ~passes:(if Option.is_some match_arrays then 2 else 1)
+    ~t0 b
 
-let build = build_fused
-
-(* --- Out-of-core streaming construction ------------------------------- *)
+(* --- Source 2: the streamed SAX build --------------------------------- *)
 
 (* The streaming build consumes SAX events and never materializes a
    [Document.t]: memory stays O(element depth + summary size) for a
    document of any length.  A node's predicate match status is decidable
    only at its close event (its character data is complete only then), so
-   everything downstream runs in end-position (post-order) order — the
-   builders are all order-insensitive integer accumulators, so the
-   finished histograms are bit-identical to the in-memory build's
-   pre-order feeds (the differential QCheck suite pins [to_string]
-   equality for both grid kinds).
+   everything downstream runs in end-position (post-order) order.
 
-   Pass A parses once, evaluates the unique predicates per close event,
-   and spills one fixed-size record per node — start, end, level, match
-   bitmask — to a temp file in post-order.  The grid is then derived
+   Pass A parses once, dispatches the unique predicates per close event
+   by tag, and spills one fixed-size record per node — start, end, level,
+   match bitmask — to a temp file in post-order.  The grid is then derived
    (equi-depth replays the spill once more for the quantile positions),
-   and pass B replays the spill through the shared fused builders.
+   and pass B replays the spill into the core's builders.
 
    Coverage needs each covered node's *nearest* strict P-ancestor, which
    is unknowable at the node's own close (outer ancestors close later).
    The replay keeps, per coverage-active predicate, a queue of closed
-   nodes not yet claimed by any P-ancestor, segmented by a shared stack
-   of subtree frames: when a P-node closes, everything pending inside its
-   subtree is exactly the set of nodes whose nearest P-ancestor it is
-   (nearer P-nodes closed earlier and already claimed theirs) and is
-   flushed to the builder in bulk.  Segments longer than one grid of
-   cells are compacted cell-wise (exact integer sums), bounding the queue
-   by O(depth * cells) per predicate. *)
+   nodes not yet claimed by any P-ancestor, and per level l where in that
+   queue the pending segment of the closed children (at level l) of the
+   open node at level l-1 starts.  A record one level shallower than its
+   predecessor closes that predecessor's parent, so its strict
+   descendants' pending entries are exactly the queue past the mark of
+   the level below it: when it is a P-node, that is the set of nodes
+   whose nearest P-ancestor it is (nearer P-nodes closed earlier and
+   already claimed theirs), flushed to the builder in bulk.  Once the
+   open parent's running segment — all its closed children's subtrees —
+   exceeds one grid of cells it is compacted cell-wise (exact integer
+   sums; at most g(g+1)/2 cells can occur, so compaction is amortized
+   O(1) per record), bounding each queue by O(depth * cells). *)
 
 let mask_bits = 62 (* mask bits per spill word; keeps every field an int *)
 
@@ -595,44 +493,30 @@ let q_compact q ~base ~scratch ~touched =
   done;
   q.q_len <- base + !nt
 
+let unbalanced what = failwith ("Summary.build_stream: unbalanced event stream (" ^ what ^ ")")
+
 let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
     ?(with_levels = true) next preds =
-  let t0 = Sys.time () in
-  (* Unique predicates in first-occurrence order (the fused dedup). *)
-  let uniq_index = Hashtbl.create 16 in
-  let uniq =
-    let out = ref [] in
-    List.iter
-      (fun pred ->
-        let key = Predicate.name pred in
-        if not (Hashtbl.mem uniq_index key) then begin
-          Hashtbl.add uniq_index key (List.length !out);
-          out := (key, pred) :: !out
-        end)
-      preds;
-    Array.of_list (List.rev !out)
-  in
-  let p = Array.length uniq in
-  let schema =
-    match schema_no_overlap with
-    | None -> Array.make (Int.max p 1) None
-    | Some f -> Array.map (fun (_, pred) -> f pred) uniq
-  in
-  let evalp = Array.map (fun (_, pred) -> Predicate.compile_parts pred) uniq in
-  let pin = Array.map (fun (_, pred) -> Predicate.tag_of pred) uniq in
+  let t0 = Unix.gettimeofday () in
+  let plan = plan ?schema_no_overlap ~with_levels preds in
+  let p = Array.length plan.uniq in
+  let disp = Predicate.dispatch_detached (Array.to_list plan.uniq) in
   let nwords = (p + mask_bits - 1) / mask_bits in
   let rec_size = 8 * (3 + nwords) in
   let spill_path = Filename.temp_file "xmlest-spill" ".bin" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove spill_path with Sys_error _ -> ())
   @@ fun () ->
-  let n = ref 0 and pos = ref 0 and evals = ref 0 in
-  (* --- Pass A: parse, evaluate at close events, spill post-order. ---- *)
+  let n = ref 0 and pos = ref 0 and max_level = ref 0 in
+  (* --- Pass A: parse, dispatch at close events, spill post-order. ----- *)
   let () =
     let oc = open_out_bin spill_path in
     Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
     let rbuf = Bytes.create rec_size in
     let words = Array.make (Int.max nwords 1) 0 in
+    let set_bit u =
+      words.(u / mask_bits) <- words.(u / mask_bits) lor (1 lsl (u mod mask_bits))
+    in
     (* Open-element frames; the buffer collects the element's direct
        character data across child elements, trimmed at close exactly as
        Xml_parser trims Elem text. *)
@@ -651,7 +535,9 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
     in
     let rec loop () =
       match next () with
-      | None -> ()
+      | None ->
+        if !depth > 0 then
+          unbalanced (Printf.sprintf "%d element(s) still open at the end" !depth)
       | Some ev ->
         (match ev with
         | Sax.Open { tag; attrs } ->
@@ -665,32 +551,22 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
         | Sax.Text s ->
           if !depth > 0 then Buffer.add_string !f_text.(!depth - 1) s
         | Sax.Close ->
+          if Int.equal !depth 0 then unbalanced "close without a matching open";
           decr depth;
           let d = !depth in
-          let tag = !f_tag.(d) and attrs = !f_attrs.(d) in
-          let text = Sax.trim_text (Buffer.contents !f_text.(d)) in
-          let start_pos = !f_start.(d) in
-          let end_pos = !pos in
-          incr pos;
+          max_level := Int.max !max_level d;
           Array.fill words 0 (Array.length words) 0;
-          for u = 0 to p - 1 do
-            let applicable =
-              match pin.(u) with Some t -> String.equal t tag | None -> true
-            in
-            if applicable then begin
-              incr evals;
-              if evalp.(u) ~tag ~attrs ~text ~level:d then
-                words.(u / mask_bits) <-
-                  words.(u / mask_bits) lor (1 lsl (u mod mask_bits))
-            end
-          done;
-          Bytes.set_int64_le rbuf 0 (Int64.of_int start_pos);
-          Bytes.set_int64_le rbuf 8 (Int64.of_int end_pos);
+          Predicate.dispatch_named disp ~tag:!f_tag.(d) ~attrs:!f_attrs.(d)
+            ~text:(Sax.trim_text (Buffer.contents !f_text.(d)))
+            ~level:d ~f:set_bit;
+          Bytes.set_int64_le rbuf 0 (Int64.of_int !f_start.(d));
+          Bytes.set_int64_le rbuf 8 (Int64.of_int !pos);
           Bytes.set_int64_le rbuf 16 (Int64.of_int d);
           for w = 0 to nwords - 1 do
             Bytes.set_int64_le rbuf (24 + (8 * w)) (Int64.of_int words.(w))
           done;
           output_bytes oc rbuf;
+          incr pos;
           incr n);
         loop ()
     in
@@ -698,192 +574,85 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
   in
   if !n = 0 then failwith "Summary.build_stream: empty event stream";
   let max_pos = !pos - 1 in
-  let read_record ic rbuf =
-    really_input ic rbuf 0 rec_size;
-    let words =
-      Array.init (Int.max nwords 1) (fun w ->
-          if w < nwords then Int64.to_int (Bytes.get_int64_le rbuf (24 + (8 * w)))
-          else 0)
-    in
-    ( Int64.to_int (Bytes.get_int64_le rbuf 0),
-      Int64.to_int (Bytes.get_int64_le rbuf 8),
-      Int64.to_int (Bytes.get_int64_le rbuf 16),
-      words )
-  in
-  (* --- Grid: uniform directly; equi-depth scans the spill for the
-     quantile sample (starts and ends of matched nodes, once per
-     occurrence in the original predicate list, every position as
-     fallback — the same multiset the in-memory path sorts). ---------- *)
-  let passes, grid =
-    match grid_kind with
-    | `Uniform -> (2, Grid.create ~size:grid_size ~max_pos)
-    | `Equidepth ->
-      let acc = Array.make (Int.max p 1) [] in
-      let acc_n = Array.make (Int.max p 1) 0 in
-      let () =
-        let ic = open_in_bin spill_path in
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-        let rbuf = Bytes.create rec_size in
-        for _ = 1 to !n do
-          let start_pos, end_pos, _, words = read_record ic rbuf in
-          for u = 0 to p - 1 do
-            if words.(u / mask_bits) land (1 lsl (u mod mask_bits)) <> 0
-            then begin
-              acc.(u) <- end_pos :: start_pos :: acc.(u);
-              acc_n.(u) <- acc_n.(u) + 1
-            end
-          done
-        done
-      in
-      let total =
-        List.fold_left
-          (fun t pred ->
-            t + acc_n.(Hashtbl.find uniq_index (Predicate.name pred)))
-          0 preds
-      in
-      let positions =
-        if total = 0 then Array.init (2 * !n) Fun.id
-        else begin
-          let out = Array.make (2 * total) 0 in
-          let w = ref 0 in
-          List.iter
-            (fun pred ->
-              List.iter
-                (fun pos ->
-                  out.(!w) <- pos;
-                  incr w)
-                acc.(Hashtbl.find uniq_index (Predicate.name pred)))
-            preds;
-          out
-        end
-      in
-      Array.sort Int.compare positions;
-      (3, Grid.equidepth ~size:grid_size ~max_pos ~positions)
-  in
-  (* --- Pass B: replay the spill through the fused builders. ---------- *)
-  let cells = Grid.cells grid in
-  let stride = Int.max p 1 in
-  let hist_b = Array.init p (fun _ -> Position_histogram.builder grid) in
-  let lvl_b =
-    if with_levels then Some (Array.init p (fun _ -> Level_histogram.builder ()))
-    else None
-  in
-  let cvg_b =
-    Array.init p (fun u ->
-        match schema.(u) with
-        | Some false -> None
-        | Some true | None -> Some (Coverage_histogram.builder grid))
-  in
-  let pop_b = Position_histogram.builder grid in
-  let populations = Array.make cells 0.0 in
-  let counts = Array.make stride 0 in
-  let nest = Array.init stride (fun _ -> Interval_ops.close_stream ()) in
-  let queues = Array.init stride (fun _ -> q_make ()) in
-  let scratch = Array.make cells 0.0 in
-  let touched = Array.make cells 0 in
-  let merged = Array.make stride 0 in
-  let fr_start = ref (Array.make 64 0) in
-  let fr_base = ref (Array.make (64 * stride) 0) in
-  let fr_depth = ref 0 in
-  let () =
+  let replay f =
     let ic = open_in_bin spill_path in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
     let rbuf = Bytes.create rec_size in
+    let words = Array.make (Int.max nwords 1) 0 in
+    let field k = Int64.to_int (Bytes.get_int64_le rbuf (8 * k)) in
     for _ = 1 to !n do
-      let start_pos, end_pos, level, words = read_record ic rbuf in
-      let i, j = Grid.cell_of_node grid ~start_pos ~end_pos in
-      let idx = Grid.index grid ~i ~j in
-      populations.(idx) <- populations.(idx) +. 1.0;
-      Position_histogram.feed_cell pop_b idx;
-      (* Pop completed child-subtree frames; the earliest child (popped
-         last) carries the merged pending-segment bases.  With no
-         children, the segment is empty at the current queue tails. *)
-      for u = 0 to p - 1 do
-        merged.(u) <- queues.(u).q_len
+      really_input ic rbuf 0 rec_size;
+      for w = 0 to nwords - 1 do
+        words.(w) <- field (3 + w)
       done;
-      while !fr_depth > 0 && !fr_start.(!fr_depth - 1) > start_pos do
-        fr_depth := !fr_depth - 1;
-        for u = 0 to p - 1 do
-          merged.(u) <- !fr_base.((!fr_depth * stride) + u)
-        done
-      done;
-      for u = 0 to p - 1 do
-        let in_set = words.(u / mask_bits) land (1 lsl (u mod mask_bits)) <> 0 in
-        ignore (Interval_ops.feed_close nest.(u) ~start_pos ~in_set);
-        (match cvg_b.(u) with
-        | Some b ->
-          let q = queues.(u) in
-          let base = merged.(u) in
-          if in_set then q_flush q ~base ~covering:idx b;
-          q_push q idx;
-          if q.q_len - base > cells then q_compact q ~base ~scratch ~touched
-        | None -> ());
-        if in_set then begin
-          Position_histogram.feed_cell hist_b.(u) idx;
-          (match lvl_b with
-          | Some lb -> Level_histogram.feed lb.(u) level
-          | None -> ());
-          counts.(u) <- counts.(u) + 1
-        end
-      done;
-      if Int.equal !fr_depth (Array.length !fr_start) then begin
-        let starts = Array.make (2 * !fr_depth) 0 in
-        Array.blit !fr_start 0 starts 0 !fr_depth;
-        fr_start := starts;
-        let bases = Array.make (2 * !fr_depth * stride) 0 in
-        Array.blit !fr_base 0 bases 0 (!fr_depth * stride);
-        fr_base := bases
-      end;
-      !fr_start.(!fr_depth) <- start_pos;
-      for u = 0 to p - 1 do
-        !fr_base.((!fr_depth * stride) + u) <- merged.(u)
-      done;
-      fr_depth := !fr_depth + 1
+      f ~start_pos:(field 0) ~end_pos:(field 1) ~level:(field 2) words
     done
   in
-  let entries = Hashtbl.create 64 in
-  Array.iteri
-    (fun u (key, pred) ->
-      let no_overlap =
-        match schema.(u) with
-        | Some b -> b
-        | None -> not (Interval_ops.close_nesting_seen nest.(u))
-      in
-      let cvg =
-        match cvg_b.(u) with
-        | Some b when no_overlap && counts.(u) > 0 ->
-          Some (Coverage_histogram.finish b ~populations)
-        | Some _ | None -> None
-      in
-      let lvl =
-        match lvl_b with
-        | Some lb -> Some (Level_histogram.finish lb.(u))
-        | None -> None
-      in
-      Hashtbl.add entries key
-        { pred; hist = Position_histogram.finish hist_b.(u); no_overlap; cvg; lvl })
-    uniq;
-  let hcat = make_hist_catalog () in
-  register_entries hcat entries;
-  {
-    doc = None;
-    grid;
-    preds;
-    entries;
-    pop = Position_histogram.finish pop_b;
-    with_levels;
-    hcat;
-    lph_cache = Hashtbl.create 8;
-    stats =
-      Some
-        {
-          path = `Streamed;
-          passes;
-          predicate_evals = !evals;
-          build_time = Sys.time () -. t0;
-        };
-    maint = None;
-  }
+  let matches words u = words.(u / mask_bits) land (1 lsl (u mod mask_bits)) <> 0 in
+  let grid, passes =
+    match grid_kind with
+    | `Uniform -> (Grid.create ~size:grid_size ~max_pos, 2)
+    | `Equidepth ->
+      let acc = Array.make p [] in
+      replay (fun ~start_pos ~end_pos ~level:_ words ->
+          for u = 0 to p - 1 do
+            if matches words u then acc.(u) <- end_pos :: start_pos :: acc.(u)
+          done);
+      ( equidepth_grid plan ~grid_size ~max_pos
+          ~positions:(fun u -> Array.of_list acc.(u))
+          ~all_positions:(fun () -> Array.init (2 * !n) Fun.id),
+        3 )
+  in
+  (* --- Pass B: replay the spill into the builders. -------------------- *)
+  let b = builders plan grid in
+  b.p_evals <- Predicate.dispatch_evals disp;
+  let cells = Grid.cells grid in
+  let queues = Array.init p (fun _ -> q_make ()) in
+  let scratch = Array.make cells 0.0 in
+  let touched = Array.make cells 0 in
+  (* Per level l and predicate u, at [l * p + u]: [mark] is where queue
+     u's segment for the closed children at level l of the open node at
+     level l-1 starts, and [held] whether those children's subtrees held
+     a match of u. *)
+  let mark = Array.make ((!max_level + 2) * p) 0 in
+  let held = Array.make ((!max_level + 2) * p) false in
+  let prev = ref (-1) in
+  replay (fun ~start_pos ~end_pos ~level words ->
+      let i, j = Grid.cell_of_node grid ~start_pos ~end_pos in
+      let idx = Grid.index grid ~i ~j in
+      feed_node b idx;
+      (* A record deeper than its predecessor is the first of a new
+         subtree: the child segments of every level down to its own
+         start here.  A record exactly one level shallower closes the
+         predecessor's parent — it has children, pending past the mark
+         of the level below it. *)
+      for l = !prev + 1 to level do
+        for u = 0 to p - 1 do
+          mark.((l * p) + u) <- queues.(u).q_len;
+          held.((l * p) + u) <- false
+        done
+      done;
+      let has_children = Int.equal !prev (level + 1) in
+      for u = 0 to p - 1 do
+        let in_set = matches words u in
+        let k = (level * p) + u in
+        let below = has_children && held.(k + p) in
+        if in_set && below then b.p_nesting.(u) <- true;
+        if in_set || below then held.(k) <- true;
+        (match b.p_coverage.(u) with
+        | Some cb ->
+          let q = queues.(u) in
+          if in_set then
+            q_flush q ~base:(if has_children then mark.(k + p) else q.q_len)
+              ~covering:idx cb;
+          q_push q idx;
+          if q.q_len - mark.(k) > cells then
+            q_compact q ~base:mark.(k) ~scratch ~touched
+        | None -> ());
+        if in_set then feed_match b u ~cell:idx ~level
+      done;
+      prev := level);
+  finish plan ~doc:None ~grid ~path:`Streamed ~passes ~t0 b
 
 let build_stream_file ?grid_size ?grid_kind ?schema_no_overlap ?with_levels path
     preds =
@@ -909,9 +678,7 @@ let find t pred = Hashtbl.find_opt t.entries (Predicate.name pred)
    document-order sweep seeds its integer ground truth (coverage tables,
    nesting-pair and level counts), while the position histograms of the
    existing entries are adopted as live objects and mutated in place from
-   then on.  This works for fused- and legacy-built summaries alike and
-   leaves the construction paths — and the fused-vs-legacy bit-identity
-   invariant — completely untouched. *)
+   then on.  This leaves the construction paths completely untouched. *)
 let maint_state t =
   match t.maint with
   | Some st -> st

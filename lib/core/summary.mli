@@ -44,9 +44,9 @@ val build :
     equi-depth grids, whose boundaries need the matched positions first)
     fills every histogram, coverage entry and no-overlap flag at once,
     dispatching compiled predicates by the node's interned tag.  The
-    result is bit-identical to {!build_legacy} — same histograms, coverage
-    fractions, flags and totals — at a fraction of the traversals
-    (property-tested).
+    result is bit-identical to building each predicate's histograms
+    separately with the histogram modules' own constructors — the
+    per-predicate oracle in the test suite (property-tested).
 
     [?domains] (default 1) partitions the sweep into contiguous node
     chunks swept concurrently on that many OCaml domains
@@ -58,19 +58,6 @@ val build :
     — {!to_string}-equal — to the sequential build for every domain count,
     chunk size and grid kind (property-tested). *)
 
-val build_legacy :
-  ?grid_size:int ->
-  ?grid_kind:[ `Uniform | `Equidepth ] ->
-  ?schema_no_overlap:(Predicate.t -> bool option) ->
-  ?with_levels:bool ->
-  Document.t ->
-  Predicate.t list ->
-  t
-(** The original per-predicate construction (~4-5 document traversals per
-    predicate, AST-interpreted evaluation).  Kept as the differential
-    reference for the fused path and for benchmarking; produces the same
-    summary. *)
-
 val build_stream :
   ?grid_size:int ->
   ?grid_kind:[ `Uniform | `Equidepth ] ->
@@ -80,17 +67,23 @@ val build_stream :
   Predicate.t list ->
   t
 (** Out-of-core construction from a SAX event stream (e.g.
-    [fun () -> Sax.next parser]): the document is never materialized, so
-    an N-node input builds in O(element depth + summary size) memory.
+    [fun () -> Sax.next parser]): the document is never materialized.
     Interval positions are assigned exactly as [Document.of_elem] would
     (one global counter: start at open, end at close) and per-node state
     — start, end, level, predicate match bitmask — spills to a temp file
-    in post-order, then replays through the same streaming builders the
-    fused path uses.  Because every builder is an order-insensitive exact
+    in post-order, then replays into the same builders {!build} fills.
+    Nearest P-ancestors are resolved per element level, so the replay
+    holds O(element depth × grid cells) pending coverage state per
+    predicate however wide the document is (a regression test pins the
+    peak heap).  Because every builder is an order-insensitive exact
     accumulator, the result is {e bit-identical} — {!to_string}-equal —
     to {!build} over the parsed document, for both grid kinds
     (property-tested).  The returned summary has no attached document
     ({!document} is [None]), like one loaded from disk.
+
+    Raises [Failure] on an empty stream and on an unbalanced one (a
+    [Close] without a matching [Open], or elements still open when the
+    stream ends).
 
     Passes ({!build_stats}): 2 for uniform grids (parse+spill, replay),
     3 for equi-depth (plus one spill scan for quantile positions). *)
@@ -109,16 +102,14 @@ val build_stream_file :
 (** {2 Construction observability} *)
 
 type build_stats = {
-  path : [ `Fused | `Legacy | `Streamed ];
+  path : [ `Fused | `Streamed ];
   passes : int;
       (** Full traversals of the document or of matched-node arrays:
-          1 for a fused uniform build, 2 for fused equi-depth, ~4-5 per
-          predicate for the legacy path; for the streamed path, passes
-          over the input or the spill file (2 uniform, 3 equi-depth). *)
+          1 for a fused uniform build, 2 for fused equi-depth; for the
+          streamed path, passes over the input or the spill file
+          (2 uniform, 3 equi-depth). *)
   predicate_evals : int;
-      (** Individual predicate evaluations.  Exact for the fused path
-          (compiled-dispatch count); for the legacy path, an exact static
-          account of its AST-eval call sites. *)
+      (** Individual compiled-predicate evaluations (dispatch count). *)
   build_time : float;  (** Wall-clock seconds spent in [build]. *)
 }
 

@@ -84,6 +84,5 @@ module Builder_merge = Xmlest_parallel.Builder_merge
 (* Catalog *)
 module Store = Store
 module Summary = Summary
-module Construction_bench = Construction_bench
 module Advisor = Advisor
 module Repl = Repl

@@ -9,7 +9,8 @@
     which is the whole determinism argument: every underlying builder
     merge is exact on the integer unit counts involved, so the merged
     state is bit-identical to one uninterrupted sweep no matter how the
-    chunks were scheduled. *)
+    chunks were scheduled.  The streamed build's replay fills a single
+    partial of the same shape, so both builds finish it the same way. *)
 
 open Xmlest_histogram
 

@@ -108,57 +108,25 @@ let count doc p = Array.length (matching_nodes doc p)
 
 (* --- Compilation ------------------------------------------------------ *)
 
-type compiled = Document.node -> bool
-
-(* Lower the AST once per (document, predicate) pair: tag comparisons
-   become integer comparisons over the document's interned ids (constant
-   [false] when the tag does not occur at all), substring patterns get
-   their KMP table built once, and boolean structure becomes closure
+(* A node as both construction sources see it: its interned tag id, its
+   attributes, its trimmed character data and its level.  The document
+   sweep reads these parts from the store; a SAX close event carries
+   them.  Lowering the AST once into a closure over the parts serves
+   both: tag comparisons become integer comparisons over the source's
+   tag ids (constant [false] when the tag has no id), substring patterns
+   get their KMP table built once, and boolean structure becomes closure
    composition — the per-node work never touches the AST again. *)
-let compile doc p =
-  let rec go p =
-    match p with
-    | True -> fun _ -> true
-    | Tag t -> (
-      match Document.lookup_tag_id doc t with
-      | Some id -> fun v -> Int.equal (Document.tag_id doc v) id
-      | None -> fun _ -> false)
-    | Text_eq s -> fun v -> String.equal (Document.text doc v) s
-    | Text_prefix s -> fun v -> starts_with ~prefix:s (Document.text doc v)
-    | Text_suffix s -> fun v -> ends_with ~suffix:s (Document.text doc v)
-    | Text_contains s ->
-      let m = Substring.make s in
-      fun v -> Substring.matches m (Document.text doc v)
-    | Attr_eq (k, value) -> (
-      fun v ->
-        match List.assoc_opt k (Document.attrs doc v) with
-        | Some x -> String.equal x value
-        | None -> false)
-    | Level_eq l -> fun v -> Int.equal (Document.level doc v) l
-    | And (a, b) ->
-      let fa = go a and fb = go b in
-      fun v -> fa v && fb v
-    | Or (a, b) ->
-      let fa = go a and fb = go b in
-      fun v -> fa v || fb v
-    | Not a ->
-      let fa = go a in
-      fun v -> not (fa v)
-  in
-  go p
+type lowered =
+  tag:int -> attrs:(string * string) list -> text:string -> level:int -> bool
 
-let compiled_eval c v = c v
-
-(* Document-free compilation for the streaming build: the same lowering
-   as [compile], but over a node's raw parts (tag, attributes, trimmed
-   text, depth) instead of a [Document.t] node id — a SAX close event
-   carries exactly these.  Matches [eval] decision-for-decision, so a
-   streamed build evaluates predicates identically to an in-memory one. *)
-let compile_parts p =
+let lower ~tag_id p : lowered =
   let rec go p =
     match p with
     | True -> fun ~tag:_ ~attrs:_ ~text:_ ~level:_ -> true
-    | Tag t -> fun ~tag ~attrs:_ ~text:_ ~level:_ -> String.equal tag t
+    | Tag t -> (
+      match tag_id t with
+      | Some id -> fun ~tag ~attrs:_ ~text:_ ~level:_ -> Int.equal tag id
+      | None -> fun ~tag:_ ~attrs:_ ~text:_ ~level:_ -> false)
     | Text_eq s -> fun ~tag:_ ~attrs:_ ~text ~level:_ -> String.equal text s
     | Text_prefix s ->
       fun ~tag:_ ~attrs:_ ~text ~level:_ -> starts_with ~prefix:s text
@@ -187,53 +155,103 @@ let compile_parts p =
   in
   go p
 
-let target doc p =
+type compiled = Document.node -> bool
+
+let compile doc p =
+  let f = lower ~tag_id:(Document.lookup_tag_id doc) p in
+  fun v ->
+    f ~tag:(Document.tag_id doc v) ~attrs:(Document.attrs doc v)
+      ~text:(Document.text doc v) ~level:(Document.level doc v)
+
+let compiled_eval c v = c v
+
+let classify ~tag_id p =
   match tag_of p with
   | None -> `Any
   | Some t -> (
-    match Document.lookup_tag_id doc t with
-    | Some id -> `Tag id
-    | None -> `Nothing)
+    match tag_id t with Some id -> `Tag id | None -> `Nothing)
+
+let target doc p = classify ~tag_id:(Document.lookup_tag_id doc) p
 
 (* --- Dispatch table --------------------------------------------------- *)
 
 type dispatch = {
-  compiled : compiled array;
+  lowered : lowered array;
+  tag_id : string -> int option;  (* the source's tag name -> tag id *)
   per_tag : int array array;  (* tag id -> indices of predicates pinned to it *)
   unpinned : int array;  (* indices of predicates with no pinned tag *)
   mutable evals : int;
 }
 
-let dispatch doc preds =
+let make_dispatch ~tag_id preds =
   let preds = Array.of_list preds in
-  let per_tag = Array.make (Document.num_tags doc) [] in
+  let targets = Array.map (classify ~tag_id) preds in
+  let num_tags =
+    Array.fold_left
+      (fun m t -> match t with `Tag id -> Int.max m (id + 1) | `Any | `Nothing -> m)
+      0 targets
+  in
+  let per_tag = Array.make num_tags [] in
   let unpinned = ref [] in
   Array.iteri
-    (fun k p ->
-      match target doc p with
+    (fun k t ->
+      match t with
       | `Tag id -> per_tag.(id) <- k :: per_tag.(id)
       | `Any -> unpinned := k :: !unpinned
       | `Nothing -> ())
-    preds;
+    targets;
   {
-    compiled = Array.map (compile doc) preds;
+    lowered = Array.map (lower ~tag_id) preds;
+    tag_id;
     per_tag = Array.map (fun l -> Array.of_list (List.rev l)) per_tag;
     unpinned = Array.of_list (List.rev !unpinned);
     evals = 0;
   }
 
-let dispatch_node d doc v ~f =
+let dispatch doc preds = make_dispatch ~tag_id:(Document.lookup_tag_id doc) preds
+
+(* Without a document, tag ids are interned from the predicates' own tag
+   names: a tag no predicate names has no id, so only the unpinned
+   predicates run on it. *)
+let dispatch_detached preds =
+  let names = Hashtbl.create 16 in
+  let rec intern p =
+    match p with
+    | Tag t ->
+      if not (Hashtbl.mem names t) then Hashtbl.add names t (Hashtbl.length names)
+    | And (a, b) | Or (a, b) ->
+      intern a;
+      intern b
+    | Not a -> intern a
+    | True | Text_eq _ | Text_prefix _ | Text_suffix _ | Text_contains _
+    | Attr_eq _ | Level_eq _ ->
+      ()
+  in
+  List.iter intern preds;
+  make_dispatch ~tag_id:(Hashtbl.find_opt names) preds
+
+let dispatch_parts d ~tag ~attrs ~text ~level ~f =
   let run k =
     d.evals <- d.evals + 1;
-    if d.compiled.(k) v then f k
+    if d.lowered.(k) ~tag ~attrs ~text ~level then f k
   in
-  let pinned = d.per_tag.(Document.tag_id doc v) in
-  for idx = 0 to Array.length pinned - 1 do
-    run pinned.(idx)
-  done;
+  if tag >= 0 && tag < Array.length d.per_tag then begin
+    let pinned = d.per_tag.(tag) in
+    for idx = 0 to Array.length pinned - 1 do
+      run pinned.(idx)
+    done
+  end;
   for idx = 0 to Array.length d.unpinned - 1 do
     run d.unpinned.(idx)
   done
+
+let dispatch_node d doc v ~f =
+  dispatch_parts d ~tag:(Document.tag_id doc v) ~attrs:(Document.attrs doc v)
+    ~text:(Document.text doc v) ~level:(Document.level doc v) ~f
+
+let dispatch_named d ~tag ~attrs ~text ~level ~f =
+  let tag = match d.tag_id tag with Some id -> id | None -> -1 in
+  dispatch_parts d ~tag ~attrs ~text ~level ~f
 
 let dispatch_evals d = d.evals
 

@@ -50,26 +50,21 @@ val pp : Format.formatter -> t -> unit
 
 (** {2 Compilation}
 
-    [compile] lowers the predicate AST once per document into a closure:
-    tag comparisons become integer comparisons over the document's interned
-    tag ids (constant [false] for tags absent from the document), substring
-    patterns precompute their KMP failure table, and boolean structure is
-    composed into the closure — per-node evaluation never re-walks the AST.
-    [compile p] agrees with [eval p] on every node (property-tested). *)
+    Every predicate is lowered once into a closure over a node's parts —
+    interned tag id, attributes, trimmed character data, level — the view
+    both construction sources have of a node (the document store, and a
+    SAX close event).  Tag comparisons become integer comparisons over
+    the source's tag ids (constant [false] for tags the source has no id
+    for), substring patterns precompute their KMP failure table, and
+    boolean structure is composed into the closure — per-node evaluation
+    never re-walks the AST.  [compile doc p] feeds that closure a
+    document node's parts and agrees with [eval p] on every node
+    (property-tested). *)
 
 type compiled = Document.node -> bool
 
 val compile : Document.t -> t -> compiled
 val compiled_eval : compiled -> Document.node -> bool
-
-val compile_parts :
-  t -> tag:string -> attrs:(string * string) list -> text:string -> level:int -> bool
-(** Document-free variant of {!compile} for the streaming (SAX) build:
-    evaluates over a node's raw parts — tag name, attribute list, trimmed
-    character data, and depth — exactly as {!eval} would on the
-    materialized node.  Substring patterns still precompute their KMP
-    table at compile time; partially applying the predicate alone
-    performs the lowering. *)
 
 val target : Document.t -> t -> [ `Any | `Tag of int | `Nothing ]
 (** Where the predicate can match: [`Tag id] when it pins an element tag
@@ -78,10 +73,12 @@ val target : Document.t -> t -> [ `Any | `Tag of int | `Nothing ]
 
 (** {2 Dispatch table}
 
-    A batch of compiled predicates bucketed by pinned tag id: during a
-    document sweep each node only evaluates the predicates pinned to its
-    tag, plus the unpinned ones — predicates pinned to other tags cost
-    nothing.  This is the inner loop of the fused summary construction. *)
+    A batch of compiled predicates bucketed by pinned tag id: each node
+    only evaluates the predicates pinned to its tag, plus the unpinned
+    ones — predicates pinned to other tags cost nothing.  This is the
+    inner loop of both summary constructions: the fused sweep resolves
+    the bucket by the document's tag id, the streamed build by one hash
+    lookup of the tag name per close event. *)
 
 type dispatch
 
@@ -96,9 +93,27 @@ val dispatch_node :
     matches.  Indices are reported in bucket order: pinned predicates in
     input order, then unpinned ones in input order. *)
 
+val dispatch_detached : t list -> dispatch
+(** A document-free table: tag ids are interned from the tag names the
+    predicates mention.  For sources that see nodes as parts only. *)
+
+val dispatch_named :
+  dispatch ->
+  tag:string ->
+  attrs:(string * string) list ->
+  text:string ->
+  level:int ->
+  f:(int -> unit) ->
+  unit
+(** {!dispatch_node} over a node given by its parts — tag name,
+    attributes, trimmed character data, level — as a SAX close event
+    carries them; decides exactly as {!eval} on the materialized node.
+    Works on tables from {!dispatch} and {!dispatch_detached} alike. *)
+
 val dispatch_evals : dispatch -> int
-(** Total compiled-predicate evaluations performed by {!dispatch_node}
-    since the table was built — the fused build's eval counter. *)
+(** Total compiled-predicate evaluations performed by {!dispatch_node} and
+    {!dispatch_named} since the table was built — the builds' eval
+    counter. *)
 
 (** {2 Substring matching}
 

@@ -71,51 +71,6 @@ let feed s v ~in_set =
 
 let nesting_seen s = s.nesting
 
-(* Post-order (close-event) counterpart of [stream], document-free: nodes
-   arrive sorted by end position — the order SAX close events occur — and
-   carry their start position explicitly.  Frames on the stack whose start
-   exceeds the incoming node's start are exactly its completed child
-   subtrees; OR-ing their contains-a-set-node flags tells whether the node
-   has a set descendant.  A set node with a set descendant is the same
-   node pair as a set node with a set ancestor, so [close_nesting_seen]
-   agrees with [nesting_seen] over a whole document (property-tested). *)
-type close_stream = {
-  mutable c_starts : int array;
-  mutable c_contains : bool array;
-  mutable c_depth : int;
-  mutable c_nesting : bool;
-}
-
-let close_stream () =
-  {
-    c_starts = Array.make 16 0;
-    c_contains = Array.make 16 false;
-    c_depth = 0;
-    c_nesting = false;
-  }
-
-let feed_close s ~start_pos ~in_set =
-  let contains = ref false in
-  while s.c_depth > 0 && s.c_starts.(s.c_depth - 1) > start_pos do
-    s.c_depth <- s.c_depth - 1;
-    if s.c_contains.(s.c_depth) then contains := true
-  done;
-  if in_set && !contains then s.c_nesting <- true;
-  if Int.equal s.c_depth (Array.length s.c_starts) then begin
-    let starts = Array.make (2 * s.c_depth) 0 in
-    Array.blit s.c_starts 0 starts 0 s.c_depth;
-    s.c_starts <- starts;
-    let contains' = Array.make (2 * s.c_depth) false in
-    Array.blit s.c_contains 0 contains' 0 s.c_depth;
-    s.c_contains <- contains'
-  end;
-  s.c_starts.(s.c_depth) <- start_pos;
-  s.c_contains.(s.c_depth) <- in_set || !contains;
-  s.c_depth <- s.c_depth + 1;
-  !contains
-
-let close_nesting_seen s = s.c_nesting
-
 let sweep doc nodes ~on_open =
   let stack = Stack.create () in
   Array.iter

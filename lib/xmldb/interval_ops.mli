@@ -53,30 +53,3 @@ val feed : stream -> Document.node -> in_set:bool -> Document.node
 val nesting_seen : stream -> bool
 (** [true] iff some fed [in_set] node had a strict set-ancestor — the
     negation of the no-overlap property for the fed set. *)
-
-(** {2 Post-order streaming sweep}
-
-    The close-event counterpart of {!stream}, for consumers that see
-    nodes in end-position order — the order SAX [Close] events fire, and
-    the only order in which text predicates are decidable (an element's
-    character data is complete only at its close tag).  The stream is
-    document-free: nodes carry their start positions explicitly, so the
-    out-of-core summary build can run it straight off a parse or a spill
-    file without a [Document.t]. *)
-
-type close_stream
-
-val close_stream : unit -> close_stream
-
-val feed_close : close_stream -> start_pos:int -> in_set:bool -> bool
-(** Feed every node in strictly increasing end-position order (post-order).
-    Returns [true] iff the node's subtree contains a set node fed earlier
-    (necessarily a strict descendant).  When [in_set] is true and the
-    subtree already contains one, the nesting flag is raised — the same
-    node pair a pre-order sweep would catch as "set node with set
-    ancestor", so over a full document {!close_nesting_seen} equals
-    {!nesting_seen} (property-tested). *)
-
-val close_nesting_seen : close_stream -> bool
-(** [true] iff some fed [in_set] node had an [in_set] strict descendant —
-    the negation of the no-overlap property for the fed set. *)
