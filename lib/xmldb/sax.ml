@@ -1,15 +1,21 @@
-(* SAX-style pull parser: the same lexical grammar as Xml_parser (which
-   builds an Elem tree), re-expressed as an event stream over a bounded
-   refill buffer.  A document of any size parses in O(depth + buffer)
-   memory, which is what lets Summary.build_stream construct a summary
-   without materializing a Document.t.
+(* SAX-style pull parser: the project's one XML grammar, as an event
+   stream over a bounded refill buffer.  Xml_parser folds the events into
+   an Elem tree; Summary.build_stream consumes them directly, so a
+   document of any size parses in O(depth + buffer) memory.
 
-   Equivalence contract with Xml_parser (property-tested in test_xmldb):
-   feeding the same bytes produces the same element structure, attribute
-   lists, and — once a consumer concatenates the Text events of each
-   element and trims the result — the same per-element text.  Errors
-   raise the same [Xml_parser.Parse_error] with the same messages and
-   positions. *)
+   The scanners work on runs, not bytes: text up to '<' or '&', names,
+   attribute values, whitespace and the bodies of comments, PIs and CDATA
+   sections are found by a tight loop over the buffer and then copied out
+   (or skipped) in one piece.  Line and column are not tracked per byte:
+   [sync] counts the newlines of the consumed span when an error needs a
+   position, and before a refill discards consumed bytes. *)
+
+type error = { line : int; column : int; message : string }
+
+let pp_error ppf e =
+  Format.fprintf ppf "XML parse error at %d:%d: %s" e.line e.column e.message
+
+exception Parse_error of error
 
 type event =
   | Open of { tag : string; attrs : (string * string) list }
@@ -17,13 +23,15 @@ type event =
   | Close
 
 (* Byte source with a small lookahead window ([ensure]).  [refill = None]
-   means the buffer already holds the whole input (of_string). *)
+   means the buffer already holds the whole input (of_string), and is
+   then never written. *)
 type reader = {
   refill : (bytes -> int -> int -> int) option;
-  mutable buf : Bytes.t;
+  buf : Bytes.t;
   mutable rpos : int;  (* cursor within [buf] *)
   mutable rlen : int;  (* end of valid data in [buf] *)
-  mutable drained : bool;  (* the refill function returned 0 *)
+  mutable drained : bool;  (* no input beyond [rlen] *)
+  mutable synced : int;  (* [line] and [col] are those of [buf.[synced]] *)
   mutable line : int;
   mutable col : int;
 }
@@ -31,10 +39,11 @@ type reader = {
 let reader_of_string s =
   {
     refill = None;
-    buf = Bytes.of_string s;
+    buf = Bytes.unsafe_of_string s;
     rpos = 0;
     rlen = String.length s;
     drained = true;
+    synced = 0;
     line = 1;
     col = 1;
   }
@@ -46,21 +55,35 @@ let reader_of_channel ic =
     rpos = 0;
     rlen = 0;
     drained = false;
+    synced = 0;
     line = 1;
     col = 1;
   }
 
+(* Bring [line] and [col] up to [rpos]. *)
+let sync r =
+  for i = r.synced to r.rpos - 1 do
+    if Char.equal (Bytes.unsafe_get r.buf i) '\n' then begin
+      r.line <- r.line + 1;
+      r.col <- 1
+    end
+    else r.col <- r.col + 1
+  done;
+  r.synced <- r.rpos
+
 (* Make at least [n] bytes (or everything up to end of input) available at
-   [rpos]; [n] never exceeds [lookahead], far below the buffer size. *)
+   [rpos]; [n] never exceeds 13, far below the buffer size. *)
 let ensure r n =
   if r.rlen - r.rpos < n && not r.drained then begin
     match r.refill with
     | None -> ()
     | Some read ->
       if r.rpos > 0 then begin
+        sync r;
         Bytes.blit r.buf r.rpos r.buf 0 (r.rlen - r.rpos);
         r.rlen <- r.rlen - r.rpos;
-        r.rpos <- 0
+        r.rpos <- 0;
+        r.synced <- 0
       end;
       while r.rlen - r.rpos < n && not r.drained do
         let k = read r.buf r.rlen (Bytes.length r.buf - r.rlen) in
@@ -69,7 +92,8 @@ let ensure r n =
   end
 
 let fail r message =
-  raise (Xml_parser.Parse_error { line = r.line; column = r.col; message })
+  sync r;
+  raise (Parse_error { line = r.line; column = r.col; message })
 
 let eof r =
   ensure r 1;
@@ -83,22 +107,7 @@ let peek2 r =
   ensure r 2;
   if r.rlen - r.rpos < 2 then '\000' else Bytes.get r.buf (r.rpos + 1)
 
-let advance r =
-  if not (eof r) then begin
-    if Bytes.get r.buf r.rpos = '\n' then begin
-      r.line <- r.line + 1;
-      r.col <- 1
-    end
-    else r.col <- r.col + 1;
-    r.rpos <- r.rpos + 1
-  end
-
-let skip_ws r =
-  while
-    (not (eof r)) && (match peek r with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-  do
-    advance r
-  done
+let advance r = if not (eof r) then r.rpos <- r.rpos + 1
 
 let expect r ch =
   if Char.equal (peek r) ch then advance r
@@ -107,25 +116,27 @@ let expect r ch =
 let looking_at r s =
   let n = String.length s in
   ensure r n;
-  r.rlen - r.rpos >= n && String.equal (Bytes.sub_string r.buf r.rpos n) s
+  r.rlen - r.rpos >= n
+  &&
+  let k = ref 0 in
+  while !k < n && Char.equal (Bytes.get r.buf (r.rpos + !k)) (String.get s !k) do
+    incr k
+  done;
+  Int.equal !k n
 
-let skip_string r s =
-  if looking_at r s then
-    for _ = 1 to String.length s do
-      advance r
-    done
-  else fail r (Printf.sprintf "expected %S" s)
+(* Consume [s] if it is next in the input. *)
+let eat r s =
+  looking_at r s
+  && begin
+       r.rpos <- r.rpos + String.length s;
+       true
+     end
 
-let skip_until r s =
-  let rec go () =
-    if eof r then fail r (Printf.sprintf "unterminated construct, expected %S" s)
-    else if looking_at r s then skip_string r s
-    else begin
-      advance r;
-      go ()
-    end
-  in
-  go ()
+(* --- Run scanners ------------------------------------------------------- *)
+
+(* [scan buf i lim] is the index of the first byte in [i, lim) that ends
+   the run, or [lim]; [i <= lim <= Bytes.length buf] always holds, which
+   is what makes the unchecked reads safe. *)
 
 let is_name_start ch =
   (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') || ch = '_' || ch = ':'
@@ -133,26 +144,146 @@ let is_name_start ch =
 let is_name_char ch =
   is_name_start ch || (ch >= '0' && ch <= '9') || ch = '-' || ch = '.'
 
+let is_ws = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
+
+let rec scan_text buf i lim =
+  if i < lim && match Bytes.unsafe_get buf i with '<' | '&' -> false | _ -> true
+  then scan_text buf (i + 1) lim
+  else i
+
+let rec scan_name buf i lim =
+  if i < lim && is_name_char (Bytes.unsafe_get buf i) then scan_name buf (i + 1) lim
+  else i
+
+let rec scan_ws buf i lim =
+  if i < lim && is_ws (Bytes.unsafe_get buf i) then scan_ws buf (i + 1) lim else i
+
+let rec scan_attr quote buf i lim =
+  if
+    i < lim
+    &&
+    let ch = Bytes.unsafe_get buf i in
+    not (Char.equal ch quote || Char.equal ch '&')
+  then scan_attr quote buf (i + 1) lim
+  else i
+
+let rec scan_to ch buf i lim =
+  if i < lim && not (Char.equal (Bytes.unsafe_get buf i) ch) then
+    scan_to ch buf (i + 1) lim
+  else i
+
+(* Append the run at [rpos] to [b] and consume it, refilling across the
+   buffer edge. *)
+let rec take_into r scan b =
+  let stop = scan r.buf r.rpos r.rlen in
+  Buffer.add_subbytes b r.buf r.rpos (stop - r.rpos);
+  r.rpos <- stop;
+  if Int.equal stop r.rlen && not r.drained then begin
+    ensure r 1;
+    if r.rpos < r.rlen then take_into r scan b
+  end
+
+(* The run at [rpos], consumed; one copy when it ends inside the buffer. *)
+let take r scan =
+  let stop = scan r.buf r.rpos r.rlen in
+  if stop < r.rlen || r.drained then begin
+    let s = Bytes.sub_string r.buf r.rpos (stop - r.rpos) in
+    r.rpos <- stop;
+    s
+  end
+  else begin
+    let b = Buffer.create 64 in
+    take_into r scan b;
+    Buffer.contents b
+  end
+
+(* Consume the run at [rpos] without copying it. *)
+let rec skip r scan =
+  r.rpos <- scan r.buf r.rpos r.rlen;
+  if Int.equal r.rpos r.rlen && not r.drained then begin
+    ensure r 1;
+    if r.rpos < r.rlen then skip r scan
+  end
+
+let skip_ws r = skip r scan_ws
+
+(* Skip past the terminator [s], inclusive: comments and PIs. *)
+let skip_until r s =
+  let to_first = scan_to (String.get s 0) in
+  let rec go () =
+    skip r to_first;
+    if eof r then fail r (Printf.sprintf "unterminated construct, expected %S" s)
+    else if not (eat r s) then begin
+      r.rpos <- r.rpos + 1;
+      go ()
+    end
+  in
+  go ()
+
 let parse_name r =
-  if not (is_name_start (peek r)) then
-    fail r (Printf.sprintf "expected a name, found %C" (peek r));
-  let b = Buffer.create 16 in
-  while (not (eof r)) && is_name_char (peek r) do
-    Buffer.add_char b (peek r);
-    advance r
-  done;
+  let ch = peek r in
+  if not (is_name_start ch) then fail r (Printf.sprintf "expected a name, found %C" ch);
+  take r scan_name
+
+(* --- Entities ------------------------------------------------------------ *)
+
+let utf_8 code =
+  let b = Buffer.create 4 in
+  let lead bits = Buffer.add_char b (Char.chr bits) in
+  let cont shift = lead (0x80 lor ((code lsr shift) land 0x3F)) in
+  if code < 0x80 then lead code
+  else if code < 0x800 then begin
+    lead (0xC0 lor (code lsr 6));
+    cont 0
+  end
+  else if code < 0x10000 then begin
+    lead (0xE0 lor (code lsr 12));
+    cont 6;
+    cont 0
+  end
+  else begin
+    lead (0xF0 lor (code lsr 18));
+    cont 12;
+    cont 6;
+    cont 0
+  end;
   Buffer.contents b
 
-(* Decode an entity reference starting just after '&'. *)
+(* The code point of a character reference [name] = "#ddd" or "#xhhh":
+   decimal or hex digits only, at most 0x10FFFF; [-1] otherwise. *)
+let char_ref_code name =
+  let n = String.length name in
+  let hex = n > 1 && (name.[1] = 'x' || name.[1] = 'X') in
+  let digit ch =
+    match ch with
+    | '0' .. '9' -> Char.code ch - Char.code '0'
+    | 'a' .. 'f' when hex -> Char.code ch - Char.code 'a' + 10
+    | 'A' .. 'F' when hex -> Char.code ch - Char.code 'A' + 10
+    | _ -> -1
+  in
+  let base = if hex then 16 else 10 in
+  let rec value k acc =
+    if acc > 0x10FFFF then -1
+    else if k >= n then acc
+    else
+      let d = digit name.[k] in
+      if d < 0 then -1 else value (k + 1) ((acc * base) + d)
+  in
+  let first = if hex then 2 else 1 in
+  if n <= first then -1 else value first 0
+
+(* Decode an entity reference starting just after '&': up to 12 bytes
+   of name, then ';'. *)
 let parse_entity r =
-  let b = Buffer.create 12 in
-  while (not (eof r)) && peek r <> ';' && Buffer.length b < 12 do
-    Buffer.add_char b (peek r);
-    advance r
-  done;
-  if peek r <> ';' then fail r "unterminated entity reference";
-  advance r;
-  let name = Buffer.contents b in
+  ensure r 13;
+  let lim = Int.min r.rlen (r.rpos + 13) in
+  let semi = scan_to ';' r.buf r.rpos lim in
+  if Int.equal semi lim then begin
+    r.rpos <- Int.min r.rlen (r.rpos + 12);
+    fail r "unterminated entity reference"
+  end;
+  let name = Bytes.sub_string r.buf r.rpos (semi - r.rpos) in
+  r.rpos <- semi + 1;
   match name with
   | "lt" -> "<"
   | "gt" -> ">"
@@ -161,57 +292,42 @@ let parse_entity r =
   | "quot" -> "\""
   | _ ->
     if String.length name > 1 && name.[0] = '#' then begin
-      let code =
-        try
-          if name.[1] = 'x' || name.[1] = 'X' then
-            int_of_string ("0x" ^ String.sub name 2 (String.length name - 2))
-          else int_of_string (String.sub name 1 (String.length name - 1))
-        with Failure _ -> fail r (Printf.sprintf "bad character reference &%s;" name)
-      in
-      if code < 0x80 then String.make 1 (Char.chr code)
-      else begin
-        let b = Buffer.create 4 in
-        if code < 0x800 then begin
-          Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else if code < 0x10000 then begin
-          Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char b (Char.chr (0xF0 lor (code lsr 18)));
-          Buffer.add_char b (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-          Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-        end;
-        Buffer.contents b
-      end
+      let code = char_ref_code name in
+      if code < 0 then fail r (Printf.sprintf "bad character reference &%s;" name);
+      utf_8 code
     end
     else fail r (Printf.sprintf "unknown entity &%s;" name)
+
+(* --- Markup ---------------------------------------------------------------- *)
 
 let parse_attr_value r =
   let quote = peek r in
   if quote <> '"' && quote <> '\'' then fail r "expected quoted attribute value";
   advance r;
-  let b = Buffer.create 16 in
-  let rec go () =
+  let scan = scan_attr quote in
+  let closed () =
     if eof r then fail r "unterminated attribute value"
-    else if Char.equal (peek r) quote then advance r
-    else if peek r = '&' then begin
+    else if Char.equal (peek r) quote then begin
+      advance r;
+      true
+    end
+    else false
+  in
+  let first = take r scan in
+  if closed () then first
+  else begin
+    let b = Buffer.create (String.length first + 16) in
+    Buffer.add_string b first;
+    let rec go () =
+      (* at '&' *)
       advance r;
       Buffer.add_string b (parse_entity r);
-      go ()
-    end
-    else begin
-      Buffer.add_char b (peek r);
-      advance r;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents b
+      take_into r scan b;
+      if not (closed ()) then go ()
+    in
+    go ();
+    Buffer.contents b
+  end
 
 let parse_attrs r =
   let rec go acc =
@@ -230,7 +346,6 @@ let parse_attrs r =
 
 let trim_text s =
   let n = String.length s in
-  let is_ws ch = ch = ' ' || ch = '\t' || ch = '\r' || ch = '\n' in
   let i = ref 0 and j = ref (n - 1) in
   while !i < n && is_ws s.[!i] do
     incr i
@@ -238,130 +353,127 @@ let trim_text s =
   while !j >= !i && is_ws s.[!j] do
     decr j
   done;
-  if !j < !i then "" else String.sub s !i (!j - !i + 1)
+  if !j < !i then ""
+  else if !i = 0 && Int.equal !j (n - 1) then s
+  else String.sub s !i (!j - !i + 1)
 
 (* Skip prolog material: XML declaration, comments, PIs, DOCTYPE. *)
 let skip_prolog r =
   let rec go () =
     skip_ws r;
-    if looking_at r "<?" then begin
-      skip_string r "<?";
+    if eat r "<?" then begin
       skip_until r "?>";
       go ()
     end
-    else if looking_at r "<!--" then begin
-      skip_string r "<!--";
+    else if eat r "<!--" then begin
       skip_until r "-->";
       go ()
     end
-    else if looking_at r "<!DOCTYPE" then begin
-      skip_string r "<!DOCTYPE";
-      let depth = ref 0 in
-      let rec scan () =
+    else if eat r "<!DOCTYPE" then begin
+      (* To the matching '>', past a bracketed internal subset. *)
+      let rec scan depth =
         if eof r then fail r "unterminated DOCTYPE"
-        else
-          match peek r with
-          | '[' ->
-            incr depth;
-            advance r;
-            scan ()
-          | ']' ->
-            decr depth;
-            advance r;
-            scan ()
-          | '>' when !depth = 0 -> advance r
-          | _ ->
-            advance r;
-            scan ()
+        else begin
+          let ch = peek r in
+          advance r;
+          match ch with
+          | '[' -> scan (depth + 1)
+          | ']' -> scan (depth - 1)
+          | '>' when depth = 0 -> ()
+          | _ -> scan depth
+        end
       in
-      scan ();
+      scan 0;
       go ()
     end
   in
   go ()
 
+(* The body of a CDATA section, just after "<![CDATA[", into [b]. *)
+let cdata_into r b =
+  let rec go () =
+    take_into r (scan_to ']') b;
+    if eof r then fail r "unterminated CDATA section"
+    else if not (eat r "]]>") then begin
+      Buffer.add_char b ']';
+      r.rpos <- r.rpos + 1;
+      go ()
+    end
+  in
+  go ()
+
+let at_cdata r = looking_at r "<![CDATA["
+
+(* One contiguous run of character data: raw text, entity references and
+   CDATA sections, ended by other markup or end of input.  Comments and
+   PIs also end the run: a consumer concatenates the runs of an element
+   to get its character data. *)
+let parse_text_run r =
+  let first = take r scan_text in
+  if eof r || (Char.equal (peek r) '<' && not (at_cdata r)) then first
+  else begin
+    let b = Buffer.create (String.length first + 64) in
+    Buffer.add_string b first;
+    let rec go () =
+      if not (eof r) then
+        match peek r with
+        | '&' ->
+          advance r;
+          Buffer.add_string b (parse_entity r);
+          go ()
+        | '<' ->
+          if eat r "<![CDATA[" then begin
+            cdata_into r b;
+            go ()
+          end
+        | _ ->
+          take_into r scan_text b;
+          go ()
+    in
+    go ();
+    Buffer.contents b
+  end
+
 type t = {
   r : reader;
   mutable stack : string list;  (* open elements, innermost first *)
   mutable state : [ `Prolog | `Content | `Epilog | `Done ];
-  mutable pending : event option;  (* Close queued behind a self-closing Open *)
+  mutable pending : bool;  (* a Close queued behind a self-closing Open *)
 }
 
-let of_string s = { r = reader_of_string s; stack = []; state = `Prolog; pending = None }
+let of_string s = { r = reader_of_string s; stack = []; state = `Prolog; pending = false }
 
 let of_channel ic =
-  { r = reader_of_channel ic; stack = []; state = `Prolog; pending = None }
+  { r = reader_of_channel ic; stack = []; state = `Prolog; pending = false }
 
-(* Consume "<tag attrs" just after the '<'; returns the Open event and
-   whether the element was self-closing. *)
+(* Consume "<tag attrs>" or "<tag attrs/>" and push [tag]. *)
 let parse_open t =
   let r = t.r in
   expect r '<';
   let tag = parse_name r in
   let attrs = parse_attrs r in
   skip_ws r;
-  if looking_at r "/>" then begin
-    skip_string r "/>";
-    (Open { tag; attrs }, true)
-  end
-  else begin
-    expect r '>';
-    (Open { tag; attrs }, false)
-  end
+  if eat r "/>" then t.pending <- true else expect r '>';
+  t.stack <- tag :: t.stack;
+  t.state <- `Content;
+  Some (Open { tag; attrs })
 
 let close_element t =
   match t.stack with
   | [] -> assert false
   | _ :: rest ->
     t.stack <- rest;
-    if List.is_empty rest then t.state <- `Epilog
+    if List.is_empty rest then t.state <- `Epilog;
+    Some Close
 
-(* One contiguous run of character data: raw text, entity references, and
-   CDATA sections, ended by markup or end of input.  Comments and PIs also
-   end the run — the consumer concatenates runs per element, so the result
-   matches Xml_parser's single accumulating buffer. *)
-let parse_text_run t =
-  let r = t.r in
-  let b = Buffer.create 64 in
-  let rec go () =
-    if eof r then ()
-    else if peek r = '<' then begin
-      if looking_at r "<![CDATA[" then begin
-        skip_string r "<![CDATA[";
-        let rec find () =
-          if eof r then fail r "unterminated CDATA section"
-          else if looking_at r "]]>" then skip_string r "]]>"
-          else begin
-            Buffer.add_char b (peek r);
-            advance r;
-            find ()
-          end
-        in
-        find ();
-        go ()
-      end
-    end
-    else if peek r = '&' then begin
-      advance r;
-      Buffer.add_string b (parse_entity r);
-      go ()
-    end
-    else begin
-      Buffer.add_char b (peek r);
-      advance r;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents b
+let rec text_event t = match parse_text_run t.r with "" -> next t | s -> Some (Text s)
 
-let rec next t =
-  match t.pending with
-  | Some ev ->
-    t.pending <- None;
-    close_element t;
-    Some ev
-  | None -> (
+and next t =
+  if t.pending then begin
+    t.pending <- false;
+    close_element t
+  end
+  else
     let r = t.r in
     match t.state with
     | `Done -> None
@@ -374,54 +486,34 @@ let rec next t =
     | `Prolog ->
       skip_prolog r;
       if eof r then fail r "empty document";
-      let ev, self_closing = parse_open t in
-      let tag = match ev with Open { tag; _ } -> tag | _ -> assert false in
-      t.stack <- [ tag ];
-      t.state <- `Content;
-      if self_closing then t.pending <- Some Close;
-      Some ev
-    | `Content ->
+      parse_open t
+    | `Content -> (
       let top = match t.stack with tag :: _ -> tag | [] -> assert false in
       if eof r then fail r (Printf.sprintf "unterminated element <%s>" top)
-      else if peek r = '<' then begin
+      else if peek r <> '<' then text_event t
+      else
         match peek2 r with
         | '/' ->
-          skip_string r "</";
+          r.rpos <- r.rpos + 2;
           skip_ws r;
           let close = parse_name r in
           if not (String.equal close top) then
-            fail r
-              (Printf.sprintf "mismatched tags: <%s> closed by </%s>" top close);
+            fail r (Printf.sprintf "mismatched tags: <%s> closed by </%s>" top close);
           skip_ws r;
           expect r '>';
-          close_element t;
-          Some Close
+          close_element t
         | '!' ->
-          if looking_at r "<!--" then begin
-            skip_string r "<!--";
+          if eat r "<!--" then begin
             skip_until r "-->";
             next t
           end
-          else if looking_at r "<![CDATA[" then begin
-            let text = parse_text_run t in
-            if String.equal text "" then next t else Some (Text text)
-          end
+          else if at_cdata r then text_event t
           else fail r "unexpected markup declaration inside element"
         | '?' ->
-          skip_string r "<?";
+          r.rpos <- r.rpos + 2;
           skip_until r "?>";
           next t
-        | _ ->
-          let ev, self_closing = parse_open t in
-          let tag = match ev with Open { tag; _ } -> tag | _ -> assert false in
-          t.stack <- tag :: t.stack;
-          if self_closing then t.pending <- Some Close;
-          Some ev
-      end
-      else begin
-        let text = parse_text_run t in
-        if String.equal text "" then next t else Some (Text text)
-      end)
+        | _ -> parse_open t)
 
 let fold f init t =
   let rec go acc = match next t with None -> acc | Some ev -> go (f acc ev) in

@@ -1,17 +1,28 @@
-(** SAX-style pull parser: {!Xml_parser}'s grammar as an event stream.
+(** SAX-style pull parser: the project's one XML grammar.
 
-    [next] returns the document's markup one event at a time — [Open]
-    with the tag and attribute list, [Text] runs of character data
-    (entity references decoded, CDATA included verbatim), and [Close] —
-    parsing from a bounded internal buffer, so a document of any size
-    streams in O(element depth + buffer) memory.  This is the input side
-    of the out-of-core summary build ([Summary.build_stream]).
+    Supports the subset of XML 1.0 described in {!Xml_parser}.  [next]
+    returns the document's markup one event at a time — [Open] with the
+    tag and attribute list, [Text] runs of character data (entity
+    references decoded, CDATA included verbatim), and [Close] — parsing
+    from a bounded internal buffer, so a document of any size streams in
+    O(element depth + buffer) memory.  {!Xml_parser} folds these events
+    into an {!Elem} tree, and the out-of-core summary build
+    ([Summary.build_stream]) consumes them directly.
 
-    Equivalence with {!Xml_parser} (property-tested): the event sequence
-    describes the same tree, and concatenating each element's [Text]
-    events and applying {!trim_text} yields that element's [Elem.text].
-    Lexical errors raise {!Xml_parser.Parse_error} with the same message
-    and position as the tree parser. *)
+    The tree this stream describes, and the [(line, column, message)] of
+    every error, are property-tested against the original recursive tree
+    parser, kept as an oracle in the test suite; so are the events from
+    {!of_string} and {!of_channel}, including runs that straddle the
+    channel reader's refill edge. *)
+
+type error = { line : int; column : int; message : string }
+(** A 1-based line and column (in bytes) and a description. *)
+
+val pp_error : Format.formatter -> error -> unit
+
+exception Parse_error of error
+(** Raised by {!next} on malformed input.  {!Xml_parser.Parse_error} is
+    this exception. *)
 
 type event =
   | Open of { tag : string; attrs : (string * string) list }
@@ -30,13 +41,15 @@ val of_channel : in_channel -> t
 val next : t -> event option
 (** The next event, or [None] once the root element has closed and any
     trailing prolog material (comments, PIs, whitespace) has been
-    consumed.  Raises {!Xml_parser.Parse_error} on malformed input.
-    Whitespace-only text between markup is reported verbatim; per-element
-    trimming is the consumer's job (see {!trim_text}). *)
+    consumed.  Raises {!Parse_error} on malformed input.  Whitespace-only
+    text between markup is reported verbatim; per-element trimming is the
+    consumer's job (see {!trim_text}).  One [Text] event covers a maximal
+    run of character data, entity references and CDATA sections; other
+    markup (a child element, a comment, a PI) ends it. *)
 
 val fold : ('a -> event -> 'a) -> 'a -> t -> 'a
 (** Drain the stream through an accumulator. *)
 
 val trim_text : string -> string
-(** Strip leading and trailing ASCII whitespace — exactly the trim
-    {!Xml_parser} applies to each element's accumulated character data. *)
+(** Strip leading and trailing ASCII whitespace — the trim applied to
+    each element's concatenated [Text] events to give its [Elem.text]. *)

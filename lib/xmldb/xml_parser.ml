@@ -1,319 +1,55 @@
-type error = { line : int; column : int; message : string }
+(* The tree parser is a fold over Sax events, so the two share one
+   grammar, one set of error messages and one set of positions. *)
 
-let pp_error ppf e =
-  Format.fprintf ppf "XML parse error at %d:%d: %s" e.line e.column e.message
+type error = Sax.error = { line : int; column : int; message : string }
 
-exception Parse_error of error
+let pp_error = Sax.pp_error
 
-(* Cursor over the input string, tracking line/column for error messages. *)
-type cursor = {
-  input : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable col : int;
+exception Parse_error = Sax.Parse_error
+
+(* An open element: its direct character data and finished children so
+   far, newest first. *)
+type frame = {
+  tag : string;
+  attrs : (string * string) list;
+  mutable texts : string list;
+  mutable children : Elem.t list;
 }
 
-let cursor input = { input; pos = 0; line = 1; col = 1 }
+let text_of = function
+  | [] -> ""
+  | [ s ] -> Sax.trim_text s
+  | texts -> Sax.trim_text (String.concat "" (List.rev texts))
 
-let fail c message =
-  raise (Parse_error { line = c.line; column = c.col; message })
-
-let eof c = c.pos >= String.length c.input
-
-let peek c = if eof c then '\000' else c.input.[c.pos]
-
-let peek2 c =
-  if c.pos + 1 >= String.length c.input then '\000' else c.input.[c.pos + 1]
-
-let advance c =
-  if not (eof c) then begin
-    if c.input.[c.pos] = '\n' then begin
-      c.line <- c.line + 1;
-      c.col <- 1
-    end
-    else c.col <- c.col + 1;
-    c.pos <- c.pos + 1
-  end
-
-let skip_ws c =
-  while (not (eof c)) && (match peek c with ' ' | '\t' | '\r' | '\n' -> true | _ -> false) do
-    advance c
-  done
-
-let expect c ch =
-  if Char.equal (peek c) ch then advance c
-  else fail c (Printf.sprintf "expected %C, found %C" ch (peek c))
-
-let looking_at c s =
-  let n = String.length s in
-  c.pos + n <= String.length c.input && String.equal (String.sub c.input c.pos n) s
-
-let skip_string c s =
-  if looking_at c s then
-    for _ = 1 to String.length s do
-      advance c
-    done
-  else fail c (Printf.sprintf "expected %S" s)
-
-(* Skip until the terminator [s] (inclusive); used for comments, PIs, CDATA
-   bodies are handled separately since their content matters. *)
-let skip_until c s =
-  let rec go () =
-    if eof c then fail c (Printf.sprintf "unterminated construct, expected %S" s)
-    else if looking_at c s then skip_string c s
-    else begin
-      advance c;
-      go ()
-    end
-  in
-  go ()
-
-let is_name_start ch =
-  (ch >= 'a' && ch <= 'z')
-  || (ch >= 'A' && ch <= 'Z')
-  || ch = '_' || ch = ':'
-
-let is_name_char ch =
-  is_name_start ch || (ch >= '0' && ch <= '9') || ch = '-' || ch = '.'
-
-let parse_name c =
-  if not (is_name_start (peek c)) then
-    fail c (Printf.sprintf "expected a name, found %C" (peek c));
-  let start = c.pos in
-  while (not (eof c)) && is_name_char (peek c) do
-    advance c
-  done;
-  String.sub c.input start (c.pos - start)
-
-(* Decode an entity reference starting just after '&'. *)
-let parse_entity c =
-  let name_start = c.pos in
-  while (not (eof c)) && peek c <> ';' && c.pos - name_start < 12 do
-    advance c
-  done;
-  if peek c <> ';' then fail c "unterminated entity reference";
-  let name = String.sub c.input name_start (c.pos - name_start) in
-  advance c;
-  match name with
-  | "lt" -> "<"
-  | "gt" -> ">"
-  | "amp" -> "&"
-  | "apos" -> "'"
-  | "quot" -> "\""
-  | _ ->
-    if String.length name > 1 && name.[0] = '#' then begin
-      let code =
-        try
-          if name.[1] = 'x' || name.[1] = 'X' then
-            int_of_string ("0x" ^ String.sub name 2 (String.length name - 2))
-          else int_of_string (String.sub name 1 (String.length name - 1))
-        with Failure _ -> fail c (Printf.sprintf "bad character reference &%s;" name)
+(* Sax emits balanced events and ends with the root's Close, so the
+   impossible cases below are unreachable. *)
+let parse sax =
+  let rec go stack =
+    match (Sax.next sax, stack) with
+    | Some (Sax.Open { tag; attrs }), _ ->
+      go ({ tag; attrs; texts = []; children = [] } :: stack)
+    | Some (Sax.Text s), f :: _ ->
+      f.texts <- s :: f.texts;
+      go stack
+    | Some Sax.Close, f :: rest -> (
+      let e =
+        Elem.make ~attrs:f.attrs ~text:(text_of f.texts)
+          ~children:(List.rev f.children) f.tag
       in
-      if code < 0x80 then String.make 1 (Char.chr code)
-      else begin
-        (* Minimal UTF-8 encoding for non-ASCII character references. *)
-        let b = Buffer.create 4 in
-        if code < 0x800 then begin
-          Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else if code < 0x10000 then begin
-          Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char b (Char.chr (0xF0 lor (code lsr 18)));
-          Buffer.add_char b (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-          Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-        end;
-        Buffer.contents b
-      end
-    end
-    else fail c (Printf.sprintf "unknown entity &%s;" name)
-
-let parse_attr_value c =
-  let quote = peek c in
-  if quote <> '"' && quote <> '\'' then fail c "expected quoted attribute value";
-  advance c;
-  let b = Buffer.create 16 in
-  let rec go () =
-    if eof c then fail c "unterminated attribute value"
-    else if Char.equal (peek c) quote then advance c
-    else if peek c = '&' then begin
-      advance c;
-      Buffer.add_string b (parse_entity c);
-      go ()
-    end
-    else begin
-      Buffer.add_char b (peek c);
-      advance c;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents b
-
-let parse_attrs c =
-  let rec go acc =
-    skip_ws c;
-    if is_name_start (peek c) then begin
-      let name = parse_name c in
-      skip_ws c;
-      expect c '=';
-      skip_ws c;
-      let value = parse_attr_value c in
-      go ((name, value) :: acc)
-    end
-    else List.rev acc
+      match rest with
+      | parent :: _ ->
+        parent.children <- e :: parent.children;
+        go rest
+      | [] ->
+        (* The epilog: [None], or a Parse_error for trailing content. *)
+        ignore (Sax.next sax : Sax.event option);
+        e)
+    | (Some (Sax.Text _ | Sax.Close) | None), [] | None, _ :: _ -> assert false
   in
   go []
 
-let trim_text s =
-  let n = String.length s in
-  let is_ws ch = ch = ' ' || ch = '\t' || ch = '\r' || ch = '\n' in
-  let i = ref 0 and j = ref (n - 1) in
-  while !i < n && is_ws s.[!i] do
-    incr i
-  done;
-  while !j >= !i && is_ws s.[!j] do
-    decr j
-  done;
-  if !j < !i then "" else String.sub s !i (!j - !i + 1)
-
-(* Parse the body of an element whose start tag has been consumed, up to and
-   including its end tag. *)
-let rec parse_content c tag attrs =
-  let text = Buffer.create 16 in
-  let children = ref [] in
-  let rec go () =
-    if eof c then fail c (Printf.sprintf "unterminated element <%s>" tag)
-    else if peek c = '<' then begin
-      match peek2 c with
-      | '/' ->
-        skip_string c "</";
-        skip_ws c;
-        let close = parse_name c in
-        if not (String.equal close tag) then
-          fail c (Printf.sprintf "mismatched tags: <%s> closed by </%s>" tag close);
-        skip_ws c;
-        expect c '>'
-      | '!' ->
-        if looking_at c "<!--" then begin
-          skip_string c "<!--";
-          skip_until c "-->"
-        end
-        else if looking_at c "<![CDATA[" then begin
-          skip_string c "<![CDATA[";
-          let start = c.pos in
-          let rec find () =
-            if eof c then fail c "unterminated CDATA section"
-            else if looking_at c "]]>" then begin
-              Buffer.add_string text (String.sub c.input start (c.pos - start));
-              skip_string c "]]>"
-            end
-            else begin
-              advance c;
-              find ()
-            end
-          in
-          find ()
-        end
-        else fail c "unexpected markup declaration inside element";
-        go ()
-      | '?' ->
-        skip_string c "<?";
-        skip_until c "?>";
-        go ()
-      | _ ->
-        let child = parse_element c in
-        children := child :: !children;
-        go ()
-    end
-    else if peek c = '&' then begin
-      advance c;
-      Buffer.add_string text (parse_entity c);
-      go ()
-    end
-    else begin
-      Buffer.add_char text (peek c);
-      advance c;
-      go ()
-    end
-  in
-  go ();
-  Elem.make ~attrs
-    ~text:(trim_text (Buffer.contents text))
-    ~children:(List.rev !children) tag
-
-and parse_element c =
-  expect c '<';
-  let tag = parse_name c in
-  let attrs = parse_attrs c in
-  skip_ws c;
-  if looking_at c "/>" then begin
-    skip_string c "/>";
-    Elem.make ~attrs tag
-  end
-  else begin
-    expect c '>';
-    parse_content c tag attrs
-  end
-
-(* Skip prolog material: XML declaration, comments, PIs, DOCTYPE. *)
-let skip_prolog c =
-  let rec go () =
-    skip_ws c;
-    if looking_at c "<?" then begin
-      skip_string c "<?";
-      skip_until c "?>";
-      go ()
-    end
-    else if looking_at c "<!--" then begin
-      skip_string c "<!--";
-      skip_until c "-->";
-      go ()
-    end
-    else if looking_at c "<!DOCTYPE" then begin
-      skip_string c "<!DOCTYPE";
-      (* Skip to the matching '>', allowing one level of bracketed internal
-         subset. *)
-      let depth = ref 0 in
-      let rec scan () =
-        if eof c then fail c "unterminated DOCTYPE"
-        else
-          match peek c with
-          | '[' ->
-            incr depth;
-            advance c;
-            scan ()
-          | ']' ->
-            decr depth;
-            advance c;
-            scan ()
-          | '>' when !depth = 0 -> advance c
-          | _ ->
-            advance c;
-            scan ()
-      in
-      scan ();
-      go ()
-    end
-  in
-  go ()
-
 let parse_string input =
-  let c = cursor input in
-  try
-    skip_prolog c;
-    if eof c then fail c "empty document";
-    let root = parse_element c in
-    skip_prolog c;
-    skip_ws c;
-    if not (eof c) then fail c "trailing content after root element";
-    Ok root
-  with Parse_error e -> Error e
+  try Ok (parse (Sax.of_string input)) with Parse_error e -> Error e
 
 let parse_string_exn input =
   match parse_string input with Ok e -> e | Error e -> raise (Parse_error e)
@@ -322,4 +58,4 @@ let parse_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse_string (really_input_string ic (in_channel_length ic)))
+    (fun () -> try Ok (parse (Sax.of_channel ic)) with Parse_error e -> Error e)

@@ -74,8 +74,8 @@ let test_parse_entities () =
   check Alcotest.string "decoded" "x <&> AB \"q\"" e.Xmlest.Elem.text
 
 let test_parse_cdata_comments () =
-  let e = parse "<a><!-- note --><![CDATA[<raw&>]]><?pi data?></a>" in
-  check Alcotest.string "cdata kept raw" "<raw&>" e.Xmlest.Elem.text;
+  let e = parse "<a><!-- note --><![CDATA[<raw&>]]]]><?pi data?></a>" in
+  check Alcotest.string "cdata kept raw" "<raw&>]]" e.Xmlest.Elem.text;
   check Alcotest.int "no phantom children" 0 (List.length e.Xmlest.Elem.children)
 
 let test_parse_prolog () =
@@ -145,26 +145,236 @@ let prop_parser_never_crashes =
       match Xmlest.Xml_parser.parse_string s with
       | Ok _ | Error _ -> true)
 
+(* XML-flavored fragment soup, which reaches deeper code paths than
+   arbitrary bytes: every construct's opener and terminator, newlines for
+   positions, and character references both valid and not. *)
+let soup_fragments =
+  [|
+    "<a>"; "</a>"; "<b x='1'>"; "<![CDATA["; "]]>"; "<!--"; "-->"; "&lt;";
+    "&#65;"; "&bad;"; "text"; "<?pi"; "?>"; "\""; "'"; "<"; ">"; "/>"; "<a";
+    "="; "\n"; "]"; "-"; "<!DOCTYPE"; "["; "&#x42;"; "&#233;"; "&#x1F600;";
+    "&#-5;"; "&#99999999999;"; "&#x7FFFFFFF;"; "&#0b101;"; "&#+5;"; "&#1_0;";
+    "&#x;"; "&#x10FFFF;"; "&#1114112;";
+  |]
+
+let xml_soup seed =
+  let rng = Xmlest.Splitmix.create seed in
+  let n = Xmlest.Splitmix.int rng 20 in
+  let b = Buffer.create 64 in
+  for _ = 1 to n do
+    Buffer.add_string b (Xmlest.Splitmix.choose rng soup_fragments)
+  done;
+  Buffer.contents b
+
 let prop_parser_never_crashes_xmlish =
-  (* Fuzz with XML-flavored fragments, which reach deeper code paths. *)
   QCheck.Test.make ~count:500 ~name:"parser total on xml-ish soup"
     QCheck.(int_bound 100_000)
     (fun seed ->
-      let rng = Xmlest.Splitmix.create seed in
-      let fragments =
-        [|
-          "<a>"; "</a>"; "<b x='1'>"; "<![CDATA["; "]]>"; "<!--"; "-->";
-          "&lt;"; "&#65;"; "&bad;"; "text"; "<?pi"; "?>"; "\""; "'"; "<";
-          ">"; "/>"; "<a"; "=";
-        |]
-      in
-      let n = Xmlest.Splitmix.int rng 20 in
-      let b = Buffer.create 64 in
-      for _ = 1 to n do
-        Buffer.add_string b (Xmlest.Splitmix.choose rng fragments)
-      done;
-      match Xmlest.Xml_parser.parse_string (Buffer.contents b) with
+      match Xmlest.Xml_parser.parse_string (xml_soup seed) with
       | Ok _ | Error _ -> true)
+
+(* --- Differential: Sax and Xml_parser against the recursive oracle ------ *)
+
+let attrs_equal =
+  List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2)
+
+let event_equal a b =
+  match (a, b) with
+  | Xmlest.Sax.Open a, Xmlest.Sax.Open b ->
+    String.equal a.tag b.tag && attrs_equal a.attrs b.attrs
+  | Xmlest.Sax.Text a, Xmlest.Sax.Text b -> String.equal a b
+  | Xmlest.Sax.Close, Xmlest.Sax.Close -> true
+  | (Xmlest.Sax.Open _ | Xmlest.Sax.Text _ | Xmlest.Sax.Close), _ -> false
+
+let error_equal (a : Xmlest.Sax.error) (b : Xmlest.Sax.error) =
+  Int.equal a.line b.line && Int.equal a.column b.column
+  && String.equal a.message b.message
+
+let drain sax =
+  match Xmlest.Sax.fold (fun acc ev -> ev :: acc) [] sax with
+  | events -> Ok (List.rev events)
+  | exception Xmlest.Sax.Parse_error e -> Error e
+
+let with_temp_file contents f =
+  let path = Filename.temp_file "xmlest" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+let string_events s = drain (Xmlest.Sax.of_string s)
+
+let channel_events s =
+  with_temp_file s (fun path ->
+      In_channel.with_open_bin path (fun ic -> drain (Xmlest.Sax.of_channel ic)))
+
+(* [s] parses to the oracle's tree and events, or fails with the oracle's
+   (line, column, message), through the tree parser and through Sax over
+   a string and over a channel. *)
+let agrees_with_oracle s =
+  let events_are expected = function
+    | Ok events -> List.equal event_equal expected events
+    | Error _ -> false
+  in
+  let error_is e = function Error e' -> error_equal e e' | Ok _ -> false in
+  match Legacy_xml_parser.parse s with
+  | Ok (tree, events) ->
+    (match Xmlest.Xml_parser.parse_string s with
+    | Ok t -> Xmlest.Elem.equal tree t
+    | Error _ -> false)
+    && events_are events (string_events s)
+    && events_are events (channel_events s)
+  | Error e ->
+    error_is e (Xmlest.Xml_parser.parse_string s)
+    && error_is e (string_events s)
+    && error_is e (channel_events s)
+
+(* Random trees with text and attributes full of characters the writer
+   escapes, written with or without indentation and sometimes truncated,
+   so that both clean round-trips and positioned errors come out. *)
+let text_pool =
+  [| ""; "x"; " padded "; "a<b"; "&"; "q\"uote'"; "line\nbreak"; "\xc3\xa9";
+     "]]>"; "tab\t"; "--"; "?>" |]
+
+let writer_input_gen st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let rec decorate (e : Xmlest.Elem.t) =
+    let attrs =
+      List.init (Random.State.int st 3) (fun _ ->
+          (pick [| "id"; "k"; "x-y"; "a.b" |], pick text_pool))
+    in
+    Xmlest.Elem.make e.tag ~attrs ~text:(pick text_pool)
+      ~children:(List.map decorate e.children)
+  in
+  let e = decorate (Test_util.elem_gen ~max_nodes:20 () st) in
+  let s = Xmlest.Xml_writer.to_string ~indent:(Random.State.bool st) e in
+  (* Markup the writer never emits, after a random '>', splits an
+     element's character data into several Text runs. *)
+  let s =
+    let rec insert s k =
+      if k = 0 then s
+      else
+        let at = Random.State.int st (String.length s) in
+        match String.index_from_opt s at '>' with
+        | None -> insert s (k - 1)
+        | Some i ->
+          let extra = pick [| "<!-- c -->"; "<?p x?>"; "<![CDATA[ z]]>"; "&amp;"; "w" |] in
+          insert
+            (String.sub s 0 (i + 1) ^ extra ^ String.sub s (i + 1) (String.length s - i - 1))
+            (k - 1)
+    in
+    insert s (Random.State.int st 4)
+  in
+  if Random.State.int st 3 = 0 then String.sub s 0 (Random.State.int st (String.length s))
+  else s
+
+let prop_writer_inputs_match_oracle =
+  QCheck.Test.make ~count:300 ~name:"sax + tree parser = oracle (writer output)"
+    (QCheck.make ~print:String.escaped writer_input_gen)
+    agrees_with_oracle
+
+let prop_soup_matches_oracle =
+  QCheck.Test.make ~count:1000 ~name:"sax + tree parser = oracle (xml-ish soup)"
+    (QCheck.make ~print:String.escaped QCheck.Gen.(map xml_soup (int_bound 1_000_000)))
+    agrees_with_oracle
+
+(* Character references outside 0..0x10FFFF, or with anything but
+   decimal (after &#) or hex (after &#x) digits, are parse errors with a
+   position — in text, in attribute values, from Sax and in update lines. *)
+let test_bad_char_refs () =
+  List.iter
+    (fun r ->
+      let message = Printf.sprintf "bad character reference %s" r in
+      List.iter
+        (fun (doc, column) ->
+          (match Xmlest.Xml_parser.parse_string doc with
+          | Ok _ -> Alcotest.failf "%S parsed" doc
+          | Error e ->
+            check Alcotest.string ("message " ^ doc) message e.message;
+            check Alcotest.(pair int int) ("position " ^ doc) (1, column) (e.line, e.column));
+          Alcotest.(check bool) ("sax " ^ doc) true
+            (match string_events doc with
+            | Error e -> String.equal e.message message
+            | Ok _ -> false);
+          match Xmlest.Update.parse ("insert 0 0 " ^ doc) with
+          | Ok _ -> Alcotest.failf "update line with %S parsed" doc
+          | Error msg ->
+            Alcotest.(check bool) ("update " ^ msg) true
+              (Test_util.contains_substring msg message))
+        [
+          ("<a>" ^ r ^ "</a>", 4 + String.length r);
+          ("<a x='" ^ r ^ "'/>", 7 + String.length r);
+        ])
+    [ "&#-5;"; "&#99999999999;"; "&#x7FFFFFFF;"; "&#0b101;"; "&#+5;"; "&#1_0;";
+      "&#x;"; "&#1114112;"; "&#x110000;"; "&# 5;" ];
+  List.iter
+    (fun (r, decoded) ->
+      check Alcotest.string r decoded (parse ("<a>" ^ r ^ "</a>")).Xmlest.Elem.text)
+    [ ("&#0065;", "A"); ("&#X41;", "A"); ("&#xe9;", "\xc3\xa9");
+      ("&#x10FFFF;", "\xf4\x8f\xbf\xbf"); ("&#1114111;", "\xf4\x8f\xbf\xbf") ]
+
+(* --- The channel reader's refill edge ------------------------------------ *)
+
+(* Sax.of_channel fills a 64 KiB buffer; the first refill happens where
+   the first read ends, at byte 65,536 of the file. *)
+let refill_edge = 65_536
+
+(* A document that puts [construct] [k] bytes before the refill edge,
+   after newline-bearing text, with more elements after it. *)
+let straddling construct k =
+  let head = "<?xml version='1.0'?>\n<r>" in
+  let pad = refill_edge - k - String.length head in
+  let filler = String.init pad (fun i -> if i mod 61 = 60 then '\n' else 't') in
+  let tail = String.concat "" (List.init 400 (fun i -> Printf.sprintf "<e i='%d'>v</e>\n" i)) in
+  String.concat "" [ head; filler; construct; tail; "</r>" ]
+
+let edge_constructs =
+  [
+    "<averyveryverylongtagname attr='a value &amp; more'>x</averyveryverylongtagname>";
+    "&amp;&#x1F600;&quot;&#233;";
+    "<![CDATA[cdata ]] body]]>";
+    "<!-- a comment - with -- dashes -->";
+    "<?pi some data ?>";
+    "a\n\nb";
+  ]
+
+let test_refill_edge () =
+  List.iter
+    (fun construct ->
+      for k = 1 to String.length construct + 1 do
+        let doc = straddling construct k in
+        Alcotest.(check bool) "well-formed" true (Result.is_ok (Legacy_xml_parser.parse doc));
+        Alcotest.(check bool)
+          (Printf.sprintf "%S at edge - %d" construct k)
+          true (agrees_with_oracle doc)
+      done)
+    edge_constructs;
+  (* Errors at and far past the edge keep their line and column, through
+     several buffer compactions. *)
+  let positioned doc =
+    let expected =
+      match Legacy_xml_parser.parse doc with
+      | Error e -> e
+      | Ok _ -> Alcotest.fail "malformed document parsed"
+    in
+    List.iter
+      (fun (name, got) ->
+        match got with
+        | Error e ->
+          check Alcotest.(triple int int string) name
+            (expected.line, expected.column, expected.message)
+            (e.Xmlest.Sax.line, e.column, e.message)
+        | Ok _ -> Alcotest.failf "%s: malformed document parsed" name)
+      [ ("of_string", string_events doc); ("of_channel", channel_events doc) ]
+  in
+  for k = 1 to 8 do
+    positioned (straddling "&bogus;" k)
+  done;
+  let lines = String.concat "" (List.init 20_000 (fun i -> Printf.sprintf "<l>%d</l>\n" i)) in
+  Alcotest.(check bool) "several refills" true (String.length lines > 3 * refill_edge);
+  positioned ("<r>\n" ^ lines ^ "  </q>");
+  positioned ("<r>\n" ^ lines ^ "<l>&bad;</l>")
 
 (* --- Document labeling ------------------------------------------------ *)
 
@@ -276,6 +486,38 @@ let test_deep_tree_no_stack_overflow () =
   check Alcotest.int "size" 50_001 (Xmlest.Document.size doc);
   check Alcotest.int "leaf level" 50_000
     (Xmlest.Document.level doc (Xmlest.Document.size doc - 1))
+
+(* A 100,000-deep chain through the tree parser and labeling, and through
+   the streamed summary build: neither may recurse per level on the OCaml
+   stack. *)
+let test_deep_chain_stack_safety () =
+  let depth = 100_000 in
+  let b = Buffer.create (8 * depth) in
+  for _ = 1 to depth do
+    Buffer.add_string b "<n>"
+  done;
+  Buffer.add_string b "<leaf/>";
+  for _ = 1 to depth do
+    Buffer.add_string b "</n>"
+  done;
+  let xml = Buffer.contents b in
+  let doc = Xmlest.Document.of_elem (parse xml) in
+  check Alcotest.int "size" (depth + 1) (Xmlest.Document.size doc);
+  check Alcotest.string "leaf last" "leaf" (Xmlest.Document.tag doc depth);
+  check Alcotest.int "leaf level" depth (Xmlest.Document.level doc depth);
+  let leaf = Xmlest.Predicate.tag "leaf" in
+  let s =
+    with_temp_file xml (fun path ->
+        Xmlest.Summary.build_stream_file path [ Xmlest.Predicate.tag "n"; leaf ])
+  in
+  check (Alcotest.float 0.0) "streamed size" (float_of_int (depth + 1))
+    (Xmlest.Position_histogram.total (Xmlest.Summary.population s));
+  match Xmlest.Summary.level s leaf with
+  | None -> Alcotest.fail "no level histogram"
+  | Some h ->
+    check (Alcotest.float 0.0) "one leaf at the bottom" 1.0
+      (Xmlest.Level_histogram.count_at h depth);
+    check Alcotest.int "streamed leaf level" depth (Xmlest.Level_histogram.max_level h)
 
 let test_file_roundtrip () =
   let e = Test_util.fig1 () in
@@ -479,6 +721,10 @@ let () =
           qcheck prop_roundtrip_compact;
           qcheck prop_parser_never_crashes;
           qcheck prop_parser_never_crashes_xmlish;
+          Alcotest.test_case "bad character references" `Quick test_bad_char_refs;
+          qcheck prop_writer_inputs_match_oracle;
+          qcheck prop_soup_matches_oracle;
+          Alcotest.test_case "refill edge" `Quick test_refill_edge;
         ] );
       ( "document",
         [
@@ -490,6 +736,8 @@ let () =
           Alcotest.test_case "tag index" `Quick test_tag_index;
           Alcotest.test_case "deep tree (50k levels)" `Quick
             test_deep_tree_no_stack_overflow;
+          Alcotest.test_case "deep chain (100k levels)" `Quick
+            test_deep_chain_stack_safety;
           qcheck prop_labeling;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
           Alcotest.test_case "failing io closes fds" `Quick
