@@ -1043,48 +1043,7 @@ let caching () =
   if c.Xmlest.Hist_catalog.hits = 0 then
     failwith "caching bench: expected cache hits during the timed runs";
   Report.note
-    "cached runs reuse the memoized coefficient arrays (hits > 0); uncached      runs redo the O(g^2) passes every estimate";
-
-  (* Save -> load round trip must preserve histograms and coefficient
-     arrays bit-exactly. *)
-  let path = Filename.temp_file "xmlest_bench" ".catalog" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Xmlest.Summary.save_catalog summary path;
-      match Xmlest.Summary.load_catalog path with
-      | Error e -> failwith ("caching bench: catalog load failed: " ^ e)
-      | Ok loaded ->
-        let bits a = Array.map Int64.bits_of_float a in
-        let arrays_identical k =
-          match
-            ( Xmlest.Hist_catalog.descendant_coefficients hcat k,
-              Xmlest.Hist_catalog.descendant_coefficients loaded k )
-          with
-          | Some a, Some b ->
-            let ba = bits a and bb = bits b in
-            Int.equal (Array.length ba) (Array.length bb)
-            && Array.for_all2 Int64.equal ba bb
-          | None, None -> true
-          | _ -> false
-        in
-        let hist_identical k =
-          match
-            (Xmlest.Hist_catalog.find hcat k, Xmlest.Hist_catalog.find loaded k)
-          with
-          | Some a, Some b -> Xmlest.Position_histogram.equal a b
-          | _ -> false
-        in
-        let keys = Xmlest.Hist_catalog.keys hcat in
-        if
-          List.equal String.equal (Xmlest.Hist_catalog.keys loaded) keys
-          && List.for_all hist_identical keys
-          && List.for_all arrays_identical keys
-        then
-          Report.note
-            "catalog save/load round trip: %d histograms and their      coefficient arrays identical to the last bit"
-            (List.length keys)
-        else failwith "caching bench: catalog round trip is not bit-exact")
+    "cached runs reuse the memoized coefficient arrays (hits > 0); uncached      runs redo the O(g^2) passes every estimate"
 
 (* ------------------------------------------------------------------ *)
 (* Other data sets ("results substantially similar", Sec. 5.1)        *)
@@ -1246,8 +1205,7 @@ let parallel () =
 
 (* [--smoke] (filtered out of the section list in [main]) shrinks the
    data set and iteration counts so the section can ride along with the
-   test suite; the timing-threshold assertion only applies to the full
-   run, the bit-identity assertions always do. *)
+   test suite; the bit-identity assertions apply to every run. *)
 let smoke_mode = Array.exists (String.equal "--smoke") Sys.argv
 
 let storage () =
@@ -1258,12 +1216,11 @@ let storage () =
   let scale = if smoke then 0.1 else Data.dblp_scale in
   let xml_path = Filename.temp_file "xmlest_bench" ".xml" in
   let xsum_path = Filename.temp_file "xmlest_bench" ".xsum" in
-  let text_path = Filename.temp_file "xmlest_bench" ".summary" in
   Fun.protect
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ xml_path; xsum_path; text_path ])
+        [ xml_path; xsum_path ])
   @@ fun () ->
   (* Generate inside a function so the element tree is dead before any
      memory measurement: both build paths start from the file on disk. *)
@@ -1319,26 +1276,19 @@ let storage () =
          (Xmlest.Summary.to_string in_memory)
          (Xmlest.Summary.to_string streamed))
   then failwith "storage bench: streamed build diverged from in-memory build";
-  (* Persist both formats from the same summary. *)
   Xmlest.Summary.save_store streamed xsum_path;
-  Xmlest.Summary.save streamed text_path;
-  let file_bytes p = (Unix.stat p).Unix.st_size in
+  let xsum_bytes = (Unix.stat xsum_path).Unix.st_size in
   let open_store () =
     match Xmlest.Summary.load_store xsum_path with
     | Ok s -> s
     | Error e -> failwith ("storage bench: store open failed: " ^ e)
   in
-  let open_text () =
-    match Xmlest.Summary.load text_path with
-    | Ok s -> s
-    | Error e -> failwith ("storage bench: legacy load failed: " ^ e)
-  in
   if
     not
       (String.equal
          (Xmlest.Summary.to_string (open_store ()))
-         (Xmlest.Summary.to_string (open_text ())))
-  then failwith "storage bench: store and legacy load disagree";
+         (Xmlest.Summary.to_string in_memory))
+  then failwith "storage bench: reopened store diverged from in-memory build";
   (* Open time: mean over a loop of opens, best of 3 loops (gettimeofday
      resolution is too coarse for a single O(header) open). *)
   let per_call ~n f =
@@ -1355,14 +1305,6 @@ let storage () =
   in
   let opens = if smoke then 10 else 100 in
   let t_open_store = per_call ~n:opens open_store in
-  let t_open_text = per_call ~n:opens open_text in
-  let open_speedup = t_open_text /. t_open_store in
-  if (not smoke) && open_speedup < 5.0 then
-    failwith
-      (Printf.sprintf
-         "storage bench: store open only %.1fx faster than the legacy load \
-          (threshold 5x)"
-         open_speedup);
   (* Estimation throughput straight off the mapped store: every query
      touches only catalog predicates (a loaded summary has no document
      to fall back on). *)
@@ -1403,11 +1345,8 @@ let storage () =
       [ "retained heap after build";
         Printf.sprintf "%.2fMB" (mb mem_in_memory);
         Printf.sprintf "%.2fMB" (mb mem_streamed) ];
-      [ "summary file bytes";
-        string_of_int (file_bytes text_path);
-        string_of_int (file_bytes xsum_path) ];
-      [ "open time"; Report.us t_open_text; Report.us t_open_store ];
-      [ "open speedup"; "1.0x"; Printf.sprintf "%.1fx" open_speedup ];
+      [ "summary file bytes"; "-"; string_of_int xsum_bytes ];
+      [ "open time"; "-"; Report.us t_open_store ];
       [ "estimates/sec (mapped store)"; "-"; Printf.sprintf "%.0f" est_per_sec ];
     ];
   let json_path = "BENCH_storage.json" in
@@ -1424,21 +1363,17 @@ let storage () =
     \  \"build_streamed_seconds\": %.6f,\n\
     \  \"retained_words_in_memory\": %d,\n\
     \  \"retained_words_streamed\": %d,\n\
-    \  \"text_summary_bytes\": %d,\n\
     \  \"xsum_bytes\": %d,\n\
-    \  \"open_text_seconds\": %.9f,\n\
     \  \"open_store_seconds\": %.9f,\n\
-    \  \"open_speedup\": %.2f,\n\
     \  \"estimates_per_second_mapped\": %.0f,\n\
     \  \"streamed_bit_identical\": true,\n\
     \  \"store_estimate_identical\": true,\n\
-    \  \"note\": \"bit-identity of the streamed build and estimate-identity \
-     of the mapped store are asserted in-run (the bench fails otherwise); \
-     the open-speedup >= 5x threshold applies to full runs only\"\n\
+    \  \"note\": \"bit-identity of the streamed build and of the reopened \
+     store, and estimate-identity of the mapped store, are asserted in-run \
+     against the in-memory build (the bench fails otherwise)\"\n\
      }\n"
     scale smoke nodes (List.length preds) t_build_memory t_build_stream
-    mem_in_memory mem_streamed (file_bytes text_path) (file_bytes xsum_path)
-    t_open_text t_open_store open_speedup est_per_sec;
+    mem_in_memory mem_streamed xsum_bytes t_open_store est_per_sec;
   flush oc;
   Report.note "machine-readable results written to %s" json_path;
   Report.note

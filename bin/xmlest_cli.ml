@@ -157,11 +157,6 @@ let streamed_tag_predicates file =
      exit 1);
   List.rev_map Xmlest.Predicate.tag !order
 
-let save_summary summary output =
-  if Filename.check_suffix output ".xsum" then
-    Xmlest.Summary.save_store summary output
-  else Xmlest.Summary.save summary output
-
 let build_summary_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -169,8 +164,8 @@ let build_summary_cmd =
   in
   let output =
     Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT"
-           ~doc:"Where to write the summary.  A '.xsum' suffix selects the \
-                 memory-mapped binary store; anything else the text format.")
+           ~doc:"Where to write the summary, as a memory-mapped binary \
+                 store (.xsum) that estimate --store opens.")
   in
   let stream =
     Arg.(value & flag & info [ "stream" ]
@@ -211,7 +206,7 @@ let build_summary_cmd =
           (tag_predicates doc)
       end
     in
-    save_summary summary output;
+    Xmlest.Summary.save_store summary output;
     Printf.printf "wrote %s: %d predicates, %d bytes of histograms (file %d bytes)\n"
       output
       (List.length (Xmlest.Summary.predicates summary))
@@ -231,20 +226,15 @@ let build_summary_cmd =
 let estimate_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-           ~doc:"XML document, or a saved summary with --summary.")
-  in
-  let from_summary =
-    Arg.(value & flag & info [ "summary" ]
-           ~doc:"Treat FILE as a summary saved by build-summary instead of \
-                 an XML document (no document access; --exact unavailable).")
+           ~doc:"XML document, or a saved summary with --store.")
   in
   let from_store =
     Arg.(value & flag & info [ "store" ]
-           ~doc:"Treat FILE as a memory-mapped binary summary store \
-                 (.xsum, written by build-summary -o FILE.xsum).  Opens in \
-                 O(header) time: histogram cells stay in the mapped file \
-                 and are read on demand.  Like --summary, no document \
-                 access.")
+           ~doc:"Treat FILE as a summary saved by build-summary or \
+                 apply-updates (a .xsum store) instead of an XML document.  \
+                 Opens in O(header) time: histogram cells stay in the \
+                 mapped file and are read on demand.  No document access, \
+                 so --exact is unavailable.")
   in
   let query =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY"
@@ -270,22 +260,12 @@ let estimate_cmd =
                  conjunctions, impossible levels, tags outside the \
                  document) and print the diagnostics before estimating.")
   in
-  let catalog_file =
-    Arg.(value & opt (some string) None & info [ "catalog" ] ~docv:"FILE"
-           ~doc:"Persist the histogram catalog (histograms + memoized \
-                 pH-join coefficients) in FILE: loaded before estimating \
-                 when present, saved back afterwards, so repeated \
-                 invocations reuse the coefficient arrays.")
-  in
-  let run file from_summary from_store query grid equidepth domains exact
-      no_coverage explain check catalog_file =
+  let run file from_store query grid equidepth domains exact no_coverage
+      explain check =
     let pattern = parse_query query in
     let summary, doc =
-      if from_summary || from_store then begin
-        let load =
-          if from_store then Xmlest.Summary.load_store else Xmlest.Summary.load
-        in
-        match load file with
+      if from_store then begin
+        match Xmlest.Summary.load_store file with
         | Ok s -> (s, None)
         | Error e ->
           Printf.eprintf "cannot load summary %s: %s\n" file e;
@@ -299,17 +279,6 @@ let estimate_cmd =
           Some doc )
       end
     in
-    (match catalog_file with
-    | Some path when Sys.file_exists path -> (
-      match Xmlest.Summary.load_catalog path with
-      | Ok from ->
-        let adopted = Xmlest.Summary.adopt_catalog summary ~from in
-        Printf.printf "catalog: adopted %d cached coefficient array%s from %s\n"
-          adopted (if adopted = 1 then "" else "s") path
-      | Error e ->
-        Printf.eprintf "cannot load catalog %s: %s\n" path e;
-        exit 1)
-    | _ -> ());
     let options =
       { Xmlest.Twig_estimator.default_options with use_no_overlap = not no_coverage }
     in
@@ -324,12 +293,6 @@ let estimate_cmd =
         est
         (if check then "" else "; rerun with --check for details")
     else Printf.printf "estimate: %.1f\n" est;
-    (match catalog_file with
-    | Some path ->
-      Xmlest.Summary.save_catalog summary path;
-      Format.printf "%a" Xmlest.Hist_catalog.pp_stats
-        (Xmlest.Summary.hist_catalog summary)
-    | None -> ());
     if explain then begin
       let _, steps = Xmlest.Summary.explain ~options summary pattern in
       List.iter
@@ -358,9 +321,8 @@ let estimate_cmd =
             or a saved summary."
   in
   Cmd.v info
-    Term.(const run $ file $ from_summary $ from_store $ query $ grid_arg
-          $ equidepth_arg $ domains_arg $ exact $ no_coverage $ explain
-          $ check $ catalog_file)
+    Term.(const run $ file $ from_store $ query $ grid_arg $ equidepth_arg
+          $ domains_arg $ exact $ no_coverage $ explain $ check)
 
 (* --- plan -------------------------------------------------------------- *)
 
@@ -531,7 +493,7 @@ let apply_updates_cmd =
   in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT"
-           ~doc:"Write the maintained summary to OUT.")
+           ~doc:"Write the maintained summary to OUT as a .xsum store.")
   in
   let query =
     Arg.(value & opt (some string) None & info [ "estimate" ] ~docv:"QUERY"
@@ -569,7 +531,7 @@ let apply_updates_cmd =
     | None -> ());
     match output with
     | Some out ->
-      Xmlest.Summary.save summary out;
+      Xmlest.Summary.save_store summary out;
       Printf.printf "wrote %s\n" out
     | None -> ()
   in

@@ -35,13 +35,10 @@ let help =
       "                                  replace-text <node> <text> | replace-attrs <node> k=v ...)";
       "  staleness                      drift accrued since the summary was (re)built";
       "  summary info                   grid, predicates, build and staleness counters";
-      "  save-summary <file>            persist the summary";
-      "  load-summary <file>            load a persisted summary (.xsum maps \
-       the binary store)";
+      "  save-summary <file>            write the summary as a .xsum store";
+      "  load-summary <file>            open a .xsum store (memory-mapped)";
       "  catalog stats                  histogram-catalog cache counters";
       "  catalog reset                  zero the cache counters";
-      "  catalog save <file>            persist histograms + cached coefficients";
-      "  catalog load <file>            warm the cache from a saved catalog";
       "  help                           this text";
       "";
       "commands may be prefixed with ':' (e.g. ':catalog stats')";
@@ -229,7 +226,7 @@ let cmd_hist state tag =
 
 let cmd_save_summary state path =
   let summary = need_summary state in
-  (try Summary.save summary path
+  (try Summary.save_store summary path
    with Sys_error msg -> reply "error: %s" msg);
   Printf.sprintf "saved summary to %s" path
 
@@ -242,22 +239,6 @@ let cmd_catalog_reset state =
   let summary = need_summary state in
   Xmlest_histogram.Catalog.reset_counters (Summary.hist_catalog summary);
   "catalog counters reset"
-
-let cmd_catalog_save state path =
-  let summary = need_summary state in
-  (try Summary.save_catalog summary path
-   with Sys_error msg -> reply "error: %s" msg);
-  Printf.sprintf "saved catalog to %s" path
-
-let cmd_catalog_load state path =
-  let summary = need_summary state in
-  match Summary.load_catalog path with
-  | Ok from ->
-    let adopted = Summary.adopt_catalog summary ~from in
-    Printf.sprintf "adopted %d cached coefficient array%s from %s" adopted
-      (if adopted = 1 then "" else "s")
-      path
-  | Error msg -> reply "error: %s" msg
 
 let cmd_update state rest =
   let summary = need_summary state in
@@ -325,19 +306,13 @@ let cmd_summary_info state =
     ]
 
 let cmd_load_summary state path =
-  let load =
-    if Filename.check_suffix path ".xsum" then Summary.load_store
-    else Summary.load
-  in
-  match load path with
+  match Summary.load_store path with
   | Ok s ->
     state.summary <- Some s;
-    Printf.sprintf "summary: %d predicates, %d bytes%s"
+    Printf.sprintf "summary: %d predicates, %d bytes (mapped store)"
       (List.length (Summary.predicates s))
       (Summary.storage_bytes s)
-      (if Filename.check_suffix path ".xsum" then " (mapped store)" else "")
   | Error msg -> reply "error: %s" msg
-  | exception Sys_error msg -> reply "error: %s" msg
 
 let split line =
   String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
@@ -394,10 +369,8 @@ let execute state line =
     | [ "load-summary"; path ] -> cmd_load_summary state path
     | [ "catalog"; "stats" ] -> cmd_catalog_stats state
     | [ "catalog"; "reset" ] -> cmd_catalog_reset state
-    | [ "catalog"; "save"; path ] -> cmd_catalog_save state path
-    | [ "catalog"; "load"; path ] -> cmd_catalog_load state path
     | [ "catalog" ] | "catalog" :: _ ->
-      reply "error: usage: catalog stats|reset|save <file>|load <file>"
+      reply "error: usage: catalog stats|reset"
     | cmd :: _ -> reply "error: unknown command %S (try 'help')" cmd
   with
   | Reply s -> s

@@ -14,7 +14,8 @@
     check <query>
     exact <query>           plan <query>
     run <query> [limit]
-    save-summary <file>     load-summary <file>
+    save-summary <file.xsum>   load-summary <file.xsum>
+    catalog stats|reset
     help
     v} *)
 

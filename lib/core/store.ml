@@ -140,7 +140,10 @@ let write path ~grid ~population ~blocks =
     (fun () ->
       output_string oc header;
       output_string oc (String.make (offset - base) '\n');
-      output_bytes oc bytes)
+      output_bytes oc bytes;
+      (* flush inside the body so a write error surfaces as the primary
+         exception, with the descriptor still released by the finally *)
+      flush oc)
 
 (* --- Reader ------------------------------------------------------------ *)
 
@@ -200,12 +203,30 @@ let open_in path =
       | [ "payload"; off; count ] -> (int_of off, int_of count)
       | _ -> fail "expected payload line"
     in
+    if count < 1 then fail "empty payload";
+    let payload =
+      map_payload (Unix.descr_of_in_channel ic) ~offset ~count
+    in
+    if not (Float.equal payload.{0} 1.0) then
+      fail "bad sentinel (corrupt or wrong-endian store)";
+    (* The payload is mapped and its length checked against the file, so
+       a grid whose size² cells could not fit in it is refused before
+       [Grid.create] allocates its boundaries; the grid constructors
+       reject the remaining bad geometries (size 0, more buckets than
+       positions) with [Invalid_argument]. *)
+    let grid_size w =
+      let size = int_of w in
+      if size > 0 && size > count / size then
+        fail (Printf.sprintf "grid size %d does not fit the payload" size);
+      size
+    in
     let grid =
       match words (next ()) with
-      | [ "grid"; "uniform"; size; max_pos ] ->
-        Grid.create ~size:(int_of size) ~max_pos:(int_of max_pos)
+      | [ "grid"; "uniform"; size; max_pos ] -> (
+        try Grid.create ~size:(grid_size size) ~max_pos:(int_of max_pos)
+        with Invalid_argument msg -> fail msg)
       | "grid" :: "boundaries" :: size :: max_pos :: inner ->
-        let size = int_of size and max_pos = int_of max_pos in
+        let size = grid_size size and max_pos = int_of max_pos in
         if not (Int.equal (List.length inner) (size - 1)) then
           fail "boundary count mismatch";
         let inner = List.map int_of inner in
@@ -215,12 +236,6 @@ let open_in path =
       | _ -> fail "expected a grid line"
     in
     let cells = Grid.cells grid in
-    if count < 1 then fail "empty payload";
-    let payload =
-      map_payload (Unix.descr_of_in_channel ic) ~offset ~count
-    in
-    if not (Float.equal payload.{0} 1.0) then
-      fail "bad sentinel (corrupt or wrong-endian store)";
     let slice slot len =
       if slot < 0 || len < 0 || slot + len > count then
         fail "slot out of payload bounds";

@@ -7,8 +7,7 @@
     no per-cell work — then memory-maps the payload once and returns
     zero-copy [F64] slices of the mapping; the cost of opening is
     independent of how many cells the histograms hold, which is the point
-    of the format (compare [Summary.load], which re-parses and re-adds
-    every non-zero cell).
+    of the format.  It is the only on-disk form of a summary.
 
     The mapping is copy-on-write ([Unix.map_file] with [shared = false]),
     so histograms backed by a store may be mutated in place (incremental
@@ -62,5 +61,6 @@ val write :
 val open_in : string -> (t, string) result
 (** Parse the header, map the payload, slice the views.  All [F64.t]
     fields of the result alias one private (copy-on-write) mapping of the
-    file.  Errors (missing file, bad magic, truncated payload, wrong
-    endianness detected via the sentinel) are returned, not raised. *)
+    file.  Errors (missing file, bad magic, a grid line no grid can be
+    built from, truncated payload, wrong endianness detected via the
+    sentinel) are returned, not raised. *)

@@ -871,14 +871,6 @@ let catalog_in hcat lph_cache t =
 
 let catalog t = catalog_in t.hcat t.lph_cache t
 
-let save_catalog t path = Catalog.save t.hcat path
-
-let load_catalog path =
-  Catalog.load ~compute_desc:Ph_join.descendant_coefficients
-    ~compute_anc:Ph_join.ancestor_coefficients path
-
-let adopt_catalog t ~from = Catalog.absorb t.hcat ~from
-
 let estimate ?options t pattern = Twig_estimator.estimate ?options (catalog t) pattern
 
 (* One domain's scratch for a batch estimation: a fresh catalog holding
@@ -973,9 +965,13 @@ let pp_stats ppf t =
           bytes)
     t.preds
 
-(* --- Persistence ------------------------------------------------------ *)
+(* --- Canonical printer ------------------------------------------------ *)
 
-(* Line-oriented text format, one summary per file:
+(* [to_string] prints every float of a summary at %.17g, one item per
+   line, so two summaries print equal exactly when their grids, flags and
+   cells agree bit for bit.  It is a comparison key, not a file format:
+   nothing parses it back, and the only persistence path is the [.xsum]
+   store below.
 
    xmlest-summary 1
    grid (uniform <size> <max_pos> | boundaries <size> <max_pos> <b1..b_{g-1}>)
@@ -1054,156 +1050,6 @@ let to_string t =
   Buffer.add_string buf "end\n";
   Buffer.contents buf
 
-exception Bad_summary of string
-
-let of_string input =
-  let lines = String.split_on_char '\n' input in
-  let lines = ref lines in
-  let fail msg = raise (Bad_summary msg) in
-  let next () =
-    match !lines with
-    | [] -> fail "unexpected end of input"
-    | l :: rest ->
-      lines := rest;
-      l
-  in
-  let words l = String.split_on_char ' ' l |> List.filter (fun w -> w <> "") in
-  let int_of w = try int_of_string w with Failure _ -> fail ("bad integer " ^ w) in
-  let float_of w = try float_of_string w with Failure _ -> fail ("bad number " ^ w) in
-  try
-    if not (String.equal (next ()) version_line) then
-      fail "not an xmlest summary (bad header)";
-    let grid =
-      match words (next ()) with
-      | [ "grid"; "uniform"; size; max_pos ] ->
-        Grid.create ~size:(int_of size) ~max_pos:(int_of max_pos)
-      | "grid" :: "boundaries" :: size :: max_pos :: inner ->
-        let size = int_of size and max_pos = int_of max_pos in
-        if not (Int.equal (List.length inner) (size - 1)) then
-          fail "boundary count mismatch";
-        let inner = List.map int_of inner in
-        let boundaries = Array.of_list ((0 :: inner) @ [ max_pos + 1 ]) in
-        (try Grid.of_boundaries boundaries
-         with Invalid_argument msg -> fail msg)
-      | _ -> fail "expected a grid line"
-    in
-    let read_hist_body n =
-      let h = Position_histogram.create_empty grid in
-      for _ = 1 to n do
-        match words (next ()) with
-        | [ i; j; v ] ->
-          Position_histogram.add h ~i:(int_of i) ~j:(int_of j) (float_of v)
-        | _ -> fail "bad histogram cell line"
-      done;
-      h
-    in
-    let pop =
-      match words (next ()) with
-      | [ "population"; n ] -> read_hist_body (int_of n)
-      | _ -> fail "expected population section"
-    in
-    let n_preds =
-      match words (next ()) with
-      | [ "predicates"; k ] -> int_of k
-      | _ -> fail "expected predicates section"
-    in
-    let entries = Hashtbl.create 16 in
-    let preds = ref [] in
-    let with_levels = ref false in
-    for _ = 1 to n_preds do
-      let no_overlap, pred =
-        let line = next () in
-        match words line with
-        | "predicate" :: flag :: _ ->
-          let sexp_start =
-            (* the s-expression is everything after "predicate <flag> " *)
-            let prefix = "predicate " ^ flag ^ " " in
-            if String.length line < String.length prefix then fail "bad predicate line"
-            else String.sub line (String.length prefix)
-                   (String.length line - String.length prefix)
-          in
-          let pred =
-            match Predicate.of_syntax sexp_start with
-            | Ok p -> p
-            | Error e -> fail ("bad predicate: " ^ e)
-          in
-          (int_of flag = 1, pred)
-        | _ -> fail "expected a predicate line"
-      in
-      let hist =
-        match words (next ()) with
-        | [ "hist"; n ] -> read_hist_body (int_of n)
-        | _ -> fail "expected hist section"
-      in
-      let cvg =
-        match words (next ()) with
-        | [ "coverage"; "none" ] -> None
-        | [ "coverage"; n ] ->
-          let entries = ref [] in
-          for _ = 1 to int_of n do
-            match words (next ()) with
-            | [ covered; covering; frac ] ->
-              entries := (int_of covered, int_of covering, float_of frac) :: !entries
-            | _ -> fail "bad coverage line"
-          done;
-          let populations = Array.make (Grid.cells grid) 0.0 in
-          Position_histogram.iter_nonzero pop (fun ~i ~j v ->
-              populations.(Grid.index grid ~i ~j) <- v);
-          Some
-            (Coverage_histogram.of_parts ~grid ~populations
-               ~entries:(List.rev !entries))
-        | _ -> fail "expected coverage section"
-      in
-      let lvl =
-        match words (next ()) with
-        | [ "level"; "none" ] -> None
-        | "level" :: m :: counts ->
-          if not (Int.equal (List.length counts) (int_of m)) then
-            fail "level count mismatch";
-          with_levels := true;
-          Some (Level_histogram.of_counts (Array.of_list (List.map float_of counts)))
-        | _ -> fail "expected level section"
-      in
-      let key = Predicate.name pred in
-      Hashtbl.replace entries key { pred; hist; no_overlap; cvg; lvl };
-      preds := pred :: !preds
-    done;
-    (match words (next ()) with
-    | [ "end" ] -> ()
-    | _ -> fail "expected end marker");
-    let hcat = make_hist_catalog () in
-    register_entries hcat entries;
-    Ok
-      {
-        doc = None;
-        grid;
-        preds = List.rev !preds;
-        entries;
-        pop;
-        with_levels = !with_levels;
-        hcat;
-        lph_cache = Hashtbl.create 8;
-        stats = None;
-        maint = None;
-      }
-  with Bad_summary msg -> Error msg
-
-let save t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_string t);
-      (* flush inside the body so write errors surface as the primary
-         exception, with the descriptor still released by the finally *)
-      flush oc)
-
-let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-
 (* --- The binary (.xsum) store ------------------------------------------ *)
 
 (* [Store] only moves flat float vectors; the translation to and from live
@@ -1212,6 +1058,8 @@ let load path =
    ([iter_nonzero], [fold_entries], [total_coverage]) so the store never
    depends on histogram internals; every float is copied bit-exactly, and
    the stored totals let [load_store] skip the cell folds. *)
+
+exception Bad_summary of string
 
 let dense_cells grid h =
   let cells = Array.make (Grid.cells grid) 0.0 in

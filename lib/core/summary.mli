@@ -155,20 +155,6 @@ val hist_catalog : t -> Catalog.t
     {!Xmlest_query.Predicate.name}, with memoized pH-join coefficients and
     hit/miss/recompute counters. *)
 
-val save_catalog : t -> string -> unit
-(** Persist {!hist_catalog} — histograms and currently fresh coefficient
-    arrays — in the catalog's text format (bit-exact floats). *)
-
-val load_catalog : string -> (Catalog.t, string) result
-(** Load a catalog saved by {!save_catalog}, wired to the pH-join
-    coefficient computations. *)
-
-val adopt_catalog : t -> from:Catalog.t -> int
-(** Warm this summary's {!hist_catalog} with the coefficient arrays of a
-    loaded catalog ({!Catalog.absorb}): arrays are adopted for every key
-    whose histogram is cell-identical in both.  Returns the number
-    adopted. *)
-
 val estimate : ?options:Twig_estimator.options -> t -> Pattern.t -> float
 (** Estimate the answer size of a twig pattern. *)
 
@@ -270,16 +256,18 @@ val pp_stats : Format.formatter -> t -> unit
 (** {2 Persistence}
 
     A summary is a database statistic: it outlives the process that built
-    it.  The text format stores the grid, the population histogram and,
-    per predicate, the position histogram, coverage entries and level
-    counts.  A loaded summary estimates exactly like the original but
-    carries no document, so unknown leaf predicates cannot be built on
-    demand ({!histogram} raises [Failure] for them). *)
+    it.  The [.xsum] store is its one on-disk format.  A reopened summary
+    estimates exactly like the original but carries no document and no
+    stats, so unknown leaf predicates cannot be built on demand
+    ({!histogram} raises [Failure] for them), {!check} only warns about
+    unknown tags, and {!apply} raises [Failure]. *)
 
 val to_string : t -> string
-val of_string : string -> (t, string) result
-val save : t -> string -> unit
-val load : string -> (t, string) result
+(** Canonical printer: the grid, the population histogram and, per
+    predicate, the position histogram, coverage entries and level counts,
+    every float at [%.17g].  Two summaries print equal exactly when they
+    are bit-identical, which is how the tests and benches compare builds.
+    It is not a file format: nothing parses it back. *)
 
 val save_store : t -> string -> unit
 (** Persist to the binary [.xsum] format ([Store]): a small text header
@@ -291,7 +279,8 @@ val save_store : t -> string -> unit
 val load_store : string -> (t, string) result
 (** Open a [.xsum] store by memory-mapping its payload: O(header) work —
     no per-cell parsing or adds — with each histogram holding a zero-copy
-    slice of the (copy-on-write) mapping.  Like {!load}, the result
-    carries no document and no stats, and its coefficient catalog starts
-    cold: histogram version counters restart at 0, so no stale memoized
-    pH-join arrays can be mistaken for fresh ones. *)
+    slice of the (copy-on-write) mapping.  The result carries no document
+    and no stats, and its coefficient catalog starts cold: histogram
+    version counters restart at 0, so no stale memoized pH-join arrays
+    can be mistaken for fresh ones.  A missing, truncated or malformed
+    file is an [Error], never an exception. *)

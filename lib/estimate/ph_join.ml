@@ -119,34 +119,12 @@ let check_grids a b =
   if not (Grid.compatible (Position_histogram.grid a) (Position_histogram.grid b))
   then invalid_arg "Ph_join: histograms have incompatible grids"
 
-let estimate_cells ?(direction = Ancestor_based) ~anc ~desc () =
-  check_grids anc desc;
-  let grid = Position_histogram.grid anc in
-  let g = grid.Grid.size in
-  let out = Position_histogram.create_empty grid in
-  (match direction with
-  | Ancestor_based ->
-    let coef = descendant_coefficients desc in
-    Position_histogram.iter_nonzero anc (fun ~i ~j count ->
-        let est = count *. coef.(idx g i j) in
-        if not (Float.equal est 0.0) then Position_histogram.add out ~i ~j est)
-  | Descendant_based ->
-    let coef = ancestor_coefficients anc in
-    Position_histogram.iter_nonzero desc (fun ~i ~j count ->
-        let est = count *. coef.(idx g i j) in
-        if not (Float.equal est 0.0) then Position_histogram.add out ~i ~j est));
-  out
-
-let estimate ?direction ~anc ~desc () =
-  Position_histogram.total (estimate_cells ?direction ~anc ~desc ())
-
-(* Same per-cell evaluation as [estimate_cells], with the O(g²) coefficient
-   pass replaced by a caller-provided array (e.g. memoized in a
-   [Catalog]).  With [Ancestor_based] the coefficients must be
-   [descendant_coefficients desc]; with [Descendant_based],
-   [ancestor_coefficients anc].  Kept structurally identical to
-   [estimate_cells] — including skipping zero products — so cached and
-   uncached runs produce bit-identical histograms. *)
+(* Per-cell evaluation over the outer histogram's non-zero cells: with
+   [Ancestor_based] the coefficients must be [descendant_coefficients
+   desc]; with [Descendant_based], [ancestor_coefficients anc].  Callers
+   with memoized arrays (e.g. a [Catalog]) pass them in; [estimate_cells]
+   computes them, so cached and uncached runs share this one loop and
+   stay bit-identical by construction. *)
 let estimate_cells_with ?(direction = Ancestor_based) ~coefs ~anc ~desc () =
   check_grids anc desc;
   let grid = Position_histogram.grid anc in
@@ -168,6 +146,17 @@ let estimate_cells_with ?(direction = Ancestor_based) ~coefs ~anc ~desc () =
 
 let estimate_with ?direction ~coefs ~anc ~desc () =
   Position_histogram.total (estimate_cells_with ?direction ~coefs ~anc ~desc ())
+
+let estimate_cells ?(direction = Ancestor_based) ~anc ~desc () =
+  let coefs =
+    match direction with
+    | Ancestor_based -> descendant_coefficients desc
+    | Descendant_based -> ancestor_coefficients anc
+  in
+  estimate_cells_with ~direction ~coefs ~anc ~desc ()
+
+let estimate ?direction ~anc ~desc () =
+  Position_histogram.total (estimate_cells ?direction ~anc ~desc ())
 
 (* Sparse evaluation over the non-zero cells.
 

@@ -87,9 +87,10 @@ val estimate_cells_with :
     by a precomputed array — [descendant_coefficients desc] when
     [Ancestor_based] (the default), [ancestor_coefficients anc] when
     [Descendant_based] — typically served from a
-    {!Xmlest_histogram.Catalog}.  Produces a bit-identical histogram to
-    {!estimate_cells}.  Raises [Invalid_argument] when the array length
-    does not match the grid. *)
+    {!Xmlest_histogram.Catalog}.  {!estimate_cells} is this function
+    over freshly computed coefficients, so the two produce bit-identical
+    histograms.  Raises [Invalid_argument] when the array length does not
+    match the grid. *)
 
 val estimate_with :
   ?direction:direction ->

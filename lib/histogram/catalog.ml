@@ -155,274 +155,3 @@ let pp_stats ppf t =
     "coefficients: %d hits, %d misses, %d recomputes; %.3fms computing@." t.hits
     t.misses t.recomputes
     (t.compute_seconds *. 1e3)
-
-(* --- Persistence -------------------------------------------------------
-
-   Line-based text format: a magic line, the grid, then per entry the key,
-   the histogram's non-zero cells and the fresh coefficient arrays.
-   Floats are printed at %.17g, which round-trips every finite double
-   bit-exactly, so nothing about the format is approximate — and unlike
-   [Marshal] (banned outside the summary store by the linter) a corrupt
-   file fails with a parse error instead of undefined behavior.  Only
-   coefficient arrays whose version matches their histogram are persisted
-   — a stale slot must not be reborn as valid. *)
-
-type saved_grid = {
-  sg_uniform : bool;
-  sg_size : int;
-  sg_max_pos : int;
-  sg_boundaries : int array;
-}
-
-type saved_entry = {
-  se_key : string;
-  se_cells : (int * int * float) array;
-  se_desc : float array option;
-  se_anc : float array option;
-}
-
-type saved = { sv_grid : saved_grid option; sv_entries : saved_entry list }
-
-let magic = "xmlest-catalog 2"
-
-let snapshot t =
-  let saved_grid g =
-    {
-      sg_uniform = Grid.is_uniform g;
-      sg_size = g.Grid.size;
-      sg_max_pos = g.Grid.max_pos;
-      sg_boundaries = Array.copy g.Grid.boundaries;
-    }
-  in
-  let entry key e =
-    let cells = ref [] in
-    Position_histogram.iter_nonzero e.hist (fun ~i ~j v ->
-        cells := (i, j, v) :: !cells);
-    let fresh slot =
-      match slot with
-      | Some s when Int.equal s.slot_version (Position_histogram.version e.hist)
-        ->
-        Some (Array.copy s.coefs)
-      | _ -> None
-    in
-    {
-      se_key = key;
-      se_cells = Array.of_list (List.rev !cells);
-      se_desc = fresh e.desc;
-      se_anc = fresh e.anc;
-    }
-  in
-  let entries =
-    Hashtbl.fold (fun key e acc -> entry key e :: acc) t.entries []
-    |> List.sort (fun a b -> String.compare a.se_key b.se_key)
-  in
-  { sv_grid = Option.map saved_grid t.grid; sv_entries = entries }
-
-let to_channel t oc =
-  let saved = snapshot t in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (magic ^ "\n");
-  (match saved.sv_grid with
-  | None -> Buffer.add_string b "grid none\n"
-  | Some sg ->
-    if sg.sg_uniform then
-      Buffer.add_string b
-        (Printf.sprintf "grid uniform %d %d\n" sg.sg_size sg.sg_max_pos)
-    else begin
-      Buffer.add_string b
-        (Printf.sprintf "grid boundaries %d %d" sg.sg_size sg.sg_max_pos);
-      for i = 1 to sg.sg_size - 1 do
-        Buffer.add_string b (Printf.sprintf " %d" sg.sg_boundaries.(i))
-      done;
-      Buffer.add_char b '\n'
-    end);
-  Buffer.add_string b
-    (Printf.sprintf "entries %d\n" (List.length saved.sv_entries));
-  List.iter
-    (fun se ->
-      Buffer.add_string b ("key " ^ se.se_key ^ "\n");
-      Buffer.add_string b
-        (Printf.sprintf "cells %d\n" (Array.length se.se_cells));
-      Array.iter
-        (fun (i, j, v) ->
-          Buffer.add_string b (Printf.sprintf "%d %d %.17g\n" i j v))
-        se.se_cells;
-      let arr_line name arr =
-        match arr with
-        | None -> Buffer.add_string b (name ^ " none\n")
-        | Some coefs ->
-          Buffer.add_string b
-            (Printf.sprintf "%s %d" name (Array.length coefs));
-          Array.iter
-            (fun c -> Buffer.add_string b (Printf.sprintf " %.17g" c))
-            coefs;
-          Buffer.add_char b '\n'
-      in
-      arr_line "desc" se.se_desc;
-      arr_line "anc" se.se_anc)
-    saved.sv_entries;
-  Buffer.add_string b "end\n";
-  output_string oc (Buffer.contents b)
-
-let save t path =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel t oc)
-
-let restore ?clock ~compute_desc ~compute_anc (saved : saved) =
-  let t = create ?clock ~compute_desc ~compute_anc () in
-  let grid =
-    Option.map
-      (fun sg ->
-        if sg.sg_uniform then Grid.create ~size:sg.sg_size ~max_pos:sg.sg_max_pos
-        else Grid.of_boundaries sg.sg_boundaries)
-      saved.sv_grid
-  in
-  t.grid <- grid;
-  List.iter
-    (fun se ->
-      match grid with
-      | None -> failwith "catalog has entries but no grid"
-      | Some g ->
-        let hist = Position_histogram.create_empty g in
-        Array.iter (fun (i, j, v) -> Position_histogram.set hist ~i ~j v) se.se_cells;
-        let version = Position_histogram.version hist in
-        let slot = Option.map (fun coefs -> { slot_version = version; coefs }) in
-        Hashtbl.replace t.entries se.se_key
-          { hist; desc = slot se.se_desc; anc = slot se.se_anc })
-    saved.sv_entries;
-  t
-
-exception Bad_catalog of string
-
-let parse_saved lines =
-  let lines = ref lines in
-  let fail msg = raise (Bad_catalog msg) in
-  let next () =
-    match !lines with
-    | [] -> fail "unexpected end of input"
-    | l :: rest ->
-      lines := rest;
-      l
-  in
-  let words l = String.split_on_char ' ' l |> List.filter (fun w -> w <> "") in
-  let int_of w =
-    try int_of_string w with Failure _ -> fail ("bad integer " ^ w)
-  in
-  let float_of w =
-    try float_of_string w with Failure _ -> fail ("bad number " ^ w)
-  in
-  if not (String.equal (next ()) magic) then
-    fail "not an xmlest catalog (bad header)";
-  let sv_grid =
-    match words (next ()) with
-    | [ "grid"; "none" ] -> None
-    | [ "grid"; "uniform"; size; max_pos ] ->
-      Some
-        {
-          sg_uniform = true;
-          sg_size = int_of size;
-          sg_max_pos = int_of max_pos;
-          sg_boundaries = [||];
-        }
-    | "grid" :: "boundaries" :: size :: max_pos :: inner ->
-      let sg_size = int_of size and sg_max_pos = int_of max_pos in
-      if not (Int.equal (List.length inner) (sg_size - 1)) then
-        fail "boundary count mismatch";
-      let inner = List.map int_of inner in
-      Some
-        {
-          sg_uniform = false;
-          sg_size;
-          sg_max_pos;
-          sg_boundaries = Array.of_list ((0 :: inner) @ [ sg_max_pos + 1 ]);
-        }
-    | _ -> fail "expected a grid line"
-  in
-  let n_entries =
-    match words (next ()) with
-    | [ "entries"; n ] -> int_of n
-    | _ -> fail "expected entries line"
-  in
-  let entries = ref [] in
-  for _ = 1 to n_entries do
-    let se_key =
-      let line = next () in
-      if String.length line >= 4 && String.equal (String.sub line 0 4) "key "
-      then String.sub line 4 (String.length line - 4)
-      else fail "expected a key line"
-    in
-    let se_cells =
-      match words (next ()) with
-      | [ "cells"; m ] ->
-        Array.init (int_of m) (fun _ ->
-            match words (next ()) with
-            | [ i; j; v ] -> (int_of i, int_of j, float_of v)
-            | _ -> fail "bad cell line")
-      | _ -> fail "expected cells line"
-    in
-    let arr name =
-      match words (next ()) with
-      | [ n; "none" ] when String.equal n name -> None
-      | n :: len :: values when String.equal n name ->
-        if not (Int.equal (List.length values) (int_of len)) then
-          fail (name ^ " length mismatch");
-        Some (Array.of_list (List.map float_of values))
-      | _ -> fail ("expected " ^ name ^ " line")
-    in
-    let se_desc = arr "desc" in
-    let se_anc = arr "anc" in
-    entries := { se_key; se_cells; se_desc; se_anc } :: !entries
-  done;
-  (match words (next ()) with
-  | [ "end" ] -> ()
-  | _ -> fail "expected end marker");
-  { sv_grid; sv_entries = List.rev !entries }
-
-let of_channel ?clock ~compute_desc ~compute_anc ic =
-  let lines =
-    let acc = ref [] in
-    let rec go () =
-      match input_line ic with
-      | exception End_of_file -> List.rev !acc
-      | l ->
-        acc := l :: !acc;
-        go ()
-    in
-    go ()
-  in
-  match parse_saved lines with
-  | saved -> (
-    try Ok (restore ?clock ~compute_desc ~compute_anc saved) with
-    | Failure msg | Invalid_argument msg -> Error msg)
-  | exception Bad_catalog msg -> Error msg
-
-let load ?clock ~compute_desc ~compute_anc path =
-  match open_in_bin path with
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> of_channel ?clock ~compute_desc ~compute_anc ic)
-  | exception Sys_error msg -> Error msg
-
-(* Adopt the fresh coefficient arrays of [from] for every key whose
-   histogram is cell-identical in both catalogs — the reuse step after
-   loading a persisted catalog next to a freshly built summary. *)
-let absorb t ~from =
-  let adopted = ref 0 in
-  Hashtbl.iter
-    (fun key e ->
-      match Hashtbl.find_opt from.entries key with
-      | Some fe when Position_histogram.equal e.hist fe.hist ->
-        let fv = Position_histogram.version fe.hist in
-        let v = Position_histogram.version e.hist in
-        let fresh = function
-          | Some s when Int.equal s.slot_version fv ->
-            incr adopted;
-            Some { slot_version = v; coefs = s.coefs }
-          | _ -> None
-        in
-        (match fresh fe.desc with Some s -> e.desc <- Some s | None -> ());
-        (match fresh fe.anc with Some s -> e.anc <- Some s | None -> ())
-      | _ -> ())
-    t.entries;
-  !adopted

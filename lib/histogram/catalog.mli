@@ -73,35 +73,3 @@ val cached_arrays : t -> int
 (** Number of currently fresh (non-stale) cached coefficient arrays. *)
 
 val pp_stats : Format.formatter -> t -> unit
-
-(** {1 Persistence}
-
-    Line-based text format: a magic header, the grid, then per entry the
-    key, non-zero histogram cells and fresh coefficient arrays, all floats
-    printed at [%.17g] so they — histogram cells and coefficients alike —
-    round-trip bit-exactly.  Only fresh coefficient arrays are persisted;
-    stale ones are dropped rather than resurrected.  No [Marshal]: a
-    corrupt file yields [Error], never undefined behavior. *)
-
-val save : t -> string -> unit
-val to_channel : t -> out_channel -> unit
-
-val load :
-  ?clock:(unit -> float) ->
-  compute_desc:(Position_histogram.t -> float array) ->
-  compute_anc:(Position_histogram.t -> float array) ->
-  string ->
-  (t, string) result
-
-val of_channel :
-  ?clock:(unit -> float) ->
-  compute_desc:(Position_histogram.t -> float array) ->
-  compute_anc:(Position_histogram.t -> float array) ->
-  in_channel ->
-  (t, string) result
-
-val absorb : t -> from:t -> int
-(** Adopt the fresh coefficient arrays of [from] for every key of [t]
-    whose histogram is cell-identical in both catalogs (so a catalog
-    loaded from disk can warm up a freshly built summary).  Returns the
-    number of arrays adopted. *)

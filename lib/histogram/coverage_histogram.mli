@@ -100,7 +100,7 @@ val of_parts :
   populations:float array ->
   entries:(int * int * float) list ->
   t
-(** Rebuild from persisted parts: [(covered, covering, fraction)] triples
+(** Rebuild from parts: [(covered, covering, fraction)] triples
     with dense cell indices.  Raises [Invalid_argument] on a population
     array of the wrong length or out-of-range cell indices. *)
 

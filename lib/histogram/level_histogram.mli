@@ -55,7 +55,7 @@ val counts : t -> float array
 (** Copy of the per-level counts (index = depth). *)
 
 val of_counts : float array -> t
-(** Rebuild from persisted counts. *)
+(** Rebuild from per-level counts (index = depth). *)
 
 val of_bigarray : F64.t -> t
 (** Adopt a float64 vector (index = depth, length >= 1) as the

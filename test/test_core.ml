@@ -148,86 +148,54 @@ let test_pp_stats_renders () =
 (* --- Persistence -------------------------------------------------------- *)
 
 let test_save_load_roundtrip () =
-  let doc, s = staff_summary () in
-  let text = Xmlest.Summary.to_string s in
-  match Xmlest.Summary.of_string text with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok s' ->
-    Alcotest.(check bool) "no document attached" true
-      (Xmlest.Summary.document s' = None);
-    check Alcotest.int "same predicates"
-      (List.length (Xmlest.Summary.predicates s))
-      (List.length (Xmlest.Summary.predicates s'));
-    (* identical estimates for pair and twig queries *)
-    List.iter
-      (fun q ->
-        check (Alcotest.float 1e-9) ("same estimate for " ^ q)
-          (Xmlest.Summary.estimate_string s q)
-          (Xmlest.Summary.estimate_string s' q))
-      [
-        "//manager//department"; "//department//email"; "//employee//name";
-        "//manager[.//department][.//employee]"; "//department/email";
-      ];
-    check Alcotest.int "same storage accounting"
-      (Xmlest.Summary.storage_bytes s)
-      (Xmlest.Summary.storage_bytes s');
-    ignore doc
+  let _, s = staff_summary () in
+  let s' = Test_util.reopened s in
+  Alcotest.(check bool) "no document attached" true
+    (Xmlest.Summary.document s' = None);
+  Alcotest.(check bool) "no stats attached" true
+    (Xmlest.Summary.stats s' = None);
+  check Alcotest.string "canonical print survives the store"
+    (Xmlest.Summary.to_string s)
+    (Xmlest.Summary.to_string s');
+  (* identical estimates for pair and twig queries *)
+  List.iter
+    (fun q ->
+      check (Alcotest.float 0.0) ("same estimate for " ^ q)
+        (Xmlest.Summary.estimate_string s q)
+        (Xmlest.Summary.estimate_string s' q))
+    [
+      "//manager//department"; "//department//email"; "//employee//name";
+      "//manager[.//department][.//employee]"; "//department/email";
+    ];
+  check Alcotest.int "same storage accounting"
+    (Xmlest.Summary.storage_bytes s)
+    (Xmlest.Summary.storage_bytes s')
 
 let test_save_load_file () =
   let _, s = staff_summary () in
+  (* any file name works: nothing dispatches on a '.xsum' suffix *)
   let path = Filename.temp_file "xmlest" ".summary" in
-  Xmlest.Summary.save s path;
-  (match Xmlest.Summary.load path with
+  Xmlest.Summary.save_store s path;
+  (match Xmlest.Summary.load_store path with
   | Ok s' ->
-    check (Alcotest.float 1e-9) "file roundtrip estimate"
+    check (Alcotest.float 0.0) "file roundtrip estimate"
       (Xmlest.Summary.estimate_string s "//manager//employee")
       (Xmlest.Summary.estimate_string s' "//manager//employee")
   | Error e -> Alcotest.failf "file load failed: %s" e);
   Sys.remove path
 
-let test_save_load_equidepth () =
-  let doc = Xmlest.Document.of_elem (Xmlest.Staff_gen.generate ()) in
-  let preds = List.map tagp [ "department"; "email" ] in
-  let s = Xmlest.Summary.build ~grid_size:10 ~grid_kind:`Equidepth doc preds in
-  match Xmlest.Summary.of_string (Xmlest.Summary.to_string s) with
-  | Error e -> Alcotest.failf "equidepth load failed: %s" e
-  | Ok s' ->
-    Alcotest.(check bool) "still non-uniform" false
-      (Xmlest.Grid.is_uniform (Xmlest.Summary.grid s'));
-    check (Alcotest.float 1e-9) "same estimate"
-      (Xmlest.Summary.estimate_string s "//department//email")
-      (Xmlest.Summary.estimate_string s' "//department//email")
-
-let test_load_rejects_garbage () =
-  let bad input =
-    match Xmlest.Summary.of_string input with
-    | Ok _ -> Alcotest.failf "expected load failure for %S" input
-    | Error _ -> ()
-  in
-  bad "";
-  bad "not a summary";
-  bad "xmlest-summary 1\n";
-  bad "xmlest-summary 1\ngrid uniform 10 100\npopulation 1\n";
-  bad "xmlest-summary 1\ngrid boundaries 3 10 5\npopulation 0\npredicates 0\nend\n";
-  (* truncated predicate block *)
-  let _, s = staff_summary () in
-  let text = Xmlest.Summary.to_string s in
-  bad (String.sub text 0 (String.length text / 2))
-
 let test_loaded_summary_unknown_predicate () =
   let _, s = staff_summary () in
-  match Xmlest.Summary.of_string (Xmlest.Summary.to_string s) with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok s' ->
-    (* catalog predicates work *)
-    check (Alcotest.float 1e-9) "known predicate"
-      (Xmlest.Summary.node_count s (tagp "email"))
-      (Xmlest.Summary.node_count s' (tagp "email"));
-    (* unknown leaf must raise, not silently return nonsense *)
-    (try
-       ignore (Xmlest.Summary.histogram s' (tagp "nonexistent"));
-       Alcotest.fail "expected Failure for unknown predicate"
-     with Failure _ -> ())
+  let s' = Test_util.reopened s in
+  (* catalog predicates work *)
+  check (Alcotest.float 1e-9) "known predicate"
+    (Xmlest.Summary.node_count s (tagp "email"))
+    (Xmlest.Summary.node_count s' (tagp "email"));
+  (* unknown leaf must raise, not silently return nonsense *)
+  try
+    ignore (Xmlest.Summary.histogram s' (tagp "nonexistent"));
+    Alcotest.fail "expected Failure for unknown predicate"
+  with Failure _ -> ()
 
 let test_end_to_end_dblp_table2_shape () =
   (* The qualitative claim of Table 2: naive >> pH-join >> no-overlap ~ real. *)
@@ -291,11 +259,9 @@ let test_scale_integration () =
   Alcotest.(check bool) "article//author within 30%" true
     (Float.abs (est -. real) /. real < 0.3);
   (* persistence at scale *)
-  match Xmlest.Summary.of_string (Xmlest.Summary.to_string s) with
-  | Ok s' ->
-    check (Alcotest.float 1e-6) "roundtrip estimate" est
-      (Xmlest.Summary.estimate_string s' "//article//author")
-  | Error e -> Alcotest.failf "roundtrip failed: %s" e
+  let s' = Test_util.reopened s in
+  check (Alcotest.float 0.0) "roundtrip estimate" est
+    (Xmlest.Summary.estimate_string s' "//article//author")
 
 let test_multiple_datasets_smoke () =
   (* Build summaries over each data set and estimate a couple of queries;
@@ -727,11 +693,8 @@ let test_build_stats () =
     fused.Xmlest.Summary.predicate_evals;
   (* stats are construction counters, not part of the persisted summary *)
   let s = Xmlest.Summary.build ~grid_size:4 doc preds in
-  match Xmlest.Summary.of_string (Xmlest.Summary.to_string s) with
-  | Ok loaded ->
-    Alcotest.(check bool) "loaded summary has no stats" true
-      (Xmlest.Summary.stats loaded = None)
-  | Error e -> Alcotest.fail e
+  Alcotest.(check bool) "loaded summary has no stats" true
+    (Xmlest.Summary.stats (Test_util.reopened s) = None)
 
 (* [build_time] is wall-clock: a two-domain build's CPU time can exceed
    the wall time around it, its reported time cannot. *)
@@ -750,19 +713,6 @@ let test_build_time_is_wall_clock () =
       (st.Xmlest.Summary.build_time >= 0.0 && st.Xmlest.Summary.build_time <= wall)
 
 (* --- The binary (.xsum) store ------------------------------------------ *)
-
-let with_store s f =
-  let path = Filename.temp_file "xmlest" ".xsum" in
-  Xmlest.Summary.save_store s path;
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
-let reopened s =
-  with_store s (fun path ->
-      match Xmlest.Summary.load_store path with
-      | Ok s' -> s'
-      | Error e -> Alcotest.failf "store open failed: %s" e)
 
 (* Bit-identity of the mapped store, not mere closeness: the payload holds
    the exact float bits, totals included, so [to_string] — which prints
@@ -790,7 +740,7 @@ let prop_store_roundtrip_bit_identical =
       let s =
         Xmlest.Summary.build ~grid_size ~grid_kind ~with_levels doc preds
       in
-      let s' = reopened s in
+      let s' = Test_util.reopened s in
       (* only catalog predicates: a loaded summary cannot build
          histograms on demand (no document) *)
       let queries =
@@ -817,7 +767,7 @@ let test_store_roundtrip_datasets () =
   List.iter
     (fun grid_kind ->
       let s = Xmlest.Summary.build ~grid_kind doc preds in
-      let s' = reopened s in
+      let s' = Test_util.reopened s in
       let kind =
         match grid_kind with `Uniform -> "uniform" | _ -> "equidepth"
       in
@@ -865,6 +815,46 @@ let test_store_open_rejects_garbage () =
   (match Xmlest.Summary.load_store (path ^ ".does-not-exist") with
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ());
+  (* A grid line no grid can be built from, padded with spaces to the
+     valid line's length so the payload offset still checks out: size 0,
+     a negative size, more buckets than positions, and a grid whose
+     cells could not fit the payload. *)
+  Xmlest.Summary.save_store s path;
+  let valid = In_channel.with_open_bin path In_channel.input_all in
+  (* the header's third line: magic, payload, grid *)
+  let grid_at =
+    String.index_from valid (String.index valid '\n' + 1) '\n' + 1
+  in
+  let grid_end = String.index_from valid grid_at '\n' in
+  Alcotest.(check bool) "uniform grid line" true
+    (String.starts_with ~prefix:"grid uniform "
+       (String.sub valid grid_at (grid_end - grid_at)));
+  let max_pos = (Xmlest.Summary.grid s).Xmlest.Grid.max_pos in
+  let rejection line =
+    let len = grid_end - grid_at in
+    if String.length line > len then Alcotest.failf "%S too long" line;
+    let bad =
+      String.sub valid 0 grid_at
+      ^ line
+      ^ String.make (len - String.length line) ' '
+      ^ String.sub valid grid_end (String.length valid - grid_end)
+    in
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bad);
+    match Xmlest.Summary.load_store path with
+    | Ok _ -> Alcotest.failf "grid line %S accepted" line
+    | Error e -> e
+  in
+  List.iter
+    (fun line -> ignore (rejection line))
+    [
+      Printf.sprintf "grid uniform 0 %d" max_pos;
+      Printf.sprintf "grid uniform -3 %d" max_pos;
+      "grid uniform 10 5";
+      "grid uniform 9 -1";
+    ];
+  (* refused before the grid's boundaries are allocated *)
+  Alcotest.(check bool) "oversized grid refused up front" true
+    (Test_util.contains_substring (rejection "grid uniform 999 999") "does not fit");
   Sys.remove path
 
 (* Satellite: a summary reopened from a store must start with a cold
@@ -877,7 +867,7 @@ let test_store_reopen_cold_catalog () =
   ignore (Xmlest.Summary.estimate_string s "//department//email");
   Alcotest.(check bool) "original catalog warmed" true
     (Xmlest.Hist_catalog.cached_arrays (Xmlest.Summary.hist_catalog s) > 0);
-  let s' = reopened s in
+  let s' = Test_util.reopened s in
   let cat' = Xmlest.Summary.hist_catalog s' in
   check Alcotest.int "no cached arrays carried over" 0
     (Xmlest.Hist_catalog.cached_arrays cat');
@@ -902,7 +892,7 @@ let test_streamed_build_saved_to_store () =
   Xmlest.Xml_writer.to_file xml elem;
   let streamed = Xmlest.Summary.build_stream_file xml preds in
   Sys.remove xml;
-  let s' = reopened streamed in
+  let s' = Test_util.reopened streamed in
   Alcotest.(check bool) "pipeline bit-identical" true
     (String.equal
        (Xmlest.Summary.to_string (Xmlest.Summary.build doc preds))
@@ -934,16 +924,21 @@ let test_repl_roundtrip_summary () =
   ignore (run "gen staff");
   ignore (run "summarize 10");
   let est_before = run "estimate //department//email" in
-  let path = Filename.temp_file "xmlest_repl" ".summary" in
+  let path = Filename.temp_file "xmlest_repl" ".xsum" in
   Alcotest.(check bool) "save" true (contains "saved" (run ("save-summary " ^ path)));
+  (match Xmlest.Summary.load_store path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "save-summary did not write a store: %s" e);
   (* fresh state: load only the summary, no document *)
   let state2 = Xmlest.Repl.create () in
   let run2 cmd = Xmlest.Repl.execute state2 cmd in
   Alcotest.(check bool) "load" true
-    (contains "predicates" (run2 ("load-summary " ^ path)));
+    (contains "mapped store" (run2 ("load-summary " ^ path)));
   check Alcotest.string "same estimate" est_before
     (run2 "estimate //department//email");
-  Sys.remove path
+  Sys.remove path;
+  Alcotest.(check bool) "missing store" true
+    (contains "error" (run2 ("load-summary " ^ path)))
 
 let test_repl_errors () =
   let state = Xmlest.Repl.create () in
@@ -982,12 +977,12 @@ let test_repl_catalog_commands () =
   Alcotest.(check bool) "histogram count shown" true (contains "histograms" stats);
   Alcotest.(check bool) "counters shown" true (contains "hits" stats);
   ignore (run "estimate //manager//employee");
-  let path = Filename.temp_file "xmlest_repl" ".catalog" in
-  Alcotest.(check bool) "save" true (contains "saved catalog" (run ("catalog save " ^ path)));
   Alcotest.(check bool) "reset" true (contains "reset" (run "catalog reset"));
-  Alcotest.(check bool) "load adopts" true (contains "adopted" (run ("catalog load " ^ path)));
-  Alcotest.(check bool) "usage error" true (contains "error" (run "catalog"));
-  Sys.remove path
+  let usage = "error: usage: catalog stats|reset" in
+  check Alcotest.string "usage error" usage (run "catalog");
+  (* catalogs are not persisted: save/load are usage errors *)
+  check Alcotest.string "no catalog save" usage (run "catalog save x.catalog");
+  check Alcotest.string "no catalog load" usage (run "catalog load x.catalog")
 
 let test_repl_equidepth_summarize () =
   let state = Xmlest.Repl.create () in
@@ -1101,11 +1096,7 @@ let test_check_document_vs_loaded_schema () =
   let est, _ = Xmlest.Summary.estimate_checked s pattern in
   check Alcotest.(float 0.0) "estimate short-circuits to zero" 0.0 est;
   (* a loaded summary has no document: only warn about unknown tags *)
-  let loaded =
-    match Xmlest.Summary.of_string (Xmlest.Summary.to_string s) with
-    | Ok l -> l
-    | Error e -> Alcotest.fail e
-  in
+  let loaded = Test_util.reopened s in
   let diags = Xmlest.Summary.check loaded pattern in
   Alcotest.(check bool) "diagnosed" false (List.is_empty diags);
   Alcotest.(check bool) "but only as a warning" false
@@ -1165,8 +1156,6 @@ let () =
         [
           Alcotest.test_case "string roundtrip" `Quick test_save_load_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_save_load_file;
-          Alcotest.test_case "equidepth roundtrip" `Quick test_save_load_equidepth;
-          Alcotest.test_case "rejects garbage" `Quick test_load_rejects_garbage;
           Alcotest.test_case "unknown predicate raises" `Quick
             test_loaded_summary_unknown_predicate;
         ] );

@@ -539,89 +539,6 @@ let test_catalog_grid_discipline () =
   check Alcotest.int "still one entry" 1 (Xmlest.Hist_catalog.length cat);
   Alcotest.(check (list string)) "keys" [ "a" ] (Xmlest.Hist_catalog.keys cat)
 
-let test_catalog_save_load_roundtrip () =
-  let cat, _ = stub_catalog () in
-  let g = Xmlest.Grid.create ~size:4 ~max_pos:39 in
-  (* Awkward floats: fractions that don't render exactly in decimal. *)
-  Xmlest.Hist_catalog.add cat ~key:"a" (sample_hist ~v:(1.0 /. 3.0) g);
-  Xmlest.Hist_catalog.add cat ~key:"b" (sample_hist ~v:(2.0 /. 7.0) g);
-  ignore (Xmlest.Hist_catalog.descendant_coefficients cat "a");
-  ignore (Xmlest.Hist_catalog.ancestor_coefficients cat "a");
-  let path = Filename.temp_file "xmlest_test" ".catalog" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Xmlest.Hist_catalog.save cat path;
-      let calls = ref 0 in
-      let compute h =
-        incr calls;
-        let g = (Xmlest.Position_histogram.grid h).Xmlest.Grid.size in
-        Array.make (g * g) 0.0
-      in
-      match
-        Xmlest.Hist_catalog.load ~compute_desc:compute ~compute_anc:compute path
-      with
-      | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok loaded ->
-        Alcotest.(check (list string)) "keys survive" [ "a"; "b" ]
-          (Xmlest.Hist_catalog.keys loaded);
-        List.iter
-          (fun key ->
-            match
-              (Xmlest.Hist_catalog.find cat key, Xmlest.Hist_catalog.find loaded key)
-            with
-            | Some a, Some b ->
-              Alcotest.(check bool)
-                (key ^ " histogram bit-exact") true
-                (Xmlest.Position_histogram.equal a b)
-            | _ -> Alcotest.fail "missing histogram after load")
-          [ "a"; "b" ];
-        (* a's persisted arrays are served without recomputation... *)
-        let bits arr = Array.map Int64.bits_of_float arr in
-        (match
-           ( Xmlest.Hist_catalog.descendant_coefficients cat "a",
-             Xmlest.Hist_catalog.descendant_coefficients loaded "a" )
-         with
-        | Some a, Some b ->
-          Alcotest.(check (array int64)) "coefficients bit-exact" (bits a) (bits b)
-        | _ -> Alcotest.fail "missing coefficients after load");
-        check Alcotest.int "persisted arrays not recomputed" 0 !calls;
-        (* ...while b's were never computed, so they are not resurrected *)
-        ignore (Xmlest.Hist_catalog.descendant_coefficients loaded "b");
-        check Alcotest.int "unsaved arrays recomputed" 1 !calls)
-
-let test_catalog_load_rejects_garbage () =
-  let path = Filename.temp_file "xmlest_test" ".catalog" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "definitely not a catalog";
-      close_out oc;
-      let compute _ = [||] in
-      match
-        Xmlest.Hist_catalog.load ~compute_desc:compute ~compute_anc:compute path
-      with
-      | Ok _ -> Alcotest.fail "garbage accepted"
-      | Error _ -> ())
-
-let test_catalog_absorb () =
-  let g = Xmlest.Grid.create ~size:4 ~max_pos:39 in
-  let cat, calls = stub_catalog () in
-  Xmlest.Hist_catalog.add cat ~key:"same" (sample_hist g);
-  Xmlest.Hist_catalog.add cat ~key:"differs" (sample_hist ~v:9.0 g);
-  let from, _ = stub_catalog () in
-  Xmlest.Hist_catalog.add from ~key:"same" (sample_hist g);
-  Xmlest.Hist_catalog.add from ~key:"differs" (sample_hist ~v:7.0 g);
-  ignore (Xmlest.Hist_catalog.descendant_coefficients from "same");
-  ignore (Xmlest.Hist_catalog.descendant_coefficients from "differs");
-  let adopted = Xmlest.Hist_catalog.absorb cat ~from in
-  check Alcotest.int "only the identical histogram adopts" 1 adopted;
-  ignore (Xmlest.Hist_catalog.descendant_coefficients cat "same");
-  check Alcotest.int "adopted key serves without compute" 0 !calls;
-  ignore (Xmlest.Hist_catalog.descendant_coefficients cat "differs");
-  check Alcotest.int "mismatched key recomputes" 1 !calls
-
 (* --- Streaming builders ------------------------------------------------- *)
 
 let prop_position_builder_equals_build =
@@ -803,11 +720,6 @@ let () =
           Alcotest.test_case "invalidates on mutation" `Quick
             test_catalog_invalidates_on_mutation;
           Alcotest.test_case "grid discipline" `Quick test_catalog_grid_discipline;
-          Alcotest.test_case "save/load round trip" `Quick
-            test_catalog_save_load_roundtrip;
-          Alcotest.test_case "load rejects garbage" `Quick
-            test_catalog_load_rejects_garbage;
-          Alcotest.test_case "absorb" `Quick test_catalog_absorb;
         ] );
       ( "coverage",
         [

@@ -587,14 +587,12 @@ let test_repl_maintenance_commands () =
 let test_loaded_summary_rejects_apply () =
   let doc = D.of_elem (sample ()) in
   let s = Xmlest.Summary.build ~grid_size:4 doc [ tagp "x" ] in
-  match Xmlest.Summary.of_string (Xmlest.Summary.to_string s) with
-  | Error e -> Alcotest.fail e
-  | Ok loaded ->
-    Alcotest.(check bool) "apply raises" true
-      (try
-         Xmlest.Summary.apply loaded [ U.Delete { node = 1 } ];
-         false
-       with Failure _ -> true)
+  let loaded = Test_util.reopened s in
+  Alcotest.(check bool) "apply raises" true
+    (try
+       Xmlest.Summary.apply loaded [ U.Delete { node = 1 } ];
+       false
+     with Failure _ -> true)
 
 let () =
   Alcotest.run "maintain"

@@ -167,3 +167,20 @@ let contains_substring haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec at k = k + nn <= nh && (String.sub haystack k nn = needle || at (k + 1)) in
   at 0
+
+(* --- The .xsum store ---------------------------------------------------- *)
+
+(* [f] over a temporary store holding [s], removed afterwards. *)
+let with_store s f =
+  let path = Filename.temp_file "xmlest" ".xsum" in
+  Xmlest.Summary.save_store s path;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+(* [s] saved to a store and opened again, memory-mapped. *)
+let reopened s =
+  with_store s (fun path ->
+      match Xmlest.Summary.load_store path with
+      | Ok s' -> s'
+      | Error e -> Alcotest.failf "store open failed: %s" e)

@@ -30,8 +30,8 @@ let rules =
      "Domain/Mutex/Condition/Atomic outside lib/parallel/: route \
       concurrency through the pool library");
     ("marshal",
-     "Marshal outside the summary store (store.ml): use the text formats \
-      or the .xsum container, whose readers validate their input");
+     "Marshal outside the summary store (store.ml): use the .xsum \
+      container or a validating text reader");
     ("mutable-global",
      "top-level ref/Hashtbl.create/Array.make/... binding: global mutable \
       state voids the parallel bit-identity argument; pass state \
@@ -215,11 +215,10 @@ let in_parallel_lib file =
   scan (String.split_on_char '/' file)
 
 (* Marshal is confined to the summary store module: everywhere else,
-   persistence goes through the line-based text formats or the .xsum
-   container, whose readers validate their input.  A stray
-   [Marshal.from_channel] elsewhere would reintroduce the
-   crash-on-corrupt-file behavior the text formats were written to
-   eliminate. *)
+   summaries persist through the .xsum container and other input (update
+   lines, patterns, predicate syntax) through text readers, all of which
+   validate what they read.  A stray [Marshal.from_channel] elsewhere
+   would reintroduce crash-on-corrupt-file behavior. *)
 let is_marshal_path txt =
   let rec segments = function
     | Longident.Lident s -> [ s ]
