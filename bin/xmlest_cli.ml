@@ -437,20 +437,9 @@ let policy_conv =
     match s with
     | "never" -> Ok `Never
     | "always" -> Ok `Always
-    | s -> (
-      match float_of_string_opt s with
-      | Some f when f > 0.0 -> Ok (`Threshold f)
-      | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf "bad policy %S (expected never, always or a drift ratio)" s)))
+    | s -> Error (`Msg (Printf.sprintf "bad policy %S (expected never or always)" s))
   in
-  let print ppf = function
-    | `Never -> Format.pp_print_string ppf "never"
-    | `Always -> Format.pp_print_string ppf "always"
-    | `Threshold f -> Format.fprintf ppf "%g" f
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, Xmlest.Staleness.pp_policy)
 
 (* One update per line; blank lines and '#' comments are skipped. *)
 let read_updates path =
@@ -486,10 +475,10 @@ let apply_updates_cmd =
                  blank lines and '#' comments are skipped.")
   in
   let policy =
-    Arg.(value & opt policy_conv (`Threshold 0.5) & info [ "policy" ] ~docv:"P"
-           ~doc:"Staleness policy: 'never' (keep maintaining), 'always' \
-                 (rebuild after every batch) or a drift-ratio bound that \
-                 triggers a rebuild when crossed (default 0.5).")
+    Arg.(value & opt policy_conv `Never & info [ "policy" ] ~docv:"P"
+           ~doc:"Rebuild policy: 'never' (keep maintaining; the default, \
+                 since every edit is maintained exactly) or 'always' \
+                 (rebuild after the batch).")
   in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT"
@@ -522,7 +511,7 @@ let apply_updates_cmd =
       (Xmlest.Document.size doc) size';
     (match Xmlest.Summary.staleness summary with
     | None ->
-      print_endline "summary rebuilt in place (policy or drift threshold)"
+      print_endline "summary rebuilt in place (policy always)"
     | Some r -> Format.printf "%a@." Xmlest.Staleness.pp_report r);
     (match query with
     | Some q ->
@@ -538,10 +527,9 @@ let apply_updates_cmd =
   let info =
     Cmd.info "apply-updates"
       ~doc:"Apply a document update stream to a summary incrementally: \
-            deletes, end-of-document appends and text/attribute \
-            replacements maintain the histograms exactly; interior inserts \
-            accrue a tracked drift bound and trigger a rebuild per the \
-            staleness policy."
+            deletes, inserts and text/attribute replacements maintain the \
+            histograms exactly, bit-identical to a rebuild of the edited \
+            document on the same grid."
   in
   Cmd.v info
     Term.(const run $ file $ updates_file $ grid_arg $ equidepth_arg

@@ -33,7 +33,7 @@ let help =
       "  update <op line>               apply a document update and maintain the summary";
       "                                 (insert <parent> <idx> <xml> | delete <node> |";
       "                                  replace-text <node> <text> | replace-attrs <node> k=v ...)";
-      "  staleness                      drift accrued since the summary was (re)built";
+      "  staleness                      updates and nodes maintained since the last (re)build";
       "  summary info                   grid, predicates, build and staleness counters";
       "  save-summary <file>            write the summary as a .xsum store";
       "  load-summary <file>            open a .xsum store (memory-mapped)";
@@ -250,12 +250,12 @@ let cmd_update state rest =
        'exact'/'run' answer over the same revision. *)
     state.doc <- Summary.document summary;
     (match Summary.staleness summary with
-    | None -> "applied (drift threshold crossed: summary rebuilt in place)"
+    | None -> "applied (summary rebuilt in place)"
     | Some r ->
-      Printf.sprintf "applied; %d update%s since build, drift ratio %.4f"
+      Printf.sprintf "applied; %d update%s since build, %d nodes touched"
         r.Summary.Staleness.updates_since_build
         (if r.Summary.Staleness.updates_since_build = 1 then "" else "s")
-        r.Summary.Staleness.drift_ratio)
+        r.Summary.Staleness.nodes_touched)
 
 let cmd_staleness state =
   let summary = need_summary state in
@@ -299,10 +299,10 @@ let cmd_summary_info state =
       | None -> "staleness: fresh (no updates since build)"
       | Some r ->
         Printf.sprintf
-          "staleness: %d update%s, %d nodes touched, drift ratio %.4f"
+          "staleness: %d update%s, %d nodes touched"
           r.Summary.Staleness.updates_since_build
           (if r.Summary.Staleness.updates_since_build = 1 then "" else "s")
-          r.Summary.Staleness.nodes_touched r.Summary.Staleness.drift_ratio);
+          r.Summary.Staleness.nodes_touched);
     ]
 
 let cmd_load_summary state path =

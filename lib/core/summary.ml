@@ -733,17 +733,16 @@ let rebuild t =
     Hashtbl.reset t.lph_cache;
     t.maint <- None
 
-let apply ?(policy = `Threshold 0.5) t updates =
-  let st = maint_state t in
-  List.iter (fun u -> ignore (Apply.apply_update st u)) updates;
+(* Bring the summary in line with the engine's document revision.
+   Regenerate the derived parts of every entry from the maintained ground
+   truth.  The position histogram object is untouched (it was mutated in
+   place, version counters bumped); coverage and level histograms are
+   rebuilt from exact counts through the same finalization the streaming
+   builders use, and the no-overlap flag follows the exact nesting-pair
+   count (schema overlap overrides from the original build are not
+   preserved under maintenance). *)
+let commit t st =
   t.doc <- Some (Apply.document st);
-  (* Regenerate the derived parts of every entry from the maintained
-     ground truth.  The position histogram object is untouched (it was
-     mutated in place, version counters bumped); coverage and level
-     histograms are rebuilt from exact counts through the same
-     finalization the streaming builders use, and the no-overlap flag
-     follows the exact nesting-pair count (schema overlap overrides from
-     the original build are not preserved under maintenance). *)
   let populations = Apply.populations st in
   List.iter
     (fun r ->
@@ -772,7 +771,16 @@ let apply ?(policy = `Threshold 0.5) t updates =
     (fun key ->
       if not (Hashtbl.mem t.entries key) then Catalog.remove t.hcat key)
     (Catalog.keys t.hcat);
-  Hashtbl.reset t.lph_cache;
+  Hashtbl.reset t.lph_cache
+
+(* The engine mutates the shared histograms edit by edit, so when an
+   update is rejected the edits before it are already in them: commit
+   that prefix before the exception propagates. *)
+let apply ?(policy = `Never) t updates =
+  let st = maint_state t in
+  Fun.protect
+    ~finally:(fun () -> commit t st)
+    (fun () -> List.iter (Apply.apply_update st) updates);
   if Staleness.needs_rebuild policy (Apply.staleness st) then rebuild t
 
 (* Resolution order: catalog entry, then on-demand cache, then (for

@@ -210,16 +210,12 @@ val storage_bytes : t -> int
 
     A summary built over a document can follow that document's evolution
     without a full rebuild per edit: {!apply} funnels {!Update.t} ops
-    through the {!Xmlest_maintain.Apply} engine.  Deletions, appends at
-    the end of the document and text/attribute replacements are applied
-    {e exactly} — after [apply], {!to_string} is bit-identical to a fresh
-    {!build} of the edited document on the same grid (property-tested).
-    Interior inserts are approximate: the inserted nodes are charged at
-    their true cells, pre-existing nodes whose positions shifted keep
-    stale cells, and a sound drift bound accumulates in {!staleness}
-    (the L1 gap to a same-grid rebuild of each position histogram is at
-    most twice its reported drift mass; totals, counts and level
-    histograms stay exact).
+    through the {!Xmlest_maintain.Apply} engine.  Every edit class is
+    applied {e exactly}: deletions, inserts anywhere in the document and
+    text/attribute replacements leave {!to_string} bit-identical to a
+    fresh {!build} of the edited document on the same grid
+    (property-tested for each class and for mixed streams, on uniform and
+    equi-depth grids, for sequential and parallel-built summaries).
 
     Maintenance mutates position histograms in place, bumping their
     version counters, so memoized pH-join coefficients in {!hist_catalog}
@@ -233,21 +229,23 @@ module Update = Xmlest_maintain.Update
 module Staleness = Xmlest_maintain.Staleness
 
 val apply : ?policy:Staleness.policy -> t -> Update.t list -> unit
-(** Apply an update stream in order, maintain every histogram, then
-    consult [policy] (default [`Threshold 0.5]): when the accumulated
-    drift ratio exceeds the bound, the summary is {!rebuild}t from the
-    updated document.  Raises [Failure] when the summary carries no
+(** Apply an update stream in order and maintain every histogram, then
+    consult [policy] (default [`Never]; [`Always] {!rebuild}s from the
+    updated document).  Raises [Failure] when the summary carries no
     document (loaded from disk) and [Invalid_argument] on out-of-range
-    node references. *)
+    node references.  A rejected update ends the batch: the updates
+    before it stay applied, and the summary (its document, histograms and
+    {!staleness} counters) describes exactly that prefix when the
+    exception propagates. *)
 
 val staleness : t -> Staleness.report option
-(** Drift accumulated since the last (re)build; [None] when no update was
-    ever applied (no maintenance engine exists yet). *)
+(** Updates and touched nodes since the last (re)build; [None] when no
+    update was ever applied (no maintenance engine exists yet). *)
 
 val rebuild : t -> unit
 (** Full fused rebuild from the current document revision, swapped in
     place: the grid is re-derived at the same size and kind, histograms
-    and the coefficient catalog are replaced, drift counters reset.
+    and the coefficient catalog are replaced, maintenance counters reset.
     No-op for summaries without a document. *)
 
 val pp_stats : Format.formatter -> t -> unit

@@ -19,7 +19,7 @@ type pred_state = {
       (* (covered cell, covering cell) -> covered-node count *)
   mutable pairs : int;  (* nesting (ancestor, descendant) matching pairs *)
   mutable count : int;  (* matching nodes *)
-  drift : Staleness.counters;
+  mutable touched : int;  (* matching nodes whose statistics an edit moved *)
 }
 
 type t = {
@@ -32,10 +32,7 @@ type t = {
   mutable updates : int;
 }
 
-type outcome = { exact : bool; nodes_touched : int; drift_added : float }
-
 let document t = t.doc
-let update_count t = t.updates
 
 (* --- small helpers ----------------------------------------------------- *)
 
@@ -109,7 +106,7 @@ let init ~grid ~pop ~with_levels ~entries doc =
              cvg = Hashtbl.create 64;
              pairs = 0;
              count = 0;
-             drift = Staleness.fresh ();
+             touched = 0;
            })
          entries)
   in
@@ -181,7 +178,79 @@ let init ~grid ~pop ~with_levels ~entries doc =
   done;
   t
 
-(* --- deletions (always exact) ------------------------------------------ *)
+(* --- subtree sweeps ------------------------------------------------------ *)
+
+(* Call [f u] for every node [u] strictly inside [a]'s subtree with no
+   matching node strictly between [a] and [u]: the nodes whose nearest
+   matching strict ancestor is [a] when [a] matches.  Matching
+   descendants are visited but their subtrees skipped, so the scan costs
+   the nodes it visits, with no walk up from each. *)
+let iter_covered ps doc a f =
+  let last = Document.subtree_last doc a in
+  let w = ref (a + 1) in
+  while !w <= last do
+    let u = !w in
+    f u;
+    w := if ps.compiled u then Document.subtree_last doc u + 1 else u + 1
+  done
+
+(* Call [f w ~matched ~na ~anc] for every node [w] of the subtree whose
+   pre-order range is [lo .. hi] ([lo] its root), in document order, with
+   whether [w] matches [ps], its nearest matching strict ancestor ([-1]
+   when none) and its number of matching strict ancestors.  Both derive
+   from the parent's values, so after one chain walk for [lo] the range
+   costs O(hi - lo + 1) however deep it sits: a walk per node would be
+   quadratic on a deep chain. *)
+let sweep_subtree ps doc lo hi f =
+  let k = hi - lo + 1 in
+  let hit = Array.make k false and na = Array.make k (-1) and anc = Array.make k 0 in
+  for w = lo to hi do
+    let x = w - lo in
+    if x = 0 then begin
+      na.(0) <- nearest_anc ps doc lo;
+      anc.(0) <- anc_matches ps doc lo
+    end
+    else begin
+      let y = Document.parent doc w - lo in
+      na.(x) <- (if hit.(y) then y + lo else na.(y));
+      anc.(x) <- (if hit.(y) then anc.(y) + 1 else anc.(y))
+    end;
+    hit.(x) <- ps.compiled w;
+    f w ~matched:hit.(x) ~na:na.(x) ~anc:anc.(x)
+  done
+
+(* Add ([sign = 1]) or subtract ([sign = -1]) the subtree range
+   [lo .. hi] of [doc] to or from every maintained statistic: population
+   and histogram mass, counts, levels, the nesting pairs each node closes
+   as the descendant endpoint, and each node's own (covered-side)
+   coverage entry.  Everything is read off [doc], so the range must be
+   the doomed subtree on the pre-delete revision or the inserted one on
+   the post-insert revision; a same-grid rebuild buckets the nodes
+   identically, via the clamped [Grid.cell_of_node]. *)
+let feed_range t doc ~sign lo hi =
+  let g = t.grid.Grid.size in
+  let d = float_of_int sign in
+  let cells = Array.init (hi - lo + 1) (fun x -> cell_idx t doc (lo + x)) in
+  Array.iter
+    (fun c ->
+      t.pop_counts.(c) <- t.pop_counts.(c) + sign;
+      Position_histogram.add t.pop ~i:(c / g) ~j:(c mod g) d)
+    cells;
+  Array.iter
+    (fun ps ->
+      sweep_subtree ps doc lo hi (fun w ~matched ~na ~anc ->
+          let c = cells.(w - lo) in
+          if na >= 0 then tbl_add ps.cvg (c, cell_idx t doc na) sign;
+          if matched then begin
+            hist_add ps ~i:(c / g) ~j:(c mod g) d;
+            ps.count <- ps.count + sign;
+            if t.with_levels then level_add ps (Document.level doc w) d;
+            ps.pairs <- ps.pairs + (sign * anc);
+            ps.touched <- ps.touched + 1
+          end))
+    t.preds
+
+(* --- deletions --------------------------------------------------------- *)
 
 (* Subtree deletion is label-preserving, so survivors keep their cells and
    their ancestor chains (an ancestor of a survivor cannot sit inside the
@@ -191,190 +260,90 @@ let init ~grid ~pop ~with_levels ~entries doc =
    all statistics exactly. *)
 let apply_delete t v =
   let doc = t.doc in
-  let n = Document.size doc in
-  if v <= 0 || v >= n then
+  if v <= 0 || v >= Document.size doc then
     invalid_arg "Apply: delete node is the root or out of range";
-  let last = Document.subtree_last doc v in
-  let k = last - v + 1 in
-  for d = v to last do
-    let i, j = cell_ij t doc d in
-    let c = Grid.index t.grid ~i ~j in
-    t.pop_counts.(c) <- t.pop_counts.(c) - 1;
-    Position_histogram.add t.pop ~i ~j (-1.0);
-    Array.iter
-      (fun ps ->
-        let na = nearest_anc ps doc d in
-        if na >= 0 then tbl_add ps.cvg (c, cell_idx t doc na) (-1);
-        if ps.compiled d then begin
-          hist_add ps ~i ~j (-1.0);
-          ps.count <- ps.count - 1;
-          if t.with_levels then level_add ps (Document.level doc d) (-1.0);
-          ps.pairs <- ps.pairs - anc_matches ps doc d;
-          ps.drift.Staleness.nodes_touched <- ps.drift.Staleness.nodes_touched + 1
-        end)
-      t.preds
-  done;
+  feed_range t doc ~sign:(-1) v (Document.subtree_last doc v);
   t.doc <- Document.delete_subtree doc v;
-  recompile t;
-  { exact = true; nodes_touched = k; drift_added = 0.0 }
+  recompile t
 
 (* --- insertions -------------------------------------------------------- *)
 
-(* Feed the freshly inserted nodes [root .. root + k - 1] of the
-   post-edit document: their cells, counts, levels, nesting pairs and
-   coverage entries are all computed from true positions, so this step is
-   exact for appends and interior inserts alike (a same-grid rebuild
-   buckets the new nodes identically, via the clamped [Grid.cell_of_node]). *)
-let feed_new_nodes t root k =
+(* One exact path for appends and interior inserts.  Inserting [k] nodes
+   at index [root] changes no survivor's ancestors or matches, so counts,
+   levels and nesting pairs only gain the new subtree's.  What shifts are
+   positions, by [2k]: the end of every node on [parent]'s
+   ancestor-or-self chain, and both ends of every survivor past the locus
+   (index >= [root + k] after the edit, [k] less before it).  A shifted
+   node's statistics change only when its cell does (a start or end
+   crossing a bucket boundary, or clamping past the grid's [max_pos]).
+   Such a mover re-keys its population and histogram mass and its own
+   coverage entry, which also follows its covering ancestor's new cell;
+   when it matches, the entries of the nodes it is the nearest matching
+   ancestor of follow its cell too.  An append has no survivor past the
+   locus; an interior insert pays one O(n) cell compare, the order of the
+   document copy the edit already makes. *)
+let apply_insert t ~parent ~index subtree =
   let doc = t.doc in
-  for w = root to root + k - 1 do
-    let i, j = cell_ij t doc w in
-    let c = Grid.index t.grid ~i ~j in
-    t.pop_counts.(c) <- t.pop_counts.(c) + 1;
-    Position_histogram.add t.pop ~i ~j 1.0;
-    Array.iter
-      (fun ps ->
-        let na = nearest_anc ps doc w in
-        if na >= 0 then tbl_add ps.cvg (c, cell_idx t doc na) 1;
-        if ps.compiled w then begin
-          hist_add ps ~i ~j 1.0;
-          ps.count <- ps.count + 1;
-          if t.with_levels then level_add ps (Document.level doc w) 1.0;
-          ps.pairs <- ps.pairs + anc_matches ps doc w;
-          ps.drift.Staleness.nodes_touched <- ps.drift.Staleness.nodes_touched + 1
-        end)
-      t.preds
-  done
-
-(* Exact append path.  Appending at the very end of the document shifts
-   only the end positions of the parent's ancestor-or-self chain (every
-   other node's interval lies strictly before the locus), so the fixup is
-   confined to chain nodes whose end bucket actually changed: move their
-   population and histogram mass, their covered-side coverage entry, and —
-   when the node itself matches a predicate — the coverage entries it
-   covers, by resweeping its old subtree.  Cells are read from the chain
-   map pre-edit and from the document post-edit. *)
-let apply_append t ~parent ~index subtree =
-  let doc = t.doc in
-  (* Ancestor-or-self chain of [parent] with pre-edit cells; indices below
-     the splice point are stable across the edit. *)
-  let chain = Hashtbl.create 8 in
-  let rec collect u =
-    if u >= 0 then begin
-      Hashtbl.replace chain u (cell_ij t doc u);
-      collect (Document.parent doc u)
-    end
-  in
-  collect parent;
+  if parent < 0 || parent >= Document.size doc then
+    invalid_arg "Apply: insert parent out of range";
   let doc', root = Document.insert_subtree doc ~parent ~index subtree in
   let k = Document.subtree_size doc' root in
   t.doc <- doc';
   recompile t;
-  let old_ij w =
-    match Hashtbl.find_opt chain w with Some ij -> ij | None -> cell_ij t doc' w
+  let g = t.grid.Grid.size in
+  let new_cell w = cell_idx t doc' w in
+  (* Survivor [w] of [doc'] had index [w - k] in [doc] past the new range. *)
+  let moved = Hashtbl.create 16 in
+  let consider w =
+    let oc = cell_idx t doc (if w < root then w else w - k) in
+    let nc = new_cell w in
+    if not (Int.equal oc nc) then Hashtbl.replace moved w (oc, nc)
   in
-  let new_ij w = cell_ij t doc' w in
-  let idx (i, j) = Grid.index t.grid ~i ~j in
-  let moved =
-    Hashtbl.fold
-      (fun a (oi, oj) acc ->
-        let ni, nj = new_ij a in
-        if Int.equal oi ni && Int.equal oj nj then acc
-        else (a, (oi, oj), (ni, nj)) :: acc)
-      chain []
+  let rec chain u =
+    if u >= 0 then begin
+      consider u;
+      chain (Document.parent doc' u)
+    end
   in
-  let moved_tbl = Hashtbl.create 8 in
-  List.iter (fun (a, _, _) -> Hashtbl.replace moved_tbl a ()) moved;
-  List.iter
-    (fun (a, (oi, oj), (ni, nj)) ->
-      let oc = Grid.index t.grid ~i:oi ~j:oj in
-      let nc = Grid.index t.grid ~i:ni ~j:nj in
+  chain parent;
+  for w = root + k to Document.size doc' - 1 do
+    consider w
+  done;
+  let old_cell w =
+    match Hashtbl.find_opt moved w with Some (oc, _) -> oc | None -> new_cell w
+  in
+  Hashtbl.iter
+    (fun a (oc, nc) ->
       t.pop_counts.(oc) <- t.pop_counts.(oc) - 1;
       t.pop_counts.(nc) <- t.pop_counts.(nc) + 1;
-      Position_histogram.add t.pop ~i:oi ~j:oj (-1.0);
-      Position_histogram.add t.pop ~i:ni ~j:nj 1.0;
+      Position_histogram.add t.pop ~i:(oc / g) ~j:(oc mod g) (-1.0);
+      Position_histogram.add t.pop ~i:(nc / g) ~j:(nc mod g) 1.0;
       Array.iter
         (fun ps ->
-          (* Covered side: [a]'s own coverage entry moves with its cell
-             (and with its covering ancestor's cell, itself possibly a
-             moved chain node). *)
-          (let na = nearest_anc ps doc' a in
-           if na >= 0 then begin
-             tbl_add ps.cvg (oc, idx (old_ij na)) (-1);
-             tbl_add ps.cvg (nc, idx (new_ij na)) 1
-           end);
+          let na = nearest_anc ps doc' a in
+          if na >= 0 then begin
+            tbl_add ps.cvg (oc, old_cell na) (-1);
+            tbl_add ps.cvg (nc, new_cell na) 1
+          end;
           if ps.compiled a then begin
-            hist_add ps ~i:oi ~j:oj (-1.0);
-            hist_add ps ~i:ni ~j:nj 1.0;
-            ps.drift.Staleness.nodes_touched <- ps.drift.Staleness.nodes_touched + 1;
-            (* Covering side: descendants of [a] whose nearest matching
-               ancestor is [a] still point at its old cell.  Only *moved*
-               chain nodes are skipped (their covered-side handler above
-               already re-keyed both sides of their entry); a chain node
-               whose end shifted within its bucket kept its cell but still
-               needs the covering side re-keyed.  New nodes are fed
-               afterwards. *)
-            for w = a + 1 to Document.subtree_last doc' a do
-              if (w < root || w >= root + k) && not (Hashtbl.mem moved_tbl w)
-              then
-                if Int.equal (nearest_anc ps doc' w) a then begin
-                  let cw = idx (new_ij w) in
-                  tbl_add ps.cvg (cw, oc) (-1);
-                  tbl_add ps.cvg (cw, nc) 1
-                end
-            done
+            hist_add ps ~i:(oc / g) ~j:(oc mod g) (-1.0);
+            hist_add ps ~i:(nc / g) ~j:(nc mod g) 1.0;
+            ps.touched <- ps.touched + 1;
+            (* Movers among the nodes [a] covers re-keyed both sides of
+               their entry above; the new subtree is fed afterwards. *)
+            iter_covered ps doc' a (fun u ->
+                if (u < root || u >= root + k) && not (Hashtbl.mem moved u)
+                then begin
+                  let cu = new_cell u in
+                  tbl_add ps.cvg (cu, oc) (-1);
+                  tbl_add ps.cvg (cu, nc) 1
+                end)
           end)
         t.preds)
     moved;
-  feed_new_nodes t root k;
-  {
-    exact = true;
-    nodes_touched = k + List.length moved;
-    drift_added = 0.0;
-  }
+  feed_range t doc' ~sign:1 root (root + k - 1)
 
-(* Approximate interior-insert path: survivors whose positions shifted
-   keep their stale cells; the sound drift bound charges, per predicate,
-   the full histogram mass of cells whose end bucket is at or after the
-   locus bucket — a superset of the nodes whose end position moved.  New
-   nodes are still fed exactly. *)
-let apply_interior t ~parent ~index subtree =
-  let doc', root = Document.insert_subtree t.doc ~parent ~index subtree in
-  let locus = Document.start_pos doc' root in
-  let jb = Grid.bucket t.grid (Int.min locus t.grid.Grid.max_pos) in
-  let g = t.grid.Grid.size in
-  let drift = ref 0.0 in
-  Array.iter
-    (fun ps ->
-      let mass = ref 0.0 in
-      for j = jb to g - 1 do
-        for i = 0 to j do
-          mass := !mass +. Position_histogram.get ps.hist ~i ~j
-        done
-      done;
-      ps.drift.Staleness.drift_mass <- ps.drift.Staleness.drift_mass +. !mass;
-      drift := !drift +. !mass)
-    t.preds;
-  t.doc <- doc';
-  recompile t;
-  let k = Document.subtree_size doc' root in
-  feed_new_nodes t root k;
-  { exact = false; nodes_touched = k; drift_added = !drift }
-
-let apply_insert t ~parent ~index subtree =
-  let doc = t.doc in
-  let n = Document.size doc in
-  if parent < 0 || parent >= n then
-    invalid_arg "Apply: insert parent out of range";
-  let nkids = List.length (Document.children doc parent) in
-  let appends =
-    (index < 0 || index >= nkids)
-    && Int.equal (Document.subtree_last doc parent) (n - 1)
-  in
-  if appends then apply_append t ~parent ~index subtree
-  else apply_interior t ~parent ~index subtree
-
-(* --- in-place replacements (always exact) ------------------------------ *)
+(* --- in-place replacements ---------------------------------------------- *)
 
 (* Positions are untouched; only the matched set of the edited node can
    flip, per predicate.  A flip moves one unit of histogram/level/count
@@ -396,59 +365,42 @@ let apply_replace t v edit =
   recompile t;
   let i, j = cell_ij t doc' v in
   let cv = Grid.index t.grid ~i ~j in
-  let touched = ref 0 in
   Array.iteri
     (fun u ps ->
       let after = ps.compiled v in
       if not (Bool.equal before.(u) after) then begin
-        incr touched;
         let d = if after then 1 else -1 in
         hist_add ps ~i ~j (float_of_int d);
         ps.count <- ps.count + d;
         if t.with_levels then
           level_add ps (Document.level doc' v) (float_of_int d);
-        ps.drift.Staleness.nodes_touched <- ps.drift.Staleness.nodes_touched + 1;
+        ps.touched <- ps.touched + 1;
         (* Nesting pairs with [v] as descendant, then as ancestor. *)
         let desc = ref 0 in
         for w = v + 1 to Document.subtree_last doc' v do
           if ps.compiled w then incr desc
         done;
         ps.pairs <- (ps.pairs + (d * (anc_matches ps doc' v + !desc)));
-        (* Coverage: descendants whose nearest matching ancestor walk hits
-           [v] first switch between [v] and [v]'s own nearest match. *)
+        (* Coverage: the nodes [v] covers when it matches switch between
+           [v] and [v]'s own nearest match. *)
         let na_v = nearest_anc ps doc' v in
         let na_v_cell = if na_v >= 0 then cell_idx t doc' na_v else -1 in
-        for w = v + 1 to Document.subtree_last doc' v do
-          (* Walk up from [w]; stop at the first matching node or at [v]. *)
-          let rec hits_v u =
-            if u < 0 then false
-            else if Int.equal u v then true
-            else if ps.compiled u then false
-            else hits_v (Document.parent doc' u)
-          in
-          if hits_v (Document.parent doc' w) then begin
+        iter_covered ps doc' v (fun w ->
             let cw = cell_idx t doc' w in
-            if after then begin
-              if na_v_cell >= 0 then tbl_add ps.cvg (cw, na_v_cell) (-1);
-              tbl_add ps.cvg (cw, cv) 1
-            end
-            else begin
-              tbl_add ps.cvg (cw, cv) (-1);
-              if na_v_cell >= 0 then tbl_add ps.cvg (cw, na_v_cell) 1
-            end
-          end
-        done
+            if na_v_cell >= 0 then tbl_add ps.cvg (cw, na_v_cell) (-d);
+            tbl_add ps.cvg (cw, cv) d)
       end)
-    t.preds;
-  { exact = true; nodes_touched = 1; drift_added = 0.0 }
+    t.preds
 
+(* Counted only once the edit went through: a rejected update leaves the
+   engine as it was. *)
 let apply_update t u =
-  t.updates <- t.updates + 1;
-  match u with
+  (match u with
   | Update.Delete { node } -> apply_delete t node
   | Update.Insert { parent; index; subtree } -> apply_insert t ~parent ~index subtree
   | Update.Replace_text { node; text } -> apply_replace t node (`Text text)
-  | Update.Replace_attrs { node; attrs } -> apply_replace t node (`Attrs attrs)
+  | Update.Replace_attrs { node; attrs } -> apply_replace t node (`Attrs attrs));
+  t.updates <- t.updates + 1
 
 (* --- regeneration views ------------------------------------------------ *)
 
@@ -494,11 +446,6 @@ let results t =
        t.preds)
 
 let staleness t =
-  let live_mass =
-    Array.fold_left
-      (fun acc ps -> acc +. Position_histogram.total ps.hist)
-      0.0 t.preds
-  in
-  Staleness.make_report ~updates_since_build:t.updates ~live_mass
+  Staleness.make_report ~updates_since_build:t.updates
     ~per_predicate:
-      (Array.to_list (Array.map (fun ps -> (ps.name, ps.drift)) t.preds))
+      (Array.to_list (Array.map (fun ps -> (ps.name, ps.touched)) t.preds))

@@ -1,20 +1,23 @@
 (** Incremental statistics maintenance engine.
 
     Applies {!Update.t} edits to a live set of summary statistics without
-    rebuilding them from the document:
+    rebuilding them from the document.  Every edit class is exact: after
+    each edit the maintained histograms are bit-identical to a same-grid
+    rebuild on the edited document (the exact-stream property tests pin
+    this for each class and for mixed streams).
 
-    - {b Deletions} and {b end-of-document appends} are applied exactly:
-      the affected nodes' cells are subtracted from / fed into the same
-      per-cell counts the streaming builders accumulate, so the maintained
-      histograms stay bit-identical to a same-grid rebuild on the edited
-      document (the delete/append property tests pin this).
-    - {b Interior inserts} are approximate: the new subtree is fed exactly
-      at its insertion locus, but pre-existing nodes whose positions
-      shifted keep their stale cells; a sound per-predicate drift bound
-      (see {!Staleness}) is accumulated instead.
-    - {b Text/attribute replacements} are exact: only the edited node's
-      matched set can flip, and the flip is propagated to counts, levels,
-      nesting pairs and the coverage entries of its subtree.
+    - {b Deletions} subtract the doomed subtree's cells from the same
+      per-cell counts the streaming builders accumulate; survivors keep
+      their positions (deletes are label-preserving).
+    - {b Inserts}, at the end of the document or anywhere inside it, feed
+      the new subtree at its true cells and re-key every survivor whose
+      shifted start or end crossed into another cell: the parent's
+      ancestor chain and the nodes past the insertion locus.  Appends have
+      no nodes past the locus; interior inserts compare their cells in
+      one pass.
+    - {b Text/attribute replacements} only flip the edited node's matched
+      set; the flip is propagated to counts, levels, nesting pairs and the
+      coverage entries of its subtree.
 
     Position histograms are mutated in place via
     [Position_histogram.add], so each edit bumps their version counters
@@ -32,12 +35,6 @@ open Xmlest_histogram
 
 type t
 
-type outcome = {
-  exact : bool;  (** false only for interior inserts *)
-  nodes_touched : int;
-  drift_added : float;  (** drift mass added across predicates *)
-}
-
 val init :
   grid:Grid.t ->
   pop:Position_histogram.t ->
@@ -51,15 +48,13 @@ val init :
     place by later updates, not recomputed here); [entries] lists the
     summary's base predicates deduplicated in first-occurrence order. *)
 
-val apply_update : t -> Update.t -> outcome
+val apply_update : t -> Update.t -> unit
 (** Apply one edit to the document and all maintained statistics.  Raises
-    [Invalid_argument] on out-of-range node references (the document is
-    then unchanged). *)
+    [Invalid_argument] on out-of-range node references; the engine, its
+    document and its update count are then unchanged. *)
 
 val document : t -> Document.t
 (** The current (post-edit) document revision. *)
-
-val update_count : t -> int
 
 val populations : t -> float array
 (** Dense per-cell node counts over all nodes, maintained exactly — the

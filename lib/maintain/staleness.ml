@@ -1,61 +1,31 @@
-type counters = {
-  mutable nodes_touched : int;
-  mutable drift_mass : float;
-}
-
-let fresh () = { nodes_touched = 0; drift_mass = 0.0 }
-
-type policy = [ `Never | `Threshold of float | `Always ]
+type policy = [ `Never | `Always ]
 
 type report = {
   updates_since_build : int;
   nodes_touched : int;
-  drift_mass : float;
-  live_mass : float;
-  drift_ratio : float;
-  per_predicate : (string * counters) list;
+  per_predicate : (string * int) list;
 }
 
-let make_report ~updates_since_build ~live_mass ~per_predicate =
+let make_report ~updates_since_build ~per_predicate =
   let nodes_touched =
-    List.fold_left
-      (fun acc ((_, c) : string * counters) -> acc + c.nodes_touched)
-      0 per_predicate
+    List.fold_left (fun acc ((_, c) : string * int) -> acc + c) 0 per_predicate
   in
-  let drift_mass =
-    List.fold_left
-      (fun acc ((_, c) : string * counters) -> acc +. c.drift_mass)
-      0.0 per_predicate
-  in
-  {
-    updates_since_build;
-    nodes_touched;
-    drift_mass;
-    live_mass;
-    drift_ratio = drift_mass /. Float.max live_mass 1.0;
-    per_predicate;
-  }
+  { updates_since_build; nodes_touched; per_predicate }
 
 let needs_rebuild policy report =
   match policy with
   | `Never -> false
   | `Always -> report.updates_since_build > 0
-  | `Threshold bound -> report.drift_ratio > bound
 
 let pp_policy ppf policy =
   match policy with
   | `Never -> Format.pp_print_string ppf "never"
   | `Always -> Format.pp_print_string ppf "always"
-  | `Threshold bound -> Format.fprintf ppf "threshold %g" bound
 
 let pp_report ppf r =
-  Format.fprintf ppf
-    "updates since build: %d@.nodes touched: %d@.drift mass: %.1f (ratio %.4f \
-     of %.0f live)@."
-    r.updates_since_build r.nodes_touched r.drift_mass r.drift_ratio r.live_mass;
+  Format.fprintf ppf "updates since build: %d@.nodes touched: %d@."
+    r.updates_since_build r.nodes_touched;
   List.iter
-    (fun ((name, c) : string * counters) ->
-      if c.nodes_touched > 0 || c.drift_mass > 0.0 then
-        Format.fprintf ppf "  %-32s touched %6d  drift %10.1f@." name
-          c.nodes_touched c.drift_mass)
+    (fun ((name, c) : string * int) ->
+      if c > 0 then Format.fprintf ppf "  %-32s touched %6d@." name c)
     r.per_predicate

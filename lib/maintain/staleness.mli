@@ -1,48 +1,30 @@
-(** Drift accounting for incrementally maintained summaries.
+(** Maintenance counters for incrementally maintained summaries.
 
-    The {!Apply} engine keeps one {!counters} record per predicate:
-    [nodes_touched] counts matching nodes whose statistics were edited
-    (exactly or approximately), and [drift_mass] accumulates the sound
-    over-bound on how many matching nodes may sit in a stale grid cell
-    after approximate (interior-insert) updates — for every interior
-    insert, the full histogram mass of cells whose end bucket is at or
-    after the insertion locus is charged, since exactly the nodes whose
-    end position shifted can have moved cells.  The L1 distance between a
-    maintained position histogram and a same-grid rebuild is at most
-    [2 *. drift_mass] (each misplaced node leaves one cell and enters
-    another); this is the exact-vs-drift invariant the property tests pin.
+    Every edit class is maintained exactly (a maintained summary stays
+    bit-identical to a same-grid rebuild of the edited document), so
+    staleness is not a question of accuracy: the report only says how much
+    work maintenance has done since the last (re)build.  The {!Apply}
+    engine counts, per predicate, the matching nodes whose statistics an
+    edit touched.
 
-    A {!policy} decides when accumulated drift forces a full fused
+    A {!policy} decides whether an apply batch ends in a full fused
     rebuild. *)
 
-type counters = {
-  mutable nodes_touched : int;
-  mutable drift_mass : float;
-}
-
-val fresh : unit -> counters
-
-type policy = [ `Never | `Threshold of float | `Always ]
+type policy = [ `Never | `Always ]
 (** [`Never] applies updates incrementally forever; [`Always] rebuilds
-    after every {e apply} batch that processed at least one update;
-    [`Threshold f] rebuilds when the global drift ratio (drift mass over
-    live histogram mass) exceeds [f].  Delete- and append-only streams
-    accumulate zero drift, so they never trigger a [`Threshold] rebuild. *)
+    after every {e apply} batch that processed at least one update (which
+    also re-derives the grid, so uniform grids regain dense position
+    coverage after appends widened the position space). *)
 
 type report = {
   updates_since_build : int;
   nodes_touched : int;  (** sum over predicates *)
-  drift_mass : float;  (** sum over predicates *)
-  live_mass : float;  (** total matching-node mass across predicates *)
-  drift_ratio : float;  (** [drift_mass /. Float.max live_mass 1.0] *)
-  per_predicate : (string * counters) list;
+  per_predicate : (string * int) list;
+      (** matching nodes touched, per predicate name *)
 }
 
 val make_report :
-  updates_since_build:int ->
-  live_mass:float ->
-  per_predicate:(string * counters) list ->
-  report
+  updates_since_build:int -> per_predicate:(string * int) list -> report
 
 val needs_rebuild : policy -> report -> bool
 

@@ -21,6 +21,20 @@ type t = {
 
 let dummy_root_tag = "#root"
 
+(* Tag id -> node indices in document order, by counting sort: one pass
+   sizes every bucket, a second fills them in index order. *)
+let index_by_tag ~tag_ids ~num_tags =
+  let counts = Array.make num_tags 0 in
+  Array.iter (fun id -> counts.(id) <- counts.(id) + 1) tag_ids;
+  let by_tag = Array.map (fun c -> Array.make c 0) counts in
+  Array.fill counts 0 num_tags 0;
+  Array.iteri
+    (fun v id ->
+      by_tag.(id).(counts.(id)) <- v;
+      counts.(id) <- counts.(id) + 1)
+    tag_ids;
+  by_tag
+
 (* Compile an element tree into the store with an explicit stack so that
    arbitrarily deep documents do not overflow the OCaml stack. *)
 let of_elem root =
@@ -81,11 +95,9 @@ let of_elem root =
         subtree_lasts.(v) <- !index - 1)
   done;
   let tag_names = Array.of_list (List.rev !tag_names) in
-  let buckets = Array.make (Array.length tag_names) [] in
-  for v = n - 1 downto 0 do
-    buckets.(tag_ids.(v)) <- v :: buckets.(tag_ids.(v))
-  done;
-  let by_tag = Lazy.from_val (Array.map Array.of_list buckets) in
+  let by_tag =
+    Lazy.from_val (index_by_tag ~tag_ids ~num_tags:(Array.length tag_names))
+  in
   {
     tag_ids;
     tag_names;
@@ -182,13 +194,6 @@ let tag_count t tag = Array.length (nodes_with_tag t tag)
 (* the new subtree densely at the locus.                               *)
 (* ------------------------------------------------------------------ *)
 
-let rebuild_by_tag ~tag_ids ~num_tags =
-  let buckets = Array.make num_tags [] in
-  for v = Array.length tag_ids - 1 downto 0 do
-    buckets.(tag_ids.(v)) <- v :: buckets.(tag_ids.(v))
-  done;
-  Array.map Array.of_list buckets
-
 let delete_subtree t v =
   let n = size t in
   if v <= 0 || v >= n then
@@ -239,7 +244,7 @@ let delete_subtree t v =
     levels;
     parents;
     subtree_lasts;
-    by_tag = lazy (rebuild_by_tag ~tag_ids ~num_tags);
+    by_tag = lazy (index_by_tag ~tag_ids ~num_tags);
   }
 
 let insert_subtree t ~parent ~index elem =
@@ -358,7 +363,7 @@ let insert_subtree t ~parent ~index elem =
       levels;
       parents;
       subtree_lasts;
-      by_tag = lazy (rebuild_by_tag ~tag_ids ~num_tags);
+      by_tag = lazy (index_by_tag ~tag_ids ~num_tags);
       max_pos = t.max_pos + shift;
     }
   in

@@ -1,7 +1,8 @@
 (* Maintenance subsystem tests: document edit helpers, exact-vs-rebuild
-   bit-identity for delete/append/replace streams, the interior-insert
-   drift bound, catalog counter behavior under maintenance, and the
-   update line format. *)
+   bit-identity for every edit class (delete, append, interior insert,
+   replace) and mixed streams, rebuild policies and rejected batches,
+   catalog counter behavior under maintenance, and the update line
+   format. *)
 
 open Xmlest_core
 open Xmlest_test_util
@@ -213,17 +214,19 @@ let prop_delete_structure_and_labels =
 
 (* --- Summary maintenance: exact streams are bit-identical -------------- *)
 
+(* The content predicates are the ones [random_replace] can flip. *)
 let base_preds () =
-  [ Xmlest.Predicate.True; tagp "a"; tagp "b"; tagp "c" ]
+  [ Xmlest.Predicate.True; tagp "a"; tagp "b"; tagp "c";
+    Xmlest.Predicate.Text_eq "x"; Xmlest.Predicate.Attr_eq ("k", "v") ]
 
 (* [?domains] selects the build path the maintained summary comes from:
    the default sequential sweep or the partitioned one.  Maintenance
    invariants must hold identically for both — the rebuild reference is
    always sequential, so the parallel variants below also cross-check the
    two construction paths through the whole apply pipeline. *)
-let summary_of ?domains doc =
+let summary_of ?domains ?grid_kind doc =
   let gs = Int.min 8 (D.max_pos doc + 1) in
-  Xmlest.Summary.build ~grid_size:gs ?domains doc (base_preds ())
+  Xmlest.Summary.build ~grid_size:gs ?grid_kind ?domains doc (base_preds ())
 
 let summaries_identical a b =
   String.equal (Xmlest.Summary.to_string a) (Xmlest.Summary.to_string b)
@@ -271,21 +274,52 @@ let stream ~k ~pick rng doc =
   in
   go doc k []
 
-let exact_stream_prop ~name ?domains pick =
+(* The lazily rebuilt tag index of an edited revision must list, for every
+   tag, including tags first interned by an insert, exactly the nodes a
+   document-order scan finds. *)
+let prop_tag_index_after_edits =
+  QCheck.Test.make ~name:"tag index = tag scan after inserts/deletes" ~count:200
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:30 ()) (int_bound 10000))
+    (fun (elem, seed) ->
+      let doc0 = D.of_elem elem in
+      let pick rng doc =
+        if D.size doc > 1 && Sm.bool rng 0.4 then Some (random_delete rng doc)
+        else
+          let subtree =
+            if Sm.bool rng 0.3 then
+              E.make (Printf.sprintf "new%d" (Sm.int rng 3)) ~children:[ gen_elem rng 2 ]
+            else gen_elem rng 4
+          in
+          Some (U.Insert { parent = Sm.int rng (D.size doc); index = Sm.int rng 3; subtree })
+      in
+      let doc = List.fold_left U.apply_doc doc0 (stream ~k:6 ~pick (Sm.create seed) doc0) in
+      List.for_all
+        (fun id ->
+          let want =
+            List.filter (fun v -> D.tag_id doc v = id) (List.init (D.size doc) Fun.id)
+          in
+          Array.to_list (D.nodes_with_tag_id doc id) = want
+          && Array.to_list (D.nodes_with_tag doc (D.tag_name doc id)) = want)
+        (List.init (D.num_tags doc) Fun.id))
+
+(* Apply [ups] to a summary of [doc] and compare it with a same-grid
+   rebuild of the edited document. *)
+let apply_equals_rebuild ?domains ?grid_kind doc ups =
+  let s = summary_of ?domains ?grid_kind doc in
+  Xmlest.Summary.apply s ups;
+  let doc' = List.fold_left U.apply_doc doc ups in
+  let s' = Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) doc' (base_preds ()) in
+  summaries_identical s s'
+
+let exact_stream_prop ~name ?domains ?grid_kind pick =
   QCheck.Test.make ~name ~count:100
     QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:40 ()) (int_bound 10000))
     (fun (elem, seed) ->
       let doc = D.of_elem elem in
-      let s = summary_of ?domains doc in
       let rng = Xmlest.Splitmix.create seed in
       let ups = stream ~k:4 ~pick rng doc in
       QCheck.assume (List.length ups > 0);
-      Xmlest.Summary.apply ~policy:`Never s ups;
-      let doc' = List.fold_left U.apply_doc doc ups in
-      let s' =
-        Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) doc' (base_preds ())
-      in
-      summaries_identical s s')
+      apply_equals_rebuild ?domains ?grid_kind doc ups)
 
 let prop_delete_stream_exact =
   exact_stream_prop ~name:"delete-only stream: apply = same-grid rebuild"
@@ -323,94 +357,183 @@ let prop_mixed_exact_stream_parallel =
   exact_stream_prop ~domains:4
     ~name:"mixed stream, parallel-built summary: apply = rebuild" mixed_pick
 
-(* --- Interior inserts: drift-bounded, totals exact --------------------- *)
+(* --- Interior inserts and all-kinds streams ------------------------------ *)
 
-let interior_insert_drift_prop ~name ?domains () =
-  QCheck.Test.make ~name ~count:100
-    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:40 ()) (int_bound 10000))
-    (fun (elem, seed) ->
-      let doc = D.of_elem elem in
-      let s = summary_of ?domains doc in
-      let rng = Xmlest.Splitmix.create seed in
-      let ups =
-        stream ~k:4
-          ~pick:(fun rng doc ->
-            let parent = Xmlest.Splitmix.int rng (D.size doc) in
-            let index = Xmlest.Splitmix.int rng 3 in
-            Some (U.Insert { parent; index; subtree = gen_elem rng 4 }))
-          rng doc
-      in
-      QCheck.assume (List.length ups > 0);
-      Xmlest.Summary.apply ~policy:`Never s ups;
-      let doc' = List.fold_left U.apply_doc doc ups in
-      let s' =
-        Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) doc' (base_preds ())
-      in
-      let report =
-        match Xmlest.Summary.staleness s with
-        | Some r -> r
-        | None -> QCheck.Test.fail_report "no staleness report after apply"
-      in
-      let grid = Xmlest.Summary.grid s in
-      List.for_all
-        (fun pred ->
-          let name = Xmlest.Predicate.name pred in
-          let h = Xmlest.Summary.histogram s pred in
-          let h' = Xmlest.Summary.histogram s' pred in
-          let drift =
-            match List.assoc_opt name report.Xmlest.Staleness.per_predicate with
-            | Some c -> c.Xmlest.Staleness.drift_mass
-            | None -> 0.0
-          in
-          let l1 = ref 0.0 in
-          Xmlest.Grid.iter_upper grid (fun ~i ~j ->
-              l1 :=
-                !l1
-                +. Float.abs
-                     (Xmlest.Position_histogram.get h ~i ~j
-                     -. Xmlest.Position_histogram.get h' ~i ~j));
-          !l1 <= (2.0 *. drift) +. 1e-9
-          && Float.equal
-               (Xmlest.Position_histogram.total h)
-               (Xmlest.Position_histogram.total h')
-          && (* level histograms stay exact under interior inserts *)
-          (match (Xmlest.Summary.level s pred, Xmlest.Summary.level s' pred) with
-          | Some a, Some b ->
-            let ca = Xmlest.Level_histogram.counts a in
-            let cb = Xmlest.Level_histogram.counts b in
-            Array.length ca = Array.length cb
-            && Array.for_all2 Float.equal ca cb
-          | None, None -> true
-          | _ -> false))
-        (base_preds ()))
+(* An insert anywhere: under a random parent, before one of its first
+   children or (past the child count) as its last child. *)
+let random_insert rng doc =
+  let parent = Xmlest.Splitmix.int rng (D.size doc) in
+  let index = Xmlest.Splitmix.int rng 3 in
+  U.Insert { parent; index; subtree = gen_elem rng 4 }
 
-let prop_interior_insert_drift_bound =
-  interior_insert_drift_prop
-    ~name:"interior inserts: L1 <= 2*drift, totals exact" ()
+let interior_pick rng doc = Some (random_insert rng doc)
 
-let prop_interior_insert_drift_bound_parallel =
-  interior_insert_drift_prop ~domains:4
-    ~name:"interior inserts on a parallel-built summary: drift bound holds"
-    ()
+let all_kinds_pick rng doc =
+  match Xmlest.Splitmix.int rng 4 with
+  | 0 when D.size doc > 1 -> Some (random_delete rng doc)
+  | 1 -> Some (random_append rng doc)
+  | 2 -> Some (random_replace rng (D.size doc) doc)
+  | _ -> Some (random_insert rng doc)
 
-(* --- Staleness policies ------------------------------------------------ *)
+let prop_interior_stream_exact =
+  exact_stream_prop ~name:"interior inserts: apply = rebuild" interior_pick
+
+let prop_interior_stream_exact_parallel =
+  exact_stream_prop ~domains:4
+    ~name:"interior inserts, parallel-built: apply = rebuild"
+    interior_pick
+
+let prop_interior_stream_exact_equidepth =
+  exact_stream_prop ~grid_kind:`Equidepth
+    ~name:"interior inserts, equi-depth: apply = rebuild" interior_pick
+
+let prop_interior_stream_exact_equidepth_parallel =
+  exact_stream_prop ~domains:4 ~grid_kind:`Equidepth
+    ~name:"interior inserts, equi-depth+parallel: apply = rebuild"
+    interior_pick
+
+let prop_all_kinds_stream_exact =
+  exact_stream_prop ~name:"all kinds: apply = rebuild" all_kinds_pick
+
+let prop_all_kinds_stream_exact_parallel =
+  exact_stream_prop ~domains:4
+    ~name:"all kinds, parallel-built: apply = rebuild"
+    all_kinds_pick
+
+let prop_all_kinds_stream_exact_equidepth =
+  exact_stream_prop ~grid_kind:`Equidepth
+    ~name:"all kinds, equi-depth: apply = rebuild" all_kinds_pick
+
+let prop_all_kinds_stream_exact_equidepth_parallel =
+  exact_stream_prop ~domains:4 ~grid_kind:`Equidepth
+    ~name:"all kinds, equi-depth+parallel: apply = rebuild"
+    all_kinds_pick
+
+let check_exact label doc ups =
+  List.iter
+    (fun (kind, grid_kind) ->
+      Alcotest.(check bool) (label ^ ", " ^ kind) true
+        (apply_equals_rebuild ~grid_kind doc ups))
+    [ ("uniform", `Uniform); ("equi-depth", `Equidepth) ]
+
+(* The new subtree shifts later positions by more than a bucket's width,
+   so survivors past the locus jump whole buckets. *)
+let test_insert_wider_than_a_bucket () =
+  let doc = D.of_elem (Test_util.nested ~depth:3 ~fanout:3) in
+  let wide = E.make "a" ~children:(List.init 30 (fun _ -> E.make "b" ~children:[ E.make "c" ])) in
+  Alcotest.(check bool) "subtree spans buckets" true
+    (2 * E.size wide > (D.max_pos doc + 1) / 8);
+  check_exact "wide insert at the front" doc
+    [ U.Insert { parent = 0; index = 0; subtree = wide } ];
+  check_exact "wide insert mid-document" doc
+    [ U.Insert { parent = 1; index = 1; subtree = wide } ]
+
+(* Under the deepest interior node: the ancestor chain to re-key is the
+   whole document depth. *)
+let test_insert_under_deep_node () =
+  let depth = 40 in
+  let rec chain d =
+    if d = depth then E.make "c"
+    else
+      E.make (if d mod 2 = 0 then "a" else "b")
+        ~children:[ E.make "c"; chain (d + 1); E.make "b" ]
+  in
+  let doc = D.of_elem (chain 0) in
+  let deep =
+    let v = ref 0 in
+    for u = 0 to D.size doc - 1 do
+      if D.level doc u > D.level doc !v && D.subtree_last doc u > u then v := u
+    done;
+    !v
+  in
+  Alcotest.(check bool) "deep parent" true (D.level doc deep >= depth - 1);
+  let sub = E.make "a" ~children:[ E.make "b"; E.make "c" ] in
+  check_exact "insert under a deep node" doc
+    [ U.Insert { parent = deep; index = 0; subtree = sub };
+      U.Insert { parent = deep; index = 1; subtree = sub };
+      U.Insert { parent = deep; index = 99; subtree = sub } ]
+
+(* Inserts near the end push nodes past the grid's [max_pos], where they
+   clamp into the last bucket exactly as a same-grid rebuild puts them. *)
+let test_insert_past_max_pos () =
+  let doc = D.of_elem (Test_util.nested ~depth:3 ~fanout:3) in
+  let last_child = List.length (D.children doc 0) - 1 in
+  let sub = E.make "b" ~children:[ E.make "a"; E.make "c" ] in
+  let ups =
+    [ U.Insert { parent = 0; index = last_child; subtree = sub };
+      U.Insert { parent = 0; index = last_child; subtree = sub };
+      U.Insert { parent = D.size doc - 1; index = 0; subtree = sub } ]
+  in
+  let doc' = List.fold_left U.apply_doc doc ups in
+  Alcotest.(check bool) "survivors pushed past max_pos" true
+    (D.start_pos doc' (D.size doc' - 1) > D.max_pos doc);
+  check_exact "inserts past max_pos" doc ups
+
+(* A matching mover covers the nodes down to the next match below it, not
+   those under a nested match.  Inserting into the outer match shifts its
+   end, not the nested match's subtree before the locus.  An overlapping
+   predicate has no coverage histogram to compare, so each stream then
+   deletes the nested match: the predicate stops overlapping and its
+   coverage entries show. *)
+let test_covering_side_stops_at_nested_matches () =
+  let nest =
+    E.make "a" ~children:[ E.make "a" ~children:[ E.make "c"; E.make "c" ]; E.make "c" ]
+  in
+  let pad = List.init 6 (fun _ -> E.make "x" ~children:[ E.make "y" ]) in
+  let doc = D.of_elem (E.make "r" ~children:(nest :: pad)) in
+  check Alcotest.string "nested match" "a" (D.tag doc 2);
+  for size = 1 to 12 do
+    List.iter
+      (fun index ->
+        let sub = E.make "d" ~children:(List.init (size - 1) (fun _ -> E.make "e")) in
+        check_exact
+          (Printf.sprintf "insert %d nodes at %d, then un-nest" size index)
+          doc
+          [ U.Insert { parent = 1; index; subtree = sub }; U.Delete { node = 2 } ])
+      [ 1; 2 ]
+  done
+
+(* The maintain leg of the deep-chain stack-safety checks: on a
+   100,000-deep chain an interior insert at mid-depth, a delete, a leaf
+   replace and a replace at the top (its whole chain below it flips
+   coverage) stay exact, with no per-level recursion and no walk up from
+   every node. *)
+let test_deep_chain_maintenance () =
+  let depth = 100_000 in
+  let tags = [| "a"; "b"; "c" |] in
+  let e = ref (E.make "c") in
+  for d = depth - 1 downto 0 do
+    e := E.make tags.(d mod 3) ~children:[ !e ]
+  done;
+  let doc = D.of_elem !e in
+  let mid = depth / 2 in
+  let ups =
+    [ U.Insert { parent = mid; index = 0; subtree = E.make "a" ~children:[ E.make "b" ] };
+      U.Delete { node = mid + 30_000 };
+      U.Replace_attrs { node = mid + 29_999; attrs = [ ("k", "v") ] };
+      U.Replace_text { node = 1; text = "x" } ]
+  in
+  Alcotest.(check bool) "deep chain: apply = rebuild" true
+    (apply_equals_rebuild doc ups)
+
+(* --- Rebuild policies and rejected batches ------------------------------ *)
 
 let test_staleness_policies () =
   let doc = D.of_elem (Test_util.fig1 ()) in
   let s = summary_of doc in
   Alcotest.(check bool) "fresh summary has no report" true
     (Xmlest.Summary.staleness s = None);
-  (* An interior insert accrues drift... *)
-  Xmlest.Summary.apply ~policy:`Never s
+  (* `Never (the default) keeps maintaining, and counts what it did... *)
+  Xmlest.Summary.apply s
     [ U.Insert { parent = 0; index = 0; subtree = E.make "a" } ];
   let r1 =
     match Xmlest.Summary.staleness s with
     | Some r -> r
     | None -> Alcotest.fail "expected staleness report"
   in
-  Alcotest.(check bool) "interior insert accrues drift" true
-    (r1.Xmlest.Staleness.drift_mass > 0.0);
   check Alcotest.int "one update counted" 1 r1.Xmlest.Staleness.updates_since_build;
+  Alcotest.(check bool) "the inserted node was touched" true
+    (r1.Xmlest.Staleness.nodes_touched > 0);
   (* ...and `Always rebuilds, resetting the engine. *)
   Xmlest.Summary.apply ~policy:`Always s
     [ U.Insert { parent = 0; index = 0; subtree = E.make "a" } ];
@@ -428,18 +551,40 @@ let test_staleness_policies () =
   in
   Alcotest.(check bool) "rebuilt = fresh build" true (summaries_identical s fresh)
 
-let test_threshold_policy_triggers () =
-  let doc = D.of_elem (Test_util.nested ~depth:4 ~fanout:3) in
-  let s = summary_of doc in
-  (* Repeated interior inserts at the front accumulate drift mass well
-     past the live mass; a tight threshold must force a rebuild. *)
-  let sub = E.make "a" ~children:[ E.make "b" ] in
-  Xmlest.Summary.apply ~policy:(`Threshold 0.01) s
-    [ U.Insert { parent = 0; index = 0; subtree = sub };
-      U.Insert { parent = 0; index = 0; subtree = sub };
-      U.Insert { parent = 0; index = 0; subtree = sub } ];
-  Alcotest.(check bool) "threshold rebuild happened" true
-    (Xmlest.Summary.staleness s = None)
+(* A batch whose second update is out of range: the append before it is
+   applied to the histograms, so the summary must commit it — document,
+   node counts and update count — before the exception propagates. *)
+let test_rejected_batch_commits_prefix () =
+  let doc = D.of_elem (Xmlest.Staff_gen.generate ()) in
+  check Alcotest.int "staff nodes" 1467 (D.size doc);
+  let manager = tagp "manager" in
+  let s = Xmlest.Summary.build ~grid_size:10 doc [ manager; tagp "employee" ] in
+  let append =
+    U.Insert
+      { parent = 0; index = max_int;
+        subtree = E.make "manager" ~children:[ E.make "employee" ] }
+  in
+  Alcotest.check_raises "out-of-range delete"
+    (Invalid_argument "Apply: delete node is the root or out of range")
+    (fun () -> Xmlest.Summary.apply s [ append; U.Delete { node = 14670 } ]);
+  let doc' =
+    match Xmlest.Summary.document s with
+    | Some d -> d
+    | None -> Alcotest.fail "document survives maintenance"
+  in
+  check Alcotest.int "document holds the append" 1469 (D.size doc');
+  check (Alcotest.float 0.0) "manager count describes that document"
+    (float_of_int (D.tag_count doc' "manager"))
+    (Xmlest.Summary.node_count s manager);
+  (match Xmlest.Summary.staleness s with
+  | Some r -> check Alcotest.int "only the applied update counted" 1
+                r.Xmlest.Staleness.updates_since_build
+  | None -> Alcotest.fail "expected staleness report");
+  let fresh =
+    Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) doc' [ manager; tagp "employee" ]
+  in
+  Alcotest.(check bool) "summary = same-grid rebuild of the prefix" true
+    (summaries_identical s fresh)
 
 (* --- Catalog behavior under maintenance -------------------------------- *)
 
@@ -608,6 +753,7 @@ let () =
           Alcotest.test_case "replace helpers" `Quick test_replace_helpers;
           qcheck prop_insert_matches_of_elem;
           qcheck prop_delete_structure_and_labels;
+          qcheck prop_tag_index_after_edits;
         ] );
       ( "exact-maintenance",
         [
@@ -617,14 +763,30 @@ let () =
           qcheck prop_delete_stream_exact_parallel;
           qcheck prop_append_stream_exact_parallel;
           qcheck prop_mixed_exact_stream_parallel;
+          qcheck prop_interior_stream_exact;
+          qcheck prop_interior_stream_exact_parallel;
+          qcheck prop_interior_stream_exact_equidepth;
+          qcheck prop_interior_stream_exact_equidepth_parallel;
+          qcheck prop_all_kinds_stream_exact;
+          qcheck prop_all_kinds_stream_exact_parallel;
+          qcheck prop_all_kinds_stream_exact_equidepth;
+          qcheck prop_all_kinds_stream_exact_equidepth_parallel;
+          Alcotest.test_case "insert wider than a bucket" `Quick
+            test_insert_wider_than_a_bucket;
+          Alcotest.test_case "insert under a deep node" `Quick
+            test_insert_under_deep_node;
+          Alcotest.test_case "inserts past the grid's max_pos" `Quick
+            test_insert_past_max_pos;
+          Alcotest.test_case "covering side stops at nested matches" `Quick
+            test_covering_side_stops_at_nested_matches;
+          Alcotest.test_case "deep chain (100k levels)" `Quick
+            test_deep_chain_maintenance;
         ] );
-      ( "drift",
+      ( "rebuild-policy",
         [
-          qcheck prop_interior_insert_drift_bound;
-          qcheck prop_interior_insert_drift_bound_parallel;
           Alcotest.test_case "staleness policies" `Quick test_staleness_policies;
-          Alcotest.test_case "threshold triggers rebuild" `Quick
-            test_threshold_policy_triggers;
+          Alcotest.test_case "rejected update commits the prefix" `Quick
+            test_rejected_batch_commits_prefix;
         ] );
       ( "catalog",
         [
