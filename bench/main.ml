@@ -658,42 +658,51 @@ let maintenance () =
           E.leaf "url" (Printf.sprintf "db/maint/%d.html" k);
         ]
   in
+  (* Wall-clock seconds on the monotonic clock.  The rebuild is best of
+     3, so all three legs share one clock. *)
+  let wall f =
+    let t0 = Monotonic_clock.now () in
+    f ();
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
+  in
   (* The exact stream: end-of-document appends, deletes of random record
      subtrees and year-text replacements, each drawn against the document
-     as edited so far. *)
+     as edited so far (a copy, edited in place into the final document). *)
   let n_updates = 200 in
+  let final_doc = Xmlest.Document.copy doc in
   let updates =
-    let cur = ref doc in
     List.init n_updates (fun k ->
-        let d = !cur in
         let u =
           match Xmlest.Splitmix.int rng 10 with
           | 0 | 1 | 2 | 3 | 4 ->
             U.Insert { parent = 0; index = max_int; subtree = article k }
           | 5 | 6 | 7 ->
-            U.Delete { node = 1 + Xmlest.Splitmix.int rng (Xmlest.Document.size d - 1) }
+            U.Delete { node = 1 + Xmlest.Splitmix.int rng (Xmlest.Document.size final_doc - 1) }
           | _ ->
             U.Replace_text
               {
-                node = Xmlest.Splitmix.int rng (Xmlest.Document.size d);
+                node = Xmlest.Splitmix.int rng (Xmlest.Document.size final_doc);
                 text = string_of_int (1980 + Xmlest.Splitmix.int rng 40);
               }
         in
-        cur := U.apply_doc d u;
+        U.apply_doc final_doc u;
         u)
   in
-  let final_doc = List.fold_left U.apply_doc doc updates in
   (* Incremental: maintain one summary through the whole stream, one
      update at a time (what an optimizer would do between queries). *)
   let summary = Xmlest.Summary.build ~grid_size:10 doc preds in
-  let t0 = Sys.time () in
-  List.iter (fun u -> Xmlest.Summary.apply ~policy:`Never summary [ u ]) updates;
-  let t_apply = Sys.time () -. t0 in
+  let t_apply =
+    wall (fun () ->
+        List.iter (fun u -> Xmlest.Summary.apply ~policy:`Never summary [ u ]) updates)
+  in
   let t_per_update = t_apply /. float_of_int n_updates in
   (* The alternative without maintenance: a full rebuild per update.
      One rebuild of the final document prices it. *)
   let t_rebuild =
-    Data.time_per_call (fun () -> Xmlest.Summary.build ~grid_size:10 final_doc preds)
+    List.fold_left Float.min infinity
+      (List.init 3 (fun _ ->
+           wall (fun () ->
+               ignore (Xmlest.Summary.build ~grid_size:10 final_doc preds : Xmlest.Summary.t))))
   in
   let speedup = t_rebuild /. t_per_update in
   (* The stream holds only exact operations, so the maintained summary
@@ -726,25 +735,24 @@ let maintenance () =
      per-insert cost is priced against the same one-rebuild figure. *)
   let n_interior = 25 in
   let s2 = Xmlest.Summary.build ~grid_size:10 doc preds in
+  let interior_doc = Xmlest.Document.copy doc in
   let interior =
-    let cur = ref doc in
     List.init n_interior (fun k ->
-        let d = !cur in
         let u =
           U.Insert
             {
-              parent = Xmlest.Splitmix.int rng (Xmlest.Document.size d);
+              parent = Xmlest.Splitmix.int rng (Xmlest.Document.size interior_doc);
               index = 0;
               subtree = article (n_updates + k);
             }
         in
-        cur := U.apply_doc d u;
+        U.apply_doc interior_doc u;
         u)
   in
-  let interior_doc = List.fold_left U.apply_doc doc interior in
-  let t0 = Sys.time () in
-  List.iter (fun u -> Xmlest.Summary.apply ~policy:`Never s2 [ u ]) interior;
-  let t_interior = (Sys.time () -. t0) /. float_of_int n_interior in
+  let t_interior =
+    wall (fun () -> List.iter (fun u -> Xmlest.Summary.apply ~policy:`Never s2 [ u ]) interior)
+    /. float_of_int n_interior
+  in
   let ref2 =
     Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s2) interior_doc preds
   in
@@ -769,6 +777,7 @@ let maintenance () =
     "{\n\
     \  \"dataset\": \"dblp\",\n\
     \  \"dblp_scale\": %g,\n\
+    \  \"clock\": \"monotonic wall clock (bechamel.monotonic_clock); rebuild best of 3\",\n\
     \  \"nodes_before\": %d,\n\
     \  \"nodes_after\": %d,\n\
     \  \"updates\": %d,\n\

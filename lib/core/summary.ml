@@ -676,9 +676,10 @@ let find t pred = Hashtbl.find_opt t.entries (Predicate.name pred)
 
 (* The maintenance engine is created lazily on the first [apply]: one
    document-order sweep seeds its integer ground truth (coverage tables,
-   nesting-pair and level counts), while the position histograms of the
-   existing entries are adopted as live objects and mutated in place from
-   then on.  This leaves the construction paths completely untouched. *)
+   nesting-pair and level counts) and copies the document once, while the
+   position histograms of the existing entries are adopted as live
+   objects and mutated in place from then on.  This leaves the
+   construction paths completely untouched. *)
 let maint_state t =
   match t.maint with
   | Some st -> st
@@ -733,7 +734,9 @@ let rebuild t =
     Hashtbl.reset t.lph_cache;
     t.maint <- None
 
-(* Bring the summary in line with the engine's document revision.
+(* Bring the summary in line with the engine's working copy, which
+   becomes the summary's document (the document given to [build] is
+   never edited).
    Regenerate the derived parts of every entry from the maintained ground
    truth.  The position histogram object is untouched (it was mutated in
    place, version counters bumped); coverage and level histograms are

@@ -120,8 +120,15 @@ val stats : t -> build_stats option
 val grid : t -> Grid.t
 
 val document : t -> Document.t option
-(** The document the summary was built over; [None] for summaries loaded
-    from disk. *)
+(** The document the summary describes; [None] for summaries loaded from
+    disk.  Until the first {!apply} it is the document given to {!build},
+    which maintenance never mutates.  From then on it is the summary's
+    private working copy, and every further {!apply} advances that same
+    store in place: {!Document.copy} it to keep a revision.  (After a
+    {!rebuild}, the next [apply] takes a fresh working copy and leaves
+    the previous one as it was.)  It is not a snapshot, since a caller
+    that reads it before every update would then pay a copy of the
+    document per update. *)
 
 val predicates : t -> Predicate.t list
 
@@ -216,6 +223,11 @@ val storage_bytes : t -> int
     fresh {!build} of the edited document on the same grid
     (property-tested for each class and for mixed streams, on uniform and
     equi-depth grids, for sequential and parallel-built summaries).
+
+    The first [apply] takes one {!Document.copy} of the summary's
+    document and edits that copy in place from then on (see
+    {!document}), so an update costs the nodes it shifts, not a copy of
+    the document.
 
     Maintenance mutates position histograms in place, bumping their
     version counters, so memoized pH-join coefficients in {!hist_catalog}

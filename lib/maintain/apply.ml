@@ -23,7 +23,7 @@ type pred_state = {
 }
 
 type t = {
-  mutable doc : Document.t;
+  doc : Document.t;  (* private working copy, edited in place *)
   grid : Grid.t;
   preds : pred_state array;
   pop : Position_histogram.t;  (* shared with the summary *)
@@ -65,9 +65,7 @@ let level_add ps l d =
 let hist_add ps ~i ~j d = Position_histogram.add ps.hist ~i ~j d
 
 (* Nearest strict ancestor of [v] matching [ps], by parent-chain walk
-   ([-1] when none).  Ancestor chains never cross an edit's splice point
-   for surviving nodes, so the walk is valid on whichever document
-   revision the caller holds. *)
+   ([-1] when none). *)
 let nearest_anc ps doc v =
   let rec go u = if u < 0 then -1 else if ps.compiled u then u else go (Document.parent doc u) in
   go (Document.parent doc v)
@@ -80,6 +78,9 @@ let anc_matches ps doc v =
   in
   go (Document.parent doc v) 0
 
+(* A compiled predicate reads the document's current columns, but
+   resolves its tags to ids once: only a newly interned tag needs a
+   recompile. *)
 let recompile t =
   Array.iter (fun ps -> ps.compiled <- Predicate.compile t.doc ps.pred) t.preds
 
@@ -91,8 +92,10 @@ let recompile t =
    interval streams the fused builder uses, and exact nesting-pair counts
    via a per-predicate stack of open matching ancestors.  The position
    histograms are NOT touched — the caller passes the already-correct
-   objects from the freshly built summary. *)
+   objects from the freshly built summary.  The engine edits its own copy
+   of [doc], so the caller's document never changes under it. *)
 let init ~grid ~pop ~with_levels ~entries doc =
+  let doc = Document.copy doc in
   let preds =
     Array.of_list
       (List.map
@@ -223,11 +226,12 @@ let sweep_subtree ps doc lo hi f =
    [lo .. hi] of [doc] to or from every maintained statistic: population
    and histogram mass, counts, levels, the nesting pairs each node closes
    as the descendant endpoint, and each node's own (covered-side)
-   coverage entry.  Everything is read off [doc], so the range must be
-   the doomed subtree on the pre-delete revision or the inserted one on
-   the post-insert revision; a same-grid rebuild buckets the nodes
-   identically, via the clamped [Grid.cell_of_node]. *)
-let feed_range t doc ~sign lo hi =
+   coverage entry.  Everything is read off the working copy, so the range
+   must be the doomed subtree before the delete or the inserted one after
+   the insert; a same-grid rebuild buckets the nodes identically, via the
+   clamped [Grid.cell_of_node]. *)
+let feed_range t ~sign lo hi =
+  let doc = t.doc in
   let g = t.grid.Grid.size in
   let d = float_of_int sign in
   let cells = Array.init (hi - lo + 1) (fun x -> cell_idx t doc (lo + x)) in
@@ -262,52 +266,93 @@ let apply_delete t v =
   let doc = t.doc in
   if v <= 0 || v >= Document.size doc then
     invalid_arg "Apply: delete node is the root or out of range";
-  feed_range t doc ~sign:(-1) v (Document.subtree_last doc v);
-  t.doc <- Document.delete_subtree doc v;
-  recompile t
+  feed_range t ~sign:(-1) v (Document.subtree_last doc v);
+  Document.delete_subtree doc v
 
 (* --- insertions -------------------------------------------------------- *)
+
+(* Call [f] on every node with a start or end position in [lo, hi), by
+   replaying the document's open and close events over that window.  From
+   the innermost node open at [lo], the next event is the next node's
+   start when that comes before the open node's end, and that end
+   otherwise.  Positions are distinct, so the walk costs at most
+   [hi - lo] events, after a binary search and a walk up to the open node
+   (requires [start_pos 0 < lo]). *)
+let iter_window doc ~lo ~hi f =
+  let n = Document.size doc in
+  let a = ref 0 and b = ref n in
+  while !b - !a > 1 do
+    let m = (!a + !b) / 2 in
+    if Document.start_pos doc m < lo then a := m else b := m
+  done;
+  let cur = ref !a and next = ref (!a + 1) in
+  while !cur >= 0 && Document.end_pos doc !cur < lo do
+    cur := Document.parent doc !cur
+  done;
+  let opens () = if !next < n then Document.start_pos doc !next else max_int in
+  let closes () = if !cur >= 0 then Document.end_pos doc !cur else max_int in
+  while Int.min (opens ()) (closes ()) < hi do
+    if opens () < closes () then begin
+      f !next;
+      cur := !next;
+      incr next
+    end
+    else begin
+      f !cur;
+      cur := Document.parent doc !cur
+    end
+  done
 
 (* One exact path for appends and interior inserts.  Inserting [k] nodes
    at index [root] changes no survivor's ancestors or matches, so counts,
    levels and nesting pairs only gain the new subtree's.  What shifts are
    positions, by [2k]: the end of every node on [parent]'s
-   ancestor-or-self chain, and both ends of every survivor past the locus
-   (index >= [root + k] after the edit, [k] less before it).  A shifted
-   node's statistics change only when its cell does (a start or end
-   crossing a bucket boundary, or clamping past the grid's [max_pos]).
-   Such a mover re-keys its population and histogram mass and its own
-   coverage entry, which also follows its covering ancestor's new cell;
-   when it matches, the entries of the nodes it is the nearest matching
-   ancestor of follow its cell too.  An append has no survivor past the
-   locus; an interior insert pays one O(n) cell compare, the order of the
-   document copy the edit already makes. *)
+   ancestor-or-self chain, and both ends of every survivor past the locus.
+   A shifted node's statistics change only when its cell does, i.e. when
+   a shifted position crossed one of the grid's boundaries (clamping past
+   [max_pos] starts at the last one): its new position then lies less
+   than [2k] past that boundary.  Those windows, beyond the new subtree's
+   positions, are searched for the movers, so an insert costs O(g k) here
+   rather than a compare of every survivor.  A mover re-keys its
+   population and histogram mass and its own coverage entry, which also
+   follows its covering ancestor's new cell; when it matches, the entries
+   of the nodes it is the nearest matching ancestor of follow its cell
+   too. *)
 let apply_insert t ~parent ~index subtree =
   let doc = t.doc in
   if parent < 0 || parent >= Document.size doc then
     invalid_arg "Apply: insert parent out of range";
-  let doc', root = Document.insert_subtree doc ~parent ~index subtree in
-  let k = Document.subtree_size doc' root in
-  t.doc <- doc';
-  recompile t;
+  let tags = Document.num_tags doc in
+  let root = Document.insert_subtree doc ~parent ~index subtree in
+  if Document.num_tags doc > tags then recompile t;
+  let k = Document.subtree_size doc root in
+  let shift = 2 * k in
   let g = t.grid.Grid.size in
-  let new_cell w = cell_idx t doc' w in
-  (* Survivor [w] of [doc'] had index [w - k] in [doc] past the new range. *)
+  let new_cell w = cell_idx t doc w in
+  (* Before the edit a survivor past the new subtree sat [shift] lower at
+     both ends; a chain node (index below [root]) at its end only. *)
+  let shifted_cell w =
+    let s = Document.start_pos doc w in
+    let i, j =
+      Grid.cell_of_node t.grid
+        ~start_pos:(if w < root then s else s - shift)
+        ~end_pos:(Document.end_pos doc w - shift)
+    in
+    Grid.index t.grid ~i ~j
+  in
   let moved = Hashtbl.create 16 in
   let consider w =
-    let oc = cell_idx t doc (if w < root then w else w - k) in
-    let nc = new_cell w in
+    let oc = shifted_cell w and nc = new_cell w in
     if not (Int.equal oc nc) then Hashtbl.replace moved w (oc, nc)
   in
-  let rec chain u =
-    if u >= 0 then begin
-      consider u;
-      chain (Document.parent doc' u)
+  let from = ref (Document.start_pos doc root + shift) in
+  for i = 1 to g do
+    let b = t.grid.Grid.boundaries.(i) in
+    let lo = Int.max b !from and hi = b + shift in
+    if lo < hi then begin
+      iter_window doc ~lo ~hi consider;
+      from := hi
     end
-  in
-  chain parent;
-  for w = root + k to Document.size doc' - 1 do
-    consider w
   done;
   let old_cell w =
     match Hashtbl.find_opt moved w with Some (oc, _) -> oc | None -> new_cell w
@@ -320,7 +365,7 @@ let apply_insert t ~parent ~index subtree =
       Position_histogram.add t.pop ~i:(nc / g) ~j:(nc mod g) 1.0;
       Array.iter
         (fun ps ->
-          let na = nearest_anc ps doc' a in
+          let na = nearest_anc ps doc a in
           if na >= 0 then begin
             tbl_add ps.cvg (oc, old_cell na) (-1);
             tbl_add ps.cvg (nc, new_cell na) 1
@@ -331,7 +376,7 @@ let apply_insert t ~parent ~index subtree =
             ps.touched <- ps.touched + 1;
             (* Movers among the nodes [a] covers re-keyed both sides of
                their entry above; the new subtree is fed afterwards. *)
-            iter_covered ps doc' a (fun u ->
+            iter_covered ps doc a (fun u ->
                 if (u < root || u >= root + k) && not (Hashtbl.mem moved u)
                 then begin
                   let cu = new_cell u in
@@ -341,7 +386,7 @@ let apply_insert t ~parent ~index subtree =
           end)
         t.preds)
     moved;
-  feed_range t doc' ~sign:1 root (root + k - 1)
+  feed_range t ~sign:1 root (root + k - 1)
 
 (* --- in-place replacements ---------------------------------------------- *)
 
@@ -356,14 +401,10 @@ let apply_replace t v edit =
   let n = Document.size doc in
   if v < 0 || v >= n then invalid_arg "Apply: replace node out of range";
   let before = Array.map (fun ps -> ps.compiled v) t.preds in
-  let doc' =
-    match edit with
-    | `Text text -> Document.replace_text doc v text
-    | `Attrs attrs -> Document.replace_attrs doc v attrs
-  in
-  t.doc <- doc';
-  recompile t;
-  let i, j = cell_ij t doc' v in
+  (match edit with
+  | `Text text -> Document.replace_text doc v text
+  | `Attrs attrs -> Document.replace_attrs doc v attrs);
+  let i, j = cell_ij t doc v in
   let cv = Grid.index t.grid ~i ~j in
   Array.iteri
     (fun u ps ->
@@ -373,20 +414,20 @@ let apply_replace t v edit =
         hist_add ps ~i ~j (float_of_int d);
         ps.count <- ps.count + d;
         if t.with_levels then
-          level_add ps (Document.level doc' v) (float_of_int d);
+          level_add ps (Document.level doc v) (float_of_int d);
         ps.touched <- ps.touched + 1;
         (* Nesting pairs with [v] as descendant, then as ancestor. *)
         let desc = ref 0 in
-        for w = v + 1 to Document.subtree_last doc' v do
+        for w = v + 1 to Document.subtree_last doc v do
           if ps.compiled w then incr desc
         done;
-        ps.pairs <- (ps.pairs + (d * (anc_matches ps doc' v + !desc)));
+        ps.pairs <- (ps.pairs + (d * (anc_matches ps doc v + !desc)));
         (* Coverage: the nodes [v] covers when it matches switch between
            [v] and [v]'s own nearest match. *)
-        let na_v = nearest_anc ps doc' v in
-        let na_v_cell = if na_v >= 0 then cell_idx t doc' na_v else -1 in
-        iter_covered ps doc' v (fun w ->
-            let cw = cell_idx t doc' w in
+        let na_v = nearest_anc ps doc v in
+        let na_v_cell = if na_v >= 0 then cell_idx t doc na_v else -1 in
+        iter_covered ps doc v (fun w ->
+            let cw = cell_idx t doc w in
             if na_v_cell >= 0 then tbl_add ps.cvg (cw, na_v_cell) (-d);
             tbl_add ps.cvg (cw, cv) d)
       end)

@@ -12,9 +12,11 @@
     - {b Inserts}, at the end of the document or anywhere inside it, feed
       the new subtree at its true cells and re-key every survivor whose
       shifted start or end crossed into another cell: the parent's
-      ancestor chain and the nodes past the insertion locus.  Appends have
-      no nodes past the locus; interior inserts compare their cells in
-      one pass.
+      ancestor chain and the nodes past the insertion locus.  Such a
+      crossing puts the shifted position less than [2k] past a grid
+      boundary ([k] inserted nodes), so the movers are found by replaying
+      the document's events over one window per boundary, not by
+      comparing every survivor's cell.
     - {b Text/attribute replacements} only flip the edited node's matched
       set; the flip is propagated to counts, levels, nesting pairs and the
       coverage entries of its subtree.
@@ -23,6 +25,10 @@
     [Position_histogram.add], so each edit bumps their version counters
     and any memoized pH-join coefficients in a {!Catalog} invalidate
     automatically (the next lookup recomputes).
+
+    The engine edits a private working copy of the document in place
+    ({!Document.copy} once, in {!init}), so an edit costs the nodes it
+    shifts rather than a copy of the document.
 
     The engine lives below the summary layer: [Summary.apply] owns an
     instance, initializes it lazily from the attached document with
@@ -46,7 +52,9 @@ val init :
     the per-predicate histograms in [entries] must already describe
     [doc] on [grid] (they are adopted as the live objects and mutated in
     place by later updates, not recomputed here); [entries] lists the
-    summary's base predicates deduplicated in first-occurrence order. *)
+    summary's base predicates deduplicated in first-occurrence order.
+    The engine takes a {!Document.copy} of [doc] and edits only that copy:
+    [doc] itself is never mutated. *)
 
 val apply_update : t -> Update.t -> unit
 (** Apply one edit to the document and all maintained statistics.  Raises
@@ -54,7 +62,8 @@ val apply_update : t -> Update.t -> unit
     document and its update count are then unchanged. *)
 
 val document : t -> Document.t
-(** The current (post-edit) document revision. *)
+(** The engine's working copy, as of the last edit.  The same store on
+    every call: the next {!apply_update} edits it in place. *)
 
 val populations : t -> float array
 (** Dense per-cell node counts over all nodes, maintained exactly — the

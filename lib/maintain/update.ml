@@ -9,7 +9,7 @@ type t =
 let apply_doc doc u =
   match u with
   | Insert { parent; index; subtree } ->
-    fst (Document.insert_subtree doc ~parent ~index subtree)
+    ignore (Document.insert_subtree doc ~parent ~index subtree : Document.node)
   | Delete { node } -> Document.delete_subtree doc node
   | Replace_text { node; text } -> Document.replace_text doc node text
   | Replace_attrs { node; attrs } -> Document.replace_attrs doc node attrs

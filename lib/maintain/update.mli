@@ -27,10 +27,12 @@ type t =
   | Replace_text of { node : Document.node; text : string }
   | Replace_attrs of { node : Document.node; attrs : (string * string) list }
 
-val apply_doc : Document.t -> t -> Document.t
-(** Apply one update to the document alone (no statistics maintenance).
+val apply_doc : Document.t -> t -> unit
+(** Apply one update to the document alone, in place (no statistics
+    maintenance); {!Document.copy} first to keep the revision before it.
     Raises [Invalid_argument] on out-of-range node references, as the
-    underlying {!Document} edit helpers do. *)
+    underlying {!Document} edit helpers do, leaving the document
+    unchanged. *)
 
 val parse : string -> (t, string) result
 (** Parse one update line (see the formats above).  Insert subtrees are

@@ -1,75 +1,61 @@
 type node = int
 
+(* Columns are indexed by pre-order node index over [0 .. size - 1].  Past
+   [size] they hold slack capacity, so an insert writes only the new nodes
+   and the shifted tail; [of_elem] and [copy] allocate none. *)
 type t = {
-  tag_ids : int array;
-  tag_names : string array;  (* tag id -> name *)
+  mutable size : int;
+  mutable tag_ids : int array;
+  mutable tag_names : string array;  (* tag id -> name, with slack *)
   tag_table : (string, int) Hashtbl.t;  (* name -> tag id *)
-  texts : string array;
-  attrs : (string * string) list array;
-  starts : int array;
-  ends : int array;
-  levels : int array;
-  parents : int array;
-  subtree_lasts : int array;
-  by_tag : node array array Lazy.t;
-      (* tag id -> node indices in document order.  Lazy so that edit
-         helpers, which are applied in long update streams, don't pay the
-         full re-index on every revision — only on the revisions whose
-         tag index is actually consulted. *)
-  max_pos : int;
+  mutable texts : string array;
+  mutable attrs : (string * string) list array;
+  mutable starts : int array;
+  mutable ends : int array;
+  mutable levels : int array;
+  mutable parents : int array;
+  mutable subtree_lasts : int array;
+  mutable by_tag : node array option array;
+      (* tag id -> node indices in document order, collected per tag on
+         first lookup.  An edit that moves nodes drops them all, so an
+         update stream pays for the index only on the tags it consults
+         between edits. *)
+  mutable max_pos : int;
 }
 
 let dummy_root_tag = "#root"
 
-(* Tag id -> node indices in document order, by counting sort: one pass
-   sizes every bucket, a second fills them in index order. *)
-let index_by_tag ~tag_ids ~num_tags =
-  let counts = Array.make num_tags 0 in
-  Array.iter (fun id -> counts.(id) <- counts.(id) + 1) tag_ids;
-  let by_tag = Array.map (fun c -> Array.make c 0) counts in
-  Array.fill counts 0 num_tags 0;
-  Array.iteri
-    (fun v id ->
-      by_tag.(id).(counts.(id)) <- v;
-      counts.(id) <- counts.(id) + 1)
-    tag_ids;
-  by_tag
+let size t = t.size
+let num_tags t = Hashtbl.length t.tag_table
 
-(* Compile an element tree into the store with an explicit stack so that
-   arbitrarily deep documents do not overflow the OCaml stack. *)
-let of_elem root =
-  let n = Elem.size root in
-  let tag_ids = Array.make n 0 in
-  let texts = Array.make n "" in
-  let attrs = Array.make n [] in
-  let starts = Array.make n 0 in
-  let ends = Array.make n 0 in
-  let levels = Array.make n 0 in
-  let parents = Array.make n (-1) in
-  let subtree_lasts = Array.make n 0 in
-  let tag_table = Hashtbl.create 64 in
-  let tag_names = ref [] in
-  let tag_count = ref 0 in
-  let intern tag =
-    match Hashtbl.find_opt tag_table tag with
-    | Some id -> id
-    | None ->
-      let id = !tag_count in
-      incr tag_count;
-      Hashtbl.add tag_table tag id;
-      tag_names := tag :: !tag_names;
-      id
-  in
-  let counter = ref 0 in
+let intern t tag =
+  match Hashtbl.find_opt t.tag_table tag with
+  | Some id -> id
+  | None ->
+    let id = num_tags t in
+    if id >= Array.length t.tag_names then begin
+      let names = Array.make (Int.max 8 (2 * id)) "" in
+      Array.blit t.tag_names 0 names 0 id;
+      t.tag_names <- names
+    end;
+    t.tag_names.(id) <- tag;
+    Hashtbl.add t.tag_table tag id;
+    id
+
+(* Label [elem]'s subtree in pre-order into indices [at ..] and positions
+   [pos ..], its root a child of [parent] at [level].  An explicit stack
+   keeps arbitrarily deep documents off the OCaml stack. *)
+let fill t elem ~at ~parent ~level ~pos =
+  let counter = ref pos in
   let next_pos () =
     let p = !counter in
     incr counter;
     p
   in
-  let index = ref 0 in
+  let index = ref at in
   (* Stack frames: Enter (elem, parent index, level) to open a node,
      Exit idx to close it. *)
-  let stack = ref [ `Enter (root, -1, 0) ] in
+  let stack = ref [ `Enter (elem, parent, level) ] in
   while !stack <> [] do
     match !stack with
     | [] -> assert false
@@ -79,46 +65,67 @@ let of_elem root =
       | `Enter (e, parent, lvl) ->
         let v = !index in
         incr index;
-        tag_ids.(v) <- intern e.Elem.tag;
-        texts.(v) <- e.Elem.text;
-        attrs.(v) <- e.Elem.attrs;
-        starts.(v) <- next_pos ();
-        levels.(v) <- lvl;
-        parents.(v) <- parent;
+        t.tag_ids.(v) <- intern t e.Elem.tag;
+        t.texts.(v) <- e.Elem.text;
+        t.attrs.(v) <- e.Elem.attrs;
+        t.starts.(v) <- next_pos ();
+        t.levels.(v) <- lvl;
+        t.parents.(v) <- parent;
         stack := `Exit v :: !stack;
         (* Push children so that the first child is processed first. *)
         List.iter
           (fun c -> stack := `Enter (c, v, lvl + 1) :: !stack)
           (List.rev e.Elem.children)
       | `Exit v ->
-        ends.(v) <- next_pos ();
-        subtree_lasts.(v) <- !index - 1)
-  done;
-  let tag_names = Array.of_list (List.rev !tag_names) in
-  let by_tag =
-    Lazy.from_val (index_by_tag ~tag_ids ~num_tags:(Array.length tag_names))
+        t.ends.(v) <- next_pos ();
+        t.subtree_lasts.(v) <- !index - 1)
+  done
+
+let of_elem root =
+  let n = Elem.size root in
+  let t =
+    {
+      size = n;
+      tag_ids = Array.make n 0;
+      tag_names = [||];
+      tag_table = Hashtbl.create 64;
+      texts = Array.make n "";
+      attrs = Array.make n [];
+      starts = Array.make n 0;
+      ends = Array.make n 0;
+      levels = Array.make n 0;
+      parents = Array.make n (-1);
+      subtree_lasts = Array.make n 0;
+      by_tag = [||];
+      max_pos = (2 * n) - 1;
+    }
   in
-  {
-    tag_ids;
-    tag_names;
-    tag_table;
-    texts;
-    attrs;
-    starts;
-    ends;
-    levels;
-    parents;
-    subtree_lasts;
-    by_tag;
-    max_pos = !counter - 1;
-  }
+  fill t root ~at:0 ~parent:(-1) ~level:0 ~pos:0;
+  t
 
 let of_forest docs = of_elem (Elem.make ~children:docs dummy_root_tag)
 
-let size t = Array.length t.tag_ids
+let copy t =
+  let sub a = Array.sub a 0 t.size in
+  {
+    size = t.size;
+    tag_ids = sub t.tag_ids;
+    tag_names = Array.copy t.tag_names;
+    tag_table = Hashtbl.copy t.tag_table;
+    texts = sub t.texts;
+    attrs = sub t.attrs;
+    starts = sub t.starts;
+    ends = sub t.ends;
+    levels = sub t.levels;
+    parents = sub t.parents;
+    subtree_lasts = sub t.subtree_lasts;
+    (* the index arrays are never written after they are built *)
+    by_tag = Array.copy t.by_tag;
+    max_pos = t.max_pos;
+  }
 
 let has_dummy_root t =
-  Array.length t.tag_ids > 0 && String.equal t.tag_names.(t.tag_ids.(0)) dummy_root_tag
+  t.size > 0 && String.equal t.tag_names.(t.tag_ids.(0)) dummy_root_tag
 let max_pos t = t.max_pos
 let tag t v = t.tag_names.(t.tag_ids.(v))
 let tag_id t v = t.tag_ids.(v)
@@ -140,22 +147,6 @@ let is_ancestor t ~anc ~desc =
 
 let is_parent t ~parent:p ~child = Int.equal t.parents.(child) p
 
-let document_roots_impl t =
-  if Array.length t.tag_ids = 0 then []
-  else if has_dummy_root t then begin
-    (* children of node 0 *)
-    let out = ref [] in
-    let u = ref 1 in
-    while !u < Array.length t.tag_ids do
-      out := !u :: !out;
-      u := t.subtree_lasts.(!u) + 1
-    done;
-    List.rev !out
-  end
-  else [ 0 ]
-
-let document_roots t = document_roots_impl t
-
 let children t v =
   let last = t.subtree_lasts.(v) in
   let rec go acc u =
@@ -164,221 +155,170 @@ let children t v =
   in
   go [] (v + 1)
 
+let document_roots t =
+  if t.size = 0 then []
+  else if has_dummy_root t then children t 0
+  else [ 0 ]
+
 let iter t f =
-  for v = 0 to size t - 1 do
+  for v = 0 to t.size - 1 do
     f v
   done
 
 let distinct_tags t =
-  Array.to_list t.tag_names |> List.sort String.compare
+  Array.to_list (Array.sub t.tag_names 0 (num_tags t)) |> List.sort String.compare
 
 let lookup_tag_id t tag = Hashtbl.find_opt t.tag_table tag
-
-let num_tags t = Array.length t.tag_names
 let tag_name t id = t.tag_names.(id)
-let nodes_with_tag_id t id = (Lazy.force t.by_tag).(id)
+
+(* A tag's nodes: one pass counts them, a second collects them. *)
+let nodes_with_tag_id t id =
+  if id >= Array.length t.by_tag then begin
+    let grown = Array.make (num_tags t) None in
+    Array.blit t.by_tag 0 grown 0 (Array.length t.by_tag);
+    t.by_tag <- grown
+  end;
+  match t.by_tag.(id) with
+  | Some nodes -> nodes
+  | None ->
+    let count = ref 0 in
+    for v = 0 to t.size - 1 do
+      if Int.equal t.tag_ids.(v) id then incr count
+    done;
+    let nodes = Array.make !count 0 in
+    let k = ref 0 in
+    for v = 0 to t.size - 1 do
+      if Int.equal t.tag_ids.(v) id then begin
+        nodes.(!k) <- v;
+        incr k
+      end
+    done;
+    t.by_tag.(id) <- Some nodes;
+    nodes
 
 let nodes_with_tag t tag =
   match lookup_tag_id t tag with
-  | Some id -> (Lazy.force t.by_tag).(id)
+  | Some id -> nodes_with_tag_id t id
   | None -> [||]
 
 let tag_count t tag = Array.length (nodes_with_tag t tag)
 
 (* ------------------------------------------------------------------ *)
-(* Edit helpers for the maintenance subsystem (lib/maintain).          *)
-(* Edits are persistent: they return a new store and never mutate the  *)
-(* argument.  Deletes are label-preserving (survivors keep their       *)
-(* interval positions, leaving holes); inserts shift every position at *)
-(* or after the insertion locus right by [2 * size subtree] and label  *)
-(* the new subtree densely at the locus.                               *)
+(* In-place edits for the maintenance subsystem (lib/maintain).        *)
+(* Deletes are label-preserving (survivors keep their interval         *)
+(* positions, leaving holes); inserts shift every position at or after *)
+(* the insertion locus right by [2 * size subtree] and label the new   *)
+(* subtree densely at the locus.  The int columns are shifted by loops *)
+(* typed at [int array], which store without the write barrier that    *)
+(* [Array.blit] pays per element into a major-heap array.              *)
 (* ------------------------------------------------------------------ *)
 
 let delete_subtree t v =
-  let n = size t in
+  let n = t.size in
   if v <= 0 || v >= n then
     invalid_arg "Document.delete_subtree: node is the root or out of range";
   let last = t.subtree_lasts.(v) in
   let k = last - v + 1 in
-  let n' = n - k in
-  let splice src =
-    let dst = Array.make n' src.(0) in
-    Array.blit src 0 dst 0 v;
-    Array.blit src (last + 1) dst v (n - last - 1);
-    dst
-  in
-  let tag_ids = splice t.tag_ids in
-  let texts = splice t.texts in
-  let attrs = splice t.attrs in
-  let starts = splice t.starts in
-  let ends = splice t.ends in
-  let levels = splice t.levels in
-  let parents = splice t.parents in
-  let subtree_lasts = splice t.subtree_lasts in
-  (* Surviving node indices > last drop by [k]; ancestors of [v] lose [k]
-     nodes from their subtrees.  A survivor [u < v] with
-     [subtree_last >= v] necessarily contains the deleted range, i.e. is
-     an ancestor of [v] — so the below-the-slot fixup is a walk up the
-     ancestor chain, not a scan (parent indices below [v] are all < v and
-     never need adjusting). *)
+  (* A survivor [u < v] with [subtree_last >= v] contains the deleted
+     range, i.e. is an ancestor of [v]: below the slot the fixup is a walk
+     up the ancestor chain (parent indices below [v] never change). *)
   let u = ref t.parents.(v) in
   while !u >= 0 do
-    subtree_lasts.(!u) <- subtree_lasts.(!u) - k;
-    u := parents.(!u)
+    t.subtree_lasts.(!u) <- t.subtree_lasts.(!u) - k;
+    u := t.parents.(!u)
   done;
-  for u = v to n' - 1 do
-    subtree_lasts.(u) <- subtree_lasts.(u) - k;
-    if parents.(u) > last then parents.(u) <- parents.(u) - k
+  (* Compact the tail over the slot; indices past [last] drop by [k]. *)
+  for u = last + 1 to n - 1 do
+    let d = u - k in
+    t.tag_ids.(d) <- t.tag_ids.(u);
+    t.starts.(d) <- t.starts.(u);
+    t.ends.(d) <- t.ends.(u);
+    t.levels.(d) <- t.levels.(u);
+    t.subtree_lasts.(d) <- t.subtree_lasts.(u) - k;
+    let p = t.parents.(u) in
+    t.parents.(d) <- (if p > last then p - k else p)
   done;
-  (* [num_tags] must be bound outside the thunk: a lazy body mentioning
-     [t] captures the whole previous revision, chaining every edit's
-     predecessor into a leak across long update streams. *)
-  let num_tags = Array.length t.tag_names in
-  {
-    t with
-    tag_ids;
-    texts;
-    attrs;
-    starts;
-    ends;
-    levels;
-    parents;
-    subtree_lasts;
-    by_tag = lazy (index_by_tag ~tag_ids ~num_tags);
-  }
+  Array.blit t.texts (last + 1) t.texts v (n - last - 1);
+  Array.blit t.attrs (last + 1) t.attrs v (n - last - 1);
+  (* Let the vacated slack drop its strings. *)
+  Array.fill t.texts (n - k) k "";
+  Array.fill t.attrs (n - k) k [];
+  t.size <- n - k;
+  t.by_tag <- [||]
+
+(* Room for [need] nodes: capacity grows geometrically, so a stream of
+   inserts copies every column O(log) times, not once per insert. *)
+let reserve t need =
+  let cap = Array.length t.tag_ids in
+  if need > cap then begin
+    let cap = Int.max need (cap + (cap / 2) + 1) in
+    let grow a fresh =
+      let b = Array.make cap fresh in
+      Array.blit a 0 b 0 t.size;
+      b
+    in
+    t.tag_ids <- grow t.tag_ids 0;
+    t.texts <- grow t.texts "";
+    t.attrs <- grow t.attrs [];
+    t.starts <- grow t.starts 0;
+    t.ends <- grow t.ends 0;
+    t.levels <- grow t.levels 0;
+    t.parents <- grow t.parents 0;
+    t.subtree_lasts <- grow t.subtree_lasts 0
+  end
 
 let insert_subtree t ~parent ~index elem =
-  let n = size t in
+  let n = t.size in
   if parent < 0 || parent >= n then
     invalid_arg "Document.insert_subtree: parent out of range";
-  let kids = children t parent in
-  let nkids = List.length kids in
-  (* Insertion slot: before the [index]-th child, or appended as the last
-     child when [index >= nkids].  [pos_idx] is the node index the new
-     subtree root takes; [locus] its start position. *)
-  let pos_idx, locus =
-    if index >= 0 && index < nkids then begin
-      let c = List.nth kids index in
-      (c, t.starts.(c))
-    end
-    else (t.subtree_lasts.(parent) + 1, t.ends.(parent))
+  (* Insertion slot: before the [index]-th child, or after the last child
+     when [index] is out of the child range.  [pos_idx] is the node index
+     the new subtree root takes; [locus] its start position. *)
+  let last = t.subtree_lasts.(parent) in
+  let rec slot c i =
+    if c > last then (c, t.ends.(parent))
+    else if Int.equal i index then (c, t.starts.(c))
+    else slot (t.subtree_lasts.(c) + 1) (i + 1)
   in
+  let pos_idx, locus = slot (parent + 1) 0 in
   let k = Elem.size elem in
   let shift = 2 * k in
-  let n' = n + k in
-  let grow src fresh =
-    let dst = Array.make n' fresh in
-    Array.blit src 0 dst 0 pos_idx;
-    Array.blit src pos_idx dst (pos_idx + k) (n - pos_idx);
-    dst
-  in
-  let tag_ids = grow t.tag_ids 0 in
-  let texts = grow t.texts "" in
-  let attrs = grow t.attrs [] in
-  let starts = grow t.starts 0 in
-  let ends = grow t.ends 0 in
-  let levels = grow t.levels 0 in
-  let parents = grow t.parents (-1) in
-  let subtree_lasts = grow t.subtree_lasts 0 in
-  (* Fix survivors.  Below the slot, only the ancestor-or-self chain of
-     [parent] contains the locus: its extents grow by [k] and its end
-     positions shift; any other survivor below the slot keeps its index,
-     positions, extent and parent (a non-chain [u < pos_idx] has
-     [subtree_last < pos_idx] and both positions before the locus).  At or
-     past the slot, every index and position shifts. *)
+  reserve t (n + k);
+  (* Open the gap: every index and position at or past the slot shifts. *)
+  for u = n - 1 downto pos_idx do
+    let d = u + k in
+    t.tag_ids.(d) <- t.tag_ids.(u);
+    t.starts.(d) <- t.starts.(u) + shift;
+    t.ends.(d) <- t.ends.(u) + shift;
+    t.levels.(d) <- t.levels.(u);
+    t.subtree_lasts.(d) <- t.subtree_lasts.(u) + k;
+    let p = t.parents.(u) in
+    t.parents.(d) <- (if p >= pos_idx then p + k else p)
+  done;
+  Array.blit t.texts pos_idx t.texts (pos_idx + k) (n - pos_idx);
+  Array.blit t.attrs pos_idx t.attrs (pos_idx + k) (n - pos_idx);
+  (* Below the slot only the ancestor-or-self chain of [parent] contains
+     the locus: its extents grow by [k] and its ends shift.  Any other
+     survivor below the slot ends before the locus. *)
   let u = ref parent in
   while !u >= 0 do
-    subtree_lasts.(!u) <- subtree_lasts.(!u) + k;
-    ends.(!u) <- ends.(!u) + shift;
-    u := parents.(!u)
+    t.subtree_lasts.(!u) <- t.subtree_lasts.(!u) + k;
+    t.ends.(!u) <- t.ends.(!u) + shift;
+    u := t.parents.(!u)
   done;
-  for u = pos_idx + k to n' - 1 do
-    subtree_lasts.(u) <- subtree_lasts.(u) + k;
-    if parents.(u) >= pos_idx then parents.(u) <- parents.(u) + k;
-    starts.(u) <- starts.(u) + shift;
-    ends.(u) <- ends.(u) + shift
-  done;
-  (* Intern any new tags; the table is mutable, so copy before extending. *)
-  let tag_table = Hashtbl.copy t.tag_table in
-  let extra = ref [] in
-  let tag_count = ref (Array.length t.tag_names) in
-  let intern tag =
-    match Hashtbl.find_opt tag_table tag with
-    | Some id -> id
-    | None ->
-      let id = !tag_count in
-      incr tag_count;
-      Hashtbl.add tag_table tag id;
-      extra := tag :: !extra;
-      id
-  in
-  (* DFS-label the new subtree over indices [pos_idx .. pos_idx + k - 1]
-     and positions [locus .. locus + shift - 1]. *)
-  let counter = ref locus in
-  let next_pos () =
-    let p = !counter in
-    incr counter;
-    p
-  in
-  let idx = ref pos_idx in
-  let stack = ref [ `Enter (elem, parent, t.levels.(parent) + 1) ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> assert false
-    | frame :: rest ->
-      stack := rest;
-      (match frame with
-      | `Enter (e, par, lvl) ->
-        let v = !idx in
-        incr idx;
-        tag_ids.(v) <- intern e.Elem.tag;
-        texts.(v) <- e.Elem.text;
-        attrs.(v) <- e.Elem.attrs;
-        starts.(v) <- next_pos ();
-        levels.(v) <- lvl;
-        parents.(v) <- par;
-        stack := `Exit v :: !stack;
-        List.iter
-          (fun c -> stack := `Enter (c, v, lvl + 1) :: !stack)
-          (List.rev e.Elem.children)
-      | `Exit v ->
-        ends.(v) <- next_pos ();
-        subtree_lasts.(v) <- !idx - 1)
-  done;
-  let tag_names =
-    if List.compare_length_with !extra 0 = 0 then t.tag_names
-    else Array.append t.tag_names (Array.of_list (List.rev !extra))
-  in
-  (* Bound outside the thunk so the lazy captures no document revision. *)
-  let num_tags = Array.length tag_names in
-  let doc =
-    {
-      tag_ids;
-      tag_names;
-      tag_table;
-      texts;
-      attrs;
-      starts;
-      ends;
-      levels;
-      parents;
-      subtree_lasts;
-      by_tag = lazy (index_by_tag ~tag_ids ~num_tags);
-      max_pos = t.max_pos + shift;
-    }
-  in
-  (doc, pos_idx)
+  (* New tags are interned after the existing ids, which stay stable. *)
+  fill t elem ~at:pos_idx ~parent ~level:(t.levels.(parent) + 1) ~pos:locus;
+  t.size <- n + k;
+  t.max_pos <- t.max_pos + shift;
+  t.by_tag <- [||];
+  pos_idx
 
 let replace_text t v text =
-  if v < 0 || v >= size t then
+  if v < 0 || v >= t.size then
     invalid_arg "Document.replace_text: node out of range";
-  let texts = Array.copy t.texts in
-  texts.(v) <- text;
-  { t with texts }
+  t.texts.(v) <- text
 
 let replace_attrs t v al =
-  if v < 0 || v >= size t then
+  if v < 0 || v >= t.size then
     invalid_arg "Document.replace_attrs: node out of range";
-  let attrs = Array.copy t.attrs in
-  attrs.(v) <- al;
-  { t with attrs }
+  t.attrs.(v) <- al

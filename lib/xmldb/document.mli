@@ -15,7 +15,14 @@
 
     Nodes are identified by their pre-order index [0 .. size-1]; a node's
     subtree occupies the contiguous index range
-    [v .. subtree_last v]. *)
+    [v .. subtree_last v].
+
+    A store is mutable: the edits at the end of this interface change it
+    in place, shifting the labels past the edit rather than copying the
+    store.  A caller that needs a fixed revision takes a {!copy} first.
+    An array handed out by {!nodes_with_tag_id} or {!nodes_with_tag} is a
+    snapshot: it describes the store until the next insert or delete, and
+    that edit does not update it. *)
 
 type t
 
@@ -28,6 +35,10 @@ val of_elem : Elem.t -> t
 val of_forest : Elem.t list -> t
 (** Merge several documents under a dummy ["#root"] element (node [0]) and
     compile, mirroring the paper's mega-tree construction. *)
+
+val copy : t -> t
+(** An independent store with the same contents: edits to either leave the
+    other unchanged.  O(size), with no slack capacity. *)
 
 val has_dummy_root : t -> bool
 (** [true] iff the store was built by {!of_forest}: node [0] is the
@@ -42,9 +53,9 @@ val size : t -> int
 
 val max_pos : t -> int
 (** Largest assigned position value.  For a freshly compiled store this is
-    [2 * size - 1]; after maintenance edits ({!delete_subtree} preserves
-    surviving labels, leaving holes) positions are merely distinct and
-    bounded by it, with [max_pos >= 2 * size - 1]. *)
+    [2 * size - 1]; after edits ({!delete_subtree} preserves surviving
+    labels, leaving holes) positions are merely distinct and bounded by
+    it, with [max_pos >= 2 * size - 1]. *)
 
 (** {2 Per-node accessors} *)
 
@@ -94,7 +105,8 @@ val distinct_tags : t -> string list
 
 val nodes_with_tag : t -> string -> node array
 (** Indices of nodes carrying the given tag, in document order (hence
-    sorted by start position).  Empty array for unknown tags. *)
+    sorted by start position).  Empty array for unknown tags.  The array is
+    shared with the store, like {!nodes_with_tag_id}'s. *)
 
 val tag_count : t -> string -> int
 
@@ -110,35 +122,41 @@ val tag_name : t -> int -> string
 
 val nodes_with_tag_id : t -> int -> node array
 (** Tag-id-keyed node index: nodes carrying the interned tag, in document
-    order.  The returned array is shared with the store — do not mutate. *)
+    order.  The returned array is shared with the store — do not mutate.
+    Each tag's array is collected in O(size) on its first lookup and kept
+    until an insert or delete drops the index; an array handed out
+    before such an edit is a snapshot that keeps describing the revision
+    it was taken from. *)
 
 (** {2 Edits}
 
-    Persistent edit helpers backing the maintenance subsystem
-    ([lib/maintain]): each returns a new store and leaves the argument
-    untouched.  Deletions are {e label-preserving} — surviving nodes keep
-    their start/end positions and [max_pos] is unchanged, so position
-    holes appear where the subtree used to sit.  Insertions shift every
-    position at or after the insertion locus right by [2 * k] (where [k]
-    is the inserted subtree's node count) and label the new subtree
-    densely at the locus, growing [max_pos] by [2 * k]. *)
+    In-place edit helpers backing the maintenance subsystem
+    ([lib/maintain]).  Deletions are {e label-preserving}: surviving nodes
+    keep their start/end positions and [max_pos] is unchanged, so position
+    holes appear where the subtree used to sit; the tail's node indices
+    close the gap.  Insertions shift every position at or after the
+    insertion locus right by [2 * k] (where [k] is the inserted subtree's
+    node count) and label the new subtree densely at the locus, growing
+    [max_pos] by [2 * k].  An edit costs the nodes past it, not the whole
+    store: the columns keep slack capacity that grows geometrically. *)
 
-val delete_subtree : t -> node -> t
+val delete_subtree : t -> node -> unit
 (** Remove the subtree rooted at the node.  Raises [Invalid_argument] for
-    node [0] (the store root) or an out-of-range index. *)
+    node [0] (the store root) or an out-of-range index, leaving the store
+    unchanged. *)
 
-val insert_subtree : t -> parent:node -> index:int -> Elem.t -> t * node
+val insert_subtree : t -> parent:node -> index:int -> Elem.t -> node
 (** Insert the element as the [index]-th child of [parent] (shifting later
     siblings right); any [index] outside the current child range appends as
-    the last child.  Returns the new store and the inserted root's node
-    index.  New tags are interned after the existing ids, so ids of
-    existing tags are stable.  Raises [Invalid_argument] when [parent] is
-    out of range. *)
+    the last child.  Returns the inserted root's node index.  New tags are
+    interned after the existing ids, so ids of existing tags are stable.
+    Raises [Invalid_argument] when [parent] is out of range, leaving the
+    store unchanged. *)
 
-val replace_text : t -> node -> string -> t
+val replace_text : t -> node -> string -> unit
 (** Replace a node's text content.  Raises [Invalid_argument] on an
     out-of-range index. *)
 
-val replace_attrs : t -> node -> (string * string) list -> t
+val replace_attrs : t -> node -> (string * string) list -> unit
 (** Replace a node's attribute list.  Raises [Invalid_argument] on an
     out-of-range index. *)

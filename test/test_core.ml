@@ -1086,6 +1086,33 @@ let prop_contradiction_zeroes_estimate =
       let est, diags = Xmlest.Summary.estimate_checked s poisoned in
       Float.equal est 0.0 && Xmlest.Pattern_check.unsatisfiable diags)
 
+(* The estimate contract on random documents, patterns and both grid
+   kinds.  A pattern the check proves empty must also have no exact
+   match: the proof is sound, not only honored. *)
+let prop_estimate_contract =
+  QCheck.Test.make ~count:100
+    ~name:"estimates are finite, >= 0, and 0.0 when proved unsat"
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:40 ()) (int_bound 10000))
+    (fun (elem, seed) ->
+      let doc = Xmlest.Document.of_elem elem in
+      let rng = Xmlest.Splitmix.create seed in
+      List.for_all
+        (fun grid_kind ->
+          let s =
+            Xmlest.Summary.build ~grid_kind
+              ~grid_size:(Int.min 6 (Xmlest.Document.max_pos doc + 1))
+              doc
+              (List.map tagp (Xmlest.Document.distinct_tags doc))
+          in
+          List.for_all
+            (fun _ ->
+              let p = Test_util.contract_pattern rng in
+              Test_util.estimate_contract s p
+              && ((not (Xmlest.Pattern_check.unsatisfiable (Xmlest.Summary.check s p)))
+                 || Int.equal (Xmlest.Twig_count.count doc p) 0))
+            (List.init 8 Fun.id))
+        [ `Uniform; `Equidepth ])
+
 let test_check_document_vs_loaded_schema () =
   let _, s = staff_summary () in
   let pattern = Xmlest.Pattern_parser.pattern_exn "//manager//zzz" in
@@ -1192,6 +1219,7 @@ let () =
         [
           qcheck prop_clean_patterns_estimate_identically;
           qcheck prop_contradiction_zeroes_estimate;
+          qcheck prop_estimate_contract;
           Alcotest.test_case "document vs loaded schema" `Quick
             test_check_document_vs_loaded_schema;
           Alcotest.test_case "repl check command" `Quick test_repl_check_command;

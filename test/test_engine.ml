@@ -203,6 +203,21 @@ let test_twig_on_dblp () =
   check Alcotest.int "engines agree on dblp" via_join via_twig;
   Alcotest.(check bool) "non-trivial" true (via_twig > 100)
 
+(* The exact-count leg of the deep-chain checks: on 100,000 nested [n]
+   elements over one leaf, every [n] is an ancestor of the leaf and of
+   every [n] below it.  The counts are C(100000, 1) and C(100000, 2); the
+   DP must neither recurse per level nor overflow its sums. *)
+let test_twig_deep_chain () =
+  let depth = 100_000 in
+  let e = ref (Xmlest.Elem.make "leaf") in
+  for _ = 1 to depth do
+    e := Xmlest.Elem.make "n" ~children:[ !e ]
+  done;
+  let doc = Xmlest.Document.of_elem !e in
+  let count q = Xmlest.Twig_count.count doc (Xmlest.Pattern_parser.pattern_exn q) in
+  check Alcotest.int "//n//leaf" 100_000 (count "//n//leaf");
+  check Alcotest.int "//n//n" 4_999_950_000 (count "//n//n")
+
 (* --- Executor -------------------------------------------------------------- *)
 
 let test_executor_simple_pair () =
@@ -461,6 +476,7 @@ let () =
           Alcotest.test_case "per-node counts" `Quick test_twig_match_counts_per_node;
           Alcotest.test_case "anchored queries" `Quick test_twig_anchored_queries;
           Alcotest.test_case "agrees with join on dblp" `Quick test_twig_on_dblp;
+          Alcotest.test_case "deep chain (100k levels)" `Quick test_twig_deep_chain;
           qcheck prop_twig_matches_brute_force;
           qcheck prop_twig_pair_equals_join;
         ] );

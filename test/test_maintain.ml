@@ -1,8 +1,9 @@
-(* Maintenance subsystem tests: document edit helpers, exact-vs-rebuild
-   bit-identity for every edit class (delete, append, interior insert,
-   replace) and mixed streams, rebuild policies and rejected batches,
-   catalog counter behavior under maintenance, and the update line
-   format. *)
+(* Maintenance subsystem tests: in-place document edits and copies,
+   exact-vs-rebuild bit-identity for every edit class (delete, append,
+   interior insert, replace) and mixed streams, rebuild policies and
+   rejected batches, the summary's private working copy and the estimate
+   contract under maintenance, catalog counter behavior under
+   maintenance, and the update line format. *)
 
 open Xmlest_core
 open Xmlest_test_util
@@ -78,27 +79,29 @@ let elem_delete root ~node =
   | Some e -> e
   | None -> invalid_arg "elem_delete: cannot delete the root"
 
-(* Full structural + label equality of two documents. *)
-let docs_equal a b =
-  D.size a = D.size b
-  && D.max_pos a = D.max_pos b
-  && begin
-    let ok = ref true in
-    for v = 0 to D.size a - 1 do
-      if
-        not
-          (String.equal (D.tag a v) (D.tag b v)
-          && String.equal (D.text a v) (D.text b v)
-          && List.length (D.attrs a v) = List.length (D.attrs b v)
-          && D.start_pos a v = D.start_pos b v
-          && D.end_pos a v = D.end_pos b v
-          && D.level a v = D.level b v
-          && D.parent a v = D.parent b v
-          && D.subtree_last a v = D.subtree_last b v)
-      then ok := false
-    done;
-    !ok
-  end
+(* Replace the text or the attributes of the node with pre-order index
+   [node]. *)
+let elem_replace root ~node ?text ?attrs () =
+  let c = ref (-1) in
+  let rec go e =
+    incr c;
+    let me = !c in
+    let kids = List.rev (List.fold_left (fun acc k -> go k :: acc) [] e.E.children) in
+    let pick v d = match v with Some v when me = node -> v | _ -> d in
+    E.make ~attrs:(pick attrs e.E.attrs) ~text:(pick text e.E.text) ~children:kids e.E.tag
+  in
+  go root
+
+(* The tree an update turns [root] into. *)
+let elem_apply root u =
+  match u with
+  | U.Insert { parent; index; subtree } -> elem_insert root ~parent ~index subtree
+  | U.Delete { node } -> elem_delete root ~node
+  | U.Replace_text { node; text } -> elem_replace root ~node ~text ()
+  | U.Replace_attrs { node; attrs } -> elem_replace root ~node ~attrs ()
+
+let attrs_equal =
+  List.equal (fun (k, v) (k', v') -> String.equal k k' && String.equal v v')
 
 (* Structure-only equality (labels may differ: deletes leave holes). *)
 let docs_equal_structure a b =
@@ -110,6 +113,7 @@ let docs_equal_structure a b =
         not
           (String.equal (D.tag a v) (D.tag b v)
           && String.equal (D.text a v) (D.text b v)
+          && attrs_equal (D.attrs a v) (D.attrs b v)
           && D.level a v = D.level b v
           && D.parent a v = D.parent b v
           && D.subtree_last a v = D.subtree_last b v)
@@ -118,12 +122,41 @@ let docs_equal_structure a b =
     !ok
   end
 
+(* The tag index lists, for every tag, exactly the nodes a document-order
+   scan finds. *)
+let tag_index_ok doc =
+  List.for_all
+    (fun id ->
+      let want = List.filter (fun v -> D.tag_id doc v = id) (List.init (D.size doc) Fun.id) in
+      Array.to_list (D.nodes_with_tag_id doc id) = want
+      && Array.to_list (D.nodes_with_tag doc (D.tag_name doc id)) = want)
+    (List.init (D.num_tags doc) Fun.id)
+
+(* Equality of structure, labels, tag set and tag index.  Tag ids are
+   left out: an insert interns its new tags after the existing ones, where
+   [of_elem] numbers them in document order. *)
+let docs_equal a b =
+  docs_equal_structure a b
+  && D.max_pos a = D.max_pos b
+  && List.equal String.equal (D.distinct_tags a) (D.distinct_tags b)
+  && List.for_all
+       (fun v -> D.start_pos a v = D.start_pos b v && D.end_pos a v = D.end_pos b v)
+       (List.init (D.size a) Fun.id)
+  && tag_index_ok a
+
+(* [docs_equal], and the same tag ids. *)
+let docs_identical a b =
+  docs_equal a b
+  && D.num_tags a = D.num_tags b
+  && List.for_all (fun v -> D.tag_id a v = D.tag_id b v) (List.init (D.size a) Fun.id)
+
 (* Interval labels must stay consistent with the parent structure: parents
    strictly contain children, siblings stay disjoint and ordered. *)
 let labels_consistent doc =
   let ok = ref true in
   for v = 0 to D.size doc - 1 do
-    if D.start_pos doc v >= D.end_pos doc v then ok := false;
+    if D.start_pos doc v >= D.end_pos doc v || D.end_pos doc v > D.max_pos doc then
+      ok := false;
     let p = D.parent doc v in
     if p >= 0 then
       if not (D.start_pos doc p < D.start_pos doc v
@@ -133,6 +166,23 @@ let labels_consistent doc =
   done;
   !ok
 
+(* The open/close events of [doc] in position order: two documents whose
+   labels differ only by holes give the same sequence. *)
+let event_order doc =
+  List.init (D.size doc) (fun v -> [ (D.start_pos doc v, v, true); (D.end_pos doc v, v, false) ])
+  |> List.concat
+  |> List.sort (fun (p, _, _) (q, _, _) -> Int.compare p q)
+  |> List.map (fun (_, v, opens) -> (v, opens))
+
+(* [doc], edited in place, describes [tree]: it equals [of_elem tree] up
+   to the position holes that deletes leave. *)
+let describes doc tree =
+  let want = D.of_elem tree in
+  docs_equal_structure doc want
+  && labels_consistent doc
+  && List.equal (fun (v, o) (w, o') -> v = w && Bool.equal o o') (event_order doc) (event_order want)
+  && tag_index_ok doc
+
 (* --- Document edit helper unit tests ----------------------------------- *)
 
 let sample () =
@@ -141,49 +191,56 @@ let sample () =
       [ E.make "x"; E.make "y" ~children:[ E.make "z"; E.make "x" ] ]
 
 let test_insert_matches_of_elem () =
-  let doc = D.of_elem (sample ()) in
   let sub = E.make "w" ~children:[ E.make "v" ] in
   List.iter
     (fun (parent, index) ->
-      let got, root = D.insert_subtree doc ~parent ~index sub in
+      let doc = D.of_elem (sample ()) in
+      let root = D.insert_subtree doc ~parent ~index sub in
       let want = D.of_elem (elem_insert (sample ()) ~parent ~index sub) in
       Alcotest.(check bool)
         (Printf.sprintf "insert under %d at %d" parent index)
-        true (docs_equal got want);
-      check Alcotest.string "inserted root tag" "w" (D.tag got root))
-    [ (0, 0); (0, 1); (0, 99); (2, 0); (2, 2); (1, 0); (4, 0) ]
+        true (docs_equal doc want);
+      check Alcotest.string "inserted root tag" "w" (D.tag doc root))
+    [ (0, 0); (0, 1); (0, 99); (0, -1); (2, 0); (2, 2); (1, 0); (4, 0) ]
 
 let test_insert_new_tags_extend_interning () =
   let doc = D.of_elem (sample ()) in
-  let doc', _ = D.insert_subtree doc ~parent:0 ~index:99 (E.make "brandnew") in
+  let before = D.copy doc in
+  ignore (D.insert_subtree doc ~parent:0 ~index:99 (E.make "brandnew"));
   check Alcotest.int "old ids stable"
-    (match D.lookup_tag_id doc "y" with Some i -> i | None -> -1)
-    (match D.lookup_tag_id doc' "y" with Some i -> i | None -> -1);
-  check Alcotest.int "new tag interned" 1 (D.tag_count doc' "brandnew");
-  check Alcotest.int "original untouched" 5 (D.size doc)
+    (match D.lookup_tag_id before "y" with Some i -> i | None -> -1)
+    (match D.lookup_tag_id doc "y" with Some i -> i | None -> -1);
+  check Alcotest.int "new tag interned" 1 (D.tag_count doc "brandnew");
+  check Alcotest.int "copy untouched" 5 (D.size before);
+  check Alcotest.int "copy does not know the tag" 0 (D.tag_count before "brandnew")
 
 let test_delete_preserves_labels () =
   let doc = D.of_elem (sample ()) in
-  let got = D.delete_subtree doc 2 in
+  let before = D.copy doc in
+  D.delete_subtree doc 2;
   let want = D.of_elem (elem_delete (sample ()) ~node:2) in
-  Alcotest.(check bool) "structure" true (docs_equal_structure got want);
-  check Alcotest.int "max_pos unchanged" (D.max_pos doc) (D.max_pos got);
+  Alcotest.(check bool) "structure" true (docs_equal_structure doc want);
+  check Alcotest.int "max_pos unchanged" (D.max_pos before) (D.max_pos doc);
   (* Survivors keep their original positions. *)
-  check Alcotest.int "root start" (D.start_pos doc 0) (D.start_pos got 0);
-  check Alcotest.int "root end" (D.end_pos doc 0) (D.end_pos got 0);
-  check Alcotest.int "x start" (D.start_pos doc 1) (D.start_pos got 1);
-  Alcotest.(check bool) "labels consistent" true (labels_consistent got);
+  check Alcotest.int "root start" (D.start_pos before 0) (D.start_pos doc 0);
+  check Alcotest.int "root end" (D.end_pos before 0) (D.end_pos doc 0);
+  check Alcotest.int "x start" (D.start_pos before 1) (D.start_pos doc 1);
+  Alcotest.(check bool) "labels consistent" true (labels_consistent doc);
   Alcotest.check_raises "root delete rejected"
     (Invalid_argument "Document.delete_subtree: node is the root or out of range")
-    (fun () -> ignore (D.delete_subtree doc 0))
+    (fun () -> D.delete_subtree doc 0);
+  Alcotest.(check bool) "rejected delete left the store as it was" true
+    (docs_equal_structure doc want)
 
 let test_replace_helpers () =
   let doc = D.of_elem (sample ()) in
-  let doc' = D.replace_text doc 1 "hello" in
-  check Alcotest.string "new text" "hello" (D.text doc' 1);
-  check Alcotest.string "old untouched" "" (D.text doc 1);
-  let doc'' = D.replace_attrs doc' 2 [ ("k", "v") ] in
-  check Alcotest.int "attr count" 1 (List.length (D.attrs doc'' 2))
+  let before = D.copy doc in
+  D.replace_text doc 1 "hello";
+  check Alcotest.string "new text" "hello" (D.text doc 1);
+  check Alcotest.string "copy untouched" "" (D.text before 1);
+  D.replace_attrs doc 2 [ ("k", "v") ];
+  check Alcotest.int "attr count" 1 (List.length (D.attrs doc 2));
+  check Alcotest.int "copy's attr count" 0 (List.length (D.attrs before 2))
 
 let prop_insert_matches_of_elem =
   QCheck.Test.make ~name:"insert_subtree = of_elem of edited tree" ~count:200
@@ -194,9 +251,9 @@ let prop_insert_matches_of_elem =
       let parent = pchoice mod D.size doc in
       let rng = Xmlest.Splitmix.create seed in
       let sub = gen_elem rng 5 in
-      let got, _ = D.insert_subtree doc ~parent ~index sub in
+      ignore (D.insert_subtree doc ~parent ~index sub);
       let want = D.of_elem (elem_insert elem ~parent ~index sub) in
-      docs_equal got want)
+      docs_equal doc want)
 
 let prop_delete_structure_and_labels =
   QCheck.Test.make ~name:"delete_subtree structure + label preservation"
@@ -206,11 +263,11 @@ let prop_delete_structure_and_labels =
       let doc = D.of_elem elem in
       QCheck.assume (D.size doc > 1);
       let node = 1 + (nchoice mod (D.size doc - 1)) in
-      let got = D.delete_subtree doc node in
+      D.delete_subtree doc node;
       let want = D.of_elem (elem_delete elem ~node) in
-      docs_equal_structure got want
-      && labels_consistent got
-      && D.max_pos got = D.max_pos doc)
+      docs_equal_structure doc want
+      && labels_consistent doc
+      && D.max_pos doc = 2 * Xmlest.Elem.size elem - 1)
 
 (* --- Summary maintenance: exact streams are bit-identical -------------- *)
 
@@ -261,22 +318,31 @@ let random_replace rng _doc_size doc =
     U.Replace_attrs
       { node; attrs = (if Xmlest.Splitmix.bool rng 0.5 then [] else [ ("k", "v") ]) }
 
+(* [doc] after [ups], on a copy: [doc] itself is left as it was. *)
+let edited doc ups =
+  let d = D.copy doc in
+  List.iter (U.apply_doc d) ups;
+  d
+
 (* Generate [k] updates, each drawn against the document as edited so
-   far; [pick] may return None to stop early (e.g. nothing left to
-   delete). *)
+   far (on a copy); [pick] may return None to stop early (e.g. nothing
+   left to delete). *)
 let stream ~k ~pick rng doc =
-  let rec go doc k acc =
+  let doc = D.copy doc in
+  let rec go k acc =
     if k = 0 then List.rev acc
     else
       match pick rng doc with
       | None -> List.rev acc
-      | Some u -> go (U.apply_doc doc u) (k - 1) (u :: acc)
+      | Some u ->
+        U.apply_doc doc u;
+        go (k - 1) (u :: acc)
   in
-  go doc k []
+  go k []
 
-(* The lazily rebuilt tag index of an edited revision must list, for every
-   tag, including tags first interned by an insert, exactly the nodes a
-   document-order scan finds. *)
+(* The lazily rebuilt tag index of an edited document must list, for
+   every tag, including tags first interned by an insert, exactly the
+   nodes a document-order scan finds. *)
 let prop_tag_index_after_edits =
   QCheck.Test.make ~name:"tag index = tag scan after inserts/deletes" ~count:200
     QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:30 ()) (int_bound 10000))
@@ -292,23 +358,14 @@ let prop_tag_index_after_edits =
           in
           Some (U.Insert { parent = Sm.int rng (D.size doc); index = Sm.int rng 3; subtree })
       in
-      let doc = List.fold_left U.apply_doc doc0 (stream ~k:6 ~pick (Sm.create seed) doc0) in
-      List.for_all
-        (fun id ->
-          let want =
-            List.filter (fun v -> D.tag_id doc v = id) (List.init (D.size doc) Fun.id)
-          in
-          Array.to_list (D.nodes_with_tag_id doc id) = want
-          && Array.to_list (D.nodes_with_tag doc (D.tag_name doc id)) = want)
-        (List.init (D.num_tags doc) Fun.id))
+      tag_index_ok (edited doc0 (stream ~k:6 ~pick (Sm.create seed) doc0)))
 
 (* Apply [ups] to a summary of [doc] and compare it with a same-grid
    rebuild of the edited document. *)
 let apply_equals_rebuild ?domains ?grid_kind doc ups =
   let s = summary_of ?domains ?grid_kind doc in
   Xmlest.Summary.apply s ups;
-  let doc' = List.fold_left U.apply_doc doc ups in
-  let s' = Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) doc' (base_preds ()) in
+  let s' = Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) (edited doc ups) (base_preds ()) in
   summaries_identical s s'
 
 let exact_stream_prop ~name ?domains ?grid_kind pick =
@@ -374,6 +431,45 @@ let all_kinds_pick rng doc =
   | 1 -> Some (random_append rng doc)
   | 2 -> Some (random_replace rng (D.size doc) doc)
   | _ -> Some (random_insert rng doc)
+
+(* In-place edit streams, from documents of a few nodes so that the
+   columns outgrow their capacity many times over: after every edit the
+   store describes the edited tree. *)
+let prop_edit_stream_matches_of_elem =
+  QCheck.Test.make ~name:"in-place edit stream = of_elem of edited tree" ~count:100
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:4 ()) (int_bound 10000))
+    (fun (elem, seed) ->
+      let doc = D.of_elem elem in
+      let rng = Sm.create seed in
+      let tree = ref elem and ok = ref true in
+      for _ = 1 to 40 do
+        match all_kinds_pick rng doc with
+        | None -> ()
+        | Some u ->
+          U.apply_doc doc u;
+          tree := elem_apply !tree u;
+          if not (describes doc !tree) then ok := false
+      done;
+      !ok)
+
+(* Editing a copy leaves every accessor of the original as it was, and
+   editing the original leaves a copy as it was. *)
+let prop_copy_independent =
+  QCheck.Test.make ~name:"copy is independent of its original" ~count:100
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:20 ()) (int_bound 10000))
+    (fun (elem, seed) ->
+      let rng = Sm.create seed in
+      let edit_all doc =
+        for _ = 1 to 10 do
+          Option.iter (U.apply_doc doc) (all_kinds_pick rng doc)
+        done
+      in
+      let doc = D.of_elem elem in
+      edit_all (D.copy doc);
+      let copy_unchanged = docs_identical doc (D.of_elem elem) in
+      let c = D.copy doc in
+      edit_all doc;
+      copy_unchanged && docs_identical c (D.of_elem elem))
 
 let prop_interior_stream_exact =
   exact_stream_prop ~name:"interior inserts: apply = rebuild" interior_pick
@@ -464,7 +560,7 @@ let test_insert_past_max_pos () =
       U.Insert { parent = 0; index = last_child; subtree = sub };
       U.Insert { parent = D.size doc - 1; index = 0; subtree = sub } ]
   in
-  let doc' = List.fold_left U.apply_doc doc ups in
+  let doc' = edited doc ups in
   Alcotest.(check bool) "survivors pushed past max_pos" true
     (D.start_pos doc' (D.size doc' - 1) > D.max_pos doc);
   check_exact "inserts past max_pos" doc ups
@@ -586,6 +682,58 @@ let test_rejected_batch_commits_prefix () =
   Alcotest.(check bool) "summary = same-grid rebuild of the prefix" true
     (summaries_identical s fresh)
 
+(* The summary edits a private copy: the document given to [build] keeps
+   its size, tags, positions and text, while [Summary.document] shows the
+   edits, and the next [apply] advances that same working copy. *)
+let test_build_document_never_edited () =
+  let elem = Xmlest.Staff_gen.generate () in
+  let doc = D.of_elem elem in
+  let s = Xmlest.Summary.build ~grid_size:10 doc [ tagp "manager"; tagp "employee" ] in
+  let ups =
+    [ U.Insert { parent = 0; index = max_int; subtree = E.make "manager" };
+      U.Delete { node = 3 };
+      U.Replace_text { node = 5; text = "x" };
+      U.Insert { parent = 1; index = 0; subtree = E.make "newtag" } ]
+  in
+  Xmlest.Summary.apply s ups;
+  Alcotest.(check bool) "build's document unchanged" true (docs_identical doc (D.of_elem elem));
+  let working () =
+    match Xmlest.Summary.document s with
+    | Some d -> d
+    | None -> Alcotest.fail "document survives maintenance"
+  in
+  let d = working () in
+  Alcotest.(check bool) "a separate store" false (d == doc);
+  Alcotest.(check bool) "the summary's document shows the edits" true
+    (docs_equal d (edited doc ups));
+  Xmlest.Summary.apply s [ U.Delete { node = 1 } ];
+  Alcotest.(check bool) "the next apply advances the same store" true (working () == d);
+  check Alcotest.int "one more edit" (D.size (edited doc ups) - D.subtree_size (edited doc ups) 1)
+    (D.size d);
+  check Alcotest.int "build's document keeps its size" 1467 (D.size doc)
+
+(* The estimate contract on a maintained summary: after every edit of a
+   random stream, estimates stay finite and non-negative, and exactly 0.0
+   for patterns the check proves empty over the edited document. *)
+let prop_maintained_estimate_contract =
+  QCheck.Test.make ~name:"maintained estimates: finite, >= 0, 0.0 when unsat" ~count:60
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:30 ()) (int_bound 10000))
+    (fun (elem, seed) ->
+      let doc = D.of_elem elem in
+      let rng = Sm.create seed in
+      let grid_kind = if seed mod 2 = 0 then `Uniform else `Equidepth in
+      let s = summary_of ~grid_kind doc in
+      let ok = ref true in
+      for _ = 1 to 6 do
+        (match Xmlest.Summary.document s with
+        | Some d -> Option.iter (fun u -> Xmlest.Summary.apply s [ u ]) (all_kinds_pick rng d)
+        | None -> ok := false);
+        for _ = 1 to 4 do
+          if not (Test_util.estimate_contract s (Test_util.contract_pattern rng)) then ok := false
+        done
+      done;
+      !ok)
+
 (* --- Catalog behavior under maintenance -------------------------------- *)
 
 let catalog_doc () =
@@ -624,7 +772,7 @@ let test_catalog_recomputes_after_update () =
   Alcotest.(check bool) "untouched histogram still hits" true
     (c2.Xmlest.Hist_catalog.hits > c1.Xmlest.Hist_catalog.hits);
   (* And the estimate now reflects the smaller document exactly. *)
-  let doc' = D.delete_subtree doc 1 in
+  let doc' = edited doc [ U.Delete { node = 1 } ] in
   let fresh =
     Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) doc' [ tagp "a"; tagp "b" ]
   in
@@ -754,6 +902,8 @@ let () =
           qcheck prop_insert_matches_of_elem;
           qcheck prop_delete_structure_and_labels;
           qcheck prop_tag_index_after_edits;
+          qcheck prop_edit_stream_matches_of_elem;
+          qcheck prop_copy_independent;
         ] );
       ( "exact-maintenance",
         [
@@ -787,6 +937,12 @@ let () =
           Alcotest.test_case "staleness policies" `Quick test_staleness_policies;
           Alcotest.test_case "rejected update commits the prefix" `Quick
             test_rejected_batch_commits_prefix;
+        ] );
+      ( "working-copy",
+        [
+          Alcotest.test_case "build's document is never edited" `Quick
+            test_build_document_never_edited;
+          qcheck prop_maintained_estimate_contract;
         ] );
       ( "catalog",
         [

@@ -184,3 +184,42 @@ let reopened s =
       match Xmlest.Summary.load_store path with
       | Ok s' -> s'
       | Error e -> Alcotest.failf "store open failed: %s" e)
+
+(* --- The estimate contract -------------------------------------------- *)
+
+(* A random twig over [tag_pool] whose node predicates mix tags with
+   conjunctions (two different tags contradict), negations, text,
+   attribute and level tests and an absent tag, so that patterns mix
+   satisfiable nodes with ones [Pattern_check] proves empty. *)
+let contract_pattern rng =
+  let module P = Xmlest.Predicate in
+  let module Sm = Xmlest.Splitmix in
+  let tag () = P.Tag (Sm.choose rng tag_pool) in
+  let pred () =
+    match Sm.int rng 8 with
+    | 0 -> P.And (tag (), tag ())
+    | 1 -> P.Not (tag ())
+    | 2 -> P.Or (tag (), P.Text_eq "x")
+    | 3 -> P.And (tag (), P.Attr_eq ("k", "v"))
+    | 4 -> P.And (tag (), P.Level_eq (Sm.int rng 4))
+    | 5 -> P.Tag "zzz"
+    | _ -> tag ()
+  in
+  let rec gen depth =
+    let edge () =
+      let axis = if Sm.bool rng 0.5 then Xmlest.Pattern.Descendant else Xmlest.Pattern.Child in
+      (axis, gen (depth + 1))
+    in
+    let edges = if depth >= 2 then [] else List.init (Sm.int rng 3) (fun _ -> edge ()) in
+    Xmlest.Pattern.node ~edges (pred ())
+  in
+  gen 0
+
+(* Every estimate is finite and non-negative, and exactly 0.0 once the
+   pattern check proves the pattern empty. *)
+let estimate_contract s p =
+  let sound e = Float.is_finite e && e >= 0.0 in
+  let checked, diags = Xmlest.Summary.estimate_checked s p in
+  sound (Xmlest.Summary.estimate s p)
+  && sound checked
+  && ((not (Xmlest.Pattern_check.unsatisfiable diags)) || Float.equal checked 0.0)
