@@ -112,9 +112,10 @@ let content_arg =
 
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D"
-         ~doc:"Build the summary on D OCaml domains (parallel chunked \
-               sweep; the result is bit-identical to the sequential \
-               build).  0 means the runtime's recommended domain count.")
+         ~doc:"Build the summary on D OCaml domains, each sweeping the \
+               document for its own share of the predicates; the result \
+               is bit-identical to the sequential build.  0 means the \
+               runtime's recommended domain count.")
 
 let resolve_domains d =
   if d = 0 then Xmlest.Domain_pool.recommended_domains ()

@@ -20,9 +20,10 @@ let help =
       "  load <file.xml>                load an XML document";
       "  stats                          per-tag statistics of the document";
       "  summarize [grid] [equidepth]   build histograms (default grid 10)";
-      "  set domains <n>                build summaries on n OCaml domains";
-      "                                 (0 = recommended count; result is";
-      "                                  bit-identical to the sequential build)";
+      "  set domains <n>                build summaries on n OCaml domains,";
+      "                                 each sweeping for its share of the";
+      "                                 predicates (0 = recommended count;";
+      "                                 bit-identical to the sequential build)";
       "  estimate <query>               estimate a twig query's answer size";
       "  check <query>                  static analysis of a query against the summary";
       "  explain <query>                estimate with a join-by-join trace";

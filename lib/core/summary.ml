@@ -56,11 +56,9 @@ let register_entries hcat entries =
    only in where node records come from and how each node's nearest
    strict P-ancestor is resolved.  Every builder is an order-insensitive
    exact integer accumulator, so the two sources' different feed orders
-   (pre-order, post-order, chunked) finish into bit-identical summaries. *)
+   (pre-order, post-order) finish into bit-identical summaries. *)
 
 module Pool = Xmlest_parallel.Pool
-module Chunking = Xmlest_parallel.Chunking
-module Builder_merge = Xmlest_parallel.Builder_merge
 
 type plan = {
   plan_preds : Predicate.t list;  (* as given, duplicates included *)
@@ -98,40 +96,33 @@ let plan ?schema_no_overlap ~with_levels preds =
     plan_levels = with_levels;
   }
 
-(* An empty builder set over [grid].  A schema override saying "overlaps"
-   means the coverage histogram can never be kept; its accumulation is
-   skipped entirely. *)
-let builders plan grid =
-  let p = Array.length plan.uniq in
+(* One unique predicate's builders, fed by exactly one sweep. *)
+type pred_builders = {
+  pb_hist : Position_histogram.builder;
+  pb_levels : Level_histogram.builder option;  (* None when levels are off *)
+  pb_coverage : Coverage_histogram.builder option;
+      (* None where a schema override rules coverage out *)
+  mutable pb_nesting : bool;  (* a match had a strict match-ancestor *)
+}
+
+(* Empty builders over [grid] for unique predicate [u].  A schema
+   override saying "overlaps" means the coverage histogram can never be
+   kept; its accumulation is skipped entirely. *)
+let pred_builders plan grid u =
   {
-    Builder_merge.p_hists = Array.init p (fun _ -> Position_histogram.builder grid);
-    p_levels =
-      (if plan.plan_levels then
-         Some (Array.init p (fun _ -> Level_histogram.builder ()))
-       else None);
-    p_coverage =
-      Array.map
-        (function
-          | Some false -> None
-          | Some true | None -> Some (Coverage_histogram.builder grid))
-        plan.schema;
-    p_pop = Position_histogram.builder grid;
-    p_populations = Array.make (Grid.cells grid) 0.0;
-    p_counts = Array.make p 0;
-    p_nesting = Array.make p false;
-    p_evals = 0;
+    pb_hist = Position_histogram.builder grid;
+    pb_levels =
+      (if plan.plan_levels then Some (Level_histogram.builder ()) else None);
+    pb_coverage =
+      (match plan.schema.(u) with
+      | Some false -> None
+      | Some true | None -> Some (Coverage_histogram.builder grid));
+    pb_nesting = false;
   }
 
-let feed_node (b : Builder_merge.partial) cell =
-  b.p_populations.(cell) <- b.p_populations.(cell) +. 1.0;
-  Position_histogram.feed_cell b.p_pop cell
-
-let feed_match (b : Builder_merge.partial) u ~cell ~level =
-  Position_histogram.feed_cell b.p_hists.(u) cell;
-  (match b.p_levels with
-  | Some lb -> Level_histogram.feed lb.(u) level
-  | None -> ());
-  b.p_counts.(u) <- b.p_counts.(u) + 1
+let feed_match pb ~cell ~level =
+  Position_histogram.feed_cell pb.pb_hist cell;
+  match pb.pb_levels with Some lb -> Level_histogram.feed lb level | None -> ()
 
 (* Equi-depth boundaries are drawn from the starts and ends of the nodes
    matching the base predicates — [positions u] for unique predicate [u],
@@ -151,29 +142,39 @@ let equidepth_grid plan ~grid_size ~max_pos ~positions ~all_positions =
   Array.sort Int.compare sample;
   Grid.equidepth ~size:grid_size ~max_pos ~positions:sample
 
-(* Builders into entries and a summary: the no-overlap flag follows the
-   schema override, else the observed nesting; coverage is kept for the
-   no-overlap predicates that matched at least one node. *)
-let finish plan ~doc ~grid ~path ~passes ~t0 (b : Builder_merge.partial) =
+(* Builders ([per] by unique predicate, [pop] the population) into
+   entries and a summary: the no-overlap flag follows the schema
+   override, else the observed nesting; coverage is kept for the
+   no-overlap predicates that matched at least one node, normalized by
+   the population's per-cell counts. *)
+let finish plan ~doc ~grid ~path ~passes ~t0 ~per ~pop ~evals =
+  let pop = Position_histogram.finish pop in
+  let g = grid.Grid.size in
+  let populations =
+    Array.init (Grid.cells grid) (fun c ->
+        Position_histogram.get pop ~i:(c / g) ~j:(c mod g))
+  in
   let entries = Hashtbl.create 64 in
   Array.iteri
     (fun u pred ->
+      let pb = per.(u) in
+      let hist = Position_histogram.finish pb.pb_hist in
       let no_overlap =
-        match plan.schema.(u) with Some x -> x | None -> not b.p_nesting.(u)
+        match plan.schema.(u) with Some x -> x | None -> not pb.pb_nesting
       in
       let cvg =
-        match b.p_coverage.(u) with
-        | Some cb when no_overlap && b.p_counts.(u) > 0 ->
-          Some (Coverage_histogram.finish cb ~populations:b.p_populations)
+        match pb.pb_coverage with
+        | Some cb when no_overlap && Position_histogram.total hist > 0.0 ->
+          Some (Coverage_histogram.finish cb ~populations)
         | Some _ | None -> None
       in
       Hashtbl.add entries (Predicate.name pred)
         {
           pred;
-          hist = Position_histogram.finish b.p_hists.(u);
+          hist;
           no_overlap;
           cvg;
-          lvl = Option.map (fun lb -> Level_histogram.finish lb.(u)) b.p_levels;
+          lvl = Option.map Level_histogram.finish pb.pb_levels;
         })
     plan.uniq;
   let hcat = make_hist_catalog () in
@@ -183,7 +184,7 @@ let finish plan ~doc ~grid ~path ~passes ~t0 (b : Builder_merge.partial) =
     grid;
     preds = plan.plan_preds;
     entries;
-    pop = Position_histogram.finish b.p_pop;
+    pop;
     with_levels = plan.plan_levels;
     hcat;
     lph_cache = Hashtbl.create 8;
@@ -192,7 +193,7 @@ let finish plan ~doc ~grid ~path ~passes ~t0 (b : Builder_merge.partial) =
         {
           path;
           passes;
-          predicate_evals = b.p_evals;
+          predicate_evals = evals;
           build_time = Unix.gettimeofday () -. t0;
         };
     maint = None;
@@ -200,134 +201,101 @@ let finish plan ~doc ~grid ~path ~passes ~t0 (b : Builder_merge.partial) =
 
 (* --- Source 1: the document sweep, sequential or over domains --------- *)
 
-(* First index with [arr.(k) >= x] in a sorted array ([Array.length arr]
-   when none), and sorted membership — used to seed the equi-depth replay
-   cursors and the stream seeds at a chunk boundary without re-evaluating
-   any predicate. *)
-let lower_bound arr x =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if arr.(mid) < x then lo := mid + 1 else hi := mid
+(* A dispatch table over the unique predicates [subset], indexed like it.
+   Dispatch state is mutable, so every sweep builds its own. *)
+let subset_dispatch plan doc subset =
+  Predicate.dispatch doc (Array.to_list (Array.map (Array.get plan.uniq) subset))
+
+(* Pass 1 of an equi-depth build: the nodes matching each of the unique
+   predicates [subset], in document order, and the evaluations spent. *)
+let collect_matches plan doc subset =
+  let disp = subset_dispatch plan doc subset in
+  let acc = Array.make (Array.length subset) [] in
+  for v = 0 to Document.size doc - 1 do
+    Predicate.dispatch_node disp doc v ~f:(fun k -> acc.(k) <- v :: acc.(k))
   done;
-  !lo
+  (Array.map (fun l -> Array.of_list (List.rev l)) acc, Predicate.dispatch_evals disp)
 
-let mem_sorted arr x =
-  let k = lower_bound arr x in
-  k < Array.length arr && Int.equal arr.(k) x
+(* One document-order sweep filling the builders of the unique predicates
+   [subset] (and the population, when [~population] is set); returns the
+   builders, the population builder and the evaluations spent.  Nearest
+   strict P-ancestors come from one interval stream per predicate, and the
+   covering node's cell from the sweep's own node-cell table.
 
-(* One chunk [lo, hi) of the document-order sweep, filling a builder set
-   for every base predicate at once.  Nearest strict P-ancestors come
-   from one interval stream per predicate.  For the leading chunk this is
-   exactly the sequential sweep.  A later chunk seeds each stream with
-   the set-member strict ancestors of [lo] (outermost first) — precisely
-   the stack the sequential sweep would hold on arriving at [lo] — so
-   every feed yields the same nearest strict P-ancestor it would have
-   sequentially.  Node cells are cached chunk-locally; a covering
-   ancestor before the chunk has its cell recomputed on the spot
-   ([Grid.cell_of_node] is pure).
-
-   With [match_arrays] (equi-depth), the matched sets were collected in
-   pass 1: the fill replays them through per-predicate cursors seeded by
-   binary search, and seed membership is a binary search too, so the
-   replay performs no predicate evaluations at all.  Without it
-   (uniform / explicit grid), a fresh dispatch table — dispatch state is
-   mutable, so it must not be shared across domains — evaluates each
-   node, plus the ancestors of [lo] once for the seeds. *)
-let sweep_range plan ~grid ~match_arrays doc ~lo ~hi =
-  let p = Array.length plan.uniq in
-  let cell_of v =
-    let i, j =
-      Grid.cell_of_node grid ~start_pos:(Document.start_pos doc v)
-        ~end_pos:(Document.end_pos doc v)
-    in
-    Grid.index grid ~i ~j
-  in
-  let b = builders plan grid in
-  let disp =
-    match match_arrays with
-    | None -> Some (Predicate.dispatch doc (Array.to_list plan.uniq))
-    | Some _ -> None
-  in
-  let streams =
-    if lo = 0 then Array.init p (fun _ -> Interval_ops.stream doc)
-    else begin
-      let seeds = Array.make p [] in
-      List.iter
-        (fun a ->
-          match (disp, match_arrays) with
-          | Some d, _ ->
-            Predicate.dispatch_node d doc a ~f:(fun u ->
-                seeds.(u) <- a :: seeds.(u))
-          | None, Some arrays ->
-            for u = 0 to p - 1 do
-              if mem_sorted arrays.(u) a then seeds.(u) <- a :: seeds.(u)
-            done
-          | None, None -> assert false)
-        (Document.ancestors doc lo);
-      Array.init p (fun u ->
-          Interval_ops.stream_seeded doc ~open_nodes:(List.rev seeds.(u)))
-    end
-  in
-  let matched = Array.make p false in
-  let matched_list = Array.make p 0 in
-  let node_cell = Array.make (Int.max (hi - lo) 1) 0 in
+   With [matches] (equi-depth), the subset's matched sets were collected
+   in pass 1: the fill replays them through per-predicate cursors, so it
+   performs no predicate evaluations at all.  Without it (uniform /
+   explicit grid), the sweep's own dispatch table evaluates each node. *)
+let sweep plan ~grid ~matches ~population doc subset =
+  let k = Array.length subset in
+  let n = Document.size doc in
+  let per = Array.map (pred_builders plan grid) subset in
+  let pop = Position_histogram.builder grid in
+  let streams = Array.init k (fun _ -> Interval_ops.stream doc) in
+  let matched = Array.make k false in
+  let matched_list = Array.make k 0 in
+  let node_cell = Array.make n 0 in
   (* The fill pass, shared by both grid kinds; [fill_matched] leaves the
-     indices of the predicates matching [v] in [matched_list.(0..k-1)]
+     indices of the predicates matching [v] in [matched_list.(0..m-1)]
      (and sets their [matched] flags, cleared here after use). *)
   let fill_pass fill_matched =
-    for v = lo to hi - 1 do
-      let idx = cell_of v in
-      node_cell.(v - lo) <- idx;
-      feed_node b idx;
+    for v = 0 to n - 1 do
+      let i, j =
+        Grid.cell_of_node grid ~start_pos:(Document.start_pos doc v)
+          ~end_pos:(Document.end_pos doc v)
+      in
+      let idx = Grid.index grid ~i ~j in
+      node_cell.(v) <- idx;
+      if population then Position_histogram.feed_cell pop idx;
       let nmatched = fill_matched v in
-      for u = 0 to p - 1 do
+      for u = 0 to k - 1 do
         let in_set = matched.(u) in
         let nearest = Interval_ops.feed streams.(u) v ~in_set in
-        (match b.p_coverage.(u) with
+        let pb = per.(u) in
+        (match pb.pb_coverage with
         | Some cb when nearest >= 0 ->
-          let covering =
-            if nearest >= lo then node_cell.(nearest - lo) else cell_of nearest
-          in
-          Coverage_histogram.feed cb ~covered:idx ~covering
+          Coverage_histogram.feed cb ~covered:idx ~covering:node_cell.(nearest)
         | Some _ | None -> ());
-        if in_set then feed_match b u ~cell:idx ~level:(Document.level doc v)
+        if in_set then feed_match pb ~cell:idx ~level:(Document.level doc v)
       done;
-      for k = 0 to nmatched - 1 do
-        matched.(matched_list.(k)) <- false
+      for m = 0 to nmatched - 1 do
+        matched.(matched_list.(m)) <- false
       done
     done
   in
-  (match (match_arrays, disp) with
-  | None, Some d ->
-    fill_pass (fun v ->
-        let nmatched = ref 0 in
-        Predicate.dispatch_node d doc v ~f:(fun u ->
-            matched.(u) <- true;
-            matched_list.(!nmatched) <- u;
-            incr nmatched);
-        !nmatched)
-  | Some arrays, _ ->
-    (* Replay pass 1's matches through per-predicate cursors: the arrays
-       are in document order, so each head is compared against [v] once. *)
-    let cursor = Array.init p (fun u -> lower_bound arrays.(u) lo) in
-    fill_pass (fun v ->
-        let nmatched = ref 0 in
-        for u = 0 to p - 1 do
-          let arr = arrays.(u) in
-          if cursor.(u) < Array.length arr && Int.equal arr.(cursor.(u)) v
-          then begin
-            cursor.(u) <- cursor.(u) + 1;
-            matched.(u) <- true;
-            matched_list.(!nmatched) <- u;
-            incr nmatched
-          end
-        done;
-        !nmatched)
-  | None, None -> assert false);
-  Array.iteri (fun u s -> b.p_nesting.(u) <- Interval_ops.nesting_seen s) streams;
-  b.p_evals <- (match disp with Some d -> Predicate.dispatch_evals d | None -> 0);
-  b
+  let evals =
+    match matches with
+    | None ->
+      let disp = subset_dispatch plan doc subset in
+      fill_pass (fun v ->
+          let nmatched = ref 0 in
+          Predicate.dispatch_node disp doc v ~f:(fun u ->
+              matched.(u) <- true;
+              matched_list.(!nmatched) <- u;
+              incr nmatched);
+          !nmatched);
+      Predicate.dispatch_evals disp
+    | Some arrays ->
+      (* Replay pass 1's matches through per-predicate cursors: the arrays
+         are in document order, so each head is compared against [v] once. *)
+      let cursor = Array.make k 0 in
+      fill_pass (fun v ->
+          let nmatched = ref 0 in
+          for u = 0 to k - 1 do
+            let arr = arrays.(u) in
+            if cursor.(u) < Array.length arr && Int.equal arr.(cursor.(u)) v
+            then begin
+              cursor.(u) <- cursor.(u) + 1;
+              matched.(u) <- true;
+              matched_list.(!nmatched) <- u;
+              incr nmatched
+            end
+          done;
+          !nmatched);
+      0
+  in
+  Array.iteri (fun u s -> per.(u).pb_nesting <- Interval_ops.nesting_seen s) streams;
+  (per, pop, evals)
 
 (* Starts and ends of [nodes], interleaved. *)
 let node_positions doc nodes =
@@ -342,75 +310,63 @@ let node_positions doc nodes =
    them (also yielding the quantile positions), and the fill pass replays
    the matches without re-evaluating anything.
 
-   Both passes partition the node range into contiguous chunks (one per
-   domain by default, or of [?chunk_size] nodes) swept concurrently on a
-   domain pool and merged {e in chunk-index order}, never completion
-   order.  Every per-cell quantity is an integer count fed one unit at a
-   time, so the merged sums are exact and the result is bit-identical —
-   [to_string] equal — to the sequential sweep for every domain count and
-   chunk size; the differential QCheck suite pins this. *)
+   Both passes split the work by predicate, not by node: the unique
+   predicates are dealt round-robin into [min domains p] subsets, and
+   each domain sweeps the whole document for its own subset; the first
+   subset also feeds the population.  Every builder is fed by exactly one
+   sweep, in document order, so collecting the builders by predicate
+   index gives the sequential sweep's builders themselves — the result
+   is bit-identical ([to_string] equal) for every domain count, and so is
+   the evaluation count; the differential QCheck suite pins both. *)
 let build ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
-    ?schema_no_overlap ?(with_levels = true) ?(domains = 1) ?chunk_size doc
-    preds =
+    ?schema_no_overlap ?(with_levels = true) ?(domains = 1) doc preds =
   let t0 = Unix.gettimeofday () in
   let plan = plan ?schema_no_overlap ~with_levels preds in
   let p = Array.length plan.uniq in
-  let n = Document.size doc in
-  let chunks =
-    match chunk_size with
-    | Some size -> Chunking.ranges_of_size ~n ~size
-    | None -> Chunking.ranges ~n ~count:domains
+  let m = Int.max 1 (Int.min domains p) in
+  let subsets =
+    Array.init m (fun s -> Array.init ((p - s + m - 1) / m) (fun i -> s + (i * m)))
   in
-  let ntasks = Array.length chunks in
-  (* Pass 1 (equi-depth only): matched node sets, no grid needed yet —
-     collected per chunk with a chunk-private dispatch table and
-     concatenated in chunk order.  An explicit [?grid] (used by
-     maintenance rebuild comparisons: positions past its [max_pos] clamp
-     into the last bucket) always takes the single-pass route. *)
-  let grid, match_arrays, pass1_evals =
+  (* Predicate [u] sits at index [u / m] of subset [u mod m]. *)
+  let collect parts = Array.init p (fun u -> parts.(u mod m).(u / m)) in
+  (* Pass 1 (equi-depth only): matched node sets, no grid needed yet.  An
+     explicit [?grid] (used by maintenance rebuild comparisons: positions
+     past its [max_pos] clamp into the last bucket) always takes the
+     single-pass route. *)
+  let grid, matches, pass1_evals =
     match (grid_override, grid_kind) with
     | Some g, _ -> (g, None, 0)
     | None, `Uniform ->
       (Grid.create ~size:grid_size ~max_pos:(Document.max_pos doc), None, 0)
     | None, `Equidepth ->
-      let per_chunk =
-        (* lint: allow domain-escape — doc and chunk table are read-only shares *)
-        Pool.run ~domains ~tasks:ntasks (fun k ->
-            let { Chunking.lo; hi } = chunks.(k) in
-            let disp = Predicate.dispatch doc (Array.to_list plan.uniq) in
-            let acc = Array.make p [] in
-            for v = lo to hi - 1 do
-              Predicate.dispatch_node disp doc v ~f:(fun u ->
-                  acc.(u) <- v :: acc.(u))
-            done;
-            ( Array.map (fun l -> Array.of_list (List.rev l)) acc,
-              Predicate.dispatch_evals disp ))
+      let per_subset =
+        (* lint: allow domain-escape — doc and subsets are read-only shares *)
+        Pool.run ~domains:m ~tasks:m (fun s -> collect_matches plan doc subsets.(s))
       in
-      let arrays =
-        Array.init p (fun u ->
-            Array.concat
-              (Array.to_list (Array.map (fun (a, _) -> a.(u)) per_chunk)))
-      in
+      let matches = Array.map fst per_subset in
+      let arrays = collect matches in
       let grid =
         equidepth_grid plan ~grid_size ~max_pos:(Document.max_pos doc)
           ~positions:(fun u -> node_positions doc arrays.(u))
-          ~all_positions:(fun () -> node_positions doc (Array.init n Fun.id))
+          ~all_positions:(fun () ->
+            node_positions doc (Array.init (Document.size doc) Fun.id))
       in
-      (grid, Some arrays, Array.fold_left (fun acc (_, e) -> acc + e) 0 per_chunk)
+      (grid, Some matches, Array.fold_left (fun acc (_, e) -> acc + e) 0 per_subset)
   in
-  let partials =
-    if ntasks = 0 then [| sweep_range plan ~grid ~match_arrays doc ~lo:0 ~hi:0 |]
-    else
-      (* lint: allow domain-escape — read-only shares; builders are chunk-local *)
-      Pool.run ~domains ~tasks:ntasks (fun k ->
-          let { Chunking.lo; hi } = chunks.(k) in
-          sweep_range plan ~grid ~match_arrays doc ~lo ~hi)
+  let parts =
+    (* lint: allow domain-escape — read-only shares; builders are per-subset *)
+    Pool.run ~domains:m ~tasks:m (fun s ->
+        sweep plan ~grid
+          ~matches:(Option.map (fun per -> per.(s)) matches)
+          ~population:(s = 0) doc subsets.(s))
   in
-  let b = Builder_merge.merge partials in
-  b.p_evals <- b.p_evals + pass1_evals;
+  let _, pop, _ = parts.(0) in
   finish plan ~doc:(Some doc) ~grid ~path:`Fused
-    ~passes:(if Option.is_some match_arrays then 2 else 1)
-    ~t0 b
+    ~passes:(if Option.is_some matches then 2 else 1)
+    ~t0
+    ~per:(collect (Array.map (fun (per, _, _) -> per) parts))
+    ~pop
+    ~evals:(Array.fold_left (fun acc (_, _, e) -> acc + e) pass1_evals parts)
 
 (* --- Source 2: the streamed SAX build --------------------------------- *)
 
@@ -604,8 +560,8 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
         3 )
   in
   (* --- Pass B: replay the spill into the builders. -------------------- *)
-  let b = builders plan grid in
-  b.p_evals <- Predicate.dispatch_evals disp;
+  let per = Array.init p (pred_builders plan grid) in
+  let pop = Position_histogram.builder grid in
   let cells = Grid.cells grid in
   let queues = Array.init p (fun _ -> q_make ()) in
   let scratch = Array.make cells 0.0 in
@@ -620,7 +576,7 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
   replay (fun ~start_pos ~end_pos ~level words ->
       let i, j = Grid.cell_of_node grid ~start_pos ~end_pos in
       let idx = Grid.index grid ~i ~j in
-      feed_node b idx;
+      Position_histogram.feed_cell pop idx;
       (* A record deeper than its predecessor is the first of a new
          subtree: the child segments of every level down to its own
          start here.  A record exactly one level shallower closes the
@@ -637,9 +593,10 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
         let in_set = matches words u in
         let k = (level * p) + u in
         let below = has_children && held.(k + p) in
-        if in_set && below then b.p_nesting.(u) <- true;
+        let pb = per.(u) in
+        if in_set && below then pb.pb_nesting <- true;
         if in_set || below then held.(k) <- true;
-        (match b.p_coverage.(u) with
+        (match pb.pb_coverage with
         | Some cb ->
           let q = queues.(u) in
           if in_set then
@@ -649,10 +606,11 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
           if q.q_len - mark.(k) > cells then
             q_compact q ~base:mark.(k) ~scratch ~touched
         | None -> ());
-        if in_set then feed_match b u ~cell:idx ~level
+        if in_set then feed_match pb ~cell:idx ~level
       done;
       prev := level);
-  finish plan ~doc:None ~grid ~path:`Streamed ~passes ~t0 b
+  finish plan ~doc:None ~grid ~path:`Streamed ~passes ~t0 ~per ~pop
+    ~evals:(Predicate.dispatch_evals disp)
 
 let build_stream_file ?grid_size ?grid_kind ?schema_no_overlap ?with_levels path
     preds =
@@ -911,13 +869,13 @@ let estimate_batch ?options ?(domains = 1) t patterns =
   | _ when domains <= 1 -> List.map (estimate ?options t) patterns
   | _ ->
     let pats = Array.of_list patterns in
-    let chunks = Chunking.ranges ~n:(Array.length pats) ~count:domains in
-    let ntasks = Array.length chunks in
+    let n = Array.length pats in
+    let ntasks = Int.min domains n in
     let views = Array.init ntasks (fun _ -> scratch_view t) in
     let per_chunk =
       (* lint: allow domain-escape — summary is read-only; views are per-task *)
       Pool.run ~domains ~tasks:ntasks (fun k ->
-          let { Chunking.lo; hi } = chunks.(k) in
+          let lo = k * n / ntasks and hi = (k + 1) * n / ntasks in
           let hcat, lph = views.(k) in
           let cat = catalog_in hcat lph t in
           Array.init (hi - lo) (fun i ->

@@ -21,7 +21,6 @@ val build :
   ?schema_no_overlap:(Predicate.t -> bool option) ->
   ?with_levels:bool ->
   ?domains:int ->
-  ?chunk_size:int ->
   Document.t ->
   Predicate.t list ->
   t
@@ -48,15 +47,14 @@ val build :
     separately with the histogram modules' own constructors — the
     per-predicate oracle in the test suite (property-tested).
 
-    [?domains] (default 1) partitions the sweep into contiguous node
-    chunks swept concurrently on that many OCaml domains
-    ({!Xmlest_parallel.Pool}); later chunks seed their interval streams
-    from the ancestor chain at their left boundary, and the per-chunk
-    builders merge in chunk-index order.  [?chunk_size] overrides the
-    one-chunk-per-domain plan with fixed-size chunks (any positive size),
-    exercised by the differential tests.  The result is {e bit-identical}
-    — {!to_string}-equal — to the sequential build for every domain count,
-    chunk size and grid kind (property-tested). *)
+    [?domains] (default 1) splits the sweep by predicate: the unique
+    predicates are dealt round-robin into [min domains p] subsets, and
+    each subset's sweep over the whole document runs on its own OCaml
+    domain ({!Xmlest_parallel.Pool}), the first one also feeding the
+    population histogram.  Every builder is fed by exactly one sweep, so
+    the result is {e bit-identical} — {!to_string}-equal — to the
+    sequential build, with the same [predicate_evals], for every domain
+    count and grid kind (property-tested). *)
 
 val build_stream :
   ?grid_size:int ->

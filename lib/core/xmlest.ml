@@ -78,8 +78,6 @@ module Maintenance = Xmlest_maintain.Apply
 
 (* Parallel substrate *)
 module Domain_pool = Xmlest_parallel.Pool
-module Chunking = Xmlest_parallel.Chunking
-module Builder_merge = Xmlest_parallel.Builder_merge
 
 (* Catalog *)
 module Store = Store

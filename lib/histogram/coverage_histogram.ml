@@ -70,22 +70,6 @@ let feed_n b ~covered ~covering k =
 
 let feed b ~covered ~covering = feed_n b ~covered ~covering 1.0
 
-(* Chunk merge: per covered cell, prepend the later chunk's run-length
-   list (lists grow head-first, so the merged list keeps "head = latest").
-   A run split across a chunk boundary becomes two (covering, count)
-   entries; [finish] re-sums per covering cell with exact integer-float
-   additions and sorts, so the merged result is bit-identical to one
-   uninterrupted feed. *)
-let merge_into ~into b =
-  if not (Grid.compatible into.b_grid b.b_grid) then
-    invalid_arg "Coverage_histogram.merge_into: incompatible grids";
-  Array.iteri
-    (fun c lst ->
-      match lst with
-      | [] -> ()
-      | lst -> into.b_counts.(c) <- lst @ into.b_counts.(c))
-    b.b_counts
-
 let finish b ~populations =
   if not (Int.equal (Array.length populations) (Grid.cells b.b_grid)) then
     invalid_arg "Coverage_histogram.finish: population array length mismatch";

@@ -45,14 +45,6 @@ val feed_n : builder -> covered:int -> covering:int -> float -> unit
     integer [k]).  The out-of-core streaming build accumulates covered
     descendants per pending P-segment and flushes them in bulk. *)
 
-val merge_into : into:builder -> builder -> unit
-(** Merge the second builder (the {e later} chunk of a partitioned sweep)
-    into [into] — per covered cell, the later chunk's run-length entries
-    are prepended.  {!finish} re-sums duplicates per covering cell with
-    exact integer additions, so merging per-chunk builders in chunk order
-    is bit-identical to one uninterrupted feed.  Raises
-    [Invalid_argument] on incompatible grids. *)
-
 val finish : builder -> populations:float array -> t
 (** Freeze, normalizing counts by the per-cell population (the TRUE
     histogram counts, dense).  Raises [Invalid_argument] on a population

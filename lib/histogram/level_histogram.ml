@@ -14,7 +14,7 @@ type builder = { mutable b_counts : float array; mutable b_max : int }
 
 let builder () = { b_counts = Array.make 8 0.0; b_max = -1 }
 
-let feed_n b l k =
+let feed b l =
   if l >= Array.length b.b_counts then begin
     let n = ref (2 * Array.length b.b_counts) in
     while l >= !n do
@@ -24,18 +24,8 @@ let feed_n b l k =
     Array.blit b.b_counts 0 bigger 0 (Array.length b.b_counts);
     b.b_counts <- bigger
   end;
-  b.b_counts.(l) <- b.b_counts.(l) +. k;
+  b.b_counts.(l) <- b.b_counts.(l) +. 1.0;
   if l > b.b_max then b.b_max <- l
-
-let feed b l = feed_n b l 1.0
-
-(* Chunk merge: per-level addition (exact on integer counts) and the max
-   of the fed-level watermarks, so [finish] trims to the same length as a
-   single builder fed with the concatenated sequence. *)
-let merge_into ~into b =
-  for l = 0 to b.b_max do
-    if not (Float.equal b.b_counts.(l) 0.0) then feed_n into l b.b_counts.(l)
-  done
 
 let finish b =
   { counts = F64.of_array (Array.sub b.b_counts 0 (Int.max 1 (b.b_max + 1))) }

@@ -26,11 +26,6 @@ val feed : builder -> int -> unit
 (** Count one node at the given depth; the internal array grows on
     demand. *)
 
-val merge_into : into:builder -> builder -> unit
-(** Add the second builder's per-level counts into [into] — the merge step
-    of partitioned (chunked) construction.  Exact on integer counts, so
-    merged chunks are bit-identical to one uninterrupted feed. *)
-
 val finish : builder -> t
 (** Freeze: counts for levels [0 .. max fed level] ([\[|0.0|\]] when
     nothing was fed, matching {!build} on an empty node set). *)

@@ -70,15 +70,6 @@ let feed b ~start_pos ~end_pos =
   let i, j = Grid.cell_of_node b.b_grid ~start_pos ~end_pos in
   feed_cell b (Grid.index b.b_grid ~i ~j)
 
-(* Chunk merge for partitioned construction: cellwise addition.  Every
-   builder count is an integer (unit feeds), so per-cell sums are exact in
-   float and the merged counts equal a single builder fed with the
-   concatenated sequence, bit for bit. *)
-let merge_into ~into b =
-  if not (Grid.compatible into.b_grid b.b_grid) then
-    invalid_arg "Position_histogram.merge_into: incompatible grids";
-  Array.iteri (fun c v -> into.b_counts.(c) <- into.b_counts.(c) +. v) b.b_counts
-
 let finish b =
   {
     grid = b.b_grid;

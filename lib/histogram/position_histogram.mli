@@ -47,13 +47,6 @@ val feed_cell : builder -> int -> unit
     known — the fused sweep computes each node's cell once and feeds every
     predicate histogram from it. *)
 
-val merge_into : into:builder -> builder -> unit
-(** Add every cell count of the second builder into [into] — the merge
-    step of partitioned (chunked) construction.  Because builder counts
-    are integer unit feeds, the sums are exact and merging per-chunk
-    builders in any order is bit-identical to feeding one builder with the
-    whole sequence.  Raises [Invalid_argument] on incompatible grids. *)
-
 val finish : builder -> t
 (** Freeze into a histogram (version 0).  The builder must not be fed
     afterwards. *)

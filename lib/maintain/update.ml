@@ -16,7 +16,8 @@ let apply_doc doc u =
 
 (* Exact XML serialization of a subtree (unlike [Elem.pp], which truncates
    long text for display): entities are escaped so that
-   [Xml_parser.parse_string] inverts [subtree_to_xml]. *)
+   [Xml_parser.parse_string] inverts [subtree_to_xml], and line breaks
+   become character references so the XML stays on one line. *)
 let escape ~quot s =
   let buf = Buffer.create (String.length s) in
   String.iter
@@ -26,6 +27,8 @@ let escape ~quot s =
       | '<' -> Buffer.add_string buf "&lt;"
       | '>' -> Buffer.add_string buf "&gt;"
       | '"' when quot -> Buffer.add_string buf "&quot;"
+      | '\n' -> Buffer.add_string buf "&#10;"
+      | '\r' -> Buffer.add_string buf "&#13;"
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
@@ -57,15 +60,32 @@ let subtree_to_xml elem =
   go elem;
   Buffer.contents buf
 
+(* A text or attribute word travels bare when [parse] reads it back
+   unchanged, and otherwise as an OCaml string literal ([%S]), which
+   escapes quotes, backslashes, line breaks and every other
+   non-printable byte. *)
+let is_space c = match c with ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
+let starts_quoted s = String.length s > 0 && Char.equal s.[0] '"'
+
+let quote_if bad s =
+  if starts_quoted s || String.exists bad s then Printf.sprintf "%S" s else s
+
 let to_line u =
   match u with
   | Insert { parent; index; subtree } ->
     Printf.sprintf "insert %d %d %s" parent index (subtree_to_xml subtree)
   | Delete { node } -> Printf.sprintf "delete %d" node
-  | Replace_text { node; text } -> Printf.sprintf "replace-text %d %s" node text
+  | Replace_text { node; text } ->
+    let text =
+      if String.equal text (String.trim text) then
+        quote_if (fun c -> Char.equal c '\n' || Char.equal c '\r') text
+      else Printf.sprintf "%S" text
+    in
+    Printf.sprintf "replace-text %d %s" node text
   | Replace_attrs { node; attrs } ->
-    let parts = List.map (fun (k, v) -> k ^ "=" ^ v) attrs in
-    Printf.sprintf "replace-attrs %d %s" node (String.concat " " parts)
+    let word ~key = quote_if (fun c -> is_space c || (key && Char.equal c '=')) in
+    let pair (k, v) = word ~key:true k ^ "=" ^ word ~key:false v in
+    Printf.sprintf "replace-attrs %d %s" node (String.concat " " (List.map pair attrs))
 
 let pp ppf u = Format.pp_print_string ppf (to_line u)
 
@@ -83,6 +103,48 @@ let int_of_word w =
   | None -> Error (Printf.sprintf "expected a node index, got %S" w)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
+(* The word of [s] at [i] and the index past it: a string literal, or
+   the bare run up to whitespace or a [stop] character. *)
+let read_word s i ~stop =
+  let n = String.length s in
+  if i < n && Char.equal s.[i] '"' then
+    match Scanf.sscanf (String.sub s i (n - i)) "%S%n" (fun w k -> (w, i + k)) with
+    | r -> Ok r
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+      Error "bad string literal"
+  else begin
+    let j = ref i in
+    while !j < n && (not (is_space s.[!j])) && not (stop s.[!j]) do
+      incr j
+    done;
+    Ok (String.sub s i (!j - i), !j)
+  end
+
+(* [k=v] pairs separated by whitespace; a bare [k] has the empty value. *)
+let parse_attrs s =
+  let n = String.length s in
+  let at_break i = i >= n || is_space s.[i] in
+  let rec pairs i acc =
+    if i < n && is_space s.[i] then pairs (i + 1) acc
+    else if i >= n then Ok (List.rev acc)
+    else
+      let* k, i = read_word s i ~stop:(Char.equal '=') in
+      if i < n && Char.equal s.[i] '=' then
+        let* v, i = read_word s (i + 1) ~stop:(fun _ -> false) in
+        if at_break i then pairs i ((k, v) :: acc)
+        else Error "expected whitespace after an attribute value"
+      else if at_break i then pairs i ((k, "") :: acc)
+      else Error "expected '=' after an attribute name"
+  in
+  pairs 0 []
+
+let parse_text s =
+  if starts_quoted s then
+    let* text, i = read_word s 0 ~stop:(fun _ -> false) in
+    if Int.equal i (String.length s) then Ok text
+    else Error "text after the string literal"
+  else Ok s
 
 let parse line =
   let cmd, rest = split_first line in
@@ -102,23 +164,12 @@ let parse line =
   | "replace-text" ->
     let w, text = split_first rest in
     let* node = int_of_word w in
+    let* text = parse_text text in
     Ok (Replace_text { node; text })
   | "replace-attrs" ->
     let w, rest = split_first rest in
     let* node = int_of_word w in
-    let parts =
-      List.filter (fun s -> not (String.equal s "")) (String.split_on_char ' ' rest)
-    in
-    let attrs =
-      List.map
-        (fun part ->
-          match String.index_opt part '=' with
-          | Some i ->
-            ( String.sub part 0 i,
-              String.sub part (i + 1) (String.length part - i - 1) )
-          | None -> (part, ""))
-        parts
-    in
+    let* attrs = parse_attrs rest in
     Ok (Replace_attrs { node; attrs })
   | "" -> Error "empty update line"
   | other -> Error (Printf.sprintf "unknown update op %S" other)

@@ -37,13 +37,20 @@ val apply_doc : Document.t -> t -> unit
 val parse : string -> (t, string) result
 (** Parse one update line (see the formats above).  Insert subtrees are
     given as inline XML parsed by {!Xml_parser.parse_string};
-    [replace-text] takes the rest of the line verbatim; [replace-attrs]
-    takes space-separated [k=v] pairs (values cannot contain spaces in
-    the line format). *)
+    [replace-text] takes the rest of the line, trimmed; [replace-attrs]
+    takes whitespace-separated [k=v] pairs, where a bare [k] has the
+    empty value.  A text, name or value that starts with a double quote
+    is an OCaml string literal (["a b"], ["x\ny"]): that is how
+    values with spaces, line breaks or edge whitespace travel.  A bad
+    literal is an [Error]. *)
 
 val to_line : t -> string
-(** Serialize to the line format; inverse of {!parse} (insert subtrees are
-    emitted as entity-escaped XML). *)
+(** Serialize to one line; [parse (to_line u)] gives back [u] for every
+    update whose subtree texts are trimmed, as {!Xml_parser} produces
+    them.  Texts and attribute words are written bare when [parse] reads
+    them back unchanged, and as string literals otherwise; insert
+    subtrees are emitted as entity-escaped XML, line breaks as character
+    references. *)
 
 val subtree_to_xml : Elem.t -> string
 (** Exact single-line XML for a subtree, entities escaped so that

@@ -138,10 +138,6 @@ let parent t v = t.parents.(v)
 let subtree_last t v = t.subtree_lasts.(v)
 let subtree_size t v = t.subtree_lasts.(v) - v + 1
 
-let ancestors t v =
-  let rec up u acc = if u < 0 then acc else up t.parents.(u) (u :: acc) in
-  up t.parents.(v) []
-
 let is_ancestor t ~anc ~desc =
   t.starts.(anc) < t.starts.(desc) && t.ends.(desc) < t.ends.(anc)
 

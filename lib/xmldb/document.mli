@@ -78,12 +78,6 @@ val subtree_last : t -> node -> node
 
 val subtree_size : t -> node -> int
 
-val ancestors : t -> node -> node list
-(** Strict ancestors of the node, outermost first: the store root heads the
-    list, [parent v] ends it; [[]] for the root itself.  This is the open
-    interval chain a chunked document sweep must seed its ancestor stack
-    with when it starts mid-document at [v]. *)
-
 (** {2 Structure queries} *)
 
 val is_ancestor : t -> anc:node -> desc:node -> bool

@@ -19,33 +19,6 @@ type stream = {
 let stream doc =
   { doc; open_ends = Array.make 16 0; open_nodes = Array.make 16 0; depth = 0; nesting = false }
 
-(* A mid-document sweep (one chunk of a partitioned traversal) starts with
-   set ancestors of its first node already open.  Seeding pushes them
-   without touching the nesting flag: each seed was fed as a regular node
-   by the chunk that owns it, where its own nesting contribution was
-   recorded. *)
-let stream_seeded doc ~open_nodes =
-  let k = List.length open_nodes in
-  let cap = ref 16 in
-  while !cap < k do
-    cap := 2 * !cap
-  done;
-  let s =
-    {
-      doc;
-      open_ends = Array.make !cap 0;
-      open_nodes = Array.make !cap 0;
-      depth = k;
-      nesting = false;
-    }
-  in
-  List.iteri
-    (fun d v ->
-      s.open_ends.(d) <- Document.end_pos doc v;
-      s.open_nodes.(d) <- v)
-    open_nodes;
-  s
-
 let feed s v ~in_set =
   let sv = Document.start_pos s.doc v in
   while s.depth > 0 && s.open_ends.(s.depth - 1) < sv do

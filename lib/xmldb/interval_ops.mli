@@ -28,17 +28,6 @@ type stream
 val stream : Document.t -> stream
 (** A fresh sweep state for one node set over the given document. *)
 
-val stream_seeded : Document.t -> open_nodes:Document.node list -> stream
-(** A sweep state whose open-interval stack is preloaded with [open_nodes]
-    (outermost first) — the set members among the strict ancestors of the
-    first node about to be fed.  This is how a chunked document traversal
-    resumes the sweep mid-document: feeding chunk nodes into a stream
-    seeded with the set-ancestor chain of the chunk's left boundary yields
-    the same per-node nearest ancestors as one uninterrupted sweep.
-    Seeding does not raise the nesting flag ({!nesting_seen} stays [false]
-    until a fed [in_set] node has a set-ancestor); the chunk that fed each
-    seed as a regular node accounts for its nesting. *)
-
 val feed : stream -> Document.node -> in_set:bool -> Document.node
 (** [feed s v ~in_set] must be called for every node in document order
     (strictly increasing start positions).  Returns [v]'s nearest strict

@@ -25,12 +25,21 @@ let escape ~quot s =
 let escape_text s = escape ~quot:false s
 let escape_attr s = escape ~quot:true s
 
-let to_buffer ?(indent = true) buf e =
+(* Indentation stops deepening at this depth, so an indented document is
+   O(n) bytes however deep it nests.  Every generated data set is
+   shallower, so their files are unaffected. *)
+let max_indent_depth = 32
+
+(* [spill buf] runs after each element; [to_file] empties the buffer
+   into its channel there, so the document is never held whole. *)
+let write ~indent ~spill buf e =
   let open Elem in
+  let started = ref (Buffer.length buf > 0) in
   let pad depth =
     if indent then begin
-      if Buffer.length buf > 0 then Buffer.add_char buf '\n';
-      for _ = 1 to depth do
+      if !started then Buffer.add_char buf '\n';
+      started := true;
+      for _ = 1 to Int.min depth max_indent_depth do
         Buffer.add_string buf "  "
       done
     end
@@ -58,23 +67,33 @@ let to_buffer ?(indent = true) buf e =
       Buffer.add_string buf "</";
       Buffer.add_string buf e.tag;
       Buffer.add_char buf '>'
-    end
+    end;
+    spill buf
   in
   go 0 e
 
+let to_buffer ?(indent = true) buf e = write ~indent ~spill:ignore buf e
+
+let declaration = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+
 let to_string ?indent e =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
+  Buffer.add_string b declaration;
   to_buffer ?indent b e;
   Buffer.add_char b '\n';
   Buffer.contents b
 
-let to_file ?indent path e =
+let to_file ?(indent = true) path e =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (to_string ?indent e);
+      let b = Buffer.create 4096 in
+      Buffer.add_string b declaration;
+      write ~indent b e ~spill:(fun b ->
+          Buffer.output_buffer oc b;
+          Buffer.clear b);
+      output_char oc '\n';
       (* flush inside the body so write errors (ENOSPC, ...) surface as
          the primary exception, not from the finally *)
       flush oc)

@@ -580,18 +580,18 @@ let test_stream_build_file_and_stats () =
 
 (* --- Parallel vs sequential construction and estimation --------------- *)
 
-(* The partitioned build must be [to_string]-bit-identical to the
-   sequential one (and hence to the oracle) for every domain count,
-   both grid kinds, and adversarial chunk sizes: 1 (every node its own
-   chunk), the node count (one chunk), and a prime that misaligns chunk
-   boundaries with the document structure. *)
+(* The predicate-split build must be [to_string]-bit-identical to the
+   sequential one (and hence to the oracle), with the same evaluation
+   count, for every domain count — including 3, which leaves subsets of
+   unequal size, and 7 and 16, more domains than the 5 unique
+   predicates — on both grid kinds, with the duplicate predicate and the
+   schema overrides (a [Some false] one skips coverage). *)
 let prop_parallel_build_bit_identical =
   QCheck.Test.make ~count:50
     ~name:"parallel build = sequential build (bit-identical, random docs)"
     QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:60 ()) (int_bound 7))
     (fun (elem, cfg) ->
       let doc = Xmlest.Document.of_elem elem in
-      let n = Xmlest.Document.size doc in
       let grid_size = min 8 (Xmlest.Document.max_pos doc + 1) in
       let grid_kind = if cfg land 1 = 0 then `Uniform else `Equidepth in
       let with_levels = cfg land 2 = 0 in
@@ -610,18 +610,21 @@ let prop_parallel_build_bit_identical =
           tagp "nosuchtag";
         ]
       in
-      let build ?domains ?chunk_size () =
+      let build ?domains () =
         Xmlest.Summary.build ~grid_size ~grid_kind ~schema_no_overlap
-          ~with_levels ?domains ?chunk_size doc preds
+          ~with_levels ?domains doc preds
+      in
+      let evals s =
+        match Xmlest.Summary.stats s with
+        | Some st -> st.Xmlest.Summary.predicate_evals
+        | None -> -1
       in
       let seq = build () in
       List.for_all
-        (fun d -> summaries_identical seq (build ~domains:d ()))
-        [ 1; 2; 4; 7 ]
-      && List.for_all
-           (fun chunk_size ->
-             summaries_identical seq (build ~domains:4 ~chunk_size ()))
-           [ 1; Int.max n 1; 13 ])
+        (fun d ->
+          let par = build ~domains:d () in
+          summaries_identical seq par && Int.equal (evals seq) (evals par))
+        [ 1; 2; 3; 4; 7; 16 ])
 
 let prop_estimate_batch_bit_identical =
   QCheck.Test.make ~count:40

@@ -844,6 +844,108 @@ let test_update_lines_round_trip () =
   Alcotest.(check bool) "bad xml rejected" true
     (match U.parse "insert 0 0 <unclosed" with Ok _ -> false | Error _ -> true)
 
+(* Words the line format must carry: spaces, [=], [&], quotes,
+   backslashes, edge whitespace, line breaks and non-ASCII bytes. *)
+let word_pieces =
+  [| "a"; "b c"; " "; "="; "&"; "\""; "'"; "\\"; "\n"; "\r\n"; "\t"; "<x>"; "\xc3\xa9"; "" |]
+
+let gen_word rng =
+  String.concat "" (List.init (Sm.int rng 4) (fun _ -> Sm.choose rng word_pieces))
+
+(* Any update; subtree texts are trimmed, as Xml_parser produces them. *)
+let gen_update rng =
+  let node = Sm.int rng 1000 in
+  match Sm.int rng 4 with
+  | 0 -> U.Delete { node }
+  | 1 -> U.Replace_text { node; text = gen_word rng }
+  | 2 ->
+    U.Replace_attrs
+      { node; attrs = List.init (Sm.int rng 4) (fun _ -> (gen_word rng, gen_word rng)) }
+  | _ ->
+    let rec decorate e =
+      {
+        e with
+        E.attrs = (if Sm.bool rng 0.5 then [ ("k", gen_word rng) ] else []);
+        text = Xmlest.Sax.trim_text (gen_word rng);
+        children = List.map decorate e.E.children;
+      }
+    in
+    U.Insert
+      { parent = node; index = Sm.int rng 5; subtree = decorate (gen_elem rng (1 + Sm.int rng 4)) }
+
+let update_equal a b =
+  let attrs_equal =
+    List.equal (fun (k, v) (k', v') -> String.equal k k' && String.equal v v')
+  in
+  match (a, b) with
+  | U.Insert x, U.Insert y ->
+    Int.equal x.parent y.parent && Int.equal x.index y.index && E.equal x.subtree y.subtree
+  | U.Delete x, U.Delete y -> Int.equal x.node y.node
+  | U.Replace_text x, U.Replace_text y -> Int.equal x.node y.node && String.equal x.text y.text
+  | U.Replace_attrs x, U.Replace_attrs y -> Int.equal x.node y.node && attrs_equal x.attrs y.attrs
+  | (U.Insert _ | U.Delete _ | U.Replace_text _ | U.Replace_attrs _), _ -> false
+
+let update_arbitrary =
+  QCheck.make ~print:(fun u -> String.escaped (U.to_line u)) (fun st ->
+      gen_update (Sm.create (Random.State.bits st)))
+
+let prop_update_line_round_trip =
+  QCheck.Test.make ~count:1000 ~name:"parse (to_line u) = u, on one line"
+    update_arbitrary (fun u ->
+      let line = U.to_line u in
+      (not (String.contains line '\n'))
+      && match U.parse line with Ok u' -> update_equal u u' | Error _ -> false)
+
+(* Byte flips, deletes, inserts and truncations of valid pattern strings
+   and update lines: each parser returns a result and never raises. *)
+let valid_patterns =
+  [|
+    "//article//author"; "/dblp/article[.//title]//year";
+    "//faculty[.//TA][.//RA]//name"; "//cite[starts-with(text(),'conf')]";
+    "//year[text()='1984']"; "//item[@id='7']/b";
+    "//title[contains(text(),\"Query\")]"; "//*//b"; "  //a [ .//b ] / c ";
+  |]
+
+let mutation_bytes = [| '"'; '\''; '\\'; '='; '['; ']'; '/'; '('; ')'; '<'; '>'; '&'; ' '; '\n'; '@'; '.'; '*' |]
+
+let mutate rng s =
+  let b = Buffer.create (String.length s + 8) in
+  Buffer.add_string b s;
+  for _ = 0 to Sm.int rng 4 do
+    let cur = Buffer.contents b in
+    let n = String.length cur in
+    let at = if n = 0 then 0 else Sm.int rng n in
+    let byte () =
+      if Sm.bool rng 0.5 then Sm.choose rng mutation_bytes else Char.chr (Sm.int rng 256)
+    in
+    Buffer.clear b;
+    match Sm.int rng 4 with
+    | 0 when n > 0 ->
+      Buffer.add_string b cur;
+      Buffer.truncate b at;
+      Buffer.add_char b (Char.chr (Char.code cur.[at] lxor (1 lsl Sm.int rng 8)));
+      Buffer.add_string b (String.sub cur (at + 1) (n - at - 1))
+    | 1 when n > 0 ->
+      Buffer.add_string b (String.sub cur 0 at);
+      Buffer.add_string b (String.sub cur (at + 1) (n - at - 1))
+    | 2 ->
+      Buffer.add_string b (String.sub cur 0 at);
+      Buffer.add_char b (byte ());
+      Buffer.add_string b (String.sub cur at (n - at))
+    | _ -> Buffer.add_string b (String.sub cur 0 at)
+  done;
+  Buffer.contents b
+
+let prop_mutated_inputs_never_raise =
+  QCheck.Test.make ~count:2000 ~name:"mutated patterns and update lines never raise"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sm.create seed in
+      let pattern = mutate rng (Sm.choose rng valid_patterns) in
+      let line = mutate rng (U.to_line (gen_update rng)) in
+      (match Xmlest.Pattern_parser.parse pattern with Ok _ | Error _ -> true)
+      && match U.parse line with Ok _ | Error _ -> true)
+
 (* --- REPL maintenance commands ----------------------------------------- *)
 
 let test_repl_maintenance_commands () =
@@ -953,6 +1055,8 @@ let () =
       ( "update-format",
         [
           Alcotest.test_case "line round trip" `Quick test_update_lines_round_trip;
+          qcheck prop_update_line_round_trip;
+          qcheck prop_mutated_inputs_never_raise;
           Alcotest.test_case "loaded summary rejects apply" `Quick
             test_loaded_summary_rejects_apply;
         ] );

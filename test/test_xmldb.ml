@@ -519,6 +519,35 @@ let test_deep_chain_stack_safety () =
       (Xmlest.Level_histogram.count_at h depth);
     check Alcotest.int "streamed leaf level" depth (Xmlest.Level_histogram.max_level h)
 
+(* The indented writer caps its indentation, so a 100,000-deep chain is
+   O(n) bytes (uncapped it was Θ(depth²) and ran out of memory) and parses
+   back to the same tree; [to_file] writes the same bytes as [to_string]
+   through the channel, here over many 64 KiB spills. *)
+let test_writer_linear_on_deep_chain () =
+  let depth = 100_000 in
+  let e = ref (Xmlest.Elem.make "leaf" ~attrs:[ ("k", "v") ]) in
+  for _ = 1 to depth do
+    e := Xmlest.Elem.make "n" ~children:[ !e ]
+  done;
+  let xml = Xmlest.Xml_writer.to_string !e in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bytes for %d nodes" (String.length xml) (depth + 1))
+    true
+    (* two lines per node, each at most 32 levels of indent plus markup *)
+    (String.length xml < 2 * ((2 * 32) + 12) * (depth + 1));
+  Alcotest.(check bool) "parses back" true (Xmlest.Elem.equal !e (parse xml));
+  let path = Filename.temp_file "xmlest" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Xmlest.Xml_writer.to_file path !e;
+      let ic = open_in_bin path in
+      let written =
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+            really_input_string ic (in_channel_length ic))
+      in
+      Alcotest.(check bool) "to_file = to_string" true (String.equal xml written))
+
 let test_file_roundtrip () =
   let e = Test_util.fig1 () in
   let path = Filename.temp_file "xmlest" ".xml" in
@@ -740,6 +769,8 @@ let () =
             test_deep_chain_stack_safety;
           qcheck prop_labeling;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+          Alcotest.test_case "indented writer O(n) on a 100k chain" `Quick
+            test_writer_linear_on_deep_chain;
           Alcotest.test_case "failing io closes fds" `Quick
             test_io_failures_close_fds;
           Alcotest.test_case "document roots" `Quick test_document_roots;
