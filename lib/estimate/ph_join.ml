@@ -119,44 +119,52 @@ let check_grids a b =
   if not (Grid.compatible (Position_histogram.grid a) (Position_histogram.grid b))
   then invalid_arg "Ph_join: histograms have incompatible grids"
 
-(* Per-cell evaluation over the outer histogram's non-zero cells: with
-   [Ancestor_based] the coefficients must be [descendant_coefficients
+(* The count × coefficient loop every pH-join estimate shares: for each
+   non-zero outer cell (row-major index [at.(k)], count [counts.(k)]),
+   the per-cell estimate [counts.(k) × coefs.(at.(k))].  Zero products
+   are dropped and the rest keep their order, so summing them adds the
+   same terms in the same order as a sweep over a dense estimate
+   histogram. *)
+let weigh ~coefs (at, counts) =
+  let n = Array.length at in
+  let keep_at = Array.make n 0 and keep = Array.make n 0.0 in
+  let m = ref 0 in
+  for k = 0 to n - 1 do
+    let est = counts.(k) *. coefs.(at.(k)) in
+    if not (Float.equal est 0.0) then begin
+      keep_at.(!m) <- at.(k);
+      keep.(!m) <- est;
+      incr m
+    end
+  done;
+  if Int.equal !m n then (keep_at, keep)
+  else (Array.sub keep_at 0 !m, Array.sub keep 0 !m)
+
+(* With [Ancestor_based] the coefficients must be [descendant_coefficients
    desc]; with [Descendant_based], [ancestor_coefficients anc].  Callers
-   with memoized arrays (e.g. a [Catalog]) pass them in; [estimate_cells]
-   computes them, so cached and uncached runs share this one loop and
-   stay bit-identical by construction. *)
-let estimate_cells_with ?(direction = Ancestor_based) ~coefs ~anc ~desc () =
+   with memoized arrays (e.g. a [Catalog]) pass them in; [estimate]
+   computes them, so cached and uncached runs share one loop and stay
+   bit-identical by construction. *)
+let estimate_with ?(direction = Ancestor_based) ~coefs ~anc ~desc () =
   check_grids anc desc;
-  let grid = Position_histogram.grid anc in
-  let g = grid.Grid.size in
+  let g = (Position_histogram.grid anc).Grid.size in
   if not (Int.equal (Array.length coefs) (g * g)) then
     invalid_arg
-      (Printf.sprintf
-         "Ph_join.estimate_cells_with: %d coefficients for a %dx%d grid"
+      (Printf.sprintf "Ph_join.estimate_with: %d coefficients for a %dx%d grid"
          (Array.length coefs) g g);
-  let out = Position_histogram.create_empty grid in
   let outer = match direction with
     | Ancestor_based -> anc
     | Descendant_based -> desc
   in
-  Position_histogram.iter_nonzero outer (fun ~i ~j count ->
-      let est = count *. coefs.(idx g i j) in
-      if not (Float.equal est 0.0) then Position_histogram.add out ~i ~j est);
-  out
+  Array.fold_left ( +. ) 0.0 (snd (weigh ~coefs (Position_histogram.nonzero outer)))
 
-let estimate_with ?direction ~coefs ~anc ~desc () =
-  Position_histogram.total (estimate_cells_with ?direction ~coefs ~anc ~desc ())
-
-let estimate_cells ?(direction = Ancestor_based) ~anc ~desc () =
+let estimate ?(direction = Ancestor_based) ~anc ~desc () =
   let coefs =
     match direction with
     | Ancestor_based -> descendant_coefficients desc
     | Descendant_based -> ancestor_coefficients anc
   in
-  estimate_cells_with ~direction ~coefs ~anc ~desc ()
-
-let estimate ?direction ~anc ~desc () =
-  Position_histogram.total (estimate_cells ?direction ~anc ~desc ())
+  estimate_with ~direction ~coefs ~anc ~desc ()
 
 (* Sparse evaluation over the non-zero cells.
 

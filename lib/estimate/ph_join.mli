@@ -17,8 +17,10 @@
     up-left (and the shared column/row, which legality arguments make
     certain) with 1 and the shared cell with 1/4 (1/12 on-diagonal).
 
-    Each variant runs in three passes over the grid, O(g²) total, and also
-    yields the per-cell estimate histogram needed for twig composition. *)
+    Each variant's coefficients take three passes over the grid, O(g²)
+    total; applying them costs one product per non-zero cell of the outer
+    histogram ({!weigh}), which also yields the per-cell estimates twig
+    composition needs. *)
 
 open Xmlest_histogram
 
@@ -65,32 +67,13 @@ val estimate_sparse :
     bounds k by O(g), this realizes the paper's claim that estimation time
     grows linearly with grid size. *)
 
-val estimate_cells :
-  ?direction:direction ->
-  anc:Position_histogram.t ->
-  desc:Position_histogram.t ->
-  unit ->
-  Position_histogram.t
-(** Per-cell estimate histogram: with [Ancestor_based] the estimate is
-    attributed to the ancestor's cell; with [Descendant_based] to the
-    descendant's cell.  Its {!Position_histogram.total} equals
-    {!estimate}. *)
-
-val estimate_cells_with :
-  ?direction:direction ->
-  coefs:float array ->
-  anc:Position_histogram.t ->
-  desc:Position_histogram.t ->
-  unit ->
-  Position_histogram.t
-(** Like {!estimate_cells}, but with the O(g²) coefficient pass replaced
-    by a precomputed array — [descendant_coefficients desc] when
-    [Ancestor_based] (the default), [ancestor_coefficients anc] when
-    [Descendant_based] — typically served from a
-    {!Xmlest_histogram.Catalog}.  {!estimate_cells} is this function
-    over freshly computed coefficients, so the two produce bit-identical
-    histograms.  Raises [Invalid_argument] when the array length does not
-    match the grid. *)
+val weigh : coefs:float array -> int array * float array -> int array * float array
+(** [weigh ~coefs (at, counts)]: the per-cell estimates of the sparse
+    outer cells [(at, counts)] (row-major indices and non-zero counts, as
+    {!Position_histogram.nonzero} gives them), [counts.(k) ×
+    coefs.(at.(k))], with zero products dropped and the rest in input
+    order.  The one count × coefficient loop behind {!estimate_with} and
+    the twig estimator's joins; [coefs] as for {!estimate_with}. *)
 
 val estimate_with :
   ?direction:direction ->
@@ -99,4 +82,10 @@ val estimate_with :
   desc:Position_histogram.t ->
   unit ->
   float
-(** Total of {!estimate_cells_with}; bit-identical to {!estimate}. *)
+(** Like {!estimate}, but with the O(g²) coefficient pass replaced by a
+    precomputed array — [descendant_coefficients desc] when
+    [Ancestor_based] (the default), [ancestor_coefficients anc] when
+    [Descendant_based] — typically served from a
+    {!Xmlest_histogram.Catalog}.  {!estimate} is this function over
+    freshly computed coefficients, so the two are bit-identical.  Raises
+    [Invalid_argument] when the array length does not match the grid. *)

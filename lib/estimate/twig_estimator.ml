@@ -25,10 +25,16 @@ let default_options =
     child_mode = As_descendant;
   }
 
-(* A view of a partially-assembled sub-twig, keyed at its root node. *)
+(* A view of a partially-assembled sub-twig, keyed at its root node.  It
+   holds only the cells where participation is non-zero, in
+   [Position_histogram.nonzero] order (upper triangle, row-major).  Every
+   sum below adds the same non-zero terms in the same order as a sweep
+   over dense histograms would, so estimates are bit-identical to the
+   dense composition (test/util/dense_twig_estimator.ml). *)
 type view = {
-  part : Position_histogram.t;  (* participating-node estimate per cell *)
-  jn : float array;  (* join factor per cell (dense row-major) *)
+  at : int array;  (* row-major index of each held cell *)
+  part : float array;  (* participating-node estimate per held cell *)
+  jn : float array;  (* join factor (matches per participating node) *)
   raw : Position_histogram.t;  (* untouched predicate histogram, for
                                   coverage participation scaling *)
   source : Predicate.t option;
@@ -39,24 +45,45 @@ type view = {
 
 let idx g i j = (i * g) + j
 
-(* part × jn, the per-cell expected match count. *)
-let weighted v =
-  let grid = Position_histogram.grid v.part in
-  let g = grid.Grid.size in
-  let out = Position_histogram.create_empty grid in
-  Position_histogram.iter_nonzero v.part (fun ~i ~j count ->
-      let w = count *. v.jn.(idx g i j) in
-      if not (Float.equal w 0.0) then Position_histogram.add out ~i ~j w);
-  out
+(* The cells [at.(k)] whose value [f k] is non-zero, with those values:
+   what [iter_nonzero] would visit in a dense histogram of them. *)
+let nonzero_of at f =
+  let n = Array.length at in
+  let keep_at = Array.make n 0 and keep = Array.make n 0.0 in
+  let m = ref 0 in
+  for k = 0 to n - 1 do
+    let v = f k in
+    if not (Float.equal v 0.0) then begin
+      keep_at.(!m) <- at.(k);
+      keep.(!m) <- v;
+      incr m
+    end
+  done;
+  if Int.equal !m n then (keep_at, keep)
+  else (Array.sub keep_at 0 !m, Array.sub keep 0 !m)
 
-let leaf_view ?source hist =
-  let grid = Position_histogram.grid hist in
-  {
-    part = Position_histogram.copy hist;
-    jn = Array.make (Grid.cells grid) 1.0;
-    raw = hist;
-    source;
-  }
+(* part × jn, the per-cell expected match count. *)
+let weighted v = nonzero_of v.at (fun k -> v.part.(k) *. v.jn.(k))
+
+let scale ((at, w) as cells) factor =
+  if Float.equal factor 1.0 then cells
+  else nonzero_of at (fun k -> w.(k) *. factor)
+
+let sum (_, w) = Array.fold_left ( +. ) 0.0 w
+
+(* Sparse cells as a dense histogram, for the passes that need one. *)
+let dense grid (at, w) =
+  let h = Position_histogram.create_empty grid in
+  let g = grid.Grid.size in
+  Array.iteri (fun k c -> Position_histogram.add h ~i:(c / g) ~j:(c mod g) w.(k)) at;
+  h
+
+(* Case 1 of Fig. 10: participation := estimate, join factor 1. *)
+let joined raw (at, est) =
+  { at; part = est; jn = Array.make (Array.length at) 1.0; raw; source = None }
+
+let leaf_view source hist =
+  { (joined hist (Position_histogram.nonzero hist)) with source = Some source }
 
 (* Σ_{i <= m <= n <= j} h[m][n]: the descendant band of each cell,
    Fig. 10's M[i][j].  O(g²) by the recurrence T[i][j] = T[i+1][j] +
@@ -74,7 +101,7 @@ let band_sums h =
   done;
   t
 
-(* Primitive (overlap) composition: pH-join of the weighted histograms,
+(* Primitive (overlap) composition: pH-join of the weighted cells,
    participation := estimate (Fig. 10 case 1), join factor 1.
 
    The view stays keyed at the ancestor predicate, so per-cell attribution
@@ -84,92 +111,88 @@ let band_sums h =
 
    When a side of the join is still an untouched catalog histogram (its
    [source] is known) and the catalog can serve that predicate's memoized
-   coefficient array, the O(g²) coefficient pass is skipped — bit-identical
-   results, per Ph_join.estimate_cells_with. *)
+   coefficient array, the O(g²) coefficient pass is skipped; otherwise it
+   runs over a dense copy of that side.  Both feed [Ph_join.weigh], so the
+   results are bit-identical. *)
 let join_overlap options catalog ~desc_source anc_view desc_weight =
+  let grid = Position_histogram.grid anc_view.raw in
   let anc = weighted anc_view in
-  let cached_desc_coefs =
-    Option.bind desc_source (fun p -> catalog.desc_coefs p)
+  let desc_coefs =
+    match Option.bind desc_source catalog.desc_coefs with
+    | Some coefs -> coefs
+    | None -> Ph_join.descendant_coefficients (dense grid desc_weight)
   in
-  let est_cells =
-    match cached_desc_coefs with
-    | Some coefs ->
-      Ph_join.estimate_cells_with ~coefs ~anc ~desc:desc_weight ()
-    | None -> Ph_join.estimate_cells ~anc ~desc:desc_weight ()
-  in
-  let est_cells =
+  let est = Ph_join.weigh ~coefs:desc_coefs anc in
+  let est =
     match options.direction with
-    | Ph_join.Ancestor_based -> est_cells
+    | Ph_join.Ancestor_based -> est
     | Ph_join.Descendant_based ->
-      let anc_total = Position_histogram.total est_cells in
-      let desc_total =
-        match Option.bind anc_view.source (fun p -> catalog.anc_coefs p) with
-        | Some coefs ->
-          Ph_join.estimate_with ~direction:Ph_join.Descendant_based ~coefs ~anc
-            ~desc:desc_weight ()
-        | None ->
-          Ph_join.estimate ~direction:Ph_join.Descendant_based ~anc
-            ~desc:desc_weight ()
+      let anc_total = sum est in
+      let anc_coefs =
+        match Option.bind anc_view.source catalog.anc_coefs with
+        | Some coefs -> coefs
+        | None -> Ph_join.ancestor_coefficients (dense grid anc)
       in
-      if anc_total > 0.0 then
-        Position_histogram.scale est_cells (desc_total /. anc_total)
-      else est_cells
+      let desc_total = sum (Ph_join.weigh ~coefs:anc_coefs desc_weight) in
+      if anc_total > 0.0 then scale est (desc_total /. anc_total) else est
   in
-  let grid = Position_histogram.grid est_cells in
-  {
-    part = est_cells;
-    jn = Array.make (Grid.cells grid) 1.0;
-    raw = anc_view.raw;
-    source = None;
-  }
+  joined anc_view.raw est
 
 (* No-overlap composition (ancestor predicate cannot nest): coverage-based
-   estimate, balls-in-bins participation (case 2), join factor update. *)
+   estimate, balls-in-bins participation (case 2), join factor update.
+   A cell outside the ancestor view has zero participation, hence a zero
+   ancestor scale. *)
 let join_no_overlap anc_view coverage desc_weight desc_part =
-  let grid = Position_histogram.grid desc_weight in
+  let grid = Position_histogram.grid anc_view.raw in
   let g = grid.Grid.size in
-  let anc_scale ~i ~j =
-    let raw = Position_histogram.get anc_view.raw ~i ~j in
-    if raw <= 0.0 then 0.0
-    else begin
-      let ratio = Position_histogram.get anc_view.part ~i ~j /. raw in
-      anc_view.jn.(idx g i j) *. ratio
-    end
-  in
+  let anc_scale = Array.make (Grid.cells grid) 0.0 in
+  Array.iteri
+    (fun k c ->
+      let raw = Position_histogram.get anc_view.raw ~i:(c / g) ~j:(c mod g) in
+      anc_scale.(c) <-
+        (if raw <= 0.0 then 0.0 else anc_view.jn.(k) *. (anc_view.part.(k) /. raw)))
+    anc_view.at;
   let est_cells =
-    No_overlap.estimate_cells_by_ancestor ~coverage ~desc_weight ~anc_scale
+    No_overlap.estimate_cells_by_ancestor ~coverage
+      ~desc_weight:(dense grid desc_weight)
+      ~anc_scale:(fun ~i ~j -> anc_scale.(idx g i j))
   in
-  let m = band_sums desc_part in
-  let new_part = Position_histogram.create_empty grid in
-  let new_jn = Array.make (Grid.cells grid) 0.0 in
-  Position_histogram.iter_nonzero anc_view.part (fun ~i ~j n ->
-      let p = No_overlap.participation_saturation ~n ~m:(m.(idx g i j)) in
+  let m = band_sums (dense grid desc_part) in
+  let n = Array.length anc_view.at in
+  let at = Array.make n 0 and part = Array.make n 0.0 and jn = Array.make n 0.0 in
+  let kept = ref 0 in
+  Array.iteri
+    (fun k c ->
+      let p = No_overlap.participation_saturation ~n:anc_view.part.(k) ~m:m.(c) in
       if p > 0.0 then begin
-        Position_histogram.add new_part ~i ~j p;
-        new_jn.(idx g i j) <- Position_histogram.get est_cells ~i ~j /. p
-      end);
-  { part = new_part; jn = new_jn; raw = anc_view.raw; source = None }
+        at.(!kept) <- c;
+        part.(!kept) <- p;
+        jn.(!kept) <- Position_histogram.get est_cells ~i:(c / g) ~j:(c mod g) /. p;
+        incr kept
+      end)
+    anc_view.at;
+  let held a = Array.sub a 0 !kept in
+  { at = held at; part = held part; jn = held jn; raw = anc_view.raw; source = None }
 
 (* Parent-child edge with per-cell level correction (extension): a
-   Child_join over the weighted histograms; participation follows the
-   overlap rule (case 1). *)
+   Child_join over dense copies of the weighted cells; participation
+   follows the overlap rule (case 1). *)
 let join_child_cell_level acc desc_weight ~anc_lph ~desc_lph =
-  let est_cells =
-    Child_join.estimate_cells ~anc:(weighted acc) ~desc:desc_weight
-      ~anc_levels:anc_lph ~desc_levels:desc_lph ()
-  in
-  let grid = Position_histogram.grid est_cells in
-  {
-    part = est_cells;
-    jn = Array.make (Grid.cells grid) 1.0;
-    raw = acc.raw;
-    source = None;
-  }
+  let grid = Position_histogram.grid acc.raw in
+  Child_join.estimate_cells ~anc:(dense grid (weighted acc))
+    ~desc:(dense grid desc_weight) ~anc_levels:anc_lph ~desc_levels:desc_lph ()
+  |> Position_histogram.nonzero |> joined acc.raw
+
+(* Σ part × jn over the held cells: the sub-twig's match count. *)
+let total_matches v =
+  let acc = ref 0.0 in
+  Array.iteri (fun k count -> acc := !acc +. (count *. v.jn.(k))) v.part;
+  !acc
 
 type step = { subtwig : string; method_used : string; estimate : float }
 
 let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
-  let self = leaf_view ~source:p.Pattern.pred (catalog.hist p.Pattern.pred) in
+  let self = leaf_view p.Pattern.pred (catalog.hist p.Pattern.pred) in
   let coverage =
     if options.use_no_overlap then catalog.coverage p.Pattern.pred else None
   in
@@ -197,7 +220,7 @@ let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
         | Pattern.Child, Cell_level_scaled ->
           if cell_level_available () then 1.0 else global_factor ()
       in
-      let desc_weight = Position_histogram.scale (weighted child_view) factor in
+      let desc_weight = scale (weighted child_view) factor in
       (* Scaling by anything but 1 changes the cell values, so the child's
          memoized coefficients no longer describe desc_weight. *)
       let desc_source =
@@ -206,7 +229,7 @@ let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
       let joined, method_used =
         match coverage with
         | Some cvg ->
-          let desc_part = Position_histogram.scale child_view.part factor in
+          let desc_part = scale (child_view.at, child_view.part) factor in
           (join_no_overlap acc cvg desc_weight desc_part, "coverage")
         | None -> (
           match (axis, options.child_mode) with
@@ -233,28 +256,15 @@ let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
             !assembled with
             Pattern.edges = !assembled.Pattern.edges @ [ (axis, child) ];
           };
-        let total = ref 0.0 in
-        let grid = Position_histogram.grid joined.part in
-        let g = grid.Grid.size in
-        Position_histogram.iter_nonzero joined.part (fun ~i ~j count ->
-            total := !total +. (count *. joined.jn.(idx g i j)));
         log :=
           {
             subtwig = Pattern.to_string !assembled;
             method_used;
-            estimate = !total;
+            estimate = total_matches joined;
           }
           :: !log);
       joined)
     self p.Pattern.edges
-
-let total_matches v =
-  let grid = Position_histogram.grid v.part in
-  let g = grid.Grid.size in
-  let acc = ref 0.0 in
-  Position_histogram.iter_nonzero v.part (fun ~i ~j count ->
-      acc := !acc +. (count *. v.jn.(idx g i j)));
-  !acc
 
 let estimate ?options catalog pattern = total_matches (view ?options catalog pattern)
 

@@ -2,13 +2,21 @@
 
     Composes pairwise pH-joins (or no-overlap coverage joins) bottom-up
     along the pattern tree, maintaining for each partially-assembled
-    sub-twig a {e view} keyed at its root predicate, per Fig. 10:
+    sub-twig a {e view} keyed at its root predicate, per Fig. 10.  A view
+    is sparse: it holds only the grid cells where participation is
+    non-zero (O(g) of them by Theorem 1), in
+    {!Position_histogram.nonzero} order, and for each such cell
 
-    - a participation histogram (estimated count, per grid cell, of
-      distinct nodes that take part in at least one sub-twig match), and
-    - a per-cell join factor (matches per participating node),
+    - its participation (estimated count of distinct nodes in the cell
+      that take part in at least one sub-twig match), and
+    - its join factor (matches per participating node),
 
     so that the sub-twig's match count is [Σ participation × join-factor].
+    Joins with cached coefficients run over these cells alone; dense
+    g × g histograms are built only for a fresh coefficient pass, the
+    no-overlap join and {!Child_join}.  Every sum adds the same non-zero
+    terms in the same order as the dense composition, so estimates and
+    trace steps are bit-identical to it.
     Joining a view with a child view updates both: via the balls-in-bins
     saturation formula (case 2) when the ancestor predicate has the
     no-overlap property, or by the paper's case-1 rule

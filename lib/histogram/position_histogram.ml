@@ -134,10 +134,33 @@ let iter_nonzero t f =
     done
   done
 
+(* [nonzero_cells] and [nonzero] make tight passes over the upper
+   triangle, row-major like [iter_nonzero], with no closure per cell. *)
 let nonzero_cells t =
+  let g = t.grid.Grid.size and c = t.counts in
   let n = ref 0 in
-  iter_nonzero t (fun ~i:_ ~j:_ _ -> incr n);
+  for i = 0 to g - 1 do
+    for x = (i * g) + i to (i * g) + g - 1 do
+      if not (Float.equal c.{x} 0.0) then incr n
+    done
+  done;
   !n
+
+let nonzero t =
+  let g = t.grid.Grid.size and c = t.counts in
+  let at = Array.make (nonzero_cells t) 0 in
+  let v = Array.make (Array.length at) 0.0 in
+  let k = ref 0 in
+  for i = 0 to g - 1 do
+    for x = (i * g) + i to (i * g) + g - 1 do
+      if not (Float.equal c.{x} 0.0) then begin
+        at.(!k) <- x;
+        v.(!k) <- c.{x};
+        incr k
+      end
+    done
+  done;
+  (at, v)
 
 let bytes_per_cell = 6
 

@@ -97,6 +97,12 @@ val iter_nonzero : t -> (i:int -> j:int -> float -> unit) -> unit
 val nonzero_cells : t -> int
 (** Number of cells with a non-zero count (Theorem 1 says O(g)). *)
 
+val nonzero : t -> int array * float array
+(** The non-zero cells in {!iter_nonzero} order (upper triangle,
+    row-major): their dense row-major indices ({!Grid.index}) and their
+    counts, in two arrays of equal length.  The twig estimator's sparse
+    views start from these. *)
+
 val storage_bytes : t -> int
 (** Sparse storage footprint: {!bytes_per_cell} bytes per non-zero cell
     (two 2-byte bucket coordinates + a 2-byte count), matching the

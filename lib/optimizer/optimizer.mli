@@ -24,7 +24,12 @@ val rank :
   Twig_estimator.catalog ->
   Pattern.t ->
   costed list
-(** All left-deep plans, cheapest first. *)
+(** All left-deep plans, cheapest first.  Each distinct prefix node set is
+    estimated once per call (memoized by its bitmask of node ids), so
+    structurally identical prefixes with different node sets are
+    estimated separately, to the same value.  Raises [Invalid_argument]
+    for a pattern of more than [Sys.int_size - 1] nodes, as
+    {!Plan.enumerate} does. *)
 
 val best :
   ?options:Twig_estimator.options ->

@@ -57,37 +57,46 @@ let induced_flat f ids =
 
 let induced pattern ids = induced_flat (flatten pattern) ids
 
+let max_nodes = Sys.int_size - 1
+
+(* Node sets are bitmasks over pre-order ids (bit v for node v): the
+   induced sub-twig of a set does not depend on the order its nodes were
+   joined in, so it is built once per set and shared by every plan. *)
 let enumerate pattern =
   let f = flatten pattern in
   let n = Array.length f.Pattern.preds in
-  let all = List.init n Fun.id in
+  if n > max_nodes then
+    invalid_arg
+      (Printf.sprintf "Plan.enumerate: %d nodes, more than the %d a node-set bitmask holds"
+         n max_nodes);
+  let induced_memo = Hashtbl.create 64 in
+  let induced mask ids =
+    match Hashtbl.find_opt induced_memo mask with
+    | Some sub -> sub
+    | None ->
+      let sub = induced_flat f ids in
+      Hashtbl.add induced_memo mask sub;
+      sub
+  in
   let plans = ref [] in
-  let rec extend chosen remaining =
+  let rec extend chosen mask prefixes remaining =
     match remaining with
     | [] ->
-      let order = List.rev chosen in
-      let arr = Array.of_list order in
-      let prefixes =
-        List.init
-          (Int.max 0 (n - 1))
-          (fun k ->
-            let ids = Array.to_list (Array.sub arr 0 (k + 2)) in
-            match induced_flat f ids with Some p -> p | None -> assert false)
-      in
-      plans := { order; prefixes } :: !plans
+      plans := { order = List.rev chosen; prefixes = List.rev prefixes } :: !plans
     | _ ->
       List.iter
         (fun v ->
-          let candidate = v :: chosen in
-          let connected =
-            List.length candidate = 1
-            || induced_flat f candidate <> None
+          let candidate = v :: chosen and mask = mask lor (1 lsl v) in
+          let next prefixes =
+            extend candidate mask prefixes
+              (List.filter (fun u -> not (Int.equal u v)) remaining)
           in
-          if connected then
-            extend candidate (List.filter (fun u -> not (Int.equal u v)) remaining))
+          match chosen with
+          | [] -> next prefixes
+          | _ -> Option.iter (fun sub -> next (sub :: prefixes)) (induced mask candidate))
         remaining
   in
-  extend [] all;
+  extend [] 0 [] (List.init n Fun.id);
   List.rev !plans
 
 let pp ppf t =

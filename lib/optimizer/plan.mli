@@ -26,6 +26,10 @@ val induced : Pattern.t -> int list -> Pattern.t option
 val enumerate : Pattern.t -> t list
 (** All left-deep plans: permutations of the node ids whose every prefix of
     size >= 2 induces a connected sub-twig.  Exponential in pattern size;
-    intended for the small patterns of XML queries (<= 8 nodes). *)
+    intended for the small patterns of XML queries (<= 8 nodes).  Each
+    node set's induced sub-twig is built once, memoized by the set's
+    bitmask of node ids, and the same value is shared by every plan whose
+    prefix has that set.  Raises [Invalid_argument] for a pattern of more
+    than [Sys.int_size - 1] nodes, where the bitmask would wrap. *)
 
 val pp : Format.formatter -> t -> unit

@@ -112,10 +112,18 @@ let test_ph_join_single_bucket_degenerate () =
 let test_ph_join_estimate_cells_total () =
   let doc = Xmlest.Document.of_elem (Xmlest.Staff_gen.generate ()) in
   let anc = hist doc 10 (tagp "department") and desc = hist doc 10 (tagp "email") in
-  let cells = Xmlest.Ph_join.estimate_cells ~anc ~desc () in
-  check (Alcotest.float 1e-6) "cells sum to total"
+  (* The per-cell estimates of the outer histogram's non-zero cells sum to
+     the total bit for bit, in both directions. *)
+  let cells_sum ~coefs outer =
+    Array.fold_left ( +. ) 0.0
+      (snd (Xmlest.Ph_join.weigh ~coefs (Xmlest.Position_histogram.nonzero outer)))
+  in
+  check (Alcotest.float 0.0) "cells sum to total"
     (Xmlest.Ph_join.estimate ~anc ~desc ())
-    (Xmlest.Position_histogram.total cells)
+    (cells_sum ~coefs:(Xmlest.Ph_join.descendant_coefficients desc) anc);
+  check (Alcotest.float 0.0) "descendant-based cells sum to total"
+    (Xmlest.Ph_join.estimate ~direction:Xmlest.Ph_join.Descendant_based ~anc ~desc ())
+    (cells_sum ~coefs:(Xmlest.Ph_join.ancestor_coefficients anc) desc)
 
 let test_coefficients_match_join () =
   (* The precomputed coefficient array reproduces the ancestor-based
@@ -193,7 +201,7 @@ let test_estimate_with_checks_length () =
   let anc = hist doc 4 (tagp "faculty") and desc = hist doc 4 (tagp "TA") in
   Alcotest.check_raises "wrong coefficient array length"
     (Invalid_argument
-       "Ph_join.estimate_cells_with: 3 coefficients for a 4x4 grid") (fun () ->
+       "Ph_join.estimate_with: 3 coefficients for a 4x4 grid") (fun () ->
       ignore
         (Xmlest.Ph_join.estimate_with ~coefs:(Array.make 3 0.0) ~anc ~desc ()))
 
@@ -704,6 +712,144 @@ let test_estimate_trace () =
     (Xmlest.Twig_estimator.estimate c pattern)
     total
 
+(* --- Sparse views = dense oracle --------------------------------------------- *)
+
+(* The five option sets every comparison runs under. *)
+let oracle_options =
+  let d = Xmlest.Twig_estimator.default_options in
+  [
+    d;
+    { d with direction = Xmlest.Ph_join.Descendant_based };
+    { d with child_mode = Xmlest.Twig_estimator.Level_scaled };
+    { d with child_mode = Xmlest.Twig_estimator.Cell_level_scaled };
+    { d with use_no_overlap = false };
+  ]
+
+(* Base predicates of the oracle summaries: the tag pool plus level tests,
+   which never nest and so always take the coverage path. *)
+let oracle_base =
+  List.map tagp (Array.to_list Test_util.tag_pool)
+  @ List.init 4 (fun l -> Xmlest.Predicate.Level_eq l)
+
+(* Node predicates mix tags, level tests and compound predicates that the
+   summary's catalog resolves from its base histograms. *)
+let oracle_pred st =
+  let tag () =
+    tagp Test_util.tag_pool.(Random.State.int st (Array.length Test_util.tag_pool))
+  in
+  match Random.State.int st 8 with
+  | 0 -> Xmlest.Predicate.Level_eq (Random.State.int st 4)
+  | 1 -> Xmlest.Predicate.And (tag (), tag ())
+  | 2 -> Xmlest.Predicate.Or (tag (), tag ())
+  | 3 -> Xmlest.Predicate.Not (tag ())
+  | _ -> tag ()
+
+let rec oracle_pattern st depth =
+  let edge () =
+    let axis =
+      if Random.State.bool st then Xmlest.Pattern.Descendant else Xmlest.Pattern.Child
+    in
+    (axis, oracle_pattern st (depth + 1))
+  in
+  let edges = if depth >= 2 then [] else List.init (Random.State.int st 3) (fun _ -> edge ()) in
+  Xmlest.Pattern.node ~edges (oracle_pred st)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_step (a : Xmlest.Twig_estimator.step) (b : Xmlest.Twig_estimator.step) =
+  String.equal a.subtwig b.subtwig
+  && String.equal a.method_used b.method_used
+  && same_bits a.estimate b.estimate
+
+(* Estimate and trace of every pattern under every option set agree with
+   the dense oracle bit for bit; returns the number of coverage steps. *)
+let agrees_with_dense_oracle cat patterns =
+  List.fold_left
+    (fun coverage options ->
+      List.fold_left
+        (fun coverage p ->
+          let total, steps = Xmlest.Twig_estimator.estimate_trace ~options cat p in
+          let total', steps' = Dense_twig_estimator.estimate_trace ~options cat p in
+          if
+            not
+              (same_bits (Xmlest.Twig_estimator.estimate ~options cat p)
+                 (Dense_twig_estimator.estimate ~options cat p)
+              && same_bits total total'
+              && List.equal same_step steps steps')
+          then
+            QCheck.Test.fail_reportf "%s: sparse %h, dense %h"
+              (Xmlest.Pattern.to_string p) total total';
+          coverage
+          + List.length
+              (List.filter
+                 (fun (s : Xmlest.Twig_estimator.step) ->
+                   String.equal s.method_used "coverage")
+                 steps))
+        coverage patterns)
+    0 oracle_options
+
+(* A catalog that serves no memoized coefficients, so every join takes
+   the fresh dense coefficient pass. *)
+let uncached cat =
+  { cat with
+    Xmlest.Twig_estimator.desc_coefs = (fun _ -> None);
+    anc_coefs = (fun _ -> None) }
+
+let oracle_case_gen st =
+  let e = Test_util.elem_gen ~max_nodes:60 () st in
+  let size =
+    match Random.State.int st 4 with 0 -> 1 | 1 -> 2 | _ -> 3 + Random.State.int st 10
+  in
+  let kind = if Random.State.bool st then `Uniform else `Equidepth in
+  (e, size, kind, Random.State.bool st, List.init 6 (fun _ -> oracle_pattern st 0))
+
+let oracle_case_print (e, size, kind, cached, patterns) =
+  Format.asprintf "g=%d %s%s [%s] in %a" size
+    (match kind with `Uniform -> "uniform" | `Equidepth -> "equidepth")
+    (if cached then "" else " uncached")
+    (String.concat "; " (List.map Xmlest.Pattern.to_string patterns))
+    Xmlest.Elem.pp e
+
+let prop_sparse_views_equal_dense_oracle =
+  QCheck.Test.make ~count:150 ~name:"sparse views = dense oracle, bit for bit"
+    (QCheck.make ~print:oracle_case_print oracle_case_gen)
+    (fun (e, size, grid_kind, cached, patterns) ->
+      let doc = Xmlest.Document.of_elem e in
+      let grid_size = min size (Xmlest.Document.max_pos doc + 1) in
+      let cat =
+        Xmlest.Summary.catalog
+          (Xmlest.Summary.build ~grid_size ~grid_kind doc oracle_base)
+      in
+      ignore
+        (agrees_with_dense_oracle (if cached then cat else uncached cat) patterns);
+      true)
+
+let test_sparse_views_on_staff_and_dblp () =
+  let parse = Xmlest.Pattern_parser.pattern_exn in
+  let run doc preds queries =
+    List.iter
+      (fun (grid_size, grid_kind) ->
+        let cat =
+          Xmlest.Summary.catalog (Xmlest.Summary.build ~grid_size ~grid_kind doc preds)
+        in
+        let patterns = List.map parse queries in
+        let coverage =
+          agrees_with_dense_oracle cat patterns
+          + agrees_with_dense_oracle (uncached cat) patterns
+        in
+        Alcotest.(check bool) "coverage joins compared" true (coverage > 0))
+      [ (1, `Uniform); (2, `Equidepth); (10, `Uniform); (10, `Equidepth) ]
+  in
+  run
+    (Xmlest.Document.of_elem (Xmlest.Staff_gen.generate ()))
+    [ tagp "manager"; tagp "department"; tagp "employee"; tagp "email"; tagp "name" ]
+    [ "//manager//department//employee"; "//manager[.//email]//employee/name";
+      "//department[./email]//employee[.//name]"; "//employee//name" ];
+  run
+    (Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.02))
+    [ tagp "article"; tagp "author"; tagp "title"; tagp "year" ]
+    [ "//article[./author][./year]//title"; "//article//author"; "//*//author" ]
+
 let () =
   Alcotest.run "estimate"
     [
@@ -783,5 +929,8 @@ let () =
             test_descendant_direction_composition;
           qcheck prop_twig_estimate_nonnegative;
           qcheck prop_twig_estimate_accuracy_on_dblp_style;
+          qcheck prop_sparse_views_equal_dense_oracle;
+          Alcotest.test_case "sparse views = dense oracle on staff and DBLP" `Quick
+            test_sparse_views_on_staff_and_dblp;
         ] );
     ]

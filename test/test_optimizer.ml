@@ -231,6 +231,127 @@ let test_estimated_final_size_plan_invariant () =
           (Test_util.float_close ~tolerance:1e-6 f f'))
       rest
 
+(* --- Node-set memo = the per-string oracles -------------------------------- *)
+
+(* [Plan.enumerate] before the node-set memo: every connectivity check and
+   every prefix is induced afresh from its id list. *)
+let enumerate_oracle pattern =
+  let n = Xmlest.Plan.node_count pattern in
+  let plans = ref [] in
+  let rec extend chosen remaining =
+    match remaining with
+    | [] ->
+      let order = List.rev chosen in
+      let arr = Array.of_list order in
+      let prefixes =
+        List.init
+          (Int.max 0 (n - 1))
+          (fun k ->
+            match Xmlest.Plan.induced pattern (Array.to_list (Array.sub arr 0 (k + 2))) with
+            | Some p -> p
+            | None -> Alcotest.fail "disconnected prefix")
+      in
+      plans := { Xmlest.Plan.order; prefixes } :: !plans
+    | _ ->
+      List.iter
+        (fun v ->
+          let candidate = v :: chosen in
+          let connected =
+            List.length candidate = 1 || Xmlest.Plan.induced pattern candidate <> None
+          in
+          if connected then extend candidate (List.filter (fun u -> u <> v) remaining))
+        remaining
+  in
+  extend [] (List.init n Fun.id);
+  List.rev !plans
+
+(* [Optimizer.rank] before the node-set memo: estimates memoized by the
+   prefix's [Pattern.to_string], over the oracle enumeration. *)
+let rank_oracle catalog pattern =
+  let memo = Hashtbl.create 32 in
+  let estimate prefix =
+    let key = Xmlest.Pattern.to_string prefix in
+    match Hashtbl.find_opt memo key with
+    | Some v -> v
+    | None ->
+      let v = Xmlest.Twig_estimator.estimate catalog prefix in
+      Hashtbl.add memo key v;
+      v
+  in
+  List.map
+    (fun plan ->
+      let intermediates = List.map estimate plan.Xmlest.Plan.prefixes in
+      let cost =
+        List.fold_left ( +. ) 0.0
+          (List.filteri (fun k _ -> k < List.length intermediates - 1) intermediates)
+      in
+      { Xmlest.Optimizer.plan; cost; intermediates })
+    (enumerate_oracle pattern)
+  |> List.sort (fun a b -> Float.compare a.Xmlest.Optimizer.cost b.Xmlest.Optimizer.cost)
+
+let rec random_twig st ~budget =
+  let tag = Test_util.tag_pool.(Random.State.int st (Array.length Test_util.tag_pool)) in
+  let rec children budget acc =
+    if budget <= 0 || Random.State.int st 3 = 0 then (List.rev acc, budget)
+    else begin
+      let axis =
+        if Random.State.bool st then Xmlest.Pattern.Descendant else Xmlest.Pattern.Child
+      in
+      let child, budget = random_twig st ~budget:(budget - 1) in
+      children budget ((axis, child) :: acc)
+    end
+  in
+  let edges, budget = children budget [] in
+  (Xmlest.Pattern.node ~edges (tagp tag), budget)
+
+let same_plan (a : Xmlest.Plan.t) (b : Xmlest.Plan.t) =
+  List.equal Int.equal a.order b.order
+  && List.equal
+       (fun p q -> String.equal (Xmlest.Pattern.to_string p) (Xmlest.Pattern.to_string q))
+       a.prefixes b.prefixes
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_node_set_memo_matches_oracles =
+  QCheck.Test.make ~count:100
+    ~name:"node-set memo: enumerate and rank = per-string oracles"
+    (QCheck.make
+       ~print:(fun (_, pattern, size) ->
+         Printf.sprintf "g=%d %s" size (Xmlest.Pattern.to_string pattern))
+       (fun st ->
+         let doc = Test_util.doc_gen ~max_nodes:60 () st in
+         let pattern, _ = random_twig st ~budget:(Random.State.int st 6) in
+         (doc, pattern, 1 + Random.State.int st 10)))
+    (fun (doc, pattern, size) ->
+      let grid_size = min size (Xmlest.Document.max_pos doc + 1) in
+      let catalog =
+        Xmlest.Summary.catalog
+          (Xmlest.Summary.build ~grid_size doc
+             (List.map tagp (Array.to_list Test_util.tag_pool)))
+      in
+      let ranked = Xmlest.Optimizer.rank catalog pattern in
+      let oracle = rank_oracle catalog pattern in
+      List.equal same_plan (Xmlest.Plan.enumerate pattern) (enumerate_oracle pattern)
+      && List.equal
+           (fun (a : Xmlest.Optimizer.costed) (b : Xmlest.Optimizer.costed) ->
+             same_plan a.plan b.plan
+             && same_bits a.cost b.cost
+             && List.equal same_bits a.intermediates b.intermediates)
+           ranked oracle)
+
+let test_node_limit () =
+  (* A bitmask over pre-order ids holds Sys.int_size - 1 nodes; one more
+     is rejected up front instead of wrapping (a 63-node chain has 2^62
+     plans, so it could never have finished enumerating anyway). *)
+  let chain = Xmlest.Pattern.chain (List.init Sys.int_size (fun _ -> tagp "a")) in
+  let rejects f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  check Alcotest.int "nodes" Sys.int_size (Xmlest.Plan.node_count chain);
+  Alcotest.(check bool) "enumerate rejects" true
+    (rejects (fun () -> Xmlest.Plan.enumerate chain));
+  let summary = Xmlest.Summary.build ~grid_size:4 (Test_util.fig1_doc ()) [ tagp "a" ] in
+  Alcotest.(check bool) "rank rejects" true
+    (rejects (fun () -> Xmlest.Optimizer.rank (Xmlest.Summary.catalog summary) chain))
+
 let () =
   Alcotest.run "optimizer"
     [
@@ -242,6 +363,7 @@ let () =
           Alcotest.test_case "axis preserved" `Quick test_induced_preserves_axis;
           Alcotest.test_case "enumerate pair" `Quick test_enumerate_pair;
           Alcotest.test_case "enumerate Fig. 2" `Quick test_enumerate_fig2;
+          Alcotest.test_case "node limit" `Quick test_node_limit;
         ] );
       ( "optimizer",
         [
@@ -255,5 +377,6 @@ let () =
             test_estimated_final_size_plan_invariant;
           Alcotest.test_case "executor = counting engine on intermediates" `Quick
             test_executor_agrees_with_actual_intermediates;
+          Test_util.to_alcotest prop_node_set_memo_matches_oracles;
         ] );
     ]
