@@ -124,6 +124,33 @@ let feed_match pb ~cell ~level =
   Position_histogram.feed_cell pb.pb_hist cell;
   match pb.pb_levels with Some lb -> Level_histogram.feed lb level | None -> ()
 
+(* The per-node step of both sources: [feed_node grid per res ~pop
+   ~matched] is a function of one node — its interval, its level and the
+   count of the predicates (indices into [per]) it matches, listed in
+   [matched] — that feeds the node's cell to the population (when [pop]
+   is given) and to the builders of each match, and its nearest strict
+   P-ancestors' cells, from the resolver [res], to the coverage builders.
+   Nodes must come ancestors first. *)
+let feed_node grid per res ~pop ~matched =
+  let on_nearest u ~covered ~covering =
+    match per.(u).pb_coverage with
+    | Some cb -> Coverage_histogram.feed cb ~covered ~covering
+    | None -> ()
+  in
+  fun ~start_pos ~end_pos ~level nmatched ->
+    let i, j = Grid.cell_of_node grid ~start_pos ~end_pos in
+    let cell = Grid.index grid ~i ~j in
+    (match pop with Some b -> Position_histogram.feed_cell b cell | None -> ());
+    Interval_ops.resolve res ~start_pos ~end_pos ~cell ~matched ~nmatched ~on_nearest;
+    for m = 0 to nmatched - 1 do
+      feed_match per.(matched.(m)) ~cell ~level
+    done
+
+(* Once every node is fed: a predicate nests iff the resolver saw a
+   match inside another. *)
+let set_nesting per res =
+  Array.iteri (fun u pb -> pb.pb_nesting <- Interval_ops.nesting_pairs res u > 0) per
+
 (* Equi-depth boundaries are drawn from the starts and ends of the nodes
    matching the base predicates — [positions u] for unique predicate [u],
    sampled once per occurrence in the predicate list, so duplicates count
@@ -219,48 +246,31 @@ let collect_matches plan doc subset =
 (* One document-order sweep filling the builders of the unique predicates
    [subset] (and the population, when [~population] is set); returns the
    builders, the population builder and the evaluations spent.  Nearest
-   strict P-ancestors come from one interval stream per predicate, and the
-   covering node's cell from the sweep's own node-cell table.
+   strict P-ancestors, with their cells, come from one resolver over the
+   subset.
 
    With [matches] (equi-depth), the subset's matched sets were collected
-   in pass 1: the fill replays them through per-predicate cursors, so it
-   performs no predicate evaluations at all.  Without it (uniform /
-   explicit grid), the sweep's own dispatch table evaluates each node. *)
+   in pass 1: they are regrouped by node, so the fill performs no
+   predicate evaluations at all.  Without it (uniform / explicit grid),
+   the sweep's own dispatch table evaluates each node. *)
 let sweep plan ~grid ~matches ~population doc subset =
   let k = Array.length subset in
   let n = Document.size doc in
   let per = Array.map (pred_builders plan grid) subset in
   let pop = Position_histogram.builder grid in
-  let streams = Array.init k (fun _ -> Interval_ops.stream doc) in
-  let matched = Array.make k false in
+  let res = Interval_ops.resolver k in
   let matched_list = Array.make k 0 in
-  let node_cell = Array.make n 0 in
-  (* The fill pass, shared by both grid kinds; [fill_matched] leaves the
+  let feed =
+    feed_node grid per res ~pop:(if population then Some pop else None)
+      ~matched:matched_list
+  in
+  (* The fill pass, shared by both grid kinds; [fill_matched v] leaves the
      indices of the predicates matching [v] in [matched_list.(0..m-1)]
-     (and sets their [matched] flags, cleared here after use). *)
+     and returns [m]. *)
   let fill_pass fill_matched =
     for v = 0 to n - 1 do
-      let i, j =
-        Grid.cell_of_node grid ~start_pos:(Document.start_pos doc v)
-          ~end_pos:(Document.end_pos doc v)
-      in
-      let idx = Grid.index grid ~i ~j in
-      node_cell.(v) <- idx;
-      if population then Position_histogram.feed_cell pop idx;
-      let nmatched = fill_matched v in
-      for u = 0 to k - 1 do
-        let in_set = matched.(u) in
-        let nearest = Interval_ops.feed streams.(u) v ~in_set in
-        let pb = per.(u) in
-        (match pb.pb_coverage with
-        | Some cb when nearest >= 0 ->
-          Coverage_histogram.feed cb ~covered:idx ~covering:node_cell.(nearest)
-        | Some _ | None -> ());
-        if in_set then feed_match pb ~cell:idx ~level:(Document.level doc v)
-      done;
-      for m = 0 to nmatched - 1 do
-        matched.(matched_list.(m)) <- false
-      done
+      feed ~start_pos:(Document.start_pos doc v) ~end_pos:(Document.end_pos doc v)
+        ~level:(Document.level doc v) (fill_matched v)
     done
   in
   let evals =
@@ -270,31 +280,23 @@ let sweep plan ~grid ~matches ~population doc subset =
       fill_pass (fun v ->
           let nmatched = ref 0 in
           Predicate.dispatch_node disp doc v ~f:(fun u ->
-              matched.(u) <- true;
               matched_list.(!nmatched) <- u;
               incr nmatched);
           !nmatched);
       Predicate.dispatch_evals disp
     | Some arrays ->
-      (* Replay pass 1's matches through per-predicate cursors: the arrays
-         are in document order, so each head is compared against [v] once. *)
-      let cursor = Array.make k 0 in
+      (* Pass 1's matches regrouped by node. *)
+      let by_node = Array.make n [] in
+      Array.iteri (fun u -> Array.iter (fun v -> by_node.(v) <- u :: by_node.(v))) arrays;
       fill_pass (fun v ->
-          let nmatched = ref 0 in
-          for u = 0 to k - 1 do
-            let arr = arrays.(u) in
-            if cursor.(u) < Array.length arr && Int.equal arr.(cursor.(u)) v
-            then begin
-              cursor.(u) <- cursor.(u) + 1;
-              matched.(u) <- true;
-              matched_list.(!nmatched) <- u;
-              incr nmatched
-            end
-          done;
-          !nmatched);
+          List.fold_left
+            (fun m u ->
+              matched_list.(m) <- u;
+              m + 1)
+            0 by_node.(v));
       0
   in
-  Array.iteri (fun u s -> per.(u).pb_nesting <- Interval_ops.nesting_seen s) streams;
+  set_nesting per res;
   (per, pop, evals)
 
 (* Starts and ends of [nodes], interleaved. *)
@@ -374,80 +376,68 @@ let build ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
    [Document.t]: memory stays O(element depth + summary size) for a
    document of any length.  A node's predicate match status is decidable
    only at its close event (its character data is complete only then), so
-   everything downstream runs in end-position (post-order) order.
+   pass A spills in end-position (post-order) order.
 
    Pass A parses once, dispatches the unique predicates per close event
    by tag, and spills one fixed-size record per node — start, end, level,
    match bitmask — to a temp file in post-order.  The grid is then derived
-   (equi-depth replays the spill once more for the quantile positions),
-   and pass B replays the spill into the core's builders.
+   (equi-depth scans the spill once more for the quantile positions), and
+   pass B replays the spill into the core's builders.
 
-   Coverage needs each covered node's *nearest* strict P-ancestor, which
-   is unknowable at the node's own close (outer ancestors close later).
-   The replay keeps, per coverage-active predicate, a queue of closed
-   nodes not yet claimed by any P-ancestor, and per level l where in that
-   queue the pending segment of the closed children (at level l) of the
-   open node at level l-1 starts.  A record one level shallower than its
-   predecessor closes that predecessor's parent, so its strict
-   descendants' pending entries are exactly the queue past the mark of
-   the level below it: when it is a P-node, that is the set of nodes
-   whose nearest P-ancestor it is (nearer P-nodes closed earlier and
-   already claimed theirs), flushed to the builder in bulk.  Once the
-   open parent's running segment — all its closed children's subtrees —
-   exceeds one grid of cells it is compacted cell-wise (exact integer
-   sums; at most g(g+1)/2 cells can occur, so compaction is amortized
-   O(1) per record), bounding each queue by O(depth * cells). *)
+   Both scans read the spill backwards, so the records arrive in reverse
+   post-order: every node before its descendants, which is all the
+   resolver needs.  Pass B feeds the records to it as they come, exactly
+   as the document sweep does, so its pending state is one stack of open
+   matches per predicate, O(element depth) however wide the document. *)
 
 let mask_bits = 62 (* mask bits per spill word; keeps every field an int *)
+let block_records = 4096 (* spill records per read *)
 
-type pending = {
-  mutable q_cell : int array;
-  mutable q_count : float array;
-  mutable q_len : int;
-}
+(* Field [k] of the spill record at byte [off] of [buf]: 0 start, 1 end,
+   2 level, 3.. mask words. *)
+let field buf off k = Int64.to_int (Bytes.get_int64_le buf (off + (8 * k)))
 
-let q_make () = { q_cell = Array.make 16 0; q_count = Array.make 16 0.0; q_len = 0 }
+(* Call [f buf off] for each of the [n] records of the spill at [path],
+   last to first, [off] being the record's byte offset in [buf].  Blocks
+   of whole records are read from the end of the file towards its start
+   and walked backwards. *)
+let replay_backwards path ~rec_size ~n f =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  let buf = Bytes.create (rec_size * Int.min n block_records) in
+  let hi = ref n in
+  while !hi > 0 do
+    let lo = Int.max 0 (!hi - block_records) in
+    seek_in ic (lo * rec_size);
+    really_input ic buf 0 ((!hi - lo) * rec_size);
+    for r = !hi - lo - 1 downto 0 do
+      f buf (r * rec_size)
+    done;
+    hi := lo
+  done
 
-let q_push q cell =
-  if Int.equal q.q_len (Array.length q.q_cell) then begin
-    let cells = Array.make (2 * q.q_len) 0 in
-    Array.blit q.q_cell 0 cells 0 q.q_len;
-    q.q_cell <- cells;
-    let counts = Array.make (2 * q.q_len) 0.0 in
-    Array.blit q.q_count 0 counts 0 q.q_len;
-    q.q_count <- counts
-  end;
-  q.q_cell.(q.q_len) <- cell;
-  q.q_count.(q.q_len) <- 1.0;
-  q.q_len <- q.q_len + 1
-
-let q_flush q ~base ~covering b =
-  for k = base to q.q_len - 1 do
-    Coverage_histogram.feed_n b ~covered:q.q_cell.(k) ~covering q.q_count.(k)
+(* The unique predicates the record at [off] matches, written to
+   [into.(0 .. m-1)]; returns [m]. *)
+let record_matches buf off ~nwords into =
+  let m = ref 0 in
+  for w = 0 to nwords - 1 do
+    let bits = ref (field buf off (3 + w)) and u = ref (w * mask_bits) in
+    while !bits <> 0 do
+      if Int.equal (!bits land 0xff) 0 then begin
+        bits := !bits lsr 8;
+        u := !u + 8
+      end
+      else begin
+        if !bits land 1 <> 0 then begin
+          into.(!m) <- !u;
+          incr m
+        end;
+        bits := !bits lsr 1;
+        incr u
+      end
+    done
   done;
-  q.q_len <- base
-
-(* Aggregate the segment [base, len) by cell through a zeroed scratch
-   array (zeroed again on exit).  Counts are integers, so the per-cell
-   sums are exact and a later flush feeds the same totals it would have
-   fed entry by entry. *)
-let q_compact q ~base ~scratch ~touched =
-  let nt = ref 0 in
-  for k = base to q.q_len - 1 do
-    let c = q.q_cell.(k) in
-    if Float.equal scratch.(c) 0.0 then begin
-      touched.(!nt) <- c;
-      incr nt
-    end;
-    scratch.(c) <- scratch.(c) +. q.q_count.(k)
-  done;
-  for i = 0 to !nt - 1 do
-    let c = touched.(i) in
-    q.q_cell.(base + i) <- c;
-    q.q_count.(base + i) <- scratch.(c);
-    scratch.(c) <- 0.0
-  done;
-  q.q_len <- base + !nt
+  !m
 
 let unbalanced what = failwith ("Summary.build_stream: unbalanced event stream (" ^ what ^ ")")
 
@@ -463,7 +453,7 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
   Fun.protect
     ~finally:(fun () -> try Sys.remove spill_path with Sys_error _ -> ())
   @@ fun () ->
-  let n = ref 0 and pos = ref 0 and max_level = ref 0 in
+  let n = ref 0 and pos = ref 0 in
   (* --- Pass A: parse, dispatch at close events, spill post-order. ----- *)
   let () =
     let oc = open_out_bin spill_path in
@@ -510,7 +500,6 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
           if Int.equal !depth 0 then unbalanced "close without a matching open";
           decr depth;
           let d = !depth in
-          max_level := Int.max !max_level d;
           Array.fill words 0 (Array.length words) 0;
           Predicate.dispatch_named disp ~tag:!f_tag.(d) ~attrs:!f_attrs.(d)
             ~text:(Sax.trim_text (Buffer.contents !f_text.(d)))
@@ -530,29 +519,17 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
   in
   if !n = 0 then failwith "Summary.build_stream: empty event stream";
   let max_pos = !pos - 1 in
-  let replay f =
-    let ic = open_in_bin spill_path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    let rbuf = Bytes.create rec_size in
-    let words = Array.make (Int.max nwords 1) 0 in
-    let field k = Int64.to_int (Bytes.get_int64_le rbuf (8 * k)) in
-    for _ = 1 to !n do
-      really_input ic rbuf 0 rec_size;
-      for w = 0 to nwords - 1 do
-        words.(w) <- field (3 + w)
-      done;
-      f ~start_pos:(field 0) ~end_pos:(field 1) ~level:(field 2) words
-    done
-  in
-  let matches words u = words.(u / mask_bits) land (1 lsl (u mod mask_bits)) <> 0 in
+  let replay f = replay_backwards spill_path ~rec_size ~n:!n f in
+  let matched_list = Array.make p 0 in
   let grid, passes =
     match grid_kind with
     | `Uniform -> (Grid.create ~size:grid_size ~max_pos, 2)
     | `Equidepth ->
       let acc = Array.make p [] in
-      replay (fun ~start_pos ~end_pos ~level:_ words ->
-          for u = 0 to p - 1 do
-            if matches words u then acc.(u) <- end_pos :: start_pos :: acc.(u)
+      replay (fun buf off ->
+          for m = 0 to record_matches buf off ~nwords matched_list - 1 do
+            let u = matched_list.(m) in
+            acc.(u) <- field buf off 1 :: field buf off 0 :: acc.(u)
           done);
       ( equidepth_grid plan ~grid_size ~max_pos
           ~positions:(fun u -> Array.of_list acc.(u))
@@ -562,53 +539,13 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
   (* --- Pass B: replay the spill into the builders. -------------------- *)
   let per = Array.init p (pred_builders plan grid) in
   let pop = Position_histogram.builder grid in
-  let cells = Grid.cells grid in
-  let queues = Array.init p (fun _ -> q_make ()) in
-  let scratch = Array.make cells 0.0 in
-  let touched = Array.make cells 0 in
-  (* Per level l and predicate u, at [l * p + u]: [mark] is where queue
-     u's segment for the closed children at level l of the open node at
-     level l-1 starts, and [held] whether those children's subtrees held
-     a match of u. *)
-  let mark = Array.make ((!max_level + 2) * p) 0 in
-  let held = Array.make ((!max_level + 2) * p) false in
-  let prev = ref (-1) in
-  replay (fun ~start_pos ~end_pos ~level words ->
-      let i, j = Grid.cell_of_node grid ~start_pos ~end_pos in
-      let idx = Grid.index grid ~i ~j in
-      Position_histogram.feed_cell pop idx;
-      (* A record deeper than its predecessor is the first of a new
-         subtree: the child segments of every level down to its own
-         start here.  A record exactly one level shallower closes the
-         predecessor's parent — it has children, pending past the mark
-         of the level below it. *)
-      for l = !prev + 1 to level do
-        for u = 0 to p - 1 do
-          mark.((l * p) + u) <- queues.(u).q_len;
-          held.((l * p) + u) <- false
-        done
-      done;
-      let has_children = Int.equal !prev (level + 1) in
-      for u = 0 to p - 1 do
-        let in_set = matches words u in
-        let k = (level * p) + u in
-        let below = has_children && held.(k + p) in
-        let pb = per.(u) in
-        if in_set && below then pb.pb_nesting <- true;
-        if in_set || below then held.(k) <- true;
-        (match pb.pb_coverage with
-        | Some cb ->
-          let q = queues.(u) in
-          if in_set then
-            q_flush q ~base:(if has_children then mark.(k + p) else q.q_len)
-              ~covering:idx cb;
-          q_push q idx;
-          if q.q_len - mark.(k) > cells then
-            q_compact q ~base:mark.(k) ~scratch ~touched
-        | None -> ());
-        if in_set then feed_match pb ~cell:idx ~level
-      done;
-      prev := level);
+  let res = Interval_ops.resolver p in
+  let feed = feed_node grid per res ~pop:(Some pop) ~matched:matched_list in
+  replay (fun buf off ->
+      feed ~start_pos:(field buf off 0) ~end_pos:(field buf off 1)
+        ~level:(field buf off 2)
+        (record_matches buf off ~nwords matched_list));
+  set_nesting per res;
   finish plan ~doc:None ~grid ~path:`Streamed ~passes ~t0 ~per ~pop
     ~evals:(Predicate.dispatch_evals disp)
 

@@ -70,10 +70,11 @@ val build_stream :
     (one global counter: start at open, end at close) and per-node state
     — start, end, level, predicate match bitmask — spills to a temp file
     in post-order, then replays into the same builders {!build} fills.
-    Nearest P-ancestors are resolved per element level, so the replay
-    holds O(element depth × grid cells) pending coverage state per
-    predicate however wide the document is (a regression test pins the
-    peak heap).  Because every builder is an order-insensitive exact
+    The replay reads the spill backwards, ancestors first, through the
+    same nearest-ancestor resolver {!build} uses
+    ({!Interval_ops.resolve}), so it holds O(element depth) pending state
+    per predicate however wide the document is (a regression test pins
+    the peak heap).  Because every builder is an order-insensitive exact
     accumulator, the result is {e bit-identical} — {!to_string}-equal —
     to {!build} over the parsed document, for both grid kinds
     (property-tested).  The returned summary has no attached document

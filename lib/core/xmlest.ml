@@ -62,10 +62,8 @@ module Baselines = Xmlest_estimate.Baselines
 
 (* Exact engine *)
 module Structural_join = Xmlest_engine.Structural_join
-module Nested_loop = Xmlest_engine.Nested_loop
 module Twig_count = Xmlest_engine.Twig_count
 module Executor = Xmlest_engine.Executor
-module Axis_eval = Xmlest_engine.Axis_eval
 
 (* Optimizer *)
 module Plan = Xmlest_optimizer.Plan

@@ -52,9 +52,10 @@ let of_rows ~grid ~populations rows =
 
 (* Streaming builder: per covered cell, a run-length list of
    (covering cell, count) pairs, consecutive hits on the same covering
-   cell merged in place.  The legacy [build] and the fused summary sweep
-   both accumulate through [feed]/[finish], so they produce identical
-   structures for the same document-order feed sequence. *)
+   cell merged in place.  [finish] sums the runs per covering cell, so
+   any feed order of the same nodes gives the same histogram: [build]
+   feeds in document order, the streamed summary build in reverse
+   post-order. *)
 type builder = {
   b_grid : Grid.t;
   b_counts : (int * float) list array;  (* covered cell -> run-length list *)
@@ -62,13 +63,11 @@ type builder = {
 
 let builder grid = { b_grid = grid; b_counts = Array.make (Grid.cells grid) [] }
 
-let feed_n b ~covered ~covering k =
+let feed b ~covered ~covering =
   b.b_counts.(covered) <-
     (match b.b_counts.(covered) with
-    | (m, c) :: rest when Int.equal m covering -> (m, c +. k) :: rest
-    | l -> (covering, k) :: l)
-
-let feed b ~covered ~covering = feed_n b ~covered ~covering 1.0
+    | (m, c) :: rest when Int.equal m covering -> (m, c +. 1.0) :: rest
+    | l -> (covering, 1.0) :: l)
 
 let finish b ~populations =
   if not (Int.equal (Array.length populations) (Grid.cells b.b_grid)) then

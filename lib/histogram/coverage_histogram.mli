@@ -26,11 +26,12 @@ val grid : t -> Grid.t
 
 (** {2 Streaming construction}
 
-    The accumulation behind {!build}, exposed so that one shared document
-    sweep (the fused summary construction) can drive many coverage
-    builders at once.  Feed, in document order, every node that has a
-    nearest strict P-ancestor; {!build} itself is implemented on these, so
-    an identical feed sequence yields a bit-identical histogram. *)
+    The accumulation behind {!build}, exposed so that one shared sweep
+    (either summary build) can drive many coverage builders at once.
+    Feed every node that has a nearest strict P-ancestor, in any order:
+    the counts are exact integers, merged per covering cell at {!finish},
+    so every feed order of the same nodes yields a bit-identical
+    histogram. *)
 
 type builder
 
@@ -39,11 +40,6 @@ val builder : Grid.t -> builder
 val feed : builder -> covered:int -> covering:int -> unit
 (** Record one node in dense cell [covered] whose nearest strict
     P-ancestor lies in dense cell [covering]. *)
-
-val feed_n : builder -> covered:int -> covering:int -> float -> unit
-(** [feed] a batch: record [k] nodes of cell [covered] at once (exact for
-    integer [k]).  The out-of-core streaming build accumulates covered
-    descendants per pending P-segment and flushes them in bulk. *)
 
 val finish : builder -> populations:float array -> t
 (** Freeze, normalizing counts by the per-cell population (the TRUE

@@ -88,12 +88,12 @@ let recompile t =
 
 (* One document-order pass seeds every maintained counter from scratch:
    per-cell populations, matching counts and level counts, the
-   (covered, covering) coverage table via the same nearest-strict-ancestor
-   interval streams the fused builder uses, and exact nesting-pair counts
-   via a per-predicate stack of open matching ancestors.  The position
-   histograms are NOT touched — the caller passes the already-correct
-   objects from the freshly built summary.  The engine edits its own copy
-   of [doc], so the caller's document never changes under it. *)
+   (covered, covering) coverage table and the exact nesting-pair counts,
+   both from the same nearest-ancestor resolver the builds use.  The
+   position histograms are NOT touched — the caller passes the
+   already-correct objects from the freshly built summary.  The engine
+   edits its own copy of [doc], so the caller's document never changes
+   under it. *)
 let init ~grid ~pop ~with_levels ~entries doc =
   let doc = Document.copy doc in
   let preds =
@@ -124,61 +124,27 @@ let init ~grid ~pop ~with_levels ~entries doc =
       updates = 0;
     }
   in
-  let p = Array.length preds in
-  let n = Document.size doc in
   let disp = Predicate.dispatch doc (List.map fst entries) in
-  let streams = Array.init (Int.max p 1) (fun _ -> Interval_ops.stream doc) in
-  (* Open matching ancestors per predicate, as a stack of end positions. *)
-  let stack_ends = Array.init (Int.max p 1) (fun _ -> ref [||]) in
-  let stack_len = Array.make (Int.max p 1) 0 in
-  let push u e =
-    let arr = !(stack_ends.(u)) in
-    let arr =
-      if stack_len.(u) >= Array.length arr then begin
-        let bigger = Array.make (Int.max 8 (2 * Array.length arr)) 0 in
-        Array.blit arr 0 bigger 0 (Array.length arr);
-        stack_ends.(u) <- ref bigger;
-        bigger
-      end
-      else arr
-    in
-    arr.(stack_len.(u)) <- e;
-    stack_len.(u) <- stack_len.(u) + 1
-  in
-  let matched = Array.make (Int.max p 1) false in
-  let matched_list = Array.make (Int.max p 1) 0 in
-  let node_cell = Array.make (Int.max n 1) 0 in
-  for v = 0 to n - 1 do
+  let res = Interval_ops.resolver (Array.length preds) in
+  let matched_list = Array.make (Array.length preds) 0 in
+  let on_nearest u ~covered ~covering = tbl_add preds.(u).cvg (covered, covering) 1 in
+  for v = 0 to Document.size doc - 1 do
     let c = cell_idx t doc v in
-    node_cell.(v) <- c;
     t.pop_counts.(c) <- t.pop_counts.(c) + 1;
     let nmatched = ref 0 in
     Predicate.dispatch_node disp doc v ~f:(fun u ->
-        matched.(u) <- true;
         matched_list.(!nmatched) <- u;
         incr nmatched);
-    let sv = Document.start_pos doc v in
-    for u = 0 to p - 1 do
-      let ps = preds.(u) in
-      let in_set = matched.(u) in
-      let nearest = Interval_ops.feed streams.(u) v ~in_set in
-      if nearest >= 0 then tbl_add ps.cvg (c, node_cell.(nearest)) 1;
-      (* Close matching ancestors whose interval ended before [v]. *)
-      let arr = !(stack_ends.(u)) in
-      while stack_len.(u) > 0 && arr.(stack_len.(u) - 1) < sv do
-        stack_len.(u) <- stack_len.(u) - 1
-      done;
-      if in_set then begin
-        ps.pairs <- ps.pairs + stack_len.(u);
-        push u (Document.end_pos doc v);
-        ps.count <- ps.count + 1;
-        if with_levels then level_add ps (Document.level doc v) 1.0
-      end
-    done;
-    for k = 0 to !nmatched - 1 do
-      matched.(matched_list.(k)) <- false
+    Interval_ops.resolve res ~start_pos:(Document.start_pos doc v)
+      ~end_pos:(Document.end_pos doc v) ~cell:c ~matched:matched_list
+      ~nmatched:!nmatched ~on_nearest;
+    for m = 0 to !nmatched - 1 do
+      let ps = preds.(matched_list.(m)) in
+      ps.count <- ps.count + 1;
+      if with_levels then level_add ps (Document.level doc v) 1.0
     done
   done;
+  Array.iteri (fun u ps -> ps.pairs <- Interval_ops.nesting_pairs res u) preds;
   t
 
 (* --- subtree sweeps ------------------------------------------------------ *)

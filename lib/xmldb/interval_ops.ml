@@ -1,76 +1,87 @@
-(* All set-level functions run a single sweep over the start-sorted node
-   list, maintaining a stack of currently-open intervals: before
-   considering node [v], every stacked node whose interval ends before
-   [start v] is closed; the remaining stacked nodes are exactly [v]'s
-   ancestors within the set.
+(* One stack of open intervals per node set.  Nodes arrive ancestors
+   first; before a node is placed, every stacked match that does not
+   contain it is closed (an interval left behind contains no later node
+   either), so the remaining stack is exactly the node's ancestors within
+   the set, innermost on top.  Only the sets with an open match are
+   visited, so a node costs O(active + matched), not O(sets).
 
-   [stream] is the incremental form of the same sweep: the caller feeds
-   nodes one at a time (in document order) with a per-node membership flag,
-   so one document traversal can drive many predicate sets at once. *)
+   The set-level functions below are the one-set case of the same sweep. *)
 
-type stream = {
-  doc : Document.t;
-  mutable open_ends : int array;  (* end positions of open set nodes *)
-  mutable open_nodes : int array;  (* the nodes themselves, innermost last *)
-  mutable depth : int;
-  mutable nesting : bool;
+type resolver = {
+  stacks : int array array;
+      (* per set: open matches as (start, end, cell) triples, innermost last *)
+  depth : int array;  (* per set: open matches *)
+  pairs : int array;  (* per set: (ancestor, descendant) pairs seen *)
+  active : int array;  (* the sets with an open match: [active.(0 .. nactive-1)] *)
+  mutable nactive : int;
 }
 
-let stream doc =
-  { doc; open_ends = Array.make 16 0; open_nodes = Array.make 16 0; depth = 0; nesting = false }
+let resolver sets =
+  {
+    stacks = Array.make sets [||];
+    depth = Array.make sets 0;
+    pairs = Array.make sets 0;
+    active = Array.make sets 0;
+    nactive = 0;
+  }
 
-let feed s v ~in_set =
-  let sv = Document.start_pos s.doc v in
-  while s.depth > 0 && s.open_ends.(s.depth - 1) < sv do
-    s.depth <- s.depth - 1
+let resolve r ~start_pos ~end_pos ~cell ~matched ~nmatched ~on_nearest =
+  let kept = ref 0 in
+  for a = 0 to r.nactive - 1 do
+    let u = r.active.(a) in
+    let st = r.stacks.(u) in
+    let d = ref r.depth.(u) in
+    while
+      !d > 0
+      && not (st.((3 * !d) - 3) < start_pos && end_pos < st.((3 * !d) - 2))
+    do
+      decr d
+    done;
+    r.depth.(u) <- !d;
+    if !d > 0 then begin
+      r.active.(!kept) <- u;
+      incr kept;
+      on_nearest u ~covered:cell ~covering:st.((3 * !d) - 1)
+    end
   done;
-  let nearest = if s.depth > 0 then s.open_nodes.(s.depth - 1) else -1 in
-  if in_set then begin
-    if s.depth > 0 then s.nesting <- true;
-    if Int.equal s.depth (Array.length s.open_ends) then begin
-      let grow a =
-        let bigger = Array.make (2 * Array.length a) 0 in
-        Array.blit a 0 bigger 0 s.depth;
-        bigger
-      in
-      s.open_ends <- grow s.open_ends;
-      s.open_nodes <- grow s.open_nodes
+  r.nactive <- !kept;
+  for m = 0 to nmatched - 1 do
+    let u = matched.(m) in
+    let d = r.depth.(u) in
+    if Int.equal d 0 then begin
+      r.active.(r.nactive) <- u;
+      r.nactive <- r.nactive + 1
     end;
-    s.open_ends.(s.depth) <- Document.end_pos s.doc v;
-    s.open_nodes.(s.depth) <- v;
-    s.depth <- s.depth + 1
-  end;
-  nearest
+    r.pairs.(u) <- r.pairs.(u) + d;
+    if Int.equal (3 * d) (Array.length r.stacks.(u)) then begin
+      let bigger = Array.make (Int.max 24 (6 * d)) 0 in
+      Array.blit r.stacks.(u) 0 bigger 0 (3 * d);
+      r.stacks.(u) <- bigger
+    end;
+    let st = r.stacks.(u) in
+    st.(3 * d) <- start_pos;
+    st.((3 * d) + 1) <- end_pos;
+    st.((3 * d) + 2) <- cell;
+    r.depth.(u) <- d + 1
+  done
 
-let nesting_seen s = s.nesting
+let depth r u = r.depth.(u)
+let nesting_pairs r u = r.pairs.(u)
 
-let sweep doc nodes ~on_open =
-  let stack = Stack.create () in
+(* [nodes] as the only set: its nesting pairs and its deepest chain. *)
+let sweep doc nodes =
+  let r = resolver 1 in
+  let self = [| 0 |] in
+  let deepest = ref 0 in
   Array.iter
     (fun v ->
-      let sv = Document.start_pos doc v in
-      while
-        (not (Stack.is_empty stack))
-        && Document.end_pos doc (Stack.top stack) < sv
-      do
-        ignore (Stack.pop stack)
-      done;
-      on_open stack v;
-      Stack.push v stack)
-    nodes
+      resolve r ~start_pos:(Document.start_pos doc v) ~end_pos:(Document.end_pos doc v)
+        ~cell:v ~matched:self ~nmatched:1
+        ~on_nearest:(fun _ ~covered:_ ~covering:_ -> ());
+      deepest := Int.max !deepest (depth r 0))
+    nodes;
+  (nesting_pairs r 0, !deepest)
 
-let has_nesting doc nodes =
-  let s = stream doc in
-  Array.iter (fun v -> ignore (feed s v ~in_set:true)) nodes;
-  nesting_seen s
-
-let count_nesting_pairs doc nodes =
-  let pairs = ref 0 in
-  sweep doc nodes ~on_open:(fun stack _v -> pairs := !pairs + Stack.length stack);
-  !pairs
-
-let max_nesting_depth doc nodes =
-  let best = ref 0 in
-  sweep doc nodes ~on_open:(fun stack _v ->
-      best := Int.max !best (Stack.length stack + 1));
-  !best
+let count_nesting_pairs doc nodes = fst (sweep doc nodes)
+let has_nesting doc nodes = count_nesting_pairs doc nodes > 0
+let max_nesting_depth doc nodes = snd (sweep doc nodes)

@@ -1,10 +1,62 @@
-(** Operations on document-order (start-position sorted) node arrays. *)
+(** Nearest-ancestor resolution over (start, end) interval labels.
+
+    A node's ancestors are exactly the nodes whose interval strictly
+    contains its own.  Visiting nodes ancestors-first — the document's
+    pre-order, or the reverse of its post-order — one stack of open
+    intervals per node set answers, at every node, its nearest strict
+    ancestor in each set. *)
+
+(** {2 Multi-set resolver}
+
+    The one nearest-ancestor resolver of both summary builds and of the
+    maintenance engine's initial sweep: many node sets are resolved side
+    by side in one traversal, and a node costs only the sets that have an
+    open match plus the sets it matches. *)
+
+type resolver
+
+val resolver : int -> resolver
+(** [resolver p]: sets [0 .. p-1], none with an open match. *)
+
+val resolve :
+  resolver ->
+  start_pos:int ->
+  end_pos:int ->
+  cell:int ->
+  matched:int array ->
+  nmatched:int ->
+  on_nearest:(int -> covered:int -> covering:int -> unit) ->
+  unit
+(** Visit one node: its interval, an int carried with it ([cell]; the
+    builds pass its grid cell), and the sets it belongs to,
+    [matched.(0 .. nmatched-1)], each at most once.  Every node must be
+    visited after all of its ancestors (any pre-order, e.g. the
+    document's, or a reverse post-order).
+
+    Calls [on_nearest u ~covered:cell ~covering] for every set [u] that
+    has a strict ancestor of the node, with [covering] the [cell] of the
+    nearest one, in no particular set order.  Then the node is opened in
+    each of its sets, counting its strict ancestors there as nesting
+    pairs, so a node never covers itself. *)
+
+val depth : resolver -> int -> int
+(** [depth r u]: the open matches of set [u] — after {!resolve}, the
+    visited node's ancestors-or-self in [u]. *)
+
+val nesting_pairs : resolver -> int -> int
+(** [nesting_pairs r u]: the (ancestor, descendant) pairs within set [u]
+    among the visited nodes; 0 iff they have the paper's {e no-overlap}
+    property. *)
+
+(** {2 One node set}
+
+    [nodes] must be sorted by start position (as returned by
+    {!Document.nodes_with_tag}). *)
 
 val has_nesting : Document.t -> Document.node array -> bool
-(** [has_nesting doc nodes] is [true] iff some node of [nodes] is an
-    ancestor of another node of [nodes].  [nodes] must be sorted by start
-    position (as returned by {!Document.nodes_with_tag}).  A predicate whose
-    node set has no nesting has the paper's {e no-overlap} property. *)
+(** [true] iff some node of [nodes] is an ancestor of another.  A
+    predicate whose node set has no nesting has the no-overlap
+    property. *)
 
 val count_nesting_pairs : Document.t -> Document.node array -> int
 (** Number of (ancestor, descendant) pairs within [nodes]; 0 iff the set has
@@ -13,32 +65,3 @@ val count_nesting_pairs : Document.t -> Document.node array -> int
 val max_nesting_depth : Document.t -> Document.node array -> int
 (** Size of the largest chain of mutually nested nodes (1 for a non-empty
     no-overlap set, 0 for an empty set). *)
-
-(** {2 Streaming sweep}
-
-    The incremental form of the ancestor sweep, for callers that traverse
-    the document once and maintain many node sets side by side (the fused
-    summary construction).  Feed every node in document order with a flag
-    saying whether it belongs to the set; the stream maintains the stack of
-    set nodes whose intervals are still open and reports, per node, its
-    nearest {e strict} set-ancestor. *)
-
-type stream
-
-val stream : Document.t -> stream
-(** A fresh sweep state for one node set over the given document. *)
-
-val feed : stream -> Document.node -> in_set:bool -> Document.node
-(** [feed s v ~in_set] must be called for every node in document order
-    (strictly increasing start positions).  Returns [v]'s nearest strict
-    set-ancestor among the nodes fed so far with [in_set:true], or [-1] if
-    it has none.  When [in_set] is true, [v] is pushed onto the open stack
-    (after the ancestor is reported, so a set node never covers itself) and
-    the stream's nesting flag is raised if [v] itself has a set-ancestor.
-
-    Feeding only the set's own nodes (all with [in_set:true]) is exactly
-    the classic sweep, so {!has_nesting} is implemented on top of this. *)
-
-val nesting_seen : stream -> bool
-(** [true] iff some fed [in_set] node had a strict set-ancestor — the
-    negation of the no-overlap property for the fed set. *)

@@ -519,6 +519,43 @@ let test_stream_equals_build_datasets () =
         [ `Uniform; `Equidepth ])
     cases
 
+(* The spill's edges: more than 62 unique predicates put two mask words
+   in every record, with the nesting predicates at bits 60-68, across the
+   word boundary; a DBLP document of over 9,000 nodes spans several
+   4,096-record read blocks, the first of them partial. *)
+let test_stream_equals_build_wide_mask () =
+  let elem = Xmlest.Dblp_gen.generate_scaled 0.05 in
+  let doc = Xmlest.Document.of_elem elem in
+  Alcotest.(check bool) "several read blocks" true (Xmlest.Document.size doc > 9000);
+  let preds =
+    List.init 60 (fun k ->
+        Xmlest.Predicate.text_eq ~tag:"year" (string_of_int (1960 + k)))
+    @ [
+        tagp "author";
+        tagp "title";
+        tagp "article";
+        tagp "inproceedings";
+        tagp "dblp";
+        Xmlest.Predicate.Level_eq 1;
+        Xmlest.Predicate.Or (tagp "book", tagp "incollection");
+        tagp "cite";
+        Xmlest.Predicate.text_prefix ~tag:"cite" "conf";
+      ]
+  in
+  let xml = Xmlest.Xml_writer.to_string elem in
+  List.iter
+    (fun grid_kind ->
+      let sax = Xmlest.Sax.of_string xml in
+      Alcotest.(check bool)
+        (match grid_kind with `Uniform -> "uniform" | `Equidepth -> "equidepth")
+        true
+        (summaries_identical
+           (Xmlest.Summary.build ~grid_kind doc preds)
+           (Xmlest.Summary.build_stream ~grid_kind
+              (fun () -> Xmlest.Sax.next sax)
+              preds)))
+    [ `Uniform; `Equidepth ]
+
 let test_stream_build_file_and_stats () =
   let elem = Xmlest.Staff_gen.generate () in
   let doc = Xmlest.Document.of_elem elem in
@@ -1176,6 +1213,8 @@ let () =
           qcheck prop_stream_equals_build;
           Alcotest.test_case "streamed = in-memory on datasets" `Quick
             test_stream_equals_build_datasets;
+          Alcotest.test_case "streamed = in-memory, two mask words" `Quick
+            test_stream_equals_build_wide_mask;
           Alcotest.test_case "streamed file build and stats" `Quick
             test_stream_build_file_and_stats;
           Alcotest.test_case "build stats" `Quick test_build_stats;

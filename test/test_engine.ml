@@ -99,7 +99,7 @@ let prop_join_equals_nested_loop =
     (Test_util.doc_two_tags_arbitrary ~max_nodes:60 ())
     (fun (_, doc, t1, t2) ->
       Xmlest.Structural_join.count_pairs doc (nodes doc t1) (nodes doc t2)
-      = Xmlest.Nested_loop.count_pairs doc (nodes doc t1) (nodes doc t2))
+      = Nested_loop.count_pairs doc (nodes doc t1) (nodes doc t2))
 
 let prop_self_join_counts_nesting =
   QCheck.Test.make ~count:100 ~name:"self join = nesting pairs"
@@ -350,14 +350,14 @@ let brute_axis doc context axis pred =
   let n = Xmlest.Document.size doc in
   let related v u =
     match axis with
-    | Xmlest.Axis_eval.Self -> u = v
-    | Xmlest.Axis_eval.Child -> Xmlest.Document.parent doc u = v
-    | Xmlest.Axis_eval.Parent -> Xmlest.Document.parent doc v = u
-    | Xmlest.Axis_eval.Descendant -> Xmlest.Document.is_ancestor doc ~anc:v ~desc:u
-    | Xmlest.Axis_eval.Ancestor -> Xmlest.Document.is_ancestor doc ~anc:u ~desc:v
-    | Xmlest.Axis_eval.Following ->
+    | Axis_eval.Self -> u = v
+    | Axis_eval.Child -> Xmlest.Document.parent doc u = v
+    | Axis_eval.Parent -> Xmlest.Document.parent doc v = u
+    | Axis_eval.Descendant -> Xmlest.Document.is_ancestor doc ~anc:v ~desc:u
+    | Axis_eval.Ancestor -> Xmlest.Document.is_ancestor doc ~anc:u ~desc:v
+    | Axis_eval.Following ->
       Xmlest.Document.start_pos doc u > Xmlest.Document.end_pos doc v
-    | Xmlest.Axis_eval.Preceding ->
+    | Axis_eval.Preceding ->
       Xmlest.Document.end_pos doc u < Xmlest.Document.start_pos doc v
   in
   let out = ref [] in
@@ -371,9 +371,9 @@ let brute_axis doc context axis pred =
 
 let all_axes =
   [
-    Xmlest.Axis_eval.Self; Xmlest.Axis_eval.Child; Xmlest.Axis_eval.Parent;
-    Xmlest.Axis_eval.Descendant; Xmlest.Axis_eval.Ancestor;
-    Xmlest.Axis_eval.Following; Xmlest.Axis_eval.Preceding;
+    Axis_eval.Self; Axis_eval.Child; Axis_eval.Parent;
+    Axis_eval.Descendant; Axis_eval.Ancestor;
+    Axis_eval.Following; Axis_eval.Preceding;
   ]
 
 let test_axis_fig1 () =
@@ -381,14 +381,14 @@ let test_axis_fig1 () =
   let faculties =
     Array.to_list (Xmlest.Document.nodes_with_tag doc "faculty")
   in
-  let tas = Xmlest.Axis_eval.step doc faculties Xmlest.Axis_eval.Descendant (tagp "TA") in
+  let tas = Axis_eval.step doc faculties Axis_eval.Descendant (tagp "TA") in
   check Alcotest.int "distinct TAs under faculties" 2 (List.length tas);
   let parents =
-    Xmlest.Axis_eval.step doc faculties Xmlest.Axis_eval.Parent Xmlest.Predicate.True
+    Axis_eval.step doc faculties Axis_eval.Parent Xmlest.Predicate.True
   in
   check Alcotest.int "shared parent deduped" 1 (List.length parents);
   let following =
-    Xmlest.Axis_eval.step doc [ List.hd faculties ] Xmlest.Axis_eval.Following
+    Axis_eval.step doc [ List.hd faculties ] Axis_eval.Following
       (tagp "TA")
   in
   check Alcotest.int "all 5 TAs follow the first faculty" 5 (List.length following)
@@ -396,10 +396,10 @@ let test_axis_fig1 () =
 let test_axis_eval_path () =
   let doc = Test_util.fig1_doc () in
   let result =
-    Xmlest.Axis_eval.eval doc
+    Axis_eval.eval doc
       [
-        (Xmlest.Axis_eval.Descendant, tagp "faculty");
-        (Xmlest.Axis_eval.Child, tagp "RA");
+        (Axis_eval.Descendant, tagp "faculty");
+        (Axis_eval.Child, tagp "RA");
       ]
   in
   check Alcotest.int "faculty/RA" 6 (List.length result)
@@ -418,7 +418,7 @@ let prop_axis_matches_brute_force =
       let pred = tagp t2 in
       List.for_all
         (fun axis ->
-          Xmlest.Axis_eval.step doc context axis pred
+          Axis_eval.step doc context axis pred
           = brute_axis doc context axis pred)
         all_axes)
 
@@ -427,7 +427,7 @@ let test_axis_empty_context () =
   List.iter
     (fun axis ->
       check Alcotest.(list int) "empty in, empty out" []
-        (Xmlest.Axis_eval.step doc [] axis Xmlest.Predicate.True))
+        (Axis_eval.step doc [] axis Xmlest.Predicate.True))
     all_axes
 
 let prop_count_following_matches_brute_force =

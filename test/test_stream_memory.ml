@@ -1,9 +1,11 @@
 (* Bounded memory of the streamed build, in a process of its own so the
    heap's high-water mark starts near zero.  A root with 500,000 leaf
-   children is the widest document there is: every leaf stays pending for
-   the root's coverage until the root closes, so unless the replay merges
-   the pending segments of sibling subtrees, its queues grow with the
-   document instead of with depth × grid cells. *)
+   children is the widest document there is.  The replay reads the spill
+   backwards, so the root arrives before its leaves and each leaf is
+   resolved against the root's open match as it comes: pending state is
+   one stack of open matches per predicate, O(element depth).  A replay
+   that held the leaves until their covering root turned up — as a
+   forward, post-order replay must — would grow with the document. *)
 
 open Xmlest_core
 
@@ -27,8 +29,8 @@ let events () =
     else if step = (2 * leaves) + 1 then Some Xmlest.Sax.Close
     else None
 
-(* Parse-free pass A and the replay's builders need a few MB; queues
-   holding every leaf take tens. *)
+(* Parse-free pass A and the replay's builders need a few MB; state held
+   per leaf takes tens. *)
 let cap_mb = 16.0
 
 let test_wide_stream_bounded () =

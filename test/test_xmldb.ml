@@ -649,32 +649,113 @@ let prop_nesting_matches_brute_force =
       in
       Xmlest.Interval_ops.count_nesting_pairs doc nodes = expected)
 
-(* --- Streaming sweep ---------------------------------------------------- *)
+(* --- Nearest-ancestor resolver ------------------------------------------ *)
 
-let prop_stream_nearest_matches_parent_chain =
-  QCheck.Test.make ~count:200 ~name:"stream feed = parent-chain nearest"
-    (Test_util.doc_two_tags_arbitrary ~max_nodes:40 ())
-    (fun (_, doc, t1, _) ->
-      let pred = Xmlest.Predicate.tag t1 in
+(* A random tree and three random node sets over it, each of random
+   density (possibly empty or the whole document). *)
+let doc_sets_arbitrary =
+  QCheck.make
+    ~print:(fun (e, _, sets) ->
+      Format.asprintf "sets %s in %a"
+        (String.concat " | "
+           (Array.to_list
+              (Array.map
+                 (fun s ->
+                   String.concat ","
+                     (List.filteri (fun v _ -> s.(v)) (List.init (Array.length s) string_of_int)))
+                 sets)))
+        Xmlest.Elem.pp e)
+    (fun st ->
+      let e = Test_util.elem_gen ~max_nodes:40 () st in
+      let doc = Xmlest.Document.of_elem e in
       let n = Xmlest.Document.size doc in
-      let in_set = Array.init n (fun v -> Xmlest.Predicate.eval pred doc v) in
-      (* reference: the legacy parent-chain computation of the nearest
-         strict set-ancestor *)
-      let nearest = Array.make n (-1) in
-      for v = 1 to n - 1 do
-        let p = Xmlest.Document.parent doc v in
-        nearest.(v) <- (if in_set.(p) then p else nearest.(p))
-      done;
-      let s = Xmlest.Interval_ops.stream doc in
-      let ok = ref true in
-      for v = 0 to n - 1 do
-        if Xmlest.Interval_ops.feed s v ~in_set:in_set.(v) <> nearest.(v) then
-          ok := false
-      done;
-      let brute_nesting =
-        Test_util.brute_force_pairs doc pred pred ~axis:`Descendant > 0
+      let sets =
+        Array.init 3 (fun _ ->
+            let density = Random.State.int st 5 in
+            Array.init n (fun _ -> Random.State.int st 4 < density))
       in
-      !ok && Bool.equal (Xmlest.Interval_ops.nesting_seen s) brute_nesting)
+      (e, doc, sets))
+
+(* Fed in pre-order and in reverse post-order, with each node's id as its
+   payload, the resolver must report, per set, exactly the parent-chain
+   nearest strict ancestor, leave the stack of open matches at the node's
+   ancestors-or-self count, and count the nesting pairs both ways: summed
+   over the chain and by brute force. *)
+let prop_resolver_matches_parent_chain =
+  QCheck.Test.make ~count:200 ~name:"resolver = parent-chain nearest"
+    doc_sets_arbitrary
+    (fun (_, doc, sets) ->
+      let n = Xmlest.Document.size doc in
+      let k = Array.length sets in
+      (* reference, per set: nearest strict set-ancestor and the number of
+         set-ancestors, both by parent chain *)
+      let nearest = Array.init k (fun _ -> Array.make n (-1)) in
+      let above = Array.init k (fun _ -> Array.make n 0) in
+      for u = 0 to k - 1 do
+        for v = 1 to n - 1 do
+          let p = Xmlest.Document.parent doc v in
+          let hit = sets.(u).(p) in
+          nearest.(u).(v) <- (if hit then p else nearest.(u).(p));
+          above.(u).(v) <- (above.(u).(p) + if hit then 1 else 0)
+        done
+      done;
+      let pairs u =
+        let total = ref 0 in
+        Array.iteri (fun v m -> if m then total := !total + above.(u).(v)) sets.(u);
+        !total
+      in
+      let brute_pairs u =
+        let total = ref 0 in
+        for a = 0 to n - 1 do
+          for d = 0 to n - 1 do
+            if sets.(u).(a) && sets.(u).(d) && Xmlest.Document.is_ancestor doc ~anc:a ~desc:d
+            then incr total
+          done
+        done;
+        !total
+      in
+      let run order =
+        let r = Xmlest.Interval_ops.resolver k in
+        let matched = Array.make k 0 in
+        let ok = ref true in
+        Array.iter
+          (fun v ->
+            let nmatched = ref 0 in
+            for u = 0 to k - 1 do
+              if sets.(u).(v) then begin
+                matched.(!nmatched) <- u;
+                incr nmatched
+              end
+            done;
+            let reported = Array.make k (-1) in
+            Xmlest.Interval_ops.resolve r
+              ~start_pos:(Xmlest.Document.start_pos doc v)
+              ~end_pos:(Xmlest.Document.end_pos doc v)
+              ~cell:v ~matched ~nmatched:!nmatched
+              ~on_nearest:(fun u ~covered ~covering ->
+                if covered <> v || reported.(u) >= 0 then ok := false;
+                reported.(u) <- covering);
+            for u = 0 to k - 1 do
+              if reported.(u) <> nearest.(u).(v)
+                 || Xmlest.Interval_ops.depth r u
+                    <> above.(u).(v) + if sets.(u).(v) then 1 else 0
+              then ok := false
+            done)
+          order;
+        !ok
+        && List.for_all
+             (fun u ->
+               Xmlest.Interval_ops.nesting_pairs r u = pairs u
+               && Xmlest.Interval_ops.nesting_pairs r u = brute_pairs u)
+             (List.init k Fun.id)
+      in
+      let pre = Array.init n Fun.id in
+      let rev_post = Array.copy pre in
+      Array.sort
+        (fun a b ->
+          Int.compare (Xmlest.Document.end_pos doc b) (Xmlest.Document.end_pos doc a))
+        rev_post;
+      run pre && run rev_post)
 
 let prop_has_nesting_agrees_with_pair_count =
   QCheck.Test.make ~count:150 ~name:"has_nesting = (nesting pairs > 0)"
@@ -781,7 +862,7 @@ let () =
           Alcotest.test_case "nesting detection" `Quick test_nesting_detection;
           Alcotest.test_case "nesting counts" `Quick test_nesting_counts;
           qcheck prop_nesting_matches_brute_force;
-          qcheck prop_stream_nearest_matches_parent_chain;
+          qcheck prop_resolver_matches_parent_chain;
           qcheck prop_has_nesting_agrees_with_pair_count;
           Alcotest.test_case "tag-id index" `Quick test_tag_id_index;
         ] );

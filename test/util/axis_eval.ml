@@ -1,7 +1,29 @@
-open Xmlest_xmldb
-open Xmlest_query
+(* Set-at-a-time axis navigation over the interval-labeled store, kept as
+   a test oracle: one XPath-style location step follows an axis from a
+   context node set and keeps the nodes satisfying a predicate, answered
+   from the interval labels alone.
 
-type axis = Self | Child | Parent | Descendant | Ancestor | Following | Preceding
+   - descendants of [v] are the contiguous pre-order range
+     [v+1 .. subtree_last v];
+   - ancestors are the parent chain;
+   - [Following] of a set is everything starting after the smallest
+     context end position, [Preceding] everything ending before the
+     largest context start, so set-at-a-time evaluation costs the same as
+     single-node.
+
+   Results are distinct and in document order. *)
+
+open Xmlest_core
+open Xmlest
+
+type axis =
+  | Self
+  | Child
+  | Parent
+  | Descendant  (* strict *)
+  | Ancestor  (* strict *)
+  | Following  (* starts after the context node ends *)
+  | Preceding  (* ends before the context node starts *)
 
 (* Sort + dedupe node indices (pre-order index = document order). *)
 let normalize nodes = List.sort_uniq Int.compare nodes

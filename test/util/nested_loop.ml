@@ -1,4 +1,8 @@
-open Xmlest_xmldb
+(* Naive nested-loop structural join: the quadratic baseline that
+   cross-checks [Structural_join] in the tests. *)
+
+open Xmlest_core
+open Xmlest
 
 let count_pairs ?(axis = `Descendant) doc ancs descs =
   let matches =
