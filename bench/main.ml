@@ -1209,7 +1209,7 @@ let parallel () =
     (if cores = 1 then "" else "s")
 
 (* ------------------------------------------------------------------ *)
-(* Storage: out-of-core streamed build and the mmap-backed .xsum store *)
+(* Storage: out-of-core streamed build and the .xsum store *)
 (* ------------------------------------------------------------------ *)
 
 (* [--smoke] (filtered out of the section list in [main]) shrinks the
@@ -1219,8 +1219,7 @@ let smoke_mode = Array.exists (String.equal "--smoke") Sys.argv
 
 let storage () =
   Report.section
-    "Storage: out-of-core streamed build and the mmap-backed binary summary \
-     store (DBLP)";
+    "Storage: out-of-core streamed build and the binary summary store (DBLP)";
   let smoke = smoke_mode in
   let scale = if smoke then 0.1 else Data.dblp_scale in
   let xml_path = Filename.temp_file "xmlest_bench" ".xml" in
@@ -1299,7 +1298,10 @@ let storage () =
          (Xmlest.Summary.to_string in_memory))
   then failwith "storage bench: reopened store diverged from in-memory build";
   (* Open time: mean over a loop of opens, best of 3 loops (gettimeofday
-     resolution is too coarse for a single O(header) open). *)
+     resolution is too coarse for a single open).  An open decodes no
+     section, so it alone understates what a one-shot estimate pays:
+     "open + first estimate" adds one cold estimate, which adopts the
+     sections its query names. *)
   let per_call ~n f =
     let best = ref infinity in
     for _ = 1 to 3 do
@@ -1312,33 +1314,38 @@ let storage () =
     done;
     !best
   in
+  let first = Xmlest.Pattern_parser.pattern_exn "//article//author" in
+  let workload =
+    first
+    :: List.map Xmlest.Pattern_parser.pattern_exn
+         [
+           "//article//cite"; "//book//title"; "//article[.//author][.//cite]";
+           "//article//year"; "//article[.//cite[starts-with(text(),'conf')]]";
+         ]
+  in
   let opens = if smoke then 10 else 100 in
   let t_open_store = per_call ~n:opens open_store in
-  (* Estimation throughput straight off the mapped store: every query
-     touches only catalog predicates (a loaded summary has no document
-     to fall back on). *)
-  let mapped = open_store () in
-  let workload =
-    List.map Xmlest.Pattern_parser.pattern_exn
-      [
-        "//article//author"; "//article//cite"; "//book//title";
-        "//article[.//author][.//cite]"; "//article//year";
-        "//article[.//cite[starts-with(text(),'conf')]]";
-      ]
+  let t_open_first =
+    per_call ~n:opens (fun () -> Xmlest.Summary.estimate (open_store ()) first)
   in
+  (* Estimation throughput off one reopened store: every query touches
+     only catalog predicates (a loaded summary has no document to fall
+     back on).  Each estimate is checked against the in-memory build on
+     a freshly opened store first, so adoption is exercised too. *)
   List.iter
     (fun pat ->
-      let a = Xmlest.Summary.estimate mapped pat in
+      let a = Xmlest.Summary.estimate (open_store ()) pat in
       let b = Xmlest.Summary.estimate in_memory pat in
       if not (Float.equal a b) then
-        failwith "storage bench: mapped-store estimate diverged from in-memory")
+        failwith "storage bench: reopened-store estimate diverged from in-memory")
     workload;
+  let reopened = open_store () in
   let rounds = if smoke then 50 else 2000 in
   let _, t_est =
     wall (fun () ->
         for _ = 1 to rounds do
           List.iter
-            (fun pat -> ignore (Sys.opaque_identity (Xmlest.Summary.estimate mapped pat)))
+            (fun pat -> ignore (Sys.opaque_identity (Xmlest.Summary.estimate reopened pat)))
             workload
         done)
   in
@@ -1356,7 +1363,8 @@ let storage () =
         Printf.sprintf "%.2fMB" (mb mem_streamed) ];
       [ "summary file bytes"; "-"; string_of_int xsum_bytes ];
       [ "open time"; "-"; Report.us t_open_store ];
-      [ "estimates/sec (mapped store)"; "-"; Printf.sprintf "%.0f" est_per_sec ];
+      [ "open + first estimate"; "-"; Report.us t_open_first ];
+      [ "estimates/sec (reopened store)"; "-"; Printf.sprintf "%.0f" est_per_sec ];
     ];
   let json_path = "BENCH_storage.json" in
   let oc = open_out json_path in
@@ -1374,21 +1382,23 @@ let storage () =
     \  \"retained_words_streamed\": %d,\n\
     \  \"xsum_bytes\": %d,\n\
     \  \"open_store_seconds\": %.9f,\n\
-    \  \"estimates_per_second_mapped\": %.0f,\n\
+    \  \"open_and_first_estimate_seconds\": %.9f,\n\
+    \  \"estimates_per_second_reopened\": %.0f,\n\
     \  \"streamed_bit_identical\": true,\n\
     \  \"store_estimate_identical\": true,\n\
     \  \"note\": \"bit-identity of the streamed build and of the reopened \
-     store, and estimate-identity of the mapped store, are asserted in-run \
+     store, and estimate-identity of the reopened store, are asserted in-run \
      against the in-memory build (the bench fails otherwise)\"\n\
      }\n"
     scale smoke nodes (List.length preds) t_build_memory t_build_stream
-    mem_in_memory mem_streamed xsum_bytes t_open_store est_per_sec;
+    mem_in_memory mem_streamed xsum_bytes t_open_store t_open_first est_per_sec;
   flush oc;
   Report.note "machine-readable results written to %s" json_path;
   Report.note
     "the streamed build parses SAX events and spills per-node state to a \
      bounded temp file, so it never materializes the document; the .xsum \
-     store memory-maps all histogram cells and opens in O(header) time"
+     store holds non-zero content only, and an open reads its section \
+     table while each predicate's histograms are decoded at first use"
 
 (* ------------------------------------------------------------------ *)
 

@@ -165,8 +165,8 @@ let build_summary_cmd =
   in
   let output =
     Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT"
-           ~doc:"Where to write the summary, as a memory-mapped binary \
-                 store (.xsum) that estimate --store opens.")
+           ~doc:"Where to write the summary, as a binary store (.xsum) \
+                 that estimate --store opens.")
   in
   let stream =
     Arg.(value & flag & info [ "stream" ]
@@ -233,9 +233,10 @@ let estimate_cmd =
     Arg.(value & flag & info [ "store" ]
            ~doc:"Treat FILE as a summary saved by build-summary or \
                  apply-updates (a .xsum store) instead of an XML document.  \
-                 Opens in O(header) time: histogram cells stay in the \
-                 mapped file and are read on demand.  No document access, \
-                 so --exact is unavailable.")
+                 Opening reads the store's section table only; a \
+                 predicate's histograms are decoded when the query first \
+                 needs them.  No document access, so --exact is \
+                 unavailable.")
   in
   let query =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY"
@@ -261,7 +262,7 @@ let estimate_cmd =
                  conjunctions, impossible levels, tags outside the \
                  document) and print the diagnostics before estimating.")
   in
-  let run file from_store query grid equidepth domains exact no_coverage
+  let estimate file from_store query grid equidepth domains exact no_coverage
       explain check =
     let pattern = parse_query query in
     let summary, doc =
@@ -315,6 +316,16 @@ let estimate_cmd =
       Printf.eprintf "--exact requires the XML document, not a summary\n";
       exit 1
     | false, _ -> ()
+  in
+  let run file from_store query grid equidepth domains exact no_coverage
+      explain check =
+    (* a store's sections are validated when first used *)
+    try
+      estimate file from_store query grid equidepth domains exact no_coverage
+        explain check
+    with Xmlest.Summary.Corrupt_store msg ->
+      Printf.eprintf "corrupt summary store %s: %s\n" file msg;
+      exit 1
   in
   let info =
     Cmd.info "estimate"

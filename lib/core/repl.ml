@@ -37,7 +37,7 @@ let help =
       "  staleness                      updates and nodes maintained since the last (re)build";
       "  summary info                   grid, predicates, build and staleness counters";
       "  save-summary <file>            write the summary as a .xsum store";
-      "  load-summary <file>            open a .xsum store (memory-mapped)";
+      "  load-summary <file>            open a .xsum store";
       "  catalog stats                  histogram-catalog cache counters";
       "  catalog reset                  zero the cache counters";
       "  help                           this text";
@@ -309,10 +309,14 @@ let cmd_summary_info state =
 let cmd_load_summary state path =
   match Summary.load_store path with
   | Ok s ->
+    (* both adopt every section, so a corrupt one is reported here *)
+    let reply =
+      Printf.sprintf "summary: %d predicates, %d bytes (from store)"
+        (List.length (Summary.predicates s))
+        (Summary.storage_bytes s)
+    in
     state.summary <- Some s;
-    Printf.sprintf "summary: %d predicates, %d bytes (mapped store)"
-      (List.length (Summary.predicates s))
-      (Summary.storage_bytes s)
+    reply
   | Error msg -> reply "error: %s" msg
 
 let split line =
@@ -377,3 +381,4 @@ let execute state line =
   | Reply s -> s
   | Failure msg -> "error: " ^ msg
   | Invalid_argument msg -> "error: " ^ msg
+  | Summary.Corrupt_store msg -> "error: corrupt summary store: " ^ msg

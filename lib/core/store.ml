@@ -1,39 +1,47 @@
 open Xmlest_histogram
 
-(* The .xsum container: a small line-oriented header describing the grid
-   and per-predicate sections, followed by one flat little-endian float64
-   payload.  Every number a histogram needs at query time — cell counts,
-   coverage entries, populations, level counts — lives in the payload, so
-   opening a store is O(header): parse a few dozen lines, memory-map the
-   payload once, and hand each histogram a [F64.sub] slice of the mapping.
+(* The .xsum container, version 2.
 
-   The header's only self-reference is the payload byte offset on line 2;
-   it is printed at fixed width so the header length does not depend on
-   its value (render once with 0, measure, render again with the real
-   offset).  Slot numbers are float indices into the payload; slot 0 is a
-   sentinel 1.0 whose bit pattern doubles as an endianness check. *)
+   xsum 2\n
+   grid uniform <size> <max_pos>\n          (or grid boundaries <size> <max_pos> <b1..>)
+   u32 cells                                 size², checked against the grid line
+   u32 population offset, u32 population runs
+   u32 sections, u32 table bytes, u32 payload bytes
+   section table                             [sections] entries, [table bytes] long
+   payload                                   [payload bytes] long
 
-type hist_view = { h_total : float; h_cells : F64.t }
+   A section table entry is
+   u8 flags (1 no-overlap, 2 tag, 4 coverage, 8 levels),
+   three length-prefixed strings (u32 length, bytes): name, tag (empty
+   without the tag flag), syntax; then three (u32 offset, u32 count)
+   pairs into the payload: histogram runs, coverage entries, level
+   counts (zero for an absent part).  Every integer is little-endian.
 
-type cvg_view = {
-  c_entries : int;
-  c_offsets : F64.t;  (* cells + 1 row offsets, exact small integers *)
-  c_data : F64.t;  (* 2 * entries: covering index, fraction *)
-  c_populations : F64.t;  (* cells *)
-  c_total_cvg : F64.t;  (* cells *)
+   The payload holds only non-zero content: a run is (u32 cell, f64
+   value), 12 bytes; a coverage entry (u32 covered, u32 covering, f64
+   fraction), 16 bytes; a level count one f64.  Floats are stored as
+   their bits, so a round trip reproduces every value exactly.  Sections
+   of the same predicate name share their payload. *)
+
+type section = {
+  name : string;
+  tag : string option;
+  syntax : string;
+  no_overlap : bool;
+  hist : int array * float array;
+  cvg : (int * int * float) list option;
+  lvl : float array option;
 }
 
-type block = {
-  b_syntax : string;  (* Predicate.to_syntax, one line *)
-  b_no_overlap : bool;
-  b_hist : hist_view;
-  b_cvg : cvg_view option;
-  b_lvl : F64.t option;
-}
-
-type t = { s_grid : Grid.t; s_population : hist_view; s_blocks : block list }
-
-let magic = "xsum 1"
+let magic = "xsum 2"
+let run_bytes = 12
+let entry_bytes = 16
+let level_bytes = 8
+let flag_no_overlap = 1
+let flag_tag = 2
+let flag_cvg = 4
+let flag_lvl = 8
+let min_entry_bytes = 1 + (3 * 4) + (6 * 4)
 
 (* --- Writer ------------------------------------------------------------ *)
 
@@ -50,97 +58,87 @@ let grid_line g =
     Buffer.contents buf
   end
 
-let cvg_entries c = c.c_entries
+let add_u32 buf v =
+  if v < 0 || v > 0xFFFF_FFFF then invalid_arg "Store.write: a field exceeds 32 bits";
+  Buffer.add_int32_le buf (Int32.of_int v)
 
-(* Floats per coverage section: row offsets, CSR data, populations,
-   per-cell totals — one contiguous region so the reader slices it with
-   four [F64.sub] calls. *)
-let cvg_floats ~cells c = cells + 1 + (2 * cvg_entries c) + cells + cells
+let add_f64 buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
 
-let write path ~grid ~population ~blocks =
-  let cells = Grid.cells grid in
-  let cursor = ref 1 (* slot 0: sentinel *) in
-  let alloc n =
-    let s = !cursor in
-    cursor := s + n;
-    s
+let add_string buf s =
+  add_u32 buf (String.length s);
+  Buffer.add_string buf s
+
+let write path ~grid ~population sections =
+  let payload = Buffer.create 4096 and table = Buffer.create 1024 in
+  (* each writer appends to the payload and returns (offset, count) *)
+  let put_cells (at, v) =
+    let off = Buffer.length payload in
+    Array.iteri
+      (fun k c ->
+        add_u32 payload c;
+        add_f64 payload v.(k))
+      at;
+    (off, Array.length at)
   in
-  let pop_slot = alloc cells in
-  let planned =
-    List.map
-      (fun b ->
-        let hist_slot = alloc cells in
-        let cvg_slot = Option.map (fun c -> alloc (cvg_floats ~cells c)) b.b_cvg in
-        let lvl_slot = Option.map (fun l -> alloc (F64.length l)) b.b_lvl in
-        (b, hist_slot, cvg_slot, lvl_slot))
-      blocks
-  in
-  let count = !cursor in
-  let render offset =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf (magic ^ "\n");
-    Buffer.add_string buf (Printf.sprintf "payload %012d %012d\n" offset count);
-    Buffer.add_string buf (grid_line grid ^ "\n");
-    Buffer.add_string buf
-      (Printf.sprintf "population %d %.17g\n" pop_slot population.h_total);
-    Buffer.add_string buf
-      (Printf.sprintf "predicates %d\n" (List.length blocks));
+  let put_cvg entries =
+    let off = Buffer.length payload in
     List.iter
-      (fun (b, hist_slot, cvg_slot, lvl_slot) ->
-        Buffer.add_string buf
-          (Printf.sprintf "predicate %d hist %d %.17g"
-             (if b.b_no_overlap then 1 else 0)
-             hist_slot b.b_hist.h_total);
-        (match (b.b_cvg, cvg_slot) with
-        | Some c, Some slot ->
-          Buffer.add_string buf
-            (Printf.sprintf " coverage %d %d" (cvg_entries c) slot)
-        | _, _ -> Buffer.add_string buf " coverage none");
-        (match (b.b_lvl, lvl_slot) with
-        | Some l, Some slot ->
-          Buffer.add_string buf
-            (Printf.sprintf " level %d %d" (F64.length l) slot)
-        | _, _ -> Buffer.add_string buf " level none");
-        Buffer.add_string buf (" syntax " ^ b.b_syntax ^ "\n"))
-      planned;
-    Buffer.add_string buf "end\n";
-    Buffer.contents buf
+      (fun (covered, covering, frac) ->
+        add_u32 payload covered;
+        add_u32 payload covering;
+        add_f64 payload frac)
+      entries;
+    (off, List.length entries)
   in
-  let base = String.length (render 0) in
-  let offset = 8 * ((base + 7) / 8) in
-  let header = render offset in
-  let bytes = Bytes.create (8 * count) in
-  let put slot v = Bytes.set_int64_le bytes (8 * slot) (Int64.bits_of_float v) in
-  let put_vec slot (a : F64.t) =
-    for k = 0 to F64.length a - 1 do
-      put (slot + k) a.{k}
-    done
+  let put_lvl counts =
+    let off = Buffer.length payload in
+    Array.iter (add_f64 payload) counts;
+    (off, Array.length counts)
   in
-  put 0 1.0;
-  put_vec pop_slot population.h_cells;
+  let pop_off, pop_runs = put_cells population in
+  let written = Hashtbl.create 16 in
   List.iter
-    (fun (b, hist_slot, cvg_slot, lvl_slot) ->
-      put_vec hist_slot b.b_hist.h_cells;
-      (match (b.b_cvg, cvg_slot) with
-      | Some c, Some slot ->
-        put_vec slot c.c_offsets;
-        let data_slot = slot + cells + 1 in
-        put_vec data_slot c.c_data;
-        let pop_slot = data_slot + (2 * cvg_entries c) in
-        put_vec pop_slot c.c_populations;
-        put_vec (pop_slot + cells) c.c_total_cvg
-      | _, _ -> ());
-      match (b.b_lvl, lvl_slot) with
-      | Some l, Some slot -> put_vec slot l
-      | _, _ -> ())
-    planned;
+    (fun s ->
+      let spans =
+        match Hashtbl.find_opt written s.name with
+        | Some spans -> spans
+        | None ->
+          let spans =
+            (put_cells s.hist, Option.map put_cvg s.cvg, Option.map put_lvl s.lvl)
+          in
+          Hashtbl.add written s.name spans;
+          spans
+      in
+      let h, c, l = spans in
+      let flag b f = if b then f else 0 in
+      Buffer.add_uint8 table
+        (flag s.no_overlap flag_no_overlap
+        lor flag (Option.is_some s.tag) flag_tag
+        lor flag (Option.is_some c) flag_cvg
+        lor flag (Option.is_some l) flag_lvl);
+      add_string table s.name;
+      add_string table (Option.value s.tag ~default:"");
+      add_string table s.syntax;
+      List.iter
+        (fun (off, n) ->
+          add_u32 table off;
+          add_u32 table n)
+        [ h; Option.value c ~default:(0, 0); Option.value l ~default:(0, 0) ])
+    sections;
+  let header = Buffer.create 128 in
+  Buffer.add_string header (magic ^ "\n" ^ grid_line grid ^ "\n");
+  List.iter (add_u32 header)
+    [
+      Grid.cells grid; pop_off; pop_runs; List.length sections;
+      Buffer.length table; Buffer.length payload;
+    ];
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc header;
-      output_string oc (String.make (offset - base) '\n');
-      output_bytes oc bytes;
+      Buffer.output_buffer oc header;
+      Buffer.output_buffer oc table;
+      Buffer.output_buffer oc payload;
       (* flush inside the body so a write error surfaces as the primary
          exception, with the descriptor still released by the finally *)
       flush oc)
@@ -148,208 +146,239 @@ let write path ~grid ~population ~blocks =
 (* --- Reader ------------------------------------------------------------ *)
 
 exception Bad_store of string
+exception Corrupt of string
 
 let fail msg = raise (Bad_store msg)
 
-let int_of w = try int_of_string w with Failure _ -> fail ("bad integer " ^ w)
+(* A part of the payload: absolute byte position in the file, count of
+   records. *)
+type span = { at : int; n : int }
 
-let float_of w =
-  try float_of_string w with Failure _ -> fail ("bad number " ^ w)
+type entry = {
+  e_name : string;
+  e_tag : string option;
+  e_syntax : span;  (* bytes *)
+  e_no_overlap : bool;
+  e_hist : span;
+  e_cvg : span option;
+  e_lvl : span option;
+}
+
+type t = {
+  buf : Bytes.t;  (* the whole file *)
+  grid : Grid.t;
+  population : span;
+  entries : entry array;
+  index : (string, int) Hashtbl.t;  (* name -> first section *)
+}
+
+let u32 buf pos = Int32.to_int (Bytes.get_int32_le buf pos) land 0xFFFF_FFFF
+let f64 buf pos = Int64.float_of_bits (Bytes.get_int64_le buf pos)
+
+let read_file path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let size = (Unix.fstat fd).Unix.st_size in
+  let buf = Bytes.create size in
+  (* [Unix.read] moves at most 64 KiB per call *)
+  let rec fill pos =
+    if pos < size then
+      match Unix.read fd buf pos (size - pos) with
+      | 0 -> fail "file shrank while being read"
+      | k -> fill (pos + k)
+  in
+  fill 0;
+  buf
+
+(* The text line starting at [pos]: its contents and the position after
+   its newline. *)
+let line buf pos =
+  match Bytes.index_from_opt buf pos '\n' with
+  | Some nl -> (Bytes.sub_string buf pos (nl - pos), nl + 1)
+  | None -> fail "truncated store (unterminated header line)"
 
 let words l = String.split_on_char ' ' l |> List.filter (fun w -> w <> "")
 
-(* Map the payload region copy-on-write: histograms opened from a store
-   stay safely mutable (maintenance bumps cells in place) without ever
-   writing the file back.  The mapping shares the header's descriptor —
-   one [open] syscall per store open — and outlives it: the kernel keeps
-   a mapping alive after its descriptor closes. *)
-let map_payload fd ~offset ~count =
-  let size = (Unix.fstat fd).Unix.st_size in
-  if size < offset + (8 * count) then fail "truncated payload";
-  let ga =
-    Unix.map_file fd ~pos:(Int64.of_int offset) Bigarray.float64
-      Bigarray.c_layout false [| count |]
-  in
-  Bigarray.array1_of_genarray ga
+let int_of w = try int_of_string w with Failure _ -> fail ("bad integer " ^ w)
 
-let open_in path =
+(* The grid line, checked against the header's cell count before any
+   grid is built; the grid constructors reject the remaining bad
+   geometries (size 0, more buckets than positions). *)
+let parse_grid l ~cells =
+  let size w =
+    let size = int_of w in
+    if size > 0 && not (Int.equal (cells / size) size && Int.equal (cells mod size) 0) then
+      fail (Printf.sprintf "grid size %d does not fit the store's %d cells" size cells);
+    size
+  in
   try
-    let ic = Stdlib.open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    let header_lines =
-      let lines = ref [] in
-      let rec go () =
-        match input_line ic with
-        | exception End_of_file -> fail "unexpected end of header"
-        | "end" -> List.rev !lines
-        | l ->
-          lines := l :: !lines;
-          go ()
-      in
-      go ()
+    match words l with
+    | [ "grid"; "uniform"; sz; max_pos ] ->
+      Grid.create ~size:(size sz) ~max_pos:(int_of max_pos)
+    | "grid" :: "boundaries" :: sz :: max_pos :: inner ->
+      let sz = size sz and max_pos = int_of max_pos in
+      if not (Int.equal (List.length inner) (sz - 1)) then
+        fail "boundary count mismatch";
+      let inner = List.map int_of inner in
+      Grid.of_boundaries (Array.of_list ((0 :: inner) @ [ max_pos + 1 ]))
+    | _ -> fail "expected a grid line"
+  with Invalid_argument msg -> fail msg
+
+let read path =
+  try
+    let buf = read_file path in
+    let size = Bytes.length buf in
+    let starts p =
+      size >= String.length p && String.equal (Bytes.sub_string buf 0 (String.length p)) p
     in
-    let lines = ref header_lines in
-    let next () =
-      match !lines with
-      | [] -> fail "unexpected end of header"
-      | l :: rest ->
-        lines := rest;
-        l
+    if not (starts (magic ^ "\n")) then
+      fail
+        (if starts "xsum " then "unsupported store version"
+         else "not an xsum store (bad magic)");
+    let grid_l, pos = line buf (String.length magic + 1) in
+    if pos + 24 > size then fail "truncated store (header)";
+    let field k = u32 buf (pos + (4 * k)) in
+    let cells = field 0 and nsections = field 3 in
+    let table_at = pos + 24 and table_bytes = field 4 and payload_bytes = field 5 in
+    let payload_at = table_at + table_bytes in
+    if payload_at + payload_bytes > size then fail "truncated store";
+    if payload_at + payload_bytes < size then fail "trailing bytes after the payload";
+    let grid = parse_grid grid_l ~cells in
+    let span ~width off n =
+      if off + (n * width) > payload_bytes then fail "a section runs past the payload";
+      { at = payload_at + off; n }
     in
-    if not (String.equal (next ()) magic) then
-      fail "not an xsum store (bad magic)";
-    let offset, count =
-      match words (next ()) with
-      | [ "payload"; off; count ] -> (int_of off, int_of count)
-      | _ -> fail "expected payload line"
+    let population = span ~width:run_bytes (field 1) (field 2) in
+    if nsections * min_entry_bytes > table_bytes then
+      fail "the section count does not fit the table";
+    (* the section table, parsed with bounds checks against its end *)
+    let cur = ref table_at in
+    let need k =
+      if !cur + k > payload_at then fail "the section table runs past its end"
     in
-    if count < 1 then fail "empty payload";
-    let payload =
-      map_payload (Unix.descr_of_in_channel ic) ~offset ~count
+    let next_u32 () =
+      need 4;
+      let v = u32 buf !cur in
+      cur := !cur + 4;
+      v
     in
-    if not (Float.equal payload.{0} 1.0) then
-      fail "bad sentinel (corrupt or wrong-endian store)";
-    (* The payload is mapped and its length checked against the file, so
-       a grid whose size² cells could not fit in it is refused before
-       [Grid.create] allocates its boundaries; the grid constructors
-       reject the remaining bad geometries (size 0, more buckets than
-       positions) with [Invalid_argument]. *)
-    let grid_size w =
-      let size = int_of w in
-      if size > 0 && size > count / size then
-        fail (Printf.sprintf "grid size %d does not fit the payload" size);
-      size
+    let next_bytes () =
+      let n = next_u32 () in
+      need n;
+      let s = { at = !cur; n } in
+      cur := !cur + n;
+      s
     in
-    let grid =
-      match words (next ()) with
-      | [ "grid"; "uniform"; size; max_pos ] -> (
-        try Grid.create ~size:(grid_size size) ~max_pos:(int_of max_pos)
-        with Invalid_argument msg -> fail msg)
-      | "grid" :: "boundaries" :: size :: max_pos :: inner ->
-        let size = grid_size size and max_pos = int_of max_pos in
-        if not (Int.equal (List.length inner) (size - 1)) then
-          fail "boundary count mismatch";
-        let inner = List.map int_of inner in
-        let boundaries = Array.of_list ((0 :: inner) @ [ max_pos + 1 ]) in
-        (try Grid.of_boundaries boundaries
-         with Invalid_argument msg -> fail msg)
-      | _ -> fail "expected a grid line"
+    let next_string () =
+      let s = next_bytes () in
+      Bytes.sub_string buf s.at s.n
     in
-    let cells = Grid.cells grid in
-    let slice slot len =
-      if slot < 0 || len < 0 || slot + len > count then
-        fail "slot out of payload bounds";
-      F64.sub payload ~pos:slot ~len
+    let next_span ~width =
+      let off = next_u32 () in
+      let n = next_u32 () in
+      span ~width off n
     in
-    let s_population =
-      match words (next ()) with
-      | [ "population"; slot; total ] ->
-        { h_total = float_of total; h_cells = slice (int_of slot) cells }
-      | _ -> fail "expected population line"
+    let index = Hashtbl.create 64 in
+    let entries =
+      Array.init nsections (fun k ->
+          need 1;
+          let flags = Bytes.get_uint8 buf !cur in
+          incr cur;
+          if flags land lnot 15 <> 0 then fail "bad section flags";
+          let has f = flags land f <> 0 in
+          let e_name = next_string () in
+          let tag = next_string () in
+          let e_syntax = next_bytes () in
+          let e_hist = next_span ~width:run_bytes in
+          let cvg = next_span ~width:entry_bytes in
+          let lvl = next_span ~width:level_bytes in
+          if not (Hashtbl.mem index e_name) then Hashtbl.add index e_name k;
+          {
+            e_name;
+            e_tag = (if has flag_tag then Some tag else None);
+            e_syntax;
+            e_no_overlap = has flag_no_overlap;
+            e_hist;
+            e_cvg = (if has flag_cvg then Some cvg else None);
+            e_lvl = (if has flag_lvl then Some lvl else None);
+          })
     in
-    let n_preds =
-      match words (next ()) with
-      | [ "predicates"; k ] -> int_of k
-      | _ -> fail "expected predicates line"
-    in
-    let blocks = ref [] in
-    for _ = 1 to n_preds do
-      (* Predicate lines are the bulk of the header, so they get a
-         cursor-based scanner instead of a split-and-match parse: the
-         fixed fields tokenize without allocating, and the trailing
-         predicate syntax (which may contain spaces) is whatever remains
-         after the [syntax] keyword. *)
-      let line = next () in
-      let n = String.length line in
-      let pos = ref 0 in
-      let bad () = fail ("malformed predicate line: " ^ line) in
-      let lit s =
-        (* the literal token [s], space-terminated *)
-        let m = String.length s in
-        let rec eq j =
-          j >= m || (Char.equal line.[!pos + j] s.[j] && eq (j + 1))
-        in
-        if !pos + m < n && eq 0 && Char.equal line.[!pos + m] ' ' then
-          pos := !pos + m + 1
-        else bad ()
-      in
-      let opt_none () =
-        (* "none" in place of a numeric pair *)
-        if
-          !pos + 4 <= n
-          && Char.equal line.[!pos] 'n'
-          && Char.equal line.[!pos + 1] 'o'
-          && Char.equal line.[!pos + 2] 'n'
-          && Char.equal line.[!pos + 3] 'e'
-          && (Int.equal (!pos + 4) n || Char.equal line.[!pos + 4] ' ')
-        then begin
-          pos := Int.min n (!pos + 5);
-          true
-        end
-        else false
-      in
-      let parse_int () =
-        let start = !pos in
-        let v = ref 0 in
-        while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
-          v := (10 * !v) + (Char.code line.[!pos] - Char.code '0');
-          incr pos
-        done;
-        if Int.equal !pos start then bad ();
-        if !pos < n then
-          if Char.equal line.[!pos] ' ' then incr pos else bad ();
-        !v
-      in
-      let parse_float () =
-        let start = !pos in
-        while !pos < n && not (Char.equal line.[!pos] ' ') do
-          incr pos
-        done;
-        let v = float_of (String.sub line start (!pos - start)) in
-        if !pos < n then incr pos;
-        v
-      in
-      lit "predicate";
-      let b_no_overlap = Int.equal (parse_int ()) 1 in
-      lit "hist";
-      let hist_slot = parse_int () in
-      let h_total = parse_float () in
-      let b_hist = { h_total; h_cells = slice hist_slot cells } in
-      lit "coverage";
-      let b_cvg =
-        if opt_none () then None
-        else begin
-          let entries = parse_int () in
-          let slot = parse_int () in
-          let offs = slice slot (cells + 1) in
-          if not (Int.equal (int_of_float offs.{cells}) entries) then
-            fail "coverage entry count mismatch";
-          let data_slot = slot + cells + 1 in
-          Some
-            {
-              c_entries = entries;
-              c_offsets = offs;
-              c_data = slice data_slot (2 * entries);
-              c_populations = slice (data_slot + (2 * entries)) cells;
-              c_total_cvg = slice (data_slot + (2 * entries) + cells) cells;
-            }
-        end
-      in
-      lit "level";
-      let b_lvl =
-        if opt_none () then None
-        else
-          let len = parse_int () in
-          let slot = parse_int () in
-          Some (slice slot len)
-      in
-      lit "syntax";
-      if Int.equal !pos 0 || !pos > n then bad ();
-      let b_syntax = String.sub line !pos (n - !pos) in
-      blocks := { b_syntax; b_no_overlap; b_hist; b_cvg; b_lvl } :: !blocks
-    done;
-    Ok { s_grid = grid; s_population; s_blocks = List.rev !blocks }
+    if not (Int.equal !cur payload_at) then fail "section table length mismatch";
+    Ok { buf; grid; population; entries; index }
   with
   | Bad_store msg -> Error msg
   | Sys_error msg -> Error msg
   | Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
+
+let grid t = t.grid
+let length t = Array.length t.entries
+let find t name = Hashtbl.find_opt t.index name
+let name t k = t.entries.(k).e_name
+let tags t = List.filter_map (fun e -> e.e_tag) (Array.to_list t.entries)
+let has_levels t = Array.exists (fun e -> Option.is_some e.e_lvl) t.entries
+
+(* --- Section decoding and validation ----------------------------------- *)
+
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
+
+(* Counts are exact integers: the histogram totals derived from them are
+   then exact sums, whatever the order of summation. *)
+let is_count x = Float.is_integer x && x >= 0.0 && x <= 0x1p53
+
+(* [c] is a cell of the grid's upper triangle. *)
+let on_grid t c =
+  let g = t.grid.Grid.size in
+  c < g * g && c / g <= c mod g
+
+let cells t what s =
+  let at = Array.make s.n 0 and v = Array.make s.n 0.0 in
+  for k = 0 to s.n - 1 do
+    let p = s.at + (k * run_bytes) in
+    let c = u32 t.buf p and x = f64 t.buf (p + 4) in
+    if k > 0 && c <= at.(k - 1) then corrupt "%s: cells not strictly ascending" what;
+    if not (on_grid t c) then corrupt "%s: cell %d is off the grid's upper triangle" what c;
+    if not (is_count x) then corrupt "%s: cell %d holds %h, not a count" what c x;
+    at.(k) <- c;
+    v.(k) <- x
+  done;
+  (at, v)
+
+let coverage t what s =
+  let entries = ref [] in
+  for k = 0 to s.n - 1 do
+    let p = s.at + (k * entry_bytes) in
+    let covered = u32 t.buf p and covering = u32 t.buf (p + 4) in
+    let frac = f64 t.buf (p + 8) in
+    if not (on_grid t covered && on_grid t covering) then
+      corrupt "%s: coverage entry %d is off the grid's upper triangle" what k;
+    (match !entries with
+    | (c, m, _) :: _ when c > covered || (Int.equal c covered && m >= covering) ->
+      corrupt "%s: coverage entries not strictly ascending" what
+    | _ -> ());
+    if not (frac >= 0.0 && frac <= 1.0) then
+      corrupt "%s: coverage fraction %h outside [0, 1]" what frac;
+    entries := (covered, covering, frac) :: !entries
+  done;
+  List.rev !entries
+
+let levels t what s =
+  if s.n < 1 then corrupt "%s: no level counts" what;
+  Array.init s.n (fun k ->
+      let x = f64 t.buf (s.at + (k * level_bytes)) in
+      if not (is_count x) then corrupt "%s: level %d holds %h, not a count" what k x;
+      x)
+
+let population t = cells t "population" t.population
+
+let section t k =
+  let e = t.entries.(k) in
+  let what = "section " ^ e.e_name in
+  {
+    name = e.e_name;
+    tag = e.e_tag;
+    syntax = Bytes.sub_string t.buf e.e_syntax.at e.e_syntax.n;
+    no_overlap = e.e_no_overlap;
+    hist = cells t what e.e_hist;
+    cvg = Option.map (coverage t what) e.e_cvg;
+    lvl = Option.map (levels t what) e.e_lvl;
+  }

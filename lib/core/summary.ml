@@ -21,12 +21,16 @@ type build_stats = {
   build_time : float;
 }
 
+(* A reopened store's population histogram is adopted on first use. *)
+type population = Adopted of Position_histogram.t | In_store of Store.t
+
 type t = {
   mutable doc : Document.t option;  (* None for summaries loaded from disk *)
   mutable grid : Grid.t;
-  preds : Predicate.t list;
+  mutable preds : Predicate.t list;
+      (* of a reopened store: filled in when [store] is dropped *)
   entries : (string, entry) Hashtbl.t;  (* keyed by Predicate.name *)
-  mutable pop : Position_histogram.t;
+  mutable pop : population;
   with_levels : bool;
   mutable hcat : Catalog.t;
       (* every position histogram (base + built on demand), keyed by
@@ -37,6 +41,9 @@ type t = {
       (* incremental-maintenance engine, created lazily on the first
          [apply]; doc/grid/pop/hcat/stats are mutable so a
          staleness-triggered rebuild can swap them in place *)
+  mutable store : Store.t option;
+      (* a reopened store with sections not adopted yet: each becomes an
+         entry the first time a lookup names its predicate *)
 }
 
 (* The catalog lives below xmlest_estimate in the library stack, so the
@@ -169,6 +176,13 @@ let equidepth_grid plan ~grid_size ~max_pos ~positions ~all_positions =
   Array.sort Int.compare sample;
   Grid.equidepth ~size:grid_size ~max_pos ~positions:sample
 
+(* The population's dense per-cell counts, the normalizer every coverage
+   histogram is finished with. *)
+let population_cells grid pop =
+  let g = grid.Grid.size in
+  Array.init (Grid.cells grid) (fun c ->
+      Position_histogram.get pop ~i:(c / g) ~j:(c mod g))
+
 (* Builders ([per] by unique predicate, [pop] the population) into
    entries and a summary: the no-overlap flag follows the schema
    override, else the observed nesting; coverage is kept for the
@@ -176,11 +190,7 @@ let equidepth_grid plan ~grid_size ~max_pos ~positions ~all_positions =
    the population's per-cell counts. *)
 let finish plan ~doc ~grid ~path ~passes ~t0 ~per ~pop ~evals =
   let pop = Position_histogram.finish pop in
-  let g = grid.Grid.size in
-  let populations =
-    Array.init (Grid.cells grid) (fun c ->
-        Position_histogram.get pop ~i:(c / g) ~j:(c mod g))
-  in
+  let populations = population_cells grid pop in
   let entries = Hashtbl.create 64 in
   Array.iteri
     (fun u pred ->
@@ -211,7 +221,7 @@ let finish plan ~doc ~grid ~path ~passes ~t0 ~per ~pop ~evals =
     grid;
     preds = plan.plan_preds;
     entries;
-    pop;
+    pop = Adopted pop;
     with_levels = plan.plan_levels;
     hcat;
     lph_cache = Hashtbl.create 8;
@@ -224,6 +234,7 @@ let finish plan ~doc ~grid ~path ~passes ~t0 ~per ~pop ~evals =
           build_time = Unix.gettimeofday () -. t0;
         };
     maint = None;
+    store = None;
   }
 
 (* --- Source 1: the document sweep, sequential or over domains --------- *)
@@ -562,10 +573,91 @@ let stats t = t.stats
 
 let grid t = t.grid
 let document t = t.doc
-let predicates t = t.preds
-let population t = t.pop
 
-let find t pred = Hashtbl.find_opt t.entries (Predicate.name pred)
+(* --- Lazy adoption of a reopened store ------------------------------- *)
+
+(* [load_store] indexes a store's sections by name and decodes none of
+   them.  A section is adopted — its syntax parsed, its runs validated,
+   its histograms built, its entry and catalog histogram registered —
+   the first time a lookup names its predicate, and a whole-summary
+   operation adopts them all first.  Adopting mutates [entries] and the
+   catalog, so parallel estimation adopts everything before it spawns. *)
+
+exception Corrupt_store = Store.Corrupt
+
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt_store m)) fmt
+
+let population t =
+  match t.pop with
+  | Adopted p -> p
+  | In_store st ->
+    let at, v = Store.population st in
+    let p = Position_histogram.of_nonzero ~grid:t.grid at v in
+    t.pop <- Adopted p;
+    p
+
+(* Section [k] of [st], named [key], into a registered entry.  Totals,
+   coverage populations and per-cell coverage totals are derived here,
+   exactly as [finish] derives them. *)
+let adopt t st key k =
+  let s = Store.section st k in
+  let pred =
+    match Predicate.of_syntax s.Store.syntax with
+    | Error e -> corrupt "section %S: bad predicate syntax: %s" key e
+    | Ok p ->
+      if not (String.equal (Predicate.name p) key) then
+        corrupt "section %S: its syntax is the predicate %S" key (Predicate.name p);
+      if not (Option.equal String.equal (Predicate.tag_of p) s.Store.tag) then
+        corrupt "section %S: its tag does not match its syntax" key;
+      p
+  in
+  let at, v = s.Store.hist in
+  let e =
+    {
+      pred;
+      hist = Position_histogram.of_nonzero ~grid:t.grid at v;
+      no_overlap = s.Store.no_overlap;
+      cvg =
+        Option.map
+          (fun entries ->
+            Coverage_histogram.of_parts ~grid:t.grid
+              ~populations:(population_cells t.grid (population t))
+              ~entries)
+          s.Store.cvg;
+      lvl = Option.map Level_histogram.of_counts s.Store.lvl;
+    }
+  in
+  Hashtbl.replace t.entries key e;
+  Catalog.add t.hcat ~key e.hist;
+  e
+
+let find t pred =
+  let key = Predicate.name pred in
+  match Hashtbl.find_opt t.entries key with
+  | Some _ as found -> found
+  | None -> (
+    match t.store with
+    | None -> None
+    | Some st -> Option.map (adopt t st key) (Store.find st key))
+
+(* Adopt the population and every section, then fill in the predicate
+   list (one per section, duplicates included) and drop the store. *)
+let adopt_all t =
+  match t.store with
+  | None -> ()
+  | Some st ->
+    ignore (population t);
+    t.preds <-
+      List.init (Store.length st) (fun k ->
+          let key = Store.name st k in
+          match Hashtbl.find_opt t.entries key with
+          | Some e -> e.pred
+          | None -> (adopt t st key k).pred);
+    t.store <- None
+
+let predicates t =
+  adopt_all t;
+  t.preds
 
 (* --- Incremental maintenance ------------------------------------------ *)
 
@@ -599,7 +691,7 @@ let maint_state t =
           t.preds
       in
       let st =
-        Apply.init ~grid:t.grid ~pop:t.pop ~with_levels:t.with_levels ~entries
+        Apply.init ~grid:t.grid ~pop:(population t) ~with_levels:t.with_levels ~entries
           doc
       in
       t.maint <- Some st;
@@ -706,6 +798,9 @@ let histogram_in hcat t pred =
   let build_and_cache p =
     match t.doc with
     | None ->
+      (* a reopened store whose table names a section wrongly would look
+         like it lacks the predicate: check every section first *)
+      adopt_all t;
       failwith
         (Printf.sprintf
            "Summary: predicate %s is not in the catalog and no document is \
@@ -726,7 +821,9 @@ let histogram_in hcat t pred =
         if leaves_known p then None (* decompose *) else Some (build_and_cache p)
       | leaf -> Some (build_and_cache leaf))
   in
-  Compound.estimate ~population:t.pop ~base pred
+  match base pred with
+  | Some h -> h
+  | None -> Compound.estimate ~population:(population t) ~base pred
 
 let histogram t pred = histogram_in t.hcat t pred
 
@@ -805,6 +902,7 @@ let estimate_batch ?options ?(domains = 1) t patterns =
   | [] -> []
   | _ when domains <= 1 -> List.map (estimate ?options t) patterns
   | _ ->
+    adopt_all t;
     let pats = Array.of_list patterns in
     let n = Array.length pats in
     let ntasks = Int.min domains n in
@@ -836,7 +934,11 @@ let check t pattern =
     Pattern_check.check ~known_tags:(Document.distinct_tags doc)
       ~tags_exhaustive:true pattern
   | None ->
-    let tags = List.filter_map Predicate.tag_of t.preds in
+    let tags =
+      match t.store with
+      | Some st -> Store.tags st
+      | None -> List.filter_map Predicate.tag_of t.preds
+    in
     Pattern_check.check ~known_tags:tags ~tags_exhaustive:false pattern
 
 let estimate_checked ?options t pattern =
@@ -845,6 +947,7 @@ let estimate_checked ?options t pattern =
   else (estimate ?options t pattern, diags)
 
 let storage_bytes t =
+  adopt_all t;
   Hashtbl.fold
     (fun _ e acc ->
       acc
@@ -854,6 +957,7 @@ let storage_bytes t =
     t.entries 0
 
 let pp_stats ppf t =
+  adopt_all t;
   Format.fprintf ppf "%-32s %10s %12s %8s@." "predicate" "count" "overlap"
     "bytes";
   List.iter
@@ -901,6 +1005,7 @@ let output_hist buf h =
     cells
 
 let to_string t =
+  adopt_all t;
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (version_line ^ "\n");
   let g = t.grid in
@@ -916,7 +1021,7 @@ let to_string t =
      Buffer.add_string buf "\n"
    end);
   Buffer.add_string buf "population ";
-  output_hist buf t.pop;
+  output_hist buf (population t);
   Buffer.add_string buf (Printf.sprintf "predicates %d\n" (List.length t.preds));
   List.iter
     (fun pred ->
@@ -956,135 +1061,59 @@ let to_string t =
   Buffer.add_string buf "end\n";
   Buffer.contents buf
 
-(* --- The binary (.xsum) store ------------------------------------------ *)
+(* --- The .xsum store ------------------------------------------------------ *)
 
-(* [Store] only moves flat float vectors; the translation to and from live
-   histograms happens here, where the entry record is in scope.  Dense
-   cell vectors are rebuilt through the public query surface
-   ([iter_nonzero], [fold_entries], [total_coverage]) so the store never
-   depends on histogram internals; every float is copied bit-exactly, and
-   the stored totals let [load_store] skip the cell folds. *)
-
-exception Bad_summary of string
-
-let dense_cells grid h =
-  let cells = Array.make (Grid.cells grid) 0.0 in
-  Position_histogram.iter_nonzero h (fun ~i ~j v ->
-      cells.(Grid.index grid ~i ~j) <- v);
-  F64.of_array cells
-
-let hist_view grid h =
-  { Store.h_total = Position_histogram.total h; h_cells = dense_cells grid h }
-
-let cvg_view grid cvg =
-  let cells = Grid.cells grid in
-  let g = grid.Grid.size in
-  let entries =
-    List.rev
-      (Coverage_histogram.fold_entries cvg ~init:[]
-         ~f:(fun acc ~covered ~covering frac -> (covered, covering, frac) :: acc))
-  in
-  let row_off = Array.make (cells + 1) 0 in
-  List.iter (fun (covered, _, _) -> row_off.(covered + 1) <- row_off.(covered + 1) + 1) entries;
-  for c = 0 to cells - 1 do
-    row_off.(c + 1) <- row_off.(c + 1) + row_off.(c)
-  done;
-  let data = Array.make (2 * row_off.(cells)) 0.0 in
-  List.iteri
-    (fun k (_, covering, frac) ->
-      data.(2 * k) <- float_of_int covering;
-      data.((2 * k) + 1) <- frac)
-    entries;
-  let total_cvg = Array.make cells 0.0 in
-  for k = 0 to cells - 1 do
-    total_cvg.(k) <- Coverage_histogram.total_coverage cvg ~i:(k / g) ~j:(k mod g)
-  done;
-  {
-    Store.c_entries = row_off.(cells);
-    c_offsets = F64.of_array (Array.map float_of_int row_off);
-    c_data = F64.of_array data;
-    c_populations = F64.of_array (Coverage_histogram.populations cvg);
-    c_total_cvg = F64.of_array total_cvg;
-  }
+(* [Store] moves names, strings and arrays; the translation to and from
+   live histograms happens here, where the entry record is in scope.  A
+   histogram is saved as its non-zero cells and coverage as its entries,
+   through the public query surface ([nonzero], [fold_entries]); every
+   derived number is recomputed by [adopt]. *)
 
 let save_store t path =
-  let blocks =
+  adopt_all t;
+  let sections =
     List.filter_map
       (fun pred ->
         Option.map
           (fun e ->
             {
-              Store.b_syntax = Predicate.to_syntax e.pred;
-              b_no_overlap = e.no_overlap;
-              b_hist = hist_view t.grid e.hist;
-              b_cvg = Option.map (cvg_view t.grid) e.cvg;
-              b_lvl =
+              Store.name = Predicate.name e.pred;
+              tag = Predicate.tag_of e.pred;
+              syntax = Predicate.to_syntax e.pred;
+              no_overlap = e.no_overlap;
+              hist = Position_histogram.nonzero e.hist;
+              cvg =
                 Option.map
-                  (fun lvl -> F64.of_array (Level_histogram.counts lvl))
-                  e.lvl;
+                  (fun cvg ->
+                    List.rev
+                      (Coverage_histogram.fold_entries cvg ~init:[]
+                         ~f:(fun acc ~covered ~covering frac ->
+                           (covered, covering, frac) :: acc)))
+                  e.cvg;
+              lvl = Option.map Level_histogram.counts e.lvl;
             })
           (find t pred))
       t.preds
   in
-  Store.write path ~grid:t.grid ~population:(hist_view t.grid t.pop) ~blocks
+  Store.write path ~grid:t.grid
+    ~population:(Position_histogram.nonzero (population t))
+    sections
 
 let load_store path =
-  (* lint: allow resource-leak — Store.open_in closes its fd after mmap *)
-  match Store.open_in path with
+  match Store.read path with
   | Error e -> Error e
-  | Ok s -> (
-    try
-      let grid = s.Store.s_grid in
-      let hist_of (v : Store.hist_view) =
-        Position_histogram.of_bigarray ~grid ~total:v.Store.h_total
-          v.Store.h_cells
-      in
-      let entries = Hashtbl.create 16 in
-      let preds = ref [] in
-      let with_levels = ref false in
-      List.iter
-        (fun b ->
-          let pred =
-            match Predicate.of_syntax b.Store.b_syntax with
-            | Ok p -> p
-            | Error e -> raise (Bad_summary ("bad predicate: " ^ e))
-          in
-          let cvg =
-            Option.map
-              (fun c ->
-                Coverage_histogram.of_csr_mapped ~grid
-                  ~offsets:c.Store.c_offsets ~data:c.Store.c_data
-                  ~populations:c.Store.c_populations
-                  ~total_cvg:c.Store.c_total_cvg)
-              b.Store.b_cvg
-          in
-          let lvl = Option.map Level_histogram.of_bigarray b.Store.b_lvl in
-          if Option.is_some lvl then with_levels := true;
-          Hashtbl.replace entries (Predicate.name pred)
-            {
-              pred;
-              hist = hist_of b.Store.b_hist;
-              no_overlap = b.Store.b_no_overlap;
-              cvg;
-              lvl;
-            };
-          preds := pred :: !preds)
-        s.Store.s_blocks;
-      let hcat = make_hist_catalog () in
-      register_entries hcat entries;
-      Ok
-        {
-          doc = None;
-          grid;
-          preds = List.rev !preds;
-          entries;
-          pop = hist_of s.Store.s_population;
-          with_levels = !with_levels;
-          hcat;
-          lph_cache = Hashtbl.create 8;
-          stats = None;
-          maint = None;
-        }
-    with
-    | Bad_summary msg -> Error msg
-    | Invalid_argument msg -> Error msg)
+  | Ok st ->
+    Ok
+      {
+        doc = None;
+        grid = Store.grid st;
+        preds = [];
+        entries = Hashtbl.create 16;
+        pop = In_store st;
+        with_levels = Store.has_levels st;
+        hcat = make_hist_catalog ();
+        lph_cache = Hashtbl.create 8;
+        stats = None;
+        maint = None;
+        store = Some st;
+      }

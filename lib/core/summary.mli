@@ -130,6 +130,8 @@ val document : t -> Document.t option
     document per update. *)
 
 val predicates : t -> Predicate.t list
+(** The base predicates, in build order, duplicates included.  On a
+    reopened store this adopts every section first. *)
 
 val histogram : t -> Predicate.t -> Position_histogram.t
 (** Histogram of a predicate.  Base predicates are served from the catalog;
@@ -159,7 +161,8 @@ val hist_catalog : t -> Catalog.t
 (** The histogram catalog backing this summary: every position histogram
     (base predicates and those built on demand), keyed by
     {!Xmlest_query.Predicate.name}, with memoized pH-join coefficients and
-    hit/miss/recompute counters. *)
+    hit/miss/recompute counters.  On a reopened store it holds the
+    sections adopted so far. *)
 
 val estimate : ?options:Twig_estimator.options -> t -> Pattern.t -> float
 (** Estimate the answer size of a twig pattern. *)
@@ -177,7 +180,9 @@ val estimate_batch :
     [List.map (estimate t)] (property-tested).  With [domains <= 1] this
     {e is} [List.map (estimate t)]; with more, scratch work (memoized
     coefficients, on-demand histograms) is discarded rather than written
-    back to the summary's shared caches. *)
+    back to the summary's shared caches.  With more than one domain, a
+    reopened store adopts every section before any domain starts, so the
+    domains only read the summary. *)
 
 val check : t -> Pattern.t -> Pattern_check.diag list
 (** Static analysis of the pattern against this summary
@@ -210,7 +215,8 @@ val explain :
 
 val storage_bytes : t -> int
 (** Total sparse storage of all histograms in the catalog — the summary
-    size the paper reports (≈0.7% of the data for DBLP). *)
+    size the paper reports (≈0.7% of the data for DBLP).  On a reopened
+    store this adopts every section first, as {!pp_stats} does. *)
 
 (** {2 Incremental maintenance}
 
@@ -276,20 +282,43 @@ val to_string : t -> string
     predicate, the position histogram, coverage entries and level counts,
     every float at [%.17g].  Two summaries print equal exactly when they
     are bit-identical, which is how the tests and benches compare builds.
-    It is not a file format: nothing parses it back. *)
+    It is not a file format: nothing parses it back.  On a reopened store
+    this adopts every section first. *)
+
+exception Corrupt_store of string
+(** A section of a reopened store (or its population) breaks the format:
+    runs out of order, off the grid or below its diagonal, counts that
+    are not non-negative integers, a coverage fraction outside
+    [\[0, 1\]], a predicate syntax that does not parse or names another
+    predicate.  Raised by the first operation that adopts the section: a
+    lookup of its predicate ({!histogram}, {!coverage}, {!level},
+    {!estimate}, ...), or any whole-summary operation ({!predicates},
+    {!to_string}, {!save_store}, {!pp_stats}, {!storage_bytes}, a
+    multi-domain {!estimate_batch}). *)
 
 val save_store : t -> string -> unit
-(** Persist to the binary [.xsum] format ([Store]): a small text header
-    plus one flat little-endian float64 payload holding every histogram's
-    cells, totals stored alongside.  Every float is written bit-exactly,
-    so the reopened summary is {!to_string}-identical and estimates
-    bit-identically (property-tested). *)
+(** Persist to the [.xsum] format ({!Store}): a short header, a
+    length-prefixed section table (per predicate: name, tag, syntax,
+    no-overlap flag, where its parts lie) and a payload of non-zero
+    content only — histogram cells as (cell, count) runs, coverage as its
+    entries, level counts.  Totals, coverage populations and per-cell
+    coverage totals are not stored but recomputed on load.  Every float
+    is written bit-exactly, so the reopened summary is
+    {!to_string}-identical and estimates bit-identically
+    (property-tested). *)
 
 val load_store : string -> (t, string) result
-(** Open a [.xsum] store by memory-mapping its payload: O(header) work —
-    no per-cell parsing or adds — with each histogram holding a zero-copy
-    slice of the (copy-on-write) mapping.  The result carries no document
-    and no stats, and its coefficient catalog starts cold: histogram
-    version counters restart at 0, so no stale memoized pH-join arrays
-    can be mistaken for fresh ones.  A missing, truncated or malformed
-    file is an [Error], never an exception. *)
+(** Open a [.xsum] store: read the file once, check its header and
+    section table, index the sections by predicate name.  No predicate is
+    parsed and no histogram is built: each section is decoded, validated
+    and registered the first time a lookup names its predicate, so an
+    open costs the table, and an estimate the sections it touches.  The
+    result carries no document and no stats, and its coefficient catalog
+    starts cold: histogram version counters start at 0, so no stale
+    memoized pH-join arrays can be mistaken for fresh ones.
+
+    A missing, truncated or malformed file, header or table is an
+    [Error], never an exception.  A malformed section is
+    {!Corrupt_store} at its first use; estimates that never touch it are
+    unaffected, and equal — bit for bit, in any order of adoption — to
+    those of the summary that was saved. *)

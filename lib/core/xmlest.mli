@@ -30,7 +30,6 @@ module Pattern_check = Xmlest_query.Pattern_check
 
 (* Histograms *)
 module Grid = Xmlest_histogram.Grid
-module F64 = Xmlest_histogram.F64
 module Hist_catalog = Xmlest_histogram.Catalog
 module Position_histogram = Xmlest_histogram.Position_histogram
 module Coverage_histogram = Xmlest_histogram.Coverage_histogram

@@ -91,35 +91,3 @@ val of_parts :
 (** Rebuild from parts: [(covered, covering, fraction)] triples
     with dense cell indices.  Raises [Invalid_argument] on a population
     array of the wrong length or out-of-range cell indices. *)
-
-val of_csr :
-  grid:Grid.t ->
-  row_off:int array ->
-  data:F64.t ->
-  populations:F64.t ->
-  total_cvg:F64.t ->
-  t
-(** Adopt a compressed-sparse-row layout without copying — the zero-copy
-    view constructor used when opening a memory-mapped summary store.
-    Row [c] (a covered cell) owns entries
-    [row_off.(c) .. row_off.(c+1) - 1]; entry [k] is the float pair
-    [data.{2k} = covering cell index] (an exact small integer) and
-    [data.{2k+1} = fraction].  [populations] and [total_cvg] are dense
-    per-cell vectors.  Raises [Invalid_argument] when lengths or offsets
-    are inconsistent. *)
-
-val of_csr_mapped :
-  grid:Grid.t ->
-  offsets:F64.t ->
-  data:F64.t ->
-  populations:F64.t ->
-  total_cvg:F64.t ->
-  t
-(** {!of_csr} with the row offsets still in payload form: [offsets] is a
-    length [cells+1] float vector (exact small integers, e.g. a slice of
-    a memory-mapped store).  The integer offset array is materialized
-    lazily on first use, so constructing the view costs O(1) reads — two
-    length checks and one entry-count read — and an unused coverage
-    histogram never faults its offset pages in.  Offset-consistency
-    validation moves into that lazy step: a corrupt offset region raises
-    [Invalid_argument] at first access rather than here. *)

@@ -1,10 +1,7 @@
 open Xmlest_xmldb
 open Xmlest_query
 
-(* Counts live in a float64 Bigarray: a level histogram can own fresh
-   heap storage or be a zero-copy view over a memory-mapped summary
-   store (lib/core/store.ml). *)
-type t = { counts : F64.t }
+type t = { counts : float array }
 
 (* Streaming builder: counts arrive level by level with no bound known up
    front, so the array grows geometrically and [finish] trims it to
@@ -28,12 +25,7 @@ let feed b l =
   if l > b.b_max then b.b_max <- l
 
 let finish b =
-  { counts = F64.of_array (Array.sub b.b_counts 0 (Int.max 1 (b.b_max + 1))) }
-
-let of_bigarray counts =
-  if F64.length counts = 0 then
-    invalid_arg "Level_histogram.of_bigarray: empty counts";
-  { counts }
+  { counts = Array.sub b.b_counts 0 (Int.max 1 (b.b_max + 1)) }
 
 let of_levels doc nodes =
   let b = builder () in
@@ -42,11 +34,11 @@ let of_levels doc nodes =
 
 let build doc pred = of_levels doc (Predicate.matching_nodes doc pred)
 
-let count_at t l = if l >= 0 && l < F64.length t.counts then t.counts.{l} else 0.0
+let count_at t l = if l >= 0 && l < Array.length t.counts then t.counts.(l) else 0.0
 
-let max_level t = F64.length t.counts - 1
+let max_level t = Array.length t.counts - 1
 
-let total t = F64.fold_left ( +. ) 0.0 t.counts
+let total t = Array.fold_left ( +. ) 0.0 t.counts
 
 let child_fraction ~anc ~desc =
   let pairs_all = ref 0.0 and pairs_child = ref 0.0 in
@@ -63,11 +55,11 @@ let child_fraction ~anc ~desc =
 
 let storage_bytes t =
   4
-  * F64.fold_left
+  * Array.fold_left
       (fun acc c -> if not (Float.equal c 0.0) then acc + 1 else acc)
       0 t.counts
 
-let counts t = F64.to_array t.counts
+let counts t = Array.copy t.counts
 
 let of_counts counts =
-  { counts = F64.of_array (if Array.length counts = 0 then [| 0.0 |] else counts) }
+  { counts = (if Array.length counts = 0 then [| 0.0 |] else Array.copy counts) }

@@ -51,9 +51,3 @@ val counts : t -> float array
 
 val of_counts : float array -> t
 (** Rebuild from per-level counts (index = depth). *)
-
-val of_bigarray : F64.t -> t
-(** Adopt a float64 vector (index = depth, length >= 1) as the
-    histogram's storage without copying — the zero-copy view constructor
-    used when opening a memory-mapped summary store.  Raises
-    [Invalid_argument] on an empty vector. *)

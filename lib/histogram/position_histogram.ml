@@ -1,18 +1,15 @@
 open Xmlest_xmldb
 open Xmlest_query
 
-(* Cells live in a float64 Bigarray so a histogram can either own fresh
-   heap storage or be a zero-copy view over a memory-mapped summary store
-   (lib/core/store.ml) — same type, same query surface. *)
 type t = {
   grid : Grid.t;
-  counts : F64.t;
+  counts : float array;
   mutable total : float;
   mutable version : int;
 }
 
 let create_empty grid =
-  { grid; counts = F64.create (Grid.cells grid); total = 0.0; version = 0 }
+  { grid; counts = Array.make (Grid.cells grid) 0.0; total = 0.0; version = 0 }
 
 let grid t = t.grid
 
@@ -22,8 +19,8 @@ let version t = t.version
    Lemma 1's staircase): a write below the diagonal would inflate [total]
    while staying invisible to [iter_nonzero], silently skewing every
    estimate derived from the histogram. *)
-let check_cell fn t ~i ~j =
-  let g = t.grid.Grid.size in
+let check_cell fn grid ~i ~j =
+  let g = grid.Grid.size in
   if i < 0 || j < 0 || i >= g || j >= g then
     invalid_arg
       (Printf.sprintf "Position_histogram.%s: cell (%d,%d) outside the %dx%d grid"
@@ -35,19 +32,19 @@ let check_cell fn t ~i ~j =
           bucket must not exceed end bucket)"
          fn i j)
 
-let get t ~i ~j = t.counts.{Grid.index t.grid ~i ~j}
+let get t ~i ~j = t.counts.(Grid.index t.grid ~i ~j)
 
 let set t ~i ~j v =
-  check_cell "set" t ~i ~j;
+  check_cell "set" t.grid ~i ~j;
   let idx = Grid.index t.grid ~i ~j in
-  t.total <- t.total -. t.counts.{idx} +. v;
-  t.counts.{idx} <- v;
+  t.total <- t.total -. t.counts.(idx) +. v;
+  t.counts.(idx) <- v;
   t.version <- t.version + 1
 
 let add t ~i ~j v =
-  check_cell "add" t ~i ~j;
+  check_cell "add" t.grid ~i ~j;
   let idx = Grid.index t.grid ~i ~j in
-  t.counts.{idx} <- t.counts.{idx} +. v;
+  t.counts.(idx) <- t.counts.(idx) +. v;
   t.total <- t.total +. v;
   t.version <- t.version + 1
 
@@ -73,15 +70,27 @@ let feed b ~start_pos ~end_pos =
 let finish b =
   {
     grid = b.b_grid;
-    counts = F64.of_array b.b_counts;
+    counts = Array.copy b.b_counts;
     total = Array.fold_left ( +. ) 0.0 b.b_counts;
     version = 0;
   }
 
-let of_bigarray ~grid ~total counts =
-  if not (Int.equal (F64.length counts) (Grid.cells grid)) then
-    invalid_arg "Position_histogram.of_bigarray: cell count does not match grid";
-  { grid; counts; total; version = 0 }
+(* The total is summed over the given cells in their order; for the
+   exact integer counts of a summary that equals [finish]'s fold over the
+   dense cells bit for bit. *)
+let of_nonzero ~grid at v =
+  if not (Int.equal (Array.length at) (Array.length v)) then
+    invalid_arg "Position_histogram.of_nonzero: index and value arrays differ in length";
+  let g = grid.Grid.size in
+  let counts = Array.make (Grid.cells grid) 0.0 in
+  let total = ref 0.0 in
+  Array.iteri
+    (fun k x ->
+      check_cell "of_nonzero" grid ~i:(x / g) ~j:(x mod g);
+      counts.(x) <- v.(k);
+      total := !total +. v.(k))
+    at;
+  { grid; counts; total = !total; version = 0 }
 
 let of_nodes doc ~grid nodes =
   let b = builder grid in
@@ -102,26 +111,28 @@ let population doc ~grid =
   finish b
 
 let copy t =
-  { grid = t.grid; counts = F64.copy t.counts; total = t.total; version = 0 }
+  { grid = t.grid; counts = Array.copy t.counts; total = t.total; version = 0 }
 
 let equal a b =
-  Grid.compatible a.grid b.grid && F64.equal a.counts b.counts
+  Grid.compatible a.grid b.grid
+  && Int.equal (Array.length a.counts) (Array.length b.counts)
+  && Array.for_all2 Float.equal a.counts b.counts
 
 let map2 f a b =
   if not (Grid.compatible a.grid b.grid) then
     invalid_arg "Position_histogram.map2: incompatible grids";
-  let n = F64.length a.counts in
-  let counts = F64.create n in
+  let n = Array.length a.counts in
+  let counts = Array.make n 0.0 in
   for c = 0 to n - 1 do
-    counts.{c} <- f a.counts.{c} b.counts.{c}
+    counts.(c) <- f a.counts.(c) b.counts.(c)
   done;
-  { grid = a.grid; counts; total = F64.fold_left ( +. ) 0.0 counts; version = 0 }
+  { grid = a.grid; counts; total = Array.fold_left ( +. ) 0.0 counts; version = 0 }
 
 let scale t k =
-  let n = F64.length t.counts in
-  let counts = F64.create n in
+  let n = Array.length t.counts in
+  let counts = Array.make n 0.0 in
   for c = 0 to n - 1 do
-    counts.{c} <- t.counts.{c} *. k
+    counts.(c) <- t.counts.(c) *. k
   done;
   { grid = t.grid; counts; total = t.total *. k; version = 0 }
 
@@ -129,7 +140,7 @@ let iter_nonzero t f =
   let g = t.grid.Grid.size in
   for i = 0 to g - 1 do
     for j = i to g - 1 do
-      let v = t.counts.{Grid.index t.grid ~i ~j} in
+      let v = t.counts.(Grid.index t.grid ~i ~j) in
       if not (Float.equal v 0.0) then f ~i ~j v
     done
   done
@@ -141,7 +152,7 @@ let nonzero_cells t =
   let n = ref 0 in
   for i = 0 to g - 1 do
     for x = (i * g) + i to (i * g) + g - 1 do
-      if not (Float.equal c.{x} 0.0) then incr n
+      if not (Float.equal c.(x) 0.0) then incr n
     done
   done;
   !n
@@ -153,9 +164,9 @@ let nonzero t =
   let k = ref 0 in
   for i = 0 to g - 1 do
     for x = (i * g) + i to (i * g) + g - 1 do
-      if not (Float.equal c.{x} 0.0) then begin
+      if not (Float.equal c.(x) 0.0) then begin
         at.(!k) <- x;
-        v.(!k) <- c.{x};
+        v.(!k) <- c.(x);
         incr k
       end
     done
@@ -182,7 +193,7 @@ let pp ppf t =
 let pp_heatmap ppf t =
   let g = t.grid.Grid.size in
   let max_count =
-    F64.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 t.counts
+    Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 t.counts
   in
   (* Shares are meaningless when the total is zero or negative (possible
      after map2 subtraction): classify against the largest magnitude
@@ -195,7 +206,7 @@ let pp_heatmap ppf t =
       let ch =
         if j < i then ' '
         else begin
-          let v = t.counts.{Grid.index t.grid ~i ~j} in
+          let v = t.counts.(Grid.index t.grid ~i ~j) in
           if Float.equal v 0.0 then '-'
           else if denom <= 0.0 then '.'
           else begin

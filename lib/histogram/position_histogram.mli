@@ -51,15 +51,15 @@ val finish : builder -> t
 (** Freeze into a histogram (version 0).  The builder must not be fed
     afterwards. *)
 
-val of_bigarray : grid:Grid.t -> total:float -> F64.t -> t
-(** Adopt a float64 vector (dense row-major cells, length
-    [Grid.cells grid]) as the histogram's storage without copying —
-    the zero-copy view constructor used when opening a memory-mapped
-    summary store.  [total] must be the sum of the cells (the store
-    records it so opening stays O(1)).  Version starts at 0, so caches
-    keyed on {!version} (e.g. [Catalog] coefficient slots) cannot
-    mistake a freshly mapped histogram for an already-seen one.
-    Raises [Invalid_argument] on a length mismatch. *)
+val of_nonzero : grid:Grid.t -> int array -> float array -> t
+(** The inverse of {!nonzero}: the histogram whose non-zero cells are the
+    given dense row-major indices ({!Grid.index}) with the given values,
+    every other cell 0.  The total is the values' sum in index order,
+    which for exact integer counts equals {!finish}'s total bit for bit.
+    Version starts at 0, so caches keyed on {!version} (e.g. [Catalog]
+    coefficient slots) cannot mistake it for an already-seen histogram.
+    Raises [Invalid_argument] when the arrays differ in length or a cell
+    is outside the grid or below the diagonal. *)
 
 val grid : t -> Grid.t
 val get : t -> i:int -> j:int -> float

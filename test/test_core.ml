@@ -678,11 +678,20 @@ let prop_estimate_batch_bit_identical =
           [ "//a"; "//a//b"; "//b//c"; "//a//b//c"; "//a/b"; "//c"; "//d//e" ]
       in
       let seq = List.map (Xmlest.Summary.estimate s) pats in
+      (* a freshly reopened store, nothing adopted yet; its patterns stay
+         within the catalog (no document to build on demand from) *)
+      let stored = List.filteri (fun k _ -> k < 6) pats in
+      let stored_seq = List.filteri (fun k _ -> k < 6) seq in
       List.for_all
         (fun domains ->
           List.for_all2 Float.equal seq
             (Xmlest.Summary.estimate_batch ~domains s pats))
-        [ 1; 2; 4; 7 ])
+        [ 1; 2; 4; 7 ]
+      && List.for_all
+           (fun domains ->
+             List.for_all2 Float.equal stored_seq
+               (Xmlest.Summary.estimate_batch ~domains (Test_util.reopened s) stored))
+           [ 1; 2; 4 ])
 
 let test_parallel_build_datasets () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
@@ -754,18 +763,25 @@ let test_build_time_is_wall_clock () =
 
 (* --- The binary (.xsum) store ------------------------------------------ *)
 
-(* Bit-identity of the mapped store, not mere closeness: the payload holds
-   the exact float bits, totals included, so [to_string] — which prints
-   every non-zero cell, coverage fraction and level count at %.17g — must
-   come back byte-for-byte, and estimates (pure functions of those floats)
-   must be [Float.equal]. *)
+(* Bit-identity of the reopened store, not mere closeness: the payload
+   holds the exact float bits and every derived number (totals, coverage
+   populations and per-cell totals) is recomputed the way the build
+   computes it, so [to_string] — which prints every non-zero cell,
+   coverage fraction and level count at %.17g — must come back
+   byte-for-byte, and estimates (pure functions of those floats) must be
+   [Float.equal].  Grids of one and two buckets are drawn too. *)
 let prop_store_roundtrip_bit_identical =
   QCheck.Test.make ~count:40
-    ~name:"saved -> mmap-opened store is bit-identical (random docs)"
-    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:50 ()) (int_bound 7))
+    ~name:"saved -> reopened store is bit-identical (random docs)"
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:50 ()) (int_bound 15))
     (fun (elem, cfg) ->
       let doc = Xmlest.Document.of_elem elem in
-      let grid_size = min 8 (Xmlest.Document.max_pos doc + 1) in
+      let grid_size =
+        match cfg lsr 2 with
+        | 0 -> 1
+        | 1 -> 2
+        | _ -> min 8 (Xmlest.Document.max_pos doc + 1)
+      in
       let grid_kind = if cfg land 1 = 0 then `Uniform else `Equidepth in
       let with_levels = cfg land 2 = 0 in
       let preds =
@@ -839,8 +855,8 @@ let test_store_open_rejects_garbage () =
   (match Xmlest.Summary.load_store path with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ());
-  (* truncate a valid store's payload: the header parses, the mapping
-     must be refused *)
+  (* truncate a valid store's payload: the header parses, the length
+     check must refuse it *)
   let _, s = staff_summary () in
   Xmlest.Summary.save_store s path;
   let len = (Unix.stat path).Unix.st_size in
@@ -855,16 +871,28 @@ let test_store_open_rejects_garbage () =
   (match Xmlest.Summary.load_store (path ^ ".does-not-exist") with
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ());
-  (* A grid line no grid can be built from, padded with spaces to the
-     valid line's length so the payload offset still checks out: size 0,
-     a negative size, more buckets than positions, and a grid whose
-     cells could not fit the payload. *)
-  Xmlest.Summary.save_store s path;
-  let valid = In_channel.with_open_bin path In_channel.input_all in
-  (* the header's third line: magic, payload, grid *)
-  let grid_at =
-    String.index_from valid (String.index valid '\n' + 1) '\n' + 1
+  let valid =
+    Xmlest.Summary.save_store s path;
+    In_channel.with_open_bin path In_channel.input_all
   in
+  let load_bytes bytes =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+    Xmlest.Summary.load_store path
+  in
+  (* bytes past the payload are refused as well *)
+  (match load_bytes (valid ^ "\000") with
+  | Ok _ -> Alcotest.fail "trailing bytes accepted"
+  | Error _ -> ());
+  (* the previous container version is refused, not misread *)
+  (match load_bytes "xsum 1\npayload 000000000064 000000000001\n" with
+  | Ok _ -> Alcotest.fail "xsum 1 store accepted"
+  | Error e -> check Alcotest.string "version error" "unsupported store version" e);
+  (* A grid line no grid can be built from, padded with spaces to the
+     valid line's length: size 0, a negative size, more buckets than
+     positions, and a grid whose cells do not match the header's cell
+     count. *)
+  (* the header's second line: magic, grid *)
+  let grid_at = String.index valid '\n' + 1 in
   let grid_end = String.index_from valid grid_at '\n' in
   Alcotest.(check bool) "uniform grid line" true
     (String.starts_with ~prefix:"grid uniform "
@@ -879,8 +907,7 @@ let test_store_open_rejects_garbage () =
       ^ String.make (len - String.length line) ' '
       ^ String.sub valid grid_end (String.length valid - grid_end)
     in
-    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bad);
-    match Xmlest.Summary.load_store path with
+    match load_bytes bad with
     | Ok _ -> Alcotest.failf "grid line %S accepted" line
     | Error e -> e
   in
@@ -924,7 +951,7 @@ let test_store_reopen_cold_catalog () =
 
 let test_streamed_build_saved_to_store () =
   (* the full out-of-core pipeline: XML file -> streamed build -> .xsum ->
-     mmap-opened summary, bit-identical to the in-memory original *)
+     reopened summary, bit-identical to the in-memory original *)
   let elem = Xmlest.Staff_gen.generate () in
   let doc = Xmlest.Document.of_elem elem in
   let preds = [ tagp "manager"; tagp "employee"; tagp "name" ] in
@@ -937,6 +964,342 @@ let test_streamed_build_saved_to_store () =
     (String.equal
        (Xmlest.Summary.to_string (Xmlest.Summary.build doc preds))
        (Xmlest.Summary.to_string s'))
+
+(* --- Store format, error contract and laziness ------------------------ *)
+
+(* Where a saved store's parts lie, read the way the format lays them out:
+   the binary header after the magic and grid lines, the section table,
+   the payload, and per table entry its name and the file position of its
+   three (offset, count) pairs. *)
+type layout = {
+  header_at : int;
+  table_at : int;
+  payload_at : int;
+  sections : (string * int * int) list;  (* name, entry start, spans *)
+}
+
+let u32_at bytes p = Int32.to_int (String.get_int32_le bytes p) land 0xFFFF_FFFF
+
+let store_layout bytes =
+  let header_at = String.index_from bytes (String.index bytes '\n' + 1) '\n' + 1 in
+  let table_at = header_at + 24 in
+  let payload_at = table_at + u32_at bytes (header_at + 16) in
+  let str p = (String.sub bytes (p + 4) (u32_at bytes p), p + 4 + u32_at bytes p) in
+  let rec walk k pos acc =
+    if Int.equal k (u32_at bytes (header_at + 12)) then List.rev acc
+    else begin
+      let name, p = str (pos + 1) in
+      let _tag, p = str p in
+      let _syntax, p = str p in
+      walk (k + 1) (p + 24) ((name, pos, p) :: acc)
+    end
+  in
+  { header_at; table_at; payload_at; sections = walk 0 table_at [] }
+
+let saved_bytes s =
+  Test_util.with_store s (fun path -> In_channel.with_open_bin path In_channel.input_all)
+
+(* [bytes] written to a temporary file and opened; [f] gets the result. *)
+let with_bytes_store bytes f =
+  let path = Filename.temp_file "xmlest" ".xsum" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+      f path (Xmlest.Summary.load_store path))
+
+let set_u32 b p v = Bytes.set_int32_le b p (Int32.of_int v)
+
+let raises_corrupt f =
+  match f () with
+  | _ -> false
+  | exception Xmlest.Summary.Corrupt_store _ -> true
+
+(* Strings that a line-oriented header could not carry —
+   newlines, carriage returns, quotes, backslashes, spaces, the word
+   [end], non-ASCII bytes — survive a save and reopen in text, attribute
+   and tag predicates. *)
+let awkward_string =
+  let pieces = [| "a"; "\n"; "\r"; "\""; "\\"; " "; "end"; "\xc3\xa9"; "\nend\n"; "\\\"" |] in
+  QCheck.Gen.(map (String.concat "") (list_size (int_range 1 5) (oneofa pieces)))
+
+let prop_store_awkward_strings =
+  QCheck.Test.make ~count:60
+    ~name:"store round-trips predicates with newlines, quotes, non-ASCII"
+    (QCheck.make
+       ~print:QCheck.Print.(list string)
+       QCheck.Gen.(list_size (int_range 1 4) awkward_string))
+    (fun strs ->
+      let module P = Xmlest.Predicate in
+      let module E = Xmlest.Elem in
+      let elem =
+        E.make "r"
+          ~children:
+            (List.map
+               (fun s -> E.make "p" ~text:s ~attrs:[ ("k", s) ] ~children:[ E.make s ])
+               strs)
+      in
+      let doc = Xmlest.Document.of_elem elem in
+      let preds =
+        tagp "r" :: tagp "p"
+        :: List.concat_map
+             (fun s -> [ P.text_eq ~tag:"p" s; P.Attr_eq ("k", s); P.tag s; P.text_prefix ~tag:"p" s ])
+             strs
+      in
+      let s = Xmlest.Summary.build ~grid_size:4 doc preds in
+      let s' = Test_util.reopened s in
+      let queries =
+        List.concat_map
+          (fun p ->
+            [
+              Xmlest.Pattern.leaf p;
+              Xmlest.Pattern.node ~edges:[ (Xmlest.Pattern.Descendant, Xmlest.Pattern.leaf p) ] (tagp "r");
+            ])
+          preds
+      in
+      String.equal (Xmlest.Summary.to_string s) (Xmlest.Summary.to_string s')
+      && List.for_all
+           (fun q ->
+             Float.equal (Xmlest.Summary.estimate s q) (Xmlest.Summary.estimate s' q))
+           queries)
+
+(* The store mutation suite: 1–4 bytes of a saved staff store
+   overwritten, half the cases inside the header and section table, half
+   inside the payload.  Every case must end in an [Error] from
+   [load_store], in [Corrupt_store] when a broken section is first used,
+   or in estimates that are finite and non-negative; [to_string] then
+   adopts every section, so a broken section nothing queried is still
+   caught. *)
+let prop_store_mutations =
+  let _, s = staff_summary () in
+  let valid = saved_bytes s in
+  let l = store_layout valid in
+  let queries =
+    List.map Xmlest.Pattern_parser.pattern_exn
+      [
+        "//manager//employee"; "//department//email"; "//employee//name";
+        "//manager[.//department][.//employee]"; "//department/email";
+        "//manager//department//employee//name";
+      ]
+  in
+  let sound e = Float.is_finite e && e >= 0.0 in
+  QCheck.Test.make ~count:2000
+    ~name:"mutated store: Error, Corrupt_store or sound estimates"
+    QCheck.(
+      pair bool (list_of_size (Gen.int_range 1 4) (pair (int_bound 1_000_000) (int_bound 255))))
+    (fun (in_payload, edits) ->
+      let b = Bytes.of_string valid in
+      let lo, hi =
+        if in_payload then (l.payload_at, String.length valid) else (0, l.payload_at)
+      in
+      List.iter (fun (p, v) -> Bytes.set_uint8 b (lo + (p mod (hi - lo))) v) edits;
+      with_bytes_store (Bytes.to_string b) (fun _ -> function
+        | Error _ -> true
+        | Ok s' -> (
+          match List.map (Xmlest.Summary.estimate s') queries with
+          | estimates ->
+            List.for_all sound estimates
+            && (match Xmlest.Summary.to_string s' with
+               | _ -> true
+               | exception Xmlest.Summary.Corrupt_store _ -> true)
+          | exception Xmlest.Summary.Corrupt_store _ -> true)))
+
+(* Hand-made broken sections, written through [Store.write]
+   (which checks nothing), each opening fine and raising [Corrupt_store]
+   at the first lookup of its predicate while the sound section beside it
+   keeps working. *)
+let test_store_crafted_sections () =
+  let module St = Xmlest.Store in
+  let grid = Xmlest.Grid.create ~size:4 ~max_pos:99 in
+  let section p =
+    {
+      St.name = Xmlest.Predicate.name p;
+      tag = Xmlest.Predicate.tag_of p;
+      syntax = Xmlest.Predicate.to_syntax p;
+      no_overlap = true;
+      hist = ([| 0; 5 |], [| 2.0; 1.0 |]);
+      cvg = Some [ (5, 0, 0.5) ];
+      lvl = Some [| 1.0; 2.0 |];
+    }
+  in
+  let a = section (tagp "a") and b = { (section (tagp "b")) with cvg = None } in
+  let population = ([| 0; 5; 15 |], [| 3.0; 2.0; 1.0 |]) in
+  let store ?(population = population) sections f =
+    let path = Filename.temp_file "xmlest" ".xsum" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        St.write path ~grid ~population sections;
+        match Xmlest.Summary.load_store path with
+        | Ok s -> f s
+        | Error e -> Alcotest.failf "crafted store refused at open: %s" e)
+  in
+  store [ a; b ] (fun s ->
+      check (Alcotest.float 0.0) "sound store reads back" 3.0
+        (Xmlest.Summary.node_count s (tagp "a")));
+  let nan = Float.nan and inf = Float.infinity in
+  List.iter
+    (fun (what, bad) ->
+      store [ bad; b ] (fun s ->
+          Alcotest.(check bool) (what ^ ": corrupt at first use") true
+            (raises_corrupt (fun () -> Xmlest.Summary.histogram s (tagp "a")));
+          check (Alcotest.float 0.0) (what ^ ": the other section still reads") 3.0
+            (Xmlest.Summary.node_count s (tagp "b"));
+          Alcotest.(check bool) (what ^ ": whole-summary use is corrupt too") true
+            (raises_corrupt (fun () -> Xmlest.Summary.to_string s))))
+    [
+      ("unsorted runs", { a with hist = ([| 5; 0 |], [| 1.0; 2.0 |]) });
+      ("duplicate runs", { a with hist = ([| 5; 5 |], [| 1.0; 2.0 |]) });
+      ("cell past g^2", { a with hist = ([| 16 |], [| 1.0 |]) });
+      ("cell below the diagonal", { a with hist = ([| 4 |], [| 1.0 |]) });
+      ("NaN count", { a with hist = ([| 0 |], [| nan |]) });
+      ("negative count", { a with hist = ([| 0 |], [| -1.0 |]) });
+      ("infinite count", { a with hist = ([| 0 |], [| inf |]) });
+      ("fractional count", { a with hist = ([| 0 |], [| 0.5 |]) });
+      ("coverage fraction above 1", { a with cvg = Some [ (5, 0, 1.5) ] });
+      ("NaN coverage fraction", { a with cvg = Some [ (5, 0, nan) ] });
+      ("unsorted coverage", { a with cvg = Some [ (5, 5, 0.5); (5, 0, 0.5) ] });
+      ("duplicate coverage", { a with cvg = Some [ (5, 0, 0.5); (5, 0, 0.5) ] });
+      ("coverage below the diagonal", { a with cvg = Some [ (4, 0, 0.5) ] });
+      ("negative level count", { a with lvl = Some [| -1.0 |] });
+      ("no level counts", { a with lvl = Some [||] });
+      ("unparsable syntax", { a with syntax = "(tag \"a\"" });
+      ("syntax of another predicate", { a with syntax = Xmlest.Predicate.to_syntax (tagp "b") });
+      ("tag not the syntax's", { a with tag = Some "z" });
+    ];
+  (* a broken population is found by the first section that needs it:
+     coverage is normalized by the population's cells *)
+  store ~population:([| 5; 0 |], [| 2.0; 3.0 |]) [ a; b ] (fun s ->
+      check (Alcotest.float 0.0) "no coverage, no population needed" 3.0
+        (Xmlest.Summary.node_count s (tagp "b"));
+      Alcotest.(check bool) "broken population" true
+        (raises_corrupt (fun () -> Xmlest.Summary.histogram s (tagp "a"))));
+  (* byte-level: table lengths and counts that run past their bounds are
+     refused at open *)
+  let _, staff = staff_summary () in
+  let valid = saved_bytes staff in
+  let l = store_layout valid in
+  let _, entry, _ = List.hd l.sections in
+  let name_len = u32_at valid (entry + 1) in
+  let tag_len = u32_at valid (entry + 5 + name_len) in
+  let syntax_len_at = entry + 9 + name_len + tag_len in
+  List.iter
+    (fun (what, edit) ->
+      let b = Bytes.of_string valid in
+      edit b;
+      with_bytes_store (Bytes.to_string b) (fun _ -> function
+        | Ok _ -> Alcotest.failf "%s accepted" what
+        | Error _ -> ()))
+    [
+      ("name length past the end of the file", fun b -> set_u32 b (entry + 1) 0xFFFF_FF00);
+      ("name length past the table", fun b -> set_u32 b (entry + 1) (name_len + 1));
+      ("syntax length past the end of the file", fun b -> set_u32 b syntax_len_at 0x7FFF_FFFF);
+      ("section count past the table", fun b -> set_u32 b (l.header_at + 12) 0xFFFF_FFFF);
+      ("one section too many", fun b -> set_u32 b (l.header_at + 12) (List.length l.sections + 1));
+      ("table length short", fun b -> set_u32 b (l.header_at + 16) (l.payload_at - l.table_at - 1));
+      ("unknown section flag", fun b -> Bytes.set_uint8 b entry 0x80);
+      ("runs past the payload", fun b ->
+          let _, _, spans = List.hd l.sections in
+          set_u32 b (spans + 4) 0x0FFF_FFFF);
+      ("population past the payload", fun b -> set_u32 b (l.header_at + 8) 0x0FFF_FFFF);
+    ]
+
+(* The DBLP 0.05 summary the laziness tests reopen. *)
+let dblp_store_summary () =
+  let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
+  Xmlest.Summary.build doc
+    [
+      tagp "article"; tagp "author"; tagp "title"; tagp "year"; tagp "cite";
+      Xmlest.Predicate.text_prefix ~tag:"cite" "conf";
+    ]
+
+let dblp_queries =
+  [
+    "//article//author"; "//article//year"; "//article[.//author][.//year]";
+    "//article/author"; "//article//cite"; "//article//cite[starts-with(text(),'conf')]";
+    "//year"; "//article[.//cite][.//author]";
+  ]
+
+(* Opening adopts nothing, and a lookup adopts exactly the
+   sections it names. *)
+let test_store_open_is_lazy () =
+  let s = dblp_store_summary () in
+  Test_util.with_store s (fun path ->
+      match Xmlest.Summary.load_store path with
+      | Error e -> Alcotest.failf "store open failed: %s" e
+      | Ok s' ->
+        let cat = Xmlest.Summary.hist_catalog s' in
+        check Alcotest.int "nothing adopted at open" 0 (Xmlest.Hist_catalog.length cat);
+        ignore (Xmlest.Summary.estimate_string s' "//article//author");
+        check Alcotest.(list string) "the query's two sections adopted"
+          [ "tag=article"; "tag=author" ] (Xmlest.Hist_catalog.keys cat);
+        ignore (Xmlest.Summary.predicates s');
+        check Alcotest.int "a whole-summary operation adopts every section" 6
+          (Xmlest.Hist_catalog.length cat))
+
+(* One predicate's runs broken in a saved store.  The store
+   still opens; estimates over the other predicates stay bit-identical;
+   the first lookup of the broken one raises [Corrupt_store]; the CLI
+   reports it and exits 1 without a backtrace. *)
+let test_store_corrupt_section_is_local () =
+  let s = dblp_store_summary () in
+  let valid = saved_bytes s in
+  let l = store_layout valid in
+  let _, _, spans = List.find (fun (n, _, _) -> String.equal n "tag=title") l.sections in
+  let b = Bytes.of_string valid in
+  (* the first run's count becomes NaN *)
+  Bytes.set_int64_le b
+    (l.payload_at + u32_at valid spans + 4)
+    (Int64.bits_of_float Float.nan);
+  with_bytes_store (Bytes.to_string b) (fun path -> function
+    | Error e -> Alcotest.failf "a broken section must not fail the open: %s" e
+    | Ok s' ->
+      List.iter
+        (fun q ->
+          Alcotest.(check bool) ("bit-identical " ^ q) true
+            (Float.equal
+               (Xmlest.Summary.estimate_string s q)
+               (Xmlest.Summary.estimate_string s' q)))
+        dblp_queries;
+      Alcotest.(check bool) "first lookup of the broken predicate" true
+        (raises_corrupt (fun () -> Xmlest.Summary.estimate_string s' "//article//title"));
+      let err = Filename.temp_file "xmlest_cli" ".err" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove err)
+        (fun () ->
+          let code =
+            Sys.command
+              (Filename.quote_command
+                 (Filename.concat (Filename.dirname Sys.executable_name)
+                    "../bin/xmlest_cli.exe")
+                 [ "estimate"; "--store"; path; "//article//title" ]
+                 ~stdout:Filename.null ~stderr:err)
+          in
+          let msg = In_channel.with_open_bin err In_channel.input_all in
+          check Alcotest.int "CLI exit code" 1 code;
+          Alcotest.(check bool) ("CLI names the corruption: " ^ msg) true
+            (Test_util.contains_substring msg "corrupt summary store");
+          Alcotest.(check bool) "no backtrace" false
+            (Test_util.contains_substring msg "Raised at"
+            || Test_util.contains_substring msg "exception")))
+
+(* Estimates do not depend on the order in which sections are
+   adopted. *)
+let test_store_adoption_order () =
+  let s = dblp_store_summary () in
+  let queries = Array.of_list dblp_queries in
+  let expected = Array.map (Xmlest.Summary.estimate_string s) queries in
+  let rng = Xmlest.Splitmix.create 7 in
+  for _ = 1 to 8 do
+    let order = Array.init (Array.length queries) Fun.id in
+    Xmlest.Splitmix.shuffle rng order;
+    let s' = Test_util.reopened s in
+    Array.iter
+      (fun k ->
+        Alcotest.(check bool) ("order-independent " ^ queries.(k)) true
+          (Float.equal expected.(k) (Xmlest.Summary.estimate_string s' queries.(k))))
+      order
+  done
 
 (* --- Repl ----------------------------------------------------------------- *)
 
@@ -973,7 +1336,7 @@ let test_repl_roundtrip_summary () =
   let state2 = Xmlest.Repl.create () in
   let run2 cmd = Xmlest.Repl.execute state2 cmd in
   Alcotest.(check bool) "load" true
-    (contains "mapped store" (run2 ("load-summary " ^ path)));
+    (contains "from store" (run2 ("load-summary " ^ path)));
   check Alcotest.string "same estimate" est_before
     (run2 "estimate //department//email");
   Sys.remove path;
@@ -1239,6 +1602,14 @@ let () =
             test_store_reopen_cold_catalog;
           Alcotest.test_case "streamed build to store pipeline" `Quick
             test_streamed_build_saved_to_store;
+          qcheck prop_store_awkward_strings;
+          qcheck prop_store_mutations;
+          Alcotest.test_case "crafted broken sections" `Quick
+            test_store_crafted_sections;
+          Alcotest.test_case "open adopts nothing" `Quick test_store_open_is_lazy;
+          Alcotest.test_case "a broken section stays local" `Quick
+            test_store_corrupt_section_is_local;
+          Alcotest.test_case "adoption order" `Quick test_store_adoption_order;
         ] );
       ( "advisor",
         [

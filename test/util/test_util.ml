@@ -178,7 +178,7 @@ let with_store s f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-(* [s] saved to a store and opened again, memory-mapped. *)
+(* [s] saved to a store and opened again. *)
 let reopened s =
   with_store s (fun path ->
       match Xmlest.Summary.load_store path with

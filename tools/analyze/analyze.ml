@@ -403,11 +403,7 @@ let acquisition path =
   | [ m; "openfile" ]
     when mem_string (demangle m) [ "Unix"; "UnixLabels" ] ->
     Some "Unix.openfile"
-  | _ -> (
-    match List.rev stripped with
-    | "open_in" :: m :: _ when String.equal (demangle m) "Store" ->
-      Some "Store.open_in"
-    | _ -> None)
+  | _ -> None
 
 let is_acquisition e =
   match e.Typedtree.exp_desc with
@@ -448,8 +444,8 @@ let protect_releases vars scope =
 
 (* Ownership return: the scope's tail expression is the acquired value
    itself, or a constructor/tuple/record carrying it directly — the
-   caller becomes the owner (documented in the .mli), as [Store.open_in]
-   does with its [Ok] result. *)
+   caller becomes the owner (documented in the .mli), e.g. an [Ok]
+   result carrying the channel. *)
 let rec returns_ownership vars e =
   let is_var x =
     match x.Typedtree.exp_desc with

@@ -19,11 +19,11 @@
     domain.
 
     {b resource-leak} — every acquisition ([open_in*], [open_out*],
-    [Filename.temp_file], [Filename.open_temp_file], [Unix.openfile],
-    [Store.open_in]) must be released by a [Fun.protect ~finally] whose
-    [finally] mentions the bound name, or escape to a documented owner
-    (the binding scope's tail returns the value, possibly wrapped in a
-    constructor/tuple/record — the [Store.open_in] shape).  A function
+    [Filename.temp_file], [Filename.open_temp_file], [Unix.openfile])
+    must be released by a [Fun.protect ~finally] whose [finally] mentions
+    the bound name, or escape to a documented owner (the binding scope's
+    tail returns the value, possibly wrapped in a
+    constructor/tuple/record).  A function
     whose whole body is the acquisition transfers ownership to its
     caller.  Everything else — including module-level acquisitions and
     results consumed inline — is a leak on the exception path.
