@@ -753,13 +753,14 @@ let commit t st =
         in
         Hashtbl.replace t.entries r.Apply.r_name { e with no_overlap; cvg; lvl })
     (Apply.results st);
-  (* On-demand histograms built from the pre-edit document are stale: drop
-     every catalog key that is not a maintained base entry, and the lazy
-     level-position caches wholesale.  Base-entry coefficient slots stay
-     and re-derive on demand via their bumped versions. *)
+  (* The engine maintained the base entries and the on-demand histograms
+     it tracks; any other catalog key was built from the pre-edit document
+     and is stale, and so are the lazy level-position caches.  Kept
+     coefficient slots re-derive on demand via their bumped versions. *)
   List.iter
     (fun key ->
-      if not (Hashtbl.mem t.entries key) then Catalog.remove t.hcat key)
+      if not (Hashtbl.mem t.entries key || Apply.tracks st key) then
+        Catalog.remove t.hcat key)
     (Catalog.keys t.hcat);
   Hashtbl.reset t.lph_cache
 
@@ -778,7 +779,11 @@ let apply ?(policy = `Never) t updates =
    unknown leaves a build from the document that is cached for reuse.
    The catalog consulted (and mutated, by memoized coefficients and
    on-demand builds) is an explicit argument so batch estimation can hand
-   each domain its own scratch; [histogram] passes the summary's own. *)
+   each domain its own scratch; [histogram] passes the summary's own.  A
+   build into the summary's own catalog while a maintenance engine
+   exists is handed to the engine, which keeps it exact under later
+   edits; a domain's scratch build is never tracked, so engine state
+   stays on the calling domain. *)
 let histogram_in hcat t pred =
   let lookup p =
     match find t p with
@@ -809,6 +814,9 @@ let histogram_in hcat t pred =
     | Some doc ->
       let h = Position_histogram.build doc ~grid:t.grid p in
       Catalog.add hcat ~key:(Predicate.name p) h;
+      (match t.maint with
+      | Some st when hcat == t.hcat -> Apply.track st p h
+      | Some _ | None -> ());
       h
   in
   let base p =

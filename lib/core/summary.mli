@@ -231,16 +231,19 @@ val storage_bytes : t -> int
 
     The first [apply] takes one {!Document.copy} of the summary's
     document and edits that copy in place from then on (see
-    {!document}), so an update costs the nodes it shifts, not a copy of
+    {!document}), so an update costs the nodes it touches, not a copy of
     the document.
 
     Maintenance mutates position histograms in place, bumping their
     version counters, so memoized pH-join coefficients in {!hist_catalog}
-    invalidate automatically — the next estimate recomputes them.
-    On-demand histograms built for non-base predicates are dropped from
-    the catalog on every [apply]; the no-overlap flag follows the exact
-    nesting-pair count, so schema-declared overrides from the original
-    build are not preserved. *)
+    invalidate automatically — the next estimate recomputes them.  An
+    on-demand histogram (see {!histogram}) built after the first [apply]
+    is maintained like a base predicate's from then on, bit-identical to
+    a build on the edited document; one built before the first [apply]
+    is dropped from the catalog by it and rebuilt on next use.  The
+    no-overlap flag follows the exact nesting-pair count, so
+    schema-declared overrides from the original build are not
+    preserved. *)
 
 module Update = Xmlest_maintain.Update
 module Staleness = Xmlest_maintain.Staleness

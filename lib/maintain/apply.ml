@@ -25,7 +25,10 @@ type pred_state = {
 type t = {
   doc : Document.t;  (* private working copy, edited in place *)
   grid : Grid.t;
-  preds : pred_state array;
+  mutable preds : pred_state array;
+      (* the base predicates in [init]'s order, then the on-demand ones
+         handed over by [track], every one maintained alike *)
+  base : int;  (* how many of [preds] are base predicates *)
   pop : Position_histogram.t;  (* shared with the summary *)
   pop_counts : int array;  (* dense per-cell node counts (all nodes) *)
   with_levels : bool;
@@ -86,51 +89,34 @@ let recompile t =
 
 (* --- initial sweep ----------------------------------------------------- *)
 
-(* One document-order pass seeds every maintained counter from scratch:
-   per-cell populations, matching counts and level counts, the
-   (covered, covering) coverage table and the exact nesting-pair counts,
-   both from the same nearest-ancestor resolver the builds use.  The
-   position histograms are NOT touched — the caller passes the
-   already-correct objects from the freshly built summary.  The engine
-   edits its own copy of [doc], so the caller's document never changes
-   under it. *)
-let init ~grid ~pop ~with_levels ~entries doc =
-  let doc = Document.copy doc in
-  let preds =
-    Array.of_list
-      (List.map
-         (fun (pred, hist) ->
-           {
-             pred;
-             name = Predicate.name pred;
-             hist;
-             compiled = Predicate.compile doc pred;
-             levels = Array.make 8 0.0;
-             cvg = Hashtbl.create 64;
-             pairs = 0;
-             count = 0;
-             touched = 0;
-           })
-         entries)
-  in
-  let t =
-    {
-      doc;
-      grid;
-      preds;
-      pop;
-      pop_counts = Array.make (Grid.cells grid) 0;
-      with_levels;
-      updates = 0;
-    }
-  in
-  let disp = Predicate.dispatch doc (List.map fst entries) in
+let new_state doc pred hist =
+  {
+    pred;
+    name = Predicate.name pred;
+    hist;
+    compiled = Predicate.compile doc pred;
+    levels = Array.make 8 0.0;
+    cvg = Hashtbl.create 64;
+    pairs = 0;
+    count = 0;
+    touched = 0;
+  }
+
+(* One document-order pass seeds the maintained counters of [preds] from
+   scratch: matching counts and level counts, the (covered, covering)
+   coverage table and the exact nesting-pair counts, both from the same
+   nearest-ancestor resolver the builds use, and with [~population] the
+   per-cell populations too.  The position histograms are NOT touched:
+   the caller passes objects that already describe the document. *)
+let seed t preds ~population =
+  let doc = t.doc in
+  let disp = Predicate.dispatch doc (Array.to_list (Array.map (fun ps -> ps.pred) preds)) in
   let res = Interval_ops.resolver (Array.length preds) in
   let matched_list = Array.make (Array.length preds) 0 in
   let on_nearest u ~covered ~covering = tbl_add preds.(u).cvg (covered, covering) 1 in
   for v = 0 to Document.size doc - 1 do
     let c = cell_idx t doc v in
-    t.pop_counts.(c) <- t.pop_counts.(c) + 1;
+    if population then t.pop_counts.(c) <- t.pop_counts.(c) + 1;
     let nmatched = ref 0 in
     Predicate.dispatch_node disp doc v ~f:(fun u ->
         matched_list.(!nmatched) <- u;
@@ -141,11 +127,41 @@ let init ~grid ~pop ~with_levels ~entries doc =
     for m = 0 to !nmatched - 1 do
       let ps = preds.(matched_list.(m)) in
       ps.count <- ps.count + 1;
-      if with_levels then level_add ps (Document.level doc v) 1.0
+      if t.with_levels then level_add ps (Document.level doc v) 1.0
     done
   done;
-  Array.iteri (fun u ps -> ps.pairs <- Interval_ops.nesting_pairs res u) preds;
+  Array.iteri (fun u ps -> ps.pairs <- Interval_ops.nesting_pairs res u) preds
+
+(* The engine edits its own copy of [doc], so the caller's document never
+   changes under it. *)
+let init ~grid ~pop ~with_levels ~entries doc =
+  let doc = Document.copy doc in
+  let preds = Array.of_list (List.map (fun (pred, hist) -> new_state doc pred hist) entries) in
+  let t =
+    {
+      doc;
+      grid;
+      preds;
+      base = Array.length preds;
+      pop;
+      pop_counts = Array.make (Grid.cells grid) 0;
+      with_levels;
+      updates = 0;
+    }
+  in
+  seed t preds ~population:true;
   t
+
+(* An on-demand predicate joins the maintained set at the cost of one
+   sweep; from then on every edit updates it like a base predicate. *)
+let track t pred hist =
+  let ps = new_state t.doc pred hist in
+  seed t [| ps |] ~population:false;
+  t.preds <- Array.append t.preds [| ps |]
+
+let tracks t name =
+  let rec go u = u < Array.length t.preds && (String.equal t.preds.(u).name name || go (u + 1)) in
+  go t.base
 
 (* --- subtree sweeps ------------------------------------------------------ *)
 
@@ -422,6 +438,8 @@ type pred_result = {
   r_levels : float array;
 }
 
+let base_states t = Array.sub t.preds 0 t.base
+
 let results t =
   let pops = populations t in
   Array.to_list
@@ -450,9 +468,9 @@ let results t =
            r_coverage = entries;
            r_levels = levels;
          })
-       t.preds)
+       (base_states t))
 
 let staleness t =
   Staleness.make_report ~updates_since_build:t.updates
     ~per_predicate:
-      (Array.to_list (Array.map (fun ps -> (ps.name, ps.touched)) t.preds))
+      (Array.to_list (Array.map (fun ps -> (ps.name, ps.touched)) (base_states t)))

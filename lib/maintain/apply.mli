@@ -26,9 +26,18 @@
     and any memoized pH-join coefficients in a {!Catalog} invalidate
     automatically (the next lookup recomputes).
 
+    Besides the summary's base predicates, the engine maintains any
+    on-demand histogram handed to it with {!track}: such a predicate is
+    seeded with one sweep and then updated by every edit exactly like a
+    base predicate, so it stays bit-identical to a fresh
+    [Position_histogram.build] on the edited document.  Each tracked
+    predicate costs its share of every later edit.
+
     The engine edits a private working copy of the document in place
-    ({!Document.copy} once, in {!init}), so an edit costs the nodes it
-    shifts rather than a copy of the document.
+    ({!Document.copy} once, in {!init}).  An edit shifts only the
+    document's int columns past the edit point and writes the text and
+    attribute payload of the nodes it removes or adds, so it costs the
+    nodes it touches rather than a copy of the document.
 
     The engine lives below the summary layer: [Summary.apply] owns an
     instance, initializes it lazily from the attached document with
@@ -55,6 +64,16 @@ val init :
     summary's base predicates deduplicated in first-occurrence order.
     The engine takes a {!Document.copy} of [doc] and edits only that copy:
     [doc] itself is never mutated. *)
+
+val track : t -> Predicate.t -> Position_histogram.t -> unit
+(** [track t pred hist] maintains an on-demand histogram from now on.
+    [hist] must describe {!document} for [pred] on the engine's grid; it is
+    adopted as the live object, like a base predicate's, and mutated in
+    place by later updates.  Tracked predicates stay out of {!results}
+    and {!staleness}, which describe the base predicates only. *)
+
+val tracks : t -> string -> bool
+(** Whether {!track} was given a predicate of this {!Predicate.name}. *)
 
 val apply_update : t -> Update.t -> unit
 (** Apply one edit to the document and all maintained statistics.  Raises
@@ -83,7 +102,7 @@ type pred_result = {
 }
 
 val results : t -> pred_result list
-(** Regeneration view of every maintained predicate, in the order given to
+(** Regeneration view of every base predicate, in the order given to
     {!init}.  Note that [r_no_overlap] is derived from the data (exact
     nesting-pair counts); schema-declared overlap overrides passed to the
     original build are not preserved under maintenance. *)

@@ -1,15 +1,26 @@
 type node = int
 
-(* Columns are indexed by pre-order node index over [0 .. size - 1].  Past
-   [size] they hold slack capacity, so an insert writes only the new nodes
-   and the shifted tail; [of_elem] and [copy] allocate none. *)
+(* The int columns are indexed by pre-order node index over
+   [0 .. size - 1].  Past [size] they hold slack capacity, so an insert
+   writes only the new nodes and the shifted tail; [of_elem] and [copy]
+   allocate none.  Texts and attributes are boxed, and moving them would
+   pay the write barrier per element, so they sit in a payload indexed by
+   slot instead: the [slots] column maps a node to its slot and shifts
+   with the int columns, while a payload entry never moves.  A delete
+   frees its nodes' slots and an insert reuses them.  A store that was
+   never structurally edited has slot = node index and keeps no [slots]
+   array; the first insert or delete materializes it. *)
 type t = {
   mutable size : int;
   mutable tag_ids : int array;
   mutable tag_names : string array;  (* tag id -> name, with slack *)
   tag_table : (string, int) Hashtbl.t;  (* name -> tag id *)
-  mutable texts : string array;
-  mutable attrs : (string * string) list array;
+  mutable slots : int array;  (* node -> payload slot; [||] while slot = node *)
+  mutable texts : string array;  (* slot -> text, with slack *)
+  mutable attrs : (string * string) list array;  (* slot -> attributes *)
+  mutable nslots : int;  (* slots handed out, freed ones included *)
+  mutable free : int array;  (* freed slots, a stack of [nfree] *)
+  mutable nfree : int;
   mutable starts : int array;
   mutable ends : int array;
   mutable levels : int array;
@@ -27,6 +38,7 @@ let dummy_root_tag = "#root"
 
 let size t = t.size
 let num_tags t = Hashtbl.length t.tag_table
+let slot t v = if Array.length t.slots = 0 then v else t.slots.(v)
 
 let intern t tag =
   match Hashtbl.find_opt t.tag_table tag with
@@ -41,6 +53,34 @@ let intern t tag =
     t.tag_names.(id) <- tag;
     Hashtbl.add t.tag_table tag id;
     id
+
+(* A payload slot for new node [v]: a freed one if any, else the next
+   fresh one, the payload growing geometrically when it is full. *)
+let take_slot t v =
+  let s =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else begin
+      let s = t.nslots in
+      let cap = Array.length t.texts in
+      if s >= cap then begin
+        let cap = cap + (cap / 2) + 1 in
+        let grow a fresh =
+          let b = Array.make cap fresh in
+          Array.blit a 0 b 0 s;
+          b
+        in
+        t.texts <- grow t.texts "";
+        t.attrs <- grow t.attrs []
+      end;
+      t.nslots <- s + 1;
+      s
+    end
+  in
+  t.slots.(v) <- s;
+  s
 
 (* Label [elem]'s subtree in pre-order into indices [at ..] and positions
    [pos ..], its root a child of [parent] at [level].  An explicit stack
@@ -66,8 +106,9 @@ let fill t elem ~at ~parent ~level ~pos =
         let v = !index in
         incr index;
         t.tag_ids.(v) <- intern t e.Elem.tag;
-        t.texts.(v) <- e.Elem.text;
-        t.attrs.(v) <- e.Elem.attrs;
+        let s = if Array.length t.slots = 0 then v else take_slot t v in
+        t.texts.(s) <- e.Elem.text;
+        t.attrs.(s) <- e.Elem.attrs;
         t.starts.(v) <- next_pos ();
         t.levels.(v) <- lvl;
         t.parents.(v) <- parent;
@@ -89,8 +130,12 @@ let of_elem root =
       tag_ids = Array.make n 0;
       tag_names = [||];
       tag_table = Hashtbl.create 64;
+      slots = [||];
       texts = Array.make n "";
       attrs = Array.make n [];
+      nslots = n;
+      free = [||];
+      nfree = 0;
       starts = Array.make n 0;
       ends = Array.make n 0;
       levels = Array.make n 0;
@@ -105,15 +150,23 @@ let of_elem root =
 
 let of_forest docs = of_elem (Elem.make ~children:docs dummy_root_tag)
 
+(* The copy's payload is compacted back to slot = node index. *)
 let copy t =
   let sub a = Array.sub a 0 t.size in
+  let payload a =
+    if Array.length t.slots = 0 then sub a else Array.init t.size (fun v -> a.(t.slots.(v)))
+  in
   {
     size = t.size;
     tag_ids = sub t.tag_ids;
     tag_names = Array.copy t.tag_names;
     tag_table = Hashtbl.copy t.tag_table;
-    texts = sub t.texts;
-    attrs = sub t.attrs;
+    slots = [||];
+    texts = payload t.texts;
+    attrs = payload t.attrs;
+    nslots = t.size;
+    free = [||];
+    nfree = 0;
     starts = sub t.starts;
     ends = sub t.ends;
     levels = sub t.levels;
@@ -129,8 +182,8 @@ let has_dummy_root t =
 let max_pos t = t.max_pos
 let tag t v = t.tag_names.(t.tag_ids.(v))
 let tag_id t v = t.tag_ids.(v)
-let text t v = t.texts.(v)
-let attrs t v = t.attrs.(v)
+let text t v = t.texts.(slot t v)
+let attrs t v = t.attrs.(slot t v)
 let start_pos t v = t.starts.(v)
 let end_pos t v = t.ends.(v)
 let level t v = t.levels.(v)
@@ -204,29 +257,50 @@ let tag_count t tag = Array.length (nodes_with_tag t tag)
 (* Deletes are label-preserving (survivors keep their interval         *)
 (* positions, leaving holes); inserts shift every position at or after *)
 (* the insertion locus right by [2 * size subtree] and label the new   *)
-(* subtree densely at the locus.  The int columns are shifted by loops *)
-(* typed at [int array], which store without the write barrier that    *)
-(* [Array.blit] pays per element into a major-heap array.              *)
+(* subtree densely at the locus.  Only int columns move, slots         *)
+(* included, by loops typed at [int array], which store without the    *)
+(* write barrier that [Array.blit] pays per element into a major-heap  *)
+(* array; the boxed payload is written only at the edited nodes.       *)
 (* ------------------------------------------------------------------ *)
+
+(* Before the first insert or delete, slot = node index over the whole
+   node capacity. *)
+let materialize_slots t =
+  if Array.length t.slots = 0 then t.slots <- Array.init (Array.length t.tag_ids) Fun.id
 
 let delete_subtree t v =
   let n = t.size in
   if v <= 0 || v >= n then
     invalid_arg "Document.delete_subtree: node is the root or out of range";
+  materialize_slots t;
   let last = t.subtree_lasts.(v) in
   let k = last - v + 1 in
+  (* The doomed nodes' payload slots are freed, their strings dropped. *)
+  if t.nfree + k > Array.length t.free then begin
+    let free = Array.make (Int.max (t.nfree + k) (2 * Array.length t.free)) 0 in
+    Array.blit t.free 0 free 0 t.nfree;
+    t.free <- free
+  end;
+  for u = v to last do
+    let s = t.slots.(u) in
+    t.texts.(s) <- "";
+    t.attrs.(s) <- [];
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1
+  done;
   (* A survivor [u < v] with [subtree_last >= v] contains the deleted
-     range, i.e. is an ancestor of [v]: below the slot the fixup is a walk
+     range, i.e. is an ancestor of [v]: below the gap the fixup is a walk
      up the ancestor chain (parent indices below [v] never change). *)
   let u = ref t.parents.(v) in
   while !u >= 0 do
     t.subtree_lasts.(!u) <- t.subtree_lasts.(!u) - k;
     u := t.parents.(!u)
   done;
-  (* Compact the tail over the slot; indices past [last] drop by [k]. *)
+  (* Compact the tail over the gap; indices past [last] drop by [k]. *)
   for u = last + 1 to n - 1 do
     let d = u - k in
     t.tag_ids.(d) <- t.tag_ids.(u);
+    t.slots.(d) <- t.slots.(u);
     t.starts.(d) <- t.starts.(u);
     t.ends.(d) <- t.ends.(u);
     t.levels.(d) <- t.levels.(u);
@@ -234,16 +308,12 @@ let delete_subtree t v =
     let p = t.parents.(u) in
     t.parents.(d) <- (if p > last then p - k else p)
   done;
-  Array.blit t.texts (last + 1) t.texts v (n - last - 1);
-  Array.blit t.attrs (last + 1) t.attrs v (n - last - 1);
-  (* Let the vacated slack drop its strings. *)
-  Array.fill t.texts (n - k) k "";
-  Array.fill t.attrs (n - k) k [];
   t.size <- n - k;
   t.by_tag <- [||]
 
-(* Room for [need] nodes: capacity grows geometrically, so a stream of
-   inserts copies every column O(log) times, not once per insert. *)
+(* Room for [need] nodes in the int columns: capacity grows
+   geometrically, so a stream of inserts copies every column O(log)
+   times, not once per insert.  The payload grows in [take_slot]. *)
 let reserve t need =
   let cap = Array.length t.tag_ids in
   if need > cap then begin
@@ -254,8 +324,7 @@ let reserve t need =
       b
     in
     t.tag_ids <- grow t.tag_ids 0;
-    t.texts <- grow t.texts "";
-    t.attrs <- grow t.attrs [];
+    if Array.length t.slots > 0 then t.slots <- grow t.slots 0;
     t.starts <- grow t.starts 0;
     t.ends <- grow t.ends 0;
     t.levels <- grow t.levels 0;
@@ -267,23 +336,25 @@ let insert_subtree t ~parent ~index elem =
   let n = t.size in
   if parent < 0 || parent >= n then
     invalid_arg "Document.insert_subtree: parent out of range";
-  (* Insertion slot: before the [index]-th child, or after the last child
+  (* Insertion point: before the [index]-th child, or after the last child
      when [index] is out of the child range.  [pos_idx] is the node index
      the new subtree root takes; [locus] its start position. *)
   let last = t.subtree_lasts.(parent) in
-  let rec slot c i =
+  let rec point c i =
     if c > last then (c, t.ends.(parent))
     else if Int.equal i index then (c, t.starts.(c))
-    else slot (t.subtree_lasts.(c) + 1) (i + 1)
+    else point (t.subtree_lasts.(c) + 1) (i + 1)
   in
-  let pos_idx, locus = slot (parent + 1) 0 in
+  let pos_idx, locus = point (parent + 1) 0 in
   let k = Elem.size elem in
   let shift = 2 * k in
   reserve t (n + k);
-  (* Open the gap: every index and position at or past the slot shifts. *)
+  materialize_slots t;
+  (* Open the gap: every index and position at or past the point shifts. *)
   for u = n - 1 downto pos_idx do
     let d = u + k in
     t.tag_ids.(d) <- t.tag_ids.(u);
+    t.slots.(d) <- t.slots.(u);
     t.starts.(d) <- t.starts.(u) + shift;
     t.ends.(d) <- t.ends.(u) + shift;
     t.levels.(d) <- t.levels.(u);
@@ -291,11 +362,9 @@ let insert_subtree t ~parent ~index elem =
     let p = t.parents.(u) in
     t.parents.(d) <- (if p >= pos_idx then p + k else p)
   done;
-  Array.blit t.texts pos_idx t.texts (pos_idx + k) (n - pos_idx);
-  Array.blit t.attrs pos_idx t.attrs (pos_idx + k) (n - pos_idx);
-  (* Below the slot only the ancestor-or-self chain of [parent] contains
+  (* Below the point only the ancestor-or-self chain of [parent] contains
      the locus: its extents grow by [k] and its ends shift.  Any other
-     survivor below the slot ends before the locus. *)
+     survivor below the point ends before the locus. *)
   let u = ref parent in
   while !u >= 0 do
     t.subtree_lasts.(!u) <- t.subtree_lasts.(!u) + k;
@@ -312,9 +381,9 @@ let insert_subtree t ~parent ~index elem =
 let replace_text t v text =
   if v < 0 || v >= t.size then
     invalid_arg "Document.replace_text: node out of range";
-  t.texts.(v) <- text
+  t.texts.(slot t v) <- text
 
 let replace_attrs t v al =
   if v < 0 || v >= t.size then
     invalid_arg "Document.replace_attrs: node out of range";
-  t.attrs.(v) <- al
+  t.attrs.(slot t v) <- al

@@ -38,7 +38,9 @@ val of_forest : Elem.t list -> t
 
 val copy : t -> t
 (** An independent store with the same contents: edits to either leave the
-    other unchanged.  O(size), with no slack capacity. *)
+    other unchanged.  O(size), with no slack capacity and no freed payload
+    slots: the copy holds texts and attributes in node order, like a
+    freshly compiled store. *)
 
 val has_dummy_root : t -> bool
 (** [true] iff the store was built by {!of_forest}: node [0] is the
@@ -131,8 +133,18 @@ val nodes_with_tag_id : t -> int -> node array
     close the gap.  Insertions shift every position at or after the
     insertion locus right by [2 * k] (where [k] is the inserted subtree's
     node count) and label the new subtree densely at the locus, growing
-    [max_pos] by [2 * k].  An edit costs the nodes past it, not the whole
-    store: the columns keep slack capacity that grows geometrically. *)
+    [max_pos] by [2 * k].
+
+    An edit costs the nodes it touches, not the whole store.  Only int
+    columns move: the structure and label columns of the nodes past the
+    edit shift, with slack capacity that grows geometrically.  Texts and
+    attributes sit in payload slots that never move; a node reaches its
+    slot through an int slot column that shifts with the others.  A
+    delete frees its nodes' slots and drops their strings, an insert
+    reuses freed slots before it grows the payload, and
+    {!replace_text}/{!replace_attrs} write through the slot.  A store
+    that was never inserted into or deleted from has slot = node index and
+    keeps no slot column; its first insert or delete builds one. *)
 
 val delete_subtree : t -> node -> unit
 (** Remove the subtree rooted at the node.  Raises [Invalid_argument] for

@@ -1263,25 +1263,41 @@ let test_store_corrupt_section_is_local () =
         dblp_queries;
       Alcotest.(check bool) "first lookup of the broken predicate" true
         (raises_corrupt (fun () -> Xmlest.Summary.estimate_string s' "//article//title"));
-      let err = Filename.temp_file "xmlest_cli" ".err" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove err)
-        (fun () ->
-          let code =
-            Sys.command
-              (Filename.quote_command
-                 (Filename.concat (Filename.dirname Sys.executable_name)
-                    "../bin/xmlest_cli.exe")
-                 [ "estimate"; "--store"; path; "//article//title" ]
-                 ~stdout:Filename.null ~stderr:err)
-          in
-          let msg = In_channel.with_open_bin err In_channel.input_all in
-          check Alcotest.int "CLI exit code" 1 code;
-          Alcotest.(check bool) ("CLI names the corruption: " ^ msg) true
-            (Test_util.contains_substring msg "corrupt summary store");
-          Alcotest.(check bool) "no backtrace" false
-            (Test_util.contains_substring msg "Raised at"
-            || Test_util.contains_substring msg "exception")))
+      (* The CLI's exit code, standard output and standard error. *)
+      let cli query =
+        let out = Filename.temp_file "xmlest_cli" ".out" in
+        let err = Filename.temp_file "xmlest_cli" ".err" in
+        Fun.protect
+          ~finally:(fun () ->
+            Sys.remove out;
+            Sys.remove err)
+          (fun () ->
+            let code =
+              Sys.command
+                (Filename.quote_command
+                   (Filename.concat (Filename.dirname Sys.executable_name)
+                      "../bin/xmlest_cli.exe")
+                   [ "estimate"; "--store"; path; query ]
+                   ~stdout:out ~stderr:err)
+            in
+            let read f = In_channel.with_open_bin f In_channel.input_all in
+            (code, read out, read err))
+      in
+      let code, _, msg = cli "//article//title" in
+      check Alcotest.int "CLI exit code" 1 code;
+      Alcotest.(check bool) ("CLI names the corruption: " ^ msg) true
+        (Test_util.contains_substring msg "corrupt summary store");
+      Alcotest.(check bool) "no backtrace" false
+        (Test_util.contains_substring msg "Raised at"
+        || Test_util.contains_substring msg "exception");
+      (* A query that avoids the broken section answers in full: printing
+         the storage line adopts nothing the query did not name. *)
+      let q = "//article//author" in
+      let code, out, msg = cli q in
+      check Alcotest.int ("CLI exit code off the broken section: " ^ msg) 0 code;
+      let want = Printf.sprintf "estimate: %.1f\n" (Xmlest.Summary.estimate_string s q) in
+      Alcotest.(check bool) ("CLI prints the estimate: " ^ out) true
+        (Test_util.contains_substring out want))
 
 (* Estimates do not depend on the order in which sections are
    adopted. *)

@@ -471,6 +471,64 @@ let prop_copy_independent =
       edit_all doc;
       copy_unchanged && docs_identical c (D.of_elem elem))
 
+(* Every node of [e] with its own text and attribute value, drawn from
+   [fresh], so that a node reading another node's payload slot shows. *)
+let with_payload fresh e =
+  let rec go e =
+    E.make e.E.tag ~text:(fresh ()) ~attrs:[ ("k", fresh ()) ]
+      ~children:(List.map go e.E.children)
+  in
+  go e
+
+(* Payload slots under edit streams: most of the document is deleted
+   first, so the inserts after it reuse freed slots, replaces write
+   through reused slots, and a copy taken mid-stream is edited alongside
+   its original.  After every edit each store describes its own model
+   tree, texts and attributes included. *)
+let prop_payload_slots_reused =
+  QCheck.Test.make ~name:"payload slots: delete most, reuse, copy mid-stream" ~count:100
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:40 ()) (int_bound 10000))
+    (fun (elem, seed) ->
+      let rng = Sm.create seed in
+      let n = ref 0 in
+      let fresh () =
+        incr n;
+        Printf.sprintf "p%d" !n
+      in
+      let elem = with_payload fresh elem in
+      let doc = D.of_elem elem in
+      let tree = ref elem and ok = ref true in
+      let edit doc tree u =
+        U.apply_doc doc u;
+        tree := elem_apply !tree u;
+        if not (describes doc !tree) then ok := false
+      in
+      let pick doc =
+        let node = Sm.int rng (D.size doc) in
+        match Sm.int rng 4 with
+        | 0 -> U.Replace_text { node; text = fresh () }
+        | 1 -> U.Replace_attrs { node; attrs = [ ("k", fresh ()); ("j", fresh ()) ] }
+        | 2 when D.size doc > 1 -> random_delete rng doc
+        | _ ->
+          U.Insert
+            { parent = node; index = Sm.int rng 3; subtree = with_payload fresh (gen_elem rng 4) }
+      in
+      let keep = Int.max 1 (D.size doc / 4) in
+      while D.size doc > keep do
+        edit doc tree (random_delete rng doc)
+      done;
+      for _ = 1 to 15 do
+        edit doc tree (pick doc)
+      done;
+      let c = D.copy doc in
+      let ctree = ref !tree in
+      if not (describes c !ctree) then ok := false;
+      for _ = 1 to 15 do
+        edit doc tree (pick doc);
+        edit c ctree (pick c)
+      done;
+      !ok)
+
 let prop_interior_stream_exact =
   exact_stream_prop ~name:"interior inserts: apply = rebuild" interior_pick
 
@@ -732,6 +790,130 @@ let prop_maintained_estimate_contract =
           if not (Test_util.estimate_contract s (Test_util.contract_pattern rng)) then ok := false
         done
       done;
+      !ok)
+
+(* --- On-demand histograms under maintenance ----------------------------- *)
+
+(* Predicates outside [base_preds]: a tag, a text leaf, a compound with
+   an unknown leaf, and a tag no document holds until [z_insert] interns
+   it. *)
+let on_demand_preds () =
+  Xmlest.Predicate.
+    [ tag "d"; Text_eq "hello"; And (tag "a", Text_prefix "he"); tag "z" ]
+
+let on_demand_patterns =
+  List.map Xmlest.Pattern_parser.pattern_exn
+    [ "//a//d"; "//d[.//z]"; "//z"; "//a//b"; "//c[.//d]//a"; "//b//z" ]
+
+let z_insert doc =
+  U.Insert
+    { parent = D.size doc / 2; index = 0;
+      subtree = E.make "z" ~children:[ E.make "d"; E.make "a" ~text:"hello" ] }
+
+let hist_bits_equal a b =
+  let g = (Xmlest.Position_histogram.grid a).Xmlest.Grid.size in
+  let bits h ~i ~j = Int64.bits_of_float (Xmlest.Position_histogram.get h ~i ~j) in
+  let ok = ref (Int64.equal (Int64.bits_of_float (Xmlest.Position_histogram.total a))
+                  (Int64.bits_of_float (Xmlest.Position_histogram.total b))) in
+  for i = 0 to g - 1 do
+    for j = i to g - 1 do
+      if not (Int64.equal (bits a ~i ~j) (bits b ~i ~j)) then ok := false
+    done
+  done;
+  !ok
+
+(* Every on-demand histogram is bit-identical to a build on the summary's
+   document, and every estimate to a same-grid fresh build's. *)
+let on_demand_exact s =
+  let doc =
+    match Xmlest.Summary.document s with Some d -> d | None -> Alcotest.fail "no document"
+  in
+  let grid = Xmlest.Summary.grid s in
+  let fresh = Xmlest.Summary.build ~grid doc (base_preds ()) in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  List.for_all
+    (fun p ->
+      hist_bits_equal (Xmlest.Summary.histogram s p)
+        (Xmlest.Position_histogram.build doc ~grid p))
+    (on_demand_preds ())
+  && List.for_all
+       (fun q -> same (Xmlest.Summary.estimate s q) (Xmlest.Summary.estimate fresh q))
+       on_demand_patterns
+
+let base_names () = List.map Xmlest.Predicate.name (base_preds ())
+
+let catalog_keys s =
+  List.sort String.compare (Xmlest.Hist_catalog.keys (Xmlest.Summary.hist_catalog s))
+
+(* On-demand histograms asked before the first apply, between applies,
+   after a batch with a rejected update and across the insert that
+   interns their tag stay exact.  Once the engine exists they are
+   maintained rather than rebuilt: the summary hands out the same
+   objects after every later apply.  Staleness reports the base
+   predicates only, and a batch estimation over domains returns the
+   sequential estimates and tracks nothing new. *)
+let prop_on_demand_maintained =
+  QCheck.Test.make ~name:"on-demand histograms: maintained, exact, base-only staleness"
+    ~count:60
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:30 ()) (int_bound 10000))
+    (fun (elem, seed) ->
+      let doc0 = D.of_elem elem in
+      let rng = Sm.create seed in
+      let grid_kind = if seed mod 2 = 0 then `Uniform else `Equidepth in
+      let s = summary_of ~grid_kind doc0 in
+      let doc () =
+        match Xmlest.Summary.document s with Some d -> d | None -> Alcotest.fail "no document"
+      in
+      let batch k = stream ~k ~pick:all_kinds_pick rng (doc ()) in
+      let hists () = List.map (Xmlest.Summary.histogram s) (on_demand_preds ()) in
+      let same_objects a b = List.for_all2 ( == ) a b in
+      let ok = ref (on_demand_exact s) in
+      let check b = if not b then ok := false in
+      Xmlest.Summary.apply s (batch 2);
+      check (on_demand_exact s);
+      let tracked = hists () in
+      Xmlest.Summary.apply s (batch 2);
+      check (on_demand_exact s);
+      check (same_objects tracked (hists ()));
+      (try
+         Xmlest.Summary.apply s (batch 1 @ [ U.Delete { node = 1_000_000 } ]);
+         check false
+       with Invalid_argument _ -> ());
+      check (on_demand_exact s);
+      check (same_objects tracked (hists ()));
+      let z = Xmlest.Summary.histogram s (tagp "z") in
+      Xmlest.Summary.apply s [ z_insert (doc ()) ];
+      check (Xmlest.Position_histogram.total z > 0.0);
+      check (on_demand_exact s);
+      check (same_objects tracked (hists ()));
+      (match Xmlest.Summary.staleness s with
+      | Some r ->
+        check
+          (List.equal String.equal (base_names ())
+             (List.map fst r.Xmlest.Staleness.per_predicate))
+      | None -> check false);
+      let expected = List.map (Xmlest.Summary.estimate s) on_demand_patterns in
+      let keys = catalog_keys s in
+      List.iter
+        (fun domains ->
+          let got = Xmlest.Summary.estimate_batch ~domains s on_demand_patterns in
+          check
+            (List.equal
+               (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+               expected got);
+          check (List.equal String.equal keys (catalog_keys s)))
+        [ 1; 2; 4 ];
+      (* A domain's scratch build of a new predicate stays on its domain. *)
+      List.iter
+        (fun domains ->
+          ignore
+            (Xmlest.Summary.estimate_batch ~domains s
+               (List.map Xmlest.Pattern_parser.pattern_exn [ "//e//e"; "//e"; "//d//e" ]));
+          check (List.equal String.equal keys (catalog_keys s)))
+        [ 2; 4 ];
+      Xmlest.Summary.apply s (batch 1);
+      check (List.equal String.equal keys (catalog_keys s));
+      check (on_demand_exact s);
       !ok)
 
 (* --- Catalog behavior under maintenance -------------------------------- *)
@@ -1006,6 +1188,7 @@ let () =
           qcheck prop_tag_index_after_edits;
           qcheck prop_edit_stream_matches_of_elem;
           qcheck prop_copy_independent;
+          qcheck prop_payload_slots_reused;
         ] );
       ( "exact-maintenance",
         [
@@ -1033,6 +1216,7 @@ let () =
             test_covering_side_stops_at_nested_matches;
           Alcotest.test_case "deep chain (100k levels)" `Quick
             test_deep_chain_maintenance;
+          qcheck prop_on_demand_maintained;
         ] );
       ( "rebuild-policy",
         [
