@@ -85,16 +85,16 @@ let real_pair doc anc desc =
     (Xmlest.Predicate.matching_nodes doc anc)
     (Xmlest.Predicate.matching_nodes doc desc)
 
-(* CPU time (seconds) per call of [f], amortized over enough repetitions to
-   make the clock meaningful. *)
+(* Wall-clock seconds (monotonic clock) per call of [f], amortized over
+   enough repetitions to make the clock meaningful. *)
 let time_per_call f =
   let reps = ref 1 in
   let rec measure () =
-    let t0 = Sys.time () in
+    let t0 = Monotonic_clock.now () in
     for _ = 1 to !reps do
       ignore (Sys.opaque_identity (f ()))
     done;
-    let dt = Sys.time () -. t0 in
+    let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
     if dt < 0.05 && !reps < 1_000_000 then begin
       reps := !reps * 10;
       measure ()

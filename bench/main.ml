@@ -1,13 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Sec. 5) on the synthetic stand-in data sets, plus the
-   ablations called out in DESIGN.md and Bechamel micro-timings for the
-   estimation-cost claims.
+   ablations called out in DESIGN.md.  Performance is measured by
+   bench/perf, not here.
 
-   Usage: main.exe [section ...] [--smoke]
+   Usage: main.exe [section ...]
    Sections: table1 table2 table3 table4 fig11 fig12 twig datasets
-             accuracy maintenance ablation theorems timing
-             caching parallel storage (default: all).  --smoke shrinks
-             the storage section for use inside the test suite. *)
+             accuracy ablation theorems (default: all). *)
 
 open Xmlest_core
 
@@ -636,173 +634,6 @@ let theorems () =
     (("predicate" :: List.map (fun s -> "g=" ^ string_of_int s) sizes) :: rows)
 
 (* ------------------------------------------------------------------ *)
-(* Maintenance: incremental summary apply vs full rebuild              *)
-(* ------------------------------------------------------------------ *)
-
-let maintenance () =
-  Report.section
-    "Maintenance: incremental apply vs per-update rebuild on a DBLP update      stream (grid 10, Table-1 predicate set)";
-  let module E = Xmlest.Elem in
-  let module U = Xmlest.Update in
-  let doc = Data.dblp () in
-  let preds = List.map snd (Data.dblp_predicates ()) in
-  let rng = Xmlest.Splitmix.create 0x4d41494e in
-  let article k =
-    E.make "article"
-      ~attrs:[ ("key", Printf.sprintf "maint/%d" k) ]
-      ~children:
-        [
-          E.leaf "author" (Printf.sprintf "Author %d" k);
-          E.leaf "title" (Printf.sprintf "Maintained Entry %d" k);
-          E.leaf "year" (string_of_int (1980 + (k mod 40)));
-          E.leaf "url" (Printf.sprintf "db/maint/%d.html" k);
-        ]
-  in
-  (* Wall-clock seconds on the monotonic clock.  The rebuild is best of
-     3, so all three legs share one clock. *)
-  let wall f =
-    let t0 = Monotonic_clock.now () in
-    f ();
-    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
-  in
-  (* The exact stream: end-of-document appends, deletes of random record
-     subtrees and year-text replacements, each drawn against the document
-     as edited so far (a copy, edited in place into the final document). *)
-  let n_updates = 200 in
-  let final_doc = Xmlest.Document.copy doc in
-  let updates =
-    List.init n_updates (fun k ->
-        let u =
-          match Xmlest.Splitmix.int rng 10 with
-          | 0 | 1 | 2 | 3 | 4 ->
-            U.Insert { parent = 0; index = max_int; subtree = article k }
-          | 5 | 6 | 7 ->
-            U.Delete { node = 1 + Xmlest.Splitmix.int rng (Xmlest.Document.size final_doc - 1) }
-          | _ ->
-            U.Replace_text
-              {
-                node = Xmlest.Splitmix.int rng (Xmlest.Document.size final_doc);
-                text = string_of_int (1980 + Xmlest.Splitmix.int rng 40);
-              }
-        in
-        U.apply_doc final_doc u;
-        u)
-  in
-  (* Incremental: maintain one summary through the whole stream, one
-     update at a time (what an optimizer would do between queries). *)
-  let summary = Xmlest.Summary.build ~grid_size:10 doc preds in
-  let t_apply =
-    wall (fun () ->
-        List.iter (fun u -> Xmlest.Summary.apply ~policy:`Never summary [ u ]) updates)
-  in
-  let t_per_update = t_apply /. float_of_int n_updates in
-  (* The alternative without maintenance: a full rebuild per update.
-     One rebuild of the final document prices it. *)
-  let t_rebuild =
-    List.fold_left Float.min infinity
-      (List.init 3 (fun _ ->
-           wall (fun () ->
-               ignore (Xmlest.Summary.build ~grid_size:10 final_doc preds : Xmlest.Summary.t))))
-  in
-  let speedup = t_rebuild /. t_per_update in
-  (* The stream holds only exact operations, so the maintained summary
-     must be bit-identical to a same-grid rebuild. *)
-  let reference =
-    Xmlest.Summary.build ~grid:(Xmlest.Summary.grid summary) final_doc preds
-  in
-  let identical =
-    String.equal
-      (Xmlest.Summary.to_string summary)
-      (Xmlest.Summary.to_string reference)
-  in
-  if not identical then
-    failwith "maintenance bench: exact stream diverged from rebuild";
-  Report.table
-    [
-      [ "metric"; "value" ];
-      [ "updates applied"; string_of_int n_updates ];
-      [ "nodes before"; string_of_int (Xmlest.Document.size doc) ];
-      [ "nodes after"; string_of_int (Xmlest.Document.size final_doc) ];
-      [ "incremental apply, total"; Printf.sprintf "%.1fms" (t_apply *. 1e3) ];
-      [ "incremental apply, per update"; Report.us t_per_update ];
-      [ "full rebuild (one)"; Printf.sprintf "%.1fms" (t_rebuild *. 1e3) ];
-      [ "speedup vs rebuild-per-update"; Printf.sprintf "%.1fx" speedup ];
-      [ "bit-identical to rebuild"; (if identical then "yes" else "NO") ];
-    ];
-  (* Interior inserts: exact like every other edit class.  Each one
-     re-keys the survivors whose cells its shift changed, so the
-     maintained summary must be bit-identical to a same-grid rebuild; the
-     per-insert cost is priced against the same one-rebuild figure. *)
-  let n_interior = 25 in
-  let s2 = Xmlest.Summary.build ~grid_size:10 doc preds in
-  let interior_doc = Xmlest.Document.copy doc in
-  let interior =
-    List.init n_interior (fun k ->
-        let u =
-          U.Insert
-            {
-              parent = Xmlest.Splitmix.int rng (Xmlest.Document.size interior_doc);
-              index = 0;
-              subtree = article (n_updates + k);
-            }
-        in
-        U.apply_doc interior_doc u;
-        u)
-  in
-  let t_interior =
-    wall (fun () -> List.iter (fun u -> Xmlest.Summary.apply ~policy:`Never s2 [ u ]) interior)
-    /. float_of_int n_interior
-  in
-  let ref2 =
-    Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s2) interior_doc preds
-  in
-  let interior_identical =
-    String.equal (Xmlest.Summary.to_string s2) (Xmlest.Summary.to_string ref2)
-  in
-  if not interior_identical then
-    failwith "maintenance bench: interior inserts diverged from rebuild";
-  Report.table
-    [
-      [ "metric"; "value" ];
-      [ "interior inserts"; string_of_int n_interior ];
-      [ "incremental apply, per insert"; Report.us t_interior ];
-      [ "full rebuild (one)"; Printf.sprintf "%.1fms" (t_rebuild *. 1e3) ];
-      [ "speedup vs rebuild-per-insert"; Printf.sprintf "%.1fx" (t_rebuild /. t_interior) ];
-      [ "bit-identical to rebuild"; (if interior_identical then "yes" else "NO") ];
-    ];
-  let json_path = "BENCH_maintenance.json" in
-  let oc = open_out json_path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-  Printf.fprintf oc
-    "{\n\
-    \  \"dataset\": \"dblp\",\n\
-    \  \"dblp_scale\": %g,\n\
-    \  \"clock\": \"monotonic wall clock (bechamel.monotonic_clock); rebuild best of 3\",\n\
-    \  \"nodes_before\": %d,\n\
-    \  \"nodes_after\": %d,\n\
-    \  \"updates\": %d,\n\
-    \  \"apply_total_seconds\": %.6f,\n\
-    \  \"apply_per_update_seconds\": %.9f,\n\
-    \  \"rebuild_seconds\": %.6f,\n\
-    \  \"speedup_vs_rebuild_per_update\": %.2f,\n\
-    \  \"exact_stream_bit_identical\": %b,\n\
-    \  \"interior_inserts\": %d,\n\
-    \  \"interior_apply_per_insert_seconds\": %.9f,\n\
-    \  \"interior_speedup_vs_rebuild\": %.2f,\n\
-    \  \"interior_bit_identical\": %b\n\
-     }\n"
-    Data.dblp_scale (Xmlest.Document.size doc)
-    (Xmlest.Document.size final_doc) n_updates t_apply t_per_update t_rebuild
-    speedup identical n_interior t_interior (t_rebuild /. t_interior)
-    interior_identical;
-  flush oc;
-  Report.note "machine-readable results written to %s" json_path;
-  Report.note
-    "incremental maintenance touches only the cells of edited nodes (plus \
-     the survivors whose shifted positions changed cell); a rebuild \
-     re-sweeps every node for every predicate"
-
-(* ------------------------------------------------------------------ *)
 (* Accuracy sweep: error distribution over many random tag pairs       *)
 (* ------------------------------------------------------------------ *)
 
@@ -885,160 +716,6 @@ let accuracy () =
     "geo-err = geometric mean of |est/real| ratio error; <=2x = share of      pairs within a factor of two"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-timings (the estimation-time claims of Tables 2/4)   *)
-(* ------------------------------------------------------------------ *)
-
-let timing () =
-  Report.section "Estimation cost (Bechamel, ns/estimate)";
-  let doc = Data.dblp () in
-  let grid10 = Xmlest.Grid.create ~size:10 ~max_pos:(Xmlest.Document.max_pos doc) in
-  let grid50 = Xmlest.Grid.create ~size:50 ~max_pos:(Xmlest.Document.max_pos doc) in
-  let h10_article = Xmlest.Position_histogram.build doc ~grid:grid10 (tagp "article") in
-  let h10_author = Xmlest.Position_histogram.build doc ~grid:grid10 (tagp "author") in
-  let h50_article = Xmlest.Position_histogram.build doc ~grid:grid50 (tagp "article") in
-  let h50_author = Xmlest.Position_histogram.build doc ~grid:grid50 (tagp "author") in
-  let cvg10 = Xmlest.Coverage_histogram.build doc ~grid:grid10 (tagp "article") in
-  let coef10 = Xmlest.Ph_join.descendant_coefficients h10_author in
-  let summary = Data.dblp_summary () in
-  let twig_pattern =
-    Xmlest.Pattern_parser.pattern_exn "//article[.//author][.//cite]//cdrom"
-  in
-  let grid1000 = Xmlest.Grid.create ~size:1000 ~max_pos:(Xmlest.Document.max_pos doc) in
-  let h1000_article = Xmlest.Position_histogram.build doc ~grid:grid1000 (tagp "article") in
-  let h1000_author = Xmlest.Position_histogram.build doc ~grid:grid1000 (tagp "author") in
-  let articles = Xmlest.Document.nodes_with_tag doc "article" in
-  let authors = Xmlest.Document.nodes_with_tag doc "author" in
-  let open Bechamel in
-  let tests =
-    Test.make_grouped ~name:"estimate"
-      [
-        Test.make ~name:"table2: pH-join g=10"
-          (Staged.stage (fun () ->
-               Xmlest.Ph_join.estimate ~anc:h10_article ~desc:h10_author ()));
-        Test.make ~name:"fig11: pH-join g=50"
-          (Staged.stage (fun () ->
-               Xmlest.Ph_join.estimate ~anc:h50_article ~desc:h50_author ()));
-        Test.make ~name:"table2: no-overlap g=10"
-          (Staged.stage (fun () ->
-               Xmlest.No_overlap.estimate ~desc:h10_author ~coverage:cvg10));
-        Test.make ~name:"ablation: precomputed coefficients g=10"
-          (Staged.stage (fun () ->
-               let total = ref 0.0 in
-               Xmlest.Position_histogram.iter_nonzero h10_article (fun ~i ~j c ->
-                   total := !total +. (c *. coef10.((i * 10) + j)));
-               !total));
-        Test.make ~name:"theorem1: dense pH-join g=1000"
-          (Staged.stage (fun () ->
-               Xmlest.Ph_join.estimate ~anc:h1000_article ~desc:h1000_author ()));
-        Test.make ~name:"theorem1: sparse pH-join g=1000"
-          (Staged.stage (fun () ->
-               Xmlest.Ph_join.estimate_sparse ~anc:h1000_article ~desc:h1000_author ()));
-        Test.make ~name:"twig: 4-node pattern estimate"
-          (Staged.stage (fun () -> Xmlest.Summary.estimate summary twig_pattern));
-        Test.make ~name:"baseline: exact structural join article-author"
-          (Staged.stage (fun () ->
-               Xmlest.Structural_join.count_pairs doc articles authors));
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (e :: _) -> Printf.sprintf "%.0f" e
-        | Some [] | None -> "?"
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols_result with
-        | Some r -> Printf.sprintf "%.4f" r
-        | None -> "?"
-      in
-      rows := [ name; ns; r2 ] :: !rows)
-    results;
-  let rows = List.sort (List.compare String.compare) !rows in
-  Report.table ([ "benchmark"; "ns/run"; "r^2" ] :: rows);
-  Report.note
-    "the paper reports a few tenths of a millisecond per estimate on 2002 \
-     hardware; estimation must stay orders of magnitude below exact evaluation"
-
-(* ------------------------------------------------------------------ *)
-(* Coefficient caching: the histogram catalog's memoized pH-join       *)
-(* coefficient arrays under a repeated-estimate workload               *)
-(* ------------------------------------------------------------------ *)
-
-let caching () =
-  Report.section
-    "Coefficient caching: repeated estimates served from the histogram      catalog (grid 50, pH-join path)";
-  let doc = Data.dblp () in
-  let preds =
-    List.map tagp [ "article"; "author"; "cite"; "cdrom"; "book"; "title" ]
-  in
-  (* A larger grid makes the O(g^2) coefficient passes the dominant cost,
-     which is exactly what the catalog memoizes away. *)
-  let summary = Xmlest.Summary.build ~grid_size:50 ~with_levels:false doc preds in
-  let cat = Xmlest.Summary.catalog summary in
-  (* Same lookup interface with the cached fast path disabled: every
-     estimate recomputes its coefficient arrays from scratch. *)
-  let uncached =
-    {
-      cat with
-      Xmlest.Twig_estimator.desc_coefs = (fun _ -> None);
-      anc_coefs = (fun _ -> None);
-    }
-  in
-  let hcat = Xmlest.Summary.hist_catalog summary in
-  let desc_options = { overlap_options with direction = Xmlest.Ph_join.Descendant_based } in
-  let workload =
-    [
-      ("//article[.//author][.//cite]//cdrom", overlap_options, "anc-based");
-      ("//book[.//author][.//title]", overlap_options, "anc-based");
-      ("//article//author", desc_options, "desc-based");
-    ]
-  in
-  let rows =
-    List.map
-      (fun (query, options, dir) ->
-        let pattern = Xmlest.Pattern_parser.pattern_exn query in
-        let est c = Xmlest.Twig_estimator.estimate ~options c pattern in
-        let cold = est cat in
-        (* warm: the arrays are memoized now *)
-        Xmlest.Hist_catalog.reset_counters hcat;
-        let warm = est cat in
-        let plain = est uncached in
-        if not (Float.equal warm cold) || not (Float.equal warm plain) then
-          failwith
-            (Printf.sprintf
-               "caching bench: cached and uncached estimates disagree on %s"
-               query);
-        let t_cached = Data.time_per_call (fun () -> est cat) in
-        let t_uncached = Data.time_per_call (fun () -> est uncached) in
-        let c = Xmlest.Hist_catalog.counters hcat in
-        [
-          query; dir; Report.f1 warm; Report.us t_uncached; Report.us t_cached;
-          Printf.sprintf "%.1fx" (t_uncached /. t_cached);
-          string_of_int c.Xmlest.Hist_catalog.hits;
-          string_of_int c.Xmlest.Hist_catalog.misses;
-        ])
-      workload
-  in
-  Report.table
-    ([
-       "query"; "direction"; "estimate"; "uncached"; "cached"; "speedup";
-       "hits"; "misses";
-     ]
-    :: rows);
-  let c = Xmlest.Hist_catalog.counters hcat in
-  if c.Xmlest.Hist_catalog.hits = 0 then
-    failwith "caching bench: expected cache hits during the timed runs";
-  Report.note
-    "cached runs reuse the memoized coefficient arrays (hits > 0); uncached      runs redo the O(g^2) passes every estimate"
-
-(* ------------------------------------------------------------------ *)
 (* Other data sets ("results substantially similar", Sec. 5.1)        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1078,333 +755,6 @@ let datasets () =
     ([ "data"; "query"; "overlap-est"; "no-ovl-est"; "real"; "novl/real" ] :: rows)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel construction and batch estimation on OCaml domains         *)
-(* ------------------------------------------------------------------ *)
-
-let parallel () =
-  Report.section
-    "Parallel summary construction and batch estimation (predicate subsets \
-     on OCaml domains; bit-identity asserted against the sequential build)";
-  let doc = Data.dblp () in
-  let preds = List.map snd (Data.dblp_predicates ()) in
-  let cores = Xmlest.Domain_pool.recommended_domains () in
-  (* Domains idle inside a CPU clock, so a parallel sweep needs wall time:
-     [runs] timings on the monotonic clock, kept as min/median/max. *)
-  let runs = 9 in
-  let spread f =
-    let times =
-      Array.init runs (fun _ ->
-          let t0 = Monotonic_clock.now () in
-          ignore (Sys.opaque_identity (f ()));
-          Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9)
-    in
-    Array.sort Float.compare times;
-    (times.(0), times.(runs / 2), times.(runs - 1))
-  in
-  let best_at rows d =
-    let lo, _, _ = List.assoc d rows in
-    lo
-  in
-  let domain_counts = [ 1; 2; 4 ] in
-  let seq = Xmlest.Summary.build ~grid_size:10 doc preds in
-  let seq_str = Xmlest.Summary.to_string seq in
-  let build_rows =
-    List.map
-      (fun d ->
-        let build () = Xmlest.Summary.build ~grid_size:10 ~domains:d doc preds in
-        let t = spread build in
-        if not (String.equal seq_str (Xmlest.Summary.to_string (build ())))
-        then failwith "parallel bench: parallel build diverged from sequential";
-        (d, t))
-      domain_counts
-  in
-  let workload =
-    let base =
-      List.map Xmlest.Pattern_parser.pattern_exn
-        [
-          "//article//author"; "//article//title"; "//inproceedings//author";
-          "//article//year"; "//book//author"; "//article//cite";
-          "//phdthesis//year"; "//inproceedings//title";
-        ]
-    in
-    List.concat (List.init 6 (fun _ -> base))
-  in
-  let seq_est = List.map (Xmlest.Summary.estimate seq) workload in
-  let est_rows =
-    List.map
-      (fun d ->
-        let t = spread (fun () -> Xmlest.Summary.estimate_batch ~domains:d seq workload) in
-        if not
-             (List.for_all2 Float.equal seq_est
-                (Xmlest.Summary.estimate_batch ~domains:d seq workload))
-        then
-          failwith "parallel bench: batch estimation diverged from sequential";
-        (d, t))
-      domain_counts
-  in
-  let b1 = best_at build_rows 1 and e1 = best_at est_rows 1 in
-  let ms (lo, med, hi) =
-    Printf.sprintf "%.2f/%.2f/%.2f" (lo *. 1e3) (med *. 1e3) (hi *. 1e3)
-  in
-  Report.table
-    ([
-       "domains"; "build ms min/med/max"; "build speedup"; "batch ms min/med/max";
-       "est speedup";
-     ]
-    :: List.map
-         (fun d ->
-           [
-             string_of_int d;
-             ms (List.assoc d build_rows);
-             Report.ratio b1 (best_at build_rows d);
-             ms (List.assoc d est_rows);
-             Report.ratio e1 (best_at est_rows d);
-           ])
-         domain_counts);
-  let json_rows rows =
-    String.concat ",\n"
-      (List.map
-         (fun (d, (lo, med, hi)) ->
-           Printf.sprintf
-             "    { \"domains\": %d, \"min_s\": %.6f, \"median_s\": %.6f, \
-              \"max_s\": %.6f }"
-             d lo med hi)
-         rows)
-  in
-  let json_path = "BENCH_parallel.json" in
-  let oc = open_out json_path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-  Printf.fprintf oc
-    "{\n\
-    \  \"dataset\": \"dblp\",\n\
-    \  \"dblp_scale\": %g,\n\
-    \  \"nodes\": %d,\n\
-    \  \"predicates\": %d,\n\
-    \  \"nproc\": %d,\n\
-    \  \"clock\": \"monotonic wall clock (bechamel.monotonic_clock)\",\n\
-    \  \"runs\": %d,\n\
-    \  \"workload_patterns\": %d,\n\
-    \  \"build\": [\n%s\n  ],\n\
-    \  \"build_speedup_at_2\": %.3f,\n\
-    \  \"build_speedup_at_4\": %.3f,\n\
-    \  \"estimate_batch\": [\n%s\n  ],\n\
-    \  \"estimate_speedup_at_2\": %.3f,\n\
-    \  \"bit_identical_to_sequential\": true,\n\
-    \  \"note\": \"speedups are min(d=1) / min(d); bit-identity asserted \
-     in-run; the build splits by predicate subset and every domain sweeps \
-     the whole document, so it is bounded by nproc and by the per-node \
-     work outside the predicates\"\n\
-     }\n"
-    Data.dblp_scale (Xmlest.Document.size doc) (List.length preds) cores runs
-    (List.length workload) (json_rows build_rows)
-    (b1 /. best_at build_rows 2)
-    (b1 /. best_at build_rows 4)
-    (json_rows est_rows)
-    (e1 /. best_at est_rows 2);
-  flush oc;
-  Report.note "machine-readable results written to %s" json_path;
-  Report.note
-    "this machine reports %d recommended domain%s; with a single core the \
-     parallel build can only match the sequential one, never beat it" cores
-    (if cores = 1 then "" else "s")
-
-(* ------------------------------------------------------------------ *)
-(* Storage: out-of-core streamed build and the .xsum store *)
-(* ------------------------------------------------------------------ *)
-
-(* [--smoke] (filtered out of the section list in [main]) shrinks the
-   data set and iteration counts so the section can ride along with the
-   test suite; the bit-identity assertions apply to every run. *)
-let smoke_mode = Array.exists (String.equal "--smoke") Sys.argv
-
-let storage () =
-  Report.section
-    "Storage: out-of-core streamed build and the binary summary store (DBLP)";
-  let smoke = smoke_mode in
-  let scale = if smoke then 0.1 else Data.dblp_scale in
-  let xml_path = Filename.temp_file "xmlest_bench" ".xml" in
-  let xsum_path = Filename.temp_file "xmlest_bench" ".xsum" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ xml_path; xsum_path ])
-  @@ fun () ->
-  (* Generate inside a function so the element tree is dead before any
-     memory measurement: both build paths start from the file on disk. *)
-  let nodes =
-    let elem = Xmlest.Dblp_gen.generate_scaled scale in
-    Xmlest.Xml_writer.to_file xml_path elem;
-    Xmlest.Elem.size elem
-  in
-  (* The canonical DBLP summary predicate set (Table 1 plus the per-year
-     base histograms that the decade compounds resolve against), matching
-     [Data.dblp_summary]. *)
-  let preds =
-    List.map snd (Data.dblp_predicates ())
-    @ List.init 40 (fun k ->
-          Xmlest.Predicate.text_eq ~tag:"year" (string_of_int (1960 + k)))
-  in
-  (* Peak-memory proxy: major-heap live words retained across the build,
-     measured after compaction with the build's results still live.  The
-     in-memory path retains the materialized document; the streamed path
-     retains only the summary. *)
-  let live_after f =
-    Gc.compact ();
-    let before = (Gc.stat ()).Gc.live_words in
-    let v = f () in
-    Gc.compact ();
-    let after = (Gc.stat ()).Gc.live_words in
-    (v, after - before)
-  in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let (kept, t_build_memory), mem_in_memory =
-    live_after (fun () ->
-        wall (fun () ->
-            let doc =
-              match Xmlest.Xml_parser.parse_file xml_path with
-              | Ok e -> Xmlest.Document.of_elem e
-              | Error _ -> failwith "storage bench: cannot parse the XML file"
-            in
-            (doc, Xmlest.Summary.build ~grid_size:10 doc preds)))
-  in
-  let in_memory = snd kept in
-  let (streamed, t_build_stream), mem_streamed =
-    live_after (fun () ->
-        wall (fun () ->
-            Xmlest.Summary.build_stream_file ~grid_size:10 xml_path preds))
-  in
-  if
-    not
-      (String.equal
-         (Xmlest.Summary.to_string in_memory)
-         (Xmlest.Summary.to_string streamed))
-  then failwith "storage bench: streamed build diverged from in-memory build";
-  Xmlest.Summary.save_store streamed xsum_path;
-  let xsum_bytes = (Unix.stat xsum_path).Unix.st_size in
-  let open_store () =
-    match Xmlest.Summary.load_store xsum_path with
-    | Ok s -> s
-    | Error e -> failwith ("storage bench: store open failed: " ^ e)
-  in
-  if
-    not
-      (String.equal
-         (Xmlest.Summary.to_string (open_store ()))
-         (Xmlest.Summary.to_string in_memory))
-  then failwith "storage bench: reopened store diverged from in-memory build";
-  (* Open time: mean over a loop of opens, best of 3 loops (gettimeofday
-     resolution is too coarse for a single open).  An open decodes no
-     section, so it alone understates what a one-shot estimate pays:
-     "open + first estimate" adds one cold estimate, which adopts the
-     sections its query names. *)
-  let per_call ~n f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to n do
-        ignore (Sys.opaque_identity (f ()))
-      done;
-      let per = (Unix.gettimeofday () -. t0) /. float_of_int n in
-      if per < !best then best := per
-    done;
-    !best
-  in
-  let first = Xmlest.Pattern_parser.pattern_exn "//article//author" in
-  let workload =
-    first
-    :: List.map Xmlest.Pattern_parser.pattern_exn
-         [
-           "//article//cite"; "//book//title"; "//article[.//author][.//cite]";
-           "//article//year"; "//article[.//cite[starts-with(text(),'conf')]]";
-         ]
-  in
-  let opens = if smoke then 10 else 100 in
-  let t_open_store = per_call ~n:opens open_store in
-  let t_open_first =
-    per_call ~n:opens (fun () -> Xmlest.Summary.estimate (open_store ()) first)
-  in
-  (* Estimation throughput off one reopened store: every query touches
-     only catalog predicates (a loaded summary has no document to fall
-     back on).  Each estimate is checked against the in-memory build on
-     a freshly opened store first, so adoption is exercised too. *)
-  List.iter
-    (fun pat ->
-      let a = Xmlest.Summary.estimate (open_store ()) pat in
-      let b = Xmlest.Summary.estimate in_memory pat in
-      if not (Float.equal a b) then
-        failwith "storage bench: reopened-store estimate diverged from in-memory")
-    workload;
-  let reopened = open_store () in
-  let rounds = if smoke then 50 else 2000 in
-  let _, t_est =
-    wall (fun () ->
-        for _ = 1 to rounds do
-          List.iter
-            (fun pat -> ignore (Sys.opaque_identity (Xmlest.Summary.estimate reopened pat)))
-            workload
-        done)
-  in
-  let n_est = rounds * List.length workload in
-  let est_per_sec = float_of_int n_est /. t_est in
-  let mb words = float_of_int (words * 8) /. 1048576.0 in
-  Report.table
-    [
-      [ "metric"; "in-memory"; "streamed / store" ];
-      [ "build time";
-        Printf.sprintf "%.0fms" (t_build_memory *. 1e3);
-        Printf.sprintf "%.0fms" (t_build_stream *. 1e3) ];
-      [ "retained heap after build";
-        Printf.sprintf "%.2fMB" (mb mem_in_memory);
-        Printf.sprintf "%.2fMB" (mb mem_streamed) ];
-      [ "summary file bytes"; "-"; string_of_int xsum_bytes ];
-      [ "open time"; "-"; Report.us t_open_store ];
-      [ "open + first estimate"; "-"; Report.us t_open_first ];
-      [ "estimates/sec (reopened store)"; "-"; Printf.sprintf "%.0f" est_per_sec ];
-    ];
-  Report.note
-    "the streamed build parses SAX events and spills per-node state to a \
-     bounded temp file, so it never materializes the document; the .xsum \
-     store holds non-zero content only, and an open reads its section \
-     table while each predicate's histograms are decoded at first use";
-  (* A smoke run's numbers describe a tenth of the data: it asserts the
-     identities above and records nothing. *)
-  if smoke then Report.note "smoke run: %s is left as it is" "BENCH_storage.json"
-  else
-  let json_path = "BENCH_storage.json" in
-  let oc = open_out json_path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-  Printf.fprintf oc
-    "{\n\
-    \  \"dataset\": \"dblp\",\n\
-    \  \"dblp_scale\": %g,\n\
-    \  \"smoke\": %b,\n\
-    \  \"nodes\": %d,\n\
-    \  \"predicates\": %d,\n\
-    \  \"build_in_memory_seconds\": %.6f,\n\
-    \  \"build_streamed_seconds\": %.6f,\n\
-    \  \"retained_words_in_memory\": %d,\n\
-    \  \"retained_words_streamed\": %d,\n\
-    \  \"xsum_bytes\": %d,\n\
-    \  \"open_store_seconds\": %.9f,\n\
-    \  \"open_and_first_estimate_seconds\": %.9f,\n\
-    \  \"estimates_per_second_reopened\": %.0f,\n\
-    \  \"streamed_bit_identical\": true,\n\
-    \  \"store_estimate_identical\": true,\n\
-    \  \"note\": \"bit-identity of the streamed build and of the reopened \
-     store, and estimate-identity of the reopened store, are asserted in-run \
-     against the in-memory build (the bench fails otherwise)\"\n\
-     }\n"
-    scale smoke nodes (List.length preds) t_build_memory t_build_stream
-    mem_in_memory mem_streamed xsum_bytes t_open_store t_open_first est_per_sec;
-  flush oc;
-  Report.note "machine-readable results written to %s" json_path
-
-(* ------------------------------------------------------------------ *)
 
 let sections =
   [
@@ -1417,32 +767,21 @@ let sections =
     ("twig", twig);
     ("datasets", datasets);
     ("accuracy", accuracy);
-    ("maintenance", maintenance);
     ("ablation", ablation);
     ("theorems", theorems);
-    ("timing", timing);
-    ("caching", caching);
-    ("parallel", parallel);
-    ("storage", storage);
   ]
 
 let () =
   let requested =
-    let argv_rest =
-      match Array.to_list Sys.argv with [] -> [] | _exe :: rest -> rest
-    in
-    match
-      List.filter (fun a -> not (String.equal a "--smoke")) argv_rest
-    with
-    | [] -> List.map fst sections
-    | args -> args
+    match Array.to_list Sys.argv with
+    | [] | [ _ ] -> List.map fst sections
+    | _exe :: args -> args
   in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name sections with
-      | Some f -> f ()
-      | None ->
-        Printf.eprintf "unknown section %S; available: %s\n" name
-          (String.concat ", " (List.map fst sections));
-        exit 2)
-    requested
+  (* every name is checked before any section runs *)
+  let found = List.map (fun name -> (name, List.assoc_opt name sections)) requested in
+  match List.find_opt (fun (_, f) -> Option.is_none f) found with
+  | Some (name, _) ->
+    Printf.eprintf "unknown section %S; available: %s\n" name
+      (String.concat ", " (List.map fst sections));
+    exit 2
+  | None -> List.iter (fun (_, f) -> Option.iter (fun f -> f ()) f) found

@@ -61,7 +61,6 @@ let table rows =
 
 let f0 v = Printf.sprintf "%.0f" v
 let f1 v = Printf.sprintf "%.1f" v
-let f2 v = Printf.sprintf "%.2f" v
 
 let us v = Printf.sprintf "%.1fus" (v *. 1e6)
 

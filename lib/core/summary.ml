@@ -41,6 +41,10 @@ type t = {
       (* incremental-maintenance engine, created lazily on the first
          [apply]; doc/grid/pop/hcat/stats are mutable so a
          staleness-triggered rebuild can swap them in place *)
+  untracked : (string, Predicate.t) Hashtbl.t;
+      (* the predicates of histograms built on demand into [hcat] while
+         [maint] is [None], by name: the engine takes them over when it
+         starts *)
   mutable store : Store.t option;
       (* a reopened store with sections not adopted yet: each becomes an
          entry the first time a lookup names its predicate *)
@@ -234,6 +238,7 @@ let finish plan ~doc ~grid ~path ~passes ~t0 ~per ~pop ~evals =
           build_time = Unix.gettimeofday () -. t0;
         };
     maint = None;
+    untracked = Hashtbl.create 8;
     store = None;
   }
 
@@ -665,8 +670,10 @@ let predicates t =
    document-order sweep seeds its integer ground truth (coverage tables,
    nesting-pair and level counts) and copies the document once, while the
    position histograms of the existing entries are adopted as live
-   objects and mutated in place from then on.  This leaves the
-   construction paths completely untouched. *)
+   objects and mutated in place from then on.  The histograms built on
+   demand so far are handed over too, as [histogram_in] hands over the
+   ones built later.  This leaves the construction paths completely
+   untouched. *)
 let maint_state t =
   match t.maint with
   | Some st -> st
@@ -694,6 +701,10 @@ let maint_state t =
         Apply.init ~grid:t.grid ~pop:(population t) ~with_levels:t.with_levels ~entries
           doc
       in
+      Hashtbl.iter
+        (fun key p -> Option.iter (Apply.track st p) (Catalog.find t.hcat key))
+        t.untracked;
+      Hashtbl.reset t.untracked;
       t.maint <- Some st;
       st)
 
@@ -780,10 +791,10 @@ let apply ?(policy = `Never) t updates =
    The catalog consulted (and mutated, by memoized coefficients and
    on-demand builds) is an explicit argument so batch estimation can hand
    each domain its own scratch; [histogram] passes the summary's own.  A
-   build into the summary's own catalog while a maintenance engine
-   exists is handed to the engine, which keeps it exact under later
-   edits; a domain's scratch build is never tracked, so engine state
-   stays on the calling domain. *)
+   build into the summary's own catalog is handed to the maintenance
+   engine (at once, or when the engine starts), which keeps it exact
+   under later edits; a domain's scratch build is never tracked, so
+   engine state stays on the calling domain. *)
 let histogram_in hcat t pred =
   let lookup p =
     match find t p with
@@ -814,9 +825,10 @@ let histogram_in hcat t pred =
     | Some doc ->
       let h = Position_histogram.build doc ~grid:t.grid p in
       Catalog.add hcat ~key:(Predicate.name p) h;
-      (match t.maint with
-      | Some st when hcat == t.hcat -> Apply.track st p h
-      | Some _ | None -> ());
+      (if hcat == t.hcat then
+         match t.maint with
+         | Some st -> Apply.track st p h
+         | None -> Hashtbl.replace t.untracked (Predicate.name p) p);
       h
   in
   let base p =
@@ -1123,5 +1135,6 @@ let load_store path =
         lph_cache = Hashtbl.create 8;
         stats = None;
         maint = None;
+        untracked = Hashtbl.create 8;
         store = Some st;
       }

@@ -237,10 +237,9 @@ val storage_bytes : t -> int
     Maintenance mutates position histograms in place, bumping their
     version counters, so memoized pH-join coefficients in {!hist_catalog}
     invalidate automatically — the next estimate recomputes them.  An
-    on-demand histogram (see {!histogram}) built after the first [apply]
-    is maintained like a base predicate's from then on, bit-identical to
-    a build on the edited document; one built before the first [apply]
-    is dropped from the catalog by it and rebuilt on next use.  The
+    on-demand histogram (see {!histogram}), whether built before the
+    first [apply] or after it, is maintained like a base predicate's,
+    bit-identical to a build on the edited document.  The
     no-overlap flag follows the exact nesting-pair count, so
     schema-declared overrides from the original build are not
     preserved. *)

@@ -54,7 +54,6 @@ module Ph_join = Xmlest_estimate.Ph_join
 module No_overlap = Xmlest_estimate.No_overlap
 module Child_join = Xmlest_estimate.Child_join
 module Order_join = Xmlest_estimate.Order_join
-module Fenwick = Xmlest_estimate.Fenwick
 module Compound = Xmlest_estimate.Compound
 module Twig_estimator = Xmlest_estimate.Twig_estimator
 module Baselines = Xmlest_estimate.Baselines

@@ -165,152 +165,3 @@ let estimate ?(direction = Ancestor_based) ~anc ~desc () =
     | Descendant_based -> ancestor_coefficients anc
   in
   estimate_with ~direction ~coefs ~anc ~desc ()
-
-(* Sparse evaluation over the non-zero cells.
-
-   Ancestor-based: for each non-zero ancestor cell (i, j),
-     coef = desc_region(k > i, l < j) + B(i,j)/4
-          + (col_below(k = i, i <= l < j) - B(i,i)/2)
-          + (row_right(l = j, i < k <= j) - B(j,j)/2)       [off-diagonal]
-     coef = B(i,i)/12                                        [on-diagonal]
-   The column/row terms come from per-column/per-row prefix sums; the
-   region term is a 2D dominance sum answered offline with a Fenwick tree
-   over end-bucket indices while sweeping start buckets downward.
-
-   Descendant-based: for each non-zero descendant cell (i, j), every
-   ancestor cell (k <= i, l >= j) weighs 1 except the cell itself (1/4, or
-   1/12 on-diagonal) — one dominance sum with the self term patched. *)
-
-let nonzero_cells h =
-  let cells = ref [] in
-  Position_histogram.iter_nonzero h (fun ~i ~j v -> cells := (i, j, v) :: !cells);
-  !cells
-
-let estimate_sparse ?(direction = Ancestor_based) ~anc ~desc () =
-  check_grids anc desc;
-  let grid = Position_histogram.grid anc in
-  let g = grid.Grid.size in
-  match direction with
-  | Ancestor_based ->
-    let anc_cells = nonzero_cells anc and desc_cells = nonzero_cells desc in
-    (* per-column and per-row cumulative structures for the inner histogram *)
-    let cols = Hashtbl.create 32 and rows = Hashtbl.create 32 in
-    List.iter
-      (fun (k, l, v) ->
-        Hashtbl.replace cols k ((l, v) :: (try Hashtbl.find cols k with Not_found -> []));
-        Hashtbl.replace rows l ((k, v) :: (try Hashtbl.find rows l with Not_found -> [])))
-      desc_cells;
-    let prefixes tbl =
-      let out = Hashtbl.create 32 in
-      Hashtbl.iter
-        (fun key entries ->
-          let sorted =
-            List.sort
-              (fun (p1, v1) (p2, v2) ->
-                match Int.compare p1 p2 with 0 -> Float.compare v1 v2 | c -> c)
-              entries
-          in
-          let acc = ref 0.0 in
-          let cumulative =
-            List.map
-              (fun (pos, v) ->
-                acc := !acc +. v;
-                (pos, !acc))
-              sorted
-          in
-          Hashtbl.replace out key (Array.of_list cumulative))
-        tbl;
-      out
-    in
-    let col_prefix = prefixes cols and row_prefix = prefixes rows in
-    (* sum over entries of [key]'s array with position <= bound *)
-    let cumulative_upto tbl key bound =
-      match Hashtbl.find_opt tbl key with
-      | None -> 0.0
-      | Some arr ->
-        let lo = ref (-1) and hi = ref (Array.length arr - 1) in
-        (* last index with position <= bound *)
-        while !lo < !hi do
-          let mid = (!lo + !hi + 1) / 2 in
-          if fst arr.(mid) <= bound then lo := mid else hi := mid - 1
-        done;
-        if !lo < 0 then 0.0 else snd arr.(!lo)
-    in
-    let cell_value (i, j) =
-      if i > j then 0.0 else Position_histogram.get desc ~i ~j
-    in
-    (* Offline dominance: sweep start buckets downward, inserting desc
-       cells with start bucket > i before answering queries at i. *)
-    let queries =
-      List.sort (fun (i1, _, _) (i2, _, _) -> Int.compare i2 i1) anc_cells
-    in
-    let inserts =
-      List.sort (fun (k1, _, _) (k2, _, _) -> Int.compare k2 k1) desc_cells
-    in
-    let bit = Fenwick.create g in
-    let total = ref 0.0 in
-    let remaining = ref inserts in
-    List.iter
-      (fun (i, j, va) ->
-        (* insert all desc cells with k > i *)
-        let rec drain () =
-          match !remaining with
-          | (k, l, v) :: rest when k > i ->
-            Fenwick.add bit l v;
-            remaining := rest;
-            drain ()
-          | _ -> ()
-        in
-        drain ();
-        let coef =
-          if Int.equal i j then cell_value (i, i) /. 12.0
-          else begin
-            let region = Fenwick.prefix_sum bit (j - 1) in
-            let col_below = cumulative_upto col_prefix i (j - 1) in
-            let row_right =
-              cumulative_upto row_prefix j j -. cumulative_upto row_prefix j i
-            in
-            region
-            +. (cell_value (i, j) /. 4.0)
-            +. (col_below -. (cell_value (i, i) /. 2.0))
-            +. (row_right -. (cell_value (j, j) /. 2.0))
-          end
-        in
-        total := !total +. (va *. coef))
-      queries;
-    !total
-  | Descendant_based ->
-    let anc_cells = nonzero_cells anc and desc_cells = nonzero_cells desc in
-    let cell_value (i, j) =
-      if i > j then 0.0 else Position_histogram.get anc ~i ~j
-    in
-    (* dominance: ancestors of (i, j) are cells (k <= i, l >= j). Sweep i
-       upward, inserting anc cells with k <= i, Fenwick over l with suffix
-       queries. *)
-    let compare_cells (i1, j1, v1) (i2, j2, v2) =
-      match Int.compare i1 i2 with
-      | 0 -> ( match Int.compare j1 j2 with 0 -> Float.compare v1 v2 | c -> c)
-      | c -> c
-    in
-    let queries = List.sort compare_cells desc_cells in
-    let inserts = List.sort compare_cells anc_cells in
-    let bit = Fenwick.create g in
-    let total = ref 0.0 in
-    let remaining = ref inserts in
-    List.iter
-      (fun (i, j, vd) ->
-        let rec drain () =
-          match !remaining with
-          | (k, l, v) :: rest when k <= i ->
-            Fenwick.add bit l v;
-            remaining := rest;
-            drain ()
-          | _ -> ()
-        in
-        drain ();
-        let dominated = Fenwick.range_sum bit ~lo:j ~hi:(g - 1) in
-        let self = cell_value (i, j) in
-        let self_weight = if Int.equal i j then 1.0 /. 12.0 else 0.25 in
-        total := !total +. (vd *. (dominated -. self +. (self *. self_weight))))
-      queries;
-    !total

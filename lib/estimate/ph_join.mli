@@ -55,18 +55,6 @@ val estimate :
   float
 (** Total estimated join size.  Default direction: [Ancestor_based]. *)
 
-val estimate_sparse :
-  ?direction:direction ->
-  anc:Position_histogram.t ->
-  desc:Position_histogram.t ->
-  unit ->
-  float
-(** Same value as {!estimate} (verified by property tests), computed from
-    the non-zero cells only: with k non-zero cells per histogram the cost
-    is O(k log k) instead of the dense O(g²) passes.  Since Theorem 1
-    bounds k by O(g), this realizes the paper's claim that estimation time
-    grows linearly with grid size. *)
-
 val weigh : coefs:float array -> int array * float array -> int array * float array
 (** [weigh ~coefs (at, counts)]: the per-cell estimates of the sparse
     outer cells [(at, counts)] (row-major indices and non-zero counts, as

@@ -28,7 +28,6 @@ type entry = {
 type t = {
   compute_desc : Position_histogram.t -> float array;
   compute_anc : Position_histogram.t -> float array;
-  clock : unit -> float;
   entries : (string, entry) Hashtbl.t;
   mutable grid : Grid.t option;
   mutable hits : int;
@@ -37,11 +36,10 @@ type t = {
   mutable compute_seconds : float;
 }
 
-let create ?(clock = Sys.time) ~compute_desc ~compute_anc () =
+let create ~compute_desc ~compute_anc () =
   {
     compute_desc;
     compute_anc;
-    clock;
     entries = Hashtbl.create 32;
     grid = None;
     hits = 0;
@@ -104,12 +102,12 @@ let coefficients t key kind =
       (match stale with
       | Some _ -> t.recomputes <- t.recomputes + 1
       | None -> t.misses <- t.misses + 1);
-      let t0 = t.clock () in
+      let t0 = Sys.time () in
       let compute =
         match kind with Descendant -> t.compute_desc | Ancestor -> t.compute_anc
       in
       let coefs = compute e.hist in
-      t.compute_seconds <- t.compute_seconds +. (t.clock () -. t0);
+      t.compute_seconds <- t.compute_seconds +. (Sys.time () -. t0);
       let s = { slot_version = version; coefs } in
       (match kind with Descendant -> e.desc <- Some s | Ancestor -> e.anc <- Some s);
       Some coefs)

@@ -23,18 +23,17 @@ type counters = {
   recomputes : int;
       (** lookups that found a cached array stale (histogram mutated) and
           computed a replacement *)
-  compute_seconds : float;  (** cumulative time spent inside the compute
-          functions, per the catalog's clock *)
+  compute_seconds : float;  (** cumulative CPU seconds spent inside the
+          compute functions *)
 }
 
 val create :
-  ?clock:(unit -> float) ->
   compute_desc:(Position_histogram.t -> float array) ->
   compute_anc:(Position_histogram.t -> float array) ->
   unit ->
   t
-(** [clock] defaults to [Sys.time]; it is sampled around every coefficient
-    computation to accumulate [compute_seconds]. *)
+(** CPU time ([Sys.time]) is sampled around every coefficient computation
+    to accumulate [compute_seconds]. *)
 
 (** {1 Histogram store} *)
 

@@ -693,6 +693,11 @@ let prop_estimate_batch_bit_identical =
                (Xmlest.Summary.estimate_batch ~domains (Test_util.reopened s) stored))
            [ 1; 2; 4 ])
 
+(* On DBLP, both grid kinds: the parallel build is bit-identical to the
+   sequential one, and [estimate_batch] over two and four domains returns
+   the sequential estimates bit for bit on a repeated workload whose
+   patterns name predicates outside the summary, so every domain builds
+   them on demand in its scratch catalog and none reaches the summary's. *)
 let test_parallel_build_datasets () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
   let preds =
@@ -703,19 +708,48 @@ let test_parallel_build_datasets () =
       Xmlest.Predicate.text_prefix ~tag:"cite" "conf";
     ]
   in
+  let workload =
+    List.concat
+      (List.init 3 (fun _ ->
+           List.map Xmlest.Pattern_parser.pattern_exn
+             [
+               "//article//author"; "//article//title"; "//inproceedings//author";
+               "//article//year"; "//book//author"; "//article//cite";
+               "//phdthesis//year"; "//inproceedings//title";
+             ]))
+  in
   List.iter
     (fun grid_kind ->
+      let kind = match grid_kind with `Uniform -> "uniform" | _ -> "equidepth" in
       let seq = Xmlest.Summary.build ~grid_kind doc preds in
       List.iter
         (fun domains ->
           Alcotest.(check bool)
-            (Printf.sprintf "dblp %s d=%d"
-               (match grid_kind with `Uniform -> "uniform" | _ -> "equidepth")
-               domains)
+            (Printf.sprintf "dblp %s d=%d" kind domains)
             true
             (summaries_identical seq
                (Xmlest.Summary.build ~grid_kind ~domains doc preds)))
-        [ 2; 4; 16 ])
+        [ 2; 4; 16 ];
+      (* batches first: the sequential pass caches its on-demand builds *)
+      let keys () = Xmlest.Hist_catalog.keys (Xmlest.Summary.hist_catalog seq) in
+      let before = keys () in
+      let batches =
+        List.map
+          (fun domains -> (domains, Xmlest.Summary.estimate_batch ~domains seq workload))
+          [ 2; 4 ]
+      in
+      Alcotest.(check (list string)) (kind ^ " batches leave the catalog alone") before
+        (keys ());
+      let seq_est = List.map (Xmlest.Summary.estimate seq) workload in
+      List.iter
+        (fun (domains, got) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "dblp %s estimate_batch d=%d" kind domains)
+            true
+            (List.for_all2
+               (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+               seq_est got))
+        batches)
     [ `Uniform; `Equidepth ]
 
 let test_build_stats () =
@@ -810,41 +844,60 @@ let prop_store_roundtrip_bit_identical =
                (Xmlest.Summary.estimate_string s' q))
            queries)
 
+(* The DBLP pipeline over the canonical 52 predicates, both grid kinds:
+   the streamed build of an XML file, the in-memory build of the same
+   file and that streamed build saved and reopened are all
+   [to_string]-identical, the reopened store carries no document and no
+   stats, and each query estimates bit-identically to the in-memory
+   build off a freshly opened store, so each one adopts its own
+   sections. *)
 let test_store_roundtrip_datasets () =
-  let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
-  let preds =
-    [
-      tagp "article";
-      tagp "author";
-      tagp "title";
-      Xmlest.Predicate.text_prefix ~tag:"cite" "conf";
-    ]
+  let elem = Xmlest.Dblp_gen.generate_scaled 0.1 in
+  let preds = Test_util.dblp_predicates () in
+  let xml = Filename.temp_file "xmlest_dblp" ".xml" in
+  Fun.protect ~finally:(fun () -> Sys.remove xml) @@ fun () ->
+  Xmlest.Xml_writer.to_file xml elem;
+  let doc =
+    match Xmlest.Xml_parser.parse_file xml with
+    | Ok e -> Xmlest.Document.of_elem e
+    | Error _ -> Alcotest.fail "cannot parse the written DBLP file"
   in
   List.iter
     (fun grid_kind ->
-      let s = Xmlest.Summary.build ~grid_kind doc preds in
-      let s' = Test_util.reopened s in
       let kind =
         match grid_kind with `Uniform -> "uniform" | _ -> "equidepth"
       in
-      Alcotest.(check bool) (kind ^ " to_string identical") true
-        (String.equal (Xmlest.Summary.to_string s) (Xmlest.Summary.to_string s'));
-      Alcotest.(check bool) (kind ^ " no document") true
-        (Xmlest.Summary.document s' = None);
-      Alcotest.(check bool) (kind ^ " no stats") true
-        (Xmlest.Summary.stats s' = None);
-      List.iter
-        (fun q ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s estimate bit-identical for %s" kind q)
-            true
-            (Float.equal
-               (Xmlest.Summary.estimate_string s q)
-               (Xmlest.Summary.estimate_string s' q)))
-        [
-          "//article//author"; "//article//title"; "//article/title";
-          "//article[.//author][.//title]";
-        ])
+      let s = Xmlest.Summary.build ~grid_kind doc preds in
+      let streamed = Xmlest.Summary.build_stream_file ~grid_kind xml preds in
+      Alcotest.(check bool) (kind ^ " streamed = in-memory") true
+        (summaries_identical s streamed);
+      Test_util.with_store streamed (fun path ->
+          let open_store () =
+            match Xmlest.Summary.load_store path with
+            | Ok s' -> s'
+            | Error e -> Alcotest.fail e
+          in
+          let s' = open_store () in
+          Alcotest.(check bool) (kind ^ " reopened = in-memory") true
+            (summaries_identical s s');
+          Alcotest.(check bool) (kind ^ " no document") true
+            (Xmlest.Summary.document s' = None);
+          Alcotest.(check bool) (kind ^ " no stats") true
+            (Xmlest.Summary.stats s' = None);
+          List.iter
+            (fun q ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s estimate bit-identical for %s" kind q)
+                true
+                (Float.equal
+                   (Xmlest.Summary.estimate_string s q)
+                   (Xmlest.Summary.estimate_string (open_store ()) q)))
+            [
+              "//article//author"; "//article//cite"; "//book//title";
+              "//article//title"; "//article/title"; "//article//year";
+              "//article[.//author][.//cite]"; "//article[.//author][.//title]";
+              "//article[.//cite[starts-with(text(),'conf')]]";
+            ]))
     [ `Uniform; `Equidepth ]
 
 let test_store_open_rejects_garbage () =
@@ -1063,31 +1116,56 @@ let prop_store_awkward_strings =
              Float.equal (Xmlest.Summary.estimate s q) (Xmlest.Summary.estimate s' q))
            queries)
 
-(* The store mutation suite: 1–4 bytes of a saved staff store
-   overwritten, half the cases inside the header and section table, half
-   inside the payload.  Every case must end in an [Error] from
+(* The store mutation suite: 1–4 bytes of a saved store overwritten,
+   half the cases inside the header and section table, half inside the
+   payload.  The store is the staff summary on a uniform or an equi-depth
+   grid, or a Treebank summary shaped like the benchmark's [plan] one
+   (self-nesting tags, g = 50).  Every case must end in an [Error] from
    [load_store], in [Corrupt_store] when a broken section is first used,
    or in estimates that are finite and non-negative; [to_string] then
    adopts every section, so a broken section nothing queried is still
    caught. *)
 let prop_store_mutations =
-  let _, s = staff_summary () in
-  let valid = saved_bytes s in
-  let l = store_layout valid in
-  let queries =
-    List.map Xmlest.Pattern_parser.pattern_exn
-      [
-        "//manager//employee"; "//department//email"; "//employee//name";
-        "//manager[.//department][.//employee]"; "//department/email";
-        "//manager//department//employee//name";
-      ]
+  let staff_doc, staff = staff_summary () in
+  let treebank_doc =
+    Xmlest.Document.of_elem (Xmlest.Treebank_gen.generate ~sentences:400 ())
+  in
+  let treebank_preds =
+    List.map tagp
+      [ "FILE"; "EMPTY"; "S"; "NP"; "VP"; "PP"; "SBAR"; "DT"; "JJ"; "NN"; "IN"; "VB" ]
+  in
+  let staff_queries =
+    [
+      "//manager//employee"; "//department//email"; "//employee//name";
+      "//manager[.//department][.//employee]"; "//department/email";
+      "//manager//department//employee//name";
+    ]
+  in
+  let stores =
+    Array.map
+      (fun (s, queries) ->
+        let valid = saved_bytes s in
+        (valid, store_layout valid, List.map Xmlest.Pattern_parser.pattern_exn queries))
+      [|
+        (staff, staff_queries);
+        ( Xmlest.Summary.build ~grid_size:10 ~grid_kind:`Equidepth staff_doc
+            (Xmlest.Summary.predicates staff),
+          staff_queries );
+        ( Xmlest.Summary.build ~grid_size:50 treebank_doc treebank_preds,
+          [
+            "//S//NP"; "//NP//NP"; "//VP//PP//NN"; "//SBAR//S[.//PP]"; "//S/VP";
+            "//NP[.//DT][.//NN]";
+          ] );
+      |]
   in
   let sound e = Float.is_finite e && e >= 0.0 in
-  QCheck.Test.make ~count:2000
+  QCheck.Test.make ~count:1500
     ~name:"mutated store: Error, Corrupt_store or sound estimates"
     QCheck.(
-      pair bool (list_of_size (Gen.int_range 1 4) (pair (int_bound 1_000_000) (int_bound 255))))
-    (fun (in_payload, edits) ->
+      triple (int_bound (Array.length stores - 1)) bool
+        (list_of_size (Gen.int_range 1 4) (pair (int_bound 1_000_000) (int_bound 255))))
+    (fun (which, in_payload, edits) ->
+      let valid, l, queries = stores.(which) in
       let b = Bytes.of_string valid in
       let lo, hi =
         if in_payload then (l.payload_at, String.length valid) else (0, l.payload_at)

@@ -159,24 +159,12 @@ let prop_cell_pair_weights_sum_to_estimate =
       in
       check Xmlest.Ph_join.Ancestor_based && check Xmlest.Ph_join.Descendant_based)
 
-let prop_sparse_equals_dense =
-  QCheck.Test.make ~count:200 ~name:"sparse pH-join = dense pH-join"
-    QCheck.(pair (Test_util.doc_two_tags_arbitrary ~max_nodes:60 ()) (int_range 1 16))
-    (fun ((_, doc, t1, t2), size) ->
-      let anc = hist doc size (tagp t1) and desc = hist doc size (tagp t2) in
-      let both direction =
-        Test_util.float_close ~tolerance:1e-9
-          (Xmlest.Ph_join.estimate ~direction ~anc ~desc ())
-          (Xmlest.Ph_join.estimate_sparse ~direction ~anc ~desc ())
-      in
-      both Xmlest.Ph_join.Ancestor_based && both Xmlest.Ph_join.Descendant_based)
-
-(* Satellite property: the three pH-join evaluation paths — dense passes,
-   sparse Fenwick evaluation, and the memoized-coefficient fast path — must
-   agree on random histograms, in both directions. *)
-let prop_cached_equals_dense_equals_sparse =
+(* The memoized-coefficient fast path and the dense passes share one
+   count x coefficient loop, so on random histograms they agree exactly,
+   in both directions. *)
+let prop_cached_equals_dense =
   QCheck.Test.make ~count:200
-    ~name:"estimate_with (cached coefficients) = estimate = estimate_sparse"
+    ~name:"cached coefficients: estimate_with = estimate"
     QCheck.(pair (Test_util.doc_two_tags_arbitrary ~max_nodes:60 ()) (int_range 1 16))
     (fun ((_, doc, t1, t2), size) ->
       let anc = hist doc size (tagp t1) and desc = hist doc size (tagp t2) in
@@ -188,11 +176,9 @@ let prop_cached_equals_dense_equals_sparse =
           | Xmlest.Ph_join.Descendant_based ->
             Xmlest.Ph_join.ancestor_coefficients anc
         in
-        let dense = Xmlest.Ph_join.estimate ~direction ~anc ~desc () in
-        let cached = Xmlest.Ph_join.estimate_with ~direction ~coefs ~anc ~desc () in
-        let sparse = Xmlest.Ph_join.estimate_sparse ~direction ~anc ~desc () in
-        (* same coefficients, same iteration order: bit-identical *)
-        cached = dense && Test_util.float_close ~tolerance:1e-9 dense sparse
+        Float.equal
+          (Xmlest.Ph_join.estimate_with ~direction ~coefs ~anc ~desc ())
+          (Xmlest.Ph_join.estimate ~direction ~anc ~desc ())
       in
       agree Xmlest.Ph_join.Ancestor_based && agree Xmlest.Ph_join.Descendant_based)
 
@@ -204,17 +190,6 @@ let test_estimate_with_checks_length () =
        "Ph_join.estimate_with: 3 coefficients for a 4x4 grid") (fun () ->
       ignore
         (Xmlest.Ph_join.estimate_with ~coefs:(Array.make 3 0.0) ~anc ~desc ()))
-
-let test_sparse_on_real_data () =
-  let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.02) in
-  List.iter
-    (fun size ->
-      let anc = hist doc size (tagp "article") and desc = hist doc size (tagp "author") in
-      check (Alcotest.float 1e-6)
-        (Printf.sprintf "g=%d" size)
-        (Xmlest.Ph_join.estimate ~anc ~desc ())
-        (Xmlest.Ph_join.estimate_sparse ~anc ~desc ()))
-    [ 1; 2; 10; 50; 200 ]
 
 (* --- Child_join / Level_position_histogram (extension) --------------------- *)
 
@@ -288,44 +263,6 @@ let test_child_join_staff () =
     < Float.abs (anc_desc_est -. float_of_int real_child));
   Alcotest.(check bool) "sanity: child < descendant truth" true
     (real_child <= real_desc)
-
-(* --- Fenwick ----------------------------------------------------------------- *)
-
-let test_fenwick_basics () =
-  let t = Xmlest.Fenwick.create 10 in
-  Xmlest.Fenwick.add t 0 1.0;
-  Xmlest.Fenwick.add t 3 2.5;
-  Xmlest.Fenwick.add t 9 4.0;
-  check (Alcotest.float 1e-9) "prefix 0" 1.0 (Xmlest.Fenwick.prefix_sum t 0);
-  check (Alcotest.float 1e-9) "prefix 2" 1.0 (Xmlest.Fenwick.prefix_sum t 2);
-  check (Alcotest.float 1e-9) "prefix 3" 3.5 (Xmlest.Fenwick.prefix_sum t 3);
-  check (Alcotest.float 1e-9) "prefix 9" 7.5 (Xmlest.Fenwick.prefix_sum t 9);
-  check (Alcotest.float 1e-9) "negative" 0.0 (Xmlest.Fenwick.prefix_sum t (-1));
-  check (Alcotest.float 1e-9) "range" 6.5 (Xmlest.Fenwick.range_sum t ~lo:1 ~hi:9);
-  check (Alcotest.float 1e-9) "empty range" 0.0 (Xmlest.Fenwick.range_sum t ~lo:5 ~hi:4);
-  check (Alcotest.float 1e-9) "total" 7.5 (Xmlest.Fenwick.total t)
-
-let prop_fenwick_matches_array =
-  QCheck.Test.make ~count:200 ~name:"fenwick = array prefix sums"
-    QCheck.(pair (int_range 1 50) (int_bound 100_000))
-    (fun (n, seed) ->
-      let rng = Xmlest.Splitmix.create seed in
-      let t = Xmlest.Fenwick.create n in
-      let model = Array.make n 0.0 in
-      for _ = 1 to 40 do
-        let i = Xmlest.Splitmix.int rng n in
-        let v = Xmlest.Splitmix.float rng 10.0 -. 5.0 in
-        Xmlest.Fenwick.add t i v;
-        model.(i) <- model.(i) +. v
-      done;
-      let ok = ref true in
-      let acc = ref 0.0 in
-      for i = 0 to n - 1 do
-        acc := !acc +. model.(i);
-        if not (Test_util.float_close ~tolerance:1e-9 !acc (Xmlest.Fenwick.prefix_sum t i))
-        then ok := false
-      done;
-      !ok)
 
 (* --- Order join (following axis, extension) --------------------------------- *)
 
@@ -867,17 +804,9 @@ let () =
           qcheck prop_ph_join_nonnegative;
           qcheck prop_ph_join_below_naive;
           qcheck prop_cell_pair_weights_sum_to_estimate;
-          qcheck prop_sparse_equals_dense;
-          qcheck prop_cached_equals_dense_equals_sparse;
+          qcheck prop_cached_equals_dense;
           Alcotest.test_case "estimate_with validates array length" `Quick
             test_estimate_with_checks_length;
-          Alcotest.test_case "sparse = dense on DBLP sample" `Quick
-            test_sparse_on_real_data;
-        ] );
-      ( "fenwick",
-        [
-          Alcotest.test_case "basics" `Quick test_fenwick_basics;
-          qcheck prop_fenwick_matches_array;
         ] );
       ( "order_join",
         [

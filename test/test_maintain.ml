@@ -670,6 +670,59 @@ let test_deep_chain_maintenance () =
   Alcotest.(check bool) "deep chain: apply = rebuild" true
     (apply_equals_rebuild doc ups)
 
+(* --- DBLP streams ---------------------------------------------------------- *)
+
+let dblp_article k =
+  E.make "article"
+    ~attrs:[ ("key", Printf.sprintf "maint/%d" k) ]
+    ~children:
+      [
+        E.leaf "author" (Printf.sprintf "Author %d" k);
+        E.leaf "title" (Printf.sprintf "Maintained Entry %d" k);
+        E.leaf "year" (string_of_int (1980 + (k mod 40)));
+        E.leaf "url" (Printf.sprintf "db/maint/%d.html" k);
+      ]
+
+(* Over the 12 Table-1 predicates (tags, [text_prefix] cites and decade
+   [any_of] compounds), on both grid kinds at g = 10 and on a uniform
+   g = 50, whose narrower buckets more shifts cross: a 200-update stream of
+   end-of-document appends, deletes of random subtrees and year-text
+   replacements, then 25 inserts of a record as the first child of a
+   random node.  Each stream is drawn against the document as edited so
+   far and applied one update at a time; the maintained summary is then
+   [to_string]-equal to a same-grid rebuild of the edited document. *)
+let test_dblp_streams_exact () =
+  let doc = D.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
+  let preds = Test_util.dblp_table1_predicates () in
+  let stream_pick rng d =
+    let k = Sm.int rng 100_000 in
+    Some
+      (match Sm.int rng 10 with
+      | 0 | 1 | 2 | 3 | 4 -> U.Insert { parent = 0; index = max_int; subtree = dblp_article k }
+      | 5 | 6 | 7 -> U.Delete { node = 1 + Sm.int rng (D.size d - 1) }
+      | _ -> U.Replace_text { node = Sm.int rng (D.size d); text = string_of_int (1980 + (k mod 40)) })
+  in
+  let first_child_pick rng d =
+    Some (U.Insert { parent = Sm.int rng (D.size d); index = 0; subtree = dblp_article (Sm.int rng 100_000) })
+  in
+  List.iter
+    (fun (grid_kind, grid_size) ->
+      let rng = Sm.create 0x4d41494e in
+      List.iter
+        (fun (label, n, pick) ->
+          let s = Xmlest.Summary.build ~grid_size ~grid_kind doc preds in
+          let ups = stream ~k:n ~pick rng doc in
+          List.iter (fun u -> Xmlest.Summary.apply s [ u ]) ups;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s g=%d" label
+               (match grid_kind with `Uniform -> "uniform" | `Equidepth -> "equi-depth")
+               grid_size)
+            true
+            (summaries_identical s
+               (Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) (edited doc ups) preds)))
+        [ ("200-update exact stream", 200, stream_pick); ("25 interior inserts", 25, first_child_pick) ])
+    [ (`Uniform, 10); (`Equidepth, 10); (`Uniform, 50) ]
+
 (* --- Rebuild policies and rejected batches ------------------------------ *)
 
 let test_staleness_policies () =
@@ -847,9 +900,9 @@ let catalog_keys s =
 
 (* On-demand histograms asked before the first apply, between applies,
    after a batch with a rejected update and across the insert that
-   interns their tag stay exact.  Once the engine exists they are
-   maintained rather than rebuilt: the summary hands out the same
-   objects after every later apply.  Staleness reports the base
+   interns their tag stay exact.  They are maintained rather than
+   rebuilt, whenever they were built: the summary hands out the same
+   objects after every apply, the first one included.  Staleness reports the base
    predicates only, and a batch estimation over domains returns the
    sequential estimates and tracks nothing new. *)
 let prop_on_demand_maintained =
@@ -869,9 +922,10 @@ let prop_on_demand_maintained =
       let same_objects a b = List.for_all2 ( == ) a b in
       let ok = ref (on_demand_exact s) in
       let check b = if not b then ok := false in
+      let tracked = hists () in
       Xmlest.Summary.apply s (batch 2);
       check (on_demand_exact s);
-      let tracked = hists () in
+      check (same_objects tracked (hists ()));
       Xmlest.Summary.apply s (batch 2);
       check (on_demand_exact s);
       check (same_objects tracked (hists ()));
@@ -1216,6 +1270,8 @@ let () =
             test_covering_side_stops_at_nested_matches;
           Alcotest.test_case "deep chain (100k levels)" `Quick
             test_deep_chain_maintenance;
+          Alcotest.test_case "DBLP streams: apply = rebuild" `Quick
+            test_dblp_streams_exact;
           qcheck prop_on_demand_maintained;
         ] );
       ( "rebuild-policy",

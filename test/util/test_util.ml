@@ -168,6 +168,25 @@ let contains_substring haystack needle =
   let rec at k = k + nn <= nh && (String.sub haystack k nn = needle || at (k + 1)) in
   at 0
 
+(* --- The DBLP predicate sets ------------------------------------------ *)
+
+(* The paper's Table 1: tags, the cite prefixes and the decade
+   compounds. *)
+let dblp_table1_predicates () =
+  let module P = Xmlest.Predicate in
+  let decade d = P.any_of (List.init 10 (fun k -> P.text_eq ~tag:"year" (string_of_int (d + k)))) in
+  List.map P.tag [ "article"; "author"; "book"; "cdrom"; "cite"; "title"; "url"; "year" ]
+  @ [
+      P.text_prefix ~tag:"cite" "conf"; P.text_prefix ~tag:"cite" "journal"; decade 1980;
+      decade 1990;
+    ]
+
+(* The canonical 52: Table 1 plus the 40 per-year base predicates that the
+   decade compounds resolve against. *)
+let dblp_predicates () =
+  dblp_table1_predicates ()
+  @ List.init 40 (fun k -> Xmlest.Predicate.text_eq ~tag:"year" (string_of_int (1960 + k)))
+
 (* --- The .xsum store ---------------------------------------------------- *)
 
 (* [f] over a temporary store holding [s], removed afterwards. *)
