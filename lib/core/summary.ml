@@ -480,8 +480,9 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
       words.(u / mask_bits) <- words.(u / mask_bits) lor (1 lsl (u mod mask_bits))
     in
     (* Open-element frames; the buffer collects the element's direct
-       character data across child elements, trimmed at close exactly as
-       Xml_parser trims Elem text. *)
+       character data across child elements, dropping blank runs before
+       the first, and is trimmed at close exactly as Xml_parser trims
+       Elem text. *)
     let f_tag = ref (Array.make 16 "") in
     let f_attrs = ref (Array.make 16 []) in
     let f_start = ref (Array.make 16 0) in
@@ -511,7 +512,11 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
           incr pos;
           incr depth
         | Sax.Text s ->
-          if !depth > 0 then Buffer.add_string !f_text.(!depth - 1) s
+          if !depth > 0 then begin
+            let b = !f_text.(!depth - 1) in
+            if not (Int.equal (Buffer.length b) 0 && Sax.is_blank s) then
+              Buffer.add_string b s
+          end
         | Sax.Close ->
           if Int.equal !depth 0 then unbalanced "close without a matching open";
           decr depth;

@@ -163,47 +163,114 @@ let compile doc p =
     f ~tag:(Document.tag_id doc v) ~attrs:(Document.attrs doc v)
       ~text:(Document.text doc v) ~level:(Document.level doc v)
 
-let compiled_eval c v = c v
+(* The tag a node must carry to satisfy [p], as dispatch pins it:
+   [tag_of]'s rule, and also a disjunction whose branches pin the same
+   tag.  [tag_of] keeps the narrower rule because stored summaries record
+   it per section. *)
+let rec pinned_tag = function
+  | Tag t -> Some t
+  | And (a, b) -> ( match pinned_tag a with Some t -> Some t | None -> pinned_tag b)
+  | Or (a, b) -> (
+    match (pinned_tag a, pinned_tag b) with
+    | Some x, Some y when String.equal x y -> Some x
+    | (Some _ | None), _ -> None)
+  | True | Text_eq _ | Text_prefix _ | Text_suffix _ | Text_contains _
+  | Attr_eq _ | Level_eq _ | Not _ ->
+    None
 
-let classify ~tag_id p =
-  match tag_of p with
+(* Where dispatch sends [p]: to the nodes of its pinned tag (by id, with
+   the tag's name), to every node, or nowhere when the source has no
+   such tag. *)
+let pin ~tag_id p =
+  match pinned_tag p with
   | None -> `Any
   | Some t -> (
-    match tag_id t with Some id -> `Tag id | None -> `Nothing)
+    match tag_id t with Some id -> `Tag (id, t) | None -> `Nothing)
 
-let target doc p = classify ~tag_id:(Document.lookup_tag_id doc) p
+let target doc p =
+  match pin ~tag_id:(Document.lookup_tag_id doc) p with
+  | `Tag (id, _) -> `Tag id
+  | (`Any | `Nothing) as t -> t
 
 (* --- Dispatch table --------------------------------------------------- *)
+
+(* On a node of tag [t], some predicates reduce to "the text is one of
+   S": [Text_eq], a conjunction of [Tag t] with a reducing predicate, a
+   disjunction of reducing ones.  [family_texts t p acc] is S prepended
+   to [acc] when [p] reduces, [None] otherwise. *)
+let rec family_texts t p acc =
+  match p with
+  | Text_eq s -> Some (s :: acc)
+  | And (Tag t', x) when String.equal t t' -> family_texts t x acc
+  | And (x, Tag t') when String.equal t t' -> family_texts t x acc
+  | Or (a, b) -> Option.bind (family_texts t a acc) (family_texts t b)
+  | True | Tag _ | Text_prefix _ | Text_suffix _ | Text_contains _ | Attr_eq _
+  | Level_eq _ | And _ | Not _ ->
+    None
+
+module Texts = Hashtbl.Make (String)
+
+(* A tag's text-equality family: one probe with the node's text finds
+   every member it satisfies. *)
+type family = {
+  members : int;  (* predicates in the family *)
+  hits : int array Texts.t;  (* text -> member indices, ascending *)
+}
 
 type dispatch = {
   lowered : lowered array;
   tag_id : string -> int option;  (* the source's tag name -> tag id *)
-  per_tag : int array array;  (* tag id -> indices of predicates pinned to it *)
+  per_tag : int array array;  (* tag id -> pinned predicates run as closures *)
+  families : family option array;  (* tag id -> its text-equality family *)
   unpinned : int array;  (* indices of predicates with no pinned tag *)
   mutable evals : int;
 }
 
 let make_dispatch ~tag_id preds =
   let preds = Array.of_list preds in
-  let targets = Array.map (classify ~tag_id) preds in
+  let pins = Array.map (pin ~tag_id) preds in
   let num_tags =
     Array.fold_left
-      (fun m t -> match t with `Tag id -> Int.max m (id + 1) | `Any | `Nothing -> m)
-      0 targets
+      (fun m t -> match t with `Tag (id, _) -> Int.max m (id + 1) | `Any | `Nothing -> m)
+      0 pins
   in
   let per_tag = Array.make num_tags [] in
+  let members = Array.make num_tags 0 in
+  let hits = Array.init num_tags (fun _ -> Texts.create 0) in
   let unpinned = ref [] in
+  (* Ascending [k] makes each text's index list descending, so a repeat
+     of [k] (a text named twice in one predicate) is at its head. *)
+  let add_hit id k s =
+    match Texts.find_opt hits.(id) s with
+    | Some (k' :: _) when Int.equal k k' -> ()
+    | Some ks -> Texts.replace hits.(id) s (k :: ks)
+    | None -> Texts.replace hits.(id) s [ k ]
+  in
   Array.iteri
-    (fun k t ->
-      match t with
-      | `Tag id -> per_tag.(id) <- k :: per_tag.(id)
+    (fun k pin ->
+      match pin with
+      | `Tag (id, t) -> (
+        match family_texts t preds.(k) [] with
+        | Some texts ->
+          members.(id) <- members.(id) + 1;
+          List.iter (add_hit id k) texts
+        | None -> per_tag.(id) <- k :: per_tag.(id))
       | `Any -> unpinned := k :: !unpinned
       | `Nothing -> ())
-    targets;
+    pins;
+  let family id =
+    if Int.equal members.(id) 0 then None
+    else begin
+      let tbl = Texts.create (Texts.length hits.(id)) in
+      Texts.iter (fun s ks -> Texts.replace tbl s (Array.of_list (List.rev ks))) hits.(id);
+      Some { members = members.(id); hits = tbl }
+    end
+  in
   {
     lowered = Array.map (lower ~tag_id) preds;
     tag_id;
     per_tag = Array.map (fun l -> Array.of_list (List.rev l)) per_tag;
+    families = Array.init num_tags family;
     unpinned = Array.of_list (List.rev !unpinned);
     evals = 0;
   }
@@ -239,7 +306,15 @@ let dispatch_parts d ~tag ~attrs ~text ~level ~f =
     let pinned = d.per_tag.(tag) in
     for idx = 0 to Array.length pinned - 1 do
       run pinned.(idx)
-    done
+    done;
+    match d.families.(tag) with
+    | None -> ()
+    | Some fam -> (
+      (* one probe decides every member *)
+      d.evals <- d.evals + fam.members;
+      match Texts.find_opt fam.hits text with
+      | Some ks -> Array.iter f ks
+      | None -> ())
   end;
   for idx = 0 to Array.length d.unpinned - 1 do
     run d.unpinned.(idx)

@@ -37,7 +37,8 @@ val name : t -> string
 
 val tag_of : t -> string option
 (** The tag a node must carry to satisfy the predicate, if the predicate
-    constrains the tag ([Tag] or a conjunction containing one). *)
+    constrains the tag ([Tag] or a conjunction containing one).  Stored
+    summaries record it, so it pins no disjunction, unlike {!target}. *)
 
 val disjoint : t -> t -> bool
 (** [true] only when the two predicates provably select disjoint node sets
@@ -64,18 +65,26 @@ val pp : Format.formatter -> t -> unit
 type compiled = Document.node -> bool
 
 val compile : Document.t -> t -> compiled
-val compiled_eval : compiled -> Document.node -> bool
 
 val target : Document.t -> t -> [ `Any | `Tag of int | `Nothing ]
-(** Where the predicate can match: [`Tag id] when it pins an element tag
-    that occurs in the document (the interned id), [`Nothing] when the
-    pinned tag does not occur at all, [`Any] otherwise. *)
+(** Where the predicate can match, as the dispatch table pins it:
+    [`Tag id] when it pins an element tag that occurs in the document
+    (the interned id), [`Nothing] when the pinned tag does not occur at
+    all, [`Any] otherwise.  A predicate pins a tag when it is a [Tag], a
+    conjunction with a conjunct that pins one, or a disjunction whose
+    branches all pin the same tag (so a same-tag {!any_of} is pinned,
+    though {!tag_of} is [None] for it). *)
 
 (** {2 Dispatch table}
 
-    A batch of compiled predicates bucketed by pinned tag id: each node
-    only evaluates the predicates pinned to its tag, plus the unpinned
-    ones — predicates pinned to other tags cost nothing.  This is the
+    A batch of predicates bucketed by pinned tag id: each node only
+    decides the predicates pinned to its tag, plus the unpinned ones —
+    predicates pinned to other tags cost nothing.  Among a tag's pinned
+    predicates, those that reduce on its nodes to a text-equality test
+    ([Text_eq], [Tag t] conjoined with such a test, a disjunction of
+    them — the per-year predicates and their decade {!any_of}s) form the
+    tag's family: one hash probe with the node's text finds every member
+    it satisfies.  The others run their compiled closure.  This is the
     inner loop of both summary constructions: the fused sweep resolves
     the bucket by the document's tag id, the streamed build by one hash
     lookup of the tag name per close event. *)
@@ -88,10 +97,11 @@ val dispatch : Document.t -> t list -> dispatch
 
 val dispatch_node :
   dispatch -> Document.t -> Document.node -> f:(int -> unit) -> unit
-(** Evaluate the relevant predicates on one node, calling [f] with the
+(** Decide the relevant predicates on one node, calling [f] with the
     list index (into the [dispatch] input list) of every predicate that
-    matches.  Indices are reported in bucket order: pinned predicates in
-    input order, then unpinned ones in input order. *)
+    matches, each once.  Indices are reported in bucket order: the
+    node's tag's pinned closures in input order, then its family's hits
+    in ascending index order, then unpinned predicates in input order. *)
 
 val dispatch_detached : t list -> dispatch
 (** A document-free table: tag ids are interned from the tag names the
@@ -111,9 +121,10 @@ val dispatch_named :
     Works on tables from {!dispatch} and {!dispatch_detached} alike. *)
 
 val dispatch_evals : dispatch -> int
-(** Total compiled-predicate evaluations performed by {!dispatch_node} and
+(** (node, predicate) decisions made by {!dispatch_node} and
     {!dispatch_named} since the table was built — the builds' eval
-    counter. *)
+    counter.  A family probe counts one decision per family member, so
+    the count is that of running every relevant predicate's closure. *)
 
 (** {2 Substring matching}
 

@@ -84,42 +84,50 @@ let take_slot t v =
 
 (* Label [elem]'s subtree in pre-order into indices [at ..] and positions
    [pos ..], its root a child of [parent] at [level].  An explicit stack
-   keeps arbitrarily deep documents off the OCaml stack. *)
+   of (open node, its children not yet labeled) keeps arbitrarily deep
+   documents off the OCaml stack. *)
 let fill t elem ~at ~parent ~level ~pos =
-  let counter = ref pos in
-  let next_pos () =
-    let p = !counter in
-    incr counter;
-    p
+  let pos = ref pos and index = ref at in
+  let open_nodes = ref (Array.make 16 0) in
+  let pending = ref (Array.make 16 []) in
+  let depth = ref 0 in
+  let enter (e : Elem.t) ~parent ~level =
+    let v = !index in
+    incr index;
+    t.tag_ids.(v) <- intern t e.tag;
+    let s = if Array.length t.slots = 0 then v else take_slot t v in
+    t.texts.(s) <- e.text;
+    t.attrs.(s) <- e.attrs;
+    t.starts.(v) <- !pos;
+    incr pos;
+    t.levels.(v) <- level;
+    t.parents.(v) <- parent;
+    if Int.equal !depth (Array.length !open_nodes) then begin
+      let grow a fresh =
+        let b = Array.make (2 * !depth) fresh in
+        Array.blit a 0 b 0 !depth;
+        b
+      in
+      open_nodes := grow !open_nodes 0;
+      pending := grow !pending []
+    end;
+    !open_nodes.(!depth) <- v;
+    !pending.(!depth) <- e.children;
+    incr depth
   in
-  let index = ref at in
-  (* Stack frames: Enter (elem, parent index, level) to open a node,
-     Exit idx to close it. *)
-  let stack = ref [ `Enter (elem, parent, level) ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> assert false
-    | frame :: rest ->
-      stack := rest;
-      (match frame with
-      | `Enter (e, parent, lvl) ->
-        let v = !index in
-        incr index;
-        t.tag_ids.(v) <- intern t e.Elem.tag;
-        let s = if Array.length t.slots = 0 then v else take_slot t v in
-        t.texts.(s) <- e.Elem.text;
-        t.attrs.(s) <- e.Elem.attrs;
-        t.starts.(v) <- next_pos ();
-        t.levels.(v) <- lvl;
-        t.parents.(v) <- parent;
-        stack := `Exit v :: !stack;
-        (* Push children so that the first child is processed first. *)
-        List.iter
-          (fun c -> stack := `Enter (c, v, lvl + 1) :: !stack)
-          (List.rev e.Elem.children)
-      | `Exit v ->
-        t.ends.(v) <- next_pos ();
-        t.subtree_lasts.(v) <- !index - 1)
+  enter elem ~parent ~level;
+  while !depth > 0 do
+    let top = !depth - 1 in
+    let v = !open_nodes.(top) in
+    match !pending.(top) with
+    | c :: rest ->
+      !pending.(top) <- rest;
+      enter c ~parent:v ~level:(t.levels.(v) + 1)
+    | [] ->
+      t.ends.(v) <- !pos;
+      incr pos;
+      t.subtree_lasts.(v) <- !index - 1;
+      decr depth
   done
 
 let of_elem root =

@@ -95,19 +95,32 @@ let fail r message =
   sync r;
   raise (Parse_error { line = r.line; column = r.col; message })
 
-let eof r =
+(* The byte readers test the buffer first and call [ensure] only at its
+   end: [ensure] holds a loop, so ocamlopt never inlines it, while these
+   stay small enough to be.  [rlen <= Bytes.length buf] always holds,
+   which is what makes the unchecked reads safe. *)
+
+let refill_eof r =
   ensure r 1;
   r.rlen - r.rpos = 0
 
-let peek r =
+let eof r = r.rpos >= r.rlen && refill_eof r
+
+let peek_slow r =
   ensure r 1;
   if r.rlen - r.rpos = 0 then '\000' else Bytes.get r.buf r.rpos
 
-let peek2 r =
+let peek r = if r.rpos < r.rlen then Bytes.unsafe_get r.buf r.rpos else peek_slow r
+
+let peek2_slow r =
   ensure r 2;
   if r.rlen - r.rpos < 2 then '\000' else Bytes.get r.buf (r.rpos + 1)
 
-let advance r = if not (eof r) then r.rpos <- r.rpos + 1
+let peek2 r =
+  if r.rpos + 1 < r.rlen then Bytes.unsafe_get r.buf (r.rpos + 1) else peek2_slow r
+
+let advance r =
+  if r.rpos < r.rlen || not (refill_eof r) then r.rpos <- r.rpos + 1
 
 let expect r ch =
   if Char.equal (peek r) ch then advance r
@@ -343,6 +356,14 @@ let parse_attrs r =
     else List.rev acc
   in
   go []
+
+let is_blank s =
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n && is_ws (String.unsafe_get s !i) do
+    incr i
+  done;
+  Int.equal !i n
 
 let trim_text s =
   let n = String.length s in

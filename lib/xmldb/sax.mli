@@ -53,3 +53,8 @@ val fold : ('a -> event -> 'a) -> 'a -> t -> 'a
 val trim_text : string -> string
 (** Strip leading and trailing ASCII whitespace — the trim applied to
     each element's concatenated [Text] events to give its [Elem.text]. *)
+
+val is_blank : string -> bool
+(** [s] is ASCII whitespace only (or empty).  A blank run before an
+    element's first character data can be dropped: {!trim_text} would
+    remove it. *)

@@ -8,7 +8,8 @@ let pp_error = Sax.pp_error
 exception Parse_error = Sax.Parse_error
 
 (* An open element: its direct character data and finished children so
-   far, newest first. *)
+   far, newest first.  Blank runs before its first character data are
+   dropped: the trim would remove them anyway. *)
 type frame = {
   tag : string;
   attrs : (string * string) list;
@@ -29,12 +30,16 @@ let parse sax =
     | Some (Sax.Open { tag; attrs }), _ ->
       go ({ tag; attrs; texts = []; children = [] } :: stack)
     | Some (Sax.Text s), f :: _ ->
-      f.texts <- s :: f.texts;
+      if not (List.is_empty f.texts && Sax.is_blank s) then f.texts <- s :: f.texts;
       go stack
     | Some Sax.Close, f :: rest -> (
       let e =
-        Elem.make ~attrs:f.attrs ~text:(text_of f.texts)
-          ~children:(List.rev f.children) f.tag
+        {
+          Elem.tag = f.tag;
+          attrs = f.attrs;
+          text = text_of f.texts;
+          children = List.rev f.children;
+        }
       in
       match rest with
       | parent :: _ ->

@@ -472,6 +472,68 @@ let prop_stream_equals_build =
            (fun () -> Xmlest.Sax.next sax)
            preds))
 
+(* Random XML, indented or not, whose elements mix padded character data
+   with child elements: an element's text arrives as several runs, some
+   whitespace only, some padded, split by children and comments. *)
+let padded_xml_gen st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let indented = Random.State.bool st in
+  let newline depth =
+    if indented then "\n" ^ String.make (2 * depth) ' ' else ""
+  in
+  let runs =
+    [| ""; " "; "\n  "; "1990"; " 1990 "; "\n    1991\n  "; "conf/vldb"; "  conf/icde  ";
+       "\t1990"; "1991 "; "<!-- c -->"; " &amp; " |]
+  in
+  let tags = [| "a"; "b"; "c" |] in
+  let b = Buffer.create 256 in
+  let budget = ref (1 + Random.State.int st 40) in
+  let rec elem depth =
+    decr budget;
+    let tag = pick tags in
+    Printf.bprintf b "<%s>%s" tag (pick runs);
+    while !budget > 0 && Random.State.int st 3 > 0 do
+      Buffer.add_string b (newline (depth + 1));
+      elem (depth + 1);
+      Buffer.add_string b (pick runs)
+    done;
+    Printf.bprintf b "%s</%s>" (newline depth) tag
+  in
+  elem 0;
+  Buffer.contents b
+
+(* Both builds see an element's text trimmed: the in-memory one through
+   [Xml_parser], the streamed one through its own frame buffers. *)
+let prop_stream_trims_text =
+  QCheck.Test.make ~count:100
+    ~name:"streamed build = in-memory build on padded, mixed-content text"
+    (QCheck.make ~print:Fun.id padded_xml_gen)
+    (fun xml ->
+      let doc = Xmlest.Document.of_elem (Xmlest.Xml_parser.parse_string_exn xml) in
+      let grid_size = min 8 (Xmlest.Document.max_pos doc + 1) in
+      let open Xmlest.Predicate in
+      let preds =
+        [
+          text_eq ~tag:"a" "1990";
+          text_eq ~tag:"b" "1991";
+          text_prefix ~tag:"a" "conf";
+          Text_prefix "1991";
+          (* interior whitespace survives the trim *)
+          Text_contains " ";
+          any_of [ text_eq ~tag:"b" "1990"; text_eq ~tag:"b" "1991" ];
+          any_of [ text_eq ~tag:"c" "1990"; text_eq ~tag:"c" "&" ];
+        ]
+      in
+      List.for_all
+        (fun grid_kind ->
+          let sax = Xmlest.Sax.of_string xml in
+          summaries_identical
+            (Xmlest.Summary.build ~grid_size ~grid_kind doc preds)
+            (Xmlest.Summary.build_stream ~grid_size ~grid_kind
+               (fun () -> Xmlest.Sax.next sax)
+               preds))
+        [ `Uniform; `Equidepth ])
+
 let test_stream_equals_build_datasets () =
   (* Real generators carry text and attributes, so the streamed path's
      close-time text assembly (entity decoding, trimming, runs split by
@@ -620,15 +682,24 @@ let test_stream_build_file_and_stats () =
 (* The predicate-split build must be [to_string]-bit-identical to the
    sequential one (and hence to the oracle), with the same evaluation
    count, for every domain count — including 3, which leaves subsets of
-   unequal size, and 7 and 16, more domains than the 5 unique
+   unequal size, and 7 and 16, more domains than the 10 unique
    predicates — on both grid kinds, with the duplicate predicate and the
-   schema overrides (a [Some false] one skips coverage). *)
+   schema overrides (a [Some false] one skips coverage).  Each node's
+   text is a year, so [b]'s year predicates and their decade [any_of]
+   form a text-equality family that different subsets split apart. *)
 let prop_parallel_build_bit_identical =
   QCheck.Test.make ~count:50
     ~name:"parallel build = sequential build (bit-identical, random docs)"
     QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:60 ()) (int_bound 7))
     (fun (elem, cfg) ->
-      let doc = Xmlest.Document.of_elem elem in
+      let k = ref 0 in
+      let rec with_years (e : Xmlest.Elem.t) =
+        incr k;
+        let text = string_of_int (1990 + (!k mod 6)) in
+        { e with text; children = List.map with_years e.children }
+      in
+      let doc = Xmlest.Document.of_elem (with_years elem) in
+      let year y = Xmlest.Predicate.text_eq ~tag:"b" (string_of_int y) in
       let grid_size = min 8 (Xmlest.Document.max_pos doc + 1) in
       let grid_kind = if cfg land 1 = 0 then `Uniform else `Equidepth in
       let with_levels = cfg land 2 = 0 in
@@ -645,6 +716,11 @@ let prop_parallel_build_bit_identical =
           Xmlest.Predicate.And (tagp "a", Xmlest.Predicate.Level_eq 1);
           tagp "a";
           tagp "nosuchtag";
+          year 1990;
+          year 1991;
+          year 1992;
+          year 1993;
+          Xmlest.Predicate.any_of [ year 1990; year 1991; year 1992 ];
         ]
       in
       let build ?domains () =
@@ -1668,6 +1744,7 @@ let () =
           Alcotest.test_case "fused = legacy on datasets" `Quick
             test_fused_equals_legacy_datasets;
           qcheck prop_stream_equals_build;
+          qcheck prop_stream_trims_text;
           Alcotest.test_case "streamed = in-memory on datasets" `Quick
             test_stream_equals_build_datasets;
           Alcotest.test_case "streamed = in-memory, two mask words" `Quick

@@ -220,7 +220,7 @@ let test_compile_on_sample () =
       for v = 0 to Xmlest.Document.size doc - 1 do
         Alcotest.(check bool)
           (name p ^ " @ node " ^ string_of_int v)
-          (eval p doc v) (compiled_eval c v)
+          (eval p doc v) (c v)
       done)
     cases
 
@@ -260,7 +260,7 @@ let prop_compile_equals_eval =
       let ok = ref true in
       for v = 0 to Xmlest.Document.size doc - 1 do
         if
-          Xmlest.Predicate.compiled_eval c v <> Xmlest.Predicate.eval p doc v
+          c v <> Xmlest.Predicate.eval p doc v
         then ok := false
       done;
       !ok)
@@ -276,27 +276,65 @@ let test_dispatch_matches_eval () =
       text_prefix ~tag:"cite" "conf";
       Text_contains "Query";
       True;
+      (* title's text-equality family: one value in two predicates, and
+         twice in one *)
+      text_eq ~tag:"title" "Trees";
+      any_of [ text_eq ~tag:"title" "Trees"; text_eq ~tag:"title" "Query Sizes" ];
+      any_of [ text_eq ~tag:"title" "Trees"; text_eq ~tag:"title" "Trees" ];
+      And (Text_eq "Query Processing", Tag "title");
+      (* a family on an absent tag *)
+      text_eq ~tag:"zzz" "Trees";
+      And (Tag "cite", Or (Text_eq "conf/vldb/1", Text_eq "conf/icde/3"));
+      (* a mixed-tag disjunction stays unpinned *)
+      Or (text_eq ~tag:"title" "Trees", text_eq ~tag:"cite" "conf/icde/3");
+      (* pinned to cite, but a prefix is no family member *)
+      any_of [ text_eq ~tag:"cite" "conf/vldb/1"; text_prefix ~tag:"cite" "journals" ];
     ]
   in
-  let d = dispatch doc preds in
   let arr = Array.of_list preds in
+  let expected v =
+    List.filter (fun k -> eval arr.(k) doc v) (List.init (Array.length arr) Fun.id)
+  in
+  let d = dispatch doc preds in
+  let detached = dispatch_detached preds in
   for v = 0 to Xmlest.Document.size doc - 1 do
-    let got = ref [] in
+    let got = ref [] and named = ref [] in
     dispatch_node d doc v ~f:(fun k -> got := k :: !got);
-    let expected = ref [] in
-    for k = Array.length arr - 1 downto 0 do
-      if eval arr.(k) doc v then expected := k :: !expected
-    done;
+    dispatch_named detached ~tag:(Xmlest.Document.tag doc v)
+      ~attrs:(Xmlest.Document.attrs doc v) ~text:(Xmlest.Document.text doc v)
+      ~level:(Xmlest.Document.level doc v)
+      ~f:(fun k -> named := k :: !named);
     check
       Alcotest.(list int)
       ("matches @ node " ^ string_of_int v)
-      !expected
-      (List.sort Stdlib.compare !got)
+      (expected v)
+      (List.sort Stdlib.compare !got);
+    check
+      Alcotest.(list int)
+      ("named matches @ node " ^ string_of_int v)
+      (expected v)
+      (List.sort Stdlib.compare !named)
   done;
-  Alcotest.(check bool) "evaluations counted" true (dispatch_evals d > 0);
-  (* the `Nothing predicate and the off-tag pinned ones cost nothing: each
-     node evaluates at most its own tag's pinned predicates plus the two
-     unpinned ones *)
+  (* one decision per relevant (node, predicate) pair, family members
+     included: the count a closure per predicate would make *)
+  let relevant =
+    List.fold_left
+      (fun acc p ->
+        acc
+        +
+        match target doc p with
+        | `Any -> Xmlest.Document.size doc
+        | `Tag id ->
+          let n = ref 0 in
+          Xmlest.Document.iter doc (fun v ->
+              if Int.equal (Xmlest.Document.tag_id doc v) id then incr n);
+          !n
+        | `Nothing -> 0)
+      0 preds
+  in
+  check Alcotest.int "evaluations counted" relevant (dispatch_evals d);
+  check Alcotest.int "detached evaluations counted" relevant (dispatch_evals detached);
+  (* the `Nothing predicates and the off-tag pinned ones cost nothing *)
   Alcotest.(check bool)
     "dispatch skips irrelevant predicates" true
     (dispatch_evals d < Xmlest.Document.size doc * List.length preds)
@@ -317,7 +355,14 @@ let test_target () =
   Alcotest.(check bool) "true" true (target doc True = `Any);
   Alcotest.(check bool)
     "disjunction unpinned" true
-    (target doc (Or (Tag "book", Tag "paper")) = `Any)
+    (target doc (Or (Tag "book", Tag "paper")) = `Any);
+  Alcotest.(check bool)
+    "same-tag any_of pinned" true
+    (target doc (any_of [ text_eq ~tag:"title" "Trees"; text_eq ~tag:"title" "Query Sizes" ])
+    = `Tag (tid "title"));
+  Alcotest.(check bool)
+    "same-tag any_of over an absent tag" true
+    (target doc (any_of [ text_eq ~tag:"zzz" "a"; Tag "zzz" ]) = `Nothing)
 
 (* --- Pattern ------------------------------------------------------------ *)
 
