@@ -61,13 +61,14 @@ let register_entries hcat entries =
 
 (* --- Construction core ------------------------------------------------ *)
 
-(* Both builds — the fused document sweep and the streamed SAX build —
-   run on this core: they dedup the predicates, derive the grid, feed
-   one builder set and finish it into entries the same way, and differ
-   only in where node records come from and how each node's nearest
-   strict P-ancestor is resolved.  Every builder is an order-insensitive
-   exact integer accumulator, so the two sources' different feed orders
-   (pre-order, post-order) finish into bit-identical summaries. *)
+(* Both builds — the fused document build and the streamed SAX build —
+   differ only in their record source: the document's nodes in
+   pre-order, or the spill read backwards.  Everything after it is
+   written once: the predicates are deduplicated, the grid derived, one
+   builder set filled and finished into entries.  Every builder is an
+   order-insensitive exact integer accumulator, so the two sources'
+   different orders (pre-order, reverse post-order) finish into
+   bit-identical summaries. *)
 
 module Pool = Xmlest_parallel.Pool
 
@@ -75,11 +76,10 @@ type plan = {
   plan_preds : Predicate.t list;  (* as given, duplicates included *)
   uniq : Predicate.t array;  (* unique by name, in first-occurrence order *)
   occurrences : int array;  (* the [uniq] index of every [plan_preds] element *)
-  schema : bool option array;  (* per [uniq]: schema no-overlap override *)
   plan_levels : bool;
 }
 
-let plan ?schema_no_overlap ~with_levels preds =
+let plan ~with_levels preds =
   let index = Hashtbl.create 16 in
   let uniq = ref [] in
   let occurrences =
@@ -95,90 +95,92 @@ let plan ?schema_no_overlap ~with_levels preds =
           u)
       preds
   in
-  let uniq = Array.of_list (List.rev !uniq) in
   {
     plan_preds = preds;
-    uniq;
+    uniq = Array.of_list (List.rev !uniq);
     occurrences = Array.of_list occurrences;
-    schema =
-      (match schema_no_overlap with
-      | None -> Array.map (fun _ -> None) uniq
-      | Some f -> Array.map f uniq);
     plan_levels = with_levels;
   }
 
-(* One unique predicate's builders, fed by exactly one sweep. *)
-type pred_builders = {
-  pb_hist : Position_histogram.builder;
-  pb_levels : Level_histogram.builder option;  (* None when levels are off *)
-  pb_coverage : Coverage_histogram.builder option;
-      (* None where a schema override rules coverage out *)
-  mutable pb_nesting : bool;  (* a match had a strict match-ancestor *)
-}
+(* A record source makes one pass over its nodes, ancestors first, and
+   calls [f ~start_pos ~end_pos ~level m] for each, with the indices of
+   the predicates it matches in [matched.(0 .. m-1)]. *)
+type source =
+  matched:int array ->
+  (start_pos:int -> end_pos:int -> level:int -> int -> unit) ->
+  unit
 
-(* Empty builders over [grid] for unique predicate [u].  A schema
-   override saying "overlaps" means the coverage histogram can never be
-   kept; its accumulation is skipped entirely. *)
-let pred_builders plan grid u =
-  {
-    pb_hist = Position_histogram.builder grid;
-    pb_levels =
-      (if plan.plan_levels then Some (Level_histogram.builder ()) else None);
-    pb_coverage =
-      (match plan.schema.(u) with
-      | Some false -> None
-      | Some true | None -> Some (Coverage_histogram.builder grid));
-    pb_nesting = false;
-  }
-
-let feed_match pb ~cell ~level =
-  Position_histogram.feed_cell pb.pb_hist cell;
-  match pb.pb_levels with Some lb -> Level_histogram.feed lb level | None -> ()
-
-(* The per-node step of both sources: [feed_node grid per res ~pop
-   ~matched] is a function of one node — its interval, its level and the
-   count of the predicates (indices into [per]) it matches, listed in
-   [matched] — that feeds the node's cell to the population (when [pop]
-   is given) and to the builders of each match, and its nearest strict
-   P-ancestors' cells, from the resolver [res], to the coverage builders.
-   Nodes must come ancestors first. *)
-let feed_node grid per res ~pop ~matched =
-  let on_nearest u ~covered ~covering =
-    match per.(u).pb_coverage with
-    | Some cb -> Coverage_histogram.feed cb ~covered ~covering
-    | None -> ()
-  in
-  fun ~start_pos ~end_pos ~level nmatched ->
-    let i, j = Grid.cell_of_node grid ~start_pos ~end_pos in
-    let cell = Grid.index grid ~i ~j in
-    (match pop with Some b -> Position_histogram.feed_cell b cell | None -> ());
-    Interval_ops.resolve res ~start_pos ~end_pos ~cell ~matched ~nmatched ~on_nearest;
-    for m = 0 to nmatched - 1 do
-      feed_match per.(matched.(m)) ~cell ~level
-    done
-
-(* Once every node is fed: a predicate nests iff the resolver saw a
-   match inside another. *)
-let set_nesting per res =
-  Array.iteri (fun u pb -> pb.pb_nesting <- Interval_ops.nesting_pairs res u > 0) per
+(* Each of the [k] predicates' match starts and ends, in one pass. *)
+let match_positions k (source : source) =
+  let acc = Array.make k [] in
+  let matched = Array.make k 0 in
+  source ~matched (fun ~start_pos ~end_pos ~level:_ m ->
+      for x = 0 to m - 1 do
+        let u = matched.(x) in
+        acc.(u) <- end_pos :: start_pos :: acc.(u)
+      done);
+  Array.map Array.of_list acc
 
 (* Equi-depth boundaries are drawn from the starts and ends of the nodes
-   matching the base predicates — [positions u] for unique predicate [u],
-   sampled once per occurrence in the predicate list, so duplicates count
-   twice — which concentrates bucket resolution where the catalog's
-   elements live.  (Over the whole document the position population is
-   perfectly dense — one node per position pair — and equi-depth
-   degenerates to uniform.)  Every position is the fallback when the
-   predicates match nothing. *)
+   matching the base predicates — [positions.(u)] for unique predicate
+   [u], sampled once per occurrence in the predicate list, so duplicates
+   count twice — which concentrates bucket resolution where the
+   catalog's elements live.  (Over the whole document the position
+   population is perfectly dense — one node per position pair — and
+   equi-depth degenerates to uniform.)  Every position is the fallback
+   when the predicates match nothing. *)
 let equidepth_grid plan ~grid_size ~max_pos ~positions ~all_positions =
-  let per = Array.init (Array.length plan.uniq) positions in
-  let samples = Array.map (fun u -> per.(u)) plan.occurrences in
+  let samples = Array.map (Array.get positions) plan.occurrences in
   let sample =
     if Array.for_all (fun a -> Array.length a = 0) samples then all_positions ()
     else Array.concat (Array.to_list samples)
   in
-  Array.sort Int.compare sample;
   Grid.equidepth ~size:grid_size ~max_pos ~positions:sample
+
+(* One predicate's builders. *)
+type pred_builders = {
+  pb_hist : Position_histogram.builder;
+  pb_levels : Level_histogram.builder option;  (* None when levels are off *)
+  pb_coverage : Coverage_histogram.builder;
+  mutable pb_nesting : bool;  (* a match had a strict match-ancestor *)
+}
+
+(* One pass of [source] into fresh builders over [grid] for its [k]
+   predicates, and into a population builder fed only when [population]
+   is set.  Each record's cell goes to the population and to the
+   builders of its matches, and the cells of its nearest strict
+   P-ancestors, from one resolver, to the coverage builders; a predicate
+   nests iff the resolver saw a match inside another. *)
+let fill plan grid ~population k (source : source) =
+  let per =
+    Array.init k (fun _ ->
+        {
+          pb_hist = Position_histogram.builder grid;
+          pb_levels =
+            (if plan.plan_levels then Some (Level_histogram.builder ()) else None);
+          pb_coverage = Coverage_histogram.builder grid;
+          pb_nesting = false;
+        })
+  in
+  let pop = Position_histogram.builder grid in
+  let res = Interval_ops.resolver k in
+  let matched = Array.make k 0 in
+  let on_nearest u ~covered ~covering =
+    Coverage_histogram.feed per.(u).pb_coverage ~covered ~covering
+  in
+  source ~matched (fun ~start_pos ~end_pos ~level m ->
+      let i, j = Grid.cell_of_node grid ~start_pos ~end_pos in
+      let cell = Grid.index grid ~i ~j in
+      if population then Position_histogram.feed_cell pop cell;
+      Interval_ops.resolve res ~start_pos ~end_pos ~cell ~matched ~nmatched:m
+        ~on_nearest;
+      for x = 0 to m - 1 do
+        let pb = per.(matched.(x)) in
+        Position_histogram.feed_cell pb.pb_hist cell;
+        match pb.pb_levels with Some lb -> Level_histogram.feed lb level | None -> ()
+      done);
+  Array.iteri (fun u pb -> pb.pb_nesting <- Interval_ops.nesting_pairs res u > 0) per;
+  (per, pop)
 
 (* The population's dense per-cell counts, the normalizer every coverage
    histogram is finished with. *)
@@ -188,10 +190,10 @@ let population_cells grid pop =
       Position_histogram.get pop ~i:(c / g) ~j:(c mod g))
 
 (* Builders ([per] by unique predicate, [pop] the population) into
-   entries and a summary: the no-overlap flag follows the schema
-   override, else the observed nesting; coverage is kept for the
-   no-overlap predicates that matched at least one node, normalized by
-   the population's per-cell counts. *)
+   entries and a summary: a predicate has the no-overlap property iff it
+   does not nest, and coverage is kept for the no-overlap predicates
+   that matched at least one node, normalized by the population's
+   per-cell counts. *)
 let finish plan ~doc ~grid ~path ~passes ~t0 ~per ~pop ~evals =
   let pop = Position_histogram.finish pop in
   let populations = population_cells grid pop in
@@ -200,14 +202,11 @@ let finish plan ~doc ~grid ~path ~passes ~t0 ~per ~pop ~evals =
     (fun u pred ->
       let pb = per.(u) in
       let hist = Position_histogram.finish pb.pb_hist in
-      let no_overlap =
-        match plan.schema.(u) with Some x -> x | None -> not pb.pb_nesting
-      in
+      let no_overlap = not pb.pb_nesting in
       let cvg =
-        match pb.pb_coverage with
-        | Some cb when no_overlap && Position_histogram.total hist > 0.0 ->
-          Some (Coverage_histogram.finish cb ~populations)
-        | Some _ | None -> None
+        if no_overlap && Position_histogram.total hist > 0.0 then
+          Some (Coverage_histogram.finish pb.pb_coverage ~populations)
+        else None
       in
       Hashtbl.add entries (Predicate.name pred)
         {
@@ -242,104 +241,41 @@ let finish plan ~doc ~grid ~path ~passes ~t0 ~per ~pop ~evals =
     store = None;
   }
 
-(* --- Source 1: the document sweep, sequential or over domains --------- *)
+(* --- Source 1: the document, sequential or over domains -------------- *)
 
-(* A dispatch table over the unique predicates [subset], indexed like it.
-   Dispatch state is mutable, so every sweep builds its own. *)
-let subset_dispatch plan doc subset =
-  Predicate.dispatch doc (Array.to_list (Array.map (Array.get plan.uniq) subset))
-
-(* Pass 1 of an equi-depth build: the nodes matching each of the unique
-   predicates [subset], in document order, and the evaluations spent. *)
-let collect_matches plan doc subset =
-  let disp = subset_dispatch plan doc subset in
-  let acc = Array.make (Array.length subset) [] in
+(* The document's nodes in pre-order, each decided by the dispatch table
+   [disp], whose predicates the matched indices refer to. *)
+let document_source doc disp : source =
+ fun ~matched f ->
   for v = 0 to Document.size doc - 1 do
-    Predicate.dispatch_node disp doc v ~f:(fun k -> acc.(k) <- v :: acc.(k))
-  done;
-  (Array.map (fun l -> Array.of_list (List.rev l)) acc, Predicate.dispatch_evals disp)
+    (* A counter per node: one hoisted out of the loop made the
+       two-domain DBLP build slower and far less steady. *)
+    let m = ref 0 in
+    Predicate.dispatch_node disp doc v ~f:(fun k ->
+        matched.(!m) <- k;
+        incr m);
+    f ~start_pos:(Document.start_pos doc v) ~end_pos:(Document.end_pos doc v)
+      ~level:(Document.level doc v) !m
+  done
 
-(* One document-order sweep filling the builders of the unique predicates
-   [subset] (and the population, when [~population] is set); returns the
-   builders, the population builder and the evaluations spent.  Nearest
-   strict P-ancestors, with their cells, come from one resolver over the
-   subset.
+(* Uniform grids need one pass, filling the builders.  Equi-depth grids
+   need the matched positions before the grid exists, so a first pass
+   collects them, dispatching the predicates just as the fill pass does
+   again.
 
-   With [matches] (equi-depth), the subset's matched sets were collected
-   in pass 1: they are regrouped by node, so the fill performs no
-   predicate evaluations at all.  Without it (uniform / explicit grid),
-   the sweep's own dispatch table evaluates each node. *)
-let sweep plan ~grid ~matches ~population doc subset =
-  let k = Array.length subset in
-  let n = Document.size doc in
-  let per = Array.map (pred_builders plan grid) subset in
-  let pop = Position_histogram.builder grid in
-  let res = Interval_ops.resolver k in
-  let matched_list = Array.make k 0 in
-  let feed =
-    feed_node grid per res ~pop:(if population then Some pop else None)
-      ~matched:matched_list
-  in
-  (* The fill pass, shared by both grid kinds; [fill_matched v] leaves the
-     indices of the predicates matching [v] in [matched_list.(0..m-1)]
-     and returns [m]. *)
-  let fill_pass fill_matched =
-    for v = 0 to n - 1 do
-      feed ~start_pos:(Document.start_pos doc v) ~end_pos:(Document.end_pos doc v)
-        ~level:(Document.level doc v) (fill_matched v)
-    done
-  in
-  let evals =
-    match matches with
-    | None ->
-      let disp = subset_dispatch plan doc subset in
-      fill_pass (fun v ->
-          let nmatched = ref 0 in
-          Predicate.dispatch_node disp doc v ~f:(fun u ->
-              matched_list.(!nmatched) <- u;
-              incr nmatched);
-          !nmatched);
-      Predicate.dispatch_evals disp
-    | Some arrays ->
-      (* Pass 1's matches regrouped by node. *)
-      let by_node = Array.make n [] in
-      Array.iteri (fun u -> Array.iter (fun v -> by_node.(v) <- u :: by_node.(v))) arrays;
-      fill_pass (fun v ->
-          List.fold_left
-            (fun m u ->
-              matched_list.(m) <- u;
-              m + 1)
-            0 by_node.(v));
-      0
-  in
-  set_nesting per res;
-  (per, pop, evals)
-
-(* Starts and ends of [nodes], interleaved. *)
-let node_positions doc nodes =
-  Array.init
-    (2 * Array.length nodes)
-    (fun k ->
-      let v = nodes.(k / 2) in
-      if k land 1 = 0 then Document.start_pos doc v else Document.end_pos doc v)
-
-(* Uniform grids need a single sweep.  Equi-depth grids need the matched
-   node sets before the grid exists, so a first match-only pass collects
-   them (also yielding the quantile positions), and the fill pass replays
-   the matches without re-evaluating anything.
-
-   Both passes split the work by predicate, not by node: the unique
+   Every pass splits the work by predicate, not by node: the unique
    predicates are dealt round-robin into [min domains p] subsets, and
-   each domain sweeps the whole document for its own subset; the first
+   each domain passes over the whole document for its own subset, with a
+   dispatch table of its own (dispatch state is mutable); the first
    subset also feeds the population.  Every builder is fed by exactly one
-   sweep, in document order, so collecting the builders by predicate
-   index gives the sequential sweep's builders themselves — the result
+   pass, in document order, so collecting the builders by predicate
+   index gives the sequential build's builders themselves — the result
    is bit-identical ([to_string] equal) for every domain count, and so is
    the evaluation count; the differential QCheck suite pins both. *)
 let build ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
-    ?schema_no_overlap ?(with_levels = true) ?(domains = 1) doc preds =
+    ?(with_levels = true) ?(domains = 1) doc preds =
   let t0 = Unix.gettimeofday () in
-  let plan = plan ?schema_no_overlap ~with_levels preds in
+  let plan = plan ~with_levels preds in
   let p = Array.length plan.uniq in
   let m = Int.max 1 (Int.min domains p) in
   let subsets =
@@ -347,46 +283,51 @@ let build ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
   in
   (* Predicate [u] sits at index [u / m] of subset [u mod m]. *)
   let collect parts = Array.init p (fun u -> parts.(u mod m).(u / m)) in
-  (* Pass 1 (equi-depth only): matched node sets, no grid needed yet.  An
-     explicit [?grid] (used by maintenance rebuild comparisons: positions
-     past its [max_pos] clamp into the last bucket) always takes the
-     single-pass route. *)
-  let grid, matches, pass1_evals =
+  (* [f s k source] for each subset [s] of [k] predicates, on its own
+     domain, and the evaluations spent by all of them. *)
+  let pass f =
+    let parts =
+      (* lint: allow domain-escape — doc and subsets are read-only shares *)
+      Pool.run ~domains:m ~tasks:m (fun s ->
+          let subset = subsets.(s) in
+          let disp =
+            Predicate.dispatch doc (Array.to_list (Array.map (Array.get plan.uniq) subset))
+          in
+          let r = f s (Array.length subset) (document_source doc disp) in
+          (r, Predicate.dispatch_evals disp))
+    in
+    (Array.map fst parts, Array.fold_left (fun acc (_, e) -> acc + e) 0 parts)
+  in
+  (* An explicit [?grid] (used by maintenance rebuild comparisons:
+     positions past its [max_pos] clamp into the last bucket) always
+     takes the one-pass route. *)
+  let grid, passes, grid_evals =
     match (grid_override, grid_kind) with
-    | Some g, _ -> (g, None, 0)
-    | None, `Uniform ->
-      (Grid.create ~size:grid_size ~max_pos:(Document.max_pos doc), None, 0)
+    | Some g, _ -> (g, 1, 0)
+    | None, `Uniform -> (Grid.create ~size:grid_size ~max_pos:(Document.max_pos doc), 1, 0)
     | None, `Equidepth ->
-      let per_subset =
-        (* lint: allow domain-escape — doc and subsets are read-only shares *)
-        Pool.run ~domains:m ~tasks:m (fun s -> collect_matches plan doc subsets.(s))
-      in
-      let matches = Array.map fst per_subset in
-      let arrays = collect matches in
+      let positions, evals = pass (fun _ k source -> match_positions k source) in
       let grid =
         equidepth_grid plan ~grid_size ~max_pos:(Document.max_pos doc)
-          ~positions:(fun u -> node_positions doc arrays.(u))
+          ~positions:(collect positions)
           ~all_positions:(fun () ->
-            node_positions doc (Array.init (Document.size doc) Fun.id))
+            Array.init
+              (2 * Document.size doc)
+              (fun k ->
+                if k land 1 = 0 then Document.start_pos doc (k / 2)
+                else Document.end_pos doc (k / 2)))
       in
-      (grid, Some matches, Array.fold_left (fun acc (_, e) -> acc + e) 0 per_subset)
+      (grid, 2, evals)
   in
-  let parts =
-    (* lint: allow domain-escape — read-only shares; builders are per-subset *)
-    Pool.run ~domains:m ~tasks:m (fun s ->
-        sweep plan ~grid
-          ~matches:(Option.map (fun per -> per.(s)) matches)
-          ~population:(s = 0) doc subsets.(s))
+  let parts, evals =
+    pass (fun s k source -> fill plan grid ~population:(s = 0) k source)
   in
-  let _, pop, _ = parts.(0) in
-  finish plan ~doc:(Some doc) ~grid ~path:`Fused
-    ~passes:(if Option.is_some matches then 2 else 1)
-    ~t0
-    ~per:(collect (Array.map (fun (per, _, _) -> per) parts))
-    ~pop
-    ~evals:(Array.fold_left (fun acc (_, _, e) -> acc + e) pass1_evals parts)
+  finish plan ~doc:(Some doc) ~grid ~path:`Fused ~passes ~t0
+    ~per:(collect (Array.map fst parts))
+    ~pop:(snd parts.(0))
+    ~evals:(grid_evals + evals)
 
-(* --- Source 2: the streamed SAX build --------------------------------- *)
+(* --- Source 2: the spill of the streamed SAX build ------------------- *)
 
 (* The streaming build consumes SAX events and never materializes a
    [Document.t]: memory stays O(element depth + summary size) for a
@@ -396,15 +337,15 @@ let build ?grid:grid_override ?(grid_size = 10) ?(grid_kind = `Uniform)
 
    Pass A parses once, dispatches the unique predicates per close event
    by tag, and spills one fixed-size record per node — start, end, level,
-   match bitmask — to a temp file in post-order.  The grid is then derived
-   (equi-depth scans the spill once more for the quantile positions), and
-   pass B replays the spill into the core's builders.
+   match bitmask — to a temp file in post-order.  The spill is then the
+   record source of the shared core: equi-depth grids take their
+   positions from one pass over it, and the fill is one more.
 
-   Both scans read the spill backwards, so the records arrive in reverse
+   The source reads the spill backwards, so the records arrive in reverse
    post-order: every node before its descendants, which is all the
-   resolver needs.  Pass B feeds the records to it as they come, exactly
-   as the document sweep does, so its pending state is one stack of open
-   matches per predicate, O(element depth) however wide the document. *)
+   resolver needs.  The fill feeds the records to it as they come, so its
+   pending state is one stack of open matches per predicate, O(element
+   depth) however wide the document. *)
 
 let mask_bits = 62 (* mask bits per spill word; keeps every field an int *)
 let block_records = 4096 (* spill records per read *)
@@ -455,12 +396,20 @@ let record_matches buf off ~nwords into =
   done;
   !m
 
+(* The [n] records of the spill at [path], last to first. *)
+let spill_source path ~rec_size ~n ~nwords : source =
+ fun ~matched f ->
+  replay_backwards path ~rec_size ~n (fun buf off ->
+      f ~start_pos:(field buf off 0) ~end_pos:(field buf off 1)
+        ~level:(field buf off 2)
+        (record_matches buf off ~nwords matched))
+
 let unbalanced what = failwith ("Summary.build_stream: unbalanced event stream (" ^ what ^ ")")
 
-let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
-    ?(with_levels = true) next preds =
+let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?(with_levels = true) next
+    preds =
   let t0 = Unix.gettimeofday () in
-  let plan = plan ?schema_no_overlap ~with_levels preds in
+  let plan = plan ~with_levels preds in
   let p = Array.length plan.uniq in
   let disp = Predicate.dispatch_detached (Array.to_list plan.uniq) in
   let nwords = (p + mask_bits - 1) / mask_bits in
@@ -540,44 +489,24 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?schema_no_overlap
   in
   if !n = 0 then failwith "Summary.build_stream: empty event stream";
   let max_pos = !pos - 1 in
-  let replay f = replay_backwards spill_path ~rec_size ~n:!n f in
-  let matched_list = Array.make p 0 in
+  let source = spill_source spill_path ~rec_size ~n:!n ~nwords in
   let grid, passes =
     match grid_kind with
     | `Uniform -> (Grid.create ~size:grid_size ~max_pos, 2)
     | `Equidepth ->
-      let acc = Array.make p [] in
-      replay (fun buf off ->
-          for m = 0 to record_matches buf off ~nwords matched_list - 1 do
-            let u = matched_list.(m) in
-            acc.(u) <- field buf off 1 :: field buf off 0 :: acc.(u)
-          done);
-      ( equidepth_grid plan ~grid_size ~max_pos
-          ~positions:(fun u -> Array.of_list acc.(u))
+      ( equidepth_grid plan ~grid_size ~max_pos ~positions:(match_positions p source)
           ~all_positions:(fun () -> Array.init (2 * !n) Fun.id),
         3 )
   in
-  (* --- Pass B: replay the spill into the builders. -------------------- *)
-  let per = Array.init p (pred_builders plan grid) in
-  let pop = Position_histogram.builder grid in
-  let res = Interval_ops.resolver p in
-  let feed = feed_node grid per res ~pop:(Some pop) ~matched:matched_list in
-  replay (fun buf off ->
-      feed ~start_pos:(field buf off 0) ~end_pos:(field buf off 1)
-        ~level:(field buf off 2)
-        (record_matches buf off ~nwords matched_list));
-  set_nesting per res;
+  let per, pop = fill plan grid ~population:true p source in
   finish plan ~doc:None ~grid ~path:`Streamed ~passes ~t0 ~per ~pop
     ~evals:(Predicate.dispatch_evals disp)
 
-let build_stream_file ?grid_size ?grid_kind ?schema_no_overlap ?with_levels path
-    preds =
+let build_stream_file ?grid_size ?grid_kind ?with_levels path preds =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   let sax = Sax.of_channel ic in
-  build_stream ?grid_size ?grid_kind ?schema_no_overlap ?with_levels
-    (fun () -> Sax.next sax)
-    preds
+  build_stream ?grid_size ?grid_kind ?with_levels (fun () -> Sax.next sax) preds
 
 let stats t = t.stats
 
@@ -745,8 +674,7 @@ let rebuild t =
    place, version counters bumped); coverage and level histograms are
    rebuilt from exact counts through the same finalization the streaming
    builders use, and the no-overlap flag follows the exact nesting-pair
-   count (schema overlap overrides from the original build are not
-   preserved under maintenance). *)
+   count, as it does in a build. *)
 let commit t st =
   t.doc <- Some (Apply.document st);
   let populations = Apply.populations st in

@@ -18,7 +18,6 @@ val build :
   ?grid:Grid.t ->
   ?grid_size:int ->
   ?grid_kind:[ `Uniform | `Equidepth ] ->
-  ?schema_no_overlap:(Predicate.t -> bool option) ->
   ?with_levels:bool ->
   ?domains:int ->
   Document.t ->
@@ -34,24 +33,26 @@ val build :
     clamp into the last bucket) — this is how the maintenance tests
     compare an incrementally maintained summary against a same-grid
     rebuild of the edited document.  The no-overlap property is
-    detected from the data unless [schema_no_overlap] overrides it;
-    coverage histograms are built exactly for the no-overlap predicates.
-    Level histograms (for the parent-child extension) are built when
-    [with_levels] is true (default).
+    detected from the data, and coverage histograms are built exactly for
+    the no-overlap predicates.  Level histograms (for the parent-child
+    extension) are built when [with_levels] is true (default).
 
-    Construction is {e fused}: one document-order sweep (two for
-    equi-depth grids, whose boundaries need the matched positions first)
-    fills every histogram, coverage entry and no-overlap flag at once,
-    dispatching compiled predicates by the node's interned tag.  The
-    result is bit-identical to building each predicate's histograms
-    separately with the histogram modules' own constructors — the
-    per-predicate oracle in the test suite (property-tested).
+    Construction is {e fused}: the document is a record source — one
+    pre-order pass giving each node's interval, level and matched base
+    predicates, dispatched by the node's interned tag — and one pass of
+    it fills every histogram, coverage entry and no-overlap flag at once.
+    Equi-depth grids, whose boundaries need the matched positions first,
+    take one more pass before it, which dispatches the predicates again.
+    {!build_stream} runs the same passes over its spill.  The result is
+    bit-identical to building each predicate's histograms separately
+    with the histogram modules' own constructors — the per-predicate
+    oracle in the test suite (property-tested).
 
-    [?domains] (default 1) splits the sweep by predicate: the unique
+    [?domains] (default 1) splits every pass by predicate: the unique
     predicates are dealt round-robin into [min domains p] subsets, and
-    each subset's sweep over the whole document runs on its own OCaml
+    each subset's pass over the whole document runs on its own OCaml
     domain ({!Xmlest_parallel.Pool}), the first one also feeding the
-    population histogram.  Every builder is fed by exactly one sweep, so
+    population histogram.  Every builder is fed by exactly one pass, so
     the result is {e bit-identical} — {!to_string}-equal — to the
     sequential build, with the same [predicate_evals], for every domain
     count and grid kind (property-tested). *)
@@ -59,7 +60,6 @@ val build :
 val build_stream :
   ?grid_size:int ->
   ?grid_kind:[ `Uniform | `Equidepth ] ->
-  ?schema_no_overlap:(Predicate.t -> bool option) ->
   ?with_levels:bool ->
   (unit -> Sax.event option) ->
   Predicate.t list ->
@@ -69,15 +69,15 @@ val build_stream :
     Interval positions are assigned exactly as [Document.of_elem] would
     (one global counter: start at open, end at close) and per-node state
     — start, end, level, predicate match bitmask — spills to a temp file
-    in post-order, then replays into the same builders {!build} fills.
-    The replay reads the spill backwards, ancestors first, through the
-    same nearest-ancestor resolver {!build} uses
-    ({!Interval_ops.resolve}), so it holds O(element depth) pending state
-    per predicate however wide the document is (a regression test pins
-    the peak heap).  Because every builder is an order-insensitive exact
-    accumulator, the result is {e bit-identical} — {!to_string}-equal —
-    to {!build} over the parsed document, for both grid kinds
-    (property-tested).  The returned summary has no attached document
+    in post-order.  Read backwards, ancestors first, the spill is the
+    record source of the same passes {!build} runs over the document,
+    through the same builders and nearest-ancestor resolver
+    ({!Interval_ops.resolve}), so the fill holds O(element depth)
+    pending state per predicate however wide the document is (a
+    regression test pins the peak heap).  Because every builder is an
+    order-insensitive exact accumulator, the result is {e bit-identical}
+    — {!to_string}-equal — to {!build} over the parsed document, for
+    both grid kinds (property-tested).  The returned summary has no attached document
     ({!document} is [None]), like one loaded from disk.
 
     Raises [Failure] on an empty stream and on an unbalanced one (a
@@ -90,7 +90,6 @@ val build_stream :
 val build_stream_file :
   ?grid_size:int ->
   ?grid_kind:[ `Uniform | `Equidepth ] ->
-  ?schema_no_overlap:(Predicate.t -> bool option) ->
   ?with_levels:bool ->
   string ->
   Predicate.t list ->
@@ -103,12 +102,14 @@ val build_stream_file :
 type build_stats = {
   path : [ `Fused | `Streamed ];
   passes : int;
-      (** Full traversals of the document or of matched-node arrays:
-          1 for a fused uniform build, 2 for fused equi-depth; for the
-          streamed path, passes over the input or the spill file
-          (2 uniform, 3 equi-depth). *)
+      (** Full traversals of the document: 1 for a fused uniform build,
+          2 for fused equi-depth; for the streamed path, passes over the
+          input or the spill file (2 uniform, 3 equi-depth). *)
   predicate_evals : int;
-      (** Individual compiled-predicate evaluations (dispatch count). *)
+      (** Individual compiled-predicate evaluations (dispatch count).  A
+          fused equi-depth build dispatches in both its passes, so it
+          spends twice a uniform build's; the streamed build dispatches
+          once, while parsing. *)
   build_time : float;  (** Wall-clock seconds spent in [build]. *)
 }
 
@@ -123,9 +124,9 @@ val document : t -> Document.t option
     disk.  Until the first {!apply} it is the document given to {!build},
     which maintenance never mutates.  From then on it is the summary's
     private working copy, and every further {!apply} advances that same
-    store in place: {!Document.copy} it to keep a revision.  (After a
-    {!rebuild}, the next [apply] takes a fresh working copy and leaves
-    the previous one as it was.)  It is not a snapshot, since a caller
+    store in place: {!Document.copy} it to keep a revision.  (After an
+    [apply] whose policy rebuilt the summary, the next [apply] takes a
+    fresh working copy and leaves the previous one as it was.)  It is not a snapshot, since a caller
     that reads it before every update would then pay a copy of the
     document per update. *)
 
@@ -240,17 +241,17 @@ val storage_bytes : t -> int
     on-demand histogram (see {!histogram}), whether built before the
     first [apply] or after it, is maintained like a base predicate's,
     bit-identical to a build on the edited document.  The
-    no-overlap flag follows the exact nesting-pair count, so
-    schema-declared overrides from the original build are not
-    preserved. *)
+    no-overlap flag follows the exact nesting-pair count. *)
 
 module Update = Xmlest_maintain.Update
 module Staleness = Xmlest_maintain.Staleness
 
 val apply : ?policy:Staleness.policy -> t -> Update.t list -> unit
 (** Apply an update stream in order and maintain every histogram, then
-    consult [policy] (default [`Never]; [`Always] {!rebuild}s from the
-    updated document).  Raises [Failure] when the summary carries no
+    consult [policy] (default [`Never]; [`Always] rebuilds from the
+    updated document: the grid is re-derived at the same size and kind,
+    histograms and the coefficient catalog are replaced and the
+    maintenance counters reset).  Raises [Failure] when the summary carries no
     document (loaded from disk) and [Invalid_argument] on out-of-range
     node references.  A rejected update ends the batch: the updates
     before it stay applied, and the summary (its document, histograms and
@@ -260,12 +261,6 @@ val apply : ?policy:Staleness.policy -> t -> Update.t list -> unit
 val staleness : t -> Staleness.report option
 (** Updates and touched nodes since the last (re)build; [None] when no
     update was ever applied (no maintenance engine exists yet). *)
-
-val rebuild : t -> unit
-(** Full fused rebuild from the current document revision, swapped in
-    place: the grid is re-derived at the same size and kind, histograms
-    and the coefficient catalog are replaced, maintenance counters reset.
-    No-op for summaries without a document. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One line per predicate: count, overlap property, storage. *)

@@ -131,24 +131,3 @@ let generate ?(config = default_config) dtd ~root =
     Elem.make ~text:(Buffer.contents text) ~children:(List.rev !children) name
   in
   gen_elem root ~path:[]
-
-let generate_sized ?(config = default_config) ~target_nodes dtd ~root =
-  let best = ref None in
-  let attempt k =
-    let doc = generate ~config:{ config with seed = config.seed + (k * 7919) } dtd ~root in
-    let sz = Elem.size doc in
-    let err = abs (sz - target_nodes) in
-    (match !best with
-    | Some (best_err, _) when best_err <= err -> ()
-    | _ -> best := Some (err, doc));
-    err
-  in
-  let rec go k =
-    if k >= 40 then ()
-    else begin
-      let err = attempt k in
-      if float_of_int err > 0.25 *. float_of_int target_nodes then go (k + 1)
-    end
-  in
-  go 0;
-  match !best with Some (_, doc) -> doc | None -> assert false

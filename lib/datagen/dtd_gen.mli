@@ -37,9 +37,3 @@ val default_config : config
 val generate : ?config:config -> Dtd.t -> root:string -> Elem.t
 (** Generate one document whose root element is [root] (which must be
     declared in the DTD). *)
-
-val generate_sized :
-  ?config:config -> target_nodes:int -> Dtd.t -> root:string -> Elem.t
-(** Generate repeatedly with varied sub-seeds until the document's size is
-    within 25% of [target_nodes] (or return the closest of 40 attempts).
-    Convenient for landing near a paper-reported data-set size. *)

@@ -24,17 +24,6 @@ let estimate_cells_by_ancestor ~coverage ~desc_weight ~anc_scale =
         Position_histogram.add scaled ~i ~j (v *. s));
   scaled
 
-let descendant_participation ~desc ~coverage ~anc_nonzero =
-  let grid = Position_histogram.grid desc in
-  let out = Position_histogram.create_empty grid in
-  Position_histogram.iter_nonzero desc (fun ~i ~j count ->
-      let covered = ref 0.0 in
-      Coverage_histogram.iter_covers coverage ~i ~j (fun ~m ~n frac ->
-          if anc_nonzero ~i:m ~j:n then covered := !covered +. frac);
-      let v = count *. !covered in
-      if not (Float.equal v 0.0) then Position_histogram.add out ~i ~j v);
-  out
-
 let participation_saturation ~n ~m =
   if n <= 0.0 || m <= 0.0 then 0.0
   else if n <= 1.0 then n (* at most one ancestor; it participates *)

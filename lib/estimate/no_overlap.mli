@@ -30,16 +30,6 @@ val estimate_cells_by_ancestor :
     [anc_scale] carries the JnFct of the ancestor view times its
     participation ratio (coverage-update case 1). *)
 
-val descendant_participation :
-  desc:Position_histogram.t ->
-  coverage:Coverage_histogram.t ->
-  anc_nonzero:(i:int -> j:int -> bool) ->
-  Position_histogram.t
-(** Fig. 10's participation estimate, case 3: per descendant cell, the
-    expected number of P2-nodes lying under a participating P1-node —
-    [HistP2(cell) × Σ over covering cells (m, n) with anc_nonzero of the
-    coverage fraction]. *)
-
 val participation_saturation : n:float -> m:float -> float
 (** Fig. 10's participation estimate, case 2 (balls-in-bins): given [n]
     ancestor nodes in a cell and [m] joinable descendants below them, the

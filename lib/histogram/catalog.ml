@@ -56,8 +56,6 @@ let keys t =
   List.sort String.compare
     (Hashtbl.fold (fun key _ acc -> key :: acc) t.entries [])
 
-let mem t key = Hashtbl.mem t.entries key
-
 let find t key =
   match Hashtbl.find_opt t.entries key with
   | Some e -> Some e.hist
@@ -77,14 +75,6 @@ let add t ~key hist =
   Hashtbl.replace t.entries key { hist; desc = None; anc = None }
 
 let remove t key = Hashtbl.remove t.entries key
-
-let find_or_build t ~key build =
-  match find t key with
-  | Some h -> h
-  | None ->
-    let h = build () in
-    add t ~key h;
-    h
 
 (* The memoization heart: serve the cached array when its version matches
    the histogram's current one, otherwise (re)compute and re-stamp. *)

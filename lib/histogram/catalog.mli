@@ -44,9 +44,7 @@ val add : t -> key:string -> Position_histogram.t -> unit
     catalog's (fixed by the first histogram added). *)
 
 val find : t -> string -> Position_histogram.t option
-val find_or_build : t -> key:string -> (unit -> Position_histogram.t) -> Position_histogram.t
 val remove : t -> string -> unit
-val mem : t -> string -> bool
 val keys : t -> string list
 (** Sorted. *)
 

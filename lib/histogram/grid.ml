@@ -96,8 +96,6 @@ let cells t = t.size * t.size
 
 let index t ~i ~j = (i * t.size) + j
 
-let on_diagonal ~i ~j = Int.equal i j
-
 let is_uniform t = t.uniform_width <> None
 
 let compatible a b =
@@ -113,13 +111,6 @@ let compatible a b =
   | None, None | Some _, None | None, Some _ ->
     Int.equal (Array.length a.boundaries) (Array.length b.boundaries)
     && Array.for_all2 Int.equal a.boundaries b.boundaries
-
-let iter_upper t f =
-  for i = 0 to t.size - 1 do
-    for j = i to t.size - 1 do
-      f ~i ~j
-    done
-  done
 
 let pp ppf t =
   Format.fprintf ppf "grid %d over [0,%d] %s" t.size t.max_pos

@@ -60,10 +60,6 @@ val cells : t -> int
 val index : t -> i:int -> j:int -> int
 (** Row-major dense index of cell [(i, j)] ([i] = start bucket). *)
 
-val on_diagonal : i:int -> j:int -> bool
-(** Per Definition 1: the start- and end-bucket intervals intersect iff
-    the buckets coincide (buckets never overlap). *)
-
 val is_uniform : t -> bool
 
 val compatible : t -> t -> bool
@@ -72,8 +68,5 @@ val compatible : t -> t -> bool
     different position ranges clamp their last bucket differently even at
     equal width); uniform grids additionally need equal widths, boundary
     grids equal boundary arrays. *)
-
-val iter_upper : t -> (i:int -> j:int -> unit) -> unit
-(** Iterate cells with [i <= j], row by row. *)
 
 val pp : Format.formatter -> t -> unit

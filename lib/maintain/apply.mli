@@ -103,8 +103,7 @@ type pred_result = {
 
 val results : t -> pred_result list
 (** Regeneration view of every base predicate, in the order given to
-    {!init}.  Note that [r_no_overlap] is derived from the data (exact
-    nesting-pair counts); schema-declared overlap overrides passed to the
-    original build are not preserved under maintenance. *)
+    {!init}.  [r_no_overlap] is derived from the data (exact
+    nesting-pair counts), as a build derives it. *)
 
 val staleness : t -> Staleness.report

@@ -86,13 +86,28 @@ let rec tag_of = function
   | And (a, b) -> ( match tag_of a with Some t -> Some t | None -> tag_of b)
   | _ -> None
 
+(* The tag a node must carry to satisfy [p], as evaluation and dispatch
+   pin it: [tag_of]'s rule, and also a disjunction whose branches pin the
+   same tag.  [tag_of] keeps the narrower rule because stored summaries
+   record it per section. *)
+let rec pinned_tag = function
+  | Tag t -> Some t
+  | And (a, b) -> ( match pinned_tag a with Some t -> Some t | None -> pinned_tag b)
+  | Or (a, b) -> (
+    match (pinned_tag a, pinned_tag b) with
+    | Some x, Some y when String.equal x y -> Some x
+    | (Some _ | None), _ -> None)
+  | True | Text_eq _ | Text_prefix _ | Text_suffix _ | Text_contains _
+  | Attr_eq _ | Level_eq _ | Not _ ->
+    None
+
 let matching_nodes doc p =
   match p with
   | True -> Array.init (Document.size doc) Fun.id
   | Tag t -> Array.copy (Document.nodes_with_tag doc t)
   | p -> (
-    (* Narrow the scan with the tag index when a conjunct pins the tag. *)
-    match tag_of p with
+    (* Narrow the scan with the tag index when [p] pins the tag. *)
+    match pinned_tag p with
     | Some t ->
       let candidates = Document.nodes_with_tag doc t in
       Array.of_seq
@@ -162,21 +177,6 @@ let compile doc p =
   fun v ->
     f ~tag:(Document.tag_id doc v) ~attrs:(Document.attrs doc v)
       ~text:(Document.text doc v) ~level:(Document.level doc v)
-
-(* The tag a node must carry to satisfy [p], as dispatch pins it:
-   [tag_of]'s rule, and also a disjunction whose branches pin the same
-   tag.  [tag_of] keeps the narrower rule because stored summaries record
-   it per section. *)
-let rec pinned_tag = function
-  | Tag t -> Some t
-  | And (a, b) -> ( match pinned_tag a with Some t -> Some t | None -> pinned_tag b)
-  | Or (a, b) -> (
-    match (pinned_tag a, pinned_tag b) with
-    | Some x, Some y when String.equal x y -> Some x
-    | (Some _ | None), _ -> None)
-  | True | Text_eq _ | Text_prefix _ | Text_suffix _ | Text_contains _
-  | Attr_eq _ | Level_eq _ | Not _ ->
-    None
 
 (* Where dispatch sends [p]: to the nodes of its pinned tag (by id, with
    the tag's name), to every node, or nowhere when the source has no

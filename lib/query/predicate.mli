@@ -25,8 +25,10 @@ val eval : t -> Document.t -> Document.node -> bool
 
 val matching_nodes : Document.t -> t -> Document.node array
 (** All nodes satisfying the predicate, in document order (sorted by start
-    position).  Tag predicates — and conjunctions involving a tag — use the
-    store's tag index instead of a full scan. *)
+    position).  A predicate that pins a tag, as {!target} defines it (a
+    [Tag], a conjunction with a conjunct that pins one, a disjunction whose
+    branches all pin the same tag), is evaluated on that tag's nodes only,
+    through the store's tag index, instead of on every node. *)
 
 val count : Document.t -> t -> int
 

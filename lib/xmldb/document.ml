@@ -202,8 +202,6 @@ let subtree_size t v = t.subtree_lasts.(v) - v + 1
 let is_ancestor t ~anc ~desc =
   t.starts.(anc) < t.starts.(desc) && t.ends.(desc) < t.ends.(anc)
 
-let is_parent t ~parent:p ~child = Int.equal t.parents.(child) p
-
 let children t v =
   let last = t.subtree_lasts.(v) in
   let rec go acc u =

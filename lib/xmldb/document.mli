@@ -85,8 +85,6 @@ val subtree_size : t -> node -> int
 val is_ancestor : t -> anc:node -> desc:node -> bool
 (** Strict ancestorship, by interval containment. *)
 
-val is_parent : t -> parent:node -> child:node -> bool
-
 val children : t -> node -> node list
 (** Child indices in document order. *)
 

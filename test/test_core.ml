@@ -1,6 +1,5 @@
 (* End-to-end tests of the Summary catalog: build, lookup, estimation,
-   storage accounting, schema overrides — the surface TIMBER's optimizer
-   would consume. *)
+   storage accounting — the surface TIMBER's optimizer would consume. *)
 
 open Xmlest_core
 open Xmlest_test_util
@@ -34,21 +33,6 @@ let test_coverage_built_exactly_for_no_overlap () =
     (Xmlest.Summary.coverage s (tagp "manager") = None);
   Alcotest.(check bool) "unknown predicate has none" true
     (Xmlest.Summary.coverage s (tagp "zzz") = None)
-
-let test_schema_override () =
-  let doc = Xmlest.Document.of_elem (Xmlest.Staff_gen.generate ()) in
-  (* Force 'employee' to be treated as overlapping via schema info. *)
-  let s =
-    Xmlest.Summary.build ~grid_size:10
-      ~schema_no_overlap:(fun p ->
-        if Xmlest.Predicate.equal p (tagp "employee") then Some false else None)
-      doc
-      [ tagp "employee"; tagp "name" ]
-  in
-  Alcotest.(check bool) "override respected" false
-    (Xmlest.Summary.has_no_overlap s (tagp "employee"));
-  Alcotest.(check bool) "no coverage built" true
-    (Xmlest.Summary.coverage s (tagp "employee") = None)
 
 let test_node_counts_exact () =
   let doc, s = staff_summary () in
@@ -365,17 +349,12 @@ let summaries_identical a b =
 let prop_fused_equals_legacy =
   QCheck.Test.make ~count:80
     ~name:"fused build = legacy build (bit-identical, random docs)"
-    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:50 ()) (int_bound 7))
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:50 ()) (int_bound 3))
     (fun (elem, cfg) ->
       let doc = Xmlest.Document.of_elem elem in
       let grid_size = min 8 (Xmlest.Document.max_pos doc + 1) in
       let grid_kind = if cfg land 1 = 0 then `Uniform else `Equidepth in
       let with_levels = cfg land 2 = 0 in
-      let schema_no_overlap p =
-        if cfg land 4 = 0 then None
-        else if Xmlest.Predicate.equal p (tagp "a") then Some false
-        else None
-      in
       let preds =
         [
           tagp "a";
@@ -388,10 +367,8 @@ let prop_fused_equals_legacy =
         ]
       in
       Legacy_build.agrees
-        (Legacy_build.build ~grid_size ~grid_kind ~schema_no_overlap
-           ~with_levels doc preds)
-        (Xmlest.Summary.build ~grid_size ~grid_kind ~schema_no_overlap
-           ~with_levels doc preds))
+        (Legacy_build.build ~grid_size ~grid_kind ~with_levels doc preds)
+        (Xmlest.Summary.build ~grid_size ~grid_kind ~with_levels doc preds))
 
 let test_fused_equals_legacy_datasets () =
   let cases =
@@ -439,19 +416,14 @@ let test_fused_equals_legacy_datasets () =
 let prop_stream_equals_build =
   QCheck.Test.make ~count:100
     ~name:"streamed build = in-memory build (bit-identical, random docs)"
-    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:50 ()) (int_bound 23))
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:50 ()) (int_bound 11))
     (fun (elem, cfg) ->
       let doc = Xmlest.Document.of_elem elem in
       let grid_size =
-        min (match cfg lsr 3 with 0 -> 8 | k -> k) (Xmlest.Document.max_pos doc + 1)
+        min (match cfg lsr 2 with 0 -> 8 | k -> k) (Xmlest.Document.max_pos doc + 1)
       in
       let grid_kind = if cfg land 1 = 0 then `Uniform else `Equidepth in
       let with_levels = cfg land 2 = 0 in
-      let schema_no_overlap p =
-        if cfg land 4 = 0 then None
-        else if Xmlest.Predicate.equal p (tagp "a") then Some false
-        else None
-      in
       let preds =
         [
           tagp "a";
@@ -465,10 +437,8 @@ let prop_stream_equals_build =
       in
       let sax = Xmlest.Sax.of_string (Xmlest.Xml_writer.to_string elem) in
       summaries_identical
-        (Xmlest.Summary.build ~grid_size ~grid_kind ~schema_no_overlap
-           ~with_levels doc preds)
-        (Xmlest.Summary.build_stream ~grid_size ~grid_kind ~schema_no_overlap
-           ~with_levels
+        (Xmlest.Summary.build ~grid_size ~grid_kind ~with_levels doc preds)
+        (Xmlest.Summary.build_stream ~grid_size ~grid_kind ~with_levels
            (fun () -> Xmlest.Sax.next sax)
            preds))
 
@@ -683,14 +653,14 @@ let test_stream_build_file_and_stats () =
    sequential one (and hence to the oracle), with the same evaluation
    count, for every domain count — including 3, which leaves subsets of
    unequal size, and 7 and 16, more domains than the 10 unique
-   predicates — on both grid kinds, with the duplicate predicate and the
-   schema overrides (a [Some false] one skips coverage).  Each node's
-   text is a year, so [b]'s year predicates and their decade [any_of]
-   form a text-equality family that different subsets split apart. *)
+   predicates — on both grid kinds, with the duplicate predicate.  Each
+   node's text is a year, so [b]'s year predicates and their decade
+   [any_of] form a text-equality family that different subsets split
+   apart. *)
 let prop_parallel_build_bit_identical =
   QCheck.Test.make ~count:50
     ~name:"parallel build = sequential build (bit-identical, random docs)"
-    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:60 ()) (int_bound 7))
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:60 ()) (int_bound 3))
     (fun (elem, cfg) ->
       let k = ref 0 in
       let rec with_years (e : Xmlest.Elem.t) =
@@ -703,11 +673,6 @@ let prop_parallel_build_bit_identical =
       let grid_size = min 8 (Xmlest.Document.max_pos doc + 1) in
       let grid_kind = if cfg land 1 = 0 then `Uniform else `Equidepth in
       let with_levels = cfg land 2 = 0 in
-      let schema_no_overlap p =
-        if cfg land 4 = 0 then None
-        else if Xmlest.Predicate.equal p (tagp "a") then Some false
-        else None
-      in
       let preds =
         [
           tagp "a";
@@ -724,8 +689,7 @@ let prop_parallel_build_bit_identical =
         ]
       in
       let build ?domains () =
-        Xmlest.Summary.build ~grid_size ~grid_kind ~schema_no_overlap
-          ~with_levels ?domains doc preds
+        Xmlest.Summary.build ~grid_size ~grid_kind ~with_levels ?domains doc preds
       in
       let evals s =
         match Xmlest.Summary.stats s with
@@ -845,6 +809,11 @@ let test_build_stats () =
     (fused.Xmlest.Summary.build_time >= 0.0);
   let eq = get (Xmlest.Summary.build ~grid_size:4 ~grid_kind:`Equidepth doc preds) in
   check Alcotest.int "fused equidepth: two passes" 2 eq.Xmlest.Summary.passes;
+  (* the equi-depth positions pass dispatches the predicates just as the
+     fill pass does *)
+  check Alcotest.int "fused equidepth: twice the uniform evals"
+    (2 * fused.Xmlest.Summary.predicate_evals)
+    eq.Xmlest.Summary.predicate_evals;
   (* both bare tag predicates are dispatched only on their own tag's
      nodes: one evaluation per matching-tag node *)
   check Alcotest.int "one eval per pinned-tag node"
@@ -1722,7 +1691,6 @@ let () =
           Alcotest.test_case "overlap detection" `Quick test_build_detects_overlap;
           Alcotest.test_case "coverage exactly for no-overlap" `Quick
             test_coverage_built_exactly_for_no_overlap;
-          Alcotest.test_case "schema override" `Quick test_schema_override;
           Alcotest.test_case "node counts exact" `Quick test_node_counts_exact;
           Alcotest.test_case "on-demand histograms" `Quick
             test_histogram_on_demand_and_cached;

@@ -73,19 +73,35 @@ let test_pred_matching_sorted () =
       < Xmlest.Document.start_pos doc nodes.(k))
   done
 
+(* Every node gets one of three texts, so the text equalities below
+   match some of a tag's nodes and not others.  The mixed-tag [Or] pins
+   no tag and scans; the same-tag [any_of] and [And (Tag t1, Or ...)]
+   pin [t1] and are evaluated on its nodes only. *)
 let prop_matching_nodes_equals_scan =
   QCheck.Test.make ~count:100 ~name:"matching_nodes = full scan"
     (Test_util.doc_two_tags_arbitrary ~max_nodes:50 ())
-    (fun (_, doc, t1, t2) ->
-      let pred =
-        Xmlest.Predicate.Or (Xmlest.Predicate.Tag t1, Xmlest.Predicate.Tag t2)
+    (fun (elem, _, t1, t2) ->
+      let open Xmlest.Predicate in
+      let k = ref 0 in
+      let rec with_texts (e : Xmlest.Elem.t) =
+        incr k;
+        let text = [| "x"; "y"; "z" |].(!k mod 3) in
+        { e with text; children = List.map with_texts e.children }
       in
-      let indexed = Xmlest.Predicate.matching_nodes doc pred in
-      let scanned = ref [] in
-      for v = Xmlest.Document.size doc - 1 downto 0 do
-        if Xmlest.Predicate.eval pred doc v then scanned := v :: !scanned
-      done;
-      Array.to_list indexed = !scanned)
+      let doc = Xmlest.Document.of_elem (with_texts elem) in
+      let agrees pred =
+        let scanned = ref [] in
+        for v = Xmlest.Document.size doc - 1 downto 0 do
+          if eval pred doc v then scanned := v :: !scanned
+        done;
+        Array.to_list (matching_nodes doc pred) = !scanned
+      in
+      List.for_all agrees
+        [
+          Or (Tag t1, Tag t2);
+          any_of [ text_eq ~tag:t1 "x"; text_eq ~tag:t1 "y" ];
+          And (Tag t1, Or (Text_eq "x", Text_eq "z"));
+        ])
 
 let test_pred_syntax_roundtrip_fixed () =
   let open Xmlest.Predicate in

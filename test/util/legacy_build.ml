@@ -22,13 +22,9 @@ type t = {
   entries : entry list;  (* unique by name, first-occurrence order *)
 }
 
-let build_entry ~schema_no_overlap ~grid ~with_levels doc pred =
+let build_entry ~grid ~with_levels doc pred =
   let nodes = Predicate.matching_nodes doc pred in
-  let no_overlap =
-    match schema_no_overlap pred with
-    | Some b -> b
-    | None -> not (Interval_ops.has_nesting doc nodes)
-  in
+  let no_overlap = not (Interval_ops.has_nesting doc nodes) in
   {
     pred;
     hist = Position_histogram.of_nodes doc ~grid nodes;
@@ -62,8 +58,7 @@ let summary_positions doc preds =
   Array.sort Int.compare positions;
   positions
 
-let build ?(grid_size = 10) ?(grid_kind = `Uniform)
-    ?(schema_no_overlap = fun _ -> None) ?(with_levels = true) doc preds =
+let build ?(grid_size = 10) ?(grid_kind = `Uniform) ?(with_levels = true) doc preds =
   let max_pos = Document.max_pos doc in
   let grid =
     match grid_kind with
@@ -78,7 +73,7 @@ let build ?(grid_size = 10) ?(grid_kind = `Uniform)
         let key = Predicate.name pred in
         if List.exists (fun e -> String.equal (Predicate.name e.pred) key) acc
         then acc
-        else build_entry ~schema_no_overlap ~grid ~with_levels doc pred :: acc)
+        else build_entry ~grid ~with_levels doc pred :: acc)
       [] preds
   in
   { grid; pop = Position_histogram.population doc ~grid; entries = List.rev entries }
