@@ -649,9 +649,7 @@ let accuracy () =
   let rows =
     List.map
       (fun (name, doc) ->
-        let tags =
-          List.filter (fun t -> t <> "#root") (Xmlest.Document.distinct_tags doc)
-        in
+        let tags = Xmlest.Document.distinct_tags doc in
         let summary =
           Xmlest.Summary.build ~grid_size:10 ~with_levels:false doc
             (List.map tagp tags)

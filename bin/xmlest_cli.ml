@@ -21,9 +21,7 @@ let read_document path =
 (* Default predicate set for a document: one tag predicate per distinct
    element tag. *)
 let tag_predicates doc =
-  List.filter_map
-    (fun tag -> if tag = "#root" then None else Some (Xmlest.Predicate.tag tag))
-    (Xmlest.Document.distinct_tags doc)
+  List.map Xmlest.Predicate.tag (Xmlest.Document.distinct_tags doc)
 
 let parse_query q =
   match Xmlest.Pattern_parser.parse q with
@@ -37,10 +35,8 @@ let parse_query q =
 let generate_cmd =
   let dataset =
     let doc = "Data set to generate: dblp, staff, xmark, shakespeare or treebank." in
-    Arg.(required & pos 0 (some (enum
-      [ ("dblp", `Dblp); ("staff", `Staff); ("xmark", `Xmark);
-        ("shakespeare", `Shakespeare); ("treebank", `Treebank) ])) None
-      & info [] ~docv:"DATASET" ~doc)
+    let names = List.map (fun n -> (n, n)) Xmlest.Datasets.names in
+    Arg.(required & pos 0 (some (enum names)) None & info [] ~docv:"DATASET" ~doc)
   in
   let scale =
     Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc:"Size multiplier.")
@@ -54,18 +50,11 @@ let generate_cmd =
   in
   let run dataset scale seed output =
     let elem =
-      match dataset with
-      | `Dblp -> Xmlest.Dblp_gen.generate_scaled ?seed scale
-      | `Staff -> Xmlest.Staff_gen.generate ?seed ~scale ()
-      | `Xmark -> Xmlest.Xmark_gen.generate ?seed ~scale ()
-      | `Shakespeare ->
-        Xmlest.Shakespeare_gen.generate ?seed
-          ~acts:(Int.max 1 (int_of_float (5.0 *. scale)))
-          ()
-      | `Treebank ->
-        Xmlest.Treebank_gen.generate ?seed
-          ~sentences:(Int.max 1 (int_of_float (200.0 *. scale)))
-          ()
+      match Xmlest.Datasets.generate ?seed dataset ~scale with
+      | elem -> elem
+      | exception Invalid_argument msg ->
+        Format.eprintf "%s@." msg;
+        exit 1
     in
     if output = "-" then print_string (Xmlest.Xml_writer.to_string elem)
     else begin

@@ -69,8 +69,6 @@ let suggest_content ?(config = default_config) doc ~tag =
   end
 
 let suggest ?(config = default_config) doc =
-  let tags =
-    List.filter (fun t -> t <> "#root") (Document.distinct_tags doc)
-  in
+  let tags = Document.distinct_tags doc in
   List.map Predicate.tag tags
   @ List.concat_map (fun tag -> suggest_content ~config doc ~tag) tags

@@ -24,11 +24,7 @@ type config = {
   max_per_tag : int;  (** cap on content predicates per tag (default 20) *)
 }
 
-val default_config : config
-
 val suggest : ?config:config -> Document.t -> Predicate.t list
 (** The suggested base predicate set, tag predicates first (sorted by
-    tag), then content predicates grouped by tag. *)
-
-val suggest_content : ?config:config -> Document.t -> tag:string -> Predicate.t list
-(** Content predicates for one tag only. *)
+    tag), then content predicates grouped by tag.  Without [?config] the
+    defaults above apply. *)

@@ -45,10 +45,7 @@ let help =
       "commands may be prefixed with ':' (e.g. ':catalog stats')";
     ]
 
-let tag_predicates doc =
-  List.filter_map
-    (fun tag -> if tag = "#root" then None else Some (Predicate.tag tag))
-    (Document.distinct_tags doc)
+let tag_predicates doc = List.map Predicate.tag (Document.distinct_tags doc)
 
 (* All commands funnel through these accessors so missing-state errors are
    uniform. *)
@@ -79,22 +76,8 @@ let set_document state doc =
     (List.length (Document.distinct_tags doc))
 
 let cmd_gen state dataset scale =
-  let elem =
-    match dataset with
-    | "dblp" -> Xmlest_datagen.Dblp_gen.generate_scaled scale
-    | "staff" -> Xmlest_datagen.Staff_gen.generate ~scale ()
-    | "xmark" -> Xmlest_datagen.Xmark_gen.generate ~scale ()
-    | "shakespeare" ->
-      Xmlest_datagen.Shakespeare_gen.generate
-        ~acts:(Int.max 1 (int_of_float (5.0 *. scale)))
-        ()
-    | "treebank" ->
-      Xmlest_datagen.Treebank_gen.generate
-        ~sentences:(Int.max 1 (int_of_float (200.0 *. scale)))
-        ()
-    | other -> reply "error: unknown data set %S" other
-  in
-  set_document state (Document.of_elem elem)
+  set_document state
+    (Document.of_elem (Xmlest_datagen.Datasets.generate dataset ~scale))
 
 let cmd_load state path =
   match Xml_parser.parse_file path with
@@ -363,8 +346,8 @@ let execute state line =
     | [ "run"; q ] -> cmd_run state q 5
     | [ "run"; q; limit ] -> (
       match int_of_string_opt limit with
-      | Some l -> cmd_run state q l
-      | None -> reply "error: bad limit %S" limit)
+      | Some l when l >= 0 -> cmd_run state q l
+      | Some _ | None -> reply "error: bad limit %S" limit)
     | [ "hist"; tag ] -> cmd_hist state tag
     | [ "staleness" ] -> cmd_staleness state
     | [ "summary"; "info" ] -> cmd_summary_info state

@@ -4,7 +4,7 @@
     mutable state (current document, current summary), so the shell logic
     is testable without a terminal; [bin/xmlest shell] wires it to stdin.
 
-    Commands (see {!help}):
+    Commands ([help] lists them):
     {v
     gen <dblp|staff|xmark|shakespeare|treebank> [scale]
     load <file.xml>
@@ -27,5 +27,3 @@ val execute : state -> string -> string
 (** Execute one command line and return its (possibly multi-line) output.
     Never raises: user errors come back as "error: ..." text.  Empty input
     returns the empty string. *)
-
-val help : string

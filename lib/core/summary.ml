@@ -909,25 +909,6 @@ let storage_bytes t =
       + match e.lvl with Some l -> Level_histogram.storage_bytes l | None -> 0)
     t.entries 0
 
-let pp_stats ppf t =
-  adopt_all t;
-  Format.fprintf ppf "%-32s %10s %12s %8s@." "predicate" "count" "overlap"
-    "bytes";
-  List.iter
-    (fun pred ->
-      match find t pred with
-      | None -> ()
-      | Some e ->
-        let bytes =
-          Position_histogram.storage_bytes e.hist
-          + match e.cvg with Some c -> Coverage_histogram.storage_bytes c | None -> 0
-        in
-        Format.fprintf ppf "%-32s %10.0f %12s %8d@." (Predicate.name pred)
-          (Position_histogram.total e.hist)
-          (if e.no_overlap then "no overlap" else "overlap")
-          bytes)
-    t.preds
-
 (* --- Canonical printer ------------------------------------------------ *)
 
 (* [to_string] prints every float of a summary at %.17g, one item per

@@ -57,6 +57,7 @@ val build :
     sequential build, with the same [predicate_evals], for every domain
     count and grid kind (property-tested). *)
 
+(* lint: allow unused-export — named by the Streaming invariant *)
 val build_stream :
   ?grid_size:int ->
   ?grid_kind:[ `Uniform | `Equidepth ] ->
@@ -142,9 +143,14 @@ val histogram : t -> Predicate.t -> Position_histogram.t
     first use and cached. *)
 
 val coverage : t -> Predicate.t -> Coverage_histogram.t option
+
+(* lint: allow unused-export — a Fused-build oracle accessor *)
 val level : t -> Predicate.t -> Level_histogram.t option
+
+(* lint: allow unused-export — a Fused-build oracle accessor *)
 val population : t -> Position_histogram.t
 
+(* lint: allow unused-export — a Fused-build oracle accessor *)
 val has_no_overlap : t -> Predicate.t -> bool
 (** The predicate's no-overlap status as recorded in the catalog (false for
     predicates outside it). *)
@@ -217,7 +223,7 @@ val explain :
 val storage_bytes : t -> int
 (** Total sparse storage of all histograms in the catalog — the summary
     size the paper reports (≈0.7% of the data for DBLP).  On a reopened
-    store this adopts every section first, as {!pp_stats} does. *)
+    store this adopts every section first. *)
 
 (** {2 Incremental maintenance}
 
@@ -262,9 +268,6 @@ val staleness : t -> Staleness.report option
 (** Updates and touched nodes since the last (re)build; [None] when no
     update was ever applied (no maintenance engine exists yet). *)
 
-val pp_stats : Format.formatter -> t -> unit
-(** One line per predicate: count, overlap property, storage. *)
-
 (** {2 Persistence}
 
     A summary is a database statistic: it outlives the process that built
@@ -290,7 +293,7 @@ exception Corrupt_store of string
     predicate.  Raised by the first operation that adopts the section: a
     lookup of its predicate ({!histogram}, {!coverage}, {!level},
     {!estimate}, ...), or any whole-summary operation ({!predicates},
-    {!to_string}, {!save_store}, {!pp_stats}, {!storage_bytes}, a
+    {!to_string}, {!save_store}, {!storage_bytes}, a
     multi-domain {!estimate_batch}). *)
 
 val save_store : t -> string -> unit

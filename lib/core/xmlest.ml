@@ -34,6 +34,7 @@ module Staff_gen = Xmlest_datagen.Staff_gen
 module Xmark_gen = Xmlest_datagen.Xmark_gen
 module Shakespeare_gen = Xmlest_datagen.Shakespeare_gen
 module Treebank_gen = Xmlest_datagen.Treebank_gen
+module Datasets = Xmlest_datagen.Datasets
 
 (* Queries *)
 module Predicate = Xmlest_query.Predicate

@@ -3,10 +3,10 @@ type config = {
   seed : int;
   n_records : int;
   p_article : float;
-  p_book : float;
-  authors_mean : float;
+  p_book : float;  (* remaining records are inproceedings/incollection/phdthesis *)
+  authors_mean : float;  (* mean authors per record (>= 1) *)
   p_url : float;
-  group_by_kind : bool;
+  group_by_kind : bool;  (* emit records grouped by kind, as dblp.xml does *)
   cdrom_rate : string -> float;  (* per record kind *)
   cite_profile : string -> float * float;  (* (p_has_cites, mean cites when citing) *)
 }

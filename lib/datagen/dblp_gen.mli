@@ -20,31 +20,7 @@
 
 open Xmlest_xmldb
 
-type config = {
-  seed : int;
-  n_records : int;
-  p_article : float;
-  p_book : float;  (** remaining records are inproceedings/incollection/phdthesis *)
-  authors_mean : float;  (** mean authors per record (≥ 1) *)
-  p_url : float;
-  group_by_kind : bool;
-      (** emit records grouped by kind, as dblp.xml does — the positional
-          clustering that coverage histograms exploit *)
-  cdrom_rate : string -> float;  (** cdrom probability per record kind *)
-  cite_profile : string -> float * float;
-      (** per kind: (probability of having a citation list, mean list
-          length when present) *)
-}
-
-val default_config : config
-(** Proportions of Table 1 at full scale ([n_records = 19_921]). *)
-
-val config : ?seed:int -> scale:float -> unit -> config
-(** [config ~scale] is {!default_config} with [n_records] scaled;
-    [scale = 1.0] reproduces Table 1's magnitudes (~150k element nodes). *)
-
-val generate : config -> Elem.t
-(** Generate the [dblp] document. *)
-
 val generate_scaled : ?seed:int -> float -> Elem.t
-(** [generate_scaled s] = [generate (config ~scale:s)]. *)
+(** [generate_scaled s] generates the [dblp] document with Table 1's
+    proportions and [n_records] scaled by [s]; [s = 1.0] reproduces Table
+    1's magnitudes (~150k element nodes). *)

@@ -1,30 +1,3 @@
-type zipf = { cumulative : float array }
-
-let zipf ~n ~s =
-  if n <= 0 then invalid_arg "Distributions.zipf: n must be positive";
-  let cumulative = Array.make n 0.0 in
-  let acc = ref 0.0 in
-  for k = 1 to n do
-    acc := !acc +. (1.0 /. Float.pow (float_of_int k) s);
-    cumulative.(k - 1) <- !acc
-  done;
-  let total = !acc in
-  for k = 0 to n - 1 do
-    cumulative.(k) <- cumulative.(k) /. total
-  done;
-  { cumulative }
-
-let zipf_sample rng z =
-  let u = Splitmix.float rng 1.0 in
-  let n = Array.length z.cumulative in
-  (* Binary search for the first index with cumulative >= u. *)
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if z.cumulative.(mid) >= u then hi := mid else lo := mid + 1
-  done;
-  !lo + 1
-
 let poisson rng mean =
   if mean <= 0.0 then 0
   else begin
@@ -34,36 +7,4 @@ let poisson rng mean =
       if p <= l then k else go (k + 1) p
     in
     go 0 1.0
-  end
-
-let normal_int rng ~mean ~dev ~min:lo =
-  (* Box-Muller. *)
-  let u1 = Float.max epsilon_float (Splitmix.float rng 1.0) in
-  let u2 = Splitmix.float rng 1.0 in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  let v = int_of_float (Float.round (mean +. (dev *. z))) in
-  Int.max lo v
-
-let pareto_split rng ~total ~parts ~alpha =
-  if parts <= 0 then [||]
-  else begin
-    let weights = Array.init parts (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) alpha) in
-    Splitmix.shuffle rng weights;
-    let sum = Array.fold_left ( +. ) 0.0 weights in
-    let out = Array.make parts 0 in
-    let assigned = ref 0 in
-    for i = 0 to parts - 1 do
-      let share = int_of_float (Float.round (float_of_int total *. weights.(i) /. sum)) in
-      let share = Int.min share (total - !assigned) in
-      out.(i) <- share;
-      assigned := !assigned + share
-    done;
-    (* Distribute any rounding remainder one by one. *)
-    let i = ref 0 in
-    while !assigned < total do
-      out.(!i mod parts) <- out.(!i mod parts) + 1;
-      incr assigned;
-      incr i
-    done;
-    out
   end

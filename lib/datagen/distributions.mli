@@ -1,21 +1,5 @@
 (** Sampling helpers shared by the data generators. *)
 
-type zipf
-(** Precomputed Zipf(s) sampler over ranks [1..n]. *)
-
-val zipf : n:int -> s:float -> zipf
-(** Build a Zipf sampler with [n] ranks and exponent [s].  O(n) space. *)
-
-val zipf_sample : Splitmix.t -> zipf -> int
-(** Sample a rank in [\[1, n\]]; rank 1 is the most likely.  O(log n). *)
-
 val poisson : Splitmix.t -> float -> int
 (** Poisson sample with the given mean (inversion method; fine for the
     small means used here). *)
-
-val normal_int : Splitmix.t -> mean:float -> dev:float -> min:int -> int
-(** Rounded normal sample, clamped below at [min]. *)
-
-val pareto_split : Splitmix.t -> total:int -> parts:int -> alpha:float -> int array
-(** Split [total] into [parts] non-negative summands with a heavy-tailed
-    (Zipf-weighted) profile; useful for skewed fan-outs. *)

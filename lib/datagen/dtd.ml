@@ -1,4 +1,3 @@
-open Xmlest_xmldb
 type particle =
   | Pcdata
   | Elem_ref of string
@@ -12,7 +11,6 @@ type particle =
 type element_decl = { name : string; content : particle }
 
 type t = {
-  decls : element_decl list;
   table : (string, element_decl) Hashtbl.t;
   reachable_tbl : (string, string list) Hashtbl.t;
 }
@@ -41,11 +39,9 @@ let make decls =
                  d.name r))
         (referenced [] d.content))
     decls;
-  { decls; table; reachable_tbl = Hashtbl.create 16 }
+  { table; reachable_tbl = Hashtbl.create 16 }
 
-let declarations t = t.decls
 let find t name = Hashtbl.find_opt t.table name
-let element_names t = List.map (fun d -> d.name) t.decls
 
 let reachable t name =
   match Hashtbl.find_opt t.reachable_tbl name with
@@ -65,97 +61,3 @@ let reachable t name =
     let r = List.sort String.compare r in
     Hashtbl.replace t.reachable_tbl name r;
     r
-
-let is_recursive t name =
-  match find t name with
-  | None -> false
-  | Some d ->
-    List.exists
-      (fun child -> List.mem name (reachable t child))
-      (referenced [] d.content)
-
-let rec pp_particle ppf = function
-  | Pcdata -> Format.fprintf ppf "#PCDATA"
-  | Empty -> Format.fprintf ppf "EMPTY"
-  | Elem_ref n -> Format.fprintf ppf "%s" n
-  | Seq ps ->
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") pp_particle)
-      ps
-  | Choice ps ->
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "|") pp_particle)
-      ps
-  | Opt p -> Format.fprintf ppf "%a?" pp_particle p
-  | Star p -> Format.fprintf ppf "%a*" pp_particle p
-  | Plus p -> Format.fprintf ppf "%a+" pp_particle p
-
-let pp ppf t =
-  List.iter
-    (fun d ->
-      let content ppf = function
-        | Elem_ref _ as p -> Format.fprintf ppf "(%a)" pp_particle p
-        | Pcdata -> Format.fprintf ppf "(#PCDATA)"
-        | p -> pp_particle ppf p
-      in
-      Format.fprintf ppf "<!ELEMENT %s %a>@." d.name content d.content)
-    t.decls
-
-(* --- Validation ----------------------------------------------------- *)
-
-(* Positions reachable in [tags] after matching [p] starting at each
-   position of [froms].  Positions are deduplicated to keep the match
-   polynomial. *)
-let rec advance tags p froms =
-  let dedup l = List.sort_uniq Int.compare l in
-  match p with
-  | Pcdata | Empty -> froms
-  | Elem_ref n ->
-    List.filter_map
-      (fun i ->
-        if i < Array.length tags && String.equal tags.(i) n then Some (i + 1)
-        else None)
-      froms
-  | Seq ps -> List.fold_left (fun fs q -> dedup (advance tags q fs)) froms ps
-  | Choice ps ->
-    dedup (List.concat_map (fun q -> advance tags q froms) ps)
-  | Opt q -> dedup (froms @ advance tags q froms)
-  | Plus q -> advance tags (Seq [ q; Star q ]) froms
-  | Star q ->
-    (* Fixpoint: keep applying q while new positions appear. *)
-    let rec loop acc frontier =
-      let next =
-        List.filter (fun i -> not (List.mem i acc)) (advance tags q frontier)
-      in
-      if next = [] then acc else loop (dedup (acc @ next)) next
-    in
-    loop (dedup froms) froms
-
-let rec mentions_pcdata = function
-  | Pcdata -> true
-  | Empty | Elem_ref _ -> false
-  | Seq ps | Choice ps -> List.exists mentions_pcdata ps
-  | Opt p | Star p | Plus p -> mentions_pcdata p
-
-let validate t root =
-  let exception Bad of string in
-  let check e =
-    match find t e.Elem.tag with
-    | None -> raise (Bad (Printf.sprintf "undeclared element <%s>" e.Elem.tag))
-    | Some d ->
-      if e.Elem.text <> "" && not (mentions_pcdata d.content) then
-        raise
-          (Bad (Printf.sprintf "<%s> has text but its model has no #PCDATA" e.Elem.tag));
-      let tags = Array.of_list (List.map (fun c -> c.Elem.tag) e.Elem.children) in
-      let finals = advance tags d.content [ 0 ] in
-      if not (List.mem (Array.length tags) finals) then
-        raise
-          (Bad
-             (Printf.sprintf "<%s> children [%s] do not match %s" e.Elem.tag
-                (String.concat "; " (Array.to_list tags))
-                (Format.asprintf "%a" pp_particle d.content)))
-  in
-  try
-    Elem.iter check root;
-    Ok ()
-  with Bad msg -> Error msg

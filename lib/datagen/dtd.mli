@@ -5,8 +5,6 @@
     Sec. 5.2) and to drive random document generation ({!Dtd_gen}), standing
     in for the IBM XML generator. *)
 
-open Xmlest_xmldb
-
 type particle =
   | Pcdata  (** [#PCDATA] *)
   | Elem_ref of string  (** reference to a declared element *)
@@ -25,29 +23,7 @@ val make : element_decl list -> t
 (** Build a DTD from declarations.  Raises [Invalid_argument] on duplicate
     element declarations or on references to undeclared elements. *)
 
-val declarations : t -> element_decl list
-(** Declarations in their original order. *)
-
 val find : t -> string -> element_decl option
-
-val element_names : t -> string list
-(** Declared element names, in declaration order. *)
 
 val reachable : t -> string -> string list
 (** Element names reachable from (and including) the given element. *)
-
-val is_recursive : t -> string -> bool
-(** [true] iff the element can (transitively) contain another occurrence of
-    itself — e.g. [manager] and [department] in the paper's synthetic DTD. *)
-
-val pp_particle : Format.formatter -> particle -> unit
-
-val pp : Format.formatter -> t -> unit
-(** Render in DTD syntax ([<!ELEMENT ...>] lines). *)
-
-(** {2 Validation} *)
-
-val validate : t -> Elem.t -> (unit, string) result
-(** Check that a tree conforms to the DTD: every element is declared and its
-    child sequence matches its content model (text content is permitted
-    exactly where [#PCDATA] appears).  Used to test the generator. *)

@@ -30,6 +30,7 @@ type config = {
           recursion damping is applied on top *)
 }
 
+(* lint: allow unused-export — the base of [generate ?config], hooks included *)
 val default_config : config
 (** seed 42, max_depth 12, p_opt 0.5, star_mean 2.0, plus_extra_mean 1.0,
     recursion_damping 0.55, max_nodes 1_000_000, word-based text. *)

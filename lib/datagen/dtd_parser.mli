@@ -6,8 +6,6 @@
     verbatim.  [<!ATTLIST>] and [<!ENTITY>] declarations and comments are
     skipped. *)
 
-val parse : string -> (Dtd.t, string) result
-(** Parse the declarations found in a DTD document (or internal subset). *)
-
 val parse_exn : string -> Dtd.t
-(** Like {!parse}; raises [Failure] on error. *)
+(** Parse the declarations found in a DTD document (or internal subset);
+    raises [Failure] on error. *)

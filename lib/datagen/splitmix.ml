@@ -9,8 +9,6 @@ let mix z =
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let next t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state

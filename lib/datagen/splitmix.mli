@@ -9,13 +9,8 @@ type t
 val create : int -> t
 (** Create a generator from a seed. *)
 
-val copy : t -> t
-
 val split : t -> t
 (** Derive an independent generator; the parent is advanced. *)
-
-val next : t -> int64
-(** Next raw 64-bit value. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)].  Requires [n > 0]. *)

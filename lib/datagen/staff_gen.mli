@@ -9,14 +9,9 @@
 
 open Xmlest_xmldb
 
-val dtd_text : string
-(** The DTD exactly as printed in the paper. *)
-
+(* lint: allow unused-export — tests validate generated staff documents against it *)
 val dtd : unit -> Dtd.t
-
-val text : Splitmix.t -> string -> string
-(** PCDATA generator used for this data set: person names for [name],
-    addresses for [email]. *)
+(** The DTD exactly as printed in the paper. *)
 
 val generate : ?seed:int -> ?scale:float -> unit -> Elem.t
 (** Generate a staff document.  With the default [scale = 1.0] the node

@@ -2,9 +2,6 @@
     filler sentences.  Everything is drawn deterministically from a
     {!Splitmix.t}. *)
 
-val first_name : Splitmix.t -> string
-val last_name : Splitmix.t -> string
-
 val person : Splitmix.t -> string
 (** "First Last". *)
 

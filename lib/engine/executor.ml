@@ -139,9 +139,3 @@ let run doc pattern ~order =
         sizes := List.length !rows :: !sizes)
       rest;
     { columns = !columns; rows = !rows; intermediate_sizes = List.rev !sizes }
-
-let count doc pattern ~order = List.length (run doc pattern ~order).rows
-
-let matches doc pattern =
-  let n = Pattern.size pattern in
-  run doc pattern ~order:(List.init n Fun.id)

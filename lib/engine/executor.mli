@@ -26,8 +26,7 @@ type result = {
           [List.nth columns k] *)
   intermediate_sizes : int list;
       (** rows materialized after each join step (sizes 2..n prefixes) —
-          directly comparable to
-          {!Xmlest_optimizer.Optimizer.actual_intermediates} *)
+          the exact sizes of the plan's prefixes *)
 }
 
 val run : Document.t -> Pattern.t -> order:int list -> result
@@ -35,9 +34,3 @@ val run : Document.t -> Pattern.t -> order:int list -> result
     connected as in {!Xmlest_optimizer.Plan.enumerate}).  Raises
     [Invalid_argument] on an order that is not a permutation of the
     pattern's nodes or has a disconnected prefix. *)
-
-val count : Document.t -> Pattern.t -> order:int list -> int
-(** [List.length (run ...).rows] without retaining the rows. *)
-
-val matches : Document.t -> Pattern.t -> result
-(** Execute with the pattern's pre-order as the join order. *)

@@ -47,26 +47,6 @@ let count_pairs ?(axis = `Descendant) doc ancs descs =
         then incr total));
   !total
 
-let pairs ?(axis = `Descendant) doc ancs descs =
-  let out = ref [] in
-  (match axis with
-  | `Descendant ->
-    sweep doc ancs descs ~visit:(fun stack d ->
-        Stack.iter (fun a -> out := (a, d) :: !out) stack)
-  | `Child ->
-    sweep doc ancs descs ~visit:(fun stack d ->
-        if
-          (not (Stack.is_empty stack))
-          && Int.equal (Stack.top stack) (Document.parent doc d)
-        then out := (Stack.top stack, d) :: !out));
-  List.rev !out
-
-let matching_descendants doc ancs descs =
-  let total = ref 0 in
-  sweep doc ancs descs ~visit:(fun stack _d ->
-      if not (Stack.is_empty stack) then incr total);
-  !total
-
 let count_following doc before after =
   (* Sort the "before" end positions once; for each "after" node count the
      ends strictly below its start by binary search. *)

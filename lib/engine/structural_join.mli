@@ -20,16 +20,6 @@ val count_pairs :
     Runs in O(|ancs| + |descs| + output-free time); counting is O(n) via
     per-node ancestor-stack depth. *)
 
-val pairs :
-  ?axis:[ `Descendant | `Child ] ->
-  Document.t ->
-  Document.node array ->
-  Document.node array ->
-  (Document.node * Document.node) list
-(** Materialize the joined pairs (ancestor, descendant), for tests and small
-    inputs; ordering is by descendant document order, innermost ancestor
-    first. *)
-
 val count_following :
   Xmlest_xmldb.Document.t ->
   Xmlest_xmldb.Document.node array ->
@@ -38,9 +28,3 @@ val count_following :
 (** Number of pairs [(u, v)] with [u] in the first list entirely preceding
     [v] in the second ([end u < start v], XPath's [following] axis).  Both
     arrays in document order; O(n log n). *)
-
-val matching_descendants :
-  Document.t -> Document.node array -> Document.node array -> int
-(** Number of {e distinct} descendants that join with at least one ancestor
-    — the paper's upper-bound estimate when the ancestor predicate has the
-    no-overlap property. *)

@@ -43,23 +43,3 @@ let match_counts doc pattern =
   counts pattern
 
 let count doc pattern = Array.fold_left ( + ) 0 (match_counts doc pattern)
-
-let is_document_root doc v =
-  if Document.has_dummy_root doc then Document.parent doc v = 0
-  else Document.parent doc v < 0
-
-let count_query doc (q : Pattern_parser.query) =
-  let per_node = match_counts doc q.Pattern_parser.root in
-  match q.Pattern_parser.anchor with
-  | Pattern.Descendant -> Array.fold_left ( + ) 0 per_node
-  | Pattern.Child ->
-    let total = ref 0 in
-    Array.iteri
-      (fun v c -> if c > 0 && is_document_root doc v then total := !total + c)
-      per_node;
-    !total
-
-let participation doc pattern =
-  Array.fold_left
-    (fun acc c -> if c > 0 then acc + 1 else acc)
-    0 (match_counts doc pattern)

@@ -18,16 +18,3 @@ open Xmlest_query
 
 val count : Document.t -> Pattern.t -> int
 (** Number of matches with the pattern root mapped to any document node. *)
-
-val count_query : Document.t -> Pattern_parser.query -> int
-(** Like {!count}, but a [Child] anchor restricts the pattern root to
-    document-root elements (nodes whose parent is the store root or that
-    are the store root themselves). *)
-
-val match_counts : Document.t -> Pattern.t -> int array
-(** Per-node match counts for the pattern root: entry [v] is the number of
-    matches mapping the root to [v].  {!count} is its sum. *)
-
-val participation : Document.t -> Pattern.t -> int
-(** Number of {e distinct} document nodes the pattern root maps to in at
-    least one match (i.e. nodes with a positive match count). *)

@@ -28,5 +28,3 @@ let estimate_cells ~anc ~desc ~anc_levels ~desc_levels () =
         Position_histogram.add out ~i ~j (anc_count *. !contribution));
   out
 
-let estimate ~anc ~desc ~anc_levels ~desc_levels () =
-  Position_histogram.total (estimate_cells ~anc ~desc ~anc_levels ~desc_levels ())

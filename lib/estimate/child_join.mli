@@ -25,11 +25,3 @@ val estimate_cells :
   unit ->
   Position_histogram.t
 (** Per-ancestor-cell estimate of parent-child pairs. *)
-
-val estimate :
-  anc:Position_histogram.t ->
-  desc:Position_histogram.t ->
-  anc_levels:Level_position_histogram.t ->
-  desc_levels:Level_position_histogram.t ->
-  unit ->
-  float

@@ -272,6 +272,3 @@ let estimate_trace ?options catalog pattern =
   let log = ref [] in
   let v = view ?options ~trace:log catalog pattern in
   (total_matches v, List.rev !log)
-
-let estimate_pair ?options catalog ~anc ~desc =
-  estimate ?options catalog (Pattern.twig anc [ desc ])

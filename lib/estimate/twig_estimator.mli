@@ -82,11 +82,3 @@ val estimate_trace :
   ?options:options -> catalog -> Pattern.t -> float * step list
 (** Like {!estimate}, also returning one record per pairwise join in
     evaluation order — the estimator's "explain" output. *)
-
-val estimate_pair :
-  ?options:options ->
-  catalog ->
-  anc:Predicate.t ->
-  desc:Predicate.t ->
-  float
-(** Two-node convenience wrapper (the simple queries of Tables 2 and 4). *)

@@ -48,10 +48,6 @@ let create ~compute_desc ~compute_anc () =
     compute_seconds = 0.0;
   }
 
-let grid t = t.grid
-
-let length t = Hashtbl.length t.entries
-
 let keys t =
   List.sort String.compare
     (Hashtbl.fold (fun key _ acc -> key :: acc) t.entries [])
@@ -134,7 +130,7 @@ let reset_counters t =
 
 let pp_stats ppf t =
   Format.fprintf ppf "catalog: %d histograms%a, %d coefficient arrays cached@."
-    (length t)
+    (Hashtbl.length t.entries)
     (fun ppf -> function
       | Some g -> Format.fprintf ppf " (%a)" Grid.pp g
       | None -> ())

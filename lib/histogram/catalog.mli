@@ -48,10 +48,6 @@ val remove : t -> string -> unit
 val keys : t -> string list
 (** Sorted. *)
 
-val length : t -> int
-val grid : t -> Grid.t option
-(** The shared grid; [None] while the catalog is empty. *)
-
 (** {1 Memoized coefficients} *)
 
 val descendant_coefficients : t -> string -> float array option
@@ -66,6 +62,7 @@ val ancestor_coefficients : t -> string -> float array option
 
 val counters : t -> counters
 val reset_counters : t -> unit
+(* lint: allow unused-export — tests pin coefficient memoization through it *)
 val cached_arrays : t -> int
 (** Number of currently fresh (non-stale) cached coefficient arrays. *)
 

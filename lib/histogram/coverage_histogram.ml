@@ -109,17 +109,6 @@ let build doc ~grid pred =
   done;
   finish b ~populations
 
-let coverage t ~i ~j ~m ~n =
-  let ro = t.row_off in
-  let c = Grid.index t.grid ~i ~j in
-  let target = Grid.index t.grid ~i:m ~j:n in
-  let rec find k =
-    if k >= ro.(c + 1) then 0.0
-    else if Int.equal t.covering.(k) target then t.frac.(k)
-    else find (k + 1)
-  in
-  find ro.(c)
-
 let total_coverage t ~i ~j = t.total_cvg.(Grid.index t.grid ~i ~j)
 
 let iter_covers t ~i ~j f =
@@ -130,8 +119,6 @@ let iter_covers t ~i ~j f =
     let cell = t.covering.(k) in
     f ~m:(cell / g) ~n:(cell mod g) t.frac.(k)
   done
-
-let cell_population t ~i ~j = t.populations.(Grid.index t.grid ~i ~j)
 
 let entries t =
   t.row_off.(Array.length t.row_off - 1)
@@ -144,23 +131,7 @@ let partial_entries t =
   done;
   !n
 
-let bytes_per_entry = 10
-
-let storage_bytes t = bytes_per_entry * entries t
-
-let pp ppf t =
-  let ro = t.row_off in
-  let g = t.grid.Grid.size in
-  for c = 0 to Array.length ro - 2 do
-    if ro.(c + 1) > ro.(c) then begin
-      Format.fprintf ppf "(%d,%d) covered by:" (c / g) (c mod g);
-      for k = ro.(c) to ro.(c + 1) - 1 do
-        let cell = t.covering.(k) in
-        Format.fprintf ppf " (%d,%d)=%.3f" (cell / g) (cell mod g) t.frac.(k)
-      done;
-      Format.fprintf ppf "@."
-    end
-  done
+let storage_bytes t = 10 * entries t
 
 let fold_entries t ~init ~f =
   let ro = t.row_off in

@@ -46,32 +46,18 @@ val finish : builder -> populations:float array -> t
     histogram counts, dense).  Raises [Invalid_argument] on a population
     array of the wrong length. *)
 
-val coverage : t -> i:int -> j:int -> m:int -> n:int -> float
-(** Fraction of cell [(i, j)]'s population covered by P-nodes in cell
-    [(m, n)]. *)
-
 val total_coverage : t -> i:int -> j:int -> float
 (** Fraction of cell [(i, j)]'s population covered by any P-node. *)
 
 val iter_covers : t -> i:int -> j:int -> (m:int -> n:int -> float -> unit) -> unit
 (** Iterate the non-zero covering cells of [(i, j)]. *)
 
-val cell_population : t -> i:int -> j:int -> float
-(** Total number of document nodes in cell [(i, j)] (the TRUE histogram
-    count used as the fraction denominator). *)
-
-val entries : t -> int
-(** Stored (covered cell, covering cell) pairs with non-zero fraction. *)
-
 val partial_entries : t -> int
 (** Entries whose fraction is strictly between 0 and 1 (Theorem 2: O(g)). *)
 
 val storage_bytes : t -> int
-(** {!bytes_per_entry} bytes per stored entry. *)
-
-val bytes_per_entry : int
-
-val pp : Format.formatter -> t -> unit
+(** 10 bytes per stored (covered cell, covering cell) pair with non-zero
+    fraction. *)
 
 (** {2 Persistence support} *)
 
@@ -80,8 +66,10 @@ val fold_entries :
 (** Fold over all stored (covered cell, covering cell, fraction) triples;
     cells are dense row-major indices. *)
 
+(* lint: allow unused-export — the Fused-build oracle compares coverage through it *)
 val populations : t -> float array
-(** Copy of the per-cell population counts (dense). *)
+(** Copy of the per-cell population counts (dense): the TRUE histogram
+    counts used as the fraction denominators. *)
 
 val of_parts :
   grid:Grid.t ->

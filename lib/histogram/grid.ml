@@ -80,10 +80,6 @@ let bucket t pos =
     done;
     !lo
 
-let bucket_bounds t i =
-  if i < 0 || i >= t.size then invalid_arg "Grid.bucket_bounds: bucket out of range";
-  (t.boundaries.(i), t.boundaries.(i + 1) - 1)
-
 (* Positions past [max_pos] clamp into the last bucket rather than raise:
    maintenance appends label new nodes beyond the grid's original position
    range, and a same-grid rebuild must bucket them exactly like the

@@ -41,12 +41,10 @@ val of_boundaries : int array -> t
     starting at 0; the last entry is [max_pos + 1].  Raises
     [Invalid_argument] on malformed input. *)
 
+(* lint: allow unused-export — tests pin both grid kinds' bucketization through it *)
 val bucket : t -> int -> int
 (** Bucket of a position; in [\[0, size)].  Raises [Invalid_argument]
     outside [0 .. max_pos]. *)
-
-val bucket_bounds : t -> int -> int * int
-(** [(lo, hi)] inclusive position range of a bucket. *)
 
 val cell_of_node : t -> start_pos:int -> end_pos:int -> int * int
 (** [(bucket start, bucket end)].  Unlike {!bucket}, positions beyond

@@ -38,8 +38,6 @@ let count_at t l = if l >= 0 && l < Array.length t.counts then t.counts.(l) else
 
 let max_level t = Array.length t.counts - 1
 
-let total t = Array.fold_left ( +. ) 0.0 t.counts
-
 let child_fraction ~anc ~desc =
   let pairs_all = ref 0.0 and pairs_child = ref 0.0 in
   for la = 0 to max_level anc do

@@ -13,9 +13,6 @@ type t
 
 val build : Document.t -> Predicate.t -> t
 
-val of_levels : Document.t -> Document.node array -> t
-(** Histogram of an explicit node set (no predicate re-evaluation). *)
-
 (** {2 Streaming construction} *)
 
 type builder
@@ -29,13 +26,6 @@ val feed : builder -> int -> unit
 val finish : builder -> t
 (** Freeze: counts for levels [0 .. max fed level] ([\[|0.0|\]] when
     nothing was fed, matching {!build} on an empty node set). *)
-
-val count_at : t -> int -> float
-(** Number of P-nodes at the given depth. *)
-
-val max_level : t -> int
-
-val total : t -> float
 
 val child_fraction : anc:t -> desc:t -> float
 (** Of all level pairs [(la, ld)] with [la < ld] weighted by the level

@@ -6,8 +6,6 @@ type t = {
   cells : (int * float) array array;  (* dense cell index -> (level, count) sorted *)
 }
 
-let grid t = t.grid
-
 let build doc ~grid pred =
   let buckets = Array.make (Grid.cells grid) [] in
   Array.iter
@@ -42,18 +40,6 @@ let build doc ~grid pred =
   { grid; cells }
 
 let levels_in t ~i ~j = t.cells.(Grid.index t.grid ~i ~j)
-
-let cell_total t ~i ~j =
-  Array.fold_left (fun acc (_, k) -> acc +. k) 0.0 (levels_in t ~i ~j)
-
-let total t =
-  Array.fold_left
-    (fun acc arr -> Array.fold_left (fun acc (_, k) -> acc +. k) acc arr)
-    0.0 t.cells
-
-let entries t = Array.fold_left (fun acc arr -> acc + Array.length arr) 0 t.cells
-
-let storage_bytes t = 8 * entries t
 
 let child_pair_fraction t ~anc_cell:(ai, aj) ~desc ~desc_cell:(di, dj) =
   let anc_levels = levels_in t ~i:ai ~j:aj in

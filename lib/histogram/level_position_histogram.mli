@@ -17,20 +17,9 @@ type t
 
 val build : Document.t -> grid:Grid.t -> Predicate.t -> t
 
-val grid : t -> Grid.t
-
+(* lint: allow unused-export — tests pin per-cell depths to the position histogram *)
 val levels_in : t -> i:int -> j:int -> (int * float) array
 (** Sorted (depth, count) pairs for a cell; empty for empty cells. *)
-
-val cell_total : t -> i:int -> j:int -> float
-
-val total : t -> float
-
-val entries : t -> int
-(** Number of stored (cell, level) pairs. *)
-
-val storage_bytes : t -> int
-(** 8 bytes per entry (cell coordinates + level + count). *)
 
 val child_pair_fraction : t -> anc_cell:int * int -> desc:t -> desc_cell:int * int -> float
 (** Of all level pairs [(la, ld)] with [la < ld] drawn from the two cells'

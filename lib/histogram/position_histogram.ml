@@ -34,13 +34,6 @@ let check_cell fn grid ~i ~j =
 
 let get t ~i ~j = t.counts.(Grid.index t.grid ~i ~j)
 
-let set t ~i ~j v =
-  check_cell "set" t.grid ~i ~j;
-  let idx = Grid.index t.grid ~i ~j in
-  t.total <- t.total -. t.counts.(idx) +. v;
-  t.counts.(idx) <- v;
-  t.version <- t.version + 1
-
 let add t ~i ~j v =
   check_cell "add" t.grid ~i ~j;
   let idx = Grid.index t.grid ~i ~j in
@@ -62,10 +55,6 @@ type builder = { b_grid : Grid.t; b_counts : float array }
 let builder grid = { b_grid = grid; b_counts = Array.make (Grid.cells grid) 0.0 }
 
 let feed_cell b idx = b.b_counts.(idx) <- b.b_counts.(idx) +. 1.0
-
-let feed b ~start_pos ~end_pos =
-  let i, j = Grid.cell_of_node b.b_grid ~start_pos ~end_pos in
-  feed_cell b (Grid.index b.b_grid ~i ~j)
 
 let finish b =
   {
@@ -92,31 +81,20 @@ let of_nonzero ~grid at v =
     at;
   { grid; counts; total = !total; version = 0 }
 
-let of_nodes doc ~grid nodes =
+let build doc ~grid pred =
   let b = builder grid in
   Array.iter
     (fun v ->
-      feed b ~start_pos:(Document.start_pos doc v)
-        ~end_pos:(Document.end_pos doc v))
-    nodes;
-  finish b
-
-let build doc ~grid pred = of_nodes doc ~grid (Predicate.matching_nodes doc pred)
-
-let population doc ~grid =
-  let b = builder grid in
-  Document.iter doc (fun v ->
-      feed b ~start_pos:(Document.start_pos doc v)
-        ~end_pos:(Document.end_pos doc v));
+      let i, j =
+        Grid.cell_of_node grid ~start_pos:(Document.start_pos doc v)
+          ~end_pos:(Document.end_pos doc v)
+      in
+      feed_cell b (Grid.index grid ~i ~j))
+    (Predicate.matching_nodes doc pred);
   finish b
 
 let copy t =
   { grid = t.grid; counts = Array.copy t.counts; total = t.total; version = 0 }
-
-let equal a b =
-  Grid.compatible a.grid b.grid
-  && Int.equal (Array.length a.counts) (Array.length b.counts)
-  && Array.for_all2 Float.equal a.counts b.counts
 
 let map2 f a b =
   if not (Grid.compatible a.grid b.grid) then
@@ -173,22 +151,7 @@ let nonzero t =
   done;
   (at, v)
 
-let bytes_per_cell = 6
-
-let storage_bytes t = bytes_per_cell * nonzero_cells t
-
-let obeys_lemma1 t =
-  let cells = ref [] in
-  iter_nonzero t (fun ~i ~j _ -> cells := (i, j) :: !cells);
-  let forbidden (i, j) (k, l) =
-    (i < k && k < j && j < l) || (i < l && l < j && k < i)
-  in
-  List.for_all
-    (fun a -> List.for_all (fun b -> not (forbidden a b)) !cells)
-    !cells
-
-let pp ppf t =
-  iter_nonzero t (fun ~i ~j v -> Format.fprintf ppf "(%d,%d): %g@." i j v)
+let storage_bytes t = 6 * nonzero_cells t
 
 let pp_heatmap ppf t =
   let g = t.grid.Grid.size in

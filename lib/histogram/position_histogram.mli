@@ -18,18 +18,12 @@ type t
 val build : Document.t -> grid:Grid.t -> Predicate.t -> t
 (** Histogram of the nodes satisfying the predicate. *)
 
-val of_nodes : Document.t -> grid:Grid.t -> Document.node array -> t
-
-val population : Document.t -> grid:Grid.t -> t
-(** Histogram of the predicate [TRUE] (every node) — the normalization
-    base for compound-predicate estimation (Sec. 3.4). *)
-
 val create_empty : Grid.t -> t
 
 (** {2 Streaming construction}
 
     The per-node feed used by the fused summary sweep: one shared document
-    traversal drives many builders at once.  [feed]/[feed_cell] add a unit
+    traversal drives many builders at once.  [feed_cell] adds a unit
     count without the per-call validation and version bump of {!add}
     (cells computed by {!Grid.cell_of_node} are always valid);
     [finish] totals the counts — bit-identical to the same sequence of
@@ -38,9 +32,6 @@ val create_empty : Grid.t -> t
 type builder
 
 val builder : Grid.t -> builder
-
-val feed : builder -> start_pos:int -> end_pos:int -> unit
-(** Count one node by its interval endpoints. *)
 
 val feed_cell : builder -> int -> unit
 (** Count one node whose dense cell index ({!Grid.index}) is already
@@ -64,32 +55,26 @@ val of_nonzero : grid:Grid.t -> int array -> float array -> t
 val grid : t -> Grid.t
 val get : t -> i:int -> j:int -> float
 
-val set : t -> i:int -> j:int -> float -> unit
-(** Overwrite a cell.  Raises [Invalid_argument] for cells outside the grid
-    or below the diagonal ([i > j]): since [start < end] for every node,
-    only upper-triangle cells are meaningful, and a below-diagonal write
-    would inflate {!total} while staying invisible to {!iter_nonzero}.
-    Bumps {!version}. *)
-
 val add : t -> i:int -> j:int -> float -> unit
-(** Accumulate into a cell.  Same cell validation as {!set}; bumps
-    {!version}. *)
+(** Accumulate into a cell.  Raises [Invalid_argument] for cells outside
+    the grid or below the diagonal ([i > j]): since [start < end] for
+    every node, only upper-triangle cells are meaningful, and a
+    below-diagonal write would inflate {!total} while staying invisible
+    to {!iter_nonzero}.  Bumps {!version}. *)
 
 val total : t -> float
 
 val version : t -> int
-(** Mutation counter: starts at 0 and is bumped by every {!set}/{!add}.
+(** Mutation counter: starts at 0 and is bumped by every {!add}.
     Consumers that memoize derived data (e.g. {!Catalog}'s pH-join
     coefficient arrays) compare versions to detect staleness. *)
 
 val copy : t -> t
 
-val equal : t -> t -> bool
-(** Same (compatible) grid and identical cell counts. *)
-
 val map2 : (float -> float -> float) -> t -> t -> t
 (** Cellwise combination; grids must be compatible. *)
 
+(* lint: allow unused-export — the Estimator invariant's dense oracle scales with it *)
 val scale : t -> float -> t
 
 val iter_nonzero : t -> (i:int -> j:int -> float -> unit) -> unit
@@ -104,19 +89,9 @@ val nonzero : t -> int array * float array
     views start from these. *)
 
 val storage_bytes : t -> int
-(** Sparse storage footprint: {!bytes_per_cell} bytes per non-zero cell
-    (two 2-byte bucket coordinates + a 2-byte count), matching the
-    accounting behind Figs. 11-12. *)
-
-val bytes_per_cell : int
-
-val obeys_lemma1 : t -> bool
-(** Check Lemma 1: a non-zero cell [(i, j)] implies zero counts at every
-    [(k, l)] with [i < k <= j < l] (strictly straddling the end boundary)
-    or [k < i <= l < j] (straddling the start boundary). *)
-
-val pp : Format.formatter -> t -> unit
-(** Render non-zero cells as [(i,j): count] lines. *)
+(** Sparse storage footprint: 6 bytes per non-zero cell (two 2-byte
+    bucket coordinates + a 2-byte count), matching the accounting behind
+    Figs. 11-12. *)
 
 val pp_heatmap : Format.formatter -> t -> unit
 (** ASCII density plot of the grid: rows are start buckets, columns end

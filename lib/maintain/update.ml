@@ -6,18 +6,10 @@ type t =
   | Replace_text of { node : Document.node; text : string }
   | Replace_attrs of { node : Document.node; attrs : (string * string) list }
 
-let apply_doc doc u =
-  match u with
-  | Insert { parent; index; subtree } ->
-    ignore (Document.insert_subtree doc ~parent ~index subtree : Document.node)
-  | Delete { node } -> Document.delete_subtree doc node
-  | Replace_text { node; text } -> Document.replace_text doc node text
-  | Replace_attrs { node; attrs } -> Document.replace_attrs doc node attrs
-
-(* Exact XML serialization of a subtree (unlike [Elem.pp], which truncates
-   long text for display): entities are escaped so that
-   [Xml_parser.parse_string] inverts [subtree_to_xml], and line breaks
-   become character references so the XML stays on one line. *)
+(* Exact single-line XML serialization of a subtree: entities are
+   escaped so that [Xml_parser.parse_string] inverts [subtree_to_xml], and
+   line breaks become character references so the XML stays on one
+   line. *)
 let escape ~quot s =
   let buf = Buffer.create (String.length s) in
   String.iter
@@ -86,8 +78,6 @@ let to_line u =
     let word ~key = quote_if (fun c -> is_space c || (key && Char.equal c '=')) in
     let pair (k, v) = word ~key:true k ^ "=" ^ word ~key:false v in
     Printf.sprintf "replace-attrs %d %s" node (String.concat " " (List.map pair attrs))
-
-let pp ppf u = Format.pp_print_string ppf (to_line u)
 
 (* [split_first s] cuts the first whitespace-separated word off [s]. *)
 let split_first s =

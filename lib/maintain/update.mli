@@ -27,13 +27,6 @@ type t =
   | Replace_text of { node : Document.node; text : string }
   | Replace_attrs of { node : Document.node; attrs : (string * string) list }
 
-val apply_doc : Document.t -> t -> unit
-(** Apply one update to the document alone, in place (no statistics
-    maintenance); {!Document.copy} first to keep the revision before it.
-    Raises [Invalid_argument] on out-of-range node references, as the
-    underlying {!Document} edit helpers do, leaving the document
-    unchanged. *)
-
 val parse : string -> (t, string) result
 (** Parse one update line (see the formats above).  Insert subtrees are
     given as inline XML parsed by {!Xml_parser.parse_string};
@@ -51,10 +44,3 @@ val to_line : t -> string
     them back unchanged, and as string literals otherwise; insert
     subtrees are emitted as entity-escaped XML, line breaks as character
     references. *)
-
-val subtree_to_xml : Elem.t -> string
-(** Exact single-line XML for a subtree, entities escaped so that
-    {!Xml_parser.parse_string} inverts it (unlike [Elem.pp], which
-    truncates long text for display). *)
-
-val pp : Format.formatter -> t -> unit

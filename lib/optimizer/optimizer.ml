@@ -56,8 +56,6 @@ let best ?options catalog pattern =
   | [] -> invalid_arg "Optimizer.best: pattern has no join plans"
   | p :: _ -> p
 
-let actual_intermediates doc plan =
-  List.map (Xmlest_engine.Twig_count.count doc) plan.Plan.prefixes
-
 let actual_cost doc plan =
-  List.fold_left ( + ) 0 (drop_last (actual_intermediates doc plan))
+  List.fold_left ( + ) 0
+    (drop_last (List.map (Xmlest_engine.Twig_count.count doc) plan.Plan.prefixes))

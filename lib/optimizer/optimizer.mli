@@ -5,9 +5,9 @@
 
     The cost of a left-deep plan is the sum of the estimated sizes of its
     intermediate results (every prefix sub-twig except the final, whose
-    size is plan-invariant).  {!actual_intermediates} recomputes the same
-    quantities exactly, so examples and tests can check that the chosen
-    plan is genuinely good. *)
+    size is plan-invariant).  {!actual_cost} recomputes the same sum
+    exactly, so examples and tests can check that the chosen plan is
+    genuinely good. *)
 
 open Xmlest_xmldb
 open Xmlest_query
@@ -38,10 +38,7 @@ val best :
   costed
 (** Cheapest plan.  Raises [Invalid_argument] on a single-node pattern. *)
 
-val actual_intermediates : Document.t -> Plan.t -> int list
-(** Exact sizes of the plan's intermediate results, via the twig-count
-    engine. *)
-
 val actual_cost : Document.t -> Plan.t -> int
-(** Sum of {!actual_intermediates} minus the final prefix (the final result
-    is produced by every plan). *)
+(** Sum of the exact sizes of the plan's intermediate results (its
+    prefixes, counted by the twig-count engine) minus the final prefix
+    (the final result is produced by every plan). *)

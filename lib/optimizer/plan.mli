@@ -17,6 +17,7 @@ val node_count : Pattern.t -> int
 val node_predicate : Pattern.t -> int -> Predicate.t
 (** Predicate of the node with the given pre-order id. *)
 
+(* lint: allow unused-export — the Estimator invariant's enumerate oracle builds prefixes with it *)
 val induced : Pattern.t -> int list -> Pattern.t option
 (** The sub-twig induced by a set of node ids: present nodes keep their
     closest present ancestor as parent (collapsed edges become

@@ -3,20 +3,8 @@ type axis = Child | Descendant
 type t = { pred : Predicate.t; edges : (axis * t) list }
 
 let node ?(edges = []) pred = { pred; edges }
-let leaf pred = node pred
-
-let chain = function
-  | [] -> invalid_arg "Pattern.chain: empty predicate list"
-  | preds ->
-    let rec build = function
-      | [] -> assert false
-      | [ p ] -> leaf p
-      | p :: rest -> node ~edges:[ (Descendant, build rest) ] p
-    in
-    build preds
-
 let twig root leaves =
-  node ~edges:(List.map (fun p -> (Descendant, leaf p)) leaves) root
+  node ~edges:(List.map (fun p -> (Descendant, node p)) leaves) root
 
 let rec size t = List.fold_left (fun acc (_, c) -> acc + size c) 1 t.edges
 

@@ -15,12 +15,6 @@ type t = { pred : Predicate.t; edges : (axis * t) list }
 
 val node : ?edges:(axis * t) list -> Predicate.t -> t
 
-val leaf : Predicate.t -> t
-
-val chain : Predicate.t list -> t
-(** [chain \[p1; p2; p3\]] is the linear path pattern [p1//p2//p3].
-    Raises [Invalid_argument] on the empty list. *)
-
 val twig : Predicate.t -> Predicate.t list -> t
 (** [twig root leaves] is a root with one [Descendant] edge per leaf — the
     paper's canonical twig (e.g. faculty with TA and RA below). *)
@@ -29,9 +23,6 @@ val size : t -> int
 (** Number of pattern nodes. *)
 
 val edge_count : t -> int
-
-val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
-(** Pre-order fold over pattern nodes. *)
 
 val predicates : t -> Predicate.t list
 (** All predicates, in pre-order. *)
@@ -47,7 +38,6 @@ val flatten : t -> flat
     the representation plan enumeration and execution work over. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-(** XPath-ish rendering, e.g. [//faculty\[.//TA\]//RA]. *)
 
 val to_string : t -> string
+(** XPath-ish rendering, e.g. [//faculty\[.//TA\]//RA]. *)

@@ -55,8 +55,5 @@ val unsatisfiable : diag list -> bool
 (** [true] when any diagnostic is {!Unsat} — a total match mapping needs
     every pattern node, so one impossible node empties the answer. *)
 
-val pp : Format.formatter -> diag -> unit
-(** ["node <id> [<rule>] <message>"]. *)
-
 val to_string : diag list -> string
-(** Newline-joined {!pp} of each diagnostic. *)
+(** One ["node <id> [<rule>] <message>"] line per diagnostic. *)

@@ -40,7 +40,6 @@ module Substring = struct
     done;
     { pattern; failure }
 
-  let pattern t = t.pattern
 
   let matches t s =
     let m = String.length t.pattern in
@@ -119,7 +118,6 @@ let matching_nodes doc p =
       done;
       Array.of_list !out)
 
-let count doc p = Array.length (matching_nodes doc p)
 
 (* --- Compilation ------------------------------------------------------ *)
 
@@ -367,7 +365,6 @@ let rec equal a b =
       _ ) ->
     false
 
-let compare a b = String.compare (name a) (name b)
 let pp ppf p = Format.pp_print_string ppf (name p)
 
 let tag t = Tag t

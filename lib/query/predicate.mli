@@ -30,8 +30,6 @@ val matching_nodes : Document.t -> t -> Document.node array
     branches all pin the same tag), is evaluated on that tag's nodes only,
     through the store's tag index, instead of on every node. *)
 
-val count : Document.t -> t -> int
-
 val name : t -> string
 (** Canonical, human-readable key, e.g. ["tag=faculty"],
     ["tag=cite&prefix=conf"].  Stable across equal predicates; used to key
@@ -48,7 +46,6 @@ val disjoint : t -> t -> bool
     "unknown", not "overlapping". *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 (** {2 Compilation}
@@ -68,6 +65,7 @@ type compiled = Document.node -> bool
 
 val compile : Document.t -> t -> compiled
 
+(* lint: allow unused-export — tests derive the expected dispatch_evals from it *)
 val target : Document.t -> t -> [ `Any | `Tag of int | `Nothing ]
 (** Where the predicate can match, as the dispatch table pins it:
     [`Tag id] when it pins an element tag that occurs in the document
@@ -142,8 +140,6 @@ module Substring : sig
   val matches : t -> string -> bool
   (** [matches (make sub) s] iff [sub] occurs in [s]; the empty pattern
       matches everything.  [O(s)] per call. *)
-
-  val pattern : t -> string
 end
 
 (** {2 Serialization}

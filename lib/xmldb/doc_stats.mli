@@ -15,8 +15,7 @@ type tag_stat = {
 }
 
 val tag_stats : Document.t -> tag_stat list
-(** Statistics for every distinct tag, sorted by tag name.  The dummy
-    ["#root"] tag, if present, is included. *)
+(** Statistics for every distinct tag, sorted by tag name. *)
 
 val pp_table : Format.formatter -> tag_stat list -> unit
 (** Render as an aligned text table. *)

@@ -34,8 +34,6 @@ type t = {
   mutable max_pos : int;
 }
 
-let dummy_root_tag = "#root"
-
 let size t = t.size
 let num_tags t = Hashtbl.length t.tag_table
 let slot t v = if Array.length t.slots = 0 then v else t.slots.(v)
@@ -156,7 +154,6 @@ let of_elem root =
   fill t root ~at:0 ~parent:(-1) ~level:0 ~pos:0;
   t
 
-let of_forest docs = of_elem (Elem.make ~children:docs dummy_root_tag)
 
 (* The copy's payload is compacted back to slot = node index. *)
 let copy t =
@@ -185,8 +182,6 @@ let copy t =
     max_pos = t.max_pos;
   }
 
-let has_dummy_root t =
-  t.size > 0 && String.equal t.tag_names.(t.tag_ids.(0)) dummy_root_tag
 let max_pos t = t.max_pos
 let tag t v = t.tag_names.(t.tag_ids.(v))
 let tag_id t v = t.tag_ids.(v)
@@ -202,19 +197,6 @@ let subtree_size t v = t.subtree_lasts.(v) - v + 1
 let is_ancestor t ~anc ~desc =
   t.starts.(anc) < t.starts.(desc) && t.ends.(desc) < t.ends.(anc)
 
-let children t v =
-  let last = t.subtree_lasts.(v) in
-  let rec go acc u =
-    if u > last then List.rev acc
-    else go (u :: acc) (t.subtree_lasts.(u) + 1)
-  in
-  go [] (v + 1)
-
-let document_roots t =
-  if t.size = 0 then []
-  else if has_dummy_root t then children t 0
-  else [ 0 ]
-
 let iter t f =
   for v = 0 to t.size - 1 do
     f v
@@ -224,7 +206,6 @@ let distinct_tags t =
   Array.to_list (Array.sub t.tag_names 0 (num_tags t)) |> List.sort String.compare
 
 let lookup_tag_id t tag = Hashtbl.find_opt t.tag_table tag
-let tag_name t id = t.tag_names.(id)
 
 (* A tag's nodes: one pass counts them, a second collects them. *)
 let nodes_with_tag_id t id =
@@ -256,7 +237,6 @@ let nodes_with_tag t tag =
   | Some id -> nodes_with_tag_id t id
   | None -> [||]
 
-let tag_count t tag = Array.length (nodes_with_tag t tag)
 
 (* ------------------------------------------------------------------ *)
 (* In-place edits for the maintenance subsystem (lib/maintain).        *)

@@ -1,9 +1,8 @@
 (** Interval-labeled document store.
 
-    Compiles an {!Elem.t} tree (or a forest merged under a dummy root, as
-    the paper does for multi-document databases) into a compact array-backed
-    store.  Every node carries a numeric [start]/[end] interval assigned by
-    a depth-first traversal: a node's interval strictly contains the
+    Compiles an {!Elem.t} tree into a compact array-backed store.  Every
+    node carries a numeric [start]/[end] interval assigned by a
+    depth-first traversal: a node's interval strictly contains the
     intervals of all of its descendants, so
 
     - [u] is an ancestor of [v]  iff  [start u < start v && end v < end u].
@@ -20,9 +19,9 @@
     A store is mutable: the edits at the end of this interface change it
     in place, shifting the labels past the edit rather than copying the
     store.  A caller that needs a fixed revision takes a {!copy} first.
-    An array handed out by {!nodes_with_tag_id} or {!nodes_with_tag} is a
-    snapshot: it describes the store until the next insert or delete, and
-    that edit does not update it. *)
+    An array handed out by {!nodes_with_tag} is a snapshot: it describes
+    the store until the next insert or delete, and that edit does not
+    update it. *)
 
 type t
 
@@ -32,26 +31,14 @@ type node = int
 val of_elem : Elem.t -> t
 (** Compile a single document.  The root element becomes node [0]. *)
 
-val of_forest : Elem.t list -> t
-(** Merge several documents under a dummy ["#root"] element (node [0]) and
-    compile, mirroring the paper's mega-tree construction. *)
-
 val copy : t -> t
 (** An independent store with the same contents: edits to either leave the
     other unchanged.  O(size), with no slack capacity and no freed payload
     slots: the copy holds texts and attributes in node order, like a
     freshly compiled store. *)
 
-val has_dummy_root : t -> bool
-(** [true] iff the store was built by {!of_forest}: node [0] is the
-    synthetic ["#root"] element rather than a document element. *)
-
-val document_roots : t -> node list
-(** The document elements: node [0] for an {!of_elem} store, the children
-    of the dummy root for an {!of_forest} store. *)
-
 val size : t -> int
-(** Number of nodes, including any dummy root. *)
+(** Number of nodes. *)
 
 val max_pos : t -> int
 (** Largest assigned position value.  For a freshly compiled store this is
@@ -85,24 +72,22 @@ val subtree_size : t -> node -> int
 val is_ancestor : t -> anc:node -> desc:node -> bool
 (** Strict ancestorship, by interval containment. *)
 
-val children : t -> node -> node list
-(** Child indices in document order. *)
-
 val iter : t -> (node -> unit) -> unit
 (** Iterate over all nodes in pre-order. *)
 
 (** {2 Tag index} *)
 
 val distinct_tags : t -> string list
-(** Distinct tags in the store, sorted; includes the dummy root tag if
-    present. *)
+(** Distinct tags in the store, sorted. *)
 
 val nodes_with_tag : t -> string -> node array
 (** Indices of nodes carrying the given tag, in document order (hence
-    sorted by start position).  Empty array for unknown tags.  The array is
-    shared with the store, like {!nodes_with_tag_id}'s. *)
-
-val tag_count : t -> string -> int
+    sorted by start position).  Empty array for unknown tags.  The
+    returned array is shared with the store — do not mutate.  Each tag's
+    array is collected in O(size) on its first lookup and kept until an
+    insert or delete drops the index; an array handed out before such an
+    edit is a snapshot that keeps describing the revision it was taken
+    from. *)
 
 val lookup_tag_id : t -> string -> int option
 (** Intern lookup; [None] if the tag does not occur. *)
@@ -110,17 +95,6 @@ val lookup_tag_id : t -> string -> int option
 val num_tags : t -> int
 (** Number of distinct interned tags; valid tag ids are
     [0 .. num_tags - 1]. *)
-
-val tag_name : t -> int -> string
-(** Inverse of the intern table: the tag string for an id. *)
-
-val nodes_with_tag_id : t -> int -> node array
-(** Tag-id-keyed node index: nodes carrying the interned tag, in document
-    order.  The returned array is shared with the store — do not mutate.
-    Each tag's array is collected in O(size) on its first lookup and kept
-    until an insert or delete drops the index; an array handed out
-    before such an edit is a snapshot that keeps describing the revision
-    it was taken from. *)
 
 (** {2 Edits}
 

@@ -12,14 +12,9 @@ let leaf ?attrs tag text = make ?attrs ~text tag
 
 let rec size t = List.fold_left (fun acc c -> acc + size c) 1 t.children
 
-let rec depth t =
-  1 + List.fold_left (fun acc c -> Int.max acc (depth c)) 0 t.children
-
-let rec fold f acc t = List.fold_left (fold f) (f acc t) t.children
-
-let iter f t = fold (fun () e -> f e) () t
-
-let count p t = fold (fun acc e -> if p e then acc + 1 else acc) 0 t
+let rec iter f t =
+  f t;
+  List.iter (iter f) t.children
 
 let tag_counts t =
   let table = Hashtbl.create 64 in
@@ -30,31 +25,3 @@ let tag_counts t =
   iter bump t;
   Hashtbl.fold (fun tag n acc -> (tag, n) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let attr t name = List.assoc_opt name t.attrs
-
-let rec equal a b =
-  String.equal a.tag b.tag
-  && List.equal
-       (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2)
-       a.attrs b.attrs
-  && String.equal a.text b.text
-  && List.compare_lengths a.children b.children = 0
-  && List.for_all2 equal a.children b.children
-
-let pp ppf t =
-  let truncate s =
-    if String.length s <= 12 then s else String.sub s 0 12 ^ "..."
-  in
-  let rec go ppf t =
-    Format.fprintf ppf "<%s" t.tag;
-    List.iter (fun (k, v) -> Format.fprintf ppf " %s=%S" k v) t.attrs;
-    if t.text = "" && t.children = [] then Format.fprintf ppf "/>"
-    else begin
-      Format.fprintf ppf ">";
-      if t.text <> "" then Format.fprintf ppf "%s" (truncate t.text);
-      List.iter (go ppf) t.children;
-      Format.fprintf ppf "</%s>" t.tag
-    end
-  in
-  go ppf t

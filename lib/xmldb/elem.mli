@@ -26,26 +26,5 @@ val leaf : ?attrs:(string * string) list -> string -> string -> t
 val size : t -> int
 (** Number of element nodes in the tree (including the root). *)
 
-val depth : t -> int
-(** Length of the longest root-to-leaf path, in nodes ([depth leaf = 1]). *)
-
-val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
-(** Pre-order fold over all elements of the tree. *)
-
-val iter : (t -> unit) -> t -> unit
-(** Pre-order iteration over all elements of the tree. *)
-
-val count : (t -> bool) -> t -> int
-(** [count p t] is the number of elements satisfying [p]. *)
-
 val tag_counts : t -> (string * int) list
 (** Distinct tags with their occurrence counts, sorted by tag name. *)
-
-val attr : t -> string -> string option
-(** [attr e name] looks up attribute [name] on [e]. *)
-
-val equal : t -> t -> bool
-(** Structural equality. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer (single line, truncated text). *)

@@ -65,23 +65,15 @@ let resolve r ~start_pos ~end_pos ~cell ~matched ~nmatched ~on_nearest =
     r.depth.(u) <- d + 1
   done
 
-let depth r u = r.depth.(u)
 let nesting_pairs r u = r.pairs.(u)
 
-(* [nodes] as the only set: its nesting pairs and its deepest chain. *)
-let sweep doc nodes =
+let has_nesting doc nodes =
   let r = resolver 1 in
   let self = [| 0 |] in
-  let deepest = ref 0 in
   Array.iter
     (fun v ->
       resolve r ~start_pos:(Document.start_pos doc v) ~end_pos:(Document.end_pos doc v)
         ~cell:v ~matched:self ~nmatched:1
-        ~on_nearest:(fun _ ~covered:_ ~covering:_ -> ());
-      deepest := Int.max !deepest (depth r 0))
+        ~on_nearest:(fun _ ~covered:_ ~covering:_ -> ()))
     nodes;
-  (nesting_pairs r 0, !deepest)
-
-let count_nesting_pairs doc nodes = fst (sweep doc nodes)
-let has_nesting doc nodes = count_nesting_pairs doc nodes > 0
-let max_nesting_depth doc nodes = snd (sweep doc nodes)
+  nesting_pairs r 0 > 0

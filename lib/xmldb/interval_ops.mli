@@ -39,10 +39,6 @@ val resolve :
     each of its sets, counting its strict ancestors there as nesting
     pairs, so a node never covers itself. *)
 
-val depth : resolver -> int -> int
-(** [depth r u]: the open matches of set [u] — after {!resolve}, the
-    visited node's ancestors-or-self in [u]. *)
-
 val nesting_pairs : resolver -> int -> int
 (** [nesting_pairs r u]: the (ancestor, descendant) pairs within set [u]
     among the visited nodes; 0 iff they have the paper's {e no-overlap}
@@ -57,11 +53,3 @@ val has_nesting : Document.t -> Document.node array -> bool
 (** [true] iff some node of [nodes] is an ancestor of another.  A
     predicate whose node set has no nesting has the no-overlap
     property. *)
-
-val count_nesting_pairs : Document.t -> Document.node array -> int
-(** Number of (ancestor, descendant) pairs within [nodes]; 0 iff the set has
-    the no-overlap property. *)
-
-val max_nesting_depth : Document.t -> Document.node array -> int
-(** Size of the largest chain of mutually nested nodes (1 for a non-empty
-    no-overlap set, 0 for an empty set). *)

@@ -22,9 +22,6 @@ let escape ~quot s =
     Buffer.contents b
   end
 
-let escape_text s = escape ~quot:false s
-let escape_attr s = escape ~quot:true s
-
 (* Indentation stops deepening at this depth, so an indented document is
    O(n) bytes however deep it nests.  Every generated data set is
    shallower, so their files are unaffected. *)
@@ -53,13 +50,13 @@ let write ~indent ~spill buf e =
         Buffer.add_char buf ' ';
         Buffer.add_string buf k;
         Buffer.add_string buf "=\"";
-        Buffer.add_string buf (escape_attr v);
+        Buffer.add_string buf (escape ~quot:true v);
         Buffer.add_char buf '"')
       e.attrs;
     if e.text = "" && e.children = [] then Buffer.add_string buf "/>"
     else begin
       Buffer.add_char buf '>';
-      if e.text <> "" then Buffer.add_string buf (escape_text e.text);
+      if e.text <> "" then Buffer.add_string buf (escape ~quot:false e.text);
       if e.children <> [] then begin
         List.iter (go (depth + 1)) e.children;
         pad depth
@@ -72,14 +69,12 @@ let write ~indent ~spill buf e =
   in
   go 0 e
 
-let to_buffer ?(indent = true) buf e = write ~indent ~spill:ignore buf e
-
 let declaration = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
 
-let to_string ?indent e =
+let to_string ?(indent = true) e =
   let b = Buffer.create 4096 in
   Buffer.add_string b declaration;
-  to_buffer ?indent b e;
+  write ~indent ~spill:ignore b e;
   Buffer.add_char b '\n';
   Buffer.contents b
 

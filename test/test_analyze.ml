@@ -3,9 +3,12 @@
    on the idiomatic replacement, and honors [lint: allow] suppressions;
    the repository's own compiled units analyze clean.
 
-   Fixtures are written to a scratch directory and compiled to [.cmt]
-   with the bytecode compiler ([-bin-annot -c]); absolute source paths
-   keep the suppression scanner working whatever the test's cwd is. *)
+   Fixtures are written to a scratch directory and compiled to [.cmt] and
+   [.cmti] with the bytecode compiler ([-bin-annot -c]); absolute source
+   paths keep the suppression scanner working whatever the test's cwd
+   is.  A fixture's part in the program comes from the directory it sits
+   in: the pass fixtures sit in [bin/], the unused-export fixtures export
+   from [lib/] and are called from [bin/] and [test/]. *)
 
 open Xmlest_test_util
 module Analyze = Xmlest_analyze.Analyze
@@ -32,7 +35,8 @@ let compile ?(incl = []) srcs =
    once, hand out [.cmt] paths by basename. *)
 let fixtures =
   lazy
-    (let dir = Filename.temp_dir "xmlest_analyze" "" in
+    (let dir = Filename.concat (Filename.temp_dir "xmlest_analyze" "") "bin" in
+     Sys.mkdir dir 0o755;
      let file name content =
        let path = Filename.concat dir name in
        write path content;
@@ -130,6 +134,66 @@ let cmt name =
 
 let analyze names = Analyze.analyze_cmt_files (List.map cmt names)
 
+(* --- unused-export fixtures ---------------------------------------------- *)
+
+(* One [.mli]/[.ml] pair under [lib/] per case, each exporting the value
+   [v] on its interface's first line, with callers in [bin/] and [test/]. *)
+let export_fixtures =
+  lazy
+    (let root = Filename.temp_dir "xmlest_exports" "" in
+     let sub name =
+       let d = Filename.concat root name in
+       Sys.mkdir d 0o755;
+       d
+     in
+     let lib = sub "lib" and bin = sub "bin" and test = sub "test" in
+     let file dir name content =
+       let path = Filename.concat dir name in
+       write path content;
+       path
+     in
+     let pair name ?(mli = "val v : int\n") ml =
+       [ file lib (name ^ ".mli") mli; file lib (name ^ ".ml") ml ]
+     in
+     let lib_srcs =
+       pair "unused" "let v = 1\n"
+       @ pair "tested" "let v = 2\n"
+       @ pair "aliased" "let v = 3\n"
+       @ pair "let_bound" "let v = 4\n"
+       @ pair "renamed" "let v = 5\n"
+       @ pair "self_only" ~mli:"val v : int\nval w : int\n" "let v = 6\nlet w = v + 1\n"
+       @ pair "allowed"
+           ~mli:"val v : int\n(* lint: allow unused-export -- fixture *)\nval u : int\n"
+           "let v = 7\nlet u = 8\n"
+       @ [ file lib "facade.ml" "module Rename = Renamed\n" ]
+     in
+     let user =
+       file bin "user.ml"
+         "module A = Aliased\n\
+          let a = A.v\n\
+          let b = let module L = Let_bound in L.v\n\
+          let c = Facade.Rename.v\n\
+          let d = Self_only.w + Allowed.v\n"
+     in
+     let t = file test "t.ml" "let t = Tested.v\n" in
+     compile ~incl:[ lib ] lib_srcs;
+     compile ~incl:[ lib ] [ user; t ];
+     root)
+
+(* unused-export findings over the whole fixture tree, as
+   (interface basename, line, message). *)
+let export_findings =
+  lazy
+    (List.filter_map
+       (fun f ->
+         if String.equal f.Lint.rule "unused-export" then
+           Some (Filename.basename f.Lint.file, f.Lint.line, f.Lint.message)
+         else None)
+       (Analyze.analyze_paths [ Lazy.force export_fixtures ]))
+
+let findings_in mli =
+  List.filter (fun (file, _, _) -> String.equal file mli) (Lazy.force export_findings)
+
 let rule_lines rule findings =
   List.filter_map
     (fun f ->
@@ -210,6 +274,36 @@ let test_leak_negatives () =
   check pairs "protected and escaping acquisitions pass" []
     (rule_lines "resource-leak" (analyze [ "leak_good.ml" ]))
 
+(* --- unused-export -------------------------------------------------------- *)
+
+let export_rows = Alcotest.(list (triple string int string))
+
+let test_export_no_reference () =
+  check export_rows "an export nothing names" [ ("unused.mli", 1, "Unused.v: no reference") ]
+    (findings_in "unused.mli")
+
+let test_export_tests_only () =
+  check export_rows "an export only test/ names" [ ("tested.mli", 1, "Tested.v: tests only") ]
+    (findings_in "tested.mli")
+
+let test_export_module_alias () =
+  check export_rows "used through module A = Aliased" [] (findings_in "aliased.mli")
+
+let test_export_let_module () =
+  check export_rows "used through let module L = Let_bound" [] (findings_in "let_bound.mli")
+
+let test_export_facade_rename () =
+  check export_rows "used through Facade.Rename, an alias of Renamed" []
+    (findings_in "renamed.mli")
+
+let test_export_self_reference () =
+  check export_rows "its own module's use is no reference"
+    [ ("self_only.mli", 1, "Self_only.v: no reference") ]
+    (findings_in "self_only.mli")
+
+let test_export_suppressed () =
+  check export_rows "lint: allow unused-export" [] (findings_in "allowed.mli")
+
 (* --- suppression and errors --------------------------------------------- *)
 
 let test_suppression () =
@@ -230,7 +324,7 @@ let test_rules_documented () =
     (fun rule ->
       check Alcotest.bool ("documented: " ^ rule) true
         (List.exists (String.equal rule) advertised))
-    [ "domain-escape"; "resource-leak"; "cmt-error" ]
+    [ "domain-escape"; "resource-leak"; "unused-export"; "cmt-error" ]
 
 let test_rendering () =
   List.iter
@@ -287,6 +381,16 @@ let () =
           Alcotest.test_case "unprotected channel" `Quick test_leak_channel;
           Alcotest.test_case "leaked temp file" `Quick test_leak_temp_file;
           Alcotest.test_case "negatives" `Quick test_leak_negatives;
+        ] );
+      ( "unused-export",
+        [
+          Alcotest.test_case "no reference" `Quick test_export_no_reference;
+          Alcotest.test_case "tests only" `Quick test_export_tests_only;
+          Alcotest.test_case "module alias" `Quick test_export_module_alias;
+          Alcotest.test_case "let module" `Quick test_export_let_module;
+          Alcotest.test_case "facade rename" `Quick test_export_facade_rename;
+          Alcotest.test_case "own module only" `Quick test_export_self_reference;
+          Alcotest.test_case "lint: allow" `Quick test_export_suppressed;
         ] );
       ( "driver",
         [

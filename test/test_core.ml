@@ -39,7 +39,7 @@ let test_node_counts_exact () =
   List.iter
     (fun tag ->
       check (Alcotest.float 1e-9) (tag ^ " count")
-        (float_of_int (Xmlest.Document.tag_count doc tag))
+        (float_of_int (Test_util.tag_count doc tag))
         (Xmlest.Summary.node_count s (tagp tag)))
     [ "manager"; "department"; "employee"; "email"; "name" ]
 
@@ -49,7 +49,7 @@ let test_histogram_on_demand_and_cached () =
   let p = Xmlest.Predicate.text_prefix ~tag:"name" "A" in
   let h1 = Xmlest.Summary.histogram s p in
   check (Alcotest.float 1e-9) "on-demand exact"
-    (float_of_int (Xmlest.Predicate.count doc p))
+    (float_of_int (Test_util.pred_count doc p))
     (Xmlest.Position_histogram.total h1)
 
 let test_compound_histogram_via_catalog () =
@@ -103,7 +103,7 @@ let test_equidepth_summary () =
     (Xmlest.Grid.is_uniform (Xmlest.Summary.grid s));
   (* exact node counts are bucketization-independent *)
   check (Alcotest.float 1e-9) "counts exact"
-    (float_of_int (Xmlest.Document.tag_count doc "email"))
+    (float_of_int (Test_util.tag_count doc "email"))
     (Xmlest.Summary.node_count s (tagp "email"));
   let est = Xmlest.Summary.estimate_string s "//department//email" in
   let real =
@@ -118,16 +118,6 @@ let test_grid_size_respected () =
   let doc = Test_util.fig1_doc () in
   let s = Xmlest.Summary.build ~grid_size:7 doc [ tagp "TA" ] in
   check Alcotest.int "grid size" 7 (Xmlest.Summary.grid s).Xmlest.Grid.size
-
-let test_pp_stats_renders () =
-  let _, s = staff_summary () in
-  let out = Format.asprintf "%a" Xmlest.Summary.pp_stats s in
-  let contains sub s =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "mentions manager" true (contains "tag=manager" out)
 
 (* --- Persistence -------------------------------------------------------- *)
 
@@ -302,29 +292,42 @@ let test_advisor_on_dblp () =
   Alcotest.(check bool) "summary builds" true
     (Xmlest.Summary.storage_bytes summary > 0)
 
+(* The defaults documented in advisor.mli. *)
+let advisor_defaults =
+  {
+    Xmlest.Advisor.value_threshold = 0.02;
+    prefix_threshold = 0.10;
+    prefix_length = 8;
+    max_per_tag = 20;
+  }
+
+let is_tag_predicate = function Xmlest.Predicate.Tag _ -> true | _ -> false
+
 let test_advisor_respects_caps () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.02) in
-  let config = { Xmlest.Advisor.default_config with max_per_tag = 3 } in
+  let config = { advisor_defaults with max_per_tag = 3 } in
+  let preds = Xmlest.Advisor.suggest ~config doc in
   List.iter
     (fun tag ->
-      Alcotest.(check bool)
-        (tag ^ " capped") true
-        (List.length (Xmlest.Advisor.suggest_content ~config doc ~tag) <= 3))
+      let content =
+        List.filter
+          (fun p ->
+            (not (is_tag_predicate p))
+            && Option.equal String.equal (Xmlest.Predicate.tag_of p) (Some tag))
+          preds
+      in
+      Alcotest.(check bool) (tag ^ " capped") true (List.length content <= 3))
     (Xmlest.Document.distinct_tags doc)
 
 let test_advisor_thresholds () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.02) in
   (* an unreachable threshold removes all content predicates *)
-  let strict =
-    { Xmlest.Advisor.default_config with value_threshold = 1.1; prefix_threshold = 1.1 }
-  in
+  let strict = { advisor_defaults with value_threshold = 1.1; prefix_threshold = 1.1 } in
   Alcotest.(check bool) "nothing passes threshold 1.1" true
-    (List.for_all
-       (fun tag -> Xmlest.Advisor.suggest_content ~config:strict doc ~tag = [])
-       (Xmlest.Document.distinct_tags doc));
+    (List.for_all is_tag_predicate (Xmlest.Advisor.suggest ~config:strict doc));
   (* lowering thresholds yields strictly more predicates *)
   let loose =
-    { Xmlest.Advisor.default_config with value_threshold = 0.001; max_per_tag = 1000 }
+    { advisor_defaults with value_threshold = 0.001; max_per_tag = 1000 }
   in
   Alcotest.(check bool) "lower threshold, more predicates" true
     (List.length (Xmlest.Advisor.suggest ~config:loose doc)
@@ -334,10 +337,7 @@ let test_advisor_textless_tags () =
   let doc = Test_util.fig1_doc () in
   (* fig1 has no text content at all: only tag predicates suggested *)
   let preds = Xmlest.Advisor.suggest doc in
-  Alcotest.(check bool) "only tag predicates" true
-    (List.for_all
-       (fun p -> match p with Xmlest.Predicate.Tag _ -> true | _ -> false)
-       preds)
+  Alcotest.(check bool) "only tag predicates" true (List.for_all is_tag_predicate preds)
 
 (* --- Fused construction vs the per-predicate oracle ----------------------- *)
 
@@ -817,7 +817,7 @@ let test_build_stats () =
   (* both bare tag predicates are dispatched only on their own tag's
      nodes: one evaluation per matching-tag node *)
   check Alcotest.int "one eval per pinned-tag node"
-    (Xmlest.Predicate.count doc (tagp "faculty") + Xmlest.Predicate.count doc (tagp "RA"))
+    (Test_util.pred_count doc (tagp "faculty") + Test_util.pred_count doc (tagp "RA"))
     fused.Xmlest.Summary.predicate_evals;
   (* stats are construction counters, not part of the persisted summary *)
   let s = Xmlest.Summary.build ~grid_size:4 doc preds in
@@ -1150,8 +1150,8 @@ let prop_store_awkward_strings =
         List.concat_map
           (fun p ->
             [
-              Xmlest.Pattern.leaf p;
-              Xmlest.Pattern.node ~edges:[ (Xmlest.Pattern.Descendant, Xmlest.Pattern.leaf p) ] (tagp "r");
+              Xmlest.Pattern.node p;
+              Xmlest.Pattern.node ~edges:[ (Xmlest.Pattern.Descendant, Xmlest.Pattern.node p) ] (tagp "r");
             ])
           preds
       in
@@ -1328,6 +1328,44 @@ let test_store_crafted_sections () =
     ]
 
 (* The DBLP 0.05 summary the laziness tests reopen. *)
+(* The CLI's exit code, standard output and standard error. *)
+let run_cli args =
+  let out = Filename.temp_file "xmlest_cli" ".out" in
+  let err = Filename.temp_file "xmlest_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command
+             (Filename.concat (Filename.dirname Sys.executable_name)
+                "../bin/xmlest_cli.exe")
+             args ~stdout:out ~stderr:err)
+      in
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      (code, read out, read err))
+
+(* [generate] writes nothing and exits 1 unless the scale is finite and
+   > 0. *)
+let test_cli_generate_checks_scale () =
+  let path = Filename.temp_file "xmlest_gen" ".xml" in
+  Sys.remove path;
+  List.iter
+    (fun (dataset, scale) ->
+      let code, _, msg =
+        run_cli [ "generate"; dataset; "--scale=" ^ scale; "-o"; path ]
+      in
+      check Alcotest.int (dataset ^ " --scale=" ^ scale ^ " exit code") 1 code;
+      Alcotest.(check bool) ("names the scale: " ^ msg) true
+        (Test_util.contains_substring msg "scale must be finite and > 0");
+      Alcotest.(check bool) "no file written" false (Sys.file_exists path))
+    [ ("dblp", "-1"); ("staff", "nan"); ("xmark", "0"); ("treebank", "inf") ];
+  let code, _, msg = run_cli [ "generate"; "staff"; "--scale=0.01"; "-o"; path ] in
+  check Alcotest.int ("a positive scale still generates: " ^ msg) 0 code;
+  Sys.remove path
+
 let dblp_store_summary () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
   Xmlest.Summary.build doc
@@ -1352,13 +1390,13 @@ let test_store_open_is_lazy () =
       | Error e -> Alcotest.failf "store open failed: %s" e
       | Ok s' ->
         let cat = Xmlest.Summary.hist_catalog s' in
-        check Alcotest.int "nothing adopted at open" 0 (Xmlest.Hist_catalog.length cat);
+        check Alcotest.int "nothing adopted at open" 0 (List.length (Xmlest.Hist_catalog.keys cat));
         ignore (Xmlest.Summary.estimate_string s' "//article//author");
         check Alcotest.(list string) "the query's two sections adopted"
           [ "tag=article"; "tag=author" ] (Xmlest.Hist_catalog.keys cat);
         ignore (Xmlest.Summary.predicates s');
         check Alcotest.int "a whole-summary operation adopts every section" 6
-          (Xmlest.Hist_catalog.length cat))
+          (List.length (Xmlest.Hist_catalog.keys cat)))
 
 (* One predicate's runs broken in a saved store.  The store
    still opens; estimates over the other predicates stay bit-identical;
@@ -1386,26 +1424,7 @@ let test_store_corrupt_section_is_local () =
         dblp_queries;
       Alcotest.(check bool) "first lookup of the broken predicate" true
         (raises_corrupt (fun () -> Xmlest.Summary.estimate_string s' "//article//title"));
-      (* The CLI's exit code, standard output and standard error. *)
-      let cli query =
-        let out = Filename.temp_file "xmlest_cli" ".out" in
-        let err = Filename.temp_file "xmlest_cli" ".err" in
-        Fun.protect
-          ~finally:(fun () ->
-            Sys.remove out;
-            Sys.remove err)
-          (fun () ->
-            let code =
-              Sys.command
-                (Filename.quote_command
-                   (Filename.concat (Filename.dirname Sys.executable_name)
-                      "../bin/xmlest_cli.exe")
-                   [ "estimate"; "--store"; path; query ]
-                   ~stdout:out ~stderr:err)
-            in
-            let read f = In_channel.with_open_bin f In_channel.input_all in
-            (code, read out, read err))
-      in
+      let cli query = run_cli [ "estimate"; "--store"; path; query ] in
       let code, _, msg = cli "//article//title" in
       check Alcotest.int "CLI exit code" 1 code;
       Alcotest.(check bool) ("CLI names the corruption: " ^ msg) true
@@ -1490,8 +1509,17 @@ let test_repl_errors () =
   Alcotest.(check bool) "unknown cmd" true (contains "error" (run "frobnicate"));
   Alcotest.(check bool) "unknown dataset" true (contains "error" (run "gen nope"));
   Alcotest.(check bool) "bad scale" true (contains "error" (run "gen staff abc"));
+  List.iter
+    (fun cmd ->
+      Alcotest.(check bool) cmd true
+        (contains "error: scale must be finite and > 0" (run cmd)))
+    [ "gen xmark -5"; "gen staff nan"; "gen dblp 0"; "gen treebank inf" ];
   ignore (run "gen staff");
   ignore (run "summarize");
+  check Alcotest.string "negative run limit" "error: bad limit \"-1\""
+    (run "run //employee//name -1");
+  check Alcotest.string "non-integer run limit" "error: bad limit \"x\""
+    (run "run //employee//name x");
   Alcotest.(check bool) "bad query" true (contains "error" (run "estimate not-a-query"));
   check Alcotest.string "empty input" "" (run "");
   Alcotest.(check bool) "help" true (contains "commands" (run "help"))
@@ -1560,7 +1588,7 @@ let random_pattern rng =
   let tags = [| "a"; "b"; "c"; "d"; "e" |] in
   let rec gen depth =
     let pred = tagp (Xmlest.Splitmix.choose rng tags) in
-    if depth >= 2 then Xmlest.Pattern.leaf pred
+    if depth >= 2 then Xmlest.Pattern.node pred
     else begin
       let edges =
         List.init
@@ -1581,7 +1609,7 @@ let random_pattern rng =
 let doc_and_pattern_arbitrary =
   QCheck.make
     ~print:(fun (elem, _, p) ->
-      Format.asprintf "%s over %a" (Xmlest.Pattern.to_string p) Xmlest.Elem.pp
+      Format.asprintf "%s over %a" (Xmlest.Pattern.to_string p) Test_util.pp_elem
         elem)
     (fun st ->
       let elem = Test_util.elem_gen ~max_nodes:40 () st in
@@ -1592,9 +1620,7 @@ let checked_summary doc =
   Xmlest.Summary.build
     ~grid_size:(Int.min 6 (Xmlest.Document.max_pos doc + 1))
     doc
-    (List.filter_map
-       (fun t -> if String.equal t "#root" then None else Some (tagp t))
-       (Xmlest.Document.distinct_tags doc))
+    (List.map tagp (Xmlest.Document.distinct_tags doc))
 
 let prop_clean_patterns_estimate_identically =
   QCheck.Test.make ~count:60
@@ -1700,7 +1726,6 @@ let () =
           Alcotest.test_case "storage budget" `Quick test_storage_budget;
           Alcotest.test_case "grid size respected" `Quick test_grid_size_respected;
           Alcotest.test_case "equi-depth summary" `Quick test_equidepth_summary;
-          Alcotest.test_case "pp_stats renders" `Quick test_pp_stats_renders;
         ] );
       ( "construction",
         [
@@ -1766,6 +1791,11 @@ let () =
           Alcotest.test_case "set domains" `Quick test_repl_set_domains;
           Alcotest.test_case "hist command" `Quick test_repl_hist_command;
           Alcotest.test_case "catalog commands" `Quick test_repl_catalog_commands;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "generate checks its scale" `Quick
+            test_cli_generate_checks_scale;
         ] );
       ( "static_analysis",
         [

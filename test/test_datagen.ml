@@ -2,24 +2,25 @@
    model/parser/generator, and the four data-set generators. *)
 
 open Xmlest_core
+open Xmlest_test_util
 
 let check = Alcotest.check
-let qcheck = Xmlest_test_util.Test_util.to_alcotest (* seeded: see test_util.ml *)
+let qcheck = Test_util.to_alcotest (* seeded: see test_util.ml *)
 
 (* --- Splitmix ---------------------------------------------------------- *)
 
 let test_splitmix_deterministic () =
   let a = Xmlest.Splitmix.create 7 and b = Xmlest.Splitmix.create 7 in
   for _ = 1 to 100 do
-    check Alcotest.int64 "same stream" (Xmlest.Splitmix.next a)
-      (Xmlest.Splitmix.next b)
+    check Alcotest.int "same stream" (Xmlest.Splitmix.int a max_int)
+      (Xmlest.Splitmix.int b max_int)
   done
 
 let test_splitmix_seed_sensitivity () =
   let a = Xmlest.Splitmix.create 1 and b = Xmlest.Splitmix.create 2 in
   Alcotest.(check bool)
     "different seeds differ" false
-    (Xmlest.Splitmix.next a = Xmlest.Splitmix.next b)
+    (Xmlest.Splitmix.int a max_int = Xmlest.Splitmix.int b max_int)
 
 let test_splitmix_bounds () =
   let rng = Xmlest.Splitmix.create 11 in
@@ -89,18 +90,6 @@ let test_splitmix_shuffle_permutes () =
 
 (* --- Distributions ------------------------------------------------------ *)
 
-let test_zipf_skew () =
-  let rng = Xmlest.Splitmix.create 17 in
-  let z = Xmlest.Distributions.zipf ~n:100 ~s:1.1 in
-  let counts = Array.make 101 0 in
-  for _ = 1 to 20_000 do
-    let r = Xmlest.Distributions.zipf_sample rng z in
-    Alcotest.(check bool) "rank in range" true (r >= 1 && r <= 100);
-    counts.(r) <- counts.(r) + 1
-  done;
-  Alcotest.(check bool) "rank 1 most frequent" true (counts.(1) > counts.(2));
-  Alcotest.(check bool) "rank 2 beats rank 50" true (counts.(2) > counts.(50))
-
 let test_poisson_mean () =
   let rng = Xmlest.Splitmix.create 19 in
   let total = ref 0 in
@@ -111,22 +100,6 @@ let test_poisson_mean () =
   let mean = float_of_int !total /. float_of_int n in
   Alcotest.(check bool) "mean near 3" true (Float.abs (mean -. 3.0) < 0.1)
 
-let test_pareto_split () =
-  let rng = Xmlest.Splitmix.create 23 in
-  let parts =
-    Xmlest.Distributions.pareto_split rng ~total:1000 ~parts:10 ~alpha:1.0
-  in
-  check Alcotest.int "parts" 10 (Array.length parts);
-  check Alcotest.int "sums to total" 1000 (Array.fold_left ( + ) 0 parts);
-  Array.iter (fun p -> Alcotest.(check bool) "non-negative" true (p >= 0)) parts
-
-let test_normal_int_clamped () =
-  let rng = Xmlest.Splitmix.create 29 in
-  for _ = 1 to 1000 do
-    let v = Xmlest.Distributions.normal_int rng ~mean:2.0 ~dev:3.0 ~min:0 in
-    Alcotest.(check bool) "clamped at 0" true (v >= 0)
-  done
-
 (* --- DTD model and parser ---------------------------------------------- *)
 
 let staff_dtd () = Xmlest.Staff_gen.dtd ()
@@ -136,19 +109,19 @@ let test_dtd_parse_staff () =
   check
     Alcotest.(list string)
     "element names"
-    [ "manager"; "department"; "employee"; "name"; "email" ]
-    (Xmlest.Dtd.element_names dtd)
+    [ "department"; "email"; "employee"; "manager"; "name" ]
+    (Xmlest.Dtd.reachable dtd "manager")
 
 let test_dtd_recursion () =
   let dtd = staff_dtd () in
-  Alcotest.(check bool) "manager recursive" true (Xmlest.Dtd.is_recursive dtd "manager");
+  Alcotest.(check bool) "manager recursive" true (Dtd_check.is_recursive dtd "manager");
   Alcotest.(check bool)
     "department recursive" true
-    (Xmlest.Dtd.is_recursive dtd "department");
+    (Dtd_check.is_recursive dtd "department");
   Alcotest.(check bool)
     "employee not recursive" false
-    (Xmlest.Dtd.is_recursive dtd "employee");
-  Alcotest.(check bool) "name not recursive" false (Xmlest.Dtd.is_recursive dtd "name")
+    (Dtd_check.is_recursive dtd "employee");
+  Alcotest.(check bool) "name not recursive" false (Dtd_check.is_recursive dtd "name")
 
 let test_dtd_reachable () =
   let dtd = staff_dtd () in
@@ -161,9 +134,9 @@ let test_dtd_reachable () =
 
 let test_dtd_parse_errors () =
   let bad s =
-    match Xmlest.Dtd_parser.parse s with
-    | Ok _ -> Alcotest.failf "expected DTD error for %S" s
-    | Error _ -> ()
+    match Xmlest.Dtd_parser.parse_exn s with
+    | _ -> Alcotest.failf "expected DTD error for %S" s
+    | exception Failure _ -> ()
   in
   bad "";
   bad "<!ELEMENT a (b)>";
@@ -177,7 +150,7 @@ let test_dtd_parse_skips_other_decls () =
        <!ELEMENT a (b*)>\n\
        <!ELEMENT b (#PCDATA)>"
   in
-  check Alcotest.(list string) "names" [ "a"; "b" ] (Xmlest.Dtd.element_names dtd)
+  check Alcotest.(list string) "names" [ "a"; "b" ] (Xmlest.Dtd.reachable dtd "a")
 
 let test_dtd_validate_accepts () =
   let dtd = staff_dtd () in
@@ -194,7 +167,7 @@ let test_dtd_validate_accepts () =
               [ name; e "employee" ~children:[ name; Xmlest.Elem.leaf "email" "x" ] ];
         ]
   in
-  match Xmlest.Dtd.validate dtd doc with
+  match Dtd_check.validate dtd doc with
   | Ok () -> ()
   | Error m -> Alcotest.failf "expected valid: %s" m
 
@@ -203,7 +176,7 @@ let test_dtd_validate_rejects () =
   let e = Xmlest.Elem.make in
   let name = Xmlest.Elem.leaf "name" "n" in
   let reject doc reason =
-    match Xmlest.Dtd.validate dtd doc with
+    match Dtd_check.validate dtd doc with
     | Ok () -> Alcotest.failf "expected invalid: %s" reason
     | Error _ -> ()
   in
@@ -214,16 +187,6 @@ let test_dtd_validate_rejects () =
     (e "manager" ~text:"oops" ~children:[ name; e "employee" ~children:[ name ] ])
     "manager cannot carry text"
 
-let test_dtd_pp_roundtrip () =
-  let dtd = staff_dtd () in
-  let printed = Format.asprintf "%a" Xmlest.Dtd.pp dtd in
-  let dtd' = Xmlest.Dtd_parser.parse_exn printed in
-  check
-    Alcotest.(list string)
-    "names preserved"
-    (Xmlest.Dtd.element_names dtd)
-    (Xmlest.Dtd.element_names dtd')
-
 (* --- DTD-driven generation --------------------------------------------- *)
 
 let test_dtd_gen_valid () =
@@ -231,7 +194,7 @@ let test_dtd_gen_valid () =
   for seed = 1 to 20 do
     let config = { Xmlest.Dtd_gen.default_config with seed } in
     let doc = Xmlest.Dtd_gen.generate ~config dtd ~root:"manager" in
-    match Xmlest.Dtd.validate dtd doc with
+    match Dtd_check.validate dtd doc with
     | Ok () -> ()
     | Error m -> Alcotest.failf "seed %d generated invalid doc: %s" seed m
   done
@@ -241,7 +204,7 @@ let test_dtd_gen_deterministic () =
   let config = { Xmlest.Dtd_gen.default_config with seed = 77 } in
   let a = Xmlest.Dtd_gen.generate ~config dtd ~root:"manager" in
   let b = Xmlest.Dtd_gen.generate ~config dtd ~root:"manager" in
-  Alcotest.(check bool) "same seed, same doc" true (Xmlest.Elem.equal a b)
+  Alcotest.(check bool) "same seed, same doc" true (Test_util.elem_equal a b)
 
 let test_dtd_gen_depth_capped () =
   let dtd = staff_dtd () in
@@ -249,7 +212,7 @@ let test_dtd_gen_depth_capped () =
   let doc = Xmlest.Dtd_gen.generate ~config dtd ~root:"manager" in
   Alcotest.(check bool)
     "depth within cap (+leaf levels)" true
-    (Xmlest.Elem.depth doc <= 6)
+    (Test_util.elem_depth doc <= 6)
 
 let test_dtd_gen_unknown_root () =
   let dtd = staff_dtd () in
@@ -261,11 +224,11 @@ let test_dtd_gen_unknown_root () =
 
 let test_staff_shape () =
   let e = Xmlest.Staff_gen.generate () in
-  (match Xmlest.Dtd.validate (staff_dtd ()) e with
+  (match Dtd_check.validate (staff_dtd ()) e with
   | Ok () -> ()
   | Error m -> Alcotest.failf "staff invalid: %s" m);
   let doc = Xmlest.Document.of_elem e in
-  let c tag = Xmlest.Document.tag_count doc tag in
+  let c tag = Test_util.tag_count doc tag in
   (* Table 3 magnitudes (generous bands: the branching process is noisy). *)
   Alcotest.(check bool) "manager band" true (c "manager" >= 15 && c "manager" <= 90);
   Alcotest.(check bool)
@@ -291,7 +254,7 @@ let test_staff_shape () =
 
 let test_dblp_shape () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
-  let c tag = float_of_int (Xmlest.Document.tag_count doc tag) in
+  let c tag = float_of_int (Test_util.tag_count doc tag) in
   Alcotest.(check bool)
     "authors ~2.1 per record" true
     (c "author" /. c "title" > 1.7 && c "author" /. c "title" < 2.5);
@@ -311,12 +274,12 @@ let test_dblp_shape () =
 let test_dblp_content_predicates () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
   let conf =
-    Xmlest.Predicate.count doc (Xmlest.Predicate.text_prefix ~tag:"cite" "conf")
+    Test_util.pred_count doc (Xmlest.Predicate.text_prefix ~tag:"cite" "conf")
   in
   let journal =
-    Xmlest.Predicate.count doc (Xmlest.Predicate.text_prefix ~tag:"cite" "journals")
+    Test_util.pred_count doc (Xmlest.Predicate.text_prefix ~tag:"cite" "journals")
   in
-  let cites = Xmlest.Document.tag_count doc "cite" in
+  let cites = Test_util.tag_count doc "cite" in
   Alcotest.(check bool)
     "conf cites ~41%" true
     (let r = float_of_int conf /. float_of_int cites in
@@ -330,8 +293,8 @@ let test_dblp_content_predicates () =
       (List.init 10 (fun k ->
            Xmlest.Predicate.text_eq ~tag:"year" (string_of_int (d + k))))
   in
-  let y80 = Xmlest.Predicate.count doc (year_in_decade 1980) in
-  let years = Xmlest.Document.tag_count doc "year" in
+  let y80 = Test_util.pred_count doc (year_in_decade 1980) in
+  let years = Test_util.tag_count doc "year" in
   Alcotest.(check bool)
     "1980s ~65%" true
     (let r = float_of_int y80 /. float_of_int years in
@@ -340,15 +303,15 @@ let test_dblp_content_predicates () =
 let test_dblp_deterministic () =
   let a = Xmlest.Dblp_gen.generate_scaled 0.01 in
   let b = Xmlest.Dblp_gen.generate_scaled 0.01 in
-  Alcotest.(check bool) "same seed same doc" true (Xmlest.Elem.equal a b)
+  Alcotest.(check bool) "same seed same doc" true (Test_util.elem_equal a b)
 
 let test_xmark_shape () =
   let doc = Xmlest.Document.of_elem (Xmlest.Xmark_gen.generate ~scale:0.2 ()) in
-  Alcotest.(check bool) "has items" true (Xmlest.Document.tag_count doc "item" > 50);
-  Alcotest.(check bool) "has people" true (Xmlest.Document.tag_count doc "person" > 20);
+  Alcotest.(check bool) "has items" true (Test_util.tag_count doc "item" > 50);
+  Alcotest.(check bool) "has people" true (Test_util.tag_count doc "person" > 20);
   Alcotest.(check bool)
     "parlist overlaps (or absent)" true
-    (Xmlest.Document.tag_count doc "parlist" = 0
+    (Test_util.tag_count doc "parlist" = 0
     || Xmlest.Interval_ops.has_nesting doc
          (Xmlest.Document.nodes_with_tag doc "parlist"))
 
@@ -367,15 +330,15 @@ let test_treebank_shape () =
   Alcotest.(check bool) "deep chains" true (!max_level >= 12);
   (* deterministic *)
   Alcotest.(check bool) "deterministic" true
-    (Xmlest.Elem.equal (Xmlest.Treebank_gen.generate ()) (Xmlest.Treebank_gen.generate ()))
+    (Test_util.elem_equal (Xmlest.Treebank_gen.generate ()) (Xmlest.Treebank_gen.generate ()))
 
 let test_shakespeare_shape () =
   let doc = Xmlest.Document.of_elem (Xmlest.Shakespeare_gen.generate ()) in
-  check Alcotest.int "five acts" 5 (Xmlest.Document.tag_count doc "ACT");
-  Alcotest.(check bool) "has scenes" true (Xmlest.Document.tag_count doc "SCENE" >= 10);
+  check Alcotest.int "five acts" 5 (Test_util.tag_count doc "ACT");
+  Alcotest.(check bool) "has scenes" true (Test_util.tag_count doc "SCENE" >= 10);
   Alcotest.(check bool)
     "lines dominate" true
-    (Xmlest.Document.tag_count doc "LINE" > Xmlest.Document.tag_count doc "SPEECH")
+    (Test_util.tag_count doc "LINE" > Test_util.tag_count doc "SPEECH")
 
 let prop_dtd_gen_always_valid =
   QCheck.Test.make ~count:30 ~name:"dtd_gen output validates (random seeds)"
@@ -384,7 +347,7 @@ let prop_dtd_gen_always_valid =
       let dtd = staff_dtd () in
       let config = { Xmlest.Dtd_gen.default_config with seed } in
       let doc = Xmlest.Dtd_gen.generate ~config dtd ~root:"department" in
-      match Xmlest.Dtd.validate dtd doc with Ok () -> true | Error _ -> false)
+      match Dtd_check.validate dtd doc with Ok () -> true | Error _ -> false)
 
 let () =
   Alcotest.run "datagen"
@@ -402,10 +365,7 @@ let () =
         ] );
       ( "distributions",
         [
-          Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
           Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
-          Alcotest.test_case "pareto split" `Quick test_pareto_split;
-          Alcotest.test_case "normal clamped" `Quick test_normal_int_clamped;
         ] );
       ( "dtd",
         [
@@ -417,7 +377,6 @@ let () =
             test_dtd_parse_skips_other_decls;
           Alcotest.test_case "validate accepts" `Quick test_dtd_validate_accepts;
           Alcotest.test_case "validate rejects" `Quick test_dtd_validate_rejects;
-          Alcotest.test_case "pp parses back" `Quick test_dtd_pp_roundtrip;
         ] );
       ( "dtd_gen",
         [

@@ -46,31 +46,6 @@ let test_join_empty_inputs () =
   check Alcotest.int "empty descendants" 0
     (Xmlest.Structural_join.count_pairs doc (nodes doc "faculty") [||])
 
-let test_join_pairs_materialized () =
-  let doc = Test_util.fig1_doc () in
-  let pairs =
-    Xmlest.Structural_join.pairs doc (nodes doc "faculty") (nodes doc "TA")
-  in
-  check Alcotest.int "pair count" 2 (List.length pairs);
-  List.iter
-    (fun (a, d) ->
-      check Alcotest.string "anc tag" "faculty" (Xmlest.Document.tag doc a);
-      check Alcotest.string "desc tag" "TA" (Xmlest.Document.tag doc d);
-      Alcotest.(check bool)
-        "is ancestor" true
-        (Xmlest.Document.is_ancestor doc ~anc:a ~desc:d))
-    pairs
-
-let test_matching_descendants () =
-  let doc = Test_util.fig1_doc () in
-  (* All 5 TAs: 2 under faculty, 3 under lecturer. *)
-  check Alcotest.int "TAs under faculty" 2
-    (Xmlest.Structural_join.matching_descendants doc (nodes doc "faculty")
-       (nodes doc "TA"));
-  check Alcotest.int "RAs under faculty" 6
-    (Xmlest.Structural_join.matching_descendants doc (nodes doc "faculty")
-       (nodes doc "RA"))
-
 let prop_join_equals_brute_force =
   QCheck.Test.make ~count:200 ~name:"stack join = brute force (descendant)"
     (Test_util.doc_two_tags_arbitrary ~max_nodes:50 ())
@@ -106,7 +81,7 @@ let prop_self_join_counts_nesting =
     (Test_util.doc_two_tags_arbitrary ~max_nodes:50 ())
     (fun (_, doc, t1, _) ->
       Xmlest.Structural_join.count_pairs doc (nodes doc t1) (nodes doc t1)
-      = Xmlest.Interval_ops.count_nesting_pairs doc (nodes doc t1))
+      = Test_util.nesting_pairs doc (nodes doc t1))
 
 (* --- Twig counting -------------------------------------------------------- *)
 
@@ -115,7 +90,7 @@ let tagp = Xmlest.Predicate.tag
 let test_twig_single_node () =
   let doc = Test_util.fig1_doc () in
   check Alcotest.int "single node = count" 5
-    (Xmlest.Twig_count.count doc (Xmlest.Pattern.leaf (tagp "TA")))
+    (Xmlest.Twig_count.count doc (Xmlest.Pattern.node (tagp "TA")))
 
 let test_twig_pair_matches_join () =
   let doc = Test_util.fig1_doc () in
@@ -127,43 +102,21 @@ let test_twig_branching () =
   (* Fig. 2's query: faculty with both TA and RA below.  Only the third
      faculty qualifies: 2 TAs × 2 RAs = 4 mappings. *)
   let pat = Xmlest.Pattern.twig (tagp "faculty") [ tagp "TA"; tagp "RA" ] in
-  check Alcotest.int "faculty[TA][RA]" 4 (Xmlest.Twig_count.count doc pat);
-  check Alcotest.int "participating faculties" 1
-    (Xmlest.Twig_count.participation doc pat)
+  check Alcotest.int "faculty[TA][RA]" 4 (Xmlest.Twig_count.count doc pat)
 
 let test_twig_chain () =
   let doc = Test_util.fig1_doc () in
-  let pat = Xmlest.Pattern.chain [ tagp "department"; tagp "faculty"; tagp "RA" ] in
+  let pat = Test_util.chain [ tagp "department"; tagp "faculty"; tagp "RA" ] in
   check Alcotest.int "dept//faculty//RA" 6 (Xmlest.Twig_count.count doc pat)
 
 let test_twig_child_axis () =
   let doc = Xmlest.Document.of_elem (Test_util.nested ~depth:3 ~fanout:2) in
   let child_pat =
     Xmlest.Pattern.node
-      ~edges:[ (Xmlest.Pattern.Child, Xmlest.Pattern.leaf (tagp "section")) ]
+      ~edges:[ (Xmlest.Pattern.Child, Xmlest.Pattern.node (tagp "section")) ]
       (tagp "section")
   in
   check Alcotest.int "section/section" 6 (Xmlest.Twig_count.count doc child_pat)
-
-let test_twig_match_counts_per_node () =
-  let doc = Test_util.fig1_doc () in
-  let pat = Xmlest.Pattern.twig (tagp "faculty") [ tagp "RA" ] in
-  let counts = Xmlest.Twig_count.match_counts doc pat in
-  let faculties = nodes doc "faculty" in
-  check Alcotest.int "faculty 1 has 1 RA" 1 counts.(faculties.(0));
-  check Alcotest.int "faculty 2 has 3 RAs" 3 counts.(faculties.(1));
-  check Alcotest.int "faculty 3 has 2 RAs" 2 counts.(faculties.(2));
-  check Alcotest.int "total" 6 (Array.fold_left ( + ) 0 counts)
-
-let test_twig_anchored_queries () =
-  let doc = Test_util.fig1_doc () in
-  let q = Xmlest.Pattern_parser.parse_exn in
-  check Alcotest.int "/department" 1
-    (Xmlest.Twig_count.count_query doc (q "/department"));
-  check Alcotest.int "/faculty (not at root)" 0
-    (Xmlest.Twig_count.count_query doc (q "/faculty"));
-  check Alcotest.int "//faculty" 3
-    (Xmlest.Twig_count.count_query doc (q "//faculty"))
 
 let prop_twig_matches_brute_force =
   QCheck.Test.make ~count:100 ~name:"twig DP = brute force enumeration"
@@ -179,8 +132,8 @@ let prop_twig_matches_brute_force =
         Xmlest.Pattern.node
           ~edges:
             [
-              (axis (), Xmlest.Pattern.leaf (tagp t2));
-              (axis (), Xmlest.Pattern.leaf (tagp t3));
+              (axis (), Xmlest.Pattern.node (tagp t2));
+              (axis (), Xmlest.Pattern.node (tagp t3));
             ]
           (tagp t1)
       in
@@ -220,10 +173,14 @@ let test_twig_deep_chain () =
 
 (* --- Executor -------------------------------------------------------------- *)
 
+(* Execute with the pattern's pre-order as the join order. *)
+let matches doc pat =
+  Xmlest.Executor.run doc pat ~order:(List.init (Xmlest.Pattern.size pat) Fun.id)
+
 let test_executor_simple_pair () =
   let doc = Test_util.fig1_doc () in
   let pat = Xmlest.Pattern.twig (tagp "faculty") [ tagp "TA" ] in
-  let result = Xmlest.Executor.matches doc pat in
+  let result = matches doc pat in
   check Alcotest.int "two matches" 2 (List.length result.Xmlest.Executor.rows);
   check Alcotest.(list int) "columns" [ 0; 1 ] result.Xmlest.Executor.columns;
   List.iter
@@ -237,7 +194,7 @@ let test_executor_simple_pair () =
 let test_executor_branching () =
   let doc = Test_util.fig1_doc () in
   let pat = Xmlest.Pattern.twig (tagp "faculty") [ tagp "TA"; tagp "RA" ] in
-  let result = Xmlest.Executor.matches doc pat in
+  let result = matches doc pat in
   check Alcotest.int "four matches (Fig. 2)" 4 (List.length result.Xmlest.Executor.rows);
   (* all rows bind the same (third) faculty *)
   List.iter
@@ -260,8 +217,8 @@ let test_executor_all_orders_agree () =
             Xmlest.Pattern.node
               ~edges:
                 [
-                  (Xmlest.Pattern.Descendant, Xmlest.Pattern.leaf (tagp "TA"));
-                  (Xmlest.Pattern.Descendant, Xmlest.Pattern.leaf (tagp "RA"));
+                  (Xmlest.Pattern.Descendant, Xmlest.Pattern.node (tagp "TA"));
+                  (Xmlest.Pattern.Descendant, Xmlest.Pattern.node (tagp "RA"));
                 ]
               (tagp "faculty") );
         ]
@@ -281,7 +238,7 @@ let test_executor_all_orders_agree () =
   let tried = ref 0 in
   List.iter
     (fun order ->
-      match Xmlest.Executor.count doc pat ~order with
+      match List.length (Xmlest.Executor.run doc pat ~order).Xmlest.Executor.rows with
       | c ->
         incr tried;
         check Alcotest.int
@@ -296,16 +253,16 @@ let test_executor_child_axis () =
   let doc = Xmlest.Document.of_elem (Test_util.nested ~depth:3 ~fanout:2) in
   let pat =
     Xmlest.Pattern.node
-      ~edges:[ (Xmlest.Pattern.Child, Xmlest.Pattern.leaf (tagp "section")) ]
+      ~edges:[ (Xmlest.Pattern.Child, Xmlest.Pattern.node (tagp "section")) ]
       (tagp "section")
   in
   check Alcotest.int "section/section" 6
-    (List.length (Xmlest.Executor.matches doc pat).Xmlest.Executor.rows)
+    (List.length (matches doc pat).Xmlest.Executor.rows)
 
 let test_executor_intermediate_sizes () =
   let doc = Test_util.fig1_doc () in
-  let pat = Xmlest.Pattern.chain [ tagp "department"; tagp "faculty"; tagp "RA" ] in
-  let result = Xmlest.Executor.matches doc pat in
+  let pat = Test_util.chain [ tagp "department"; tagp "faculty"; tagp "RA" ] in
+  let result = matches doc pat in
   check Alcotest.(list int) "intermediate sizes" [ 3; 6 ]
     result.Xmlest.Executor.intermediate_sizes
 
@@ -313,7 +270,7 @@ let test_executor_rejects_bad_orders () =
   let doc = Test_util.fig1_doc () in
   let pat = Xmlest.Pattern.twig (tagp "faculty") [ tagp "TA"; tagp "RA" ] in
   let bad order =
-    match Xmlest.Executor.count doc pat ~order with
+    match List.length (Xmlest.Executor.run doc pat ~order).Xmlest.Executor.rows with
     | _ -> Alcotest.failf "expected rejection"
     | exception Invalid_argument _ -> ()
   in
@@ -336,12 +293,12 @@ let prop_executor_matches_twig_count =
         Xmlest.Pattern.node
           ~edges:
             [
-              (axis (), Xmlest.Pattern.leaf (tagp t2));
-              (axis (), Xmlest.Pattern.leaf (tagp t3));
+              (axis (), Xmlest.Pattern.node (tagp t2));
+              (axis (), Xmlest.Pattern.node (tagp t3));
             ]
           (tagp t1)
       in
-      List.length (Xmlest.Executor.matches doc pat).Xmlest.Executor.rows
+      List.length (matches doc pat).Xmlest.Executor.rows
       = Xmlest.Twig_count.count doc pat)
 
 (* --- Axis evaluation --------------------------------------------------------- *)
@@ -458,8 +415,6 @@ let () =
           Alcotest.test_case "child axis" `Quick test_join_child_axis;
           Alcotest.test_case "nested tags" `Quick test_join_nested_tags;
           Alcotest.test_case "empty inputs" `Quick test_join_empty_inputs;
-          Alcotest.test_case "materialized pairs" `Quick test_join_pairs_materialized;
-          Alcotest.test_case "matching descendants" `Quick test_matching_descendants;
           qcheck prop_join_equals_brute_force;
           qcheck prop_join_child_equals_brute_force;
           qcheck prop_count_following_matches_brute_force;
@@ -473,8 +428,6 @@ let () =
           Alcotest.test_case "branching twig (Fig. 2)" `Quick test_twig_branching;
           Alcotest.test_case "chain" `Quick test_twig_chain;
           Alcotest.test_case "child axis" `Quick test_twig_child_axis;
-          Alcotest.test_case "per-node counts" `Quick test_twig_match_counts_per_node;
-          Alcotest.test_case "anchored queries" `Quick test_twig_anchored_queries;
           Alcotest.test_case "agrees with join on dblp" `Quick test_twig_on_dblp;
           Alcotest.test_case "deep chain (100k levels)" `Quick test_twig_deep_chain;
           qcheck prop_twig_matches_brute_force;

@@ -200,14 +200,23 @@ let test_lph_totals_match_hist () =
   let doc = Xmlest.Document.of_elem (Xmlest.Staff_gen.generate ()) in
   let pred = tagp "employee" in
   let h = hist doc 10 pred and l = lph doc 10 pred in
+  let cell_total ~i ~j =
+    Array.fold_left (fun acc (_, k) -> acc +. k) 0.0
+      (Xmlest.Level_position_histogram.levels_in l ~i ~j)
+  in
+  let grand = ref 0.0 in
+  for i = 0 to 9 do
+    for j = i to 9 do
+      grand := !grand +. cell_total ~i ~j
+    done
+  done;
   check (Alcotest.float 1e-9) "grand totals agree"
     (Xmlest.Position_histogram.total h)
-    (Xmlest.Level_position_histogram.total l);
+    !grand;
   Xmlest.Position_histogram.iter_nonzero h (fun ~i ~j v ->
       check (Alcotest.float 1e-9)
         (Printf.sprintf "cell (%d,%d)" i j)
-        v
-        (Xmlest.Level_position_histogram.cell_total l ~i ~j))
+        v (cell_total ~i ~j))
 
 let prop_child_join_fine_grid_exact =
   QCheck.Test.make ~count:120 ~name:"child join fine-grid exactness"
@@ -223,7 +232,7 @@ let prop_child_join_fine_grid_exact =
       let desc = Xmlest.Position_histogram.build doc ~grid:g (tagp t2) in
       let anc_levels = Xmlest.Level_position_histogram.build doc ~grid:g (tagp t1) in
       let desc_levels = Xmlest.Level_position_histogram.build doc ~grid:g (tagp t2) in
-      let est = Xmlest.Child_join.estimate ~anc ~desc ~anc_levels ~desc_levels () in
+      let est = Xmlest.Position_histogram.total (Xmlest.Child_join.estimate_cells ~anc ~desc ~anc_levels ~desc_levels ()) in
       let real =
         Test_util.brute_force_pairs doc (tagp t1) (tagp t2) ~axis:`Child
       in
@@ -236,7 +245,7 @@ let prop_child_join_bounded_by_ph_join =
       let anc = hist doc size (tagp t1) and desc = hist doc size (tagp t2) in
       let anc_levels = lph doc size (tagp t1) in
       let desc_levels = lph doc size (tagp t2) in
-      Xmlest.Child_join.estimate ~anc ~desc ~anc_levels ~desc_levels ()
+      Xmlest.Position_histogram.total (Xmlest.Child_join.estimate_cells ~anc ~desc ~anc_levels ~desc_levels ())
       <= Xmlest.Ph_join.estimate ~anc ~desc () +. 1e-9)
 
 let test_child_join_staff () =
@@ -244,7 +253,7 @@ let test_child_join_staff () =
   let anc = hist doc 10 (tagp "manager") and desc = hist doc 10 (tagp "department") in
   let anc_levels = lph doc 10 (tagp "manager") in
   let desc_levels = lph doc 10 (tagp "department") in
-  let child_est = Xmlest.Child_join.estimate ~anc ~desc ~anc_levels ~desc_levels () in
+  let child_est = Xmlest.Position_histogram.total (Xmlest.Child_join.estimate_cells ~anc ~desc ~anc_levels ~desc_levels ()) in
   let anc_desc_est = Xmlest.Ph_join.estimate ~anc ~desc () in
   let real_child =
     Xmlest.Structural_join.count_pairs ~axis:`Child doc
@@ -401,7 +410,7 @@ let test_participation_saturation () =
 let test_compound_or_disjoint () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.02) in
   let g = grid_of doc 10 in
-  let population = Xmlest.Position_histogram.population doc ~grid:g in
+  let population = Test_util.population doc ~grid:g in
   let base p = Some (Xmlest.Position_histogram.build doc ~grid:g p) in
   let decade d =
     Xmlest.Predicate.any_of
@@ -411,7 +420,7 @@ let test_compound_or_disjoint () =
   let estimated =
     Xmlest.Compound.estimate ~disjoint_or:true ~population ~base (decade 1980)
   in
-  let exact_count = float_of_int (Xmlest.Predicate.count doc (decade 1980)) in
+  let exact_count = float_of_int (Test_util.pred_count doc (decade 1980)) in
   (* With disjoint_or the sum of disjoint leaves is exact. *)
   check (Alcotest.float 0.5) "disjoint or exact" exact_count
     (Xmlest.Position_histogram.total estimated)
@@ -419,7 +428,7 @@ let test_compound_or_disjoint () =
 let test_compound_not () =
   let doc = Test_util.fig1_doc () in
   let g = grid_of doc 4 in
-  let population = Xmlest.Position_histogram.population doc ~grid:g in
+  let population = Test_util.population doc ~grid:g in
   let base p =
     match p with
     | Xmlest.Predicate.Not _ -> None
@@ -437,7 +446,7 @@ let test_compound_and_independence () =
      <= count(A) and > 0 for a non-trivial A. *)
   let doc = Test_util.fig1_doc () in
   let g = grid_of doc 4 in
-  let population = Xmlest.Position_histogram.population doc ~grid:g in
+  let population = Test_util.population doc ~grid:g in
   let base p =
     match p with
     | Xmlest.Predicate.And _ -> None
@@ -453,7 +462,7 @@ let test_compound_and_independence () =
 let test_compound_true_is_population () =
   let doc = Test_util.fig1_doc () in
   let g = grid_of doc 4 in
-  let population = Xmlest.Position_histogram.population doc ~grid:g in
+  let population = Test_util.population doc ~grid:g in
   let base p =
     match p with
     | Xmlest.Predicate.True -> None
@@ -482,7 +491,7 @@ let test_twig_single_node_estimate () =
   let doc = Test_util.fig1_doc () in
   let c = catalog doc 4 [ tagp "TA" ] in
   check (Alcotest.float 1e-9) "single node = count" 5.0
-    (Xmlest.Twig_estimator.estimate c (Xmlest.Pattern.leaf (tagp "TA")))
+    (Xmlest.Twig_estimator.estimate c (Xmlest.Pattern.node (tagp "TA")))
 
 let test_twig_pair_equals_pairwise_overlap () =
   (* With no-overlap disabled, the 2-node twig estimate must equal the raw
@@ -493,8 +502,7 @@ let test_twig_pair_equals_pairwise_overlap () =
     { Xmlest.Twig_estimator.default_options with use_no_overlap = false }
   in
   let via_twig =
-    Xmlest.Twig_estimator.estimate_pair ~options c ~anc:(tagp "manager")
-      ~desc:(tagp "department")
+    Xmlest.Twig_estimator.estimate ~options c (Xmlest.Pattern.twig (tagp "manager") [ tagp "department" ])
   in
   let anc = hist doc 10 (tagp "manager") and desc = hist doc 10 (tagp "department") in
   check (Alcotest.float 1e-6) "twig = pH-join" (Xmlest.Ph_join.estimate ~anc ~desc ())
@@ -504,7 +512,7 @@ let test_twig_pair_equals_pairwise_no_overlap () =
   let doc = Xmlest.Document.of_elem (Xmlest.Staff_gen.generate ()) in
   let c = catalog doc 10 [ tagp "employee"; tagp "name" ] in
   let via_twig =
-    Xmlest.Twig_estimator.estimate_pair c ~anc:(tagp "employee") ~desc:(tagp "name")
+    Xmlest.Twig_estimator.estimate c (Xmlest.Pattern.twig (tagp "employee") [ tagp "name" ])
   in
   let g = grid_of doc 10 in
   let cvg = Xmlest.Coverage_histogram.build doc ~grid:g (tagp "employee") in
@@ -527,10 +535,10 @@ let test_twig_chain_estimate () =
   let doc = Xmlest.Document.of_elem (Xmlest.Staff_gen.generate ()) in
   let preds = [ tagp "manager"; tagp "department"; tagp "employee" ] in
   let c = catalog doc 10 preds in
-  let pat = Xmlest.Pattern.chain preds in
+  let pat = Test_util.chain preds in
   let est = Xmlest.Twig_estimator.estimate c pat in
   let real =
-    float_of_int (Xmlest.Twig_count.count doc (Xmlest.Pattern.chain preds))
+    float_of_int (Xmlest.Twig_count.count doc (Test_util.chain preds))
   in
   Alcotest.(check bool) "positive" true (est > 0.0);
   Alcotest.(check bool) "within 5x of real" true
@@ -557,8 +565,7 @@ let prop_twig_estimate_accuracy_on_dblp_style =
       in
       let c = catalog doc 10 [ tagp "article"; tagp "author" ] in
       let est =
-        Xmlest.Twig_estimator.estimate_pair c ~anc:(tagp "article")
-          ~desc:(tagp "author")
+        Xmlest.Twig_estimator.estimate c (Xmlest.Pattern.twig (tagp "article") [ tagp "author" ])
       in
       let real = float_of_int (exact doc "article" "author") in
       est > 0.5 *. real && est < 1.5 *. real)
@@ -571,7 +578,7 @@ let test_level_correction_helps_child_queries () =
   let c = catalog doc 10 [ tagp "department"; tagp "email" ] in
   let pat =
     Xmlest.Pattern.node
-      ~edges:[ (Xmlest.Pattern.Child, Xmlest.Pattern.leaf (tagp "email")) ]
+      ~edges:[ (Xmlest.Pattern.Child, Xmlest.Pattern.node (tagp "email")) ]
       (tagp "department")
   in
   let plain = Xmlest.Twig_estimator.estimate c pat in
@@ -607,9 +614,9 @@ let test_descendant_direction_composition () =
        ~desc ())
     pair;
   let chain =
-    Xmlest.Twig_estimator.estimate ~options c (Xmlest.Pattern.chain preds)
+    Xmlest.Twig_estimator.estimate ~options c (Test_util.chain preds)
   in
-  let real = float_of_int (Xmlest.Twig_count.count doc (Xmlest.Pattern.chain preds)) in
+  let real = float_of_int (Xmlest.Twig_count.count doc (Test_util.chain preds)) in
   Alcotest.(check bool) "chain sane" true
     (Float.is_finite chain && chain > real /. 10.0 && chain < real *. 10.0)
 
@@ -619,7 +626,7 @@ let test_star_pattern_estimate () =
   let c = catalog doc 4 [ tagp "RA" ] in
   let pat =
     Xmlest.Pattern.node
-      ~edges:[ (Xmlest.Pattern.Descendant, Xmlest.Pattern.leaf (tagp "RA")) ]
+      ~edges:[ (Xmlest.Pattern.Descendant, Xmlest.Pattern.node (tagp "RA")) ]
       Xmlest.Predicate.True
   in
   let est = Xmlest.Twig_estimator.estimate c pat in
@@ -634,7 +641,7 @@ let test_estimate_trace () =
     catalog doc 10 [ tagp "manager"; tagp "department"; tagp "employee" ]
   in
   let pattern =
-    Xmlest.Pattern.chain [ tagp "manager"; tagp "department"; tagp "employee" ]
+    Test_util.chain [ tagp "manager"; tagp "department"; tagp "employee" ]
   in
   let total, steps = Xmlest.Twig_estimator.estimate_trace c pattern in
   check Alcotest.int "two join steps" 2 (List.length steps);
@@ -745,7 +752,7 @@ let oracle_case_print (e, size, kind, cached, patterns) =
     (match kind with `Uniform -> "uniform" | `Equidepth -> "equidepth")
     (if cached then "" else " uncached")
     (String.concat "; " (List.map Xmlest.Pattern.to_string patterns))
-    Xmlest.Elem.pp e
+    Test_util.pp_elem e
 
 let prop_sparse_views_equal_dense_oracle =
   QCheck.Test.make ~count:150 ~name:"sparse views = dense oracle, bit for bit"

@@ -125,12 +125,12 @@ let docs_equal_structure a b =
 (* The tag index lists, for every tag, exactly the nodes a document-order
    scan finds. *)
 let tag_index_ok doc =
-  List.for_all
-    (fun id ->
-      let want = List.filter (fun v -> D.tag_id doc v = id) (List.init (D.size doc) Fun.id) in
-      Array.to_list (D.nodes_with_tag_id doc id) = want
-      && Array.to_list (D.nodes_with_tag doc (D.tag_name doc id)) = want)
-    (List.init (D.num_tags doc) Fun.id)
+  List.compare_length_with (D.distinct_tags doc) (D.num_tags doc) = 0
+  && List.for_all
+       (fun tag ->
+         let want = List.filter (fun v -> D.tag doc v = tag) (List.init (D.size doc) Fun.id) in
+         Array.to_list (D.nodes_with_tag doc tag) = want)
+       (D.distinct_tags doc)
 
 (* Equality of structure, labels, tag set and tag index.  Tag ids are
    left out: an insert interns its new tags after the existing ones, where
@@ -210,9 +210,9 @@ let test_insert_new_tags_extend_interning () =
   check Alcotest.int "old ids stable"
     (match D.lookup_tag_id before "y" with Some i -> i | None -> -1)
     (match D.lookup_tag_id doc "y" with Some i -> i | None -> -1);
-  check Alcotest.int "new tag interned" 1 (D.tag_count doc "brandnew");
+  check Alcotest.int "new tag interned" 1 (Test_util.tag_count doc "brandnew");
   check Alcotest.int "copy untouched" 5 (D.size before);
-  check Alcotest.int "copy does not know the tag" 0 (D.tag_count before "brandnew")
+  check Alcotest.int "copy does not know the tag" 0 (Test_util.tag_count before "brandnew")
 
 let test_delete_preserves_labels () =
   let doc = D.of_elem (sample ()) in
@@ -321,7 +321,7 @@ let random_replace rng _doc_size doc =
 (* [doc] after [ups], on a copy: [doc] itself is left as it was. *)
 let edited doc ups =
   let d = D.copy doc in
-  List.iter (U.apply_doc d) ups;
+  List.iter (Test_util.apply_doc d) ups;
   d
 
 (* Generate [k] updates, each drawn against the document as edited so
@@ -335,7 +335,7 @@ let stream ~k ~pick rng doc =
       match pick rng doc with
       | None -> List.rev acc
       | Some u ->
-        U.apply_doc doc u;
+        Test_util.apply_doc doc u;
         go (k - 1) (u :: acc)
   in
   go k []
@@ -446,7 +446,7 @@ let prop_edit_stream_matches_of_elem =
         match all_kinds_pick rng doc with
         | None -> ()
         | Some u ->
-          U.apply_doc doc u;
+          Test_util.apply_doc doc u;
           tree := elem_apply !tree u;
           if not (describes doc !tree) then ok := false
       done;
@@ -461,7 +461,7 @@ let prop_copy_independent =
       let rng = Sm.create seed in
       let edit_all doc =
         for _ = 1 to 10 do
-          Option.iter (U.apply_doc doc) (all_kinds_pick rng doc)
+          Option.iter (Test_util.apply_doc doc) (all_kinds_pick rng doc)
         done
       in
       let doc = D.of_elem elem in
@@ -499,7 +499,7 @@ let prop_payload_slots_reused =
       let doc = D.of_elem elem in
       let tree = ref elem and ok = ref true in
       let edit doc tree u =
-        U.apply_doc doc u;
+        Test_util.apply_doc doc u;
         tree := elem_apply !tree u;
         if not (describes doc !tree) then ok := false
       in
@@ -611,7 +611,7 @@ let test_insert_under_deep_node () =
    clamp into the last bucket exactly as a same-grid rebuild puts them. *)
 let test_insert_past_max_pos () =
   let doc = D.of_elem (Test_util.nested ~depth:3 ~fanout:3) in
-  let last_child = List.length (D.children doc 0) - 1 in
+  let last_child = List.length (Test_util.children doc 0) - 1 in
   let sub = E.make "b" ~children:[ E.make "a"; E.make "c" ] in
   let ups =
     [ U.Insert { parent = 0; index = last_child; subtree = sub };
@@ -781,7 +781,7 @@ let test_rejected_batch_commits_prefix () =
   in
   check Alcotest.int "document holds the append" 1469 (D.size doc');
   check (Alcotest.float 0.0) "manager count describes that document"
-    (float_of_int (D.tag_count doc' "manager"))
+    (float_of_int (Test_util.tag_count doc' "manager"))
     (Xmlest.Summary.node_count s manager);
   (match Xmlest.Summary.staleness s with
   | Some r -> check Alcotest.int "only the applied update counted" 1
@@ -1115,7 +1115,7 @@ let update_equal a b =
   in
   match (a, b) with
   | U.Insert x, U.Insert y ->
-    Int.equal x.parent y.parent && Int.equal x.index y.index && E.equal x.subtree y.subtree
+    Int.equal x.parent y.parent && Int.equal x.index y.index && Test_util.elem_equal x.subtree y.subtree
   | U.Delete x, U.Delete y -> Int.equal x.node y.node
   | U.Replace_text x, U.Replace_text y -> Int.equal x.node y.node && String.equal x.text y.text
   | U.Replace_attrs x, U.Replace_attrs y -> Int.equal x.node y.node && attrs_equal x.attrs y.attrs

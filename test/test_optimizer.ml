@@ -17,8 +17,8 @@ let fig2_pattern () =
           Xmlest.Pattern.node
             ~edges:
               [
-                (Xmlest.Pattern.Descendant, Xmlest.Pattern.leaf (tagp "TA"));
-                (Xmlest.Pattern.Descendant, Xmlest.Pattern.leaf (tagp "RA"));
+                (Xmlest.Pattern.Descendant, Xmlest.Pattern.node (tagp "TA"));
+                (Xmlest.Pattern.Descendant, Xmlest.Pattern.node (tagp "RA"));
               ]
             (tagp "faculty") );
       ]
@@ -60,7 +60,7 @@ let test_induced_subpatterns () =
 let test_induced_preserves_axis () =
   let p =
     Xmlest.Pattern.node
-      ~edges:[ (Xmlest.Pattern.Child, Xmlest.Pattern.leaf (tagp "b")) ]
+      ~edges:[ (Xmlest.Pattern.Child, Xmlest.Pattern.node (tagp "b")) ]
       (tagp "a")
   in
   match Xmlest.Plan.induced p [ 0; 1 ] with
@@ -131,7 +131,7 @@ let test_single_node_pattern_rejected () =
     (Invalid_argument "Optimizer.best: pattern has no join plans") (fun () ->
       ignore
         (Xmlest.Optimizer.best (Xmlest.Summary.catalog summary)
-           (Xmlest.Pattern.leaf (tagp "TA"))))
+           (Xmlest.Pattern.node (tagp "TA"))))
 
 let test_actual_intermediates () =
   let doc = Test_util.fig1_doc () in
@@ -139,7 +139,7 @@ let test_actual_intermediates () =
   let plans = Xmlest.Plan.enumerate p in
   List.iter
     (fun pl ->
-      let sizes = Xmlest.Optimizer.actual_intermediates doc pl in
+      let sizes = List.map (Xmlest.Twig_count.count doc) pl.Xmlest.Plan.prefixes in
       check Alcotest.int "one size per prefix"
         (List.length pl.Xmlest.Plan.prefixes)
         (List.length sizes);
@@ -167,7 +167,7 @@ let test_optimizer_picks_good_plan_on_staff () =
                   ( Xmlest.Pattern.Descendant,
                     Xmlest.Pattern.node
                       ~edges:
-                        [ (Xmlest.Pattern.Descendant, Xmlest.Pattern.leaf (tagp "email")) ]
+                        [ (Xmlest.Pattern.Descendant, Xmlest.Pattern.node (tagp "email")) ]
                       (tagp "employee") );
                 ]
               (tagp "department") );
@@ -194,7 +194,7 @@ let test_executor_agrees_with_actual_intermediates () =
   let p = fig2_pattern () in
   List.iter
     (fun pl ->
-      let by_count = Xmlest.Optimizer.actual_intermediates doc pl in
+      let by_count = List.map (Xmlest.Twig_count.count doc) pl.Xmlest.Plan.prefixes in
       let by_exec =
         (Xmlest.Executor.run doc p ~order:pl.Xmlest.Plan.order)
           .Xmlest.Executor.intermediate_sizes
@@ -214,7 +214,7 @@ let test_estimated_final_size_plan_invariant () =
   in
   let catalog = Xmlest.Summary.catalog summary in
   let pattern =
-    Xmlest.Pattern.chain [ tagp "department"; tagp "faculty"; tagp "RA" ]
+    Test_util.chain [ tagp "department"; tagp "faculty"; tagp "RA" ]
   in
   let finals =
     List.map
@@ -343,7 +343,7 @@ let test_node_limit () =
   (* A bitmask over pre-order ids holds Sys.int_size - 1 nodes; one more
      is rejected up front instead of wrapping (a 63-node chain has 2^62
      plans, so it could never have finished enumerating anyway). *)
-  let chain = Xmlest.Pattern.chain (List.init Sys.int_size (fun _ -> tagp "a")) in
+  let chain = Test_util.chain (List.init Sys.int_size (fun _ -> tagp "a")) in
   let rejects f = match f () with _ -> false | exception Invalid_argument _ -> true in
   check Alcotest.int "nodes" Sys.int_size (Xmlest.Plan.node_count chain);
   Alcotest.(check bool) "enumerate rejects" true

@@ -18,37 +18,37 @@ let sample () =
 
 let test_pred_tag () =
   let doc = sample () in
-  check Alcotest.int "books" 2 (Xmlest.Predicate.count doc (Xmlest.Predicate.tag "book"));
-  check Alcotest.int "cites" 3 (Xmlest.Predicate.count doc (Xmlest.Predicate.tag "cite"));
+  check Alcotest.int "books" 2 (Test_util.pred_count doc (Xmlest.Predicate.tag "book"));
+  check Alcotest.int "cites" 3 (Test_util.pred_count doc (Xmlest.Predicate.tag "cite"));
   check Alcotest.int "true matches all" (Xmlest.Document.size doc)
-    (Xmlest.Predicate.count doc Xmlest.Predicate.True)
+    (Test_util.pred_count doc Xmlest.Predicate.True)
 
 let test_pred_text () =
   let doc = sample () in
   let open Xmlest.Predicate in
-  check Alcotest.int "prefix conf" 2 (count doc (text_prefix ~tag:"cite" "conf"));
-  check Alcotest.int "prefix journals" 1 (count doc (text_prefix ~tag:"cite" "journals"));
-  check Alcotest.int "exact title" 1 (count doc (text_eq ~tag:"title" "Trees"));
-  check Alcotest.int "suffix" 1 (count doc (And (Tag "cite", Text_suffix "/3")));
-  check Alcotest.int "contains" 2 (count doc (And (Tag "title", Text_contains "Query")))
+  check Alcotest.int "prefix conf" 2 (Test_util.pred_count doc (text_prefix ~tag:"cite" "conf"));
+  check Alcotest.int "prefix journals" 1 (Test_util.pred_count doc (text_prefix ~tag:"cite" "journals"));
+  check Alcotest.int "exact title" 1 (Test_util.pred_count doc (text_eq ~tag:"title" "Trees"));
+  check Alcotest.int "suffix" 1 (Test_util.pred_count doc (And (Tag "cite", Text_suffix "/3")));
+  check Alcotest.int "contains" 2 (Test_util.pred_count doc (And (Tag "title", Text_contains "Query")))
 
 let test_pred_attr_level () =
   let doc = sample () in
   let open Xmlest.Predicate in
-  check Alcotest.int "attr year" 1 (count doc (Attr_eq ("year", "2001")));
-  check Alcotest.int "level 1" 3 (count doc (Level_eq 1));
-  check Alcotest.int "level 0" 1 (count doc (Level_eq 0))
+  check Alcotest.int "attr year" 1 (Test_util.pred_count doc (Attr_eq ("year", "2001")));
+  check Alcotest.int "level 1" 3 (Test_util.pred_count doc (Level_eq 1));
+  check Alcotest.int "level 0" 1 (Test_util.pred_count doc (Level_eq 0))
 
 let test_pred_boolean () =
   let doc = sample () in
   let open Xmlest.Predicate in
   let conf = text_prefix ~tag:"cite" "conf" in
   let journal = text_prefix ~tag:"cite" "journals" in
-  check Alcotest.int "or" 3 (count doc (Or (conf, journal)));
-  check Alcotest.int "and-false" 0 (count doc (And (conf, journal)));
+  check Alcotest.int "or" 3 (Test_util.pred_count doc (Or (conf, journal)));
+  check Alcotest.int "and-false" 0 (Test_util.pred_count doc (And (conf, journal)));
   check Alcotest.int "not" (Xmlest.Document.size doc - 3)
-    (count doc (Not (Tag "cite")));
-  check Alcotest.int "any_of" 3 (count doc (any_of [ conf; journal ]))
+    (Test_util.pred_count doc (Not (Tag "cite")));
+  check Alcotest.int "any_of" 3 (Test_util.pred_count doc (any_of [ conf; journal ]))
 
 let test_pred_name_stable () =
   let open Xmlest.Predicate in
@@ -184,9 +184,7 @@ let test_substring_edge_cases () =
   Alcotest.(check bool) "whole string" true (has "abc" "abc");
   Alcotest.(check bool) "match at end" true (has "cde" "abcde");
   Alcotest.(check bool)
-    "near miss with repeated prefix" false (has "aab" "aaacaaac");
-  check Alcotest.string "pattern accessor" "xy"
-    (Substring.pattern (Substring.make "xy"))
+    "near miss with repeated prefix" false (has "aab" "aaacaaac")
 
 let prop_substring_matches_naive =
   QCheck.Test.make ~count:500 ~name:"KMP agrees with naive substring search"
@@ -384,7 +382,7 @@ let test_target () =
 
 let test_pattern_builders () =
   let open Xmlest.Pattern in
-  let p = chain [ Xmlest.Predicate.tag "a"; Xmlest.Predicate.tag "b"; Xmlest.Predicate.tag "c" ] in
+  let p = Test_util.chain [ Xmlest.Predicate.tag "a"; Xmlest.Predicate.tag "b"; Xmlest.Predicate.tag "c" ] in
   check Alcotest.int "chain size" 3 (size p);
   check Alcotest.int "chain edges" 2 (edge_count p);
   let t = twig (Xmlest.Predicate.tag "f") [ Xmlest.Predicate.tag "x"; Xmlest.Predicate.tag "y" ] in
@@ -406,8 +404,8 @@ let test_pattern_to_string () =
     Xmlest.Pattern.node
       ~edges:
         [
-          (Xmlest.Pattern.Descendant, Xmlest.Pattern.leaf (Xmlest.Predicate.tag "TA"));
-          (Xmlest.Pattern.Descendant, Xmlest.Pattern.leaf (Xmlest.Predicate.tag "RA"));
+          (Xmlest.Pattern.Descendant, Xmlest.Pattern.node (Xmlest.Predicate.tag "TA"));
+          (Xmlest.Pattern.Descendant, Xmlest.Pattern.node (Xmlest.Predicate.tag "RA"));
         ]
       (Xmlest.Predicate.tag "faculty")
   in
@@ -484,7 +482,7 @@ let test_parse_errors () =
 
 let test_parse_matches_exact_engine () =
   let doc = sample () in
-  let count s = Xmlest.Twig_count.count_query doc (parse s) in
+  let count s = Xmlest.Twig_count.count doc (parse s).Xmlest.Pattern_parser.root in
   check Alcotest.int "//book//cite" 3 (count "//book//cite");
   check Alcotest.int "//book[.//cite]//title" 3 (count "//book[.//cite]//title");
   check Alcotest.int "//lib//title" 3 (count "//lib//title");
@@ -503,7 +501,7 @@ let prop_parse_print_roundtrip =
       let tags = [| "a"; "b"; "c"; "d" |] in
       let rec gen depth =
         let pred = Xmlest.Predicate.tag (Xmlest.Splitmix.choose rng tags) in
-        if depth >= 3 then Xmlest.Pattern.leaf pred
+        if depth >= 3 then Xmlest.Pattern.node pred
         else begin
           let n_children = Xmlest.Splitmix.int rng 3 in
           let edges =
@@ -526,13 +524,13 @@ let pcheck = Xmlest.Pattern_check.check
 
 let test_check_contradictions () =
   let open Xmlest.Predicate in
-  let diags = pcheck (Xmlest.Pattern.leaf (And (Tag "a", Tag "b"))) in
+  let diags = pcheck (Xmlest.Pattern.node (And (Tag "a", Tag "b"))) in
   check Alcotest.(list string) "two tags" [ "contradiction" ] (diag_rules diags);
   check Alcotest.bool "two tags unsat" true (unsat diags);
   List.iter
     (fun pred ->
       check Alcotest.bool (name pred) true
-        (unsat (pcheck (Xmlest.Pattern.leaf pred))))
+        (unsat (pcheck (Xmlest.Pattern.node pred))))
     [
       And (Text_eq "x", Text_eq "y");
       And (Attr_eq ("k", "1"), Attr_eq ("k", "2"));
@@ -550,7 +548,7 @@ let test_check_contradictions () =
       check
         Alcotest.(list string)
         ("clean: " ^ name pred)
-        [] (diag_rules (pcheck (Xmlest.Pattern.leaf pred))))
+        [] (diag_rules (pcheck (Xmlest.Pattern.node pred))))
     [
       And (Tag "a", Text_eq "x");
       And (Text_eq "conf/vldb", Text_prefix "conf");
@@ -562,13 +560,13 @@ let test_check_disjunctions () =
   let open Xmlest.Predicate in
   let dead = And (Tag "a", Tag "b") in
   check Alcotest.bool "all branches dead" true
-    (unsat (pcheck (Xmlest.Pattern.leaf (Or (dead, Level_eq (-1))))));
+    (unsat (pcheck (Xmlest.Pattern.node (Or (dead, Level_eq (-1))))));
   check Alcotest.bool "one live branch" false
-    (unsat (pcheck (Xmlest.Pattern.leaf (Or (dead, Tag "c")))))
+    (unsat (pcheck (Xmlest.Pattern.node (Or (dead, Tag "c")))))
 
 let test_check_level_edges () =
   let open Xmlest.Predicate in
-  let leaf = Xmlest.Pattern.leaf in
+  let leaf = Xmlest.Pattern.node in
   let node = Xmlest.Pattern.node in
   let child p = (Xmlest.Pattern.Child, p) in
   let desc p = (Xmlest.Pattern.Descendant, p) in
@@ -621,7 +619,7 @@ let test_check_duplicate_edges () =
 
 let test_check_rendering () =
   let open Xmlest.Predicate in
-  let diags = pcheck (Xmlest.Pattern.leaf (And (Tag "a", Tag "b"))) in
+  let diags = pcheck (Xmlest.Pattern.node (And (Tag "a", Tag "b"))) in
   check Alcotest.bool "0-proof spelled out" true
     (Test_util.contains_substring
        (Xmlest.Pattern_check.to_string diags)

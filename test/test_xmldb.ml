@@ -12,13 +12,13 @@ let qcheck = Test_util.to_alcotest (* seeded: see test_util.ml *)
 let test_elem_size_depth () =
   let e = Test_util.fig1 () in
   check Alcotest.int "fig1 size" 31 (Xmlest.Elem.size e);
-  check Alcotest.int "fig1 depth" 3 (Xmlest.Elem.depth e);
+  check Alcotest.int "fig1 depth" 3 (Test_util.elem_depth e);
   check Alcotest.int "leaf size" 1 (Xmlest.Elem.size (Xmlest.Elem.make "x"));
-  check Alcotest.int "leaf depth" 1 (Xmlest.Elem.depth (Xmlest.Elem.make "x"))
+  check Alcotest.int "leaf depth" 1 (Test_util.elem_depth (Xmlest.Elem.make "x"))
 
 let test_elem_counts () =
   let e = Test_util.fig1 () in
-  let count tag = Xmlest.Elem.count (fun n -> n.Xmlest.Elem.tag = tag) e in
+  let count tag = Test_util.elem_count (fun n -> n.Xmlest.Elem.tag = tag) e in
   check Alcotest.int "faculty" 3 (count "faculty");
   check Alcotest.int "TA" 5 (count "TA");
   check Alcotest.int "RA" 10 (count "RA");
@@ -39,8 +39,11 @@ let test_elem_tag_counts () =
 
 let test_elem_attr () =
   let e = Xmlest.Elem.make ~attrs:[ ("id", "7"); ("k", "v") ] "x" in
-  check Alcotest.(option string) "attr found" (Some "7") (Xmlest.Elem.attr e "id");
-  check Alcotest.(option string) "attr missing" None (Xmlest.Elem.attr e "nope")
+  check
+    Alcotest.(list (pair string string))
+    "attributes kept in document order through writer and parser"
+    [ ("id", "7"); ("k", "v") ]
+    (Xmlest.Xml_parser.parse_string_exn (Xmlest.Xml_writer.to_string e)).Xmlest.Elem.attrs
 
 let test_elem_fold_preorder () =
   let e =
@@ -52,7 +55,7 @@ let test_elem_fold_preorder () =
         ]
   in
   let order =
-    List.rev (Xmlest.Elem.fold (fun acc n -> n.Xmlest.Elem.tag :: acc) [] e)
+    List.rev (Test_util.elem_fold (fun acc n -> n.Xmlest.Elem.tag :: acc) [] e)
   in
   check Alcotest.(list string) "pre-order" [ "r"; "a"; "b"; "c" ] order
 
@@ -67,7 +70,7 @@ let test_parse_simple () =
   let b = List.nth e.Xmlest.Elem.children 0 in
   check Alcotest.string "text" "hi" b.Xmlest.Elem.text;
   let c = List.nth e.Xmlest.Elem.children 1 in
-  check Alcotest.(option string) "attr" (Some "1") (Xmlest.Elem.attr c "x")
+  check Alcotest.(option string) "attr" (Some "1") (List.assoc_opt "x" c.Xmlest.Elem.attrs)
 
 let test_parse_entities () =
   let e = parse "<a>x &lt;&amp;&gt; &#65;&#x42; &quot;q&quot;</a>" in
@@ -113,28 +116,29 @@ let test_roundtrip_fixed () =
   let e = Test_util.fig1 () in
   let s = Xmlest.Xml_writer.to_string e in
   let e' = parse s in
-  check Alcotest.bool "roundtrip equal" true (Xmlest.Elem.equal e e')
+  check Alcotest.bool "roundtrip equal" true (Test_util.elem_equal e e')
 
 let prop_roundtrip =
   QCheck.Test.make ~count:200 ~name:"writer/parser roundtrip"
     (Test_util.elem_arbitrary ()) (fun e ->
       let s = Xmlest.Xml_writer.to_string e in
-      Xmlest.Elem.equal e (parse s))
+      Test_util.elem_equal e (parse s))
 
 let prop_roundtrip_compact =
   QCheck.Test.make ~count:100 ~name:"roundtrip without indentation"
     (Test_util.elem_arbitrary ()) (fun e ->
       let s = Xmlest.Xml_writer.to_string ~indent:false e in
-      Xmlest.Elem.equal e (parse s))
+      Test_util.elem_equal e (parse s))
 
 let test_escape () =
-  check Alcotest.string "text escape" "a&amp;b&lt;c&gt;d"
-    (Xmlest.Xml_writer.escape_text "a&b<c>d");
-  check Alcotest.string "attr escape" "&quot;x&amp;"
-    (Xmlest.Xml_writer.escape_attr "\"x&");
+  check Alcotest.string "text and attribute escapes"
+    "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\
+     <t k=\"&quot;x&amp;\">a&amp;b&lt;c&gt;d</t>\n"
+    (Xmlest.Xml_writer.to_string ~indent:false
+       (Xmlest.Elem.leaf ~attrs:[ ("k", "\"x&") ] "t" "a&b<c>d"));
   let e = Xmlest.Elem.leaf "t" "5 < 6 & \"q\"" in
   check Alcotest.bool "escaped roundtrip" true
-    (Xmlest.Elem.equal e (parse (Xmlest.Xml_writer.to_string e)))
+    (Test_util.elem_equal e (parse (Xmlest.Xml_writer.to_string e)))
 
 let prop_parser_never_crashes =
   (* Fuzz: arbitrary byte strings must yield Ok or Error, never an
@@ -221,7 +225,7 @@ let agrees_with_oracle s =
   match Legacy_xml_parser.parse s with
   | Ok (tree, events) ->
     (match Xmlest.Xml_parser.parse_string s with
-    | Ok t -> Xmlest.Elem.equal tree t
+    | Ok t -> Test_util.elem_equal tree t
     | Error _ -> false)
     && events_are events (string_events s)
     && events_are events (channel_events s)
@@ -441,24 +445,13 @@ let prop_labeling =
 
 let test_children_and_subtree () =
   let doc = Test_util.fig1_doc () in
-  let root_children = Xmlest.Document.children doc 0 in
+  let root_children = Test_util.children doc 0 in
   check Alcotest.int "root has 6 children" 6 (List.length root_children);
   List.iter
     (fun c -> check Alcotest.int "child parent" 0 (Xmlest.Document.parent doc c))
     root_children;
   check Alcotest.int "root subtree covers all" (Xmlest.Document.size doc)
     (Xmlest.Document.subtree_size doc 0)
-
-let test_of_forest () =
-  let doc =
-    Xmlest.Document.of_forest [ Xmlest.Elem.make "x"; Xmlest.Elem.make "y" ]
-  in
-  check Alcotest.int "size with dummy root" 3 (Xmlest.Document.size doc);
-  check Alcotest.string "dummy root tag" "#root" (Xmlest.Document.tag doc 0);
-  check
-    Alcotest.(list string)
-    "tags" [ "#root"; "x"; "y" ]
-    (Xmlest.Document.distinct_tags doc)
 
 let test_tag_index () =
   let doc = Test_util.fig1_doc () in
@@ -515,9 +508,9 @@ let test_deep_chain_stack_safety () =
   match Xmlest.Summary.level s leaf with
   | None -> Alcotest.fail "no level histogram"
   | Some h ->
-    check (Alcotest.float 0.0) "one leaf at the bottom" 1.0
-      (Xmlest.Level_histogram.count_at h depth);
-    check Alcotest.int "streamed leaf level" depth (Xmlest.Level_histogram.max_level h)
+    let counts = Xmlest.Level_histogram.counts h in
+    check (Alcotest.float 0.0) "one leaf at the bottom" 1.0 counts.(depth);
+    check Alcotest.int "streamed leaf level" depth (Array.length counts - 1)
 
 (* The indented writer caps its indentation, so a 100,000-deep chain is
    O(n) bytes (uncapped it was Θ(depth²) and ran out of memory) and parses
@@ -535,7 +528,7 @@ let test_writer_linear_on_deep_chain () =
     true
     (* two lines per node, each at most 32 levels of indent plus markup *)
     (String.length xml < 2 * ((2 * 32) + 12) * (depth + 1));
-  Alcotest.(check bool) "parses back" true (Xmlest.Elem.equal !e (parse xml));
+  Alcotest.(check bool) "parses back" true (Test_util.elem_equal !e (parse xml));
   let path = Filename.temp_file "xmlest" ".xml" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -553,7 +546,7 @@ let test_file_roundtrip () =
   let path = Filename.temp_file "xmlest" ".xml" in
   Xmlest.Xml_writer.to_file path e;
   (match Xmlest.Xml_parser.parse_file path with
-  | Ok e' -> Alcotest.(check bool) "file roundtrip" true (Xmlest.Elem.equal e e')
+  | Ok e' -> Alcotest.(check bool) "file roundtrip" true (Test_util.elem_equal e e')
   | Error err ->
     Alcotest.failf "parse_file failed: %s"
       (Format.asprintf "%a" Xmlest.Xml_parser.pp_error err));
@@ -583,19 +576,6 @@ let test_io_failures_close_fds () =
     check Alcotest.int "no fd leaked across failing reads and writes" before
       (open_fds ())
   end
-
-let test_document_roots () =
-  let single = Test_util.fig1_doc () in
-  Alcotest.(check bool) "of_elem: no dummy" false (Xmlest.Document.has_dummy_root single);
-  Alcotest.(check (list int)) "of_elem root" [ 0 ] (Xmlest.Document.document_roots single);
-  let forest =
-    Xmlest.Document.of_forest
-      [ Xmlest.Elem.make "x" ~children:[ Xmlest.Elem.make "y" ]; Xmlest.Elem.make "z" ]
-  in
-  Alcotest.(check bool) "of_forest: dummy" true (Xmlest.Document.has_dummy_root forest);
-  let roots = Xmlest.Document.document_roots forest in
-  Alcotest.(check (list string)) "forest roots" [ "x"; "z" ]
-    (List.map (Xmlest.Document.tag forest) roots)
 
 let test_writer_indentation () =
   let e =
@@ -634,9 +614,7 @@ let test_nesting_counts () =
      have 1 section ancestor (2×1), level-3 have 2 (4×2) = 10. *)
   check Alcotest.int "sections" 7 (Array.length sections);
   check Alcotest.int "nesting pairs" 10
-    (Xmlest.Interval_ops.count_nesting_pairs doc sections);
-  check Alcotest.int "max chain" 3
-    (Xmlest.Interval_ops.max_nesting_depth doc sections)
+    (Test_util.nesting_pairs doc sections)
 
 let prop_nesting_matches_brute_force =
   QCheck.Test.make ~count:150 ~name:"count_nesting_pairs = brute force"
@@ -647,7 +625,7 @@ let prop_nesting_matches_brute_force =
         Test_util.brute_force_pairs doc (Xmlest.Predicate.tag t1)
           (Xmlest.Predicate.tag t1) ~axis:`Descendant
       in
-      Xmlest.Interval_ops.count_nesting_pairs doc nodes = expected)
+      Test_util.nesting_pairs doc nodes = expected)
 
 (* --- Nearest-ancestor resolver ------------------------------------------ *)
 
@@ -664,7 +642,7 @@ let doc_sets_arbitrary =
                    String.concat ","
                      (List.filteri (fun v _ -> s.(v)) (List.init (Array.length s) string_of_int)))
                  sets)))
-        Xmlest.Elem.pp e)
+        Test_util.pp_elem e)
     (fun st ->
       let e = Test_util.elem_gen ~max_nodes:40 () st in
       let doc = Xmlest.Document.of_elem e in
@@ -736,10 +714,7 @@ let prop_resolver_matches_parent_chain =
                 if covered <> v || reported.(u) >= 0 then ok := false;
                 reported.(u) <- covering);
             for u = 0 to k - 1 do
-              if reported.(u) <> nearest.(u).(v)
-                 || Xmlest.Interval_ops.depth r u
-                    <> above.(u).(v) + if sets.(u).(v) then 1 else 0
-              then ok := false
+              if reported.(u) <> nearest.(u).(v) then ok := false
             done)
           order;
         !ok
@@ -764,7 +739,7 @@ let prop_has_nesting_agrees_with_pair_count =
       let nodes = Xmlest.Document.nodes_with_tag doc t1 in
       Bool.equal
         (Xmlest.Interval_ops.has_nesting doc nodes)
-        (Xmlest.Interval_ops.count_nesting_pairs doc nodes > 0))
+        (Test_util.nesting_pairs doc nodes > 0))
 
 (* --- Tag-id index ------------------------------------------------------- *)
 
@@ -774,19 +749,13 @@ let test_tag_id_index () =
   check Alcotest.int "num_tags = distinct tags"
     (List.length (Xmlest.Document.distinct_tags doc))
     n;
-  for id = 0 to n - 1 do
-    let name = Xmlest.Document.tag_name doc id in
-    check
-      Alcotest.(option int)
-      ("intern roundtrip " ^ name)
-      (Some id)
-      (Xmlest.Document.lookup_tag_id doc name);
-    check
-      Alcotest.(list int)
-      ("index by id = index by name " ^ name)
-      (Array.to_list (Xmlest.Document.nodes_with_tag doc name))
-      (Array.to_list (Xmlest.Document.nodes_with_tag_id doc id))
-  done;
+  check
+    Alcotest.(list int)
+    "ids of the distinct tags are 0 .. num_tags - 1"
+    (List.init n Fun.id)
+    (List.sort Int.compare
+       (List.filter_map (Xmlest.Document.lookup_tag_id doc)
+          (Xmlest.Document.distinct_tags doc)));
   check Alcotest.(option int) "unknown tag" None
     (Xmlest.Document.lookup_tag_id doc "nosuchtag")
 
@@ -842,7 +811,6 @@ let () =
           Alcotest.test_case "containment = ancestorship" `Quick
             test_labeling_containment;
           Alcotest.test_case "children and subtree" `Quick test_children_and_subtree;
-          Alcotest.test_case "forest with dummy root" `Quick test_of_forest;
           Alcotest.test_case "tag index" `Quick test_tag_index;
           Alcotest.test_case "deep tree (50k levels)" `Quick
             test_deep_tree_no_stack_overflow;
@@ -854,7 +822,6 @@ let () =
             test_writer_linear_on_deep_chain;
           Alcotest.test_case "failing io closes fds" `Quick
             test_io_failures_close_fds;
-          Alcotest.test_case "document roots" `Quick test_document_roots;
           Alcotest.test_case "writer indentation" `Quick test_writer_indentation;
         ] );
       ( "interval_ops",

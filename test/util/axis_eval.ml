@@ -34,7 +34,7 @@ let step doc context axis pred =
     match axis with
     | Self -> List.filter keep context
     | Child ->
-      List.concat_map (fun v -> List.filter keep (Document.children doc v)) context
+      List.concat_map (fun v -> List.filter keep (Test_util.children doc v)) context
     | Parent ->
       List.filter_map
         (fun v ->

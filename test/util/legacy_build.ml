@@ -27,7 +27,7 @@ let build_entry ~grid ~with_levels doc pred =
   let no_overlap = not (Interval_ops.has_nesting doc nodes) in
   {
     pred;
-    hist = Position_histogram.of_nodes doc ~grid nodes;
+    hist = Position_histogram.build doc ~grid pred;
     no_overlap;
     cvg =
       (if no_overlap && Array.length nodes > 0 then
@@ -76,7 +76,7 @@ let build ?(grid_size = 10) ?(grid_kind = `Uniform) ?(with_levels = true) doc pr
         else build_entry ~grid ~with_levels doc pred :: acc)
       [] preds
   in
-  { grid; pop = Position_histogram.population doc ~grid; entries = List.rev entries }
+  { grid; pop = Test_util.population doc ~grid; entries = List.rev entries }
 
 (* --- Bit-for-bit agreement through the public accessors -------------- *)
 

@@ -64,6 +64,120 @@ let nested ~depth ~fanout =
   in
   Xmlest.Elem.make "doc" ~children:[ go depth ]
 
+(* --- Element-tree helpers ---------------------------------------------- *)
+
+let rec elem_fold f acc (e : Xmlest.Elem.t) =
+  List.fold_left (elem_fold f) (f acc e) e.children
+
+let rec elem_depth (e : Xmlest.Elem.t) =
+  1 + List.fold_left (fun acc c -> Int.max acc (elem_depth c)) 0 e.children
+
+let elem_count p e = elem_fold (fun acc e -> if p e then acc + 1 else acc) 0 e
+
+let rec elem_equal (a : Xmlest.Elem.t) (b : Xmlest.Elem.t) =
+  String.equal a.tag b.tag
+  && List.equal
+       (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2)
+       a.attrs b.attrs
+  && String.equal a.text b.text
+  && List.equal elem_equal a.children b.children
+
+(* Single line, text cut at 12 characters: for counterexample printers. *)
+let rec pp_elem ppf (e : Xmlest.Elem.t) =
+  let cut s = if String.length s <= 12 then s else String.sub s 0 12 ^ "..." in
+  Format.fprintf ppf "<%s" e.tag;
+  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%S" k v) e.attrs;
+  if e.text = "" && e.children = [] then Format.fprintf ppf "/>"
+  else begin
+    Format.fprintf ppf ">%s" (cut e.text);
+    List.iter (pp_elem ppf) e.children;
+    Format.fprintf ppf "</%s>" e.tag
+  end
+
+(* --- Document helpers -------------------------------------------------- *)
+
+(* Child indices of [v] in document order, read off the subtree ranges. *)
+let children doc v =
+  let last = Xmlest.Document.subtree_last doc v in
+  let rec go acc u =
+    if u > last then List.rev acc
+    else go (u :: acc) (Xmlest.Document.subtree_last doc u + 1)
+  in
+  go [] (v + 1)
+
+let tag_count doc tag = Array.length (Xmlest.Document.nodes_with_tag doc tag)
+
+let pred_count doc p = Array.length (Xmlest.Predicate.matching_nodes doc p)
+
+(* (ancestor, descendant) pairs within [nodes] (sorted by start), from
+   the nearest-ancestor resolver with [nodes] as its only set. *)
+let nesting_pairs doc nodes =
+  let r = Xmlest.Interval_ops.resolver 1 in
+  Array.iter
+    (fun v ->
+      Xmlest.Interval_ops.resolve r
+        ~start_pos:(Xmlest.Document.start_pos doc v)
+        ~end_pos:(Xmlest.Document.end_pos doc v)
+        ~cell:v ~matched:[| 0 |] ~nmatched:1
+        ~on_nearest:(fun _ ~covered:_ ~covering:_ -> ()))
+    nodes;
+  Xmlest.Interval_ops.nesting_pairs r 0
+
+(* --- Position-histogram helpers ---------------------------------------- *)
+
+(* The histogram of every node (the predicate TRUE), one [add] per node. *)
+let population doc ~grid =
+  let h = Xmlest.Position_histogram.create_empty grid in
+  Xmlest.Document.iter doc (fun v ->
+      let i, j =
+        Xmlest.Grid.cell_of_node grid
+          ~start_pos:(Xmlest.Document.start_pos doc v)
+          ~end_pos:(Xmlest.Document.end_pos doc v)
+      in
+      Xmlest.Position_histogram.add h ~i ~j 1.0);
+  h
+
+(* Compatible grids and identical cell counts. *)
+let hist_equal a b =
+  let open Xmlest.Position_histogram in
+  let ia, va = nonzero a and ib, vb = nonzero b in
+  Xmlest.Grid.compatible (grid a) (grid b)
+  && Array.length ia = Array.length ib
+  && Array.for_all2 Int.equal ia ib
+  && Array.for_all2 Float.equal va vb
+
+(* Lemma 1: a non-zero cell [(i, j)] implies zero counts at every [(k, l)]
+   with [i < k <= j < l] or [k < i <= l < j]. *)
+let obeys_lemma1 h =
+  let cells = ref [] in
+  Xmlest.Position_histogram.iter_nonzero h (fun ~i ~j _ -> cells := (i, j) :: !cells);
+  let forbidden (i, j) (k, l) =
+    (i < k && k < j && j < l) || (i < l && l < j && k < i)
+  in
+  List.for_all
+    (fun a -> List.for_all (fun b -> not (forbidden a b)) !cells)
+    !cells
+
+(* --- Updates ----------------------------------------------------------- *)
+
+(* Apply one update to the document alone, in place, with no statistics
+   maintenance: the edited document a fresh build is compared against. *)
+let apply_doc doc (u : Xmlest.Update.t) =
+  match u with
+  | Insert { parent; index; subtree } ->
+    ignore (Xmlest.Document.insert_subtree doc ~parent ~index subtree : int)
+  | Delete { node } -> Xmlest.Document.delete_subtree doc node
+  | Replace_text { node; text } -> Xmlest.Document.replace_text doc node text
+  | Replace_attrs { node; attrs } -> Xmlest.Document.replace_attrs doc node attrs
+
+(* --- Patterns ---------------------------------------------------------- *)
+
+(* [chain [p1; p2; p3]] is the path pattern [p1//p2//p3]. *)
+let rec chain = function
+  | [] -> invalid_arg "Test_util.chain: empty predicate list"
+  | [ p ] -> Xmlest.Pattern.node p
+  | p :: rest -> Xmlest.Pattern.node ~edges:[ (Xmlest.Pattern.Descendant, chain rest) ] p
+
 (* --- Random element trees for property tests ------------------------- *)
 
 let tag_pool = [| "a"; "b"; "c"; "d"; "e" |]
@@ -93,7 +207,7 @@ let elem_gen ?(max_nodes = 60) () st =
 
 let elem_arbitrary ?max_nodes () =
   QCheck.make
-    ~print:(fun e -> Format.asprintf "%a" Xmlest.Elem.pp e)
+    ~print:(fun e -> Format.asprintf "%a" pp_elem e)
     (elem_gen ?max_nodes ())
 
 let doc_gen ?max_nodes () st = Xmlest.Document.of_elem (elem_gen ?max_nodes () st)
@@ -107,7 +221,7 @@ let doc_two_tags_gen ?max_nodes () st =
 let doc_two_tags_arbitrary ?max_nodes () =
   QCheck.make
     ~print:(fun (e, _, t1, t2) ->
-      Format.asprintf "tags (%s, %s) in %a" t1 t2 Xmlest.Elem.pp e)
+      Format.asprintf "tags (%s, %s) in %a" t1 t2 pp_elem e)
     (doc_two_tags_gen ?max_nodes ())
 
 (* Exact pair count by definition (independent of the engine under test). *)

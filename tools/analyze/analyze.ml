@@ -1,12 +1,13 @@
-(* Typedtree analyzer for the project's concurrency and resource
-   invariants (see analyze.mli).
+(* Typedtree analyzer for the project's concurrency, resource and
+   library-surface invariants (see analyze.mli).
 
    Where the Parsetree linter (tools/lint) is deliberately syntactic,
-   this tool is typed: it reads the [.cmt] files dune already emits
-   ([-bin-annot] is always on) and walks the {!Typedtree}, so it can ask
-   questions the linter cannot — "what does this closure capture, and is
-   the capture's type mutable?", "is this channel released on the
-   exception path?".  It shares the linter's finding record, its
+   this tool is typed: it reads the [.cmt]/[.cmti] files dune already
+   emits ([-bin-annot] is always on) and walks the {!Typedtree}, so it
+   can ask questions the linter cannot — "what does this closure
+   capture, and is the capture's type mutable?", "is this channel
+   released on the exception path?", "does anything outside this module
+   name this export?".  It shares the linter's finding record, its
    [(* lint: allow <rule> *)] suppression syntax and its output formats,
    so both tools read as one static-analysis surface. *)
 
@@ -27,6 +28,10 @@ let rules =
     ("resource-leak",
      "channel/temp-file/fd acquisition not released via Fun.protect \
       ~finally and not returned to a documented owner");
+    ("unused-export",
+     "a val of a lib/ interface that no other unit names, or that only \
+      test/ names: delete it, hide it, move it to test/util/ or allowlist \
+      it with a reason");
     ("cmt-error", "a .cmt file could not be read");
   ]
 
@@ -593,19 +598,169 @@ let resource_pass ~report str =
   let iter = { default_iterator with expr; structure_item } in
   iter.structure iter str
 
+(* --- Pass 3: unused-export ---------------------------------------------- *)
+
+(* A unit's part in the program, from the last of these directory names
+   on its source path: [lib/] exports values; [bin/], [bench/], [tools/]
+   and [examples/] call them; [test/] calls them for tests only.  A unit
+   under none of them (a flat fixture) counts as a program. *)
+type part = Library | Program | Example | Test
+
+let part_of file =
+  List.fold_left
+    (fun part seg ->
+      match seg with
+      | "lib" -> Library
+      | "bin" | "bench" | "tools" -> Program
+      | "examples" -> Example
+      | "test" -> Test
+      | _ -> part)
+    Program
+    (String.split_on_char '/' file)
+
+(* A module or value path as segments headed by a compilation unit: a
+   local module alias ([module X = M], [let module X = M]) is replaced by
+   what it abbreviates; any other local head is no cross-unit reference. *)
+let rec unit_path locals = function
+  | Path.Pident id when Ident.persistent id -> Some [ Ident.name id ]
+  | Path.Pident id -> Hashtbl.find_opt locals (unique id)
+  | Path.Pdot (p, s) ->
+    Option.map (fun segs -> segs @ [ s ]) (unit_path locals p)
+  | Path.Papply _ | Path.Pextra_ty _ -> None
+
+(* Rewrite the shortest prefix some unit declares as a module alias until
+   none is left: the facade's [module Hist_catalog =
+   Xmlest_histogram.Catalog], then dune's [module Catalog =
+   Xmlest_histogram__Catalog] in the library's alias unit.  [fuel] bounds
+   an alias cycle. *)
+let expand_aliases aliases segs =
+  let rec go fuel segs k =
+    if k >= List.length segs then segs
+    else
+      let prefix = List.filteri (fun i _ -> i < k) segs in
+      match Hashtbl.find_opt aliases (String.concat "." prefix) with
+      | Some target when fuel > 0 ->
+        go (fuel - 1) (target @ List.filteri (fun i _ -> i >= k) segs) 1
+      | Some _ | None -> go fuel segs (k + 1)
+  in
+  go 32 segs 1
+
+let rec alias_target me =
+  match me.Typedtree.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some p
+  | Typedtree.Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
+(* Top-level module aliases of a unit, keyed "<Unit>.<Module>". *)
+let collect_aliases aliases ~name str =
+  let no_locals = Hashtbl.create 1 in
+  List.iter
+    (fun item ->
+      match item.Typedtree.str_desc with
+      | Typedtree.Tstr_module { mb_id = Some id; mb_expr; _ } -> (
+        match Option.bind (alias_target mb_expr) (unit_path no_locals) with
+        | Some target ->
+          Hashtbl.replace aliases (name ^ "." ^ Ident.name id) target
+        | None -> ())
+      | _ -> ())
+    str.Typedtree.str_items
+
+(* Record every value a unit names, as "<Unit>.<Sub>.<value>" with
+   aliases expanded; [uses] maps it to [true] once a non-test unit names
+   it.  A unit's references to its own values are [Pident]s and never
+   reach the table. *)
+let collect_uses ~aliases ~uses ~from_test str =
+  let locals = Hashtbl.create 8 in
+  let resolve p = Option.map (expand_aliases aliases) (unit_path locals p) in
+  let bind id me =
+    match Option.bind (alias_target me) resolve with
+    | Some segs -> Hashtbl.replace locals (unique id) segs
+    | None -> ()
+  in
+  let use segs =
+    let key = String.concat "." segs in
+    if not (from_test && Hashtbl.mem uses key) then
+      Hashtbl.replace uses key (not from_test)
+  in
+  let open Tast_iterator in
+  let module_binding self mb =
+    Option.iter (fun id -> bind id mb.Typedtree.mb_expr) mb.Typedtree.mb_id;
+    default_iterator.module_binding self mb
+  in
+  let expr self e =
+    (match e.Typedtree.exp_desc with
+    | Typedtree.Texp_ident (p, _, _) -> Option.iter use (resolve p)
+    | Typedtree.Texp_letmodule (Some id, _, _, me, _) -> bind id me
+    | _ -> ());
+    default_iterator.expr self e
+  in
+  let iter = { default_iterator with module_binding; expr } in
+  iter.structure iter str
+
+(* The [val]s of an interface, submodule signatures included, as
+   (segments from the unit, location). *)
+let exports ~name sg =
+  let rec items prefix sg acc =
+    List.fold_left
+      (fun acc item ->
+        match item.Typedtree.sig_desc with
+        | Typedtree.Tsig_value vd ->
+          (prefix @ [ Ident.name vd.Typedtree.val_id ], vd.Typedtree.val_loc)
+          :: acc
+        | Typedtree.Tsig_module
+            {
+              md_id = Some id;
+              md_type = { mty_desc = Typedtree.Tmty_signature sg; _ };
+              _;
+            } ->
+          items (prefix @ [ Ident.name id ]) sg acc
+        | _ -> acc)
+      acc sg.Typedtree.sig_items
+  in
+  List.rev (items [ name ] sg [])
+
+let unused_export_pass ~uses ~report ~name sg =
+  List.iter
+    (fun (segs, loc) ->
+      let shown =
+        match segs with
+        | _ :: inner -> String.concat "." (demangle name :: inner)
+        | [] -> demangle name
+      in
+      match Hashtbl.find_opt uses (String.concat "." segs) with
+      | Some true -> ()
+      | Some false -> report loc "unused-export" (shown ^ ": tests only")
+      | None -> report loc "unused-export" (shown ^ ": no reference"))
+    (exports ~name sg)
+
 (* --- Driver ------------------------------------------------------------ *)
 
+type annots = Impl of Typedtree.structure | Intf of Typedtree.signature
+
 type unit_info = {
-  u_modname : string;
-  u_structure : Typedtree.structure;
+  u_name : string;  (* as compiled: "Xmlest_core__Summary" *)
+  u_modname : string;  (* as the source spells it: "Summary" *)
+  u_part : part;
+  u_annots : annots;
 }
 
 let read_unit path =
   match Cmt_format.read_cmt path with
-  | { Cmt_format.cmt_annots = Cmt_format.Implementation str; cmt_modname; _ }
-    ->
-    Ok (Some { u_modname = demangle cmt_modname; u_structure = str })
-  | _ -> Ok None
+  | { Cmt_format.cmt_annots; cmt_modname; cmt_sourcefile; _ } -> (
+    let unit annots =
+      Ok
+        (Some
+           {
+             u_name = cmt_modname;
+             u_modname = demangle cmt_modname;
+             u_part = part_of (Option.value cmt_sourcefile ~default:path);
+             u_annots = annots;
+           })
+    in
+    match cmt_annots with
+    | Cmt_format.Implementation str -> unit (Impl str)
+    | Cmt_format.Interface sg -> unit (Intf sg)
+    | _ -> Ok None)
   | exception exn ->
     Error
       {
@@ -643,9 +798,18 @@ let allows_for file =
 
 let analyze_units units =
   let table : decl_table = Hashtbl.create 256 in
+  let aliases = Hashtbl.create 64 in
+  let uses = Hashtbl.create 1024 in
+  let impls =
+    List.filter_map
+      (fun u -> match u.u_annots with Impl str -> Some (u, str) | Intf _ -> None)
+      units
+  in
   List.iter
-    (fun u -> collect_decls table ~modname:u.u_modname u.u_structure)
-    units;
+    (fun (u, str) ->
+      collect_decls table ~modname:u.u_modname str;
+      collect_aliases aliases ~name:u.u_name str)
+    impls;
   let out = ref [] in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let report loc rule message =
@@ -660,11 +824,20 @@ let analyze_units units =
     end
   in
   List.iter
+    (fun (u, str) ->
+      collect_uses ~aliases ~uses ~from_test:(u.u_part = Test) str;
+      match u.u_part with
+      | Library | Program ->
+        let defs = collect_defs str in
+        domain_escape_pass ~table ~selfmod:u.u_modname ~defs ~report str;
+        resource_pass ~report str
+      | Example | Test -> ())
+    impls;
+  List.iter
     (fun u ->
-      let defs = collect_defs u.u_structure in
-      domain_escape_pass ~table ~selfmod:u.u_modname ~defs ~report
-        u.u_structure;
-      resource_pass ~report u.u_structure)
+      match (u.u_part, u.u_annots) with
+      | Library, Intf sg -> unused_export_pass ~uses ~report ~name:u.u_name sg
+      | _ -> ())
     units;
   List.sort
     (fun a b ->
@@ -676,15 +849,17 @@ let analyze_units units =
       | c -> c)
     !out
 
-(* Walk directories for [.cmt] files.  Unlike the linter's source walk,
-   dot-directories are not skipped: dune keeps compilation artifacts
-   under [.objs]/[.eobjs]. *)
+(* Walk directories for [.cmt] and [.cmti] files.  Unlike the linter's
+   source walk, dot-directories are not skipped: dune keeps compilation
+   artifacts under [.objs]/[.eobjs]. *)
 let rec collect_cmts path acc =
   if Sys.is_directory path then
     Array.fold_left
       (fun acc entry -> collect_cmts (Filename.concat path entry) acc)
       acc (Sys.readdir path)
-  else if Filename.check_suffix path ".cmt" then path :: acc
+  else if
+    Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti"
+  then path :: acc
   else acc
 
 let analyze_cmt_files cmts =
