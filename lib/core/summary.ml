@@ -423,24 +423,29 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?(with_levels = true)
   let () =
     let oc = open_out_bin spill_path in
     Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-    let rbuf = Bytes.create rec_size in
+    (* Records collect in one block of [block_records], written whole:
+       the blocks [replay_backwards] reads. *)
+    let block = Bytes.create (rec_size * block_records) in
+    let filled = ref 0 in
+    let put k v = Bytes.set_int64_le block (!filled + (8 * k)) (Int64.of_int v) in
     let words = Array.make (Int.max nwords 1) 0 in
     let set_bit u =
       words.(u / mask_bits) <- words.(u / mask_bits) lor (1 lsl (u mod mask_bits))
     in
-    (* Open-element frames; the buffer collects the element's direct
-       character data across child elements, dropping blank runs before
-       the first, and is trimmed at close exactly as Xml_parser trims
-       Elem text. *)
-    let f_tag = ref (Array.make 16 "") in
+    (* Open-element frames: the tag's dispatch id, the attributes and the
+       start position.  Where a predicate reads the element's text, the
+       buffer collects its direct character data across child elements,
+       dropping blank runs before the first, and is trimmed at close
+       exactly as Xml_parser trims Elem text; elsewhere text is skipped. *)
+    let f_id = ref (Array.make 16 0) in
     let f_attrs = ref (Array.make 16 []) in
     let f_start = ref (Array.make 16 0) in
     let f_text = ref (Array.init 16 (fun _ -> Buffer.create 16)) in
     let depth = ref 0 in
     let grow () =
-      let d = Array.length !f_tag in
+      let d = Array.length !f_id in
       let bigger a fill = Array.init (2 * d) (fun k -> if k < d then a.(k) else fill k) in
-      f_tag := bigger !f_tag (fun _ -> "");
+      f_id := bigger !f_id (fun _ -> 0);
       f_attrs := bigger !f_attrs (fun _ -> []);
       f_start := bigger !f_start (fun _ -> 0);
       f_text := bigger !f_text (fun _ -> Buffer.create 16)
@@ -453,15 +458,15 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?(with_levels = true)
       | Some ev ->
         (match ev with
         | Sax.Open { tag; attrs } ->
-          if Int.equal !depth (Array.length !f_tag) then grow ();
-          !f_tag.(!depth) <- tag;
+          if Int.equal !depth (Array.length !f_id) then grow ();
+          !f_id.(!depth) <- Predicate.tag_id disp tag;
           !f_attrs.(!depth) <- attrs;
           !f_start.(!depth) <- !pos;
           Buffer.clear !f_text.(!depth);
           incr pos;
           incr depth
         | Sax.Text s ->
-          if !depth > 0 then begin
+          if !depth > 0 && Predicate.needs_text disp !f_id.(!depth - 1) then begin
             let b = !f_text.(!depth - 1) in
             if not (Int.equal (Buffer.length b) 0 && Sax.is_blank s) then
               Buffer.add_string b s
@@ -470,22 +475,31 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?(with_levels = true)
           if Int.equal !depth 0 then unbalanced "close without a matching open";
           decr depth;
           let d = !depth in
+          let id = !f_id.(d) in
           Array.fill words 0 (Array.length words) 0;
-          Predicate.dispatch_named disp ~tag:!f_tag.(d) ~attrs:!f_attrs.(d)
-            ~text:(Sax.trim_text (Buffer.contents !f_text.(d)))
+          Predicate.dispatch_id disp ~tag:id ~attrs:!f_attrs.(d)
+            ~text:
+              (if Predicate.needs_text disp id then
+                 Sax.trim_text (Buffer.contents !f_text.(d))
+               else "")
             ~level:d ~f:set_bit;
-          Bytes.set_int64_le rbuf 0 (Int64.of_int !f_start.(d));
-          Bytes.set_int64_le rbuf 8 (Int64.of_int !pos);
-          Bytes.set_int64_le rbuf 16 (Int64.of_int d);
+          if Int.equal !filled (Bytes.length block) then begin
+            output oc block 0 !filled;
+            filled := 0
+          end;
+          put 0 !f_start.(d);
+          put 1 !pos;
+          put 2 d;
           for w = 0 to nwords - 1 do
-            Bytes.set_int64_le rbuf (24 + (8 * w)) (Int64.of_int words.(w))
+            put (3 + w) words.(w)
           done;
-          output_bytes oc rbuf;
+          filled := !filled + rec_size;
           incr pos;
           incr n);
         loop ()
     in
-    loop ()
+    loop ();
+    output oc block 0 !filled
   in
   if !n = 0 then failwith "Summary.build_stream: empty event stream";
   let max_pos = !pos - 1 in

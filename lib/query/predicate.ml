@@ -217,14 +217,40 @@ type family = {
 
 type dispatch = {
   lowered : lowered array;
-  tag_id : string -> int option;  (* the source's tag name -> tag id *)
+  ids : int Texts.t;  (* tag name -> id, for the tags the predicates name *)
   per_tag : int array array;  (* tag id -> pinned predicates run as closures *)
   families : family option array;  (* tag id -> its text-equality family *)
   unpinned : int array;  (* indices of predicates with no pinned tag *)
+  needs_text : bool array;  (* tag id -> some predicate run there reads text *)
+  unpinned_text : bool;  (* some unpinned predicate reads text *)
   mutable evals : int;
 }
 
+let rec tag_names p acc =
+  match p with
+  | Tag t -> t :: acc
+  | And (a, b) | Or (a, b) -> tag_names a (tag_names b acc)
+  | Not a -> tag_names a acc
+  | True | Text_eq _ | Text_prefix _ | Text_suffix _ | Text_contains _ | Attr_eq _
+  | Level_eq _ ->
+    acc
+
+let rec reads_text = function
+  | Text_eq _ | Text_prefix _ | Text_suffix _ | Text_contains _ -> true
+  | True | Tag _ | Attr_eq _ | Level_eq _ -> false
+  | And (a, b) | Or (a, b) -> reads_text a || reads_text b
+  | Not a -> reads_text a
+
+(* [tag_id] is asked once per tag name the predicates mention. *)
 let make_dispatch ~tag_id preds =
+  let ids = Texts.create 16 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun t -> if not (Texts.mem ids t) then Option.iter (Texts.replace ids t) (tag_id t))
+        (tag_names p []))
+    preds;
+  let tag_id = Texts.find_opt ids in
   let preds = Array.of_list preds in
   let pins = Array.map (pin ~tag_id) preds in
   let num_tags =
@@ -264,46 +290,48 @@ let make_dispatch ~tag_id preds =
       Some { members = members.(id); hits = tbl }
     end
   in
+  let unpinned_text = List.exists (fun k -> reads_text preds.(k)) !unpinned in
   {
     lowered = Array.map (lower ~tag_id) preds;
-    tag_id;
+    ids;
     per_tag = Array.map (fun l -> Array.of_list (List.rev l)) per_tag;
     families = Array.init num_tags family;
     unpinned = Array.of_list (List.rev !unpinned);
+    needs_text =
+      Array.init num_tags (fun id ->
+          unpinned_text || members.(id) > 0
+          || List.exists (fun k -> reads_text preds.(k)) per_tag.(id));
+    unpinned_text;
     evals = 0;
   }
 
 let dispatch doc preds = make_dispatch ~tag_id:(Document.lookup_tag_id doc) preds
 
-(* Without a document, tag ids are interned from the predicates' own tag
-   names: a tag no predicate names has no id, so only the unpinned
-   predicates run on it. *)
+(* Without a document, tag ids are numbered from the tag names the
+   predicates mention: a tag no predicate names has no id, so only the
+   unpinned predicates run on it. *)
 let dispatch_detached preds =
-  let names = Hashtbl.create 16 in
-  let rec intern p =
-    match p with
-    | Tag t ->
-      if not (Hashtbl.mem names t) then Hashtbl.add names t (Hashtbl.length names)
-    | And (a, b) | Or (a, b) ->
-      intern a;
-      intern b
-    | Not a -> intern a
-    | True | Text_eq _ | Text_prefix _ | Text_suffix _ | Text_contains _
-    | Attr_eq _ | Level_eq _ ->
-      ()
-  in
-  List.iter intern preds;
-  make_dispatch ~tag_id:(Hashtbl.find_opt names) preds
+  let next = ref 0 in
+  make_dispatch preds ~tag_id:(fun _ ->
+      let id = !next in
+      incr next;
+      Some id)
 
-let dispatch_parts d ~tag ~attrs ~text ~level ~f =
-  let run k =
-    d.evals <- d.evals + 1;
-    if d.lowered.(k) ~tag ~attrs ~text ~level then f k
-  in
+let tag_id d name = match Texts.find_opt d.ids name with Some id -> id | None -> -1
+
+let needs_text d tag =
+  if tag >= 0 && tag < Array.length d.needs_text then Array.unsafe_get d.needs_text tag
+  else d.unpinned_text
+
+let run d k ~tag ~attrs ~text ~level ~f =
+  d.evals <- d.evals + 1;
+  if d.lowered.(k) ~tag ~attrs ~text ~level then f k
+
+let dispatch_id d ~tag ~attrs ~text ~level ~f =
   if tag >= 0 && tag < Array.length d.per_tag then begin
     let pinned = d.per_tag.(tag) in
     for idx = 0 to Array.length pinned - 1 do
-      run pinned.(idx)
+      run d pinned.(idx) ~tag ~attrs ~text ~level ~f
     done;
     match d.families.(tag) with
     | None -> ()
@@ -315,16 +343,12 @@ let dispatch_parts d ~tag ~attrs ~text ~level ~f =
       | None -> ())
   end;
   for idx = 0 to Array.length d.unpinned - 1 do
-    run d.unpinned.(idx)
+    run d d.unpinned.(idx) ~tag ~attrs ~text ~level ~f
   done
 
 let dispatch_node d doc v ~f =
-  dispatch_parts d ~tag:(Document.tag_id doc v) ~attrs:(Document.attrs doc v)
+  dispatch_id d ~tag:(Document.tag_id doc v) ~attrs:(Document.attrs doc v)
     ~text:(Document.text doc v) ~level:(Document.level doc v) ~f
-
-let dispatch_named d ~tag ~attrs ~text ~level ~f =
-  let tag = match d.tag_id tag with Some id -> id | None -> -1 in
-  dispatch_parts d ~tag ~attrs ~text ~level ~f
 
 let dispatch_evals d = d.evals
 

@@ -85,9 +85,12 @@ val target : Document.t -> t -> [ `Any | `Tag of int | `Nothing ]
     them — the per-year predicates and their decade {!any_of}s) form the
     tag's family: one hash probe with the node's text finds every member
     it satisfies.  The others run their compiled closure.  This is the
-    inner loop of both summary constructions: the fused sweep resolves
-    the bucket by the document's tag id, the streamed build by one hash
-    lookup of the tag name per close event. *)
+    inner loop of both summary constructions: the fused sweep dispatches
+    by the document's tag id, the streamed build resolves an element's
+    tag name to its id once, with {!tag_id}, at the element's open event.
+    The table also knows, per id, whether any predicate decided there
+    reads the node's text ({!needs_text}), so a streamed source assembles
+    text only for the elements whose predicates read it. *)
 
 type dispatch
 
@@ -104,25 +107,36 @@ val dispatch_node :
     in ascending index order, then unpinned predicates in input order. *)
 
 val dispatch_detached : t list -> dispatch
-(** A document-free table: tag ids are interned from the tag names the
+(** A document-free table: tag ids are numbered from the tag names the
     predicates mention.  For sources that see nodes as parts only. *)
 
-val dispatch_named :
+val tag_id : dispatch -> string -> int
+(** The id a node of this tag name is dispatched by: one lookup in a
+    table of the tag names the predicates mention, [-1] for any other
+    name (only unpinned predicates run on such a node). *)
+
+val needs_text : dispatch -> int -> bool
+(** [needs_text d id]: some predicate that {!dispatch_id} decides on a
+    node of tag id [id] reads the node's text — a pinned one, its tag's
+    family, or an unpinned one.  When [false], the [text] passed to
+    {!dispatch_id} for such a node is never read. *)
+
+val dispatch_id :
   dispatch ->
-  tag:string ->
+  tag:int ->
   attrs:(string * string) list ->
   text:string ->
   level:int ->
   f:(int -> unit) ->
   unit
-(** {!dispatch_node} over a node given by its parts — tag name,
-    attributes, trimmed character data, level — as a SAX close event
-    carries them; decides exactly as {!eval} on the materialized node.
-    Works on tables from {!dispatch} and {!dispatch_detached} alike. *)
+(** {!dispatch_node} over a node given by its parts — tag id (from
+    {!tag_id}, or the document's), attributes, trimmed character data,
+    level — as a SAX source carries them; decides exactly as {!eval} on
+    the materialized node.  Allocates no closure. *)
 
 val dispatch_evals : dispatch -> int
 (** (node, predicate) decisions made by {!dispatch_node} and
-    {!dispatch_named} since the table was built — the builds' eval
+    {!dispatch_id} since the table was built — the builds' eval
     counter.  A family probe counts one decision per family member, so
     the count is that of running every relevant predicate's closure. *)
 

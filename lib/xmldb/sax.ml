@@ -8,7 +8,13 @@
    sections are found by a tight loop over the buffer and then copied out
    (or skipped) in one piece.  Line and column are not tracked per byte:
    [sync] counts the newlines of the consumed span when an error needs a
-   position, and before a refill discards consumed bytes. *)
+   position, and before a refill discards consumed bytes.
+
+   Names are interned: a name is hashed straight from the buffer and
+   looked up in a per-parser table, so a repeated tag or attribute name
+   costs no string.  The table holds at most [intern_cap] names of at
+   most [intern_max_len] bytes; any other name is copied out as it comes,
+   so the table's memory stays bounded whatever the document. *)
 
 type error = { line : int; column : int; message : string }
 
@@ -22,6 +28,9 @@ type event =
   | Text of string
   | Close
 
+let intern_cap = 4096 (* names a parser interns *)
+let intern_max_len = 256 (* bytes of the longest name it interns *)
+
 (* Byte source with a small lookahead window ([ensure]).  [refill = None]
    means the buffer already holds the whole input (of_string), and is
    then never written. *)
@@ -34,6 +43,8 @@ type reader = {
   mutable synced : int;  (* [line] and [col] are those of [buf.[synced]] *)
   mutable line : int;
   mutable col : int;
+  mutable names : string array;  (* open addressing, "" = empty slot *)
+  mutable interned : int;
 }
 
 let reader_of_string s =
@@ -46,6 +57,8 @@ let reader_of_string s =
     synced = 0;
     line = 1;
     col = 1;
+    names = Array.make 64 "";
+    interned = 0;
   }
 
 let reader_of_channel ic =
@@ -58,21 +71,30 @@ let reader_of_channel ic =
     synced = 0;
     line = 1;
     col = 1;
+    names = Array.make 64 "";
+    interned = 0;
   }
 
-(* Bring [line] and [col] up to [rpos]. *)
+(* Bring [line] and [col] up to [rpos]: count the span's newlines and
+   note the last, so the loop touches no record field. *)
 let sync r =
+  let lines = ref 0 and last = ref (-1) in
   for i = r.synced to r.rpos - 1 do
     if Char.equal (Bytes.unsafe_get r.buf i) '\n' then begin
-      r.line <- r.line + 1;
-      r.col <- 1
+      incr lines;
+      last := i
     end
-    else r.col <- r.col + 1
   done;
+  if !lines > 0 then begin
+    r.line <- r.line + !lines;
+    r.col <- r.rpos - !last
+  end
+  else r.col <- r.col + (r.rpos - r.synced);
   r.synced <- r.rpos
 
 (* Make at least [n] bytes (or everything up to end of input) available at
-   [rpos]; [n] never exceeds 13, far below the buffer size. *)
+   [rpos]; [n] never exceeds [intern_max_len + 1], far below the buffer
+   size. *)
 let ensure r n =
   if r.rlen - r.rpos < n && not r.drained then begin
     match r.refill with
@@ -171,13 +193,16 @@ let rec scan_name buf i lim =
 let rec scan_ws buf i lim =
   if i < lim && is_ws (Bytes.unsafe_get buf i) then scan_ws buf (i + 1) lim else i
 
-let rec scan_attr quote buf i lim =
-  if
-    i < lim
-    &&
-    let ch = Bytes.unsafe_get buf i in
-    not (Char.equal ch quote || Char.equal ch '&')
-  then scan_attr quote buf (i + 1) lim
+(* One scanner per quote character, so an attribute value takes no
+   partial application. *)
+let rec scan_attr_dq buf i lim =
+  if i < lim && match Bytes.unsafe_get buf i with '"' | '&' -> false | _ -> true
+  then scan_attr_dq buf (i + 1) lim
+  else i
+
+let rec scan_attr_sq buf i lim =
+  if i < lim && match Bytes.unsafe_get buf i with '\'' | '&' -> false | _ -> true
+  then scan_attr_sq buf (i + 1) lim
   else i
 
 let rec scan_to ch buf i lim =
@@ -233,10 +258,97 @@ let skip_until r s =
   in
   go ()
 
+(* --- Interned names ------------------------------------------------------ *)
+
+(* [names] is an open-addressing table with linear probing, kept at most
+   half full: it starts at 64 slots and doubles up to [2 * intern_cap]. *)
+
+let hash_name b i n =
+  let h = ref 0 in
+  for k = i to i + n - 1 do
+    h := (!h * 31) + Char.code (Bytes.unsafe_get b k)
+  done;
+  !h lxor (!h lsr 17)
+
+(* [s] is the [n] bytes of [b] at [i]; [i + n <= Bytes.length b]. *)
+let same_name s b i n =
+  Int.equal (String.length s) n
+  &&
+  let k = ref 0 in
+  while !k < n && Char.equal (String.unsafe_get s !k) (Bytes.unsafe_get b (i + !k)) do
+    incr k
+  done;
+  Int.equal !k n
+
+(* The slot holding the name [b.[i .. i+n-1]], or the empty one where it
+   would go; names are never empty, so [""] marks an empty slot. *)
+let rec probe names b i n slot =
+  let s = Array.unsafe_get names slot in
+  if Int.equal (String.length s) 0 || same_name s b i n then slot
+  else probe names b i n ((slot + 1) land (Array.length names - 1))
+
+let slot_of names b i n = probe names b i n (hash_name b i n land (Array.length names - 1))
+
+let grow_names r =
+  let names = Array.make (2 * Array.length r.names) "" in
+  Array.iter
+    (fun s ->
+      let b = Bytes.unsafe_of_string s and n = String.length s in
+      if n > 0 then names.(slot_of names b 0 n) <- s)
+    r.names;
+  r.names <- names
+
+(* The name [b.[i .. i+n-1]]: the interned string when the table has it,
+   a fresh copy otherwise, kept in the table while it has room. *)
+let intern r b i n =
+  if n > intern_max_len then Bytes.sub_string b i n
+  else begin
+    let slot = slot_of r.names b i n in
+    let s = Array.unsafe_get r.names slot in
+    if String.length s > 0 then s
+    else begin
+      let s = Bytes.sub_string b i n in
+      if r.interned < intern_cap then begin
+        r.names.(slot) <- s;
+        r.interned <- r.interned + 1;
+        if 2 * r.interned >= Array.length r.names && r.interned < intern_cap then
+          grow_names r
+      end;
+      s
+    end
+  end
+
 let parse_name r =
   let ch = peek r in
   if not (is_name_start ch) then fail r (Printf.sprintf "expected a name, found %C" ch);
-  take r scan_name
+  let stop = scan_name r.buf r.rpos r.rlen in
+  if stop < r.rlen || r.drained then begin
+    let s = intern r r.buf r.rpos (stop - r.rpos) in
+    r.rpos <- stop;
+    s
+  end
+  else begin
+    (* the name runs into the refill edge *)
+    let s = take r scan_name in
+    intern r (Bytes.unsafe_of_string s) 0 (String.length s)
+  end
+
+(* Consume the name [s] if the input holds it next as a whole name,
+   compared in place; [false], consuming nothing, otherwise. *)
+let eat_name r s =
+  let n = String.length s in
+  n <= intern_max_len
+  && begin
+       ensure r (n + 1);
+       let avail = r.rlen - r.rpos in
+       (Int.equal avail n
+       || (avail > n && not (is_name_char (Bytes.unsafe_get r.buf (r.rpos + n)))))
+       && same_name s r.buf r.rpos n
+       && begin
+            r.rpos <- r.rpos + n;
+            true
+          end
+     end
 
 (* --- Entities ------------------------------------------------------------ *)
 
@@ -313,49 +425,47 @@ let parse_entity r =
 
 (* --- Markup ---------------------------------------------------------------- *)
 
+(* Past the value's closing [quote]: [true]; at a '&': [false]. *)
+let attr_closed r quote =
+  if eof r then fail r "unterminated attribute value"
+  else if Char.equal (peek r) quote then begin
+    advance r;
+    true
+  end
+  else false
+
+(* The rest of a value from a '&' on, into [b]. *)
+let rec attr_value_rest r quote scan b =
+  advance r;
+  Buffer.add_string b (parse_entity r);
+  take_into r scan b;
+  if not (attr_closed r quote) then attr_value_rest r quote scan b
+
 let parse_attr_value r =
   let quote = peek r in
   if quote <> '"' && quote <> '\'' then fail r "expected quoted attribute value";
   advance r;
-  let scan = scan_attr quote in
-  let closed () =
-    if eof r then fail r "unterminated attribute value"
-    else if Char.equal (peek r) quote then begin
-      advance r;
-      true
-    end
-    else false
-  in
+  let scan = if Char.equal quote '"' then scan_attr_dq else scan_attr_sq in
   let first = take r scan in
-  if closed () then first
+  if attr_closed r quote then first
   else begin
     let b = Buffer.create (String.length first + 16) in
     Buffer.add_string b first;
-    let rec go () =
-      (* at '&' *)
-      advance r;
-      Buffer.add_string b (parse_entity r);
-      take_into r scan b;
-      if not (closed ()) then go ()
-    in
-    go ();
+    attr_value_rest r quote scan b;
     Buffer.contents b
   end
 
-let parse_attrs r =
-  let rec go acc =
+let rec parse_attrs r acc =
+  skip_ws r;
+  if is_name_start (peek r) then begin
+    let name = parse_name r in
     skip_ws r;
-    if is_name_start (peek r) then begin
-      let name = parse_name r in
-      skip_ws r;
-      expect r '=';
-      skip_ws r;
-      let value = parse_attr_value r in
-      go ((name, value) :: acc)
-    end
-    else List.rev acc
-  in
-  go []
+    expect r '=';
+    skip_ws r;
+    let value = parse_attr_value r in
+    parse_attrs r ((name, value) :: acc)
+  end
+  else List.rev acc
 
 let is_blank s =
   let n = String.length s in
@@ -423,7 +533,9 @@ let cdata_into r b =
   in
   go ()
 
-let at_cdata r = looking_at r "<![CDATA["
+(* At "<![CDATA["; the second byte is tested first, as markup inside
+   text is mostly a tag. *)
+let at_cdata r = Char.equal (peek2 r) '!' && looking_at r "<![CDATA["
 
 (* One contiguous run of character data: raw text, entity references and
    CDATA sections, ended by other markup or end of input.  Comments and
@@ -443,7 +555,8 @@ let parse_text_run r =
           Buffer.add_string b (parse_entity r);
           go ()
         | '<' ->
-          if eat r "<![CDATA[" then begin
+          if at_cdata r then begin
+            r.rpos <- r.rpos + 9;
             cdata_into r b;
             go ()
           end
@@ -472,9 +585,9 @@ let parse_open t =
   let r = t.r in
   expect r '<';
   let tag = parse_name r in
-  let attrs = parse_attrs r in
+  let attrs = parse_attrs r [] in
   skip_ws r;
-  if eat r "/>" then t.pending <- true else expect r '>';
+  if Char.equal (peek r) '/' && eat r "/>" then t.pending <- true else expect r '>';
   t.stack <- tag :: t.stack;
   t.state <- `Content;
   Some (Open { tag; attrs })
@@ -517,9 +630,11 @@ and next t =
         | '/' ->
           r.rpos <- r.rpos + 2;
           skip_ws r;
-          let close = parse_name r in
-          if not (String.equal close top) then
-            fail r (Printf.sprintf "mismatched tags: <%s> closed by </%s>" top close);
+          if not (eat_name r top) then begin
+            let close = parse_name r in
+            if not (String.equal close top) then
+              fail r (Printf.sprintf "mismatched tags: <%s> closed by </%s>" top close)
+          end;
           skip_ws r;
           expect r '>';
           close_element t

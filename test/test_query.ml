@@ -314,8 +314,11 @@ let test_dispatch_matches_eval () =
   for v = 0 to Xmlest.Document.size doc - 1 do
     let got = ref [] and named = ref [] in
     dispatch_node d doc v ~f:(fun k -> got := k :: !got);
-    dispatch_named detached ~tag:(Xmlest.Document.tag doc v)
-      ~attrs:(Xmlest.Document.attrs doc v) ~text:(Xmlest.Document.text doc v)
+    (* by name, as the streamed build dispatches: a node whose
+       predicates read no text is given text no predicate could match *)
+    let id = tag_id detached (Xmlest.Document.tag doc v) in
+    dispatch_id detached ~tag:id ~attrs:(Xmlest.Document.attrs doc v)
+      ~text:(if needs_text detached id then Xmlest.Document.text doc v else "\000unread")
       ~level:(Xmlest.Document.level doc v)
       ~f:(fun k -> named := k :: !named);
     check
@@ -352,6 +355,48 @@ let test_dispatch_matches_eval () =
   Alcotest.(check bool)
     "dispatch skips irrelevant predicates" true
     (dispatch_evals d < Xmlest.Document.size doc * List.length preds)
+
+(* The id path reads a node's text only where a predicate decided there
+   reads it: a pinned one, the tag's family or an unpinned one. *)
+let test_dispatch_needs_text () =
+  let doc = sample () in
+  let open Xmlest.Predicate in
+  let textless = [ Tag "book"; Not (Tag "paper"); Attr_eq ("year", "1999"); Level_eq 2 ] in
+  let pinned_text = [ text_prefix ~tag:"cite" "conf"; text_eq ~tag:"title" "Trees" ] in
+  let needs preds name =
+    let d = dispatch_detached preds in
+    needs_text d (tag_id d name)
+  in
+  List.iter
+    (fun (preds, expected) ->
+      List.iter
+        (fun (name, want) -> check Alcotest.bool ("needs text: " ^ name) want (needs preds name))
+        (List.combine [ "lib"; "book"; "title"; "cite"; "paper"; "nosuch" ] expected))
+    [
+      (textless, [ false; false; false; false; false; false ]);
+      (textless @ pinned_text, [ false; false; true; true; false; false ]);
+      (textless @ pinned_text @ [ Text_contains "Q" ], [ true; true; true; true; true; true ]);
+    ];
+  (* unknown names share id -1; named tags get distinct ids *)
+  let d = dispatch_detached (textless @ pinned_text) in
+  check Alcotest.int "unknown tag" (-1) (tag_id d "nosuch");
+  Alcotest.(check bool) "distinct ids" true (tag_id d "book" <> tag_id d "paper");
+  (* and decides as eval when unread text is withheld *)
+  let preds = textless @ pinned_text in
+  let arr = Array.of_list preds in
+  for v = 0 to Xmlest.Document.size doc - 1 do
+    let id = tag_id d (Xmlest.Document.tag doc v) in
+    let got = ref [] in
+    dispatch_id d ~tag:id ~attrs:(Xmlest.Document.attrs doc v)
+      ~text:(if needs_text d id then Xmlest.Document.text doc v else "\000unread")
+      ~level:(Xmlest.Document.level doc v)
+      ~f:(fun k -> got := k :: !got);
+    check
+      Alcotest.(list int)
+      ("matches @ node " ^ string_of_int v)
+      (List.filter (fun k -> eval arr.(k) doc v) (List.init (Array.length arr) Fun.id))
+      (List.sort Stdlib.compare !got)
+  done
 
 let test_target () =
   let doc = sample () in
@@ -652,6 +697,7 @@ let () =
             test_compile_on_sample;
           qcheck prop_compile_equals_eval;
           Alcotest.test_case "dispatch = eval" `Quick test_dispatch_matches_eval;
+          Alcotest.test_case "dispatch reads text only where needed" `Quick test_dispatch_needs_text;
           Alcotest.test_case "target classification" `Quick test_target;
         ] );
       ( "pattern",
