@@ -243,7 +243,9 @@ let rec skip r scan =
     if r.rpos < r.rlen then skip r scan
   end
 
-let skip_ws r = skip r scan_ws
+(* Mostly there is no whitespace to skip: test the first byte inline. *)
+let skip_ws r =
+  if r.rpos >= r.rlen || is_ws (Bytes.unsafe_get r.buf r.rpos) then skip r scan_ws
 
 (* Skip past the terminator [s], inclusive: comments and PIs. *)
 let skip_until r s =
