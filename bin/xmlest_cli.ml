@@ -18,17 +18,15 @@ let read_document path =
     Format.eprintf "%a@." Xmlest.Xml_parser.pp_error e;
     exit 1
 
-(* Default predicate set for a document: one tag predicate per distinct
-   element tag. *)
-let tag_predicates doc =
-  List.map Xmlest.Predicate.tag (Xmlest.Document.distinct_tags doc)
-
-let parse_query q =
+let parse_anchored q =
   match Xmlest.Pattern_parser.parse q with
-  | Ok parsed -> parsed.Xmlest.Pattern_parser.root
+  | Ok parsed -> parsed
   | Error msg ->
     Format.eprintf "%s@." msg;
     exit 1
+
+(* The estimators do not model a leading '/': they read it as '//'. *)
+let parse_query q = (parse_anchored q).Xmlest.Pattern_parser.root
 
 (* --- generate ---------------------------------------------------------- *)
 
@@ -124,7 +122,7 @@ let build_summary ?(domains = 1) doc ~grid ~equidepth ~content preds =
 
 (* Streamed predicate discovery: one SAX pass over the file collecting
    the distinct element tags, so the out-of-core build never needs the
-   materialized document that [tag_predicates] reads. *)
+   materialized document that [Predicate.tag_predicates] reads. *)
 let streamed_tag_predicates file =
   let ic = open_in file in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
@@ -193,7 +191,7 @@ let build_summary_cmd =
         let doc = read_document file in
         let domains = resolve_domains domains in
         build_summary ~domains doc ~grid ~equidepth ~content
-          (tag_predicates doc)
+          (Xmlest.Predicate.tag_predicates doc)
       end
     in
     Xmlest.Summary.save_store summary output;
@@ -234,7 +232,10 @@ let estimate_cmd =
   in
   let exact =
     Arg.(value & flag & info [ "exact" ]
-           ~doc:"Also compute the exact answer size and the ratio.")
+           ~doc:"Also compute the exact answer size and the ratio.  The \
+                 exact count honours a leading '/' (the pattern root is \
+                 the document element); the estimate does not model the \
+                 anchor and reads '/a' as '//a'.")
   in
   let no_coverage =
     Arg.(value & flag & info [ "no-coverage" ]
@@ -253,7 +254,8 @@ let estimate_cmd =
   in
   let estimate file from_store query grid equidepth domains exact no_coverage
       explain check =
-    let pattern = parse_query query in
+    let parsed = parse_anchored query in
+    let pattern = parsed.Xmlest.Pattern_parser.root in
     let summary, doc =
       if from_store then begin
         match Xmlest.Summary.load_store file with
@@ -266,7 +268,7 @@ let estimate_cmd =
         let doc = read_document file in
         ( build_summary
             ~domains:(resolve_domains domains)
-            doc ~grid ~equidepth ~content:false (tag_predicates doc),
+            doc ~grid ~equidepth ~content:false (Xmlest.Predicate.tag_predicates doc),
           Some doc )
       end
     in
@@ -305,7 +307,7 @@ let estimate_cmd =
         (Xmlest.Summary.grid summary).Xmlest.Grid.size;
     match (exact, doc) with
     | true, Some doc ->
-      let real = Xmlest.Twig_count.count doc pattern in
+      let real = Xmlest.Twig_count.count_query doc parsed in
       Printf.printf "exact:    %d\n" real;
       if real > 0 then Printf.printf "ratio:    %.3f\n" (est /. float_of_int real)
     | true, None ->
@@ -351,7 +353,9 @@ let plan_cmd =
   let run file query grid actual =
     let doc = read_document file in
     let pattern = parse_query query in
-    let summary = Xmlest.Summary.build ~grid_size:grid doc (tag_predicates doc) in
+    let summary =
+      Xmlest.Summary.build ~grid_size:grid doc (Xmlest.Predicate.tag_predicates doc)
+    in
     let ranked = Xmlest.Optimizer.rank (Xmlest.Summary.catalog summary) pattern in
     if ranked = [] then begin
       Printf.eprintf "query has no join plans (single-node pattern?)\n";
@@ -399,7 +403,7 @@ let query_cmd =
       else begin
         let summary =
           Xmlest.Summary.build ~grid_size:grid ~with_levels:false doc
-            (tag_predicates doc)
+            (Xmlest.Predicate.tag_predicates doc)
         in
         (Xmlest.Optimizer.best (Xmlest.Summary.catalog summary) pattern)
           .Xmlest.Optimizer.plan
@@ -501,7 +505,7 @@ let apply_updates_cmd =
     let summary =
       build_summary
         ~domains:(resolve_domains domains)
-        doc ~grid ~equidepth ~content:false (tag_predicates doc)
+        doc ~grid ~equidepth ~content:false (Xmlest.Predicate.tag_predicates doc)
     in
     let ups = read_updates updates_file in
     (try Xmlest.Summary.apply ~policy summary ups with

@@ -25,9 +25,11 @@ let help =
       "                                 predicates (0 = recommended count;";
       "                                 bit-identical to the sequential build)";
       "  estimate <query>               estimate a twig query's answer size";
+      "                                 (a leading '/' is estimated as '//')";
       "  check <query>                  static analysis of a query against the summary";
       "  explain <query>                estimate with a join-by-join trace";
-      "  exact <query>                  exact answer size (counting engine)";
+      "  exact <query>                  exact answer size (counting engine;";
+      "                                 a leading '/' matches the root only)";
       "  plan <query>                   rank join orders by estimated cost";
       "  run <query> [limit]            execute the best plan, show matches";
       "  hist <tag>                     ASCII heatmap of a tag's position histogram";
@@ -45,8 +47,6 @@ let help =
       "commands may be prefixed with ':' (e.g. ':catalog stats')";
     ]
 
-let tag_predicates doc = List.map Predicate.tag (Document.distinct_tags doc)
-
 (* All commands funnel through these accessors so missing-state errors are
    uniform. *)
 exception Reply of string
@@ -63,10 +63,13 @@ let need_summary state =
   | Some s -> s
   | None -> reply "error: no summary built (use 'summarize' or 'load-summary')"
 
-let parse_pattern q =
+let parse_query q =
   match Pattern_parser.parse q with
-  | Ok parsed -> parsed.Pattern_parser.root
+  | Ok parsed -> parsed
   | Error msg -> reply "error: %s" msg
+
+(* The estimators do not model a leading '/': they read it as '//'. *)
+let parse_pattern q = (parse_query q).Pattern_parser.root
 
 let set_document state doc =
   state.doc <- Some doc;
@@ -99,7 +102,7 @@ let cmd_summarize state args =
   let grid_kind = if List.mem "equidepth" args then `Equidepth else `Uniform in
   let summary =
     Summary.build ~grid_size ~grid_kind ~domains:state.domains doc
-      (tag_predicates doc)
+      (Predicate.tag_predicates doc)
   in
   state.summary <- Some summary;
   Printf.sprintf "summary: %d predicates, %d bytes (grid %d%s%s)"
@@ -155,7 +158,7 @@ let cmd_explain state q =
 
 let cmd_exact state q =
   let doc = need_doc state in
-  Printf.sprintf "%d matches" (Twig_count.count doc (parse_pattern q))
+  Printf.sprintf "%d matches" (Twig_count.count_query doc (parse_query q))
 
 let cmd_plan state q =
   let summary = need_summary state in

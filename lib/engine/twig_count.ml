@@ -43,3 +43,9 @@ let match_counts doc pattern =
   counts pattern
 
 let count doc pattern = Array.fold_left ( + ) 0 (match_counts doc pattern)
+
+(* The document element is node 0, which no edit removes. *)
+let count_query doc (q : Pattern_parser.query) =
+  match q.anchor with
+  | Pattern.Descendant -> count doc q.root
+  | Pattern.Child -> (match_counts doc q.root).(0)

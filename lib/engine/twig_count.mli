@@ -18,3 +18,8 @@ open Xmlest_query
 
 val count : Document.t -> Pattern.t -> int
 (** Number of matches with the pattern root mapped to any document node. *)
+
+val count_query : Document.t -> Pattern_parser.query -> int
+(** Number of matches of a parsed query: {!count} for a leading [//]; for
+    a leading [/], only those that map the pattern root to the document
+    element. *)

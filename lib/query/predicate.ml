@@ -395,6 +395,8 @@ let tag t = Tag t
 let text_prefix ~tag p = And (Tag tag, Text_prefix p)
 let text_eq ~tag v = And (Tag tag, Text_eq v)
 
+let tag_predicates doc = List.map tag (Document.distinct_tags doc)
+
 let any_of = function
   | [] -> invalid_arg "Predicate.any_of: empty list"
   | p :: ps -> List.fold_left (fun acc q -> Or (acc, q)) p ps

@@ -178,6 +178,11 @@ val text_prefix : tag:string -> string -> t
 val text_eq : tag:string -> string -> t
 (** [Tag tag && Text_eq v] — the paper's per-year predicates. *)
 
+val tag_predicates : Document.t -> t list
+(** One [Tag] predicate per distinct element tag of the document, in
+    {!Document.distinct_tags} order: the default predicate set of the CLI
+    and the shell. *)
+
 val any_of : t list -> t
 (** Disjunction of a non-empty list — the paper's compound decade
     predicates (e.g. 1990's = year=1990 ∨ ... ∨ year=1999). *)

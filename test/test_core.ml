@@ -1366,6 +1366,25 @@ let test_cli_generate_checks_scale () =
   check Alcotest.int ("a positive scale still generates: " ^ msg) 0 code;
   Sys.remove path
 
+(* Exact counts honour a query's leading '/': on staff data the root is
+   the one manager that is the document element. *)
+let anchored_counts = [ ("/manager", 1); ("/department", 0); ("//manager", 39) ]
+
+let test_cli_exact_anchor () =
+  let path = Filename.temp_file "xmlest_staff" ".xml" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let code, _, err = run_cli [ "generate"; "staff"; "-o"; path ] in
+  check Alcotest.int ("generate: " ^ err) 0 code;
+  List.iter
+    (fun (q, n) ->
+      let code, out, err = run_cli [ "estimate"; "--exact"; path; q ] in
+      check Alcotest.int ("estimate --exact " ^ q ^ ": " ^ err) 0 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: exact %d in %S" q n out)
+        true
+        (Test_util.contains_substring out (Printf.sprintf "exact:    %d\n" n)))
+    anchored_counts
+
 let dblp_store_summary () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
   Xmlest.Summary.build doc
@@ -1478,6 +1497,15 @@ let test_repl_session () =
   Alcotest.(check bool) "exact" true (contains "matches" (run "exact //manager//employee"));
   Alcotest.(check bool) "plan" true (contains "est. cost" (run "plan //manager//employee"));
   Alcotest.(check bool) "run" true (contains "matches" (run "run //manager//employee 2"))
+
+let test_repl_exact_anchor () =
+  let state = Xmlest.Repl.create () in
+  let run cmd = Xmlest.Repl.execute state cmd in
+  ignore (run "gen staff");
+  List.iter
+    (fun (q, n) ->
+      check Alcotest.string ("exact " ^ q) (Printf.sprintf "%d matches" n) (run ("exact " ^ q)))
+    anchored_counts
 
 let test_repl_roundtrip_summary () =
   let state = Xmlest.Repl.create () in
@@ -1791,11 +1819,14 @@ let () =
           Alcotest.test_case "set domains" `Quick test_repl_set_domains;
           Alcotest.test_case "hist command" `Quick test_repl_hist_command;
           Alcotest.test_case "catalog commands" `Quick test_repl_catalog_commands;
+          Alcotest.test_case "exact honours the anchor" `Quick test_repl_exact_anchor;
         ] );
       ( "cli",
         [
           Alcotest.test_case "generate checks its scale" `Quick
             test_cli_generate_checks_scale;
+          Alcotest.test_case "estimate --exact honours the anchor" `Quick
+            test_cli_exact_anchor;
         ] );
       ( "static_analysis",
         [
