@@ -444,8 +444,9 @@ let prop_stream_equals_build =
 
 (* Random XML, indented or not, whose elements mix padded character data
    with child elements: an element's text arrives as several runs, some
-   whitespace only, some padded, split by children and comments. *)
-let padded_xml_gen st =
+   whitespace only, some padded, split by children and comments.  With
+   [~attrs], elements also carry attributes, and a fourth tag occurs. *)
+let padded_xml ~attrs st =
   let pick a = a.(Random.State.int st (Array.length a)) in
   let indented = Random.State.bool st in
   let newline depth =
@@ -455,13 +456,14 @@ let padded_xml_gen st =
     [| ""; " "; "\n  "; "1990"; " 1990 "; "\n    1991\n  "; "conf/vldb"; "  conf/icde  ";
        "\t1990"; "1991 "; "<!-- c -->"; " &amp; " |]
   in
-  let tags = [| "a"; "b"; "c" |] in
+  let tags = if attrs then [| "a"; "b"; "c"; "d" |] else [| "a"; "b"; "c" |] in
+  let attr_lists = [| ""; " k='1'"; " k=\"2\""; " j='x' k='1'" |] in
   let b = Buffer.create 256 in
   let budget = ref (1 + Random.State.int st 40) in
   let rec elem depth =
     decr budget;
     let tag = pick tags in
-    Printf.bprintf b "<%s>%s" tag (pick runs);
+    Printf.bprintf b "<%s%s>%s" tag (if attrs then pick attr_lists else "") (pick runs);
     while !budget > 0 && Random.State.int st 3 > 0 do
       Buffer.add_string b (newline (depth + 1));
       elem (depth + 1);
@@ -471,6 +473,8 @@ let padded_xml_gen st =
   in
   elem 0;
   Buffer.contents b
+
+let padded_xml_gen = padded_xml ~attrs:false
 
 (* Both builds see an element's text trimmed: the in-memory one through
    [Xml_parser], the streamed one through its own frame buffers. *)
@@ -503,6 +507,54 @@ let prop_stream_trims_text =
                (fun () -> Xmlest.Sax.next sax)
                preds))
         [ `Uniform; `Equidepth ])
+
+(* The streamed build assembles an element's text only where a predicate
+   decided on it reads text.  Here the predicate sets read text on some
+   tags only: [a] carries a pinned prefix, [b] a text-equality family,
+   [c] textless pinned predicates, and [d] is named only under [Not];
+   a third set adds an unpinned text predicate, which reads text
+   everywhere. *)
+let prop_stream_skips_unread_text =
+  QCheck.Test.make ~count:100
+    ~name:"unread text skipped: streamed = in-memory build"
+    (QCheck.make ~print:Fun.id (padded_xml ~attrs:true))
+    (fun xml ->
+      let doc = Xmlest.Document.of_elem (Xmlest.Xml_parser.parse_string_exn xml) in
+      let grid_size = min 8 (Xmlest.Document.max_pos doc + 1) in
+      let open Xmlest.Predicate in
+      let textless =
+        [
+          tagp "a";
+          Attr_eq ("k", "1");
+          And (tagp "b", Attr_eq ("k", "2"));
+          Level_eq 1;
+          And (tagp "c", Level_eq 2);
+          Not (tagp "d");
+        ]
+      in
+      let pinned_text =
+        [
+          text_prefix ~tag:"a" "conf";
+          text_eq ~tag:"b" "1990";
+          any_of [ text_eq ~tag:"b" "1990"; text_eq ~tag:"b" "1991" ];
+        ]
+      in
+      List.for_all
+        (fun preds ->
+          List.for_all
+            (fun grid_kind ->
+              let sax = Xmlest.Sax.of_string xml in
+              summaries_identical
+                (Xmlest.Summary.build ~grid_size ~grid_kind doc preds)
+                (Xmlest.Summary.build_stream ~grid_size ~grid_kind
+                   (fun () -> Xmlest.Sax.next sax)
+                   preds))
+            [ `Uniform; `Equidepth ])
+        [
+          textless;
+          textless @ pinned_text;
+          textless @ pinned_text @ [ Text_prefix "1991" ];
+        ])
 
 let test_stream_equals_build_datasets () =
   (* Real generators carry text and attributes, so the streamed path's
@@ -1766,6 +1818,7 @@ let () =
             test_fused_equals_legacy_datasets;
           qcheck prop_stream_equals_build;
           qcheck prop_stream_trims_text;
+          qcheck prop_stream_skips_unread_text;
           Alcotest.test_case "streamed = in-memory on datasets" `Quick
             test_stream_equals_build_datasets;
           Alcotest.test_case "streamed = in-memory, two mask words" `Quick

@@ -33,6 +33,9 @@ let events () =
    per leaf takes tens. *)
 let cap_mb = 16.0
 
+let top_heap_mb () =
+  float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1_048_576.0
+
 let test_wide_stream_bounded () =
   let preds = List.map Xmlest.Predicate.tag [ "root"; "a"; "b"; "c" ] in
   let s = Xmlest.Summary.build_stream (events ()) preds in
@@ -40,11 +43,42 @@ let test_wide_stream_bounded () =
     "every a leaf counted"
     (float_of_int (leaves / Array.length tags))
     (Xmlest.Summary.node_count s (Xmlest.Predicate.tag "a"));
-  let top_mb =
-    float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
-    /. 1_048_576.0
-  in
+  let top_mb = top_heap_mb () in
   Printf.printf "streamed build of %d leaves: top heap %.1f MB\n" leaves top_mb;
+  Alcotest.(check bool)
+    (Printf.sprintf "top heap %.1f MB under %.0f MB" top_mb cap_mb)
+    true (top_mb < cap_mb)
+
+(* The tokenizer interns names up to a fixed count.  A file of 100,000
+   distinct 200-byte tag names would hold about 21 MB of names in an
+   unbounded table; the bounded one keeps the top heap under the same
+   cap, through [Sax.of_channel] and through the streamed build. *)
+let distinct_names = 100_000
+
+let test_distinct_names_bounded () =
+  let name i = Printf.sprintf "t%06d%s" i (String.make 193 'x') in
+  let path = Filename.temp_file "xmlest-names" ".xml" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "<root>\n";
+      for i = 0 to distinct_names - 1 do
+        Printf.fprintf oc "<%s/>\n" (name i)
+      done;
+      output_string oc "</root>\n");
+  let opens =
+    In_channel.with_open_bin path (fun ic ->
+        Xmlest.Sax.fold
+          (fun n ev -> match ev with Xmlest.Sax.Open _ -> n + 1 | _ -> n)
+          0 (Xmlest.Sax.of_channel ic))
+  in
+  Alcotest.(check int) "every element read" (distinct_names + 1) opens;
+  let preds = List.map Xmlest.Predicate.tag [ "root"; name 0; name (distinct_names - 1) ] in
+  let s = Xmlest.Summary.build_stream_file path preds in
+  Alcotest.(check (float 0.0))
+    "the last name counted" 1.0
+    (Xmlest.Summary.node_count s (Xmlest.Predicate.tag (name (distinct_names - 1))));
+  let top_mb = top_heap_mb () in
+  Printf.printf "%d distinct names: top heap %.1f MB\n" distinct_names top_mb;
   Alcotest.(check bool)
     (Printf.sprintf "top heap %.1f MB under %.0f MB" top_mb cap_mb)
     true (top_mb < cap_mb)
@@ -53,5 +87,9 @@ let () =
   Alcotest.run "stream_memory"
     [
       ( "streamed build",
-        [ Alcotest.test_case "wide document, bounded heap" `Quick test_wide_stream_bounded ] );
+        [
+          Alcotest.test_case "wide document, bounded heap" `Quick test_wide_stream_bounded;
+          Alcotest.test_case "distinct tag names, bounded heap" `Quick
+            test_distinct_names_bounded;
+        ] );
     ]

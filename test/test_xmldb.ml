@@ -159,6 +159,8 @@ let soup_fragments =
     "="; "\n"; "]"; "-"; "<!DOCTYPE"; "["; "&#x42;"; "&#233;"; "&#x1F600;";
     "&#-5;"; "&#99999999999;"; "&#x7FFFFFFF;"; "&#0b101;"; "&#+5;"; "&#1_0;";
     "&#x;"; "&#x10FFFF;"; "&#1114112;";
+    (* close tags that are a prefix or an extension of the open one *)
+    "<ab>"; "<abc>"; "</ab>"; "</abc>"; "<a/ >";
   |]
 
 let xml_soup seed =
@@ -375,10 +377,52 @@ let test_refill_edge () =
   for k = 1 to 8 do
     positioned (straddling "&bogus;" k)
   done;
+  (* A close tag is matched against the open one in place: one that is a
+     prefix or an extension of it, or that runs past the longest name
+     compared so, fails as the oracle does wherever the edge cuts it. *)
+  List.iter
+    (fun construct ->
+      for k = 1 to String.length construct + 1 do
+        positioned (straddling construct k)
+      done)
+    [ "<abc>x</ab>"; "<ab>x</abc>"; "<a/ >" ];
+  (* Names longer than that are cut by the edge every 7 bytes. *)
+  let long = String.make 300 'n' in
+  let splits construct = List.init ((String.length construct / 7) + 1) (fun i -> 1 + (7 * i)) in
+  List.iter
+    (fun construct -> List.iter (fun k -> positioned (straddling construct k)) (splits construct))
+    [ "<" ^ long ^ ">x</" ^ long ^ "m>"; "<" ^ long ^ "m>x</" ^ long ^ ">" ];
+  let construct = "<" ^ long ^ ">x</" ^ long ^ ">" in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "long name at edge - %d" k)
+        true (agrees_with_oracle (straddling construct k)))
+    (splits construct);
   let lines = String.concat "" (List.init 20_000 (fun i -> Printf.sprintf "<l>%d</l>\n" i)) in
   Alcotest.(check bool) "several refills" true (String.length lines > 3 * refill_edge);
   positioned ("<r>\n" ^ lines ^ "  </q>");
   positioned ("<r>\n" ^ lines ^ "<l>&bad;</l>")
+
+(* More distinct names than the parser interns (4,096): names past the
+   table's bound are copied as they come, and events and errors still
+   match the oracle's, through several refills. *)
+let test_many_distinct_names () =
+  let names = 10_000 in
+  let body =
+    String.concat ""
+      (List.init names (fun i -> Printf.sprintf "<tag_%05d attr_%05d='v'>t</tag_%05d>\n" i i i))
+  in
+  Alcotest.(check bool) "several refills" true (String.length body > 3 * refill_edge);
+  let doc = "<r>\n" ^ body ^ "</r>" in
+  Alcotest.(check bool) "well-formed" true (Result.is_ok (Legacy_xml_parser.parse doc));
+  Alcotest.(check bool) "events = oracle" true (agrees_with_oracle doc);
+  List.iter
+    (fun tail ->
+      let doc = "<r>\n" ^ body ^ tail in
+      Alcotest.(check bool) ("malformed " ^ tail) true (Result.is_error (Legacy_xml_parser.parse doc));
+      Alcotest.(check bool) ("error = oracle " ^ tail) true (agrees_with_oracle doc))
+    [ "<tag_09999>x</tag_09998></r>"; "<tag_00001>x</tag_0000></r>"; "<fresh>x</fres></r>" ]
 
 (* --- Document labeling ------------------------------------------------ *)
 
@@ -804,6 +848,8 @@ let () =
           qcheck prop_writer_inputs_match_oracle;
           qcheck prop_soup_matches_oracle;
           Alcotest.test_case "refill edge" `Quick test_refill_edge;
+          Alcotest.test_case "more names than the intern table" `Quick
+            test_many_distinct_names;
         ] );
       ( "document",
         [
