@@ -476,7 +476,9 @@ let build_stream ?(grid_size = 10) ?(grid_kind = `Uniform) ?(with_levels = true)
           decr depth;
           let d = !depth in
           let id = !f_id.(d) in
-          Array.fill words 0 (Array.length words) 0;
+          for w = 0 to nwords - 1 do
+            words.(w) <- 0
+          done;
           Predicate.dispatch_id disp ~tag:id ~attrs:!f_attrs.(d)
             ~text:
               (if Predicate.needs_text disp id then
