@@ -13,14 +13,6 @@ type t =
   | Or of t * t
   | Not of t
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let ends_with ~suffix s =
-  let ls = String.length s and lx = String.length suffix in
-  ls >= lx && String.equal (String.sub s (ls - lx) lx) suffix
-
 (* Substring search with a precomputed KMP failure table: O(m) to build,
    O(n) per match, no per-offset String.sub allocation.  Compiled
    predicates build the table once and reuse it for every node. *)
@@ -68,8 +60,8 @@ let rec eval p doc v =
   | True -> true
   | Tag t -> String.equal (Document.tag doc v) t
   | Text_eq s -> String.equal (Document.text doc v) s
-  | Text_prefix s -> starts_with ~prefix:s (Document.text doc v)
-  | Text_suffix s -> ends_with ~suffix:s (Document.text doc v)
+  | Text_prefix s -> String.starts_with ~prefix:s (Document.text doc v)
+  | Text_suffix s -> String.ends_with ~suffix:s (Document.text doc v)
   | Text_contains s -> contains ~sub:s (Document.text doc v)
   | Attr_eq (k, value) -> (
     match List.assoc_opt k (Document.attrs doc v) with
@@ -142,9 +134,9 @@ let lower ~tag_id p : lowered =
       | None -> fun ~tag:_ ~attrs:_ ~text:_ ~level:_ -> false)
     | Text_eq s -> fun ~tag:_ ~attrs:_ ~text ~level:_ -> String.equal text s
     | Text_prefix s ->
-      fun ~tag:_ ~attrs:_ ~text ~level:_ -> starts_with ~prefix:s text
+      fun ~tag:_ ~attrs:_ ~text ~level:_ -> String.starts_with ~prefix:s text
     | Text_suffix s ->
-      fun ~tag:_ ~attrs:_ ~text ~level:_ -> ends_with ~suffix:s text
+      fun ~tag:_ ~attrs:_ ~text ~level:_ -> String.ends_with ~suffix:s text
     | Text_contains s ->
       let m = Substring.make s in
       fun ~tag:_ ~attrs:_ ~text ~level:_ -> Substring.matches m text

@@ -9,6 +9,14 @@
     into an {!Elem} tree, and the out-of-core summary build
     ([Summary.build_stream]) consumes them directly.
 
+    Tag and attribute names are interned per parser: a name is hashed
+    straight from the read buffer and looked up in the parser's table,
+    so every occurrence of a repeated name is the same string and costs
+    no allocation.  The table is bounded: it holds at most 4,096 names of
+    at most 256 bytes each, and any name past that bound is copied as it
+    comes, so the parser's memory stays O(element depth + buffer) however
+    many distinct names a document has.
+
     The tree this stream describes, and the [(line, column, message)] of
     every error, are property-tested against the original recursive tree
     parser, kept as an oracle in the test suite; so are the events from
