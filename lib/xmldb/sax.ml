@@ -14,7 +14,12 @@
    looked up in a per-parser table, so a repeated tag or attribute name
    costs no string.  The table holds at most [intern_cap] names of at
    most [intern_max_len] bytes; any other name is copied out as it comes,
-   so the table's memory stays bounded whatever the document. *)
+   so the table's memory stays bounded whatever the document.
+
+   The byte-class tests, the byte readers and the per-event steps are
+   marked [@inline]: ocamlopt without flambda inlines only the smallest
+   functions, and a call per scanned byte or per event step cost about a
+   fifth of a drain. *)
 
 type error = { line : int; column : int; message : string }
 
@@ -126,29 +131,29 @@ let refill_eof r =
   ensure r 1;
   r.rlen - r.rpos = 0
 
-let eof r = r.rpos >= r.rlen && refill_eof r
+let[@inline] eof r = r.rpos >= r.rlen && refill_eof r
 
 let peek_slow r =
   ensure r 1;
   if r.rlen - r.rpos = 0 then '\000' else Bytes.get r.buf r.rpos
 
-let peek r = if r.rpos < r.rlen then Bytes.unsafe_get r.buf r.rpos else peek_slow r
+let[@inline] peek r = if r.rpos < r.rlen then Bytes.unsafe_get r.buf r.rpos else peek_slow r
 
 let peek2_slow r =
   ensure r 2;
   if r.rlen - r.rpos < 2 then '\000' else Bytes.get r.buf (r.rpos + 1)
 
-let peek2 r =
+let[@inline] peek2 r =
   if r.rpos + 1 < r.rlen then Bytes.unsafe_get r.buf (r.rpos + 1) else peek2_slow r
 
-let advance r =
+let[@inline] advance r =
   if r.rpos < r.rlen || not (refill_eof r) then r.rpos <- r.rpos + 1
 
-let expect r ch =
+let[@inline] expect r ch =
   if Char.equal (peek r) ch then advance r
   else fail r (Printf.sprintf "expected %C, found %C" ch (peek r))
 
-let looking_at r s =
+let[@inline] looking_at r s =
   let n = String.length s in
   ensure r n;
   r.rlen - r.rpos >= n
@@ -160,7 +165,7 @@ let looking_at r s =
   Int.equal !k n
 
 (* Consume [s] if it is next in the input. *)
-let eat r s =
+let[@inline] eat r s =
   looking_at r s
   && begin
        r.rpos <- r.rpos + String.length s;
@@ -173,13 +178,13 @@ let eat r s =
    the run, or [lim]; [i <= lim <= Bytes.length buf] always holds, which
    is what makes the unchecked reads safe. *)
 
-let is_name_start ch =
+let[@inline] is_name_start ch =
   (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') || ch = '_' || ch = ':'
 
-let is_name_char ch =
+let[@inline] is_name_char ch =
   is_name_start ch || (ch >= '0' && ch <= '9') || ch = '-' || ch = '.'
 
-let is_ws = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
+let[@inline] is_ws = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
 
 let rec scan_text buf i lim =
   if i < lim && match Bytes.unsafe_get buf i with '<' | '&' -> false | _ -> true
@@ -222,7 +227,7 @@ let rec take_into r scan b =
   end
 
 (* The run at [rpos], consumed; one copy when it ends inside the buffer. *)
-let take r scan =
+let[@inline] take r scan =
   let stop = scan r.buf r.rpos r.rlen in
   if stop < r.rlen || r.drained then begin
     let s = Bytes.sub_string r.buf r.rpos (stop - r.rpos) in
@@ -244,7 +249,7 @@ let rec skip r scan =
   end
 
 (* Mostly there is no whitespace to skip: test the first byte inline. *)
-let skip_ws r =
+let[@inline] skip_ws r =
   if r.rpos >= r.rlen || is_ws (Bytes.unsafe_get r.buf r.rpos) then skip r scan_ws
 
 (* Skip past the terminator [s], inclusive: comments and PIs. *)
@@ -265,7 +270,7 @@ let skip_until r s =
 (* [names] is an open-addressing table with linear probing, kept at most
    half full: it starts at 64 slots and doubles up to [2 * intern_cap]. *)
 
-let hash_name b i n =
+let[@inline] hash_name b i n =
   let h = ref 0 in
   for k = i to i + n - 1 do
     h := (!h * 31) + Char.code (Bytes.unsafe_get b k)
@@ -273,7 +278,7 @@ let hash_name b i n =
   !h lxor (!h lsr 17)
 
 (* [s] is the [n] bytes of [b] at [i]; [i + n <= Bytes.length b]. *)
-let same_name s b i n =
+let[@inline] same_name s b i n =
   Int.equal (String.length s) n
   &&
   let k = ref 0 in
@@ -289,7 +294,7 @@ let rec probe names b i n slot =
   if Int.equal (String.length s) 0 || same_name s b i n then slot
   else probe names b i n ((slot + 1) land (Array.length names - 1))
 
-let slot_of names b i n = probe names b i n (hash_name b i n land (Array.length names - 1))
+let[@inline] slot_of names b i n = probe names b i n (hash_name b i n land (Array.length names - 1))
 
 let grow_names r =
   let names = Array.make (2 * Array.length r.names) "" in
@@ -302,7 +307,7 @@ let grow_names r =
 
 (* The name [b.[i .. i+n-1]]: the interned string when the table has it,
    a fresh copy otherwise, kept in the table while it has room. *)
-let intern r b i n =
+let[@inline] intern r b i n =
   if n > intern_max_len then Bytes.sub_string b i n
   else begin
     let slot = slot_of r.names b i n in
@@ -320,7 +325,7 @@ let intern r b i n =
     end
   end
 
-let parse_name r =
+let[@inline] parse_name r =
   let ch = peek r in
   if not (is_name_start ch) then fail r (Printf.sprintf "expected a name, found %C" ch);
   let stop = scan_name r.buf r.rpos r.rlen in
@@ -337,7 +342,7 @@ let parse_name r =
 
 (* Consume the name [s] if the input holds it next as a whole name,
    compared in place; [false], consuming nothing, otherwise. *)
-let eat_name r s =
+let[@inline] eat_name r s =
   let n = String.length s in
   n <= intern_max_len
   && begin
@@ -428,7 +433,7 @@ let parse_entity r =
 (* --- Markup ---------------------------------------------------------------- *)
 
 (* Past the value's closing [quote]: [true]; at a '&': [false]. *)
-let attr_closed r quote =
+let[@inline] attr_closed r quote =
   if eof r then fail r "unterminated attribute value"
   else if Char.equal (peek r) quote then begin
     advance r;
@@ -537,13 +542,13 @@ let cdata_into r b =
 
 (* At "<![CDATA["; the second byte is tested first, as markup inside
    text is mostly a tag. *)
-let at_cdata r = Char.equal (peek2 r) '!' && looking_at r "<![CDATA["
+let[@inline] at_cdata r = Char.equal (peek2 r) '!' && looking_at r "<![CDATA["
 
 (* One contiguous run of character data: raw text, entity references and
    CDATA sections, ended by other markup or end of input.  Comments and
    PIs also end the run: a consumer concatenates the runs of an element
    to get its character data. *)
-let parse_text_run r =
+let[@inline] parse_text_run r =
   let first = take r scan_text in
   if eof r || (Char.equal (peek r) '<' && not (at_cdata r)) then first
   else begin
@@ -583,7 +588,7 @@ let of_channel ic =
   { r = reader_of_channel ic; stack = []; state = `Prolog; pending = false }
 
 (* Consume "<tag attrs>" or "<tag attrs/>" and push [tag]. *)
-let parse_open t =
+let[@inline] parse_open t =
   let r = t.r in
   expect r '<';
   let tag = parse_name r in
@@ -594,7 +599,7 @@ let parse_open t =
   t.state <- `Content;
   Some (Open { tag; attrs })
 
-let close_element t =
+let[@inline] close_element t =
   match t.stack with
   | [] -> assert false
   | _ :: rest ->
