@@ -175,7 +175,8 @@ let cmd_plan state q =
 
 let cmd_run state q limit =
   let doc = need_doc state in
-  let pattern = parse_pattern q in
+  let query = parse_query q in
+  let pattern = query.Pattern_parser.root in
   let order =
     if Pattern.edge_count pattern = 0 then [ 0 ]
     else begin
@@ -184,12 +185,22 @@ let cmd_run state q limit =
     end
   in
   let result = Executor.run doc pattern ~order in
-  let total = List.length result.Executor.rows in
+  (* A leading '/' keeps the rows that bind the pattern's root (pattern
+     node 0) to the document root (node 0), as [exact] counts them. *)
+  let rows =
+    match query.Pattern_parser.anchor with
+    | Pattern.Descendant -> result.Executor.rows
+    | Pattern.Child -> (
+      match List.find_index (Int.equal 0) result.Executor.columns with
+      | Some col -> List.filter (fun row -> Int.equal row.(col) 0) result.Executor.rows
+      | None -> [])
+  in
+  let total = List.length rows in
   let shown = Int.min limit total in
   let flat = Pattern.flatten pattern in
   let header = Printf.sprintf "%d matches" total in
   let rows =
-    List.filteri (fun k _ -> k < shown) result.Executor.rows
+    List.filteri (fun k _ -> k < shown) rows
     |> List.map (fun row ->
            "  "
            ^ String.concat " "

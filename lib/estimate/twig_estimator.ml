@@ -32,6 +32,7 @@ let default_options =
    over dense histograms would, so estimates are bit-identical to the
    dense composition (test/util/dense_twig_estimator.ml). *)
 type view = {
+  pred : Predicate.t;  (* the root node's predicate *)
   at : int array;  (* row-major index of each held cell *)
   part : float array;  (* participating-node estimate per held cell *)
   jn : float array;  (* join factor (matches per participating node) *)
@@ -41,6 +42,11 @@ type view = {
       (* Some p iff part × jn is value-identical to the catalog histogram
          of p (true for leaf views, lost after any join or scaling) — the
          licence to reuse p's memoized pH-join coefficients *)
+  mutable desc_pass : float array option;
+      (* the descendant coefficient pass over part × jn, kept once run
+         for a view without a catalog source, so a view joined below
+         several parents (by Optimizer.rank's node-set program) runs it
+         once *)
 }
 
 let idx g i j = (i * g) + j
@@ -79,11 +85,32 @@ let dense grid (at, w) =
   h
 
 (* Case 1 of Fig. 10: participation := estimate, join factor 1. *)
-let joined raw (at, est) =
-  { at; part = est; jn = Array.make (Array.length at) 1.0; raw; source = None }
+let joined pred raw (at, est) =
+  {
+    pred;
+    at;
+    part = est;
+    jn = Array.make (Array.length at) 1.0;
+    raw;
+    source = None;
+    desc_pass = None;
+  }
 
-let leaf_view source hist =
-  { (joined hist (Position_histogram.nonzero hist)) with source = Some source }
+let leaf catalog pred =
+  let hist = catalog.hist pred in
+  { (joined pred hist (Position_histogram.nonzero hist)) with source = Some pred }
+
+(* A view's descendant coefficients over [cells], its weighted cells:
+   the catalog's memoized array while the view is an untouched catalog
+   histogram (asked for on every join, so the catalog counts each use),
+   otherwise one pass over a dense copy of the cells, kept on the view. *)
+let desc_coefs_of catalog grid v cells =
+  match (Option.bind v.source catalog.desc_coefs, v.desc_pass) with
+  | Some coefs, _ | None, Some coefs -> coefs
+  | None, None ->
+    let coefs = Ph_join.descendant_coefficients (dense grid cells) in
+    v.desc_pass <- Some coefs;
+    coefs
 
 (* Σ_{i <= m <= n <= j} h[m][n]: the descendant band of each cell,
    Fig. 10's M[i][j].  O(g²) by the recurrence T[i][j] = T[i+1][j] +
@@ -109,18 +136,16 @@ let band_sums h =
    requested, its (generally different) total is preserved by scaling the
    ancestor-keyed cells uniformly.
 
-   When a side of the join is still an untouched catalog histogram (its
-   [source] is known) and the catalog can serve that predicate's memoized
-   coefficient array, the O(g²) coefficient pass is skipped; otherwise it
-   runs over a dense copy of that side.  Both feed [Ph_join.weigh], so the
-   results are bit-identical. *)
-let join_overlap options catalog ~desc_source anc_view desc_weight =
+   [desc_weight] is the child's weighted cells times [factor].  Unscaled,
+   they are the child view's own, and so are its coefficients
+   ([desc_coefs_of]); scaled, the O(g²) pass runs over a dense copy of
+   them.  Both feed [Ph_join.weigh], so the results are bit-identical. *)
+let join_overlap options catalog anc_view child ~factor desc_weight =
   let grid = Position_histogram.grid anc_view.raw in
   let anc = weighted anc_view in
   let desc_coefs =
-    match Option.bind desc_source catalog.desc_coefs with
-    | Some coefs -> coefs
-    | None -> Ph_join.descendant_coefficients (dense grid desc_weight)
+    if Float.equal factor 1.0 then desc_coefs_of catalog grid child desc_weight
+    else Ph_join.descendant_coefficients (dense grid desc_weight)
   in
   let est = Ph_join.weigh ~coefs:desc_coefs anc in
   let est =
@@ -136,7 +161,7 @@ let join_overlap options catalog ~desc_source anc_view desc_weight =
       let desc_total = sum (Ph_join.weigh ~coefs:anc_coefs desc_weight) in
       if anc_total > 0.0 then scale est (desc_total /. anc_total) else est
   in
-  joined anc_view.raw est
+  joined anc_view.pred anc_view.raw est
 
 (* No-overlap composition (ancestor predicate cannot nest): coverage-based
    estimate, balls-in-bins participation (case 2), join factor update.
@@ -172,7 +197,15 @@ let join_no_overlap anc_view coverage desc_weight desc_part =
       end)
     anc_view.at;
   let held a = Array.sub a 0 !kept in
-  { at = held at; part = held part; jn = held jn; raw = anc_view.raw; source = None }
+  {
+    pred = anc_view.pred;
+    at = held at;
+    part = held part;
+    jn = held jn;
+    raw = anc_view.raw;
+    source = None;
+    desc_pass = None;
+  }
 
 (* Parent-child edge with per-cell level correction (extension): a
    Child_join over dense copies of the weighted cells; participation
@@ -181,72 +214,72 @@ let join_child_cell_level acc desc_weight ~anc_lph ~desc_lph =
   let grid = Position_histogram.grid acc.raw in
   Child_join.estimate_cells ~anc:(dense grid (weighted acc))
     ~desc:(dense grid desc_weight) ~anc_levels:anc_lph ~desc_levels:desc_lph ()
-  |> Position_histogram.nonzero |> joined acc.raw
+  |> Position_histogram.nonzero |> joined acc.pred acc.raw
 
 (* Σ part × jn over the held cells: the sub-twig's match count. *)
-let total_matches v =
+let total v =
   let acc = ref 0.0 in
   Array.iteri (fun k count -> acc := !acc +. (count *. v.jn.(k))) v.part;
   !acc
 
+(* One edge of the composition: [child], the view of the edge's lower
+   end, joined into [acc], the view of the sub-twig assembled so far at
+   the edge's upper end, by coverage when [acc]'s predicate cannot nest,
+   per cell pair when [Cell_level_scaled] can, by pH-join otherwise. *)
+let join_step options catalog acc axis child =
+  let coverage = if options.use_no_overlap then catalog.coverage acc.pred else None in
+  let global_factor () =
+    match (catalog.level acc.pred, catalog.level child.pred) with
+    | Some la, Some ld -> Level_histogram.child_fraction ~anc:la ~desc:ld
+    | _ -> 1.0
+  in
+  (* Per-cell child correction applies only on the overlap (pH-join)
+     path and when both level-position histograms exist. *)
+  let cell_level_available () =
+    coverage = None
+    && catalog.position_levels acc.pred <> None
+    && catalog.position_levels child.pred <> None
+  in
+  let factor =
+    match (axis, options.child_mode) with
+    | Pattern.Descendant, _ -> 1.0
+    | Pattern.Child, As_descendant -> 1.0
+    | Pattern.Child, Level_scaled -> global_factor ()
+    | Pattern.Child, Cell_level_scaled ->
+      if cell_level_available () then 1.0 else global_factor ()
+  in
+  let desc_weight = scale (weighted child) factor in
+  let overlap () =
+    (join_overlap options catalog acc child ~factor desc_weight, "pH-join")
+  in
+  match coverage with
+  | Some cvg ->
+    let desc_part = scale (child.at, child.part) factor in
+    (join_no_overlap acc cvg desc_weight desc_part, "coverage")
+  | None -> (
+    match (axis, options.child_mode) with
+    | Pattern.Child, Cell_level_scaled when cell_level_available () -> (
+      match
+        (catalog.position_levels acc.pred, catalog.position_levels child.pred)
+      with
+      | Some anc_lph, Some desc_lph ->
+        (join_child_cell_level acc desc_weight ~anc_lph ~desc_lph, "child-cell-level")
+      | _ -> overlap ())
+    | _ -> overlap ())
+
+let join ?(options = default_options) catalog acc axis child =
+  fst (join_step options catalog acc axis child)
+
 type step = { subtwig : string; method_used : string; estimate : float }
 
-let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
-  let self = leaf_view p.Pattern.pred (catalog.hist p.Pattern.pred) in
-  let coverage =
-    if options.use_no_overlap then catalog.coverage p.Pattern.pred else None
-  in
+(* The pattern's view: each node's leaf view with its edges' child views
+   joined in, left to right. *)
+let rec view ?trace options catalog (p : Pattern.t) =
   let assembled = ref (Pattern.node p.Pattern.pred) in
   List.fold_left
     (fun acc (axis, child) ->
-      let child_view = view ~options ?trace catalog child in
-      let global_factor () =
-        match (catalog.level p.Pattern.pred, catalog.level child.Pattern.pred) with
-        | Some la, Some ld -> Level_histogram.child_fraction ~anc:la ~desc:ld
-        | _ -> 1.0
-      in
-      (* Per-cell child correction applies only on the overlap (pH-join)
-         path and when both level-position histograms exist. *)
-      let cell_level_available () =
-        coverage = None
-        && catalog.position_levels p.Pattern.pred <> None
-        && catalog.position_levels child.Pattern.pred <> None
-      in
-      let factor =
-        match (axis, options.child_mode) with
-        | Pattern.Descendant, _ -> 1.0
-        | Pattern.Child, As_descendant -> 1.0
-        | Pattern.Child, Level_scaled -> global_factor ()
-        | Pattern.Child, Cell_level_scaled ->
-          if cell_level_available () then 1.0 else global_factor ()
-      in
-      let desc_weight = scale (weighted child_view) factor in
-      (* Scaling by anything but 1 changes the cell values, so the child's
-         memoized coefficients no longer describe desc_weight. *)
-      let desc_source =
-        if Float.equal factor 1.0 then child_view.source else None
-      in
       let joined, method_used =
-        match coverage with
-        | Some cvg ->
-          let desc_part = scale (child_view.at, child_view.part) factor in
-          (join_no_overlap acc cvg desc_weight desc_part, "coverage")
-        | None -> (
-          match (axis, options.child_mode) with
-          | Pattern.Child, Cell_level_scaled when cell_level_available () -> (
-            match
-              ( catalog.position_levels p.Pattern.pred,
-                catalog.position_levels child.Pattern.pred )
-            with
-            | Some anc_lph, Some desc_lph ->
-              (join_child_cell_level acc desc_weight ~anc_lph ~desc_lph,
-               "child-cell-level")
-            | _ ->
-              (join_overlap options catalog ~desc_source acc desc_weight,
-               "pH-join"))
-          | _ ->
-            (join_overlap options catalog ~desc_source acc desc_weight,
-             "pH-join"))
+        join_step options catalog acc axis (view ?trace options catalog child)
       in
       (match trace with
       | None -> ()
@@ -260,15 +293,17 @@ let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
           {
             subtwig = Pattern.to_string !assembled;
             method_used;
-            estimate = total_matches joined;
+            estimate = total joined;
           }
           :: !log);
       joined)
-    self p.Pattern.edges
+    (leaf catalog p.Pattern.pred)
+    p.Pattern.edges
 
-let estimate ?options catalog pattern = total_matches (view ?options catalog pattern)
+let estimate ?(options = default_options) catalog pattern =
+  total (view options catalog pattern)
 
-let estimate_trace ?options catalog pattern =
+let estimate_trace ?(options = default_options) catalog pattern =
   let log = ref [] in
-  let v = view ?options ~trace:log catalog pattern in
-  (total_matches v, List.rev !log)
+  let v = view ~trace:log options catalog pattern in
+  (total v, List.rev !log)

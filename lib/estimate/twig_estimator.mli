@@ -69,8 +69,43 @@ val default_options : options
 (** Ancestor-based, no-overlap enabled, [As_descendant] child edges (the
     paper's configuration). *)
 
+(** {1 The join step}
+
+    Estimation is one join step folded over a pattern's edges.  A {!view}
+    describes a sub-twig assembled so far, keyed at its root node: a
+    {!leaf} is one node's catalog histogram, and {!join} adds one edge
+    below the root.  {!estimate} builds a pattern's view bottom-up,
+    joining each node's edges into its leaf in pattern order;
+    {!Xmlest_optimizer.Optimizer.rank} joins the same views by dynamic
+    programming over node sets, each view once, so the two agree bit for
+    bit on every sub-twig. *)
+
+type view
+(** Estimated participation and join factor per grid cell of one
+    sub-twig.  Once a composed view (anything but a {!leaf}) has run its
+    descendant coefficient pass as the lower end of an unscaled pH-join
+    edge, it keeps the array for later unscaled joins; a scaled edge
+    always runs a fresh pass. *)
+
+val leaf : catalog -> Predicate.t -> view
+(** The one-node sub-twig: the predicate's catalog histogram, every cell
+    with join factor 1. *)
+
+val join : ?options:options -> catalog -> view -> Pattern.axis -> view -> view
+(** [join acc axis child]: the sub-twig of [acc] with [child]'s sub-twig
+    hung below [acc]'s root by an [axis] edge — by coverage when [acc]'s
+    root predicate has a coverage histogram (and [use_no_overlap]), by a
+    per-cell-pair {!Child_join} for a [Child] edge under
+    [Cell_level_scaled] when both level-position histograms exist, by
+    pH-join otherwise.  A leaf descendant of an unscaled edge asks the
+    catalog for its memoized coefficients on every join. *)
+
+val total : view -> float
+(** Estimated number of matches of the view's sub-twig. *)
+
 val estimate : ?options:options -> catalog -> Pattern.t -> float
-(** Estimated number of matches of the pattern. *)
+(** Estimated number of matches of the pattern: {!total} of the view
+    folded from its leaves. *)
 
 type step = {
   subtwig : string;  (** rendering of the sub-twig assembled so far *)

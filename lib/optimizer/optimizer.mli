@@ -24,12 +24,20 @@ val rank :
   Twig_estimator.catalog ->
   Pattern.t ->
   costed list
-(** All left-deep plans, cheapest first.  Each distinct prefix node set is
-    estimated once per call (memoized by its bitmask of node ids), so
-    structurally identical prefixes with different node sets are
-    estimated separately, to the same value.  Raises [Invalid_argument]
-    for a pattern of more than [Sys.int_size - 1] nodes, as
-    {!Plan.enumerate} does. *)
+(** All left-deep plans, cheapest first.  Prefixes are costed by dynamic
+    programming over node sets (bitmasks of pre-order ids): a connected
+    set's root is its lowest id, its last child [c] the root's
+    largest-id child in the set, and its view is
+    {!Twig_estimator.join} of the view of the set without [c]'s sub-twig
+    and the view of that sub-twig, over [c]'s own axis when the root is
+    [c]'s parent and [Descendant] otherwise.  This is the join
+    {!Twig_estimator.estimate} folds last on the prefix's induced
+    sub-twig, so every intermediate equals the prefix's [estimate] bit
+    for bit.  Each set's view is joined once per call and shared by
+    every plan and every larger set that needs it; a composed view
+    keeps its coefficient pass for the rest of the call.  Nothing is
+    kept across calls.  Raises [Invalid_argument] for a pattern of more
+    than [Sys.int_size - 1] nodes, as {!Plan.enumerate} does. *)
 
 val best :
   ?options:Twig_estimator.options ->

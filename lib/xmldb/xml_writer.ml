@@ -31,7 +31,9 @@ let max_indent_depth = 32
    into its channel there, so the document is never held whole. *)
 let write ~indent ~spill buf e =
   let open Elem in
-  let started = ref (Buffer.length buf > 0) in
+  (* The first element starts its own line: the declaration before it
+     already ends in a newline. *)
+  let started = ref false in
   let pad depth =
     if indent then begin
       if !started then Buffer.add_char buf '\n';

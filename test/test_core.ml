@@ -1559,6 +1559,22 @@ let test_repl_exact_anchor () =
       check Alcotest.string ("exact " ^ q) (Printf.sprintf "%d matches" n) (run ("exact " ^ q)))
     anchored_counts
 
+(* [run] keeps only the bindings [exact] counts: with a leading '/', the
+   pattern's root must be the document root. *)
+let test_repl_run_anchor () =
+  let state = Xmlest.Repl.create () in
+  let run cmd = Xmlest.Repl.execute state cmd in
+  ignore (run "gen staff");
+  ignore (run "summarize 10");
+  let header out = List.hd (String.split_on_char '\n' out) in
+  check Alcotest.string "run /department" "0 matches" (header (run "run /department"));
+  check Alcotest.string "run /manager" "1 matches" (header (run "run /manager"));
+  List.iter
+    (fun q -> check Alcotest.string ("run " ^ q) (run ("exact " ^ q)) (header (run ("run " ^ q))))
+    (List.map fst anchored_counts
+    @ [ "/manager//department"; "/manager/department//employee"; "/department//email";
+        "//manager//department" ])
+
 let test_repl_roundtrip_summary () =
   let state = Xmlest.Repl.create () in
   let run cmd = Xmlest.Repl.execute state cmd in
@@ -1873,6 +1889,7 @@ let () =
           Alcotest.test_case "hist command" `Quick test_repl_hist_command;
           Alcotest.test_case "catalog commands" `Quick test_repl_catalog_commands;
           Alcotest.test_case "exact honours the anchor" `Quick test_repl_exact_anchor;
+          Alcotest.test_case "run honours the anchor" `Quick test_repl_run_anchor;
         ] );
       ( "cli",
         [

@@ -265,16 +265,17 @@ let enumerate_oracle pattern =
   extend [] (List.init n Fun.id);
   List.rev !plans
 
-(* [Optimizer.rank] before the node-set memo: estimates memoized by the
-   prefix's [Pattern.to_string], over the oracle enumeration. *)
-let rank_oracle catalog pattern =
+(* [Optimizer.rank] before the node-set program: estimates of each
+   prefix by [Twig_estimator.estimate], memoized by the prefix's
+   [Pattern.to_string], over the oracle enumeration. *)
+let rank_oracle ?options catalog pattern =
   let memo = Hashtbl.create 32 in
   let estimate prefix =
     let key = Xmlest.Pattern.to_string prefix in
     match Hashtbl.find_opt memo key with
     | Some v -> v
     | None ->
-      let v = Xmlest.Twig_estimator.estimate catalog prefix in
+      let v = Xmlest.Twig_estimator.estimate ?options catalog prefix in
       Hashtbl.add memo key v;
       v
   in
@@ -289,8 +290,40 @@ let rank_oracle catalog pattern =
     (enumerate_oracle pattern)
   |> List.sort (fun a b -> Float.compare a.Xmlest.Optimizer.cost b.Xmlest.Optimizer.cost)
 
+(* The five option sets of the Estimator invariant, all of which [rank]
+   passes through to the join step. *)
+let option_sets =
+  let d = Xmlest.Twig_estimator.default_options in
+  [
+    d;
+    { d with direction = Xmlest.Ph_join.Descendant_based };
+    { d with child_mode = Xmlest.Twig_estimator.Level_scaled };
+    { d with child_mode = Xmlest.Twig_estimator.Cell_level_scaled };
+    { d with use_no_overlap = false };
+  ]
+
+(* Leaves never nest, so renaming every leaf element to [leaf_tag] gives
+   the summary a tag with a coverage histogram, and joins below it take
+   the coverage path. *)
+let leaf_tag = "w"
+
+let rec leaves_renamed (e : Xmlest.Elem.t) =
+  if e.children = [] then { e with tag = leaf_tag }
+  else { e with children = List.map leaves_renamed e.children }
+
+let base_tags = Array.append Test_util.tag_pool [| leaf_tag |]
+
+(* Node predicates: the pool's tags, the non-nesting leaf tag, and
+   [And]/[Or] compounds the catalog resolves from them. *)
+let random_pred st =
+  let tag () = tagp base_tags.(Random.State.int st (Array.length base_tags)) in
+  match Random.State.int st 6 with
+  | 0 -> Xmlest.Predicate.And (tag (), tag ())
+  | 1 -> Xmlest.Predicate.Or (tag (), tag ())
+  | _ -> tag ()
+
 let rec random_twig st ~budget =
-  let tag = Test_util.tag_pool.(Random.State.int st (Array.length Test_util.tag_pool)) in
+  let pred = random_pred st in
   let rec children budget acc =
     if budget <= 0 || Random.State.int st 3 = 0 then (List.rev acc, budget)
     else begin
@@ -302,7 +335,7 @@ let rec random_twig st ~budget =
     end
   in
   let edges, budget = children budget [] in
-  (Xmlest.Pattern.node ~edges (tagp tag), budget)
+  (Xmlest.Pattern.node ~edges pred, budget)
 
 let same_plan (a : Xmlest.Plan.t) (b : Xmlest.Plan.t) =
   List.equal Int.equal a.order b.order
@@ -312,32 +345,161 @@ let same_plan (a : Xmlest.Plan.t) (b : Xmlest.Plan.t) =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* [rank] joins one view into several parents, and a composed view keeps
+   the coefficient pass it ran for an unscaled edge.  Every edge's lower
+   sub-twig, folded through the public join step, is joined below its
+   upper node's leaf by [//], then [/], then [//] again, and each result
+   must equal a fresh estimate bit for bit: a pass kept from one edge must
+   never serve an edge that scales the view. *)
+let reuse_agrees options catalog pattern =
+  let module P = Xmlest.Pattern in
+  let module E = Xmlest.Twig_estimator in
+  let rec fold (p : P.t) =
+    List.fold_left
+      (fun acc (axis, child) -> E.join ~options catalog acc axis (fold child))
+      (E.leaf catalog p.pred) p.edges
+  in
+  let rec edges (p : P.t) =
+    List.concat_map (fun (_, child) -> (p.pred, child) :: edges child) p.edges
+  in
+  List.for_all
+    (fun (pred, child) ->
+      let v = fold child in
+      List.for_all
+        (fun axis ->
+          same_bits
+            (E.total (E.join ~options catalog (E.leaf catalog pred) axis v))
+            (E.estimate ~options catalog (P.node ~edges:[ (axis, child) ] pred)))
+        [ P.Descendant; P.Child; P.Descendant ])
+    (edges pattern)
+
+(* [rank] under every option set gives the oracle's plans and costs, and
+   each intermediate is, bit for bit, the estimate of its prefix; returns
+   the number of coverage joins among the full pattern's steps. *)
+let rank_agrees catalog pattern =
+  List.fold_left
+    (fun coverage options ->
+      let ranked = Xmlest.Optimizer.rank ~options catalog pattern in
+      let oracle = rank_oracle ~options catalog pattern in
+      let agrees (a : Xmlest.Optimizer.costed) (b : Xmlest.Optimizer.costed) =
+        same_plan a.plan b.plan
+        && same_bits a.cost b.cost
+        && List.equal same_bits a.intermediates b.intermediates
+        && List.equal same_bits a.intermediates
+             (List.map
+                (Xmlest.Twig_estimator.estimate ~options catalog)
+                a.plan.Xmlest.Plan.prefixes)
+      in
+      if not (List.equal agrees ranked oracle) then
+        QCheck.Test.fail_reportf "%s: rank differs from the per-prefix oracle"
+          (Xmlest.Pattern.to_string pattern);
+      if not (reuse_agrees options catalog pattern) then
+        QCheck.Test.fail_reportf "%s: a reused view differs from a fresh one"
+          (Xmlest.Pattern.to_string pattern);
+      let _, steps = Xmlest.Twig_estimator.estimate_trace ~options catalog pattern in
+      coverage
+      + List.length
+          (List.filter
+             (fun (s : Xmlest.Twig_estimator.step) -> String.equal s.method_used "coverage")
+             steps))
+    0 option_sets
+
 let prop_node_set_memo_matches_oracles =
   QCheck.Test.make ~count:100
     ~name:"node-set memo: enumerate and rank = per-string oracles"
     (QCheck.make
-       ~print:(fun (_, pattern, size) ->
-         Printf.sprintf "g=%d %s" size (Xmlest.Pattern.to_string pattern))
+       ~print:(fun (e, pattern, size, kind) ->
+         Format.asprintf "g=%d %s %s in %a" size
+           (match kind with `Uniform -> "uniform" | `Equidepth -> "equidepth")
+           (Xmlest.Pattern.to_string pattern)
+           Test_util.pp_elem e)
        (fun st ->
-         let doc = Test_util.doc_gen ~max_nodes:60 () st in
+         let e = leaves_renamed (Test_util.elem_gen ~max_nodes:60 () st) in
          let pattern, _ = random_twig st ~budget:(Random.State.int st 6) in
-         (doc, pattern, 1 + Random.State.int st 10)))
-    (fun (doc, pattern, size) ->
+         let size =
+           match Random.State.int st 4 with
+           | 0 -> 1
+           | 1 -> 2
+           | _ -> 3 + Random.State.int st 10
+         in
+         let kind = if Random.State.bool st then `Uniform else `Equidepth in
+         (e, pattern, size, kind)))
+    (fun (e, pattern, size, grid_kind) ->
+      let doc = Xmlest.Document.of_elem e in
       let grid_size = min size (Xmlest.Document.max_pos doc + 1) in
       let catalog =
         Xmlest.Summary.catalog
-          (Xmlest.Summary.build ~grid_size doc
-             (List.map tagp (Array.to_list Test_util.tag_pool)))
+          (Xmlest.Summary.build ~grid_size ~grid_kind doc
+             (List.map tagp (Array.to_list base_tags)))
       in
-      let ranked = Xmlest.Optimizer.rank catalog pattern in
-      let oracle = rank_oracle catalog pattern in
-      List.equal same_plan (Xmlest.Plan.enumerate pattern) (enumerate_oracle pattern)
-      && List.equal
-           (fun (a : Xmlest.Optimizer.costed) (b : Xmlest.Optimizer.costed) ->
-             same_plan a.plan b.plan
-             && same_bits a.cost b.cost
-             && List.equal same_bits a.intermediates b.intermediates)
-           ranked oracle)
+      ignore (rank_agrees catalog pattern);
+      List.equal same_plan (Xmlest.Plan.enumerate pattern) (enumerate_oracle pattern))
+
+(* The same comparison on staff data, whose [department], [email] and
+   [name] never nest, so coverage joins are certain to be compared. *)
+let test_rank_matches_oracle_on_staff () =
+  let doc = Xmlest.Document.of_elem (Xmlest.Staff_gen.generate ()) in
+  let preds = List.map tagp [ "manager"; "department"; "employee"; "email"; "name" ] in
+  List.iter
+    (fun (grid_size, grid_kind) ->
+      let catalog =
+        Xmlest.Summary.catalog (Xmlest.Summary.build ~grid_size ~grid_kind doc preds)
+      in
+      let coverage =
+        List.fold_left
+          (fun n q -> n + rank_agrees catalog (Xmlest.Pattern_parser.pattern_exn q))
+          0
+          [ "//manager//department//employee"; "//manager[.//email]//employee/name";
+            "//department[./email]//employee[.//name]"; "//manager[./name]/department" ]
+      in
+      Alcotest.(check bool) "coverage joins compared" true (coverage > 0))
+    [ (1, `Uniform); (2, `Equidepth); (10, `Uniform); (10, `Equidepth) ]
+
+(* Each tag of a-b-c-d-e nests in itself, so every join is a pH-join. *)
+let nesting_doc () =
+  let tags = [ "a"; "b"; "c"; "d"; "e" ] in
+  let rec path = function
+    | [] -> []
+    | t :: rest -> [ Xmlest.Elem.make ~children:(path rest) t ]
+  in
+  match path (tags @ tags) with
+  | [ e ] -> Xmlest.Document.of_elem e
+  | _ -> assert false
+
+(* Coefficient lookups on a warm catalog over one [rank]: only a leaf
+   descendant asks the catalog, once per join, and the node-set program
+   joins each connected set once.  Every set of a chain's nodes is
+   connected, and its last child carries the rest of the set below its
+   root, so only the ten two-node sets join a leaf; each of a star's
+   fifteen sets joins its largest leaf.  The per-prefix oracle joins
+   every prefix from scratch. *)
+let test_rank_catalog_lookups () =
+  let summary =
+    Xmlest.Summary.build ~grid_size:4 (nesting_doc ())
+      (List.map tagp [ "a"; "b"; "c"; "d"; "e" ])
+  in
+  let catalog = Xmlest.Summary.catalog summary in
+  let hcat = Xmlest.Summary.hist_catalog summary in
+  let lookups rank pattern =
+    ignore (rank catalog pattern);
+    Xmlest.Hist_catalog.reset_counters hcat;
+    ignore (rank catalog pattern);
+    let c = Xmlest.Hist_catalog.counters hcat in
+    check Alcotest.int "warm" 0 c.Xmlest.Hist_catalog.misses;
+    c.Xmlest.Hist_catalog.hits + c.Xmlest.Hist_catalog.misses
+  in
+  List.iter
+    (fun (name, pattern, joins) ->
+      let dp = lookups (fun c p -> Xmlest.Optimizer.rank c p) pattern in
+      let oracle = lookups (fun c p -> rank_oracle c p) pattern in
+      check Alcotest.int (name ^ ": one lookup per leaf-descendant join") joins dp;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d below the oracle's %d" name dp oracle)
+        true (dp < oracle))
+    [
+      ("chain", Test_util.chain (List.map tagp [ "a"; "b"; "c"; "d"; "e" ]), 10);
+      ("star", Xmlest.Pattern.twig (tagp "a") (List.map tagp [ "b"; "c"; "d"; "e" ]), 15);
+    ]
 
 let test_node_limit () =
   (* A bitmask over pre-order ids holds Sys.int_size - 1 nodes; one more
@@ -378,5 +540,9 @@ let () =
           Alcotest.test_case "executor = counting engine on intermediates" `Quick
             test_executor_agrees_with_actual_intermediates;
           Test_util.to_alcotest prop_node_set_memo_matches_oracles;
+          Alcotest.test_case "rank = per-prefix oracle on staff" `Quick
+            test_rank_matches_oracle_on_staff;
+          Alcotest.test_case "rank: catalog lookups of the node-set program" `Quick
+            test_rank_catalog_lookups;
         ] );
     ]

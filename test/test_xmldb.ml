@@ -637,6 +637,24 @@ let test_writer_indentation () =
   Alcotest.(check bool) "compact has no inner newlines" true
     (String.split_on_char '\n' compact |> List.length <= 3)
 
+(* Exactly one newline follows the declaration, from both writers, and
+   one ends the document. *)
+let test_writer_one_element () =
+  let expected = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<a/>\n" in
+  let e = Xmlest.Elem.make "a" in
+  check Alcotest.string "to_string" expected (Xmlest.Xml_writer.to_string e);
+  let path = Filename.temp_file "xmlest" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Xmlest.Xml_writer.to_file path e;
+      let ic = open_in_bin path in
+      let written =
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+            really_input_string ic (in_channel_length ic))
+      in
+      check Alcotest.string "to_file" expected written)
+
 (* --- Interval_ops ------------------------------------------------------ *)
 
 let test_nesting_detection () =
@@ -869,6 +887,8 @@ let () =
           Alcotest.test_case "failing io closes fds" `Quick
             test_io_failures_close_fds;
           Alcotest.test_case "writer indentation" `Quick test_writer_indentation;
+          Alcotest.test_case "writer: one element, one newline after the declaration"
+            `Quick test_writer_one_element;
         ] );
       ( "interval_ops",
         [
