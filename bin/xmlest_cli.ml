@@ -353,14 +353,14 @@ let plan_cmd =
   let run file query grid actual =
     let doc = read_document file in
     let pattern = parse_query query in
+    if Xmlest.Pattern.edge_count pattern = 0 then begin
+      Printf.eprintf "query has no join plans: a single-node pattern\n";
+      exit 1
+    end;
     let summary =
       Xmlest.Summary.build ~grid_size:grid doc (Xmlest.Predicate.tag_predicates doc)
     in
     let ranked = Xmlest.Optimizer.rank (Xmlest.Summary.catalog summary) pattern in
-    if ranked = [] then begin
-      Printf.eprintf "query has no join plans (single-node pattern?)\n";
-      exit 1
-    end;
     Printf.printf "%-24s %14s%s\n" "plan (node order)" "est. cost"
       (if actual then "    actual cost" else "");
     List.iter
@@ -396,7 +396,8 @@ let query_cmd =
   in
   let run file query grid limit =
     let doc = read_document file in
-    let pattern = parse_query query in
+    let query = parse_anchored query in
+    let pattern = query.Xmlest.Pattern_parser.root in
     (* Pick the join order with the optimizer when there is a choice. *)
     let order =
       if Xmlest.Pattern.edge_count pattern = 0 then [ 0 ]
@@ -411,7 +412,8 @@ let query_cmd =
       end
     in
     let result = Xmlest.Executor.run doc pattern ~order in
-    let total = List.length result.Xmlest.Executor.rows in
+    let rows = Xmlest.Executor.anchored_rows query.Xmlest.Pattern_parser.anchor result in
+    let total = List.length rows in
     Printf.printf "%d matches (plan %s)\n" total
       (String.concat ";" (List.map string_of_int order));
     if limit > 0 then begin
@@ -431,7 +433,7 @@ let query_cmd =
             in
             Printf.printf "  %s\n" (String.concat "  " cells)
           end)
-        result.Xmlest.Executor.rows;
+        rows;
       if total > limit then Printf.printf "  ... %d more\n" (total - limit)
     end
   in

@@ -185,16 +185,7 @@ let cmd_run state q limit =
     end
   in
   let result = Executor.run doc pattern ~order in
-  (* A leading '/' keeps the rows that bind the pattern's root (pattern
-     node 0) to the document root (node 0), as [exact] counts them. *)
-  let rows =
-    match query.Pattern_parser.anchor with
-    | Pattern.Descendant -> result.Executor.rows
-    | Pattern.Child -> (
-      match List.find_index (Int.equal 0) result.Executor.columns with
-      | Some col -> List.filter (fun row -> Int.equal row.(col) 0) result.Executor.rows
-      | None -> [])
-  in
+  let rows = Executor.anchored_rows query.Pattern_parser.anchor result in
   let total = List.length rows in
   let shown = Int.min limit total in
   let flat = Pattern.flatten pattern in

@@ -12,6 +12,9 @@ type entry = {
   no_overlap : bool;
   cvg : Coverage_histogram.t option;
   lvl : Level_histogram.t option;
+  acc : Apply.accumulators option;
+      (* the build's accumulators behind [no_overlap], [cvg] and [lvl],
+         kept while a document is attached for maintenance to edit *)
 }
 
 type build_stats = {
@@ -137,36 +140,33 @@ let equidepth_grid plan ~grid_size ~max_pos ~positions ~all_positions =
   in
   Grid.equidepth ~size:grid_size ~max_pos ~positions:sample
 
-(* One predicate's builders. *)
-type pred_builders = {
-  pb_hist : Position_histogram.builder;
-  pb_levels : Level_histogram.builder option;  (* None when levels are off *)
-  pb_coverage : Coverage_histogram.builder;
-  mutable pb_nesting : bool;  (* a match had a strict match-ancestor *)
-}
+(* One predicate's builders: its position histogram's and the rest. *)
+type pred_builders = { pb_hist : Position_histogram.builder; pb_acc : Apply.accumulators }
 
 (* One pass of [source] into fresh builders over [grid] for its [k]
    predicates, and into a population builder fed only when [population]
    is set.  Each record's cell goes to the population and to the
    builders of its matches, and the cells of its nearest strict
-   P-ancestors, from one resolver, to the coverage builders; a predicate
-   nests iff the resolver saw a match inside another. *)
+   P-ancestors, from one resolver, to the coverage builders; the
+   resolver also counts each predicate's nesting pairs. *)
 let fill plan grid ~population k (source : source) =
   let per =
     Array.init k (fun _ ->
         {
           pb_hist = Position_histogram.builder grid;
-          pb_levels =
-            (if plan.plan_levels then Some (Level_histogram.builder ()) else None);
-          pb_coverage = Coverage_histogram.builder grid;
-          pb_nesting = false;
+          pb_acc =
+            {
+              Apply.coverage = Coverage_histogram.builder grid;
+              levels = (if plan.plan_levels then Some (Level_histogram.builder ()) else None);
+              pairs = 0;
+            };
         })
   in
   let pop = Position_histogram.builder grid in
   let res = Interval_ops.resolver k in
   let matched = Array.make k 0 in
   let on_nearest u ~covered ~covering =
-    Coverage_histogram.feed per.(u).pb_coverage ~covered ~covering
+    Coverage_histogram.feed per.(u).pb_acc.coverage ~covered ~covering
   in
   source ~matched (fun ~start_pos ~end_pos ~level m ->
       let i, j = Grid.cell_of_node grid ~start_pos ~end_pos in
@@ -177,9 +177,9 @@ let fill plan grid ~population k (source : source) =
       for x = 0 to m - 1 do
         let pb = per.(matched.(x)) in
         Position_histogram.feed_cell pb.pb_hist cell;
-        match pb.pb_levels with Some lb -> Level_histogram.feed lb level | None -> ()
+        match pb.pb_acc.levels with Some lb -> Level_histogram.feed lb level | None -> ()
       done);
-  Array.iteri (fun u pb -> pb.pb_nesting <- Interval_ops.nesting_pairs res u > 0) per;
+  Array.iteri (fun u pb -> pb.pb_acc.pairs <- Interval_ops.nesting_pairs res u) per;
   (per, pop)
 
 (* The population's dense per-cell counts, the normalizer every coverage
@@ -189,33 +189,38 @@ let population_cells grid pop =
   Array.init (Grid.cells grid) (fun c ->
       Position_histogram.get pop ~i:(c / g) ~j:(c mod g))
 
+(* A predicate's entry from its position histogram and accumulators,
+   kept in it when [keep]: the predicate has the no-overlap property iff
+   it does not nest, and coverage is kept when it has that property and
+   matched at least one node, normalized by the population's per-cell
+   counts.  The builds and every maintenance commit finish through here. *)
+let finish_entry ~populations ~keep pred hist (acc : Apply.accumulators) =
+  let no_overlap = Int.equal acc.pairs 0 in
+  {
+    pred;
+    hist;
+    no_overlap;
+    cvg =
+      (if no_overlap && Position_histogram.total hist > 0.0 then
+         Some (Coverage_histogram.finish acc.coverage ~populations)
+       else None);
+    lvl = Option.map Level_histogram.finish acc.levels;
+    acc = (if keep then Some acc else None);
+  }
+
 (* Builders ([per] by unique predicate, [pop] the population) into
-   entries and a summary: a predicate has the no-overlap property iff it
-   does not nest, and coverage is kept for the no-overlap predicates
-   that matched at least one node, normalized by the population's
-   per-cell counts. *)
+   entries and a summary.  A summary over a document keeps the
+   accumulators for maintenance; a streamed one drops them. *)
 let finish plan ~doc ~grid ~path ~passes ~t0 ~per ~pop ~evals =
   let pop = Position_histogram.finish pop in
   let populations = population_cells grid pop in
+  let keep = Option.is_some doc in
   let entries = Hashtbl.create 64 in
   Array.iteri
     (fun u pred ->
       let pb = per.(u) in
-      let hist = Position_histogram.finish pb.pb_hist in
-      let no_overlap = not pb.pb_nesting in
-      let cvg =
-        if no_overlap && Position_histogram.total hist > 0.0 then
-          Some (Coverage_histogram.finish pb.pb_coverage ~populations)
-        else None
-      in
       Hashtbl.add entries (Predicate.name pred)
-        {
-          pred;
-          hist;
-          no_overlap;
-          cvg;
-          lvl = Option.map Level_histogram.finish pb.pb_levels;
-        })
+        (finish_entry ~populations ~keep pred (Position_histogram.finish pb.pb_hist) pb.pb_acc))
     plan.uniq;
   let hcat = make_hist_catalog () in
   register_entries hcat entries;
@@ -580,6 +585,7 @@ let adopt t st key k =
               ~entries)
           s.Store.cvg;
       lvl = Option.map Level_histogram.of_counts s.Store.lvl;
+      acc = None;
     }
   in
   Hashtbl.replace t.entries key e;
@@ -616,14 +622,12 @@ let predicates t =
 
 (* --- Incremental maintenance ------------------------------------------ *)
 
-(* The maintenance engine is created lazily on the first [apply]: one
-   document-order sweep seeds its integer ground truth (coverage tables,
-   nesting-pair and level counts) and copies the document once, while the
-   position histograms of the existing entries are adopted as live
-   objects and mutated in place from then on.  The histograms built on
-   demand so far are handed over too, as [histogram_in] hands over the
-   ones built later.  This leaves the construction paths completely
-   untouched. *)
+(* The maintenance engine is created lazily on the first [apply], with
+   no pass over the document: it copies the document once and adopts the
+   population, the entries' position histograms and their build
+   accumulators as live objects, edited in place from then on.  The
+   histograms built on demand so far are handed over too, as
+   [histogram_in] hands over the ones built later. *)
 let maint_state t =
   match t.maint with
   | Some st -> st
@@ -642,15 +646,12 @@ let maint_state t =
             else begin
               Hashtbl.add seen key ();
               match Hashtbl.find_opt t.entries key with
-              | Some e -> Some (pred, e.hist)
-              | None -> None
+              | Some { hist; acc = Some acc; _ } -> Some (pred, hist, acc)
+              | _ -> None
             end)
           t.preds
       in
-      let st =
-        Apply.init ~grid:t.grid ~pop:(population t) ~with_levels:t.with_levels ~entries
-          doc
-      in
+      let st = Apply.init ~grid:t.grid ~pop:(population t) ~entries doc in
       Hashtbl.iter
         (fun key p -> Option.iter (Apply.track st p) (Catalog.find t.hcat key))
         t.untracked;
@@ -684,44 +685,21 @@ let rebuild t =
 
 (* Bring the summary in line with the engine's working copy, which
    becomes the summary's document (the document given to [build] is
-   never edited).
-   Regenerate the derived parts of every entry from the maintained ground
-   truth.  The position histogram object is untouched (it was mutated in
-   place, version counters bumped); coverage and level histograms are
-   rebuilt from exact counts through the same finalization the streaming
-   builders use, and the no-overlap flag follows the exact nesting-pair
-   count, as it does in a build. *)
+   never edited), and finish every entry again from its accumulators,
+   which the engine edited in place, exactly as a build finishes them.
+   The position histograms were mutated in place (version counters
+   bumped), so kept coefficient slots re-derive on demand; the lazy
+   level-position caches are stale. *)
 let commit t st =
   t.doc <- Some (Apply.document st);
-  let populations = Apply.populations st in
-  List.iter
-    (fun r ->
-      match Hashtbl.find_opt t.entries r.Apply.r_name with
-      | None -> ()
-      | Some e ->
-        let no_overlap = r.Apply.r_no_overlap in
-        let cvg =
-          if no_overlap && r.Apply.r_count > 0 then
-            Some
-              (Coverage_histogram.of_parts ~grid:t.grid ~populations
-                 ~entries:r.Apply.r_coverage)
-          else None
-        in
-        let lvl =
-          if t.with_levels then Some (Level_histogram.of_counts r.Apply.r_levels)
-          else e.lvl
-        in
-        Hashtbl.replace t.entries r.Apply.r_name { e with no_overlap; cvg; lvl })
-    (Apply.results st);
-  (* The engine maintained the base entries and the on-demand histograms
-     it tracks; any other catalog key was built from the pre-edit document
-     and is stale, and so are the lazy level-position caches.  Kept
-     coefficient slots re-derive on demand via their bumped versions. *)
-  List.iter
-    (fun key ->
-      if not (Hashtbl.mem t.entries key || Apply.tracks st key) then
-        Catalog.remove t.hcat key)
-    (Catalog.keys t.hcat);
+  let populations = population_cells t.grid (population t) in
+  Hashtbl.filter_map_inplace
+    (fun _ e ->
+      Some
+        (match e.acc with
+        | Some acc -> finish_entry ~populations ~keep:true e.pred e.hist acc
+        | None -> e))
+    t.entries;
   Hashtbl.reset t.lph_cache
 
 (* The engine mutates the shared histograms edit by edit, so when an

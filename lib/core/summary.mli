@@ -239,15 +239,17 @@ val storage_bytes : t -> int
     The first [apply] takes one {!Document.copy} of the summary's
     document and edits that copy in place from then on (see
     {!document}), so an update costs the nodes it touches, not a copy of
-    the document.
+    the document.  It makes no pass over the document: a summary built
+    over a document keeps its build's accumulators, and maintenance edits
+    those and finishes them as the build does.
 
     Maintenance mutates position histograms in place, bumping their
     version counters, so memoized pH-join coefficients in {!hist_catalog}
     invalidate automatically — the next estimate recomputes them.  An
     on-demand histogram (see {!histogram}), whether built before the
-    first [apply] or after it, is maintained like a base predicate's,
-    bit-identical to a build on the edited document.  The
-    no-overlap flag follows the exact nesting-pair count. *)
+    first [apply] or after it, stays bit-identical to a build on the
+    edited document.  The no-overlap flag follows the exact nesting-pair
+    count. *)
 
 module Update = Xmlest_maintain.Update
 module Staleness = Xmlest_maintain.Staleness

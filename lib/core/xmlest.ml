@@ -71,7 +71,6 @@ module Optimizer = Xmlest_optimizer.Optimizer
 (* Maintenance *)
 module Update = Xmlest_maintain.Update
 module Staleness = Xmlest_maintain.Staleness
-module Maintenance = Xmlest_maintain.Apply
 
 (* Parallel substrate *)
 module Domain_pool = Xmlest_parallel.Pool

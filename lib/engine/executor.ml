@@ -139,3 +139,14 @@ let run doc pattern ~order =
         sizes := List.length !rows :: !sizes)
       rest;
     { columns = !columns; rows = !rows; intermediate_sizes = List.rev !sizes }
+
+(* A leading '/' keeps the rows that bind the pattern's root (pattern
+   node 0) to the document root (node 0), as [Twig_count.count_query]
+   counts them. *)
+let anchored_rows anchor r =
+  match (anchor : Pattern.axis) with
+  | Descendant -> r.rows
+  | Child -> (
+    match List.find_index (Int.equal 0) r.columns with
+    | Some col -> List.filter (fun row -> Int.equal row.(col) 0) r.rows
+    | None -> [])

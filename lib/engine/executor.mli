@@ -34,3 +34,9 @@ val run : Document.t -> Pattern.t -> order:int list -> result
     connected as in {!Xmlest_optimizer.Plan.enumerate}).  Raises
     [Invalid_argument] on an order that is not a permutation of the
     pattern's nodes or has a disconnected prefix. *)
+
+val anchored_rows : Pattern.axis -> result -> Document.node array list
+(** The rows a query with this leading axis
+    ({!Xmlest_query.Pattern_parser.query}'s [anchor]) keeps: all of them
+    for [Descendant]; for [Child], those that bind the pattern root to the
+    document root, so their number is {!Twig_count.count_query}'s. *)

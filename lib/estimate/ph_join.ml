@@ -4,47 +4,42 @@ type direction = Ancestor_based | Descendant_based
 (* Dense row-major helpers; [i] is the start bucket, [j] the end bucket. *)
 let idx g i j = (i * g) + j
 
-(* Fig. 9, passes one and two: partial sums over the inner (descendant)
-   histogram.
+(* Fig. 9's partial sums over the inner (descendant) histogram.
 
    self[i][j]       = B[i][j]
    down[i][j]       = Σ_{l = i..j-1} B[i][l]          (column below, same i)
    right[i][j]      = Σ_{k = i+1..j} B[k][j]          (row right, same j)
-   descendant[i][j] = Σ_{i < k <= l < j} B[k][l]      (strictly inside)    *)
+   descendant[i][j] = Σ_{i < k <= l < j} B[k][l]      (strictly inside)
+
+   One sweep, column by column: [down] is a per-row vector advanced by
+   each column's cells, and [right] and [descendant] are running sums up
+   each column, from the diagonal towards row 0, each fed by the cell
+   below it.  Every sum adds its terms in that order, so the result does
+   not depend on the sweep's layout. *)
 let descendant_coefficients histB =
-  let grid = Position_histogram.grid histB in
-  let g = grid.Grid.size in
-  let self = Array.make (g * g) 0.0 in
-  let down = Array.make (g * g) 0.0 in
-  let right = Array.make (g * g) 0.0 in
-  let desc = Array.make (g * g) 0.0 in
-  for i = 0 to g - 1 do
-    for j = i to g - 1 do
-      self.(idx g i j) <- Position_histogram.get histB ~i ~j;
-      if j > i then
-        down.(idx g i j) <- down.(idx g i (j - 1)) +. self.(idx g i (j - 1))
-    done
-  done;
-  for j = g - 1 downto 0 do
-    for i = j downto 0 do
-      if i < j then begin
-        right.(idx g i j) <- self.(idx g (i + 1) j)
-                             +. (if i + 1 < j then right.(idx g (i + 1) j) else 0.0);
-        desc.(idx g i j) <- down.(idx g (i + 1) j)
-                            +. (if i + 1 < j then desc.(idx g (i + 1) j) else 0.0)
-      end
-    done
-  done;
+  let g = (Position_histogram.grid histB).Grid.size in
+  let down = Array.make g 0.0 and diag = Array.make g 0.0 in
   let coef = Array.make (g * g) 0.0 in
-  for i = 0 to g - 1 do
-    for j = i to g - 1 do
-      if Int.equal i j then coef.(idx g i j) <- self.(idx g i j) /. 12.0
-      else
-        coef.(idx g i j) <-
-          desc.(idx g i j)
-          +. (self.(idx g i j) /. 4.0)
-          +. (down.(idx g i j) -. (self.(idx g i i) /. 2.0))
-          +. (right.(idx g i j) -. (self.(idx g j j) /. 2.0))
+  for j = 0 to g - 1 do
+    let s = Position_histogram.get histB ~i:j ~j in
+    diag.(j) <- s;
+    coef.(idx g j j) <- s /. 12.0;
+    (* [below] and [below_down] are self and down of cell (i + 1, j). *)
+    let below = ref s and below_down = ref down.(j) in
+    down.(j) <- down.(j) +. s;
+    let right = ref 0.0 and desc = ref 0.0 in
+    for i = j - 1 downto 0 do
+      right := !below +. !right;
+      desc := !below_down +. !desc;
+      let s = Position_histogram.get histB ~i ~j and dn = down.(i) in
+      coef.(idx g i j) <-
+        !desc
+        +. (s /. 4.0)
+        +. (dn -. (diag.(i) /. 2.0))
+        +. (!right -. (diag.(j) /. 2.0));
+      below := s;
+      below_down := dn;
+      down.(i) <- dn +. s
     done
   done;
   coef
@@ -57,37 +52,30 @@ let descendant_coefficients histB =
 
    up[i][j]     = Σ_{l = j+1..g-1} A[i][l]            (column above, same i)
    left[i][j]   = Σ_{k = 0..i-1} A[k][j]              (row left, same j)
-   ancestor[i][j] = Σ_{k < i, l > j} A[k][l]          (strictly up-left)   *)
+   ancestor[i][j] = Σ_{k < i, l > j} A[k][l]          (strictly up-left)
+
+   One sweep, column by column from the last: [up] is a per-row vector
+   advanced by each column's cells, and [left] and [ancestor] are running
+   sums down each column from row 0, each fed by the cell above it. *)
 let ancestor_coefficients histA =
-  let grid = Position_histogram.grid histA in
-  let g = grid.Grid.size in
-  let self = Array.make (g * g) 0.0 in
-  let up = Array.make (g * g) 0.0 in
-  let left = Array.make (g * g) 0.0 in
-  let anc = Array.make (g * g) 0.0 in
-  for i = 0 to g - 1 do
-    for j = g - 1 downto i do
-      self.(idx g i j) <- Position_histogram.get histA ~i ~j;
-      if j < g - 1 then
-        up.(idx g i j) <- up.(idx g i (j + 1)) +. self.(idx g i (j + 1))
-    done
-  done;
-  for j = 0 to g - 1 do
+  let g = (Position_histogram.grid histA).Grid.size in
+  let up = Array.make g 0.0 in
+  let coef = Array.make (g * g) 0.0 in
+  for j = g - 1 downto 0 do
+    (* [above] and [above_up] are self and up of cell (i - 1, j). *)
+    let above = ref 0.0 and above_up = ref 0.0 in
+    let left = ref 0.0 and anc = ref 0.0 in
     for i = 0 to j do
       if i > 0 then begin
-        left.(idx g i j) <- left.(idx g (i - 1) j) +. self.(idx g (i - 1) j);
-        anc.(idx g i j) <- anc.(idx g (i - 1) j) +. up.(idx g (i - 1) j)
-      end
-    done
-  done;
-  let coef = Array.make (g * g) 0.0 in
-  for i = 0 to g - 1 do
-    for j = i to g - 1 do
-      let shared =
-        if Int.equal i j then self.(idx g i j) /. 12.0
-        else self.(idx g i j) /. 4.0
-      in
-      coef.(idx g i j) <- anc.(idx g i j) +. up.(idx g i j) +. left.(idx g i j) +. shared
+        left := !left +. !above;
+        anc := !anc +. !above_up
+      end;
+      let s = Position_histogram.get histA ~i ~j and u = up.(i) in
+      let shared = if Int.equal i j then s /. 12.0 else s /. 4.0 in
+      coef.(idx g i j) <- !anc +. u +. !left +. shared;
+      above := s;
+      above_up := u;
+      up.(i) <- u +. s
     done
   done;
   coef

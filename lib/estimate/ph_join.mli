@@ -17,8 +17,8 @@
     up-left (and the shared column/row, which legality arguments make
     certain) with 1 and the shared cell with 1/4 (1/12 on-diagonal).
 
-    Each variant's coefficients take three passes over the grid, O(g²)
-    total; applying them costs one product per non-zero cell of the outer
+    Each variant's coefficients take one sweep over the grid, O(g²) time
+    and O(g) scratch besides the result; applying them costs one product per non-zero cell of the outer
     histogram ({!weigh}), which also yields the per-cell estimates twig
     composition needs. *)
 

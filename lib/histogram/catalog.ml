@@ -70,8 +70,6 @@ let add t ~key hist =
            key));
   Hashtbl.replace t.entries key { hist; desc = None; anc = None }
 
-let remove t key = Hashtbl.remove t.entries key
-
 (* The memoization heart: serve the cached array when its version matches
    the histogram's current one, otherwise (re)compute and re-stamp. *)
 let coefficients t key kind =

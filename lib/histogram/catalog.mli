@@ -44,7 +44,6 @@ val add : t -> key:string -> Position_histogram.t -> unit
     catalog's (fixed by the first histogram added). *)
 
 val find : t -> string -> Position_histogram.t option
-val remove : t -> string -> unit
 val keys : t -> string list
 (** Sorted. *)
 

@@ -49,7 +49,7 @@ let of_sorted ~grid ~populations entries =
    cell merged in place.  [finish] sums the runs per covering cell, so
    any feed order of the same nodes gives the same histogram: [build]
    feeds in document order, the streamed summary build in reverse
-   post-order. *)
+   post-order.  Maintenance edits the same runs with signed [add]s. *)
 type builder = {
   b_grid : Grid.t;
   b_counts : (int * float) list array;  (* covered cell -> run-length list *)
@@ -63,24 +63,43 @@ let feed b ~covered ~covering =
     | (m, c) :: rest when Int.equal m covering -> (m, c +. 1.0) :: rest
     | l -> (covering, 1.0) :: l)
 
+(* The first run of [covering] absorbs [d], or a new run takes it; a run
+   that reaches zero is dropped, so a row does not grow with the edit
+   stream. *)
+let add b ~covered ~covering d =
+  let rec go = function
+    | [] -> [ (covering, d) ]
+    | (m, c) :: rest when Int.equal m covering ->
+      let c = c +. d in
+      if Float.equal c 0.0 then rest else (m, c) :: rest
+    | run :: rest -> run :: go rest
+  in
+  b.b_counts.(covered) <- go b.b_counts.(covered)
+
 let finish b ~populations =
   if not (Int.equal (Array.length populations) (Grid.cells b.b_grid)) then
     invalid_arg "Coverage_histogram.finish: population array length mismatch";
   let entries = ref [] in
   for c = Grid.cells b.b_grid - 1 downto 0 do
-    (* Merge duplicate covering cells (the run-length shortcut above only
-       merges consecutive hits). *)
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (m, k) ->
-        let cur = try Hashtbl.find tbl m with Not_found -> 0.0 in
-        Hashtbl.replace tbl m (cur +. k))
-      b.b_counts.(c);
-    let pop = populations.(c) in
-    let row =
-      List.sort compare_entries (Hashtbl.fold (fun m k acc -> (c, m, k /. pop) :: acc) tbl [])
-    in
-    entries := row @ !entries
+    match b.b_counts.(c) with
+    | [] -> ()
+    | runs ->
+      (* Merge duplicate covering cells (the run-length shortcut above
+         only merges consecutive hits); a cell whose runs cancel out
+         covers nothing. *)
+      let tbl = Hashtbl.create 8 in
+      List.iter
+        (fun (m, k) ->
+          let cur = try Hashtbl.find tbl m with Not_found -> 0.0 in
+          Hashtbl.replace tbl m (cur +. k))
+        runs;
+      let pop = populations.(c) in
+      let row =
+        Hashtbl.fold
+          (fun m k acc -> if Float.equal k 0.0 then acc else (c, m, k /. pop) :: acc)
+          tbl []
+      in
+      entries := List.sort compare_entries row @ !entries
   done;
   of_sorted ~grid:b.b_grid ~populations !entries
 

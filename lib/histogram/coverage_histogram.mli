@@ -41,10 +41,18 @@ val feed : builder -> covered:int -> covering:int -> unit
 (** Record one node in dense cell [covered] whose nearest strict
     P-ancestor lies in dense cell [covering]. *)
 
+val add : builder -> covered:int -> covering:int -> float -> unit
+(** [add b ~covered ~covering d] adds the signed count [d] to the nodes
+    of dense cell [covered] whose nearest strict P-ancestor lies in dense
+    cell [covering]: maintenance removes a node with [-1.0].  Every
+    pair's net count must be non-negative when {!finish} runs. *)
+
 val finish : builder -> populations:float array -> t
 (** Freeze, normalizing counts by the per-cell population (the TRUE
-    histogram counts, dense).  Raises [Invalid_argument] on a population
-    array of the wrong length. *)
+    histogram counts, dense).  Pairs with a net count of zero are left
+    out, so a builder edited by {!add} finishes bit-identical to a fresh
+    one fed only the net counts.  The builder stays usable.  Raises
+    [Invalid_argument] on a population array of the wrong length. *)
 
 val total_coverage : t -> i:int -> j:int -> float
 (** Fraction of cell [(i, j)]'s population covered by any P-node. *)

@@ -4,14 +4,15 @@ open Xmlest_query
 type t = { counts : float array }
 
 (* Streaming builder: counts arrive level by level with no bound known up
-   front, so the array grows geometrically and [finish] trims it to
-   [max fed level + 1] (one zero entry for an empty set, mirroring
-   [build] on an empty node set). *)
-type builder = { mutable b_counts : float array; mutable b_max : int }
+   front, so the array grows geometrically and [finish] trims it to the
+   last non-zero level (one zero entry for an empty set, mirroring
+   [build] on an empty node set).  Maintenance edits the same counts with
+   signed [add]s. *)
+type builder = { mutable b_counts : float array }
 
-let builder () = { b_counts = Array.make 8 0.0; b_max = -1 }
+let builder () = { b_counts = Array.make 8 0.0 }
 
-let feed b l =
+let add b l d =
   if l >= Array.length b.b_counts then begin
     let n = ref (2 * Array.length b.b_counts) in
     while l >= !n do
@@ -21,11 +22,14 @@ let feed b l =
     Array.blit b.b_counts 0 bigger 0 (Array.length b.b_counts);
     b.b_counts <- bigger
   end;
-  b.b_counts.(l) <- b.b_counts.(l) +. 1.0;
-  if l > b.b_max then b.b_max <- l
+  b.b_counts.(l) <- b.b_counts.(l) +. d
+
+let feed b l = add b l 1.0
 
 let finish b =
-  { counts = Array.sub b.b_counts 0 (Int.max 1 (b.b_max + 1)) }
+  let last = ref (-1) in
+  Array.iteri (fun l c -> if not (Float.equal c 0.0) then last := l) b.b_counts;
+  { counts = Array.sub b.b_counts 0 (Int.max 1 (!last + 1)) }
 
 let of_levels doc nodes =
   let b = builder () in

@@ -23,9 +23,16 @@ val feed : builder -> int -> unit
 (** Count one node at the given depth; the internal array grows on
     demand. *)
 
+val add : builder -> int -> float -> unit
+(** [add b l d] adds the signed count [d] at depth [l]: maintenance
+    removes a node with [-1.0].  Every net count must be non-negative
+    when {!finish} runs. *)
+
 val finish : builder -> t
-(** Freeze: counts for levels [0 .. max fed level] ([\[|0.0|\]] when
-    nothing was fed, matching {!build} on an empty node set). *)
+(** Freeze: counts for levels [0 .. last non-zero level] ([\[|0.0|\]]
+    when every count is zero, matching {!build} on an empty node set).
+    The builder stays usable: a later {!add} and [finish] give a new
+    histogram. *)
 
 val child_fraction : anc:t -> desc:t -> float
 (** Of all level pairs [(la, ld)] with [la < ld] weighted by the level

@@ -2,23 +2,25 @@ open Xmlest_xmldb
 open Xmlest_query
 open Xmlest_histogram
 
+type accumulators = {
+  coverage : Coverage_histogram.builder;
+  levels : Level_histogram.builder option;
+  mutable pairs : int;
+}
+
 (* Per-predicate maintained statistics.  [hist] is the very object the
    summary entry (and the coefficient catalog) holds, mutated in place via
    [Position_histogram.add] so that every edit bumps its version counter
-   and cached pH-join coefficients invalidate for free.  Everything else
-   is integer ground truth from which the derived histograms (coverage
-   fractions, trimmed level counts, no-overlap flag) are regenerated
-   after each apply batch. *)
+   and cached pH-join coefficients invalidate for free.  [acc] holds the
+   summary's own build accumulators, edited in place too; the summary
+   finishes them after each apply batch.  A tracked on-demand predicate
+   has none: only its position histogram is maintained. *)
 type pred_state = {
   pred : Predicate.t;
   name : string;
   hist : Position_histogram.t;
+  acc : accumulators option;
   mutable compiled : Predicate.compiled;
-  mutable levels : float array;  (* index = level; grows on demand *)
-  cvg : (int * int, int) Hashtbl.t;
-      (* (covered cell, covering cell) -> covered-node count *)
-  mutable pairs : int;  (* nesting (ancestor, descendant) matching pairs *)
-  mutable count : int;  (* matching nodes *)
   mutable touched : int;  (* matching nodes whose statistics an edit moved *)
 }
 
@@ -27,11 +29,9 @@ type t = {
   grid : Grid.t;
   mutable preds : pred_state array;
       (* the base predicates in [init]'s order, then the on-demand ones
-         handed over by [track], every one maintained alike *)
+         handed over by [track] *)
   base : int;  (* how many of [preds] are base predicates *)
   pop : Position_histogram.t;  (* shared with the summary *)
-  pop_counts : int array;  (* dense per-cell node counts (all nodes) *)
-  with_levels : bool;
   mutable updates : int;
 }
 
@@ -48,24 +48,13 @@ let cell_idx t doc v =
   let i, j = cell_ij t doc v in
   Grid.index t.grid ~i ~j
 
-let tbl_add tbl key d =
-  let cur = match Hashtbl.find_opt tbl key with Some c -> c | None -> 0 in
-  let nv = cur + d in
-  if nv = 0 then Hashtbl.remove tbl key else Hashtbl.replace tbl key nv
-
-let level_add ps l d =
-  if l >= Array.length ps.levels then begin
-    let n = ref (Int.max 8 (2 * Array.length ps.levels)) in
-    while l >= !n do
-      n := 2 * !n
-    done;
-    let bigger = Array.make !n 0.0 in
-    Array.blit ps.levels 0 bigger 0 (Array.length ps.levels);
-    ps.levels <- bigger
-  end;
-  ps.levels.(l) <- ps.levels.(l) +. d
-
 let hist_add ps ~i ~j d = Position_histogram.add ps.hist ~i ~j d
+
+let cvg_add acc ~covered ~covering d =
+  Coverage_histogram.add acc.coverage ~covered ~covering d
+
+let level_add acc doc v d =
+  Option.iter (fun lb -> Level_histogram.add lb (Document.level doc v) d) acc.levels
 
 (* Nearest strict ancestor of [v] matching [ps], by parent-chain walk
    ([-1] when none). *)
@@ -87,81 +76,22 @@ let anc_matches ps doc v =
 let recompile t =
   Array.iter (fun ps -> ps.compiled <- Predicate.compile t.doc ps.pred) t.preds
 
-(* --- initial sweep ----------------------------------------------------- *)
+(* --- adoption ----------------------------------------------------------- *)
 
-let new_state doc pred hist =
-  {
-    pred;
-    name = Predicate.name pred;
-    hist;
-    compiled = Predicate.compile doc pred;
-    levels = Array.make 8 0.0;
-    cvg = Hashtbl.create 64;
-    pairs = 0;
-    count = 0;
-    touched = 0;
-  }
-
-(* One document-order pass seeds the maintained counters of [preds] from
-   scratch: matching counts and level counts, the (covered, covering)
-   coverage table and the exact nesting-pair counts, both from the same
-   nearest-ancestor resolver the builds use, and with [~population] the
-   per-cell populations too.  The position histograms are NOT touched:
-   the caller passes objects that already describe the document. *)
-let seed t preds ~population =
-  let doc = t.doc in
-  let disp = Predicate.dispatch doc (Array.to_list (Array.map (fun ps -> ps.pred) preds)) in
-  let res = Interval_ops.resolver (Array.length preds) in
-  let matched_list = Array.make (Array.length preds) 0 in
-  let on_nearest u ~covered ~covering = tbl_add preds.(u).cvg (covered, covering) 1 in
-  for v = 0 to Document.size doc - 1 do
-    let c = cell_idx t doc v in
-    if population then t.pop_counts.(c) <- t.pop_counts.(c) + 1;
-    let nmatched = ref 0 in
-    Predicate.dispatch_node disp doc v ~f:(fun u ->
-        matched_list.(!nmatched) <- u;
-        incr nmatched);
-    Interval_ops.resolve res ~start_pos:(Document.start_pos doc v)
-      ~end_pos:(Document.end_pos doc v) ~cell:c ~matched:matched_list
-      ~nmatched:!nmatched ~on_nearest;
-    for m = 0 to !nmatched - 1 do
-      let ps = preds.(matched_list.(m)) in
-      ps.count <- ps.count + 1;
-      if t.with_levels then level_add ps (Document.level doc v) 1.0
-    done
-  done;
-  Array.iteri (fun u ps -> ps.pairs <- Interval_ops.nesting_pairs res u) preds
+let new_state doc pred hist acc =
+  { pred; name = Predicate.name pred; hist; acc; compiled = Predicate.compile doc pred; touched = 0 }
 
 (* The engine edits its own copy of [doc], so the caller's document never
-   changes under it. *)
-let init ~grid ~pop ~with_levels ~entries doc =
+   changes under it.  Every statistic is adopted as it stands: nothing is
+   derived from the document here. *)
+let init ~grid ~pop ~entries doc =
   let doc = Document.copy doc in
-  let preds = Array.of_list (List.map (fun (pred, hist) -> new_state doc pred hist) entries) in
-  let t =
-    {
-      doc;
-      grid;
-      preds;
-      base = Array.length preds;
-      pop;
-      pop_counts = Array.make (Grid.cells grid) 0;
-      with_levels;
-      updates = 0;
-    }
+  let preds =
+    Array.of_list (List.map (fun (pred, hist, acc) -> new_state doc pred hist (Some acc)) entries)
   in
-  seed t preds ~population:true;
-  t
+  { doc; grid; preds; base = Array.length preds; pop; updates = 0 }
 
-(* An on-demand predicate joins the maintained set at the cost of one
-   sweep; from then on every edit updates it like a base predicate. *)
-let track t pred hist =
-  let ps = new_state t.doc pred hist in
-  seed t [| ps |] ~population:false;
-  t.preds <- Array.append t.preds [| ps |]
-
-let tracks t name =
-  let rec go u = u < Array.length t.preds && (String.equal t.preds.(u).name name || go (u + 1)) in
-  go t.base
+let track t pred hist = t.preds <- Array.append t.preds [| new_state t.doc pred hist None |]
 
 (* --- subtree sweeps ------------------------------------------------------ *)
 
@@ -206,34 +136,39 @@ let sweep_subtree ps doc lo hi f =
 
 (* Add ([sign = 1]) or subtract ([sign = -1]) the subtree range
    [lo .. hi] of [doc] to or from every maintained statistic: population
-   and histogram mass, counts, levels, the nesting pairs each node closes
-   as the descendant endpoint, and each node's own (covered-side)
-   coverage entry.  Everything is read off the working copy, so the range
-   must be the doomed subtree before the delete or the inserted one after
-   the insert; a same-grid rebuild buckets the nodes identically, via the
-   clamped [Grid.cell_of_node]. *)
+   and histogram mass, levels, the nesting pairs each node closes as the
+   descendant endpoint, and each node's own (covered-side) coverage
+   entry; a tracked predicate's histogram mass only.  Everything is read
+   off the working copy, so the range must be the doomed subtree before
+   the delete or the inserted one after the insert; a same-grid rebuild
+   buckets the nodes identically, via the clamped [Grid.cell_of_node]. *)
 let feed_range t ~sign lo hi =
   let doc = t.doc in
   let g = t.grid.Grid.size in
   let d = float_of_int sign in
   let cells = Array.init (hi - lo + 1) (fun x -> cell_idx t doc (lo + x)) in
-  Array.iter
-    (fun c ->
-      t.pop_counts.(c) <- t.pop_counts.(c) + sign;
-      Position_histogram.add t.pop ~i:(c / g) ~j:(c mod g) d)
-    cells;
+  Array.iter (fun c -> Position_histogram.add t.pop ~i:(c / g) ~j:(c mod g) d) cells;
+  let add_match ps w =
+    let c = cells.(w - lo) in
+    hist_add ps ~i:(c / g) ~j:(c mod g) d;
+    ps.touched <- ps.touched + 1
+  in
   Array.iter
     (fun ps ->
-      sweep_subtree ps doc lo hi (fun w ~matched ~na ~anc ->
-          let c = cells.(w - lo) in
-          if na >= 0 then tbl_add ps.cvg (c, cell_idx t doc na) sign;
-          if matched then begin
-            hist_add ps ~i:(c / g) ~j:(c mod g) d;
-            ps.count <- ps.count + sign;
-            if t.with_levels then level_add ps (Document.level doc w) d;
-            ps.pairs <- ps.pairs + (sign * anc);
-            ps.touched <- ps.touched + 1
-          end))
+      match ps.acc with
+      | None ->
+        for w = lo to hi do
+          if ps.compiled w then add_match ps w
+        done
+      | Some acc ->
+        sweep_subtree ps doc lo hi (fun w ~matched ~na ~anc ->
+            if na >= 0 then
+              cvg_add acc ~covered:cells.(w - lo) ~covering:(cell_idx t doc na) d;
+            if matched then begin
+              add_match ps w;
+              level_add acc doc w d;
+              acc.pairs <- acc.pairs + (sign * anc)
+            end))
     t.preds
 
 (* --- deletions --------------------------------------------------------- *)
@@ -341,31 +276,34 @@ let apply_insert t ~parent ~index subtree =
   in
   Hashtbl.iter
     (fun a (oc, nc) ->
-      t.pop_counts.(oc) <- t.pop_counts.(oc) - 1;
-      t.pop_counts.(nc) <- t.pop_counts.(nc) + 1;
       Position_histogram.add t.pop ~i:(oc / g) ~j:(oc mod g) (-1.0);
       Position_histogram.add t.pop ~i:(nc / g) ~j:(nc mod g) 1.0;
       Array.iter
         (fun ps ->
-          let na = nearest_anc ps doc a in
-          if na >= 0 then begin
-            tbl_add ps.cvg (oc, old_cell na) (-1);
-            tbl_add ps.cvg (nc, new_cell na) 1
-          end;
-          if ps.compiled a then begin
+          let hit = ps.compiled a in
+          if hit then begin
             hist_add ps ~i:(oc / g) ~j:(oc mod g) (-1.0);
             hist_add ps ~i:(nc / g) ~j:(nc mod g) 1.0;
-            ps.touched <- ps.touched + 1;
-            (* Movers among the nodes [a] covers re-keyed both sides of
-               their entry above; the new subtree is fed afterwards. *)
-            iter_covered ps doc a (fun u ->
-                if (u < root || u >= root + k) && not (Hashtbl.mem moved u)
-                then begin
-                  let cu = new_cell u in
-                  tbl_add ps.cvg (cu, oc) (-1);
-                  tbl_add ps.cvg (cu, nc) 1
-                end)
-          end)
+            ps.touched <- ps.touched + 1
+          end;
+          Option.iter
+            (fun acc ->
+              let na = nearest_anc ps doc a in
+              if na >= 0 then begin
+                cvg_add acc ~covered:oc ~covering:(old_cell na) (-1.0);
+                cvg_add acc ~covered:nc ~covering:(new_cell na) 1.0
+              end;
+              (* Movers among the nodes [a] covers re-keyed both sides of
+                 their entry above; the new subtree is fed afterwards. *)
+              if hit then
+                iter_covered ps doc a (fun u ->
+                    if (u < root || u >= root + k) && not (Hashtbl.mem moved u)
+                    then begin
+                      let cu = new_cell u in
+                      cvg_add acc ~covered:cu ~covering:oc (-1.0);
+                      cvg_add acc ~covered:cu ~covering:nc 1.0
+                    end))
+            ps.acc)
         t.preds)
     moved;
   feed_range t ~sign:1 root (root + k - 1)
@@ -392,26 +330,28 @@ let apply_replace t v edit =
     (fun u ps ->
       let after = ps.compiled v in
       if not (Bool.equal before.(u) after) then begin
-        let d = if after then 1 else -1 in
-        hist_add ps ~i ~j (float_of_int d);
-        ps.count <- ps.count + d;
-        if t.with_levels then
-          level_add ps (Document.level doc v) (float_of_int d);
+        let sign = if after then 1 else -1 in
+        let d = float_of_int sign in
+        hist_add ps ~i ~j d;
         ps.touched <- ps.touched + 1;
-        (* Nesting pairs with [v] as descendant, then as ancestor. *)
-        let desc = ref 0 in
-        for w = v + 1 to Document.subtree_last doc v do
-          if ps.compiled w then incr desc
-        done;
-        ps.pairs <- (ps.pairs + (d * (anc_matches ps doc v + !desc)));
-        (* Coverage: the nodes [v] covers when it matches switch between
-           [v] and [v]'s own nearest match. *)
-        let na_v = nearest_anc ps doc v in
-        let na_v_cell = if na_v >= 0 then cell_idx t doc na_v else -1 in
-        iter_covered ps doc v (fun w ->
-            let cw = cell_idx t doc w in
-            if na_v_cell >= 0 then tbl_add ps.cvg (cw, na_v_cell) (-d);
-            tbl_add ps.cvg (cw, cv) d)
+        Option.iter
+          (fun acc ->
+            level_add acc doc v d;
+            (* Nesting pairs with [v] as descendant, then as ancestor. *)
+            let desc = ref 0 in
+            for w = v + 1 to Document.subtree_last doc v do
+              if ps.compiled w then incr desc
+            done;
+            acc.pairs <- acc.pairs + (sign * (anc_matches ps doc v + !desc));
+            (* Coverage: the nodes [v] covers when it matches switch
+               between [v] and [v]'s own nearest match. *)
+            let na_v = nearest_anc ps doc v in
+            let na_v_cell = if na_v >= 0 then cell_idx t doc na_v else -1 in
+            iter_covered ps doc v (fun w ->
+                let cw = cell_idx t doc w in
+                if na_v_cell >= 0 then cvg_add acc ~covered:cw ~covering:na_v_cell (-.d);
+                cvg_add acc ~covered:cw ~covering:cv d))
+          ps.acc
       end)
     t.preds
 
@@ -425,52 +365,9 @@ let apply_update t u =
   | Update.Replace_attrs { node; attrs } -> apply_replace t node (`Attrs attrs));
   t.updates <- t.updates + 1
 
-(* --- regeneration views ------------------------------------------------ *)
-
-let populations t = Array.map float_of_int t.pop_counts
-
-type pred_result = {
-  r_pred : Predicate.t;
-  r_name : string;
-  r_count : int;
-  r_no_overlap : bool;
-  r_coverage : (int * int * float) list;
-  r_levels : float array;
-}
-
-let base_states t = Array.sub t.preds 0 t.base
-
-let results t =
-  let pops = populations t in
-  Array.to_list
-    (Array.map
-       (fun ps ->
-         let entries =
-           Hashtbl.fold
-             (fun (covered, covering) cnt acc ->
-               if cnt > 0 then
-                 (covered, covering, float_of_int cnt /. pops.(covered)) :: acc
-               else acc)
-             ps.cvg []
-         in
-         (* Trim level counts exactly as [Level_histogram.finish] does:
-            down to the last populated level, one zero entry when empty. *)
-         let last = ref (-1) in
-         Array.iteri
-           (fun l c -> if not (Float.equal c 0.0) then last := l)
-           ps.levels;
-         let levels = Array.sub ps.levels 0 (Int.max 1 (!last + 1)) in
-         {
-           r_pred = ps.pred;
-           r_name = ps.name;
-           r_count = ps.count;
-           r_no_overlap = Int.equal ps.pairs 0;
-           r_coverage = entries;
-           r_levels = levels;
-         })
-       (base_states t))
+(* --- staleness ---------------------------------------------------------- *)
 
 let staleness t =
   Staleness.make_report ~updates_since_build:t.updates
     ~per_predicate:
-      (Array.to_list (Array.map (fun ps -> (ps.name, ps.touched)) (base_states t)))
+      (Array.to_list (Array.map (fun ps -> (ps.name, ps.touched)) (Array.sub t.preds 0 t.base)))

@@ -18,18 +18,22 @@
       the document's events over one window per boundary, not by
       comparing every survivor's cell.
     - {b Text/attribute replacements} only flip the edited node's matched
-      set; the flip is propagated to counts, levels, nesting pairs and the
-      coverage entries of its subtree.
+      set; the flip is propagated to the histogram, levels, nesting pairs
+      and the coverage entries of its subtree.
 
-    Position histograms are mutated in place via
-    [Position_histogram.add], so each edit bumps their version counters
-    and any memoized pH-join coefficients in a {!Catalog} invalidate
-    automatically (the next lookup recomputes).
+    The engine keeps no statistic of its own.  It adopts the summary's
+    live objects — the population and position histograms, and each base
+    predicate's build {!accumulators} — and edits them in place: position
+    histograms via [Position_histogram.add], so each edit bumps their
+    version counters and any memoized pH-join coefficients in a
+    {!Catalog} invalidate automatically (the next lookup recomputes), and
+    the coverage and level builders with their signed [add]s.  The
+    summary then finishes those builders with the same [finish]
+    functions a build uses.
 
     Besides the summary's base predicates, the engine maintains any
-    on-demand histogram handed to it with {!track}: such a predicate is
-    seeded with one sweep and then updated by every edit exactly like a
-    base predicate, so it stays bit-identical to a fresh
+    on-demand histogram handed to it with {!track}: only its position
+    histogram, which stays bit-identical to a fresh
     [Position_histogram.build] on the edited document.  Each tracked
     predicate costs its share of every later edit.
 
@@ -41,39 +45,46 @@
 
     The engine lives below the summary layer: [Summary.apply] owns an
     instance, initializes it lazily from the attached document with
-    {!init}, funnels updates through {!apply_update}, and regenerates its
-    entry records from {!results}. *)
+    {!init}, funnels updates through {!apply_update}, and finishes its
+    entries from the accumulators afterwards. *)
 
 open Xmlest_xmldb
 open Xmlest_query
 open Xmlest_histogram
+
+(** One base predicate's build accumulators, beside its position
+    histogram: the summary build fills them, the summary keeps them while
+    a document is attached, and the engine edits them in place. *)
+type accumulators = {
+  coverage : Coverage_histogram.builder;
+      (** every node with a nearest strict matching ancestor, by
+          (covered cell, covering cell) *)
+  levels : Level_histogram.builder option;  (** [None] when levels are off *)
+  mutable pairs : int;  (** nesting (ancestor, descendant) matching pairs *)
+}
 
 type t
 
 val init :
   grid:Grid.t ->
   pop:Position_histogram.t ->
-  with_levels:bool ->
-  entries:(Predicate.t * Position_histogram.t) list ->
+  entries:(Predicate.t * Position_histogram.t * accumulators) list ->
   Document.t ->
   t
-(** Seed the maintained counters with one document-order sweep.  [pop] and
-    the per-predicate histograms in [entries] must already describe
-    [doc] on [grid] (they are adopted as the live objects and mutated in
-    place by later updates, not recomputed here); [entries] lists the
-    summary's base predicates deduplicated in first-occurrence order.
-    The engine takes a {!Document.copy} of [doc] and edits only that copy:
-    [doc] itself is never mutated. *)
+(** Adopt the statistics of a summary built over [doc]: [pop] and the
+    histograms and accumulators in [entries] must already describe [doc]
+    on [grid].  They are adopted as the live objects and edited in place
+    by later updates; nothing is derived from [doc] here.  [entries]
+    lists the summary's base predicates, deduplicated.  The engine takes
+    a {!Document.copy} of [doc] and edits only that copy: [doc] itself is
+    never mutated. *)
 
 val track : t -> Predicate.t -> Position_histogram.t -> unit
 (** [track t pred hist] maintains an on-demand histogram from now on.
     [hist] must describe {!document} for [pred] on the engine's grid; it is
-    adopted as the live object, like a base predicate's, and mutated in
-    place by later updates.  Tracked predicates stay out of {!results}
-    and {!staleness}, which describe the base predicates only. *)
-
-val tracks : t -> string -> bool
-(** Whether {!track} was given a predicate of this {!Predicate.name}. *)
+    adopted as the live object and mutated in place by later updates.
+    Nothing else is kept for it.  Tracked predicates stay out of
+    {!staleness}, which describes the base predicates only. *)
 
 val apply_update : t -> Update.t -> unit
 (** Apply one edit to the document and all maintained statistics.  Raises
@@ -83,27 +94,5 @@ val apply_update : t -> Update.t -> unit
 val document : t -> Document.t
 (** The engine's working copy, as of the last edit.  The same store on
     every call: the next {!apply_update} edits it in place. *)
-
-val populations : t -> float array
-(** Dense per-cell node counts over all nodes, maintained exactly — the
-    [populations] argument coverage histograms are finished against. *)
-
-type pred_result = {
-  r_pred : Predicate.t;
-  r_name : string;
-  r_count : int;  (** matching nodes *)
-  r_no_overlap : bool;  (** exact: zero nesting pairs among matches *)
-  r_coverage : (int * int * float) list;
-      (** (covered cell, covering cell, fraction of the covered cell's
-          population) — feed to [Coverage_histogram.of_parts] *)
-  r_levels : float array;
-      (** per-level matching counts, trimmed like
-          [Level_histogram.finish] — feed to [Level_histogram.of_counts] *)
-}
-
-val results : t -> pred_result list
-(** Regeneration view of every base predicate, in the order given to
-    {!init}.  [r_no_overlap] is derived from the data (exact
-    nesting-pair counts), as a build derives it. *)
 
 val staleness : t -> Staleness.report

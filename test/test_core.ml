@@ -1422,11 +1422,16 @@ let test_cli_generate_checks_scale () =
    the one manager that is the document element. *)
 let anchored_counts = [ ("/manager", 1); ("/department", 0); ("//manager", 39) ]
 
-let test_cli_exact_anchor () =
+(* [f] on the path of a generated staff document, removed afterwards. *)
+let with_staff_xml f =
   let path = Filename.temp_file "xmlest_staff" ".xml" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let code, _, err = run_cli [ "generate"; "staff"; "-o"; path ] in
   check Alcotest.int ("generate: " ^ err) 0 code;
+  f path
+
+let test_cli_exact_anchor () =
+  with_staff_xml @@ fun path ->
   List.iter
     (fun (q, n) ->
       let code, out, err = run_cli [ "estimate"; "--exact"; path; q ] in
@@ -1436,6 +1441,32 @@ let test_cli_exact_anchor () =
         true
         (Test_util.contains_substring out (Printf.sprintf "exact:    %d\n" n)))
     anchored_counts
+
+(* [query] keeps a leading '/' too: its match count is the exact one. *)
+let test_cli_query_anchor () =
+  with_staff_xml @@ fun path ->
+  List.iter
+    (fun (q, n) ->
+      let code, out, err = run_cli [ "query"; path; q; "--limit"; "0" ] in
+      check Alcotest.int ("query " ^ q ^ ": " ^ err) 0 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d matches in %S" q n out)
+        true
+        (String.starts_with ~prefix:(Printf.sprintf "%d matches " n) out))
+    anchored_counts
+
+(* [plan] rejects a pattern with no joins to order, and ranks a twig. *)
+let test_cli_plan_single_node () =
+  with_staff_xml @@ fun path ->
+  let code, out, err = run_cli [ "plan"; path; "//manager" ] in
+  check Alcotest.int ("plan //manager exits 1: " ^ out) 1 code;
+  Alcotest.(check bool) ("names the single node: " ^ err) true
+    (Test_util.contains_substring err "single-node pattern");
+  check Alcotest.string "prints no table" "" out;
+  let code, out, err = run_cli [ "plan"; path; "//manager//employee" ] in
+  check Alcotest.int ("plan //manager//employee: " ^ err) 0 code;
+  Alcotest.(check bool) ("ranks plans: " ^ out) true
+    (Test_util.contains_substring out "est. cost")
 
 let dblp_store_summary () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
@@ -1897,6 +1928,9 @@ let () =
             test_cli_generate_checks_scale;
           Alcotest.test_case "estimate --exact honours the anchor" `Quick
             test_cli_exact_anchor;
+          Alcotest.test_case "query honours the anchor" `Quick test_cli_query_anchor;
+          Alcotest.test_case "plan rejects a single-node pattern" `Quick
+            test_cli_plan_single_node;
         ] );
       ( "static_analysis",
         [

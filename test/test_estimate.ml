@@ -182,6 +182,69 @@ let prop_cached_equals_dense =
       in
       agree Xmlest.Ph_join.Ancestor_based && agree Xmlest.Ph_join.Descendant_based)
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Fig. 9's coefficients evaluated directly, each partial sum over its
+   own cells, combined in the order [ph_join.ml] combines them.  With
+   integer counts every term and every partial sum is exact, so the
+   passes' summation order cannot change a bit. *)
+let direct_coefficients h =
+  let g = (Xmlest.Position_histogram.grid h).Xmlest.Grid.size in
+  let b i j = if i <= j then Xmlest.Position_histogram.get h ~i ~j else 0.0 in
+  let sum lo1 hi1 lo2 hi2 =
+    let s = ref 0.0 in
+    for k = lo1 to hi1 do
+      for l = lo2 to hi2 do
+        s := !s +. b k l
+      done
+    done;
+    !s
+  in
+  let desc = Array.make (g * g) 0.0 and anc = Array.make (g * g) 0.0 in
+  for i = 0 to g - 1 do
+    for j = i to g - 1 do
+      desc.((i * g) + j) <-
+        (if Int.equal i j then b i j /. 12.0
+         else
+           sum (i + 1) (j - 1) (i + 1) (j - 1)
+           +. (b i j /. 4.0)
+           +. (sum i i i (j - 1) -. (b i i /. 2.0))
+           +. (sum (i + 1) j j j -. (b j j /. 2.0)));
+      anc.((i * g) + j) <-
+        sum 0 (i - 1) (j + 1) (g - 1)
+        +. sum i i (j + 1) (g - 1)
+        +. sum 0 (i - 1) j j
+        +. (if Int.equal i j then b i j /. 12.0 else b i j /. 4.0)
+    done
+  done;
+  (desc, anc)
+
+let prop_coefficients_bit_exact =
+  QCheck.Test.make ~count:200 ~name:"coefficient passes = Fig. 9 sums, bit for bit"
+    QCheck.(triple (oneofl [ 1; 2; 3; 10 ]) bool (int_bound 1_000_000))
+    (fun (size, uniform, seed) ->
+      let st = Random.State.make [| seed |] in
+      let max_pos = 200 in
+      let grid =
+        if uniform then Xmlest.Grid.create ~size ~max_pos
+        else
+          Xmlest.Grid.equidepth ~size ~max_pos
+            ~positions:(Array.init 50 (fun _ -> Random.State.int st (max_pos + 1)))
+      in
+      let h = Xmlest.Position_histogram.create_empty grid in
+      let g = grid.Xmlest.Grid.size in
+      for i = 0 to g - 1 do
+        for j = i to g - 1 do
+          if Random.State.bool st then
+            Xmlest.Position_histogram.add h ~i ~j
+              (float_of_int (Random.State.int st 1000))
+        done
+      done;
+      let desc, anc = direct_coefficients h in
+      let bits a b = Array.for_all2 same_bits a b in
+      bits desc (Xmlest.Ph_join.descendant_coefficients h)
+      && bits anc (Xmlest.Ph_join.ancestor_coefficients h))
+
 let test_estimate_with_checks_length () =
   let doc = Test_util.fig1_doc () in
   let anc = hist doc 4 (tagp "faculty") and desc = hist doc 4 (tagp "TA") in
@@ -698,8 +761,6 @@ let rec oracle_pattern st depth =
   let edges = if depth >= 2 then [] else List.init (Random.State.int st 3) (fun _ -> edge ()) in
   Xmlest.Pattern.node ~edges (oracle_pred st)
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let same_step (a : Xmlest.Twig_estimator.step) (b : Xmlest.Twig_estimator.step) =
   String.equal a.subtwig b.subtwig
   && String.equal a.method_used b.method_used
@@ -812,6 +873,7 @@ let () =
           qcheck prop_ph_join_below_naive;
           qcheck prop_cell_pair_weights_sum_to_estimate;
           qcheck prop_cached_equals_dense;
+          qcheck prop_coefficients_bit_exact;
           Alcotest.test_case "estimate_with validates array length" `Quick
             test_estimate_with_checks_length;
         ] );

@@ -617,6 +617,97 @@ let prop_coverage_builder_equals_build =
       && Array.to_list (Xmlest.Coverage_histogram.populations built)
          = Array.to_list (Xmlest.Coverage_histogram.populations reference))
 
+(* A random stream of feeds and signed adds over [keys] keys, and the net
+   count it leaves on each: feeds and adds interleave, an add may drive
+   a count below zero on the way, and feeds appended at the end leave
+   every net count non-negative. *)
+let signed_stream st ~keys =
+  let ops =
+    List.init (Random.State.int st 60) (fun _ ->
+        let key = Random.State.int st keys in
+        match Random.State.int st 3 with
+        | 0 -> (key, None)
+        | _ -> (key, Some (float_of_int (Random.State.int st 7 - 3))))
+  in
+  let net = Array.make keys 0 in
+  List.iter
+    (fun (key, d) ->
+      net.(key) <- net.(key) + match d with None -> 1 | Some d -> int_of_float d)
+    ops;
+  let ops =
+    ops
+    @ List.concat
+        (List.init keys (fun key ->
+             let top = Int.max 0 (-net.(key)) + Random.State.int st 2 in
+             net.(key) <- net.(key) + top;
+             List.init top (fun _ -> (key, None))))
+  in
+  (ops, net)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_builders_signed_edits =
+  QCheck.Test.make ~count:300 ~name:"builders: feeds and signed adds = net feeds, bit for bit"
+    QCheck.(pair (int_range 1 4) (int_bound 1_000_000))
+    (fun (size, seed) ->
+      let st = Random.State.make [| seed |] in
+      (* Level builder: one key per level. *)
+      let ops, net = signed_stream st ~keys:12 in
+      let edited = Xmlest.Level_histogram.builder () in
+      List.iter
+        (fun (l, d) ->
+          match d with
+          | None -> Xmlest.Level_histogram.feed edited l
+          | Some d -> Xmlest.Level_histogram.add edited l d)
+        ops;
+      let fresh = Xmlest.Level_histogram.builder () in
+      Array.iteri
+        (fun l n ->
+          for _ = 1 to n do
+            Xmlest.Level_histogram.feed fresh l
+          done)
+        net;
+      let counts b = Xmlest.Level_histogram.(counts (finish b)) in
+      let a = counts edited and b = counts fresh in
+      let levels_ok =
+        Int.equal (Array.length a) (Array.length b) && Array.for_all2 same_bits a b
+      in
+      (* Coverage builder: one key per (covered, covering) pair. *)
+      let grid = Xmlest.Grid.create ~size ~max_pos:(4 * size) in
+      let cells = Xmlest.Grid.cells grid in
+      let ops, net = signed_stream st ~keys:(cells * cells) in
+      let edited = Xmlest.Coverage_histogram.builder grid in
+      List.iter
+        (fun (key, d) ->
+          let covered = key / cells and covering = key mod cells in
+          match d with
+          | None -> Xmlest.Coverage_histogram.feed edited ~covered ~covering
+          | Some d -> Xmlest.Coverage_histogram.add edited ~covered ~covering d)
+        ops;
+      let fresh = Xmlest.Coverage_histogram.builder grid in
+      let populations = Array.init cells (fun _ -> float_of_int (1 + Random.State.int st 5)) in
+      Array.iteri
+        (fun key n ->
+          populations.(key / cells) <- populations.(key / cells) +. float_of_int n;
+          for _ = 1 to n do
+            Xmlest.Coverage_histogram.feed fresh ~covered:(key / cells) ~covering:(key mod cells)
+          done)
+        net;
+      let entries b =
+        let h = Xmlest.Coverage_histogram.finish b ~populations in
+        ( List.rev
+            (Xmlest.Coverage_histogram.fold_entries h ~init:[]
+               ~f:(fun acc ~covered ~covering f -> (covered, covering, f) :: acc)),
+          List.init cells (fun c ->
+              Xmlest.Coverage_histogram.total_coverage h ~i:(c / size) ~j:(c mod size)) )
+      in
+      let (ea, ta), (eb, tb) = (entries edited, entries fresh) in
+      levels_ok
+      && List.equal
+           (fun (c1, m1, f1) (c2, m2, f2) -> Int.equal c1 c2 && Int.equal m1 m2 && same_bits f1 f2)
+           ea eb
+      && List.equal same_bits ta tb)
+
 let test_equidepth_duplicate_positions () =
   (* regression for the Int.compare sort: duplicates and reverse order must
      yield the same boundaries as the sorted input *)
@@ -724,6 +815,7 @@ let () =
           qcheck prop_position_builder_equals_build;
           Alcotest.test_case "level builder" `Quick test_level_builder;
           qcheck prop_coverage_builder_equals_build;
+          qcheck prop_builders_signed_edits;
         ] );
       ( "level",
         [
