@@ -112,10 +112,12 @@ let resolve_domains d =
   end
   else d
 
-let build_summary ?(domains = 1) doc ~grid ~equidepth ~content preds =
+(* Every in-memory build goes through here, so a bad --grid exits 1 with
+   the library's message. *)
+let build_summary ?(domains = 1) ?with_levels doc ~grid ~equidepth ~content preds =
   let preds = if content then Xmlest.Advisor.suggest doc else preds in
   let grid_kind = if equidepth then `Equidepth else `Uniform in
-  try Xmlest.Summary.build ~grid_size:grid ~grid_kind ~domains doc preds
+  try Xmlest.Summary.build ~grid_size:grid ~grid_kind ~domains ?with_levels doc preds
   with Invalid_argument msg ->
     Printf.eprintf "%s\n" msg;
     exit 1
@@ -254,6 +256,10 @@ let estimate_cmd =
   in
   let estimate file from_store query grid equidepth domains exact no_coverage
       explain check =
+    if exact && from_store then begin
+      Printf.eprintf "--exact requires the XML document, not a summary\n";
+      exit 1
+    end;
     let parsed = parse_anchored query in
     let pattern = parsed.Xmlest.Pattern_parser.root in
     let summary, doc =
@@ -310,10 +316,7 @@ let estimate_cmd =
       let real = Xmlest.Twig_count.count_query doc parsed in
       Printf.printf "exact:    %d\n" real;
       if real > 0 then Printf.printf "ratio:    %.3f\n" (est /. float_of_int real)
-    | true, None ->
-      Printf.eprintf "--exact requires the XML document, not a summary\n";
-      exit 1
-    | false, _ -> ()
+    | true, None | false, _ -> ()
   in
   let run file from_store query grid equidepth domains exact no_coverage
       explain check =
@@ -358,7 +361,8 @@ let plan_cmd =
       exit 1
     end;
     let summary =
-      Xmlest.Summary.build ~grid_size:grid doc (Xmlest.Predicate.tag_predicates doc)
+      build_summary doc ~grid ~equidepth:false ~content:false
+        (Xmlest.Predicate.tag_predicates doc)
     in
     let ranked = Xmlest.Optimizer.rank (Xmlest.Summary.catalog summary) pattern in
     Printf.printf "%-24s %14s%s\n" "plan (node order)" "est. cost"
@@ -395,6 +399,10 @@ let query_cmd =
            ~doc:"Print at most N matches (0 = count only).")
   in
   let run file query grid limit =
+    if limit < 0 then begin
+      Printf.eprintf "--limit must be >= 0\n";
+      exit 1
+    end;
     let doc = read_document file in
     let query = parse_anchored query in
     let pattern = query.Xmlest.Pattern_parser.root in
@@ -403,7 +411,7 @@ let query_cmd =
       if Xmlest.Pattern.edge_count pattern = 0 then [ 0 ]
       else begin
         let summary =
-          Xmlest.Summary.build ~grid_size:grid ~with_levels:false doc
+          build_summary ~with_levels:false doc ~grid ~equidepth:false ~content:false
             (Xmlest.Predicate.tag_predicates doc)
         in
         (Xmlest.Optimizer.best (Xmlest.Summary.catalog summary) pattern)

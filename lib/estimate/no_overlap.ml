@@ -7,22 +7,39 @@ let estimate ~desc ~coverage =
       total := !total +. (count *. Coverage_histogram.total_coverage coverage ~i ~j));
   !total
 
-let estimate_cells_by_ancestor ~coverage ~desc_weight ~anc_scale =
-  let grid = Position_histogram.grid desc_weight in
+(* The slot of cell [c] in the ascending cells [at.(lo .. hi - 1)], or
+   -1. *)
+let rec find_cell (at : int array) (c : int) lo hi =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    let x = at.(mid) in
+    if x < c then find_cell at c (mid + 1) hi
+    else if x > c then find_cell at c lo mid
+    else mid
+  end
+
+(* Each descendant cell's coverage row, in the descendant cells' order,
+   adds w × frac into its covering cell's slot; a covering cell outside
+   [anc_at] is skipped.  Every slot therefore sums the same terms in the
+   same order as a dense accumulator over the whole grid would. *)
+let cover_weights ~grid ~coverage (at, w) anc_at =
   if not (Grid.compatible grid (Coverage_histogram.grid coverage)) then
-    invalid_arg "No_overlap.estimate_cells_by_ancestor: incompatible grids";
-  let out = Position_histogram.create_empty grid in
-  (* Accumulate covered weight into each covering (ancestor) cell, then
-     apply the ancestor-side scale. *)
-  Position_histogram.iter_nonzero desc_weight (fun ~i ~j w ->
-      Coverage_histogram.iter_covers coverage ~i ~j (fun ~m ~n frac ->
-          if frac > 0.0 then Position_histogram.add out ~i:m ~j:n (w *. frac)));
-  let scaled = Position_histogram.create_empty grid in
-  Position_histogram.iter_nonzero out (fun ~i ~j v ->
-      let s = anc_scale ~i ~j in
-      if not (Float.equal s 0.0) then
-        Position_histogram.add scaled ~i ~j (v *. s));
-  scaled
+    invalid_arg "No_overlap.cover_weights: incompatible grids";
+  let row_off, covering, frac = Coverage_histogram.rows coverage in
+  let n = Array.length anc_at in
+  let acc = Array.make n 0.0 in
+  for k = 0 to Array.length at - 1 do
+    let c = at.(k) in
+    for e = row_off.(c) to row_off.(c + 1) - 1 do
+      let f = frac.(e) in
+      if f > 0.0 then begin
+        let s = find_cell anc_at covering.(e) 0 n in
+        if s >= 0 then acc.(s) <- acc.(s) +. (w.(k) *. f)
+      end
+    done
+  done;
+  acc
 
 let participation_saturation ~n ~m =
   if n <= 0.0 || m <= 0.0 then 0.0

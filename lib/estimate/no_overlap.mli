@@ -18,17 +18,25 @@ val estimate :
 (** Simple two-node pattern: [Σ over descendant cells of
     HistP2(cell) × total_coverage(cell)]. *)
 
-val estimate_cells_by_ancestor :
+val cover_weights :
+  grid:Grid.t ->
   coverage:Coverage_histogram.t ->
-  desc_weight:Position_histogram.t ->
-  anc_scale:(i:int -> j:int -> float) ->
-  Position_histogram.t
-(** Fig. 10's ancestor-based pattern-count estimate: per ancestor cell
-    [(i, j)], the weighted descendants it covers —
-    [anc_scale i j × Σ over covered cells (m, n) of
-    Cvg((m,n) by (i,j)) × desc_weight(m, n)].
-    [anc_scale] carries the JnFct of the ancestor view times its
-    participation ratio (coverage-update case 1). *)
+  int array * float array ->
+  int array ->
+  float array
+(** Fig. 10's covered weight, over sparse cells of [grid]:
+    [cover_weights ~grid ~coverage (at, w) anc_at] gives, per ancestor cell
+    [anc_at.(k)], [Σ over the descendant cells (m, n) of
+    Cvg((m,n) by anc_at.(k)) × w(m, n)], where [(at, w)] are the
+    weighted descendant cells in {!Position_histogram.nonzero} order and
+    [anc_at] is ascending.  Entries whose fraction is not positive are
+    skipped, and so is a covering cell outside [anc_at]; each sum adds its
+    terms in descendant-cell order, then coverage-row order.  The time is
+    O(Σ coverage-row lengths × log |anc_at|), with no grid-sized
+    scratch.  The twig estimator scales each sum by the ancestor view's
+    join factor times its participation ratio (coverage-update case 1).
+    Raises [Invalid_argument] when the coverage histogram's grid is not
+    compatible with [grid]. *)
 
 val participation_saturation : n:float -> m:float -> float
 (** Fig. 10's participation estimate, case 2 (balls-in-bins): given [n]

@@ -4,6 +4,13 @@ type direction = Ancestor_based | Descendant_based
 (* Dense row-major helpers; [i] is the start bucket, [j] the end bucket. *)
 let idx g i j = (i * g) + j
 
+(* Both coefficient passes below read the histogram's cells from a plain
+   dense row-major float array [b] and write the coefficients into [coef]
+   (the lower triangle is left alone).  Each cell is read before its own
+   coefficient is written and never read again, so [coef] may be [b]: a
+   pass over sparse cells scatters them into one fresh array and runs in
+   place. *)
+
 (* Fig. 9's partial sums over the inner (descendant) histogram.
 
    self[i][j]       = B[i][j]
@@ -16,12 +23,10 @@ let idx g i j = (i * g) + j
    each column, from the diagonal towards row 0, each fed by the cell
    below it.  Every sum adds its terms in that order, so the result does
    not depend on the sweep's layout. *)
-let descendant_coefficients histB =
-  let g = (Position_histogram.grid histB).Grid.size in
+let descendant_pass g b coef =
   let down = Array.make g 0.0 and diag = Array.make g 0.0 in
-  let coef = Array.make (g * g) 0.0 in
   for j = 0 to g - 1 do
-    let s = Position_histogram.get histB ~i:j ~j in
+    let s = b.(idx g j j) in
     diag.(j) <- s;
     coef.(idx g j j) <- s /. 12.0;
     (* [below] and [below_down] are self and down of cell (i + 1, j). *)
@@ -31,7 +36,7 @@ let descendant_coefficients histB =
     for i = j - 1 downto 0 do
       right := !below +. !right;
       desc := !below_down +. !desc;
-      let s = Position_histogram.get histB ~i ~j and dn = down.(i) in
+      let s = b.(idx g i j) and dn = down.(i) in
       coef.(idx g i j) <-
         !desc
         +. (s /. 4.0)
@@ -41,8 +46,7 @@ let descendant_coefficients histB =
       below_down := dn;
       down.(i) <- dn +. s
     done
-  done;
-  coef
+  done
 
 (* Symmetric pass over the outer (ancestor) histogram: for a descendant in
    cell (i, j), ancestors lie in cells (k, l) with k <= i and l >= j.
@@ -57,10 +61,8 @@ let descendant_coefficients histB =
    One sweep, column by column from the last: [up] is a per-row vector
    advanced by each column's cells, and [left] and [ancestor] are running
    sums down each column from row 0, each fed by the cell above it. *)
-let ancestor_coefficients histA =
-  let g = (Position_histogram.grid histA).Grid.size in
+let ancestor_pass g a coef =
   let up = Array.make g 0.0 in
-  let coef = Array.make (g * g) 0.0 in
   for j = g - 1 downto 0 do
     (* [above] and [above_up] are self and up of cell (i - 1, j). *)
     let above = ref 0.0 and above_up = ref 0.0 in
@@ -70,15 +72,35 @@ let ancestor_coefficients histA =
         left := !left +. !above;
         anc := !anc +. !above_up
       end;
-      let s = Position_histogram.get histA ~i ~j and u = up.(i) in
+      let s = a.(idx g i j) and u = up.(i) in
       let shared = if Int.equal i j then s /. 12.0 else s /. 4.0 in
       coef.(idx g i j) <- !anc +. u +. !left +. shared;
       above := s;
       above_up := u;
       up.(i) <- u +. s
     done
+  done
+
+(* The sparse cells scattered into a fresh dense array, the pass run in
+   place over it.  A cell absent from [at] reads as 0.0. *)
+let pass_over_cells pass grid (at, v) =
+  let coef = Array.make (Grid.cells grid) 0.0 in
+  for k = 0 to Array.length at - 1 do
+    coef.(at.(k)) <- v.(k)
   done;
+  pass grid.Grid.size coef coef;
   coef
+
+let descendant_coefficients_of_cells grid cells = pass_over_cells descendant_pass grid cells
+let ancestor_coefficients_of_cells grid cells = pass_over_cells ancestor_pass grid cells
+
+let descendant_coefficients histB =
+  descendant_coefficients_of_cells (Position_histogram.grid histB)
+    (Position_histogram.nonzero histB)
+
+let ancestor_coefficients histA =
+  ancestor_coefficients_of_cells (Position_histogram.grid histA)
+    (Position_histogram.nonzero histA)
 
 (* Weight of one (ancestor cell, descendant cell) pair under Fig. 9's
    scheme; the pass-based algorithms above are equivalent to summing these

@@ -18,9 +18,11 @@
     certain) with 1 and the shared cell with 1/4 (1/12 on-diagonal).
 
     Each variant's coefficients take one sweep over the grid, O(g²) time
-    and O(g) scratch besides the result; applying them costs one product per non-zero cell of the outer
-    histogram ({!weigh}), which also yields the per-cell estimates twig
-    composition needs. *)
+    and O(g) scratch besides the result: the histogram's non-zero cells
+    are scattered into the result array and the sweep runs over it in
+    place, reading plain floats.  Applying them costs one product per
+    non-zero cell of the outer histogram ({!weigh}), which also yields the
+    per-cell estimates twig composition needs. *)
 
 open Xmlest_histogram
 
@@ -33,6 +35,16 @@ val descendant_coefficients : Position_histogram.t -> float array
 
 val ancestor_coefficients : Position_histogram.t -> float array
 (** Symmetric: expected number of P1-ancestors of a node per cell. *)
+
+val descendant_coefficients_of_cells : Grid.t -> int array * float array -> float array
+(** [descendant_coefficients_of_cells grid (at, v)]: the same pass over
+    the histogram whose cells [at.(k)] (dense row-major indices) hold
+    [v.(k)] and every other cell 0 — {!descendant_coefficients} of the
+    histogram {!Position_histogram.of_nonzero} would build, without
+    building it.  The twig estimator's composed views take it. *)
+
+val ancestor_coefficients_of_cells : Grid.t -> int array * float array -> float array
+(** Same for {!ancestor_coefficients}. *)
 
 val cell_pair_weight :
   ?direction:direction ->

@@ -36,6 +36,9 @@ type view = {
   at : int array;  (* row-major index of each held cell *)
   part : float array;  (* participating-node estimate per held cell *)
   jn : float array;  (* join factor (matches per participating node) *)
+  weighted : int array * float array;
+      (* part × jn with zero products dropped: the per-cell expected
+         match count, which every join of the view reads *)
   raw : Position_histogram.t;  (* untouched predicate histogram, for
                                   coverage participation scaling *)
   source : Predicate.t option;
@@ -48,8 +51,6 @@ type view = {
          several parents (by Optimizer.rank's node-set program) runs it
          once *)
 }
-
-let idx g i j = (i * g) + j
 
 (* The cells [at.(k)] whose value [f k] is non-zero, with those values:
    what [iter_nonzero] would visit in a dense histogram of them. *)
@@ -68,9 +69,6 @@ let nonzero_of at f =
   if Int.equal !m n then (keep_at, keep)
   else (Array.sub keep_at 0 !m, Array.sub keep 0 !m)
 
-(* part × jn, the per-cell expected match count. *)
-let weighted v = nonzero_of v.at (fun k -> v.part.(k) *. v.jn.(k))
-
 let scale ((at, w) as cells) factor =
   if Float.equal factor 1.0 then cells
   else nonzero_of at (fun k -> w.(k) *. factor)
@@ -84,13 +82,16 @@ let dense grid (at, w) =
   Array.iteri (fun k c -> Position_histogram.add h ~i:(c / g) ~j:(c mod g) w.(k)) at;
   h
 
-(* Case 1 of Fig. 10: participation := estimate, join factor 1. *)
-let joined pred raw (at, est) =
+(* Case 1 of Fig. 10: participation := estimate, join factor 1.  The
+   cells [(at, est)] hold no zero, so they are their own weighted cells
+   (x × 1.0 = x). *)
+let joined pred raw ((at, est) as cells) =
   {
     pred;
     at;
     part = est;
     jn = Array.make (Array.length at) 1.0;
+    weighted = cells;
     raw;
     source = None;
     desc_pass = None;
@@ -103,30 +104,51 @@ let leaf catalog pred =
 (* A view's descendant coefficients over [cells], its weighted cells:
    the catalog's memoized array while the view is an untouched catalog
    histogram (asked for on every join, so the catalog counts each use),
-   otherwise one pass over a dense copy of the cells, kept on the view. *)
+   otherwise one pass over the cells, kept on the view. *)
 let desc_coefs_of catalog grid v cells =
   match (Option.bind v.source catalog.desc_coefs, v.desc_pass) with
   | Some coefs, _ | None, Some coefs -> coefs
   | None, None ->
-    let coefs = Ph_join.descendant_coefficients (dense grid cells) in
+    let coefs = Ph_join.descendant_coefficients_of_cells grid cells in
     v.desc_pass <- Some coefs;
     coefs
 
-(* Σ_{i <= m <= n <= j} h[m][n]: the descendant band of each cell,
-   Fig. 10's M[i][j].  O(g²) by the recurrence T[i][j] = T[i+1][j] +
-   (row-i prefix from i to j). *)
-let band_sums h =
-  let grid = Position_histogram.grid h in
+(* Fig. 10's M[i][j] = Σ_{i <= m <= n <= j} h[m][n], the descendant band
+   of cell (i, j), at each of the cells [anc_at] (ascending), over the
+   sparse cells [(at, h)] ([nonzero] order).  It runs the dense
+   recurrence T[i][j] = P(i, j) + T[i+1][j], P(i, j) being row i's prefix
+   up to column j and T[j][j] = P(j, j) + 0.0, a row at a time from the
+   last, with [t.(j)] holding T of the current row: a row without cells
+   has P = 0 and leaves [t] as it is, and so do the columns left of a
+   row's first cell.  Adding 0.0 changes no sum here (none is -0.0), so
+   the bits are the dense recurrence's, in O(g) space and O(g) time per
+   row that holds cells. *)
+let band_sums grid (at, h) anc_at =
   let g = grid.Grid.size in
-  let t = Array.make (g * g) 0.0 in
-  for i = g - 1 downto 0 do
-    let row_prefix = ref 0.0 in
-    for j = i to g - 1 do
-      row_prefix := !row_prefix +. Position_histogram.get h ~i ~j;
-      t.(idx g i j) <- !row_prefix +. (if i < g - 1 && j > i then t.(idx g (i + 1) j) else 0.0)
+  let t = Array.make g 0.0 in
+  let out = Array.make (Array.length anc_at) 0.0 in
+  let k = ref (Array.length at - 1) and a = ref (Array.length anc_at - 1) in
+  for r = g - 1 downto 0 do
+    let last = !k in
+    while !k >= 0 && Int.equal (at.(!k) / g) r do
+      decr k
+    done;
+    if !k < last then begin
+      let p = ref 0.0 and next = ref (!k + 1) in
+      for j = at.(!next) mod g to g - 1 do
+        if !next <= last && Int.equal (at.(!next) mod g) j then begin
+          p := !p +. h.(!next);
+          incr next
+        end;
+        t.(j) <- !p +. t.(j)
+      done
+    end;
+    while !a >= 0 && Int.equal (anc_at.(!a) / g) r do
+      out.(!a) <- t.(anc_at.(!a) mod g);
+      decr a
     done
   done;
-  t
+  out
 
 (* Primitive (overlap) composition: pH-join of the weighted cells,
    participation := estimate (Fig. 10 case 1), join factor 1.
@@ -138,14 +160,14 @@ let band_sums h =
 
    [desc_weight] is the child's weighted cells times [factor].  Unscaled,
    they are the child view's own, and so are its coefficients
-   ([desc_coefs_of]); scaled, the O(g²) pass runs over a dense copy of
-   them.  Both feed [Ph_join.weigh], so the results are bit-identical. *)
+   ([desc_coefs_of]); scaled, a fresh O(g²) pass runs over them.  Both
+   feed [Ph_join.weigh], so the results are bit-identical. *)
 let join_overlap options catalog anc_view child ~factor desc_weight =
   let grid = Position_histogram.grid anc_view.raw in
-  let anc = weighted anc_view in
+  let anc = anc_view.weighted in
   let desc_coefs =
     if Float.equal factor 1.0 then desc_coefs_of catalog grid child desc_weight
-    else Ph_join.descendant_coefficients (dense grid desc_weight)
+    else Ph_join.descendant_coefficients_of_cells grid desc_weight
   in
   let est = Ph_join.weigh ~coefs:desc_coefs anc in
   let est =
@@ -156,7 +178,7 @@ let join_overlap options catalog anc_view child ~factor desc_weight =
       let anc_coefs =
         match Option.bind anc_view.source catalog.anc_coefs with
         | Some coefs -> coefs
-        | None -> Ph_join.ancestor_coefficients (dense grid anc)
+        | None -> Ph_join.ancestor_coefficients_of_cells grid anc
       in
       let desc_total = sum (Ph_join.weigh ~coefs:anc_coefs desc_weight) in
       if anc_total > 0.0 then scale est (desc_total /. anc_total) else est
@@ -165,43 +187,45 @@ let join_overlap options catalog anc_view child ~factor desc_weight =
 
 (* No-overlap composition (ancestor predicate cannot nest): coverage-based
    estimate, balls-in-bins participation (case 2), join factor update.
-   A cell outside the ancestor view has zero participation, hence a zero
-   ancestor scale. *)
+
+   Only the ancestor view's cells can take part: elsewhere participation,
+   hence the ancestor scale, is zero.  So the child's weighted cells are
+   walked with their coverage rows and the covered weight is summed at
+   the view's cells alone ([No_overlap.cover_weights]), and the band sums
+   are taken there too; each covered sum is then scaled by the cell's
+   join factor times its participation ratio.  A dense composition
+   scales a sum only when both factors are non-zero, adding the product
+   to an empty cell (0.0 + x), and so does this. *)
 let join_no_overlap anc_view coverage desc_weight desc_part =
   let grid = Position_histogram.grid anc_view.raw in
   let g = grid.Grid.size in
-  let anc_scale = Array.make (Grid.cells grid) 0.0 in
-  Array.iteri
-    (fun k c ->
-      let raw = Position_histogram.get anc_view.raw ~i:(c / g) ~j:(c mod g) in
-      anc_scale.(c) <-
-        (if raw <= 0.0 then 0.0 else anc_view.jn.(k) *. (anc_view.part.(k) /. raw)))
-    anc_view.at;
-  let est_cells =
-    No_overlap.estimate_cells_by_ancestor ~coverage
-      ~desc_weight:(dense grid desc_weight)
-      ~anc_scale:(fun ~i ~j -> anc_scale.(idx g i j))
-  in
-  let m = band_sums (dense grid desc_part) in
+  let covered = No_overlap.cover_weights ~grid ~coverage desc_weight anc_view.at in
+  let m = band_sums grid desc_part anc_view.at in
   let n = Array.length anc_view.at in
   let at = Array.make n 0 and part = Array.make n 0.0 and jn = Array.make n 0.0 in
   let kept = ref 0 in
-  Array.iteri
-    (fun k c ->
-      let p = No_overlap.participation_saturation ~n:anc_view.part.(k) ~m:m.(c) in
-      if p > 0.0 then begin
-        at.(!kept) <- c;
-        part.(!kept) <- p;
-        jn.(!kept) <- Position_histogram.get est_cells ~i:(c / g) ~j:(c mod g) /. p;
-        incr kept
-      end)
-    anc_view.at;
-  let held a = Array.sub a 0 !kept in
+  for k = 0 to n - 1 do
+    let c = anc_view.at.(k) in
+    let p = No_overlap.participation_saturation ~n:anc_view.part.(k) ~m:m.(k) in
+    if p > 0.0 then begin
+      let raw = Position_histogram.get anc_view.raw ~i:(c / g) ~j:(c mod g) in
+      let s = if raw <= 0.0 then 0.0 else anc_view.jn.(k) *. (anc_view.part.(k) /. raw) in
+      let v = covered.(k) in
+      let est = if Float.equal v 0.0 || Float.equal s 0.0 then 0.0 else 0.0 +. (v *. s) in
+      at.(!kept) <- c;
+      part.(!kept) <- p;
+      jn.(!kept) <- est /. p;
+      incr kept
+    end
+  done;
+  let at = Array.sub at 0 !kept and part = Array.sub part 0 !kept in
+  let jn = Array.sub jn 0 !kept in
   {
     pred = anc_view.pred;
-    at = held at;
-    part = held part;
-    jn = held jn;
+    at;
+    part;
+    jn;
+    weighted = nonzero_of at (fun k -> part.(k) *. jn.(k));
     raw = anc_view.raw;
     source = None;
     desc_pass = None;
@@ -212,7 +236,7 @@ let join_no_overlap anc_view coverage desc_weight desc_part =
    follows the overlap rule (case 1). *)
 let join_child_cell_level acc desc_weight ~anc_lph ~desc_lph =
   let grid = Position_histogram.grid acc.raw in
-  Child_join.estimate_cells ~anc:(dense grid (weighted acc))
+  Child_join.estimate_cells ~anc:(dense grid acc.weighted)
     ~desc:(dense grid desc_weight) ~anc_levels:anc_lph ~desc_levels:desc_lph ()
   |> Position_histogram.nonzero |> joined acc.pred acc.raw
 
@@ -248,7 +272,7 @@ let join_step options catalog acc axis child =
     | Pattern.Child, Cell_level_scaled ->
       if cell_level_available () then 1.0 else global_factor ()
   in
-  let desc_weight = scale (weighted child) factor in
+  let desc_weight = scale child.weighted factor in
   let overlap () =
     (join_overlap options catalog acc child ~factor desc_weight, "pH-join")
   in

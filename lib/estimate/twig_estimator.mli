@@ -12,11 +12,17 @@
     - its join factor (matches per participating node),
 
     so that the sub-twig's match count is [Σ participation × join-factor].
-    Joins with cached coefficients run over these cells alone; dense
-    g × g histograms are built only for a fresh coefficient pass, the
-    no-overlap join and {!Child_join}.  Every sum adds the same non-zero
-    terms in the same order as the dense composition, so estimates and
-    trace steps are bit-identical to it.
+    A join costs the views' non-zero cells, not the grid: a leaf takes its
+    histogram's kept cells ({!Position_histogram.nonzero}); a pH-join
+    with cached coefficients weighs the ancestor's cells alone; a
+    coverage join walks the child's cells and their coverage rows and
+    sums only at the ancestor view's cells.  The O(g²) passes left — a
+    fresh coefficient pass over a composed or scaled view, and the
+    coverage join's band sums — each run over one plain float array the
+    cells are scattered into.  Only {!Child_join} still takes dense
+    histograms.  Every sum adds the same non-zero terms in the same order
+    as the dense composition, so estimates and trace steps are
+    bit-identical to it.
     Joining a view with a child view updates both: via the balls-in-bins
     saturation formula (case 2) when the ancestor predicate has the
     no-overlap property, or by the paper's case-1 rule

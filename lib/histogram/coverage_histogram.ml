@@ -130,14 +130,7 @@ let build doc ~grid pred =
 
 let total_coverage t ~i ~j = t.total_cvg.(Grid.index t.grid ~i ~j)
 
-let iter_covers t ~i ~j f =
-  let ro = t.row_off in
-  let g = t.grid.Grid.size in
-  let c = Grid.index t.grid ~i ~j in
-  for k = ro.(c) to ro.(c + 1) - 1 do
-    let cell = t.covering.(k) in
-    f ~m:(cell / g) ~n:(cell mod g) t.frac.(k)
-  done
+let rows t = (t.row_off, t.covering, t.frac)
 
 let entries t =
   t.row_off.(Array.length t.row_off - 1)

@@ -57,8 +57,14 @@ val finish : builder -> populations:float array -> t
 val total_coverage : t -> i:int -> j:int -> float
 (** Fraction of cell [(i, j)]'s population covered by any P-node. *)
 
-val iter_covers : t -> i:int -> j:int -> (m:int -> n:int -> float -> unit) -> unit
-(** Iterate the non-zero covering cells of [(i, j)]. *)
+val rows : t -> int array * int array * float array
+(** The covering cells of every covered cell, as compressed rows:
+    [(row_off, covering, frac)], where the entries of the covered cell
+    [c] (a dense index, {!Grid.index}) are
+    [k = row_off.(c) .. row_off.(c + 1) - 1], each a covering cell
+    [covering.(k)] (dense) and the fraction [frac.(k)] of [c]'s
+    population it covers, in ascending covering cell order.  The arrays
+    are the histogram's own: read them, never write them. *)
 
 val partial_entries : t -> int
 (** Entries whose fraction is strictly between 0 and 1 (Theorem 2: O(g)). *)

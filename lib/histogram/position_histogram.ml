@@ -1,15 +1,62 @@
 open Xmlest_xmldb
 open Xmlest_query
 
+(* [kept] holds the non-zero cells in [nonzero] order, found once when
+   the histogram is made; [add] drops them, and [nonzero] then scans
+   afresh.  They are never filled in on a read, so a histogram that
+   several domains read is never written. *)
 type t = {
   grid : Grid.t;
   counts : float array;
   mutable total : float;
   mutable version : int;
+  mutable kept : (int array * float array) option;
 }
 
+(* Non-zero as [Float.equal v 0.0] judges it, ±0.0 zero and NaN not, in
+   two inline comparisons instead of a C call per cell. *)
+let is_nonzero v = not (v >= 0.0 && v <= 0.0)
+
+(* Tight passes over the upper triangle, row-major like [iter_nonzero],
+   with no closure per cell: the number of non-zero cells, and the cells
+   themselves. *)
+let count_nonzero grid c =
+  let g = grid.Grid.size in
+  let n = ref 0 in
+  for i = 0 to g - 1 do
+    for x = (i * g) + i to (i * g) + g - 1 do
+      if is_nonzero c.(x) then incr n
+    done
+  done;
+  !n
+
+let scan grid c =
+  let g = grid.Grid.size in
+  let n = count_nonzero grid c in
+  let at = Array.make n 0 and v = Array.make n 0.0 in
+  let k = ref 0 in
+  for i = 0 to g - 1 do
+    for x = (i * g) + i to (i * g) + g - 1 do
+      if is_nonzero c.(x) then begin
+        at.(!k) <- x;
+        v.(!k) <- c.(x);
+        incr k
+      end
+    done
+  done;
+  (at, v)
+
+let make grid counts total =
+  { grid; counts; total; version = 0; kept = Some (scan grid counts) }
+
 let create_empty grid =
-  { grid; counts = Array.make (Grid.cells grid) 0.0; total = 0.0; version = 0 }
+  {
+    grid;
+    counts = Array.make (Grid.cells grid) 0.0;
+    total = 0.0;
+    version = 0;
+    kept = Some ([||], [||]);
+  }
 
 let grid t = t.grid
 
@@ -39,7 +86,8 @@ let add t ~i ~j v =
   let idx = Grid.index t.grid ~i ~j in
   t.counts.(idx) <- t.counts.(idx) +. v;
   t.total <- t.total +. v;
-  t.version <- t.version + 1
+  t.version <- t.version + 1;
+  t.kept <- None
 
 let total t = t.total
 
@@ -57,12 +105,7 @@ let builder grid = { b_grid = grid; b_counts = Array.make (Grid.cells grid) 0.0 
 let feed_cell b idx = b.b_counts.(idx) <- b.b_counts.(idx) +. 1.0
 
 let finish b =
-  {
-    grid = b.b_grid;
-    counts = Array.copy b.b_counts;
-    total = Array.fold_left ( +. ) 0.0 b.b_counts;
-    version = 0;
-  }
+  make b.b_grid (Array.copy b.b_counts) (Array.fold_left ( +. ) 0.0 b.b_counts)
 
 (* The total is summed over the given cells in their order; for the
    exact integer counts of a summary that equals [finish]'s fold over the
@@ -79,7 +122,7 @@ let of_nonzero ~grid at v =
       counts.(x) <- v.(k);
       total := !total +. v.(k))
     at;
-  { grid; counts; total = !total; version = 0 }
+  make grid counts !total
 
 let build doc ~grid pred =
   let b = builder grid in
@@ -93,8 +136,9 @@ let build doc ~grid pred =
     (Predicate.matching_nodes doc pred);
   finish b
 
-let copy t =
-  { grid = t.grid; counts = Array.copy t.counts; total = t.total; version = 0 }
+(* The kept cells are read-only, so the copy shares them until its
+   first [add]. *)
+let copy t = { t with counts = Array.copy t.counts; version = 0 }
 
 let map2 f a b =
   if not (Grid.compatible a.grid b.grid) then
@@ -104,7 +148,7 @@ let map2 f a b =
   for c = 0 to n - 1 do
     counts.(c) <- f a.counts.(c) b.counts.(c)
   done;
-  { grid = a.grid; counts; total = Array.fold_left ( +. ) 0.0 counts; version = 0 }
+  make a.grid counts (Array.fold_left ( +. ) 0.0 counts)
 
 let scale t k =
   let n = Array.length t.counts in
@@ -112,44 +156,23 @@ let scale t k =
   for c = 0 to n - 1 do
     counts.(c) <- t.counts.(c) *. k
   done;
-  { grid = t.grid; counts; total = t.total *. k; version = 0 }
+  make t.grid counts (t.total *. k)
 
 let iter_nonzero t f =
   let g = t.grid.Grid.size in
   for i = 0 to g - 1 do
     for j = i to g - 1 do
       let v = t.counts.(Grid.index t.grid ~i ~j) in
-      if not (Float.equal v 0.0) then f ~i ~j v
+      if is_nonzero v then f ~i ~j v
     done
   done
 
-(* [nonzero_cells] and [nonzero] make tight passes over the upper
-   triangle, row-major like [iter_nonzero], with no closure per cell. *)
-let nonzero_cells t =
-  let g = t.grid.Grid.size and c = t.counts in
-  let n = ref 0 in
-  for i = 0 to g - 1 do
-    for x = (i * g) + i to (i * g) + g - 1 do
-      if not (Float.equal c.(x) 0.0) then incr n
-    done
-  done;
-  !n
+let nonzero t = match t.kept with Some cells -> cells | None -> scan t.grid t.counts
 
-let nonzero t =
-  let g = t.grid.Grid.size and c = t.counts in
-  let at = Array.make (nonzero_cells t) 0 in
-  let v = Array.make (Array.length at) 0.0 in
-  let k = ref 0 in
-  for i = 0 to g - 1 do
-    for x = (i * g) + i to (i * g) + g - 1 do
-      if not (Float.equal c.(x) 0.0) then begin
-        at.(!k) <- x;
-        v.(!k) <- c.(x);
-        incr k
-      end
-    done
-  done;
-  (at, v)
+let nonzero_cells t =
+  match t.kept with
+  | Some (at, _) -> Array.length at
+  | None -> count_nonzero t.grid t.counts
 
 let storage_bytes t = 6 * nonzero_cells t
 

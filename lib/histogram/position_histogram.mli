@@ -60,7 +60,8 @@ val add : t -> i:int -> j:int -> float -> unit
     the grid or below the diagonal ([i > j]): since [start < end] for
     every node, only upper-triangle cells are meaningful, and a
     below-diagonal write would inflate {!total} while staying invisible
-    to {!iter_nonzero}.  Bumps {!version}. *)
+    to {!iter_nonzero}.  Bumps {!version} and drops the kept non-zero
+    cells ({!nonzero}). *)
 
 val total : t -> float
 
@@ -85,8 +86,17 @@ val nonzero_cells : t -> int
 val nonzero : t -> int array * float array
 (** The non-zero cells in {!iter_nonzero} order (upper triangle,
     row-major): their dense row-major indices ({!Grid.index}) and their
-    counts, in two arrays of equal length.  The twig estimator's sparse
-    views start from these. *)
+    counts, in two arrays of equal length.  A cell is non-zero unless it
+    is [±0.0]; a NaN cell counts.  The twig estimator's sparse views start
+    from these.
+
+    Every constructor ({!create_empty}, {!finish}, {!of_nonzero},
+    {!build}, {!copy}, {!scale}, {!map2}) finds the cells once and keeps
+    them with the histogram, so this is O(1) and returns the {e same}
+    arrays on every call: they are shared, and the caller must not write
+    to them.  {!add} drops the kept cells, and from then on each call
+    scans the g² cells afresh into new arrays.  Nothing is written on
+    this read path, so domains may call it on a shared histogram. *)
 
 val storage_bytes : t -> int
 (** Sparse storage footprint: 6 bytes per non-zero cell (two 2-byte

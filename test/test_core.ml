@@ -1468,6 +1468,60 @@ let test_cli_plan_single_node () =
   Alcotest.(check bool) ("ranks plans: " ^ out) true
     (Test_util.contains_substring out "est. cost")
 
+(* A bad --grid is a usage error on every subcommand that builds a
+   summary: exit 1 with the grid's message, never an uncaught exception. *)
+let test_cli_bad_grid () =
+  with_staff_xml @@ fun path ->
+  List.iter
+    (fun args ->
+      let name = String.concat " " args in
+      let code, out, err = run_cli args in
+      check Alcotest.int (name ^ " exits 1: " ^ err) 1 code;
+      Alcotest.(check bool) (name ^ " names the grid: " ^ err) true
+        (Test_util.contains_substring err "size must be positive");
+      Alcotest.(check bool) (name ^ ": no internal error") false
+        (Test_util.contains_substring err "internal error");
+      check Alcotest.string (name ^ " prints nothing") "" out)
+    [
+      [ "plan"; "--grid=0"; path; "//manager//employee" ];
+      [ "plan"; "--grid=-1"; path; "//manager//employee" ];
+      [ "query"; "--grid=0"; path; "//manager//employee" ];
+      [ "estimate"; "--grid=0"; path; "//manager//employee" ];
+    ]
+
+(* [query --limit] takes a count: a negative one is refused, as the
+   shell's [run] refuses it, and 0 still counts only. *)
+let test_cli_query_negative_limit () =
+  with_staff_xml @@ fun path ->
+  let code, out, err = run_cli [ "query"; path; "//manager"; "--limit=-1" ] in
+  check Alcotest.int ("--limit=-1 exits 1: " ^ out) 1 code;
+  Alcotest.(check bool) ("names the limit: " ^ err) true
+    (Test_util.contains_substring err "--limit must be >= 0");
+  check Alcotest.string "prints no matches" "" out;
+  let code, out, err = run_cli [ "query"; path; "//manager"; "--limit=0" ] in
+  check Alcotest.int ("--limit=0: " ^ err) 0 code;
+  Alcotest.(check bool) ("counts: " ^ out) true
+    (String.starts_with ~prefix:"39 matches " out)
+
+(* [estimate --store --exact] is refused before the store is opened: no
+   estimate on stdout, even for a path that is no store at all. *)
+let test_cli_store_exact () =
+  with_staff_xml @@ fun path ->
+  let store = Filename.temp_file "xmlest_staff" ".xsum" in
+  Fun.protect ~finally:(fun () -> Sys.remove store) @@ fun () ->
+  let code, _, err = run_cli [ "build-summary"; path; "-o"; store ] in
+  check Alcotest.int ("build-summary: " ^ err) 0 code;
+  List.iter
+    (fun file ->
+      let code, out, err =
+        run_cli [ "estimate"; "--store"; "--exact"; file; "//manager//employee" ]
+      in
+      check Alcotest.int ("--store --exact exits 1: " ^ out) 1 code;
+      Alcotest.(check bool) ("names --exact: " ^ err) true
+        (Test_util.contains_substring err "--exact requires the XML document");
+      check Alcotest.string "prints nothing" "" out)
+    [ store; path ]
+
 let dblp_store_summary () =
   let doc = Xmlest.Document.of_elem (Xmlest.Dblp_gen.generate_scaled 0.05) in
   Xmlest.Summary.build doc
@@ -1931,6 +1985,11 @@ let () =
           Alcotest.test_case "query honours the anchor" `Quick test_cli_query_anchor;
           Alcotest.test_case "plan rejects a single-node pattern" `Quick
             test_cli_plan_single_node;
+          Alcotest.test_case "bad grid exits 1" `Quick test_cli_bad_grid;
+          Alcotest.test_case "query rejects a negative limit" `Quick
+            test_cli_query_negative_limit;
+          Alcotest.test_case "estimate --store --exact refused up front" `Quick
+            test_cli_store_exact;
         ] );
       ( "static_analysis",
         [

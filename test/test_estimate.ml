@@ -452,6 +452,18 @@ let prop_no_overlap_fine_grid_exact =
         (Xmlest.No_overlap.estimate ~desc ~coverage:cvg)
         (float_of_int (exact doc t1 t2)))
 
+(* The sparse coverage join takes cells of one grid and a coverage
+   histogram of another only if the two are compatible. *)
+let test_cover_weights_checks_grids () =
+  let doc = Test_util.fig1_doc () in
+  let coverage =
+    Xmlest.Coverage_histogram.build doc ~grid:(grid_of doc 4) (tagp "faculty")
+  in
+  Alcotest.check_raises "incompatible grids"
+    (Invalid_argument "No_overlap.cover_weights: incompatible grids") (fun () ->
+      ignore
+        (Xmlest.No_overlap.cover_weights ~grid:(grid_of doc 3) ~coverage ([||], [||]) [||]))
+
 let test_participation_saturation () =
   let open Xmlest.No_overlap in
   check (Alcotest.float 1e-9) "no ancestors" 0.0
@@ -855,6 +867,79 @@ let test_sparse_views_on_staff_and_dblp () =
     [ tagp "article"; tagp "author"; tagp "title"; tagp "year" ]
     [ "//article[./author][./year]//title"; "//article//author"; "//*//author" ]
 
+(* The catalog with a twin of every coverage entry, same cells, of the
+   negated fraction, and one of fraction 0: entries no build makes, which
+   a coverage join skips. *)
+let with_nonpositive_entries cat =
+  let memo = Hashtbl.create 8 in
+  let twin cvg =
+    let entries =
+      Xmlest.Coverage_histogram.fold_entries cvg ~init:[]
+        ~f:(fun acc ~covered ~covering f ->
+          (covered, covering, f) :: (covered, covering, -.f) :: (covered, covering, 0.0)
+          :: acc)
+    in
+    Xmlest.Coverage_histogram.of_parts ~grid:(Xmlest.Coverage_histogram.grid cvg)
+      ~populations:(Xmlest.Coverage_histogram.populations cvg) ~entries
+  in
+  let coverage p =
+    let key = Xmlest.Predicate.name p in
+    match Hashtbl.find_opt memo key with
+    | Some c -> c
+    | None ->
+      let c = Option.map twin (cat.Xmlest.Twig_estimator.coverage p) in
+      Hashtbl.add memo key c;
+      c
+  in
+  { cat with Xmlest.Twig_estimator.coverage }
+
+(* Treebank-shaped data at the benchmark's grid of 50 buckets: the tags
+   nest, so pH-joins compose the children that [FILE] and the level
+   predicates then join by coverage; and a coverage join after another
+   finds covering cells the first one left without participation. *)
+let test_sparse_views_on_treebank () =
+  let open Xmlest.Pattern in
+  let doc = Xmlest.Document.of_elem (Xmlest.Treebank_gen.generate ~sentences:60 ()) in
+  let level l = Xmlest.Predicate.Level_eq l in
+  let preds =
+    List.map tagp [ "FILE"; "S"; "NP"; "VP"; "PP"; "DT"; "NN"; "IN" ]
+    @ List.init 4 (fun l -> level (l + 1))
+  in
+  let n ?(e = []) p = node ~edges:e p in
+  let d p = (Descendant, p) and c p = (Child, p) in
+  let patterns =
+    [
+      n (level 2) ~e:[ d (n (tagp "NP")); d (n (tagp "VP")) ];
+      n (level 2) ~e:[ d (n (tagp "NP")); c (n (tagp "PP")); d (n (tagp "IN")) ];
+      n (level 1) ~e:[ d (n (tagp "NP") ~e:[ d (n (tagp "DT")) ]) ];
+      n (level 1)
+        ~e:[ d (n (tagp "S") ~e:[ d (n (tagp "NP")) ]); d (n (tagp "VP") ~e:[ d (n (tagp "NN")) ]) ];
+      n (level 3) ~e:[ d (n (tagp "NN")); d (n (tagp "DT")) ];
+      n (level 2) ~e:[ d (n (level 3) ~e:[ d (n (tagp "NN")) ]); d (n (tagp "IN")) ];
+      n (tagp "FILE") ~e:[ d (n (tagp "S") ~e:[ d (n (tagp "NP")) ]); d (n (tagp "VP")) ];
+      n (tagp "S") ~e:[ d (n (tagp "NP")); c (n (tagp "VP") ~e:[ d (n (tagp "PP")) ]) ];
+      n (tagp "NP") ~e:[ d (n (level 4)); d (n (tagp "NN")) ];
+    ]
+  in
+  List.iter
+    (fun grid_kind ->
+      Dense_twig_estimator.outside_pairs := 0;
+      Dense_twig_estimator.composed_children := 0;
+      let cat =
+        Xmlest.Summary.catalog (Xmlest.Summary.build ~grid_size:50 ~grid_kind doc preds)
+      in
+      let coverage =
+        agrees_with_dense_oracle cat patterns
+        + agrees_with_dense_oracle (uncached cat) patterns
+        + agrees_with_dense_oracle (with_nonpositive_entries cat) patterns
+      in
+      Alcotest.(check bool) "coverage joins compared" true (coverage > 0);
+      Alcotest.(check bool) "covering cells outside the ancestor view" true
+        (!Dense_twig_estimator.outside_pairs > 0);
+      Alcotest.(check bool) "composed children joined by coverage" true
+        (!Dense_twig_estimator.composed_children > 0))
+    [ `Uniform; `Equidepth ]
+
 let () =
   Alcotest.run "estimate"
     [
@@ -897,6 +982,8 @@ let () =
           Alcotest.test_case "fig1 faculty-TA" `Quick test_no_overlap_fig1;
           Alcotest.test_case "participation saturation" `Quick
             test_participation_saturation;
+          Alcotest.test_case "cover_weights checks grids" `Quick
+            test_cover_weights_checks_grids;
           qcheck prop_no_overlap_upper_bound;
           qcheck prop_no_overlap_fine_grid_exact;
         ] );
@@ -930,5 +1017,7 @@ let () =
           qcheck prop_sparse_views_equal_dense_oracle;
           Alcotest.test_case "sparse views = dense oracle on staff and DBLP" `Quick
             test_sparse_views_on_staff_and_dblp;
+          Alcotest.test_case "sparse views = dense oracle on Treebank, g = 50" `Quick
+            test_sparse_views_on_treebank;
         ] );
     ]

@@ -389,7 +389,7 @@ let test_coverage_fractions_bounded () =
     for j = i to 9 do
       let total = Xmlest.Coverage_histogram.total_coverage cvg ~i ~j in
       Alcotest.(check bool) "total in [0,1]" true (total >= 0.0 && total <= 1.0 +. 1e-9);
-      Xmlest.Coverage_histogram.iter_covers cvg ~i ~j (fun ~m:_ ~n:_ f ->
+      Test_util.iter_covers cvg ~i ~j (fun ~m:_ ~n:_ f ->
           Alcotest.(check bool) "fraction in (0,1]" true (f > 0.0 && f <= 1.0 +. 1e-9))
     done
   done
@@ -749,6 +749,62 @@ let test_child_fraction_degenerate () =
   check (Alcotest.float 1e-9) "no pairs -> neutral" 1.0
     (Xmlest.Level_histogram.child_fraction ~anc:ra ~desc:ra)
 
+(* The non-zero cells a histogram keeps from its construction are what a
+   fresh scan finds, after any sequence of constructions and edits:
+   [add] (of zeros, negative counts and cancellations too), [finish],
+   [of_nonzero] (zero values and repeated cells included), [copy] (which
+   shares the kept cells with its original), [scale] (by ±0, a negative
+   factor and NaN) and [map2]. *)
+let prop_nonzero_is_fresh_scan =
+  QCheck.Test.make ~count:200 ~name:"nonzero = a fresh scan, after any construction or edit"
+    QCheck.(pair (oneofl [ 1; 2; 3; 7 ]) (int_bound 1_000_000))
+    (fun (size, seed) ->
+      let module H = Xmlest.Position_histogram in
+      let st = Random.State.make [| seed |] in
+      let grid = Xmlest.Grid.create ~size ~max_pos:100 in
+      let pick_of l = List.nth l (Random.State.int st (List.length l)) in
+      let cell () =
+        let i = Random.State.int st size in
+        (i, i + Random.State.int st (size - i))
+      in
+      let index () =
+        let i, j = cell () in
+        Xmlest.Grid.index grid ~i ~j
+      in
+      let value () = pick_of [ 0.0; -0.0; -1.0; 0.5; 1.0; 3.0 ] in
+      let pool = ref [ H.create_empty grid ] in
+      let ok = ref true in
+      for _ = 1 to 30 do
+        let made =
+          match Random.State.int st 7 with
+          | 0 ->
+            let i, j = cell () in
+            H.add (pick_of !pool) ~i ~j (value ());
+            None
+          | 1 ->
+            let b = H.builder grid in
+            for _ = 1 to Random.State.int st 8 do
+              H.feed_cell b (index ())
+            done;
+            Some (H.finish b)
+          | 2 ->
+            let n = Random.State.int st 5 in
+            let at = Array.init n (fun _ -> index ()) in
+            Some (H.of_nonzero ~grid at (Array.init n (fun _ -> value ())))
+          | 3 -> Some (H.copy (pick_of !pool))
+          | 4 -> Some (H.scale (pick_of !pool) (pick_of [ 0.0; -0.0; -1.0; 2.5; nan ]))
+          | 5 ->
+            let f = pick_of [ ( +. ); ( -. ); ( *. ) ] in
+            Some (H.map2 f (pick_of !pool) (pick_of !pool))
+          | _ ->
+            ignore (H.nonzero (pick_of !pool));
+            None
+        in
+        Option.iter (fun h -> pool := h :: !pool) made;
+        if not (List.for_all Test_util.nonzero_is_fresh_scan !pool) then ok := false
+      done;
+      !ok)
+
 let () =
   Alcotest.run "histogram"
     [
@@ -788,6 +844,7 @@ let () =
           Alcotest.test_case "version counter" `Quick test_hist_version_counter;
           qcheck prop_lemma1;
           qcheck prop_total_equals_nonzero_sum;
+          qcheck prop_nonzero_is_fresh_scan;
           Alcotest.test_case "heatmap renders" `Quick test_heatmap_renders;
           Alcotest.test_case "heatmap with zero total" `Quick test_heatmap_zero_total;
         ] );

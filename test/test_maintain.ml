@@ -893,6 +893,13 @@ let on_demand_exact s =
        (fun q -> same (Xmlest.Summary.estimate s q) (Xmlest.Summary.estimate fresh q))
        on_demand_patterns
 
+(* The base and on-demand histograms the summary hands out keep no stale
+   non-zero cells: maintenance edits them with [add]. *)
+let nonzero_fresh s =
+  List.for_all
+    (fun p -> Test_util.nonzero_is_fresh_scan (Xmlest.Summary.histogram s p))
+    (base_preds () @ on_demand_preds ())
+
 let base_names () = List.map Xmlest.Predicate.name (base_preds ())
 
 let catalog_keys s =
@@ -920,25 +927,29 @@ let prop_on_demand_maintained =
       let batch k = stream ~k ~pick:all_kinds_pick rng (doc ()) in
       let hists () = List.map (Xmlest.Summary.histogram s) (on_demand_preds ()) in
       let same_objects a b = List.for_all2 ( == ) a b in
-      let ok = ref (on_demand_exact s) in
+      let ok = ref (on_demand_exact s && nonzero_fresh s) in
       let check b = if not b then ok := false in
       let tracked = hists () in
       Xmlest.Summary.apply s (batch 2);
       check (on_demand_exact s);
+      check (nonzero_fresh s);
       check (same_objects tracked (hists ()));
       Xmlest.Summary.apply s (batch 2);
       check (on_demand_exact s);
+      check (nonzero_fresh s);
       check (same_objects tracked (hists ()));
       (try
          Xmlest.Summary.apply s (batch 1 @ [ U.Delete { node = 1_000_000 } ]);
          check false
        with Invalid_argument _ -> ());
       check (on_demand_exact s);
+      check (nonzero_fresh s);
       check (same_objects tracked (hists ()));
       let z = Xmlest.Summary.histogram s (tagp "z") in
       Xmlest.Summary.apply s [ z_insert (doc ()) ];
       check (Xmlest.Position_histogram.total z > 0.0);
       check (on_demand_exact s);
+      check (nonzero_fresh s);
       check (same_objects tracked (hists ()));
       (match Xmlest.Summary.staleness s with
       | Some r ->

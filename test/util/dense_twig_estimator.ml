@@ -3,7 +3,8 @@
    g × g join-factor array, and every join sweeps the whole grid.  The
    library's sparse views must reproduce its estimates and [explain]
    steps bit for bit ([Int64.bits_of_float]); the per-cell pH-join loop
-   it used ([estimate_cells_with]) is kept here with it. *)
+   it used ([estimate_cells_with]) and the grid-wide coverage join
+   ([estimate_cells_by_ancestor]) are kept here with it. *)
 
 open Xmlest_core
 open Xmlest
@@ -27,6 +28,34 @@ let estimate_cells_with ?(direction = Ph_join.Ancestor_based) ~coefs ~anc ~desc 
 
 let estimate_cells ~anc ~desc () =
   estimate_cells_with ~coefs:(Ph_join.descendant_coefficients desc) ~anc ~desc ()
+
+(* Fig. 10's ancestor-based pattern-count estimate over the whole grid:
+   per ancestor cell (i, j), the weighted descendants it covers,
+   [anc_scale i j × Σ over covered cells (m, n) of Cvg((m,n) by (i,j)) ×
+   desc_weight(m, n)].  [anc_scale] carries the JnFct of the ancestor
+   view times its participation ratio (coverage-update case 1). *)
+let estimate_cells_by_ancestor ~coverage ~desc_weight ~anc_scale =
+  let grid = Position_histogram.grid desc_weight in
+  let out = Position_histogram.create_empty grid in
+  (* Accumulate covered weight into each covering (ancestor) cell, then
+     apply the ancestor-side scale. *)
+  Position_histogram.iter_nonzero desc_weight (fun ~i ~j w ->
+      Test_util.iter_covers coverage ~i ~j (fun ~m ~n frac ->
+          if frac > 0.0 then Position_histogram.add out ~i:m ~j:n (w *. frac)));
+  let scaled = Position_histogram.create_empty grid in
+  Position_histogram.iter_nonzero out (fun ~i ~j v ->
+      let s = anc_scale ~i ~j in
+      if not (Float.equal s 0.0) then
+        Position_histogram.add scaled ~i ~j (v *. s));
+  scaled
+
+(* What the coverage joins since the counters were last zeroed reached:
+   (descendant cell, covering cell) pairs of positive coverage whose
+   covering cell lies outside the ancestor view (zero participation), and
+   joins whose child view was composed rather than a catalog leaf.  The
+   differential tests check that their cases reach both. *)
+let outside_pairs = ref 0
+let composed_children = ref 0
 
 (* A view of a partially-assembled sub-twig, keyed at its root node. *)
 type view = {
@@ -141,8 +170,12 @@ let join_no_overlap anc_view coverage desc_weight desc_part =
       anc_view.jn.(idx g i j) *. ratio
     end
   in
+  Position_histogram.iter_nonzero desc_weight (fun ~i ~j _ ->
+      Test_util.iter_covers coverage ~i ~j (fun ~m ~n frac ->
+          if frac > 0.0 && Float.equal (Position_histogram.get anc_view.part ~i:m ~j:n) 0.0
+          then incr outside_pairs));
   let est_cells =
-    No_overlap.estimate_cells_by_ancestor ~coverage ~desc_weight ~anc_scale
+    estimate_cells_by_ancestor ~coverage ~desc_weight ~anc_scale
   in
   let m = band_sums desc_part in
   let new_part = Position_histogram.create_empty grid in
@@ -210,6 +243,7 @@ let rec view ?(options = default_options) ?trace catalog (p : Pattern.t) =
         match coverage with
         | Some cvg ->
           let desc_part = Position_histogram.scale child_view.part factor in
+          if Option.is_none child_view.source then incr composed_children;
           (join_no_overlap acc cvg desc_weight desc_part, "coverage")
         | None -> (
           match (axis, options.child_mode) with

@@ -146,6 +146,40 @@ let hist_equal a b =
   && Array.for_all2 Int.equal ia ib
   && Array.for_all2 Float.equal va vb
 
+(* [nonzero h] against a fresh scan of the cells through [get]: the cells
+   whose count is not ±0.0 (a NaN counts), upper triangle, row-major,
+   with the same indices and the same bits; [nonzero_cells] agrees. *)
+let nonzero_is_fresh_scan h =
+  let open Xmlest.Position_histogram in
+  let g = (grid h).Xmlest.Grid.size in
+  let cells = ref [] in
+  for i = g - 1 downto 0 do
+    for j = g - 1 downto i do
+      let v = get h ~i ~j in
+      if not (Float.equal v 0.0) then cells := ((i * g) + j, v) :: !cells
+    done
+  done;
+  let expect = Array.of_list !cells in
+  let at, v = nonzero h in
+  let n = Array.length expect in
+  Int.equal (Array.length at) n
+  && Int.equal (Array.length v) n
+  && Int.equal (nonzero_cells h) n
+  && Array.for_all2 (fun x (c, _) -> Int.equal x c) at expect
+  && Array.for_all2
+       (fun y (_, w) -> Int64.equal (Int64.bits_of_float y) (Int64.bits_of_float w))
+       v expect
+
+(* The covering cells (m, n) of cell (i, j) with their fractions, in
+   [Coverage_histogram.rows] order. *)
+let iter_covers cvg ~i ~j f =
+  let row_off, covering, frac = Xmlest.Coverage_histogram.rows cvg in
+  let g = (Xmlest.Coverage_histogram.grid cvg).Xmlest.Grid.size in
+  let c = (i * g) + j in
+  for k = row_off.(c) to row_off.(c + 1) - 1 do
+    f ~m:(covering.(k) / g) ~n:(covering.(k) mod g) frac.(k)
+  done
+
 (* Lemma 1: a non-zero cell [(i, j)] implies zero counts at every [(k, l)]
    with [i < k <= j < l] or [k < i <= l < j]. *)
 let obeys_lemma1 h =
