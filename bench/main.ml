@@ -519,7 +519,7 @@ let ablation () =
   let rows =
     List.map
       (fun c ->
-        let actual = Xmlest.Optimizer.actual_cost doc c.Xmlest.Optimizer.plan in
+        let actual = Xmlest.Optimizer.actual_cost doc pattern c.Xmlest.Optimizer.plan in
         [
           Format.asprintf "%a" Xmlest.Plan.pp c.Xmlest.Optimizer.plan;
           Report.f1 c.Xmlest.Optimizer.cost;
@@ -533,10 +533,11 @@ let ablation () =
     | b :: _ -> b
     | [] -> failwith "plan bench: optimizer returned no plans"
   in
-  let best_actual = Xmlest.Optimizer.actual_cost doc best.Xmlest.Optimizer.plan in
+  let best_actual = Xmlest.Optimizer.actual_cost doc pattern best.Xmlest.Optimizer.plan in
   let optimal =
     List.fold_left
-      (fun acc c -> Int.min acc (Xmlest.Optimizer.actual_cost doc c.Xmlest.Optimizer.plan))
+      (fun acc c ->
+        Int.min acc (Xmlest.Optimizer.actual_cost doc pattern c.Xmlest.Optimizer.plan))
       max_int ranked
   in
   Report.note "chosen plan actual cost %d vs true optimum %d" best_actual optimal;
@@ -562,7 +563,7 @@ let ablation () =
         let ranked = Xmlest.Optimizer.rank (Xmlest.Summary.catalog summary) pattern in
         let actuals =
           List.map
-            (fun c -> Xmlest.Optimizer.actual_cost doc c.Xmlest.Optimizer.plan)
+            (fun c -> Xmlest.Optimizer.actual_cost doc pattern c.Xmlest.Optimizer.plan)
             ranked
         in
         let chosen =

@@ -339,6 +339,13 @@ let estimate_cmd =
 
 (* --- plan -------------------------------------------------------------- *)
 
+(* A pattern past the optimizer's node limit is a usage error. *)
+let optimize f =
+  try f ()
+  with Invalid_argument msg ->
+    Printf.eprintf "%s\n" msg;
+    exit 1
+
 let plan_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -346,7 +353,8 @@ let plan_cmd =
   in
   let query =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY"
-           ~doc:"Twig query with at least two nodes.")
+           ~doc:(Printf.sprintf "Twig query with 2 to %d nodes."
+                   Xmlest.Optimizer.max_nodes))
   in
   let actual =
     Arg.(value & flag & info [ "actual" ]
@@ -364,7 +372,9 @@ let plan_cmd =
       build_summary doc ~grid ~equidepth:false ~content:false
         (Xmlest.Predicate.tag_predicates doc)
     in
-    let ranked = Xmlest.Optimizer.rank (Xmlest.Summary.catalog summary) pattern in
+    let orders, listed =
+      optimize (fun () -> Xmlest.Optimizer.listing (Xmlest.Summary.catalog summary) pattern)
+    in
     Printf.printf "%-24s %14s%s\n" "plan (node order)" "est. cost"
       (if actual then "    actual cost" else "");
     List.iter
@@ -374,9 +384,11 @@ let plan_cmd =
           c.Xmlest.Optimizer.cost
           (if actual then
              Printf.sprintf "    %d"
-               (Xmlest.Optimizer.actual_cost doc c.Xmlest.Optimizer.plan)
+               (Xmlest.Optimizer.actual_cost doc pattern c.Xmlest.Optimizer.plan)
            else ""))
-      ranked
+      listed;
+    if orders > List.length listed then
+      Printf.printf "%d orders; only the cheapest is listed\n" orders
   in
   let info =
     Cmd.info "plan" ~doc:"Rank join plans of a twig query by estimated cost."
@@ -414,7 +426,7 @@ let query_cmd =
           build_summary ~with_levels:false doc ~grid ~equidepth:false ~content:false
             (Xmlest.Predicate.tag_predicates doc)
         in
-        (Xmlest.Optimizer.best (Xmlest.Summary.catalog summary) pattern)
+        (optimize (fun () -> Xmlest.Optimizer.best (Xmlest.Summary.catalog summary) pattern))
           .Xmlest.Optimizer.plan
           .Xmlest.Plan.order
       end
@@ -594,4 +606,15 @@ let main_cmd =
     [ generate_cmd; stats_cmd; build_summary_cmd; estimate_cmd; plan_cmd;
       query_cmd; apply_updates_cmd; shell_cmd ]
 
-let () = exit (Cmd.eval main_cmd)
+(* One I/O error path: an unreadable input or an unwritable output is
+   exit 1 with the system's message, as any other bad argument is.  Any
+   other exception is a bug, reported as cmdliner's own handler does. *)
+let () =
+  match Cmd.eval ~catch:false main_cmd with
+  | code -> exit code
+  | exception Sys_error msg ->
+    Printf.eprintf "xmlest: %s\n" msg;
+    exit 1
+  | exception e ->
+    Printf.eprintf "xmlest: internal error, uncaught exception:\n%s\n" (Printexc.to_string e);
+    exit Cmd.Exit.internal_error

@@ -41,13 +41,13 @@ let () =
       Printf.printf "%-20s %14.1f %14d\n"
         (Format.asprintf "%a" Xmlest.Plan.pp c.Xmlest.Optimizer.plan)
         c.Xmlest.Optimizer.cost
-        (Xmlest.Optimizer.actual_cost doc c.Xmlest.Optimizer.plan))
+        (Xmlest.Optimizer.actual_cost doc pattern c.Xmlest.Optimizer.plan))
     ranked;
 
   let best = List.hd ranked in
   let worst = List.nth ranked (List.length ranked - 1) in
-  let best_actual = Xmlest.Optimizer.actual_cost doc best.Xmlest.Optimizer.plan in
-  let worst_actual = Xmlest.Optimizer.actual_cost doc worst.Xmlest.Optimizer.plan in
+  let best_actual = Xmlest.Optimizer.actual_cost doc pattern best.Xmlest.Optimizer.plan in
+  let worst_actual = Xmlest.Optimizer.actual_cost doc pattern worst.Xmlest.Optimizer.plan in
   Printf.printf
     "\nchosen plan materializes %d intermediate results; the worst plan \
      would materialize %d (%.0fx more)\n"

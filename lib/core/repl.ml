@@ -164,14 +164,19 @@ let cmd_plan state q =
   let summary = need_summary state in
   let pattern = parse_pattern q in
   if Pattern.edge_count pattern = 0 then reply "error: single-node pattern has no joins";
-  let ranked = Optimizer.rank (Summary.catalog summary) pattern in
+  let orders, listed = Optimizer.listing (Summary.catalog summary) pattern in
+  let lines =
+    List.map
+      (fun c ->
+        Printf.sprintf "  %-18s est. cost %12.1f"
+          (Format.asprintf "%a" Plan.pp c.Optimizer.plan)
+          c.Optimizer.cost)
+      listed
+  in
   String.concat "\n"
-    (List.map
-       (fun c ->
-         Printf.sprintf "  %-18s est. cost %12.1f"
-           (Format.asprintf "%a" Plan.pp c.Optimizer.plan)
-           c.Optimizer.cost)
-       ranked)
+    (if orders > List.length listed then
+       lines @ [ Printf.sprintf "  %d orders; only the cheapest is listed" orders ]
+     else lines)
 
 let cmd_run state q limit =
   let doc = need_doc state in

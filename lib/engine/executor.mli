@@ -31,7 +31,7 @@ type result = {
 
 val run : Document.t -> Pattern.t -> order:int list -> result
 (** Execute the given join order (pattern-node ids; every prefix must be
-    connected as in {!Xmlest_optimizer.Plan.enumerate}).  Raises
+    connected, as the sets {!Xmlest_optimizer.Plan.induced} accepts).  Raises
     [Invalid_argument] on an order that is not a permutation of the
     pattern's nodes or has a disconnected prefix. *)
 

@@ -48,7 +48,7 @@ type view = {
   mutable desc_pass : float array option;
       (* the descendant coefficient pass over part × jn, kept once run
          for a view without a catalog source, so a view joined below
-         several parents (by Optimizer.rank's node-set program) runs it
+         several parents (by the optimizer's node-set program) runs it
          once *)
 }
 

@@ -82,7 +82,7 @@ val default_options : options
     {!leaf} is one node's catalog histogram, and {!join} adds one edge
     below the root.  {!estimate} builds a pattern's view bottom-up,
     joining each node's edges into its leaf in pattern order;
-    {!Xmlest_optimizer.Optimizer.rank} joins the same views by dynamic
+    {!Xmlest_optimizer.Optimizer} joins the same views by dynamic
     programming over node sets, each view once, so the two agree bit for
     bit on every sub-twig. *)
 

@@ -1380,8 +1380,10 @@ let test_store_crafted_sections () =
     ]
 
 (* The DBLP 0.05 summary the laziness tests reopen. *)
-(* The CLI's exit code, standard output and standard error. *)
-let run_cli args =
+(* The CLI's exit code, standard output and standard error.  The child
+   runs under a time limit: past [seconds] it is killed and the code is
+   124. *)
+let run_cli ?(seconds = 60) args =
   let out = Filename.temp_file "xmlest_cli" ".out" in
   let err = Filename.temp_file "xmlest_cli" ".err" in
   Fun.protect
@@ -1391,10 +1393,11 @@ let run_cli args =
     (fun () ->
       let code =
         Sys.command
-          (Filename.quote_command
-             (Filename.concat (Filename.dirname Sys.executable_name)
-                "../bin/xmlest_cli.exe")
-             args ~stdout:out ~stderr:err)
+          (Filename.quote_command "timeout"
+             (string_of_int seconds
+             :: Filename.concat (Filename.dirname Sys.executable_name) "../bin/xmlest_cli.exe"
+             :: args)
+             ~stdout:out ~stderr:err)
       in
       let read f = In_channel.with_open_bin f In_channel.input_all in
       (code, read out, read err))
@@ -1467,6 +1470,47 @@ let test_cli_plan_single_node () =
   check Alcotest.int ("plan //manager//employee: " ^ err) 0 code;
   Alcotest.(check bool) ("ranks plans: " ^ out) true
     (Test_util.contains_substring out "est. cost")
+
+(* The optimizer's plan search is a program over node sets: a 12-node
+   chain and a 10-leaf star (7,257,600 orders) answer at once, and a
+   pattern past its node limit is a usage error. *)
+let test_cli_node_limit () =
+  with_staff_xml @@ fun path ->
+  let chain = String.concat "" (List.init 12 (fun _ -> "//manager")) in
+  let code, out, err = run_cli ~seconds:10 [ "query"; path; chain; "--limit"; "1" ] in
+  check Alcotest.int ("query on a 12-node chain: " ^ err) 0 code;
+  Alcotest.(check bool) ("counts: " ^ out) true (String.starts_with ~prefix:"0 matches " out);
+  let star = "//manager" ^ String.concat "" (List.init 10 (fun _ -> "[.//employee]")) in
+  let code, out, err = run_cli ~seconds:10 [ "plan"; path; star ] in
+  check Alcotest.int ("plan on a 10-leaf star: " ^ err) 0 code;
+  Alcotest.(check bool) ("prints the order count: " ^ out) true
+    (Test_util.contains_substring out "7257600 orders; only the cheapest is listed");
+  let big = String.concat "" (List.init 70 (fun _ -> "//manager")) in
+  List.iter
+    (fun cmd ->
+      let code, out, err = run_cli ~seconds:10 [ cmd; path; big ] in
+      check Alcotest.int (cmd ^ " on 70 nodes exits 1: " ^ err) 1 code;
+      Alcotest.(check bool) (cmd ^ " names the limit: " ^ err) true
+        (Test_util.contains_substring err "more than the 14");
+      check Alcotest.string (cmd ^ " prints nothing") "" out)
+    [ "plan"; "query" ]
+
+(* An unreadable input or an unwritable output is exit 1 with the
+   system's message, never an uncaught exception. *)
+let test_cli_io_errors () =
+  with_staff_xml @@ fun path ->
+  let dir = Filename.dirname path in
+  List.iter
+    (fun (args, msg) ->
+      let name = String.concat " " args in
+      let code, _, err = run_cli args in
+      check Alcotest.int (name ^ " exits 1: " ^ err) 1 code;
+      Alcotest.(check bool) (name ^ " says why: " ^ err) true
+        (Test_util.contains_substring err msg))
+    [
+      ([ "estimate"; dir; "//a" ], "Is a directory");
+      ([ "build-summary"; path; "-o"; "/dev/full" ], "No space left on device");
+    ]
 
 (* A bad --grid is a usage error on every subcommand that builds a
    summary: exit 1 with the grid's message, never an uncaught exception. *)
@@ -1633,6 +1677,12 @@ let test_repl_session () =
     (contains "pH-join" (run "explain //manager//department"));
   Alcotest.(check bool) "exact" true (contains "matches" (run "exact //manager//employee"));
   Alcotest.(check bool) "plan" true (contains "est. cost" (run "plan //manager//employee"));
+  (* 2 × 8! orders: counted, not listed *)
+  let star = "plan //manager" ^ String.concat "" (List.init 8 (fun _ -> "[.//employee]")) in
+  Alcotest.(check bool) "plan counts a star's orders" true
+    (contains "80640 orders; only the cheapest is listed" (run star));
+  Alcotest.(check bool) "past the node limit" true
+    (contains "error: Optimizer" (run ("run " ^ String.concat "" (List.init 15 (fun _ -> "//a")))));
   Alcotest.(check bool) "run" true (contains "matches" (run "run //manager//employee 2"))
 
 let test_repl_exact_anchor () =
@@ -1990,6 +2040,9 @@ let () =
             test_cli_query_negative_limit;
           Alcotest.test_case "estimate --store --exact refused up front" `Quick
             test_cli_store_exact;
+          Alcotest.test_case "plan and query within the node limit" `Quick
+            test_cli_node_limit;
+          Alcotest.test_case "I/O errors exit 1" `Quick test_cli_io_errors;
         ] );
       ( "static_analysis",
         [
