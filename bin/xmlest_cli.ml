@@ -11,8 +11,15 @@
 open Xmlest_core
 open Cmdliner
 
+(* [f ()], with a system error naming [path]: a failed open names it
+   already, a failed read or write does not. *)
+let on_file path f =
+  try f ()
+  with Sys_error msg when not (String.starts_with ~prefix:(path ^ ": ") msg) ->
+    raise (Sys_error (path ^ ": " ^ msg))
+
 let read_document path =
-  match Xmlest.Xml_parser.parse_file path with
+  match on_file path (fun () -> Xmlest.Xml_parser.parse_file path) with
   | Ok elem -> Xmlest.Document.of_elem elem
   | Error e ->
     Format.eprintf "%a@." Xmlest.Xml_parser.pp_error e;
@@ -56,7 +63,7 @@ let generate_cmd =
     in
     if output = "-" then print_string (Xmlest.Xml_writer.to_string elem)
     else begin
-      Xmlest.Xml_writer.to_file output elem;
+      on_file output (fun () -> Xmlest.Xml_writer.to_file output elem);
       Printf.printf "wrote %s (%d elements)\n" output (Xmlest.Elem.size elem)
     end
   in
@@ -126,6 +133,7 @@ let build_summary ?(domains = 1) ?with_levels doc ~grid ~equidepth ~content pred
    the distinct element tags, so the out-of-core build never needs the
    materialized document that [Predicate.tag_predicates] reads. *)
 let streamed_tag_predicates file =
+  on_file file @@ fun () ->
   let ic = open_in file in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   let sax = Xmlest.Sax.of_channel ic in
@@ -180,7 +188,9 @@ let build_summary_cmd =
         end;
         let preds = streamed_tag_predicates file in
         let grid_kind = if equidepth then `Equidepth else `Uniform in
-        try Xmlest.Summary.build_stream_file ~grid_size:grid ~grid_kind file preds
+        try
+          on_file file (fun () ->
+              Xmlest.Summary.build_stream_file ~grid_size:grid ~grid_kind file preds)
         with
         | Invalid_argument msg | Failure msg ->
           Printf.eprintf "%s\n" msg;
@@ -196,7 +206,7 @@ let build_summary_cmd =
           (Xmlest.Predicate.tag_predicates doc)
       end
     in
-    Xmlest.Summary.save_store summary output;
+    on_file output (fun () -> Xmlest.Summary.save_store summary output);
     Printf.printf "wrote %s: %d predicates, %d bytes of histograms (file %d bytes)\n"
       output
       (List.length (Xmlest.Summary.predicates summary))
@@ -477,6 +487,7 @@ let policy_conv =
 
 (* One update per line; blank lines and '#' comments are skipped. *)
 let read_updates path =
+  on_file path @@ fun () ->
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   let rec go lineno acc =
@@ -554,7 +565,7 @@ let apply_updates_cmd =
     | None -> ());
     match output with
     | Some out ->
-      Xmlest.Summary.save_store summary out;
+      on_file out (fun () -> Xmlest.Summary.save_store summary out);
       Printf.printf "wrote %s\n" out
     | None -> ()
   in
@@ -607,7 +618,8 @@ let main_cmd =
       query_cmd; apply_updates_cmd; shell_cmd ]
 
 (* One I/O error path: an unreadable input or an unwritable output is
-   exit 1 with the system's message, as any other bad argument is.  Any
+   exit 1 with the system's message, naming the file ([on_file]), as any
+   other bad argument is.  Any
    other exception is a bug, reported as cmdliner's own handler does. *)
 let () =
   match Cmd.eval ~catch:false main_cmd with

@@ -82,11 +82,16 @@ let cmd_gen state dataset scale =
   set_document state
     (Document.of_elem (Xmlest_datagen.Datasets.generate dataset ~scale))
 
+(* A system error naming [path], which only a failed open names already. *)
+let io_error path msg =
+  let named = String.starts_with ~prefix:(path ^ ": ") msg in
+  reply "error: %s" (if named then msg else path ^ ": " ^ msg)
+
 let cmd_load state path =
   match Xml_parser.parse_file path with
   | Ok elem -> set_document state (Document.of_elem elem)
   | Error e -> reply "error: %s" (Format.asprintf "%a" Xml_parser.pp_error e)
-  | exception Sys_error msg -> reply "error: %s" msg
+  | exception Sys_error msg -> io_error path msg
 
 let cmd_stats state =
   let doc = need_doc state in
@@ -221,7 +226,7 @@ let cmd_hist state tag =
 let cmd_save_summary state path =
   let summary = need_summary state in
   (try Summary.save_store summary path
-   with Sys_error msg -> reply "error: %s" msg);
+   with Sys_error msg -> io_error path msg);
   Printf.sprintf "saved summary to %s" path
 
 let cmd_catalog_stats state =

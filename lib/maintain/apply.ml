@@ -20,7 +20,6 @@ type pred_state = {
   name : string;
   hist : Position_histogram.t;
   acc : accumulators option;
-  mutable compiled : Predicate.compiled;
   mutable touched : int;  (* matching nodes whose statistics an edit moved *)
 }
 
@@ -32,6 +31,8 @@ type t = {
          handed over by [track] *)
   base : int;  (* how many of [preds] are base predicates *)
   pop : Position_histogram.t;  (* shared with the summary *)
+  mutable disp : Predicate.dispatch;  (* decides [preds], by their indices *)
+  mutable matched : int array;  (* the indices [matches] found last *)
   mutable updates : int;
 }
 
@@ -39,16 +40,14 @@ let document t = t.doc
 
 (* --- small helpers ----------------------------------------------------- *)
 
-let cell_ij t doc v =
-  Grid.cell_of_node t.grid
-    ~start_pos:(Document.start_pos doc v)
-    ~end_pos:(Document.end_pos doc v)
-
-let cell_idx t doc v =
-  let i, j = cell_ij t doc v in
+let cell_idx t v =
+  let start_pos = Document.start_pos t.doc v and end_pos = Document.end_pos t.doc v in
+  let i, j = Grid.cell_of_node t.grid ~start_pos ~end_pos in
   Grid.index t.grid ~i ~j
 
-let hist_add ps ~i ~j d = Position_histogram.add ps.hist ~i ~j d
+let add_cell t h c d =
+  let g = t.grid.Grid.size in
+  Position_histogram.add h ~i:(c / g) ~j:(c mod g) d
 
 let cvg_add acc ~covered ~covering d =
   Coverage_histogram.add acc.coverage ~covered ~covering d
@@ -56,30 +55,51 @@ let cvg_add acc ~covered ~covering d =
 let level_add acc doc v d =
   Option.iter (fun lb -> Level_histogram.add lb (Document.level doc v) d) acc.levels
 
-(* Nearest strict ancestor of [v] matching [ps], by parent-chain walk
-   ([-1] when none). *)
-let nearest_anc ps doc v =
-  let rec go u = if u < 0 then -1 else if ps.compiled u then u else go (Document.parent doc u) in
-  go (Document.parent doc v)
+(* The dispatch table resolves tag names to the document's ids when it is
+   built, so it is rebuilt when [track] adds a predicate and when an
+   insert interns a new tag. *)
+let redispatch t =
+  t.disp <- Predicate.dispatch t.doc (Array.to_list (Array.map (fun ps -> ps.pred) t.preds));
+  t.matched <- Array.make (Array.length t.preds) 0
 
-(* Number of matching strict ancestors of [v] — the nesting pairs [v]
-   participates in as the descendant endpoint. *)
-let anc_matches ps doc v =
-  let rec go u acc =
-    if u < 0 then acc else go (Document.parent doc u) (if ps.compiled u then acc + 1 else acc)
-  in
-  go (Document.parent doc v) 0
+(* The predicates [w] matches, as indices into [t.preds], in
+   [t.matched.(0 .. m-1)]; returns [m]. *)
+let matches t w =
+  let m = ref 0 in
+  Predicate.dispatch_node t.disp t.doc w ~f:(fun k ->
+      t.matched.(!m) <- k;
+      incr m);
+  !m
 
-(* A compiled predicate reads the document's current columns, but
-   resolves its tags to ids once: only a newly interned tag needs a
-   recompile. *)
-let recompile t =
-  Array.iter (fun ps -> ps.compiled <- Predicate.compile t.doc ps.pred) t.preds
+(* --- nearest matching ancestors ----------------------------------------- *)
+
+(* Every edit feeds the builds' one resolver, one set per predicate, the
+   nodes it visits, each after its ancestors.  [visit] feeds [w] to [res]
+   as a member of the sets it matches, or of [t.matched.(0 .. m-1)] when
+   [m] is given, and returns their count. *)
+let resolver t = Interval_ops.resolver (Array.length t.preds)
+
+let visit ?m t res w ~cell ~on_nearest =
+  let m = match m with Some m -> m | None -> matches t w in
+  Interval_ops.resolve res ~start_pos:(Document.start_pos t.doc w)
+    ~end_pos:(Document.end_pos t.doc w) ~cell ~matched:t.matched ~nmatched:m ~on_nearest;
+  m
+
+(* Add [f k] to each base predicate [k]'s nesting pairs. *)
+let add_pairs t f =
+  Array.iteri (fun k ps -> Option.iter (fun acc -> acc.pairs <- acc.pairs + f k) ps.acc) t.preds
+
+(* Visit [v]'s strict ancestors with an index past [above] (all of them
+   by default), root first; by default as context counted nowhere. *)
+let open_ancestors ?(above = -1) ?(on_nearest = fun _ ~covered:_ ~covering:_ -> ()) t res v ~cell =
+  let rec chain u acc = if u <= above then acc else chain (Document.parent t.doc u) (u :: acc) in
+  List.iter
+    (fun u -> ignore (visit t res u ~cell:(cell u) ~on_nearest : int))
+    (chain (Document.parent t.doc v) [])
 
 (* --- adoption ----------------------------------------------------------- *)
 
-let new_state doc pred hist acc =
-  { pred; name = Predicate.name pred; hist; acc; compiled = Predicate.compile doc pred; touched = 0 }
+let new_state pred hist acc = { pred; name = Predicate.name pred; hist; acc; touched = 0 }
 
 (* The engine edits its own copy of [doc], so the caller's document never
    changes under it.  Every statistic is adopted as it stands: nothing is
@@ -87,52 +107,16 @@ let new_state doc pred hist acc =
 let init ~grid ~pop ~entries doc =
   let doc = Document.copy doc in
   let preds =
-    Array.of_list (List.map (fun (pred, hist, acc) -> new_state doc pred hist (Some acc)) entries)
+    Array.of_list (List.map (fun (pred, hist, acc) -> new_state pred hist (Some acc)) entries)
   in
-  { doc; grid; preds; base = Array.length preds; pop; updates = 0 }
+  let disp = Predicate.dispatch doc [] in
+  let t = { doc; grid; preds; base = Array.length preds; pop; disp; matched = [||]; updates = 0 } in
+  redispatch t;
+  t
 
-let track t pred hist = t.preds <- Array.append t.preds [| new_state t.doc pred hist None |]
-
-(* --- subtree sweeps ------------------------------------------------------ *)
-
-(* Call [f u] for every node [u] strictly inside [a]'s subtree with no
-   matching node strictly between [a] and [u]: the nodes whose nearest
-   matching strict ancestor is [a] when [a] matches.  Matching
-   descendants are visited but their subtrees skipped, so the scan costs
-   the nodes it visits, with no walk up from each. *)
-let iter_covered ps doc a f =
-  let last = Document.subtree_last doc a in
-  let w = ref (a + 1) in
-  while !w <= last do
-    let u = !w in
-    f u;
-    w := if ps.compiled u then Document.subtree_last doc u + 1 else u + 1
-  done
-
-(* Call [f w ~matched ~na ~anc] for every node [w] of the subtree whose
-   pre-order range is [lo .. hi] ([lo] its root), in document order, with
-   whether [w] matches [ps], its nearest matching strict ancestor ([-1]
-   when none) and its number of matching strict ancestors.  Both derive
-   from the parent's values, so after one chain walk for [lo] the range
-   costs O(hi - lo + 1) however deep it sits: a walk per node would be
-   quadratic on a deep chain. *)
-let sweep_subtree ps doc lo hi f =
-  let k = hi - lo + 1 in
-  let hit = Array.make k false and na = Array.make k (-1) and anc = Array.make k 0 in
-  for w = lo to hi do
-    let x = w - lo in
-    if x = 0 then begin
-      na.(0) <- nearest_anc ps doc lo;
-      anc.(0) <- anc_matches ps doc lo
-    end
-    else begin
-      let y = Document.parent doc w - lo in
-      na.(x) <- (if hit.(y) then y + lo else na.(y));
-      anc.(x) <- (if hit.(y) then anc.(y) + 1 else anc.(y))
-    end;
-    hit.(x) <- ps.compiled w;
-    f w ~matched:hit.(x) ~na:na.(x) ~anc:anc.(x)
-  done
+let track t pred hist =
+  t.preds <- Array.append t.preds [| new_state pred hist None |];
+  redispatch t
 
 (* Add ([sign = 1]) or subtract ([sign = -1]) the subtree range
    [lo .. hi] of [doc] to or from every maintained statistic: population
@@ -141,35 +125,27 @@ let sweep_subtree ps doc lo hi f =
    entry; a tracked predicate's histogram mass only.  Everything is read
    off the working copy, so the range must be the doomed subtree before
    the delete or the inserted one after the insert; a same-grid rebuild
-   buckets the nodes identically, via the clamped [Grid.cell_of_node]. *)
+   buckets the nodes identically, via the clamped [Grid.cell_of_node].
+   The range's pairs are the ones counted after [lo]'s ancestors. *)
 let feed_range t ~sign lo hi =
-  let doc = t.doc in
-  let g = t.grid.Grid.size in
   let d = float_of_int sign in
-  let cells = Array.init (hi - lo + 1) (fun x -> cell_idx t doc (lo + x)) in
-  Array.iter (fun c -> Position_histogram.add t.pop ~i:(c / g) ~j:(c mod g) d) cells;
-  let add_match ps w =
-    let c = cells.(w - lo) in
-    hist_add ps ~i:(c / g) ~j:(c mod g) d;
-    ps.touched <- ps.touched + 1
+  let res = resolver t in
+  open_ancestors t res lo ~cell:(cell_idx t);
+  let above = Array.init (Array.length t.preds) (Interval_ops.nesting_pairs res) in
+  let on_nearest u ~covered ~covering =
+    Option.iter (fun acc -> cvg_add acc ~covered ~covering d) t.preds.(u).acc
   in
-  Array.iter
-    (fun ps ->
-      match ps.acc with
-      | None ->
-        for w = lo to hi do
-          if ps.compiled w then add_match ps w
-        done
-      | Some acc ->
-        sweep_subtree ps doc lo hi (fun w ~matched ~na ~anc ->
-            if na >= 0 then
-              cvg_add acc ~covered:cells.(w - lo) ~covering:(cell_idx t doc na) d;
-            if matched then begin
-              add_match ps w;
-              level_add acc doc w d;
-              acc.pairs <- acc.pairs + (sign * anc)
-            end))
-    t.preds
+  for w = lo to hi do
+    let c = cell_idx t w in
+    add_cell t t.pop c d;
+    for x = 0 to visit t res w ~cell:c ~on_nearest - 1 do
+      let ps = t.preds.(t.matched.(x)) in
+      add_cell t ps.hist c d;
+      ps.touched <- ps.touched + 1;
+      Option.iter (fun acc -> level_add acc t.doc w d) ps.acc
+    done
+  done;
+  add_pairs t (fun u -> sign * (Interval_ops.nesting_pairs res u - above.(u)))
 
 (* --- deletions --------------------------------------------------------- *)
 
@@ -231,21 +207,17 @@ let iter_window doc ~lo ~hi f =
    than [2k] past that boundary.  Those windows, beyond the new subtree's
    positions, are searched for the movers, so an insert costs O(g k) here
    rather than a compare of every survivor.  A mover re-keys its
-   population and histogram mass and its own coverage entry, which also
-   follows its covering ancestor's new cell; when it matches, the entries
-   of the nodes it is the nearest matching ancestor of follow its cell
-   too. *)
+   population and histogram mass, and every coverage entry with a mover
+   at either end follows both of its nodes' cells. *)
 let apply_insert t ~parent ~index subtree =
   let doc = t.doc in
   if parent < 0 || parent >= Document.size doc then
     invalid_arg "Apply: insert parent out of range";
   let tags = Document.num_tags doc in
   let root = Document.insert_subtree doc ~parent ~index subtree in
-  if Document.num_tags doc > tags then recompile t;
+  if Document.num_tags doc > tags then redispatch t;
   let k = Document.subtree_size doc root in
   let shift = 2 * k in
-  let g = t.grid.Grid.size in
-  let new_cell w = cell_idx t doc w in
   (* Before the edit a survivor past the new subtree sat [shift] lower at
      both ends; a chain node (index below [root]) at its end only. *)
   let shifted_cell w =
@@ -259,11 +231,11 @@ let apply_insert t ~parent ~index subtree =
   in
   let moved = Hashtbl.create 16 in
   let consider w =
-    let oc = shifted_cell w and nc = new_cell w in
+    let oc = shifted_cell w and nc = cell_idx t w in
     if not (Int.equal oc nc) then Hashtbl.replace moved w (oc, nc)
   in
   let from = ref (Document.start_pos doc root + shift) in
-  for i = 1 to g do
+  for i = 1 to t.grid.Grid.size do
     let b = t.grid.Grid.boundaries.(i) in
     let lo = Int.max b !from and hi = b + shift in
     if lo < hi then begin
@@ -272,40 +244,52 @@ let apply_insert t ~parent ~index subtree =
     end
   done;
   let old_cell w =
-    match Hashtbl.find_opt moved w with Some (oc, _) -> oc | None -> new_cell w
+    match Hashtbl.find_opt moved w with Some (oc, _) -> oc | None -> cell_idx t w
   in
-  Hashtbl.iter
-    (fun a (oc, nc) ->
-      Position_histogram.add t.pop ~i:(oc / g) ~j:(oc mod g) (-1.0);
-      Position_histogram.add t.pop ~i:(nc / g) ~j:(nc mod g) 1.0;
-      Array.iter
-        (fun ps ->
-          let hit = ps.compiled a in
-          if hit then begin
-            hist_add ps ~i:(oc / g) ~j:(oc mod g) (-1.0);
-            hist_add ps ~i:(nc / g) ~j:(nc mod g) 1.0;
-            ps.touched <- ps.touched + 1
-          end;
-          Option.iter
-            (fun acc ->
-              let na = nearest_anc ps doc a in
-              if na >= 0 then begin
-                cvg_add acc ~covered:oc ~covering:(old_cell na) (-1.0);
-                cvg_add acc ~covered:nc ~covering:(new_cell na) 1.0
-              end;
-              (* Movers among the nodes [a] covers re-keyed both sides of
-                 their entry above; the new subtree is fed afterwards. *)
-              if hit then
-                iter_covered ps doc a (fun u ->
-                    if (u < root || u >= root + k) && not (Hashtbl.mem moved u)
-                    then begin
-                      let cu = new_cell u in
-                      cvg_add acc ~covered:cu ~covering:oc (-1.0);
-                      cvg_add acc ~covered:cu ~covering:nc 1.0
-                    end))
-            ps.acc)
-        t.preds)
-    moved;
+  let res = resolver t in
+  let on_nearest u ~covered:w ~covering:a =
+    match t.preds.(u).acc with
+    | Some acc when Hashtbl.mem moved w || Hashtbl.mem moved a ->
+      cvg_add acc ~covered:(old_cell w) ~covering:(old_cell a) (-1.0);
+      cvg_add acc ~covered:(cell_idx t w) ~covering:(cell_idx t a) 1.0
+    | Some _ | None -> ()
+  in
+  (* [visit], carrying node indices, plus a mover's mass. *)
+  let step w =
+    let m = visit t res w ~cell:w ~on_nearest in
+    Option.iter
+      (fun (oc, nc) ->
+        add_cell t t.pop oc (-1.0);
+        add_cell t t.pop nc 1.0;
+        for x = 0 to m - 1 do
+          let ps = t.preds.(t.matched.(x)) in
+          add_cell t ps.hist oc (-1.0);
+          add_cell t ps.hist nc 1.0;
+          ps.touched <- ps.touched + 1
+        done)
+      (Hashtbl.find_opt moved w);
+    m
+  in
+  (* One pass in document order visits each mover after its ancestors
+     and, when it matches, its subtree (the new one aside), where the
+     nodes it covers lie.  So every entry with a mover at either end is
+     visited once.  Every node up to [last] has been visited or passed
+     over, and an ancestor of a later node was visited iff its index is
+     at most [last]. *)
+  let last = ref (-1) in
+  List.iter
+    (fun a ->
+      if a > !last then begin
+        open_ancestors ~above:!last t res a ~cell:Fun.id ~on_nearest;
+        last := a;
+        if step a > 0 then begin
+          last := Document.subtree_last doc a;
+          for w = a + 1 to !last do
+            if w < root || w >= root + k then ignore (step w : int)
+          done
+        end
+      end)
+    (List.sort Int.compare (Hashtbl.fold (fun w _ acc -> w :: acc) moved []));
   feed_range t ~sign:1 root (root + k - 1)
 
 (* --- in-place replacements ---------------------------------------------- *)
@@ -314,46 +298,64 @@ let apply_insert t ~parent ~index subtree =
    flip, per predicate.  A flip moves one unit of histogram/level/count
    mass at the node's own cell, adds or removes the nesting pairs the node
    participates in (matching ancestors + matching descendants), and
-   rewires the coverage entries of exactly those descendants whose
-   nearest-matching-ancestor walk reaches [v] before any other match. *)
+   rewires the coverage entries of the descendants it covers when it
+   matches.  One resolver pass over [v]'s ancestors, [v] in the union of
+   its matched sets before and after, and [v]'s subtree finds both: the
+   depth at [v] is its matching ancestors, and the nodes it covers are
+   those whose nearest match is [v]. *)
 let apply_replace t v edit =
   let doc = t.doc in
-  let n = Document.size doc in
-  if v < 0 || v >= n then invalid_arg "Apply: replace node out of range";
-  let before = Array.map (fun ps -> ps.compiled v) t.preds in
+  if v < 0 || v >= Document.size doc then invalid_arg "Apply: replace node out of range";
+  let p = Array.length t.preds in
+  let before = Array.sub t.matched 0 (matches t v) in
   (match edit with
   | `Text text -> Document.replace_text doc v text
   | `Attrs attrs -> Document.replace_attrs doc v attrs);
-  let i, j = cell_ij t doc v in
-  let cv = Grid.index t.grid ~i ~j in
+  let after = Array.sub t.matched 0 (matches t v) in
+  let flip =
+    Array.init p (fun k -> Bool.to_int (Array.mem k after) - Bool.to_int (Array.mem k before))
+  in
+  let cv = cell_idx t v in
   Array.iteri
-    (fun u ps ->
-      let after = ps.compiled v in
-      if not (Bool.equal before.(u) after) then begin
-        let sign = if after then 1 else -1 in
-        let d = float_of_int sign in
-        hist_add ps ~i ~j d;
+    (fun k ps ->
+      if flip.(k) <> 0 then begin
+        let d = float_of_int flip.(k) in
+        add_cell t ps.hist cv d;
         ps.touched <- ps.touched + 1;
+        Option.iter (fun acc -> level_add acc doc v d) ps.acc
+      end)
+    t.preds;
+  if Array.exists2 (fun f ps -> f <> 0 && Option.is_some ps.acc) flip t.preds then begin
+    let res = resolver t in
+    open_ancestors t res v ~cell:Fun.id;
+    let depth = Array.init p (Interval_ops.nesting_pairs res) and na = Array.make p (-1) in
+    let lost = Seq.filter (fun k -> flip.(k) < 0) (Seq.init p Fun.id) in
+    let union = Array.append after (Array.of_seq lost) in
+    Array.blit union 0 t.matched 0 (Array.length union);
+    ignore
+      (visit ~m:(Array.length union) t res v ~cell:v ~on_nearest:(fun k ~covered:_ ~covering ->
+           na.(k) <- covering)
+        : int);
+    Array.iteri (fun k above -> depth.(k) <- Interval_ops.nesting_pairs res k - above) depth;
+    (* The nodes [v] covers switch between [v] and [v]'s own nearest
+       match. *)
+    let on_nearest k ~covered:w ~covering =
+      if Int.equal covering v && flip.(k) <> 0 then
         Option.iter
           (fun acc ->
-            level_add acc doc v d;
-            (* Nesting pairs with [v] as descendant, then as ancestor. *)
-            let desc = ref 0 in
-            for w = v + 1 to Document.subtree_last doc v do
-              if ps.compiled w then incr desc
-            done;
-            acc.pairs <- acc.pairs + (sign * (anc_matches ps doc v + !desc));
-            (* Coverage: the nodes [v] covers when it matches switch
-               between [v] and [v]'s own nearest match. *)
-            let na_v = nearest_anc ps doc v in
-            let na_v_cell = if na_v >= 0 then cell_idx t doc na_v else -1 in
-            iter_covered ps doc v (fun w ->
-                let cw = cell_idx t doc w in
-                if na_v_cell >= 0 then cvg_add acc ~covered:cw ~covering:na_v_cell (-.d);
-                cvg_add acc ~covered:cw ~covering:cv d))
-          ps.acc
-      end)
-    t.preds
+            let d = float_of_int flip.(k) and cw = cell_idx t w in
+            if na.(k) >= 0 then cvg_add acc ~covered:cw ~covering:(cell_idx t na.(k)) (-.d);
+            cvg_add acc ~covered:cw ~covering:cv d)
+          t.preds.(k).acc
+    in
+    let desc = Array.make p 0 in
+    for w = v + 1 to Document.subtree_last doc v do
+      for x = 0 to visit t res w ~cell:w ~on_nearest - 1 do
+        desc.(t.matched.(x)) <- desc.(t.matched.(x)) + 1
+      done
+    done;
+    add_pairs t (fun k -> flip.(k) * (depth.(k) + desc.(k)))
+  end
 
 (* Counted only once the edit went through: a rejected update leaves the
    engine as it was. *)

@@ -20,6 +20,9 @@
     - {b Text/attribute replacements} only flip the edited node's matched
       set; the flip is propagated to the histogram, levels, nesting pairs
       and the coverage entries of its subtree.
+    Every edit decides matches with one {!Predicate.dispatch} table and
+    finds nearest matching ancestors with the builds' one resolver
+    ({!Interval_ops.resolve}).
 
     The engine keeps no statistic of its own.  It adopts the summary's
     live objects — the population and position histograms, and each base

@@ -160,14 +160,6 @@ let lower ~tag_id p : lowered =
   in
   go p
 
-type compiled = Document.node -> bool
-
-let compile doc p =
-  let f = lower ~tag_id:(Document.lookup_tag_id doc) p in
-  fun v ->
-    f ~tag:(Document.tag_id doc v) ~attrs:(Document.attrs doc v)
-      ~text:(Document.text doc v) ~level:(Document.level doc v)
-
 (* Where dispatch sends [p]: to the nodes of its pinned tag (by id, with
    the tag's name), to every node, or nowhere when the source has no
    such tag. *)

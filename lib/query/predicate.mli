@@ -50,20 +50,15 @@ val pp : Format.formatter -> t -> unit
 
 (** {2 Compilation}
 
-    Every predicate is lowered once into a closure over a node's parts —
-    interned tag id, attributes, trimmed character data, level — the view
-    both construction sources have of a node (the document store, and a
-    SAX close event).  Tag comparisons become integer comparisons over
-    the source's tag ids (constant [false] for tags the source has no id
-    for), substring patterns precompute their KMP failure table, and
-    boolean structure is composed into the closure — per-node evaluation
-    never re-walks the AST.  [compile doc p] feeds that closure a
-    document node's parts and agrees with [eval p] on every node
-    (property-tested). *)
-
-type compiled = Document.node -> bool
-
-val compile : Document.t -> t -> compiled
+    The dispatch table below lowers every predicate once into a closure
+    over a node's parts — interned tag id, attributes, trimmed character
+    data, level — the view every source has of a node (the document
+    store, and a SAX close event).  Tag comparisons become integer
+    comparisons over the source's tag ids (constant [false] for tags the
+    source has no id for), substring patterns precompute their KMP
+    failure table, and boolean structure is composed into the closure —
+    per-node evaluation never re-walks the AST.  A one-predicate table
+    decides exactly as {!eval} on every node (property-tested). *)
 
 (* lint: allow unused-export — tests derive the expected dispatch_evals from it *)
 val target : Document.t -> t -> [ `Any | `Tag of int | `Nothing ]

@@ -8,10 +8,10 @@
 
 (** {2 Multi-set resolver}
 
-    The one nearest-ancestor resolver of both summary builds and of the
-    maintenance engine's initial sweep: many node sets are resolved side
-    by side in one traversal, and a node costs only the sets that have an
-    open match plus the sets it matches. *)
+    The one nearest-ancestor resolver of both summary builds and of every
+    maintenance edit: many node sets are resolved side by side in one
+    traversal, and a node costs only the sets that have an open match
+    plus the sets it matches. *)
 
 type resolver
 

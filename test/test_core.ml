@@ -1496,10 +1496,12 @@ let test_cli_node_limit () =
     [ "plan"; "query" ]
 
 (* An unreadable input or an unwritable output is exit 1 with the
-   system's message, never an uncaught exception. *)
+   system's message and the file's name, never an uncaught exception; the
+   shell names the file too. *)
 let test_cli_io_errors () =
   with_staff_xml @@ fun path ->
   let dir = Filename.dirname path in
+  let in_dir = dir ^ ": Is a directory" in
   List.iter
     (fun (args, msg) ->
       let name = String.concat " " args in
@@ -1508,9 +1510,16 @@ let test_cli_io_errors () =
       Alcotest.(check bool) (name ^ " says why: " ^ err) true
         (Test_util.contains_substring err msg))
     [
-      ([ "estimate"; dir; "//a" ], "Is a directory");
-      ([ "build-summary"; path; "-o"; "/dev/full" ], "No space left on device");
-    ]
+      ([ "estimate"; dir; "//a" ], in_dir);
+      ([ "stats"; dir ], in_dir);
+      ([ "apply-updates"; dir; dir ], in_dir);
+      ([ "apply-updates"; path; dir ], in_dir);
+      ([ "build-summary"; "--stream"; dir; "-o"; "/dev/null" ], in_dir);
+      ([ "build-summary"; path; "-o"; "/dev/full" ], "/dev/full: No space left on device");
+    ];
+  let state = Xmlest.Repl.create () in
+  check Alcotest.string "shell load" ("error: " ^ in_dir)
+    (Xmlest.Repl.execute state ("load " ^ dir))
 
 (* A bad --grid is a usage error on every subcommand that builds a
    summary: exit 1 with the grid's message, never an uncaught exception. *)

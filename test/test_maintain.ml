@@ -271,10 +271,16 @@ let prop_delete_structure_and_labels =
 
 (* --- Summary maintenance: exact streams are bit-identical -------------- *)
 
-(* The content predicates are the ones [random_replace] can flip. *)
+(* The content predicates are the ones [random_replace] can flip.  They
+   reach every bucket of the maintenance engine's dispatch table: tags
+   (among them [z], which no document holds until [z_insert] interns it
+   and the table is rebuilt), a tag-pinned text family (a per-text
+   predicate and an [any_of] of two), and unpinned predicates. *)
 let base_preds () =
-  [ Xmlest.Predicate.True; tagp "a"; tagp "b"; tagp "c";
-    Xmlest.Predicate.Text_eq "x"; Xmlest.Predicate.Attr_eq ("k", "v") ]
+  Xmlest.Predicate.
+    [ True; tagp "a"; tagp "b"; tagp "c"; Text_eq "x"; Attr_eq ("k", "v");
+      text_eq ~tag:"b" "x"; any_of [ text_eq ~tag:"b" "x"; text_eq ~tag:"b" "hello" ];
+      Level_eq 2; Not (tagp "a"); tagp "z" ]
 
 (* [?domains] selects the build path the maintained summary comes from:
    the default sequential sweep or the partitioned one.  Maintenance
@@ -425,11 +431,19 @@ let random_insert rng doc =
 
 let interior_pick rng doc = Some (random_insert rng doc)
 
+(* An insert of a subtree holding tag [z], which no generated document
+   holds, under the middle node. *)
+let z_insert doc =
+  U.Insert
+    { parent = D.size doc / 2; index = 0;
+      subtree = E.make "z" ~children:[ E.make "d"; E.make "a" ~text:"hello" ] }
+
 let all_kinds_pick rng doc =
-  match Xmlest.Splitmix.int rng 4 with
+  match Xmlest.Splitmix.int rng 5 with
   | 0 when D.size doc > 1 -> Some (random_delete rng doc)
   | 1 -> Some (random_append rng doc)
   | 2 -> Some (random_replace rng (D.size doc) doc)
+  | 3 -> Some (z_insert doc)
   | _ -> Some (random_insert rng doc)
 
 (* In-place edit streams, from documents of a few nodes so that the
@@ -647,6 +661,30 @@ let test_covering_side_stops_at_nested_matches () =
       [ 1; 2 ]
   done
 
+(* A replace that flips a node with a matching ancestor hands the nodes
+   it covers between itself and that ancestor.  The first replace un-nests
+   the [Text_eq "x"] matches, so their coverage entries show; the second
+   nests them again and the third un-nests them from the other end.  Each
+   prefix is checked, so errors cannot cancel out. *)
+let test_replace_under_a_matching_ancestor () =
+  let doc =
+    D.of_elem
+      (E.make "r"
+         ~children:
+           [ E.make "a" ~text:"x"
+               ~children:[ E.make "b" ~text:"x" ~children:[ E.make "c"; E.make "c" ] ];
+             E.make "c" ])
+  in
+  let ups =
+    [ U.Replace_text { node = 2; text = "" }; U.Replace_text { node = 2; text = "x" };
+      U.Replace_text { node = 1; text = "" } ]
+  in
+  List.iteri
+    (fun n _ ->
+      check_exact (Printf.sprintf "first %d replaces" (n + 1)) doc
+        (List.filteri (fun i _ -> i <= n) ups))
+    ups
+
 (* The maintain leg of the deep-chain stack-safety checks: on a
    100,000-deep chain an interior insert at mid-depth, a delete, a leaf
    replace and a replace at the top (its whole chain below it flips
@@ -793,6 +831,61 @@ let test_rejected_batch_commits_prefix () =
   Alcotest.(check bool) "summary = same-grid rebuild of the prefix" true
     (summaries_identical s fresh)
 
+(* What one update touches per predicate, counted by brute force on the
+   document before and after it: the matching nodes of a deleted or
+   inserted subtree, the matching survivors of an insert whose cell
+   changed, and a replaced node whose match flipped. *)
+let touched_by grid doc u p =
+  let matches d v = Xmlest.Predicate.eval p d v in
+  let count d lo hi =
+    List.length (List.filter (matches d) (List.init (hi - lo + 1) (( + ) lo)))
+  in
+  match u with
+  | U.Delete { node } -> count doc node (D.subtree_last doc node)
+  | U.Insert { parent; index; subtree } ->
+    let d = D.copy doc in
+    let root = D.insert_subtree d ~parent ~index subtree in
+    let k = D.subtree_size d root in
+    let cell d v = Xmlest.Grid.cell_of_node grid ~start_pos:(D.start_pos d v) ~end_pos:(D.end_pos d v) in
+    let moved v =
+      let v' = if v < root then v else v + k in
+      matches doc v && cell doc v <> cell d v'
+    in
+    count d root (root + k - 1) + List.length (List.filter moved (List.init (D.size doc) Fun.id))
+  | U.Replace_text { node; _ } | U.Replace_attrs { node; _ } ->
+    if Bool.equal (matches doc node) (matches (edited doc [ u ]) node) then 0 else 1
+
+(* The staleness report counts, per base predicate, exactly the nodes
+   [touched_by] counts over the stream applied so far. *)
+let prop_staleness_counts =
+  QCheck.Test.make ~name:"staleness counts = brute-force touched nodes" ~count:100
+    QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:40 ()) (int_bound 10000))
+    (fun (elem, seed) ->
+      let doc = D.of_elem elem in
+      let rng = Sm.create seed in
+      let s = summary_of ~grid_kind:(if seed mod 2 = 0 then `Uniform else `Equidepth) doc in
+      let grid = Xmlest.Summary.grid s in
+      let want = Hashtbl.create 16 in
+      List.iter
+        (fun u ->
+          let d =
+            match Xmlest.Summary.document s with Some d -> d | None -> Alcotest.fail "no document"
+          in
+          List.iter
+            (fun p ->
+              let name = Xmlest.Predicate.name p in
+              let was = Option.value ~default:0 (Hashtbl.find_opt want name) in
+              Hashtbl.replace want name (was + touched_by grid d u p))
+            (base_preds ());
+          Xmlest.Summary.apply s [ u ])
+        (stream ~k:6 ~pick:all_kinds_pick rng doc);
+      match Xmlest.Summary.staleness s with
+      | None -> Hashtbl.length want = 0
+      | Some r ->
+        List.for_all
+          (fun (name, n) -> Hashtbl.find_opt want name = Some n)
+          r.Xmlest.Staleness.per_predicate)
+
 (* The summary edits a private copy: the document given to [build] keeps
    its size, tags, positions and text, while [Summary.document] shows the
    edits, and the next [apply] advances that same working copy. *)
@@ -849,19 +942,16 @@ let prop_maintained_estimate_contract =
 
 (* Predicates outside [base_preds]: a tag, a text leaf, a compound with
    an unknown leaf, and a tag no document holds until [z_insert] interns
-   it. *)
+   it ([tag "z"] is a base predicate too, so a compound pinned to [z],
+   with a leaf no summary holds, keeps an on-demand one in that case). *)
 let on_demand_preds () =
   Xmlest.Predicate.
-    [ tag "d"; Text_eq "hello"; And (tag "a", Text_prefix "he"); tag "z" ]
+    [ tag "d"; Text_eq "hello"; And (tag "a", Text_prefix "he"); tag "z";
+      And (tag "z", Text_prefix "he") ]
 
 let on_demand_patterns =
   List.map Xmlest.Pattern_parser.pattern_exn
     [ "//a//d"; "//d[.//z]"; "//z"; "//a//b"; "//c[.//d]//a"; "//b//z" ]
-
-let z_insert doc =
-  U.Insert
-    { parent = D.size doc / 2; index = 0;
-      subtree = E.make "z" ~children:[ E.make "d"; E.make "a" ~text:"hello" ] }
 
 let hist_bits_equal a b =
   let g = (Xmlest.Position_histogram.grid a).Xmlest.Grid.size in
@@ -1279,6 +1369,8 @@ let () =
             test_insert_past_max_pos;
           Alcotest.test_case "covering side stops at nested matches" `Quick
             test_covering_side_stops_at_nested_matches;
+          Alcotest.test_case "replace under a matching ancestor" `Quick
+            test_replace_under_a_matching_ancestor;
           Alcotest.test_case "deep chain (100k levels)" `Quick
             test_deep_chain_maintenance;
           Alcotest.test_case "DBLP streams: apply = rebuild" `Quick
@@ -1290,6 +1382,7 @@ let () =
           Alcotest.test_case "staleness policies" `Quick test_staleness_policies;
           Alcotest.test_case "rejected update commits the prefix" `Quick
             test_rejected_batch_commits_prefix;
+          qcheck prop_staleness_counts;
         ] );
       ( "working-copy",
         [

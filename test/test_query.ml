@@ -205,7 +205,17 @@ let prop_substring_matches_naive =
 
 (* --- Compilation and dispatch ------------------------------------------- *)
 
-let test_compile_on_sample () =
+(* [p] on node [v] through a dispatch table of [p] alone. *)
+let dispatch_one doc p =
+  let d = Xmlest.Predicate.dispatch doc [ p ] in
+  fun v ->
+    let hit = ref false in
+    Xmlest.Predicate.dispatch_node d doc v ~f:(fun k ->
+        Alcotest.(check int) "the one index" 0 k;
+        hit := true);
+    !hit
+
+let test_dispatch_one_on_sample () =
   let doc = sample () in
   let open Xmlest.Predicate in
   let cases =
@@ -230,7 +240,7 @@ let test_compile_on_sample () =
   in
   List.iter
     (fun p ->
-      let c = compile doc p in
+      let c = dispatch_one doc p in
       for v = 0 to Xmlest.Document.size doc - 1 do
         Alcotest.(check bool)
           (name p ^ " @ node " ^ string_of_int v)
@@ -238,7 +248,7 @@ let test_compile_on_sample () =
       done)
     cases
 
-let prop_compile_equals_eval =
+let prop_dispatch_one_equals_eval =
   QCheck.Test.make ~count:300 ~name:"compile = eval (random docs, predicates)"
     QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:40 ()) (int_bound 1_000_000))
     (fun (elem, seed) ->
@@ -270,7 +280,7 @@ let prop_compile_equals_eval =
           | _ -> leaf ()
       in
       let p = gen 0 in
-      let c = Xmlest.Predicate.compile doc p in
+      let c = dispatch_one doc p in
       let ok = ref true in
       for v = 0 to Xmlest.Document.size doc - 1 do
         if
@@ -694,8 +704,8 @@ let () =
       ( "compile",
         [
           Alcotest.test_case "compile = eval on sample" `Quick
-            test_compile_on_sample;
-          qcheck prop_compile_equals_eval;
+            test_dispatch_one_on_sample;
+          qcheck prop_dispatch_one_equals_eval;
           Alcotest.test_case "dispatch = eval" `Quick test_dispatch_matches_eval;
           Alcotest.test_case "dispatch reads text only where needed" `Quick test_dispatch_needs_text;
           Alcotest.test_case "target classification" `Quick test_target;
