@@ -29,7 +29,10 @@ type node = int
 (** Pre-order index of a node within the store. *)
 
 val of_elem : Elem.t -> t
-(** Compile a single document.  The root element becomes node [0]. *)
+(** Compile a single document.  The root element becomes node [0].
+    Positions are stored in 32 bits: raises [Invalid_argument] when the
+    document's [max_pos], [2 * size - 1], would pass [Int32.max_int]
+    (more than [2^30] nodes). *)
 
 val copy : t -> t
 (** An independent store with the same contents: edits to either leave the
@@ -46,7 +49,10 @@ val max_pos : t -> int
     labels, leaving holes) positions are merely distinct and bounded by
     it, with [max_pos >= 2 * size - 1]. *)
 
-(** {2 Per-node accessors} *)
+(** {2 Per-node accessors}
+
+    Each raises [Invalid_argument] on a negative node, or one past the
+    capacity of the store's columns (never smaller than {!size}). *)
 
 val tag : t -> node -> string
 val tag_id : t -> node -> int
@@ -107,16 +113,24 @@ val num_tags : t -> int
     node count) and label the new subtree densely at the locus, growing
     [max_pos] by [2 * k].
 
-    An edit costs the nodes it touches, not the whole store.  Only int
-    columns move: the structure and label columns of the nodes past the
-    edit shift, with slack capacity that grows geometrically.  Texts and
-    attributes sit in payload slots that never move; a node reaches its
-    slot through an int slot column that shifts with the others.  A
-    delete frees its nodes' slots and drops their strings, an insert
-    reuses freed slots before it grows the payload, and
-    {!replace_text}/{!replace_attrs} write through the slot.  A store
-    that was never inserted into or deleted from has slot = node index and
-    keeps no slot column; its first insert or delete builds one. *)
+    The structure and label columns hold one 4-byte field per node, with
+    slack capacity that grows geometrically.  They are stored so that a
+    node's fields do not change when it moves to another index (extents,
+    parents and ends relative to the node), so the nodes past an edit
+    move by one memmove per column.  Beyond that, an edit walks the
+    ancestor chain of the edit point and the following siblings along it,
+    and an insert adds [2 * k] to the start of every node past the point:
+    the one per-node loop left.  An [index] below 0 or at least
+    [subtree_size parent - 1], the most children [parent] can have,
+    appends without looking at the children; any other index walks the
+    children up to it.  Texts and attributes sit in payload
+    slots that never move; a node reaches its slot through a slot column
+    that moves with the others.  A delete frees its nodes' slots and drops
+    their strings, an insert reuses freed slots before it grows the
+    payload, and {!replace_text}/{!replace_attrs} write through the slot.
+    A store that was never inserted into or deleted from has slot = node
+    index and keeps no slot column; its first insert or delete builds
+    one. *)
 
 val delete_subtree : t -> node -> unit
 (** Remove the subtree rooted at the node.  Raises [Invalid_argument] for
@@ -128,8 +142,9 @@ val insert_subtree : t -> parent:node -> index:int -> Elem.t -> node
     siblings right); any [index] outside the current child range appends as
     the last child.  Returns the inserted root's node index.  New tags are
     interned after the existing ids, so ids of existing tags are stable.
-    Raises [Invalid_argument] when [parent] is out of range, leaving the
-    store unchanged. *)
+    Raises [Invalid_argument] when [parent] is out of range, or when
+    [max_pos] would pass [Int32.max_int] (it grows by [2 * k] per insert
+    and never shrinks), leaving the store unchanged. *)
 
 val replace_text : t -> node -> string -> unit
 (** Replace a node's text content.  Raises [Invalid_argument] on an

@@ -316,13 +316,38 @@ let random_append rng doc =
 let random_delete rng doc =
   U.Delete { node = 1 + Xmlest.Splitmix.int rng (D.size doc - 1) }
 
+(* A replace drawn so that matches nest.  A third of the time, and always
+   while no node has a text or attributes, a random node gets a random
+   text or attribute list.  Otherwise a marked node (one with a text or
+   attributes) is picked, and half of the time one of its ancestors or
+   descendants gets its text (or its attributes), so that the two nest in
+   the same matches; the other half its own text (or attributes) are
+   cleared, so that its flip hands the nodes it covers to a matching
+   ancestor, or leaves matches below it uncovered. *)
 let random_replace rng _doc_size doc =
-  let node = Xmlest.Splitmix.int rng (D.size doc) in
-  if Xmlest.Splitmix.bool rng 0.5 then
-    U.Replace_text { node; text = Xmlest.Splitmix.choose rng [| ""; "x"; "hello" |] }
-  else
-    U.Replace_attrs
-      { node; attrs = (if Xmlest.Splitmix.bool rng 0.5 then [] else [ ("k", "v") ]) }
+  let marked =
+    List.filter
+      (fun v -> D.text doc v <> "" || D.attrs doc v <> [])
+      (List.init (D.size doc) Fun.id)
+  in
+  match marked with
+  | _ :: _ when Sm.int rng 3 > 0 ->
+    let m = Sm.choose rng (Array.of_list marked) in
+    let node, copy =
+      if Sm.bool rng 0.5 then
+        let rec up v acc = if v < 0 then acc else up (D.parent doc v) (v :: acc) in
+        let below = List.init (D.subtree_last doc m - m) (fun i -> m + 1 + i) in
+        (Sm.choose rng (Array.of_list (up (D.parent doc m) (m :: below))), true)
+      else (m, false)
+    in
+    if D.text doc m <> "" then
+      U.Replace_text { node; text = (if copy then D.text doc m else "") }
+    else U.Replace_attrs { node; attrs = (if copy then D.attrs doc m else []) }
+  | _ ->
+    let node = Sm.int rng (D.size doc) in
+    if Sm.bool rng 0.5 then
+      U.Replace_text { node; text = Sm.choose rng [| ""; "x"; "hello" |] }
+    else U.Replace_attrs { node; attrs = (if Sm.bool rng 0.5 then [] else [ ("k", "v") ]) }
 
 (* [doc] after [ups], on a copy: [doc] itself is left as it was. *)
 let edited doc ups =
@@ -374,6 +399,9 @@ let apply_equals_rebuild ?domains ?grid_kind doc ups =
   let s' = Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) (edited doc ups) (base_preds ()) in
   summaries_identical s s'
 
+(* A stream of up to four updates, applied one at a time: after each the
+   maintained summary equals a same-grid rebuild of the document edited so
+   far, so errors that a later update would cancel out still show. *)
 let exact_stream_prop ~name ?domains ?grid_kind pick =
   QCheck.Test.make ~name ~count:100
     QCheck.(pair (Test_util.elem_arbitrary ~max_nodes:40 ()) (int_bound 10000))
@@ -382,7 +410,15 @@ let exact_stream_prop ~name ?domains ?grid_kind pick =
       let rng = Xmlest.Splitmix.create seed in
       let ups = stream ~k:4 ~pick rng doc in
       QCheck.assume (List.length ups > 0);
-      apply_equals_rebuild ?domains ?grid_kind doc ups)
+      let s = summary_of ?domains ?grid_kind doc in
+      let edited = D.copy doc in
+      List.for_all
+        (fun u ->
+          Xmlest.Summary.apply s [ u ];
+          Test_util.apply_doc edited u;
+          summaries_identical s
+            (Xmlest.Summary.build ~grid:(Xmlest.Summary.grid s) edited (base_preds ())))
+        ups)
 
 let prop_delete_stream_exact =
   exact_stream_prop ~name:"delete-only stream: apply = same-grid rebuild"
@@ -401,6 +437,10 @@ let mixed_pick rng doc =
 let prop_mixed_exact_stream =
   exact_stream_prop ~name:"delete/append/replace stream: apply = rebuild"
     mixed_pick
+
+let prop_replace_stream_exact =
+  exact_stream_prop ~name:"replace-only stream: apply = rebuild"
+    (fun rng doc -> Some (random_replace rng (D.size doc) doc))
 
 (* The same exact-stream invariants, with the maintained summary built by
    the partitioned sweep: the updates apply to a parallel-built summary
@@ -465,6 +505,81 @@ let prop_edit_stream_matches_of_elem =
           if not (describes doc !tree) then ok := false
       done;
       !ok)
+
+(* Mixed delete/insert streams of up to eight edits on a tree whose root
+   has at least 64 children: after every edit the store has the structure
+   of [of_elem] of the edited tree and consistent labels, and on
+   insert-only streams the very labels too.  Insert indices reach past the
+   child count ([children], [subtree_size - 1], [max_int], [-1]), where an
+   insert appends without walking the children, and fall inside it, where
+   the walk finds the point. *)
+let prop_document_edit_streams =
+  QCheck.Test.make ~name:"edit streams: every prefix = of_elem of the edited tree" ~count:100
+    QCheck.(triple (Test_util.elem_arbitrary ~max_nodes:20 ()) (int_bound 10000) bool)
+    (fun (elem, seed, insert_only) ->
+      let rng = Sm.create seed in
+      let elem = E.make "r" ~children:(elem :: List.init 64 (fun _ -> gen_elem rng 3)) in
+      let doc = D.of_elem elem in
+      let tree = ref elem and ok = ref true in
+      for _ = 1 to 1 + Sm.int rng 8 do
+        let u =
+          if (not insert_only) && D.size doc > 1 && Sm.bool rng 0.5 then random_delete rng doc
+          else
+            let parent = if Sm.bool rng 0.5 then 0 else Sm.int rng (D.size doc) in
+            let children = List.length (Test_util.children doc parent) in
+            let index =
+              Sm.choose rng
+                [| 0; Sm.int rng (children + 1); children - 1; children;
+                   D.subtree_size doc parent - 1; max_int; -1 |]
+            in
+            U.Insert { parent; index; subtree = gen_elem rng 4 }
+        in
+        Test_util.apply_doc doc u;
+        tree := elem_apply !tree u;
+        let want = D.of_elem !tree in
+        if
+          not
+            (docs_equal_structure doc want
+            && labels_consistent doc
+            && ((not insert_only) || docs_equal doc want))
+        then ok := false
+      done;
+      !ok)
+
+(* Every per-node accessor raises [Invalid_argument] on an index outside
+   the store, on a fresh store and on one with slack capacity and a slot
+   column. *)
+let test_accessors_out_of_range () =
+  let fresh = D.of_elem (sample ()) in
+  let edited = D.of_elem (sample ()) in
+  ignore (D.insert_subtree edited ~parent:0 ~index:0 (E.make "w") : int);
+  D.delete_subtree edited 1;
+  let accessors =
+    [ ("tag", fun d v -> ignore (D.tag d v : string));
+      ("tag_id", fun d v -> ignore (D.tag_id d v : int));
+      ("text", fun d v -> ignore (D.text d v : string));
+      ("attrs", fun d v -> ignore (D.attrs d v : (string * string) list));
+      ("start_pos", fun d v -> ignore (D.start_pos d v : int));
+      ("end_pos", fun d v -> ignore (D.end_pos d v : int));
+      ("level", fun d v -> ignore (D.level d v : int));
+      ("parent", fun d v -> ignore (D.parent d v : int));
+      ("subtree_last", fun d v -> ignore (D.subtree_last d v : int));
+      ("subtree_size", fun d v -> ignore (D.subtree_size d v : int));
+      ("is_ancestor ~anc", fun d v -> ignore (D.is_ancestor d ~anc:v ~desc:1 : bool));
+      ("is_ancestor ~desc", fun d v -> ignore (D.is_ancestor d ~anc:0 ~desc:v : bool)) ]
+  in
+  List.iter
+    (fun (store, doc) ->
+      List.iter
+        (fun v ->
+          List.iter
+            (fun (name, f) ->
+              match f doc v with
+              | () -> Alcotest.failf "%s store: %s %d did not raise" store name v
+              | exception Invalid_argument _ -> ())
+            accessors)
+        [ -1; 1 lsl 40; max_int ])
+    [ ("fresh", fresh); ("edited", edited) ]
 
 (* Editing a copy leaves every accessor of the original as it was, and
    editing the original leaves a copy as it was. *)
@@ -1342,6 +1457,9 @@ let () =
           qcheck prop_delete_structure_and_labels;
           qcheck prop_tag_index_after_edits;
           qcheck prop_edit_stream_matches_of_elem;
+          qcheck prop_document_edit_streams;
+          Alcotest.test_case "accessors raise out of range" `Quick
+            test_accessors_out_of_range;
           qcheck prop_copy_independent;
           qcheck prop_payload_slots_reused;
         ] );
@@ -1350,6 +1468,7 @@ let () =
           qcheck prop_delete_stream_exact;
           qcheck prop_append_stream_exact;
           qcheck prop_mixed_exact_stream;
+          qcheck prop_replace_stream_exact;
           qcheck prop_delete_stream_exact_parallel;
           qcheck prop_append_stream_exact_parallel;
           qcheck prop_mixed_exact_stream_parallel;
